@@ -26,6 +26,7 @@ symmetric comparisons) so that logically identical predicates hash equally
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Union
 
@@ -53,6 +54,18 @@ class CompOp(enum.Enum):
             CompOp.GE: CompOp.LE,
         }
         return flip.get(self, self)
+
+
+#: The one comparison-operator table: constant folding, selectivity and
+#: every execution backend evaluate a :class:`CompOp` through it.
+COMPARISON_OPS = {
+    CompOp.EQ: operator.eq,
+    CompOp.NE: operator.ne,
+    CompOp.LT: operator.lt,
+    CompOp.LE: operator.le,
+    CompOp.GT: operator.gt,
+    CompOp.GE: operator.ge,
+}
 
 
 @dataclass(frozen=True)
@@ -242,6 +255,7 @@ class Conjunction:
 
 
 __all__ = [
+    "COMPARISON_OPS",
     "CompOp",
     "Comparison",
     "Conjunction",

@@ -50,13 +50,13 @@ from repro.algebra.operators import LogicalOp
 from repro.engine.dml import DmlResult
 from repro.governor.admission import AdmissionController
 from repro.governor.context import QueryContext
-from repro.governor.faults import FaultPlan
 from repro.obs.explain import ExplainReport, build_report
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.lang.ast import DeleteAst, InsertAst, QueryAst, SetQueryAst, UpdateAst
 from repro.lang.parser import parse_query, parse_statement
 from repro.storage.mvcc import CommitRecord, Transaction
-from repro.optimizer.config import OptimizerConfig
+from repro.optimizer.config import COLLAPSE_TO_INDEX_SCAN, OptimizerConfig
+from repro.optimizer.dynamic import MAX_DYNAMIC_INDEXES, DynamicPlanner
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.optimizer.plans import PhysicalNode
 from repro.simplify.simplifier import SimplifiedQuery, simplify_full
@@ -219,51 +219,12 @@ class Database:
         """
         from repro.durability import DurabilityManager
 
-        manifest = DurabilityManager.read_manifest(directory)
-        bootstrap = manifest.get("bootstrap") or {}
-        kind = bootstrap.get("kind")
-        if kind == "sample":
-            db = cls.sample(
-                scale=bootstrap["scale"],
-                seed=bootstrap["seed"],
-                config=config,
-            )
-        elif kind == "world":
-            from repro.fuzz.worldgen import WorldSpec, build_database
-
-            db = build_database(WorldSpec.from_dict(bootstrap["spec"]))
-            if config is not None:
-                db.config = config
-        else:
-            raise StorageError(
-                f"manifest has unknown bootstrap kind {kind!r}"
-            )
-        # Reconcile index DDL to the manifest: the bootstrap may create
-        # its own indexes; the manifest records what actually existed.
-        wanted = {
-            entry["name"]: entry for entry in manifest.get("indexes", [])
-        }
-        for index in list(db.catalog.indexes()):
-            if index.name not in wanted:
-                db.catalog.drop_index(index.name)
-        existing = {index.name for index in db.catalog.indexes()}
-        for name, entry in wanted.items():
-            if name not in existing:
-                db.catalog.add_index(
-                    IndexDef(
-                        name,
-                        entry["collection"],
-                        tuple(entry["path"]),
-                        entry["distinct_keys"],
-                    )
-                )
         manager = DurabilityManager(
             directory,
             crash_plan=crash_plan,
             checkpoint_every=checkpoint_every,
         )
-        manager.recover(db)
-        return db
+        return manager.open_database(cls, config)
 
     def checkpoint(self) -> int:
         """Write a checkpoint now; returns the checkpoint CSN."""
@@ -325,43 +286,13 @@ class Database:
 
         Returns the attribute names analyzed.
         """
-        from repro.catalog.histograms import (
-            DEFAULT_BINS,
-            build_histogram,
-            build_mcv,
-        )
-        from repro.catalog.schema import AttrKind
+        from repro.catalog.histograms import analyze_collection
 
         if self.store is None:
             raise CatalogError("analyze requires a populated store")
-        element = self.catalog.element_type(collection)
-        if attributes is None:
-            attributes = tuple(
-                a.name for a in element.attributes if a.kind is AttrKind.SCALAR
-            )
-        stats = self.catalog.stats(collection)
-        analyzed: list[str] = []
-        for attr_name in attributes:
-            attr_def = element.attribute(attr_name)
-            if attr_def.kind is not AttrKind.SCALAR:
-                raise CatalogError(
-                    f"analyze: {collection}.{attr_name} is not a scalar"
-                )
-            values = [
-                self.store.peek(oid).get(attr_name)
-                for oid in self.store.collection_oids(collection)
-            ]
-            values = [v for v in values if v is not None]
-            record = stats.attribute(attr_name)
-            record.histogram = build_histogram(values, bins or DEFAULT_BINS)
-            record.mcv = build_mcv(values)
-            record.distinct_values = len(set(values))
-            analyzed.append(attr_name)
-        if analyzed:
-            # In-place mutation of existing stats records: tell the
-            # catalog so version-keyed cached plans are invalidated.
-            self.catalog.note_statistics_changed()
-        return analyzed
+        return analyze_collection(
+            self.catalog, self.store, collection, attributes, bins
+        )
 
     def collect_type_statistics(self) -> dict[str, tuple[int, int]]:
         """Maintain population statistics for types without extents.
@@ -429,27 +360,16 @@ class Database:
         config: OptimizerConfig | None,
         governor: QueryContext | None,
         transaction: Transaction | None,
-        use_cache: bool | None,
+        use_cache: bool,
     ) -> DmlResult:
-        """Admission, transaction scoping, and commit for one statement."""
+        """Transaction scoping and commit for one admitted DML statement."""
         from repro.algebra import dml as dml_algebra
         from repro.engine import dml as dml_engine
 
         if self.store is None or self.executor is None:
             raise TransactionError("DML requires a populated store")
-        config = config or self.config
-        if governor is not None:
-            governor.start()
-            if governor.memory_bytes is not None:
-                config = config.with_memory_budget(governor.memory_bytes)
-        if use_cache is None:
-            use_cache = self.cache_plans
-        admit = (
-            self.admission.admit()
-            if self.admission is not None
-            else contextlib.nullcontext()
-        )
-        with admit:
+        config, slot = self._admit(config, governor)
+        with slot:
             txn = transaction if transaction is not None else self.store.begin()
             # Statement atomicity inside an explicit transaction: capture
             # the buffered-write state so a mid-statement failure (row 3
@@ -470,15 +390,22 @@ class Database:
                         plan = dml_algebra.plan_delete(statement, self.catalog)
                         operation = "delete"
                     view = self.store.view(txn=txn)
-                    targets = self._dml_targets(
-                        plan.target, config, governor, use_cache, view
+                    # The target query enters at the plan stage: it is
+                    # already admitted, and reads the transaction's view.
+                    target = parameterize(plan.target, auto=True)
+                    optimization, result_vars, _ = self._plan(
+                        target, target.auto_values, config, use_cache,
+                        False, governor,
+                    )
+                    _, targets = self._execute(
+                        optimization, result_vars, config, governor, view
                     )
                     if operation == "update":
                         affected = dml_engine.apply_update(
-                            view, txn, plan, targets
+                            view, txn, plan, targets.rows
                         )
                     else:
-                        affected = dml_engine.apply_delete(txn, plan, targets)
+                        affected = dml_engine.apply_delete(txn, plan, targets.rows)
             except Exception:
                 if transaction is None:
                     txn.rollback()
@@ -494,28 +421,6 @@ class Database:
                     # Outside the commit lock: checkpointing takes it.
                     self.durability.maybe_checkpoint()
             return DmlResult(operation, affected, csn)
-
-    def _dml_targets(
-        self,
-        target: QueryAst,
-        config: OptimizerConfig,
-        governor: QueryContext | None,
-        use_cache: bool,
-        view,
-    ) -> list[Row]:
-        """Run a write plan's target query through the cached pipeline."""
-        parameterized = parameterize(target, auto=True)
-        result = self._run_governed(
-            parameterized,
-            parameterized.auto_values,
-            config,
-            execute=True,
-            use_cache=use_cache and parameterized.cacheable,
-            dynamic=False,
-            governor=governor,
-            view=view,
-        )
-        return result.rows
 
     # ------------------------------------------------------------------
     # Query pipeline
@@ -546,27 +451,36 @@ class Database:
         fail — see :class:`~repro.governor.QueryContext`).
         """
         if isinstance(query, LogicalOp):
-            tree, result_vars, order = query, (), None
+            simplified = SimplifiedQuery(query, ())
         else:
             simplified = self.simplify(query)
-            tree = simplified.tree
-            result_vars = simplified.result_vars
-            order = simplified.order
         config = config or self.config
         if governor is not None and governor.memory_bytes is not None:
             config = config.with_memory_budget(governor.memory_bytes)
-        optimizer = self._optimizer(config)
-        return optimizer.optimize(
-            tree,
-            result_vars=result_vars,
-            order=order,
-            tracer=tracer if tracer is not None else self.tracer,
-            query_ctx=governor,
+        return self._search(
+            simplified, config, governor,
+            tracer if tracer is not None else self.tracer,
         )
 
     def _optimizer(self, config: OptimizerConfig | None) -> Optimizer:
         """An Optimizer wired to this database's feedback store."""
         return Optimizer(self.catalog, config or self.config, feedback=self.feedback)
+
+    def _search(
+        self,
+        simplified: SimplifiedQuery,
+        config: OptimizerConfig,
+        governor: QueryContext | None,
+        tracer: Tracer | None = None,
+    ) -> OptimizationResult:
+        """First-time planning of a simplified query (rewrite + search)."""
+        return self._optimizer(config).optimize(
+            simplified.tree,
+            result_vars=simplified.result_vars,
+            order=simplified.order,
+            tracer=tracer,
+            query_ctx=governor,
+        )
 
     def explain(
         self,
@@ -602,7 +516,9 @@ class Database:
         (render with ``.render()``, export with ``.to_json()``).  Requires
         a populated store.  A fresh enabled tracer is used unless one is
         passed, so the report always carries the search events — the
-        Query 3 assembly-enforcer firing included.
+        Query 3 assembly-enforcer firing included.  The statement is
+        admitted, executed and (if need be) replanned exactly as `query`
+        does it; only the planning skips the cache.
         """
         if self.executor is None:
             raise CatalogError("EXPLAIN ANALYZE requires a populated store")
@@ -610,15 +526,12 @@ class Database:
         if governor is not None and governor.tracer is NULL_TRACER:
             governor.tracer = tracer
         text = query if isinstance(query, str) else str(query)
-        optimization = self.optimize(query, config, tracer=tracer, governor=governor)
-        execution = self.executor.execute(
-            optimization.plan,
-            cold=cold,
-            collect_stats=True,
-            tracer=tracer,
-            ctx=governor,
-            backend=(config or self.config).backend,
-        )
+        config, slot = self._admit(config, governor)
+        with slot:
+            optimization = self._search(self.simplify(query), config, governor, tracer)
+            optimization, execution = self._execute(
+                optimization, (), config, governor, None, cold=cold, instrument=tracer
+            )
         return build_report(
             text,
             optimization,
@@ -734,8 +647,15 @@ class Database:
             raise TransactionError(
                 f"transaction is {transaction.status}; begin a new one"
             )
-        governor = self._governor_for(options, governor)
+        if options:
+            if governor is not None:
+                raise ParameterBindingError(
+                    "pass either options or a prebuilt governor, not both"
+                )
+            governor = QueryContext.from_options(options, self.tracer)
         statement = parse_statement(text)
+        if use_cache is None:
+            use_cache = self.cache_plans
         if isinstance(statement, (InsertAst, UpdateAst, DeleteAst)):
             if not execute:
                 raise TransactionError(
@@ -744,8 +664,6 @@ class Database:
                     "Database.optimize on the target query for plan-only "
                     "inspection"
                 )
-            if use_cache is None:
-                use_cache = self.cache_plans
             return self._run_dml(
                 statement, config, governor, transaction, use_cache
             )
@@ -761,9 +679,7 @@ class Database:
                 f"query text contains unbound parameters ({names}); use "
                 "Database.prepare(...) and bind values via execute(...)"
             )
-        if use_cache is None:
-            use_cache = self.cache_plans
-        return self._run_parameterized(
+        return self._run_statement(
             parameterized,
             parameterized.auto_values,
             config=config,
@@ -771,37 +687,6 @@ class Database:
             use_cache=use_cache,
             governor=governor,
             view=view,
-        )
-
-    #: The option keys `query` understands (anything else is an error).
-    _OPTION_KEYS = ("$timeout", "$memory", "$search_timeout", "$chaos")
-
-    def _governor_for(
-        self,
-        options: Mapping[str, Any] | None,
-        governor: QueryContext | None,
-    ) -> QueryContext | None:
-        """Build a QueryContext from ``$``-key options (or pass one through)."""
-        if options is None or not options:
-            return governor
-        if governor is not None:
-            raise ParameterBindingError(
-                "pass either options or a prebuilt governor, not both"
-            )
-        unknown = sorted(set(options) - set(self._OPTION_KEYS))
-        if unknown:
-            known = ", ".join(self._OPTION_KEYS)
-            raise ParameterBindingError(
-                f"unknown query option(s) {', '.join(unknown)}; "
-                f"supported: {known}"
-            )
-        chaos = options.get("$chaos")
-        return QueryContext(
-            timeout_ms=options.get("$timeout"),
-            search_timeout_ms=options.get("$search_timeout"),
-            memory_bytes=options.get("$memory"),
-            fault_plan=FaultPlan.chaos(int(chaos)) if chaos is not None else None,
-            tracer=self.tracer,
         )
 
     # ------------------------------------------------------------------
@@ -831,23 +716,12 @@ class Database:
         """
         return PreparedQuery(self, text, config=config, dynamic=dynamic)
 
-    def _cache_key(
-        self,
-        parameterized: ParameterizedQuery,
-        config: OptimizerConfig,
-        dynamic: bool,
-    ) -> str:
-        # The optimizer configuration changes which plans are legal, so
-        # every plan-affecting knob is part of the fingerprint —
-        # ``cache_key()`` renders them canonically (sorted rule sets), so
-        # equal configs always share a key and different backends /
-        # rewrite / parallelism / feedback settings never do.  Dynamic
-        # entries live under their own key: a static entry for the same
-        # text must not shadow the scenario compilation.
-        suffix = "\x00dynamic" if dynamic else ""
-        return f"{parameterized.text_key}\x00{config.cache_key()}{suffix}"
+    # ------------------------------------------------------------------
+    # The statement lifecycle: admit -> plan -> execute -> replan
+    # (docs/how_a_query_becomes_a_plan.md, "Statement lifecycle")
+    # ------------------------------------------------------------------
 
-    def _run_parameterized(
+    def _run_statement(
         self,
         parameterized: ParameterizedQuery,
         values: dict[str, Any],
@@ -858,11 +732,30 @@ class Database:
         governor: QueryContext | None = None,
         view=None,
     ) -> QueryResult:
-        """The cached query pipeline shared by `query` and PreparedQuery.
+        """One read statement through every stage, in order; shared by
+        `query` and PreparedQuery.  ``values`` maps slot names (auto or
+        ``$user``) to already-validated plain Python values."""
+        config, slot = self._admit(config, governor)
+        with slot:
+            optimization, result_vars, info = self._plan(
+                parameterized, values, config, use_cache, dynamic, governor
+            )
+            execution = None
+            if execute and self.executor is not None:
+                optimization, execution = self._execute(
+                    optimization, result_vars, config, governor, view
+                )
+        rows = execution.rows if execution is not None else []
+        return QueryResult(
+            rows, optimization.plan, optimization, execution, info, governor=governor
+        )
 
-        ``values`` maps slot names (auto or ``$user``) to plain Python
-        values; validation has already happened for prepared queries.
-        """
+    def _admit(
+        self, config: OptimizerConfig | None, governor: QueryContext | None
+    ) -> tuple[OptimizerConfig, Any]:
+        """Stage 1 — admit: start the governor's clocks, resolve the
+        effective config, and return it with the admission slot (a
+        context manager) the rest of the statement runs inside."""
         config = config or self.config
         if governor is not None:
             governor.start()
@@ -871,267 +764,192 @@ class Database:
                 # executor enforces (and budgeted plans get their own
                 # cache key, since the config is part of it).
                 config = config.with_memory_budget(governor.memory_bytes)
-        admit = (
-            self.admission.admit()
-            if self.admission is not None
-            else contextlib.nullcontext()
-        )
-        with admit:
-            return self._run_governed(
-                parameterized, values, config, execute, use_cache, dynamic,
-                governor, view=view,
-            )
+        if self.admission is None:
+            return config, contextlib.nullcontext()
+        return config, self.admission.admit()
 
-    def _run_governed(
+    def _plan(
         self,
         parameterized: ParameterizedQuery,
         values: dict[str, Any],
         config: OptimizerConfig,
-        execute: bool,
         use_cache: bool,
         dynamic: bool,
         governor: QueryContext | None,
-        view=None,
-    ) -> QueryResult:
-        if not use_cache or not parameterized.cacheable:
-            bound = bind_template(parameterized, values, tagged=False)
-            simplified = simplify_full(bound, self.catalog)
-            optimization = self._optimizer(config).optimize(
-                simplified.tree,
-                result_vars=simplified.result_vars,
-                order=simplified.order,
-                query_ctx=governor,
+    ) -> tuple[OptimizationResult, tuple[str, ...], CacheInfo]:
+        """Stage 2 — plan: re-bind a cached plan (``hit`` / ``reselect``),
+        or plan for the first time (bind -> simplify -> search) and store
+        the result (``miss``) unless caching is off for the call, the
+        plan is degraded (both ``bypass``) or it is ``uncacheable``."""
+        storable = use_cache and parameterized.cacheable
+        if storable:
+            # The optimizer configuration changes which plans are legal, so
+            # every plan-affecting knob is part of the fingerprint —
+            # ``cache_key()`` renders them canonically (sorted rule sets), so
+            # equal configs always share a key and different backends /
+            # rewrite / parallelism / feedback settings never do.  Dynamic
+            # entries live under their own key: a static entry for the same
+            # text must not shadow the scenario compilation.
+            suffix = "\x00dynamic" if dynamic else ""
+            key = f"{parameterized.text_key}\x00{config.cache_key()}{suffix}"
+            entry, outcome = self.plan_cache.lookup(
+                key, self.catalog,
+                feedback_version=self.feedback.version if config.feedback else None,
             )
+            if entry is not None:
+                by_index = {
+                    slot.index: values[slot.name] for slot in parameterized.slots
+                }
+                plan = rebind_plan(entry.optimization.plan, by_index)
+                optimization = replace(
+                    entry.optimization, plan=plan, cost=plan.total_cost
+                )
+                info = CacheInfo(
+                    outcome, key, self.catalog.version, entry.optimization_seconds
+                )
+                return optimization, entry.result_vars, info
+        else:
+            key = parameterized.text_key
             outcome = "bypass" if parameterized.cacheable else "uncacheable"
-            info = CacheInfo(outcome, parameterized.text_key, self.catalog.version)
-            return self._finish(
-                optimization, simplified.result_vars, execute, info,
-                config=config, governor=governor, view=view,
-            )
-
-        key = self._cache_key(parameterized, config, dynamic)
-        feedback_version = self.feedback.version if config.feedback else None
-        entry, outcome = self.plan_cache.lookup(
-            key, self.catalog, feedback_version=feedback_version
-        )
-        if entry is not None:
-            by_index = {
-                slot.index: values[slot.name] for slot in parameterized.slots
-            }
-            plan = rebind_plan(entry.optimization.plan, by_index)
-            optimization = replace(
-                entry.optimization, plan=plan, cost=plan.total_cost
-            )
-            info = CacheInfo(
-                outcome, key, self.catalog.version, entry.optimization_seconds
-            )
-            return self._finish(
-                optimization, entry.result_vars, execute, info,
-                config=config, governor=governor, view=view,
-            )
-
-        # Miss: optimize with tagged constants so the stored plan can be
-        # re-bound, then cache it for the current catalog version.
+        # Constants are tagged only in a plan that will be stored, so a
+        # later hit can re-bind them.
         started = time.perf_counter()
-        bound = bind_template(parameterized, values, tagged=True)
-        simplified = simplify_full(bound, self.catalog)
-        optimization = self._optimizer(config).optimize(
-            simplified.tree,
-            result_vars=simplified.result_vars,
-            order=simplified.order,
-            query_ctx=governor,
-        )
-        dynamic_plan = None
-        if dynamic:
-            from repro.optimizer.dynamic import (
-                MAX_DYNAMIC_INDEXES,
-                DynamicPlanner,
-            )
-
-            if len(self.catalog.indexes()) <= MAX_DYNAMIC_INDEXES:
+        bound = bind_template(parameterized, values, tagged=storable)
+        simplified = self.simplify(bound)
+        optimization = self._search(simplified, config, governor)
+        if storable and governor is not None and governor.degraded:
+            # A deadline-truncated search produced a best-effort plan;
+            # caching it would serve degraded plans to future un-degraded
+            # runs of the same query shape.
+            outcome = "bypass"
+        elif storable:
+            dynamic_plan = None
+            if dynamic and len(self.catalog.indexes()) <= MAX_DYNAMIC_INDEXES:
                 dynamic_plan = DynamicPlanner(self.catalog, config).plan(
                     simplified.tree,
                     result_vars=simplified.result_vars,
                     order=simplified.order,
                 )
-        elapsed = time.perf_counter() - started
-        if governor is not None and governor.degraded:
-            # A deadline-truncated search produced a best-effort plan;
-            # caching it would serve degraded plans to future un-degraded
-            # runs of the same query shape.
-            info = CacheInfo("bypass", key, self.catalog.version)
-            return self._finish(
-                optimization, simplified.result_vars, execute, info,
-                config=config, governor=governor, view=view,
+            self.plan_cache.store(
+                CacheEntry(
+                    key=key,
+                    optimization=optimization,
+                    result_vars=simplified.result_vars,
+                    dynamic=dynamic_plan,
+                    catalog_version=self.catalog.version,
+                    stats_version=self.catalog.stats_version,
+                    optimization_seconds=time.perf_counter() - started,
+                    param_count=len(parameterized.slots),
+                    # Captured *after* optimizing: the search itself may have
+                    # dropped stale observations (bumping the store version),
+                    # and the plan reflects the post-drop state.
+                    feedback_version=(
+                        self.feedback.version if config.feedback else -1
+                    ),
+                )
             )
-        self.plan_cache.store(
-            CacheEntry(
-                key=key,
-                optimization=optimization,
-                result_vars=simplified.result_vars,
-                dynamic=dynamic_plan,
-                catalog_version=self.catalog.version,
-                stats_version=self.catalog.stats_version,
-                optimization_seconds=elapsed,
-                param_count=len(parameterized.slots),
-                # Captured *after* optimizing: the search itself may have
-                # dropped stale observations (bumping the store version),
-                # and the plan reflects the post-drop state.
-                feedback_version=(
-                    self.feedback.version if config.feedback else -1
-                ),
-            )
-        )
-        info = CacheInfo("miss", key, self.catalog.version)
-        return self._finish(
-            optimization, simplified.result_vars, execute, info,
-            config=config, governor=governor, view=view,
-        )
+        info = CacheInfo(outcome, key, self.catalog.version)
+        return optimization, simplified.result_vars, info
 
-    def _finish(
+    def _execute(
         self,
-        optimization: OptimizationResult,
-        result_vars: tuple[str, ...],
-        execute: bool,
-        info: CacheInfo,
-        config: OptimizerConfig | None = None,
-        governor: QueryContext | None = None,
-        view=None,
-    ) -> QueryResult:
-        cfg = config or self.config
-        execution = None
-        rows: list[Row] = []
-        monitor = None
-        if execute and self.executor is not None and cfg.feedback:
-            # Feedback monitoring is snapshot-scoped: observations from a
-            # transaction's private view (its own uncommitted writes)
-            # must not leak into costing for everyone else, so runs
-            # inside a transaction go unmonitored.  Ungoverned-view runs
-            # pin the latest committed snapshot *here* so an adaptive
-            # replan re-executes against the very same data.
-            in_txn = view is not None and getattr(view, "txn", None) is not None
-            if not in_txn and self.store is not None:
-                if view is None:
-                    view = self.store.view()
-                monitor = CardinalityMonitor(
-                    optimization.plan, replan_ratio=cfg.feedback_replan_ratio
-                )
-        if execute and self.executor is not None:
-            # SELECT *: the user sees the range variables; helper scope
-            # variables a particular plan happened to materialize are
-            # not part of the result.
-            try:
-                execution = self.execute_plan(
-                    optimization.plan, result_vars=result_vars, ctx=governor,
-                    view=view, backend=cfg.backend, monitor=monitor,
-                )
-                if monitor is not None:
-                    self.feedback.ingest(monitor, self.catalog)
-            except AdaptiveReplanSignal as signal:
-                # Mid-query re-optimization: an operator blew past its
-                # estimate.  The rows counted so far (flushed as partial
-                # observations) are exactly the knowledge the replan
-                # needs, so ingest first, then replan on the same
-                # snapshot.
-                self.feedback.ingest(monitor, self.catalog)
-                optimization, execution = self._adaptive_replan(
-                    signal, optimization, result_vars, cfg, governor, view
-                )
-            except IndexCorruptionError as exc:
-                # Degradation ladder, step 2 (after the buffer pool's
-                # retries): a persistently corrupt index can't be read,
-                # but the base collections still can — replan without
-                # index access paths and run the scan-based plan under
-                # the same governor (same clocks, same injector).
-                optimization, execution = self._degrade_to_scan(
-                    exc, optimization, result_vars, config, governor, view
-                )
-            rows = execution.rows
-        return QueryResult(
-            rows, optimization.plan, optimization, execution, info,
-            governor=governor,
-        )
-
-    def _adaptive_replan(
-        self,
-        signal: AdaptiveReplanSignal,
         optimization: OptimizationResult,
         result_vars: tuple[str, ...],
         config: OptimizerConfig,
         governor: QueryContext | None,
-        view=None,
+        view,
+        cold: bool = True,
+        instrument: Tracer | None = None,
     ) -> tuple[OptimizationResult, ExecutionResult]:
-        """Re-optimize with the just-ingested observations and re-run.
-
-        Follows the ``_degrade_to_scan`` template: same logical tree,
-        same required properties, same governor (clocks keep ticking),
-        same MVCC snapshot — so the result bytes are exactly what the
-        cancelled run would have produced, only the plan changes.  The
-        re-run is *not* monitored for replanning again (one replan per
-        query), but still feeds its final counts back.
-        """
-        self.feedback.stats.replans += 1
-        if governor is not None:
-            governor.mark_degraded(
-                "cardinality_misestimate",
-                operator=signal.description,
-                estimated=signal.estimated,
-                observed=signal.observed,
+        """Stage 3 — execute: pin the snapshot, run the plan, and on a
+        replan reason re-plan and re-run on that same snapshot.  Returns
+        the optimization that produced the rows.  ``instrument`` (EXPLAIN
+        ANALYZE) collects per-operator stats and receives the events."""
+        if view is None:
+            view = self.store.view()
+        # Feedback monitoring is snapshot-scoped: observations from a
+        # transaction's private view (its own uncommitted writes) must
+        # not leak into costing for everyone else, so runs inside a
+        # transaction go unmonitored.
+        monitored = config.feedback and getattr(view, "txn", None) is None
+        replan_ratio = config.feedback_replan_ratio
+        # Each handler below disarms its own trigger, so a reason replans
+        # at most once per statement; a re-run that hits the *other*
+        # reason goes round the loop once more.
+        while True:
+            monitor = None
+            if monitored:
+                monitor = CardinalityMonitor(optimization.plan, replan_ratio)
+            try:
+                if instrument is None:
+                    # SELECT *: the user sees the range variables; helper
+                    # scope variables a particular plan happened to
+                    # materialize are not part of the result.
+                    execution = self.execute_plan(
+                        optimization.plan, result_vars=result_vars,
+                        ctx=governor, view=view, backend=config.backend,
+                        monitor=monitor,
+                    )
+                else:
+                    execution = self.executor.execute(
+                        optimization.plan, cold=cold, collect_stats=True,
+                        tracer=instrument, ctx=governor, view=view,
+                        backend=config.backend, monitor=monitor,
+                    )
+            except AdaptiveReplanSignal as signal:
+                # Mid-query re-optimization: an operator blew past its
+                # estimate.  The rows counted so far (flushed as partial
+                # observations) are exactly the knowledge the replan
+                # needs, so ingest first.  The re-run still feeds its
+                # final counts back but is not watched for replanning.
+                self.feedback.ingest(monitor, self.catalog)
+                self.feedback.stats.replans += 1
+                replan_ratio = None
+                reason, detail = "cardinality_misestimate", {
+                    "operator": signal.description,
+                    "estimated": signal.estimated,
+                    "observed": signal.observed,
+                }
+            except IndexCorruptionError as exc:
+                # Degradation ladder, step 2 (after the buffer pool's
+                # retries): a persistently corrupt index can't be read,
+                # but the base collections still can — replan without
+                # index access paths.
+                if not config.is_enabled(COLLAPSE_TO_INDEX_SCAN):
+                    raise
+                config = config.without(COLLAPSE_TO_INDEX_SCAN)
+                reason, detail = "index_corruption", {"index": exc.index_name}
+            else:
+                if monitor is not None:
+                    self.feedback.ingest(monitor, self.catalog)
+                return optimization, execution
+            optimization = self._replan(
+                reason, detail, optimization, config, governor,
+                instrument if instrument is not None else self.tracer,
             )
-        elif self.tracer.enabled:
-            self.tracer.event(
-                "degraded",
-                "cardinality_misestimate",
-                operator=signal.description,
-                estimated=signal.estimated,
-                observed=signal.observed,
-            )
-        optimization = self._optimizer(config).optimize(
-            optimization.logical,
-            required=optimization.required,
-            tracer=self.tracer,
-            query_ctx=governor,
-        )
-        monitor = CardinalityMonitor(optimization.plan, replan_ratio=None)
-        execution = self.execute_plan(
-            optimization.plan, result_vars=result_vars, ctx=governor,
-            view=view, backend=config.backend, monitor=monitor,
-        )
-        self.feedback.ingest(monitor, self.catalog)
-        return optimization, execution
 
-    def _degrade_to_scan(
+    def _replan(
         self,
-        exc: IndexCorruptionError,
+        reason: str,
+        detail: dict[str, Any],
         optimization: OptimizationResult,
-        result_vars: tuple[str, ...],
-        config: OptimizerConfig | None,
+        config: OptimizerConfig,
         governor: QueryContext | None,
-        view=None,
-    ) -> tuple[OptimizationResult, ExecutionResult]:
-        """Replan a query whose chosen index turned out corrupt."""
-        from repro.optimizer.config import COLLAPSE_TO_INDEX_SCAN
-
+        tracer: Tracer,
+    ) -> OptimizationResult:
+        """Stage 4 — replan: record why, then re-optimize the same
+        logical tree for the same required properties under the same
+        governor (its clocks keep ticking), so only the plan changes."""
         if governor is not None:
-            governor.mark_degraded("index_corruption", index=exc.index_name)
-        elif self.tracer.enabled:
-            self.tracer.event(
-                "degraded", "index_corruption", index=exc.index_name
-            )
-        degraded_config = (config or self.config).without(
-            COLLAPSE_TO_INDEX_SCAN
-        )
-        optimization = self._optimizer(degraded_config).optimize(
+            governor.mark_degraded(reason, **detail)
+        elif tracer.enabled:
+            tracer.event("degraded", reason, **detail)
+        return self._optimizer(config).optimize(
             optimization.logical,
             required=optimization.required,
-            tracer=self.tracer,
+            tracer=tracer,
             query_ctx=governor,
         )
-        execution = self.execute_plan(
-            optimization.plan, result_vars=result_vars, ctx=governor,
-            view=view, backend=degraded_config.backend,
-        )
-        return optimization, execution
 
     # ------------------------------------------------------------------
     # Dynamic plan selection (ObjectStore's capability, cost-based)
@@ -1145,8 +963,6 @@ class Database:
     ):
         """Compile one plan per index-availability scenario; select later
         with :meth:`execute_dynamic` (or ``plan.choose_for(catalog)``)."""
-        from repro.optimizer.dynamic import DynamicPlanner
-
         simplified = self.simplify(query)
         planner = DynamicPlanner(self.catalog, config or self.config)
         return planner.plan(

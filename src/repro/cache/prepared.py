@@ -88,7 +88,7 @@ class PreparedQuery:
     def execute(self, **params: Any) -> "QueryResult":
         """Bind ``params`` and run the query (through the plan cache)."""
         self._validate(params)
-        return self._db._run_parameterized(
+        return self._db._run_statement(
             self.parameterized,
             params,
             config=self._config,
@@ -98,7 +98,7 @@ class PreparedQuery:
     def explain(self, costs: bool = False, **params: Any) -> str:
         """Bind ``params``, plan (via the cache), and render the plan."""
         self._validate(params)
-        result = self._db._run_parameterized(
+        result = self._db._run_statement(
             self.parameterized,
             params,
             config=self._config,

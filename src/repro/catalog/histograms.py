@@ -14,6 +14,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any
 
+from repro.catalog.schema import AttrKind
 from repro.errors import CatalogError
 
 DEFAULT_BINS = 20
@@ -155,11 +156,49 @@ def build_mcv(values: list[Any], k: int = DEFAULT_MCV_SIZE) -> MostCommonValues:
     return MostCommonValues(top, len(values), len(counter))
 
 
+def analyze_collection(
+    catalog, store, collection: str,
+    attributes: tuple[str, ...] | None = None, bins: int | None = None,
+) -> list[str]:
+    """Scan ``collection`` in ``store`` and refresh the catalog's
+    histogram / MCV / distinct-value records for its scalar attributes
+    (all of them by default).  Returns the attribute names analyzed."""
+    element = catalog.element_type(collection)
+    if attributes is None:
+        attributes = tuple(
+            a.name for a in element.attributes if a.kind is AttrKind.SCALAR
+        )
+    stats = catalog.stats(collection)
+    analyzed: list[str] = []
+    for attr_name in attributes:
+        attr_def = element.attribute(attr_name)
+        if attr_def.kind is not AttrKind.SCALAR:
+            raise CatalogError(
+                f"analyze: {collection}.{attr_name} is not a scalar"
+            )
+        values = [
+            store.peek(oid).get(attr_name)
+            for oid in store.collection_oids(collection)
+        ]
+        values = [v for v in values if v is not None]
+        record = stats.attribute(attr_name)
+        record.histogram = build_histogram(values, bins or DEFAULT_BINS)
+        record.mcv = build_mcv(values)
+        record.distinct_values = len(set(values))
+        analyzed.append(attr_name)
+    if analyzed:
+        # In-place mutation of existing stats records: tell the
+        # catalog so version-keyed cached plans are invalidated.
+        catalog.note_statistics_changed()
+    return analyzed
+
+
 __all__ = [
     "DEFAULT_BINS",
     "DEFAULT_MCV_SIZE",
     "Histogram",
     "MostCommonValues",
+    "analyze_collection",
     "build_histogram",
     "build_mcv",
 ]

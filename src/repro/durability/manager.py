@@ -25,6 +25,7 @@ import os
 import threading
 from typing import TYPE_CHECKING, Any
 
+from repro.catalog.catalog import IndexDef
 from repro.durability.checkpoint import (
     load_newest_checkpoint,
     write_checkpoint,
@@ -275,6 +276,50 @@ class DurabilityManager:
             fh.flush()
             os.fsync(fh.fileno())
         os.rename(tmp, self.manifest_path)
+
+    def open_database(self, database_cls: "type[Database]", config=None) -> "Database":
+        """Rebuild the database the manifest describes, then recover it:
+        the reading half of :meth:`write_manifest`'s format."""
+        manifest = self.read_manifest(self.directory)
+        bootstrap = manifest.get("bootstrap") or {}
+        kind = bootstrap.get("kind")
+        if kind == "sample":
+            db = database_cls.sample(
+                scale=bootstrap["scale"],
+                seed=bootstrap["seed"],
+                config=config,
+            )
+        elif kind == "world":
+            from repro.fuzz.worldgen import WorldSpec, build_database
+
+            db = build_database(WorldSpec.from_dict(bootstrap["spec"]))
+            if config is not None:
+                db.config = config
+        else:
+            raise StorageError(
+                f"manifest has unknown bootstrap kind {kind!r}"
+            )
+        # Reconcile index DDL to the manifest: the bootstrap may create
+        # its own indexes; the manifest records what actually existed.
+        wanted = {
+            entry["name"]: entry for entry in manifest.get("indexes", [])
+        }
+        for index in list(db.catalog.indexes()):
+            if index.name not in wanted:
+                db.catalog.drop_index(index.name)
+        existing = {index.name for index in db.catalog.indexes()}
+        for name, entry in wanted.items():
+            if name not in existing:
+                db.catalog.add_index(
+                    IndexDef(
+                        name,
+                        entry["collection"],
+                        tuple(entry["path"]),
+                        entry["distinct_keys"],
+                    )
+                )
+        self.recover(db)
+        return db
 
     @staticmethod
     def read_manifest(directory: str) -> dict:

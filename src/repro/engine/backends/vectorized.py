@@ -37,7 +37,7 @@ from repro.algebra.predicates import (
 )
 from repro.engine.backends.base import ExecutionBackend
 from repro.engine.iterators import _split_join_predicate
-from repro.engine.tuples import _OPS, Obj, Row, eval_conjunction, value_key
+from repro.engine.tuples import COMPARISON_OPS, Obj, Row, eval_conjunction, value_key
 from repro.errors import ExecutionError
 from repro.optimizer.plans import (
     AlgProjectNode,
@@ -210,7 +210,7 @@ def _apply_comparison(
     """
     left = _term_column(comparison.left, chunk, indices)
     right = _term_column(comparison.right, chunk, indices)
-    op = _OPS[comparison.op]
+    op = COMPARISON_OPS[comparison.op]
     kept = []
     for pos, i in enumerate(indices):
         lv = left[pos]

@@ -28,6 +28,7 @@ from repro.algebra.predicates import (
     term_vars,
 )
 from repro.engine.tuples import (
+    COMPARISON_OPS,
     Obj,
     ReversedKey,
     Row,
@@ -533,7 +534,7 @@ def group_by(
             if value is None:
                 return False
             try:
-                if not _OPS_HAVING[clause.op](value, clause.value):
+                if not COMPARISON_OPS[clause.op](value, clause.value):
                     return False
             except TypeError:
                 return False
@@ -562,18 +563,6 @@ def group_by(
 
         output.sort(key=group_order)
     yield from output
-
-
-import operator as _operator
-
-_OPS_HAVING = {
-    CompOp.EQ: _operator.eq,
-    CompOp.NE: _operator.ne,
-    CompOp.LT: _operator.lt,
-    CompOp.LE: _operator.le,
-    CompOp.GT: _operator.gt,
-    CompOp.GE: _operator.ge,
-}
 
 
 def set_op(

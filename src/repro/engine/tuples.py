@@ -10,12 +10,11 @@ absent from the row.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Any
 
 from repro.algebra.predicates import (
-    CompOp,
+    COMPARISON_OPS,
     Comparison,
     Conjunction,
     Const,
@@ -55,16 +54,6 @@ class Obj:
 
 Row = dict[str, Any]
 
-_OPS = {
-    CompOp.EQ: operator.eq,
-    CompOp.NE: operator.ne,
-    CompOp.LT: operator.lt,
-    CompOp.LE: operator.le,
-    CompOp.GT: operator.gt,
-    CompOp.GE: operator.ge,
-}
-
-
 def eval_term(term: Term, row: Row) -> Any:
     """Evaluate one predicate/projection term against a row."""
     if isinstance(term, Const):
@@ -98,7 +87,7 @@ def eval_comparison(comparison: Comparison, row: Row) -> bool:
     if left is None or right is None:
         return False
     try:
-        return _OPS[comparison.op](left, right)
+        return COMPARISON_OPS[comparison.op](left, right)
     except TypeError:
         return False
 
@@ -191,6 +180,7 @@ def row_key(row: Row) -> tuple:
 
 
 __all__ = [
+    "COMPARISON_OPS",
     "Obj",
     "ReversedKey",
     "Row",

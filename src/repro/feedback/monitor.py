@@ -33,9 +33,9 @@ REPLAN_MIN_ROWS = 64
 class AdaptiveReplanSignal(Exception):
     """Observed cardinality blew past the estimate: cancel and replan.
 
-    Deliberately *not* a ``ReproError``: this must never escape
-    ``Database._finish`` to a caller, so the fuzzer treats a leak as a
-    crash rather than a tolerated error.
+    Deliberately *not* a ``ReproError``: this must never escape the
+    execute stage (``Database._execute``) to a caller, so the fuzzer
+    treats a leak as a crash rather than a tolerated error.
     """
 
     def __init__(self, description: str, estimated: float, observed: int) -> None:

@@ -26,14 +26,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from repro.errors import QueryCancelled, QueryTimeout
+from repro.errors import ParameterBindingError, QueryCancelled, QueryTimeout
+from repro.governor.faults import FaultPlan
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:
     from repro.engine.tuples import Row
-    from repro.governor.faults import FaultInjector, FaultPlan
+    from repro.governor.faults import FaultInjector
 
 #: How many rows a governed pipeline yields between context polls.
 CHECK_INTERVAL_ROWS = 64
@@ -63,6 +64,31 @@ class QueryContext:
         default_factory=threading.Event, repr=False
     )
     _injector: "FaultInjector | None" = field(default=None, repr=False)
+
+    #: The ``$``-keys of `Database.query(options=...)` (anything else is
+    #: an error).
+    OPTION_KEYS = ("$timeout", "$memory", "$search_timeout", "$chaos")
+
+    @classmethod
+    def from_options(
+        cls, options: Mapping[str, Any], tracer: Tracer
+    ) -> "QueryContext":
+        """Build a context from ``$``-key per-query options."""
+        unknown = sorted(set(options) - set(cls.OPTION_KEYS))
+        if unknown:
+            known = ", ".join(cls.OPTION_KEYS)
+            raise ParameterBindingError(
+                f"unknown query option(s) {', '.join(unknown)}; "
+                f"supported: {known}"
+            )
+        chaos = options.get("$chaos")
+        return cls(
+            timeout_ms=options.get("$timeout"),
+            search_timeout_ms=options.get("$search_timeout"),
+            memory_bytes=options.get("$memory"),
+            fault_plan=FaultPlan.chaos(int(chaos)) if chaos is not None else None,
+            tracer=tracer,
+        )
 
     # ------------------------------------------------------------------
     # Clocks

@@ -15,6 +15,7 @@ consistency).
 from __future__ import annotations
 
 from repro.algebra.predicates import (
+    COMPARISON_OPS,
     CompOp,
     Comparison,
     Conjunction,
@@ -56,18 +57,8 @@ class SelectivityModel:
         if isinstance(left, Const) and isinstance(right, Const):
             # Constant-vs-constant comparisons (e.g. the simplifier's
             # canonical FALSE predicate) fold exactly.
-            import operator as _op
-
-            table = {
-                CompOp.EQ: _op.eq,
-                CompOp.NE: _op.ne,
-                CompOp.LT: _op.lt,
-                CompOp.LE: _op.le,
-                CompOp.GT: _op.gt,
-                CompOp.GE: _op.ge,
-            }
             try:
-                return 1.0 if table[op](left.value, right.value) else 0.0
+                return 1.0 if COMPARISON_OPS[op](left.value, right.value) else 0.0
             except TypeError:
                 return 0.0
         # Normalise constant to the right.

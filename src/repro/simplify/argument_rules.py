@@ -27,26 +27,16 @@ the engine runs the enabled rules to fixpoint.  Shipped rules:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from repro.algebra.predicates import (
+    COMPARISON_OPS,
     CompOp,
     Comparison,
     Conjunction,
     Const,
     Term,
 )
-
-_OPS = {
-    CompOp.EQ: operator.eq,
-    CompOp.NE: operator.ne,
-    CompOp.LT: operator.lt,
-    CompOp.LE: operator.le,
-    CompOp.GT: operator.gt,
-    CompOp.GE: operator.ge,
-}
-
 
 @dataclass(frozen=True)
 class NormalizedPredicate:
@@ -85,7 +75,7 @@ class FoldConstants(ArgumentRule):
         for comp in normalized.predicate.comparisons:
             if isinstance(comp.left, Const) and isinstance(comp.right, Const):
                 try:
-                    truth = _OPS[comp.op](comp.left.value, comp.right.value)
+                    truth = COMPARISON_OPS[comp.op](comp.left.value, comp.right.value)
                 except TypeError:
                     truth = False
                 if not truth:

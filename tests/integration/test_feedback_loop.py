@@ -13,6 +13,9 @@ their collections drift past the catalog's 20% threshold.
 import pytest
 
 from repro.api import Database
+from repro.errors import IndexCorruptionError
+from repro.governor.context import QueryContext
+from repro.governor.faults import FaultPlan
 from repro.fuzz.worldgen import (
     AttrSpec,
     IndexSpec,
@@ -153,6 +156,62 @@ class TestFeedbackLoop:
         hits_before = db.feedback.stats.hits
         db.optimize(SKEWED_QUERY)
         assert db.feedback.stats.hits > hits_before
+
+
+class TestReplanReasonsCompose:
+    """One replan step serves both reasons; a re-run that hits the
+    *other* reason is replanned once more (they used to be sibling
+    ``except`` clauses, so the second reason escaped or went unseen)."""
+
+    def test_degraded_rerun_is_monitored_and_replans_adaptively(self):
+        expected = rows_key(build_database(skewed_world()).query(SKEWED_QUERY).rows)
+        db = build_database(skewed_world())
+        db.config = db.config.with_feedback(True)
+        ctx = QueryContext(fault_plan=FaultPlan(seed=1, corrupt_index_prob=1.0))
+        result = db.query(SKEWED_QUERY, use_cache=False, governor=ctx)
+        # The index-scan plan hits the corrupt index; the scan-only
+        # re-run then blows past the same skewed estimate.
+        assert ctx.degraded == ["index_corruption", "cardinality_misestimate"]
+        assert db.feedback.stats.replans == 1
+        assert len(db.feedback) > 0
+        assert "Index Scan" not in result.plan.pretty()
+        assert rows_key(result.rows) == expected
+
+    def test_adaptive_rerun_hitting_a_corrupt_index_degrades(self, monkeypatch):
+        expected = rows_key(build_database(skewed_world()).query(SKEWED_QUERY).rows)
+        db = build_database(skewed_world())
+        db.config = db.config.with_feedback(True)
+        real, monitors, views = db.execute_plan, [], []
+
+        def corrupt_on_rerun(plan, **kwargs):
+            monitors.append(kwargs["monitor"])
+            views.append(kwargs["view"])
+            if len(monitors) == 2:
+                raise IndexCorruptionError("ix_hot_k")
+            return real(plan, **kwargs)
+
+        monkeypatch.setattr(db, "execute_plan", corrupt_on_rerun)
+        ctx = QueryContext()
+        result = db.query(SKEWED_QUERY, use_cache=False, governor=ctx)
+        assert ctx.degraded == ["cardinality_misestimate", "index_corruption"]
+        assert db.feedback.stats.replans == 1
+        # Three runs, every one monitored, all on the one pinned snapshot.
+        assert len(monitors) == 3 and None not in monitors
+        assert views[0] is views[1] is views[2] is not None
+        assert "Index Scan" not in result.plan.pretty()
+        assert rows_key(result.rows) == expected
+
+    def test_corruption_that_survives_the_scan_plan_is_raised(self, monkeypatch):
+        db = build_database(skewed_world())
+
+        def always_corrupt(plan, **kwargs):
+            raise IndexCorruptionError("ix_hot_k")
+
+        monkeypatch.setattr(db, "execute_plan", always_corrupt)
+        ctx = QueryContext()
+        with pytest.raises(IndexCorruptionError):
+            db.query(SKEWED_QUERY, use_cache=False, governor=ctx)
+        assert ctx.degraded == ["index_corruption"]  # replanned once, not forever
 
 
 class TestCacheStaleness:

@@ -203,6 +203,30 @@ class TestFaultTolerance:
         )
         assert "index_corruption" in ctx.degraded
 
+    def test_explain_analyze_degrades_like_query(self, fresh_db):
+        """EXPLAIN ANALYZE runs the shared execute/replan stages: the
+        statement `query` degrades must not raise here (it used to)."""
+        fresh_db.create_index("ix_mayor", "Cities", ("mayor", "name"))
+        reference = fresh_db.query(QUERY_3, use_cache=False)
+        ctx = QueryContext(
+            fault_plan=FaultPlan(seed=1, corrupt_index_prob=1.0)
+        )
+        report = fresh_db.explain_analyze(QUERY_3, governor=ctx)
+        assert ctx.degraded == ["index_corruption"]
+        assert "Index Scan" not in report.render()
+        assert report.root.actual_rows == len(reference.rows)
+        # The report's events carry both searches and the reason between.
+        assert [e.name for e in report.events_in("degraded")] == [
+            "index_corruption"
+        ]
+
+    def test_explain_analyze_takes_an_admission_slot(self, fresh_db):
+        fresh_db.admission = AdmissionController(1, max_wait_ms=5.0)
+        with fresh_db.admission.admit():  # saturate the only slot
+            with pytest.raises(AdmissionRejected):
+                fresh_db.explain_analyze(QUERY_3)
+        assert fresh_db.explain_analyze(QUERY_3).root.actual_rows >= 0
+
 
 class TestScopeUnwinding:
     """Satellite (a): a failed query must leave no stale I/O scopes."""

@@ -1,0 +1,128 @@
+"""The statement lifecycle contract, checked from outside the program.
+
+Every statement runs admit -> plan -> execute (-> replan) in
+``repro/api.py``.  The statement-level benchmark reads its per-layer
+numbers from spans that ``benchmarks/e2e/tracing.py`` wraps around the
+names those stages call, so a refactor that moves a call behind another
+module's import silently deletes a layer — and one that admits a DML
+target query separately takes two slots for one statement.  This test
+installs that very tracer in-process and pins which spans each kind of
+statement records, and that each statement is admitted exactly once.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.api import Database
+from repro.governor.admission import AdmissionController
+
+TRACING = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "tracing.py"
+
+QUERY = 'SELECT * FROM City c IN Cities WHERE c.mayor.name == "%s"'
+PREPARED = "SELECT * FROM City c IN Cities WHERE c.mayor.name == $name"
+UPDATE = "UPDATE c IN Cities SET c.population = 1 WHERE c.name == 'city0'"
+
+PLANNING = {"simplify", "optimizer.rewrite", "optimizer.search"}
+EXECUTION = {"storage.view", "engine.materialise", "engine.execute"}
+ADMISSION = "governor.admission_wait"
+
+
+@pytest.fixture(scope="module")
+def spans() -> dict[str, list[tuple[str, str | None]]]:
+    """Per statement label: its (span name, parent span name) pairs."""
+    spec = importlib.util.spec_from_file_location("e2e_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    db = Database.sample(scale=0.02)
+    db.create_index("ix_mayor", "Cities", ("mayor", "name"))
+    db.admission = AdmissionController(2)
+    prepared = db.prepare(PREPARED)
+    statements = {
+        "miss": lambda: db.query(QUERY % "Joe"),
+        "hit": lambda: db.query(QUERY % "Fred"),
+        "bypass": lambda: db.query(QUERY % "Joe", use_cache=False),
+        "prepared": lambda: prepared.execute(name="Joe"),
+        "update": lambda: db.query(UPDATE),
+    }
+    outcomes = {}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for label, run in statements.items():
+            tracer.begin_statement(label)
+            outcomes[label] = run()
+    finally:
+        tracer.uninstall()
+    assert [outcomes[k].cache.outcome for k in ("miss", "hit", "bypass")] == [
+        "miss", "hit", "bypass",
+    ]
+    assert outcomes["update"].affected == 1
+
+    names = {record[0]: record[1] for record in tracer.records}
+    recorded: dict[str, list[tuple[str, str | None]]] = {k: [] for k in statements}
+    for _id, name, parent, statement, _start, _end in tracer.records:
+        recorded[statement].append((name, names.get(parent)))
+    return recorded
+
+
+def names_of(pairs) -> Counter:
+    return Counter(name for name, _parent in pairs)
+
+
+def test_miss_records_every_layer_under_api_query(spans):
+    pairs = spans["miss"]
+    assert names_of(pairs) == Counter(
+        {"api.query", "lang.parse", "cache.parameterize", "cache.lookup",
+         "cache.rebind", ADMISSION} | PLANNING | EXECUTION
+    )
+    parents = dict(pairs)
+    assert parents.pop("api.query") is None
+    assert parents.pop("engine.execute") == "engine.materialise"
+    assert parents.pop("optimizer.rewrite") == "optimizer.search"
+    # Everything else — the snapshot pin included, so that a replan
+    # re-runs on it — is called from the stages themselves.
+    assert set(parents.values()) == {"api.query"}
+
+
+def test_hit_rebinds_without_planning(spans):
+    names = names_of(spans["hit"])
+    assert not PLANNING & set(names)
+    assert names == Counter(
+        {"api.query", "lang.parse", "cache.parameterize", "cache.lookup",
+         "cache.rebind", ADMISSION} | EXECUTION
+    )
+    assert dict(spans["hit"])["engine.execute"] == "engine.materialise"
+
+
+def test_bypass_plans_without_touching_the_cache(spans):
+    names = names_of(spans["bypass"])
+    assert "cache.lookup" not in names
+    assert PLANNING | EXECUTION <= set(names)
+
+
+def test_prepared_execute_skips_parse_and_enters_the_same_stages(spans):
+    names = names_of(spans["prepared"])
+    assert names == Counter(
+        {"cache.lookup", "cache.rebind", ADMISSION} | PLANNING | EXECUTION
+    )
+
+
+def test_autocommit_update_plans_its_target_and_commits(spans):
+    names = names_of(spans["update"])
+    assert names == Counter(
+        {"api.query", "lang.parse", "cache.parameterize", "cache.lookup",
+         "cache.rebind", ADMISSION, "storage.commit"} | PLANNING | EXECUTION
+    )
+
+
+@pytest.mark.parametrize(
+    "label", ["miss", "hit", "bypass", "prepared", "update"]
+)
+def test_every_statement_is_admitted_exactly_once(spans, label):
+    assert names_of(spans[label])[ADMISSION] == 1
