@@ -250,27 +250,41 @@ class Database:
         path: tuple[str, ...],
         distinct_keys: int | None = None,
     ) -> IndexDef:
-        """Create an index; distinct keys measured from data when loaded."""
+        """Create an index; distinct keys measured from data when loaded.
+
+        The build that measures the keys *is* the runtime index: it is
+        registered with the store (under the commit lock, so no commit
+        falls between the build and the registration) and maintained by
+        every commit from then on.  With ``distinct_keys`` given nothing
+        is built until the first index scan.
+        """
         if distinct_keys is None:
             if self.store is None:
                 raise CatalogError(
                     "distinct_keys required when no store is populated"
                 )
-            probe = IndexRuntime.build(
-                self.store, IndexDef(name, collection, path, distinct_keys=1)
+            with self.store.mvcc.commit_lock:
+                index = IndexRuntime.build(
+                    self.store.view(),
+                    IndexDef(name, collection, path, distinct_keys=1),
+                )
+                definition = self.catalog.add_index(
+                    IndexDef(name, collection, path, max(1, index.distinct_keys()))
+                )
+                self.store.indexes.adopt(definition, index)
+        else:
+            definition = self.catalog.add_index(
+                IndexDef(name, collection, path, distinct_keys)
             )
-            distinct_keys = max(1, probe.distinct_keys())
-        definition = IndexDef(name, collection, path, distinct_keys)
-        self.catalog.add_index(definition)
         if self.durability is not None:
             self.durability.write_manifest()
         return definition
 
     def drop_index(self, name: str) -> None:
-        """Remove an index from the catalog and the runtime cache."""
+        """Remove an index from the catalog and the store's registry."""
         self.catalog.drop_index(name)
-        if self.executor is not None:
-            self.executor.invalidate_index(name)
+        if self.store is not None:
+            self.store.indexes.drop(name)
         if self.durability is not None:
             self.durability.write_manifest()
 

@@ -24,6 +24,7 @@ import re
 import struct
 import zlib
 
+from repro.durability.codec import encode_default
 from repro.governor.faults import CrashPlan, SimulatedCrash
 
 _CRC = struct.Struct(">I")
@@ -44,9 +45,12 @@ def write_checkpoint(
     tmp = final + ".tmp"
     # No sort_keys: object data dicts inside the MVCC state carry
     # meaning in their key insertion order.
-    payload = json.dumps(state, separators=(",", ":")).encode()
+    payload = json.dumps(
+        state, separators=(",", ":"), default=encode_default
+    ).encode()
     with open(tmp, "wb") as fh:
-        fh.write(_CRC.pack(zlib.crc32(payload)) + payload)
+        fh.write(_CRC.pack(zlib.crc32(payload)))
+        fh.write(payload)
         fh.flush()
         os.fsync(fh.fileno())
     if crash_plan is not None and crash_plan.fires_at_checkpoint():

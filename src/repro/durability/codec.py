@@ -44,6 +44,32 @@ def encode_value(value: Any) -> Any:
     raise StorageError(f"cannot log value of type {type(value).__name__}")
 
 
+def encode_record(data: dict[str, Any] | None) -> Any:
+    """An object record (or None, a tombstone) ready for ``json.dumps(...,
+    default=encode_default)``: the record itself when that call writes it
+    exactly as :func:`encode_value` would — string keys, scalar and OID
+    values, by far the common shape — else its encoded copy.
+
+    A checkpoint holds every version of every written object; encoding
+    each into a tagged copy first made the copy, not the data, the peak
+    of the process's memory.
+    """
+    if data is None:
+        return None
+    for key, value in data.items():
+        if type(key) is not str or isinstance(value, (tuple, list, dict)):
+            return encode_value(data)
+    return data
+
+
+def encode_default(value: Any) -> Any:
+    """``json.dumps`` ``default`` hook: an OID met inside a record that
+    :func:`encode_record` passed through, as :func:`encode_value` tags it."""
+    if isinstance(value, Oid):
+        return {_OID_TAG: [value.type_name, value.serial]}
+    raise StorageError(f"cannot log value of type {type(value).__name__}")
+
+
 def decode_value(value: Any) -> Any:
     """Invert :func:`encode_value`."""
     if isinstance(value, dict):
@@ -68,4 +94,11 @@ def decode_oid(pair: list) -> Oid:
     return Oid(pair[0], pair[1])
 
 
-__all__ = ["decode_oid", "decode_value", "encode_oid", "encode_value"]
+__all__ = [
+    "decode_oid",
+    "decode_value",
+    "encode_default",
+    "encode_oid",
+    "encode_record",
+    "encode_value",
+]

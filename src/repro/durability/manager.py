@@ -25,7 +25,6 @@ import os
 import threading
 from typing import TYPE_CHECKING, Any
 
-from repro.catalog.catalog import IndexDef
 from repro.durability.checkpoint import (
     load_newest_checkpoint,
     write_checkpoint,
@@ -34,7 +33,7 @@ from repro.durability.codec import (
     decode_oid,
     decode_value,
     encode_oid,
-    encode_value,
+    encode_record,
 )
 from repro.durability.wal import LOG_NAME, LogRecord, WalWriter, scan_log
 from repro.errors import StorageError
@@ -301,22 +300,23 @@ class DurabilityManager:
             )
         # Reconcile index DDL to the manifest: the bootstrap may create
         # its own indexes; the manifest records what actually existed.
+        # Through the database's own DDL, so the store's index registry
+        # follows; with the recorded distinct keys nothing is built here —
+        # each index is built on first use, at the recovered CSN.
         wanted = {
             entry["name"]: entry for entry in manifest.get("indexes", [])
         }
         for index in list(db.catalog.indexes()):
             if index.name not in wanted:
-                db.catalog.drop_index(index.name)
+                db.drop_index(index.name)
         existing = {index.name for index in db.catalog.indexes()}
         for name, entry in wanted.items():
             if name not in existing:
-                db.catalog.add_index(
-                    IndexDef(
-                        name,
-                        entry["collection"],
-                        tuple(entry["path"]),
-                        entry["distinct_keys"],
-                    )
+                db.create_index(
+                    name,
+                    entry["collection"],
+                    tuple(entry["path"]),
+                    entry["distinct_keys"],
                 )
         self.recover(db)
         return db
@@ -373,7 +373,7 @@ def _encode_mvcc(raw: dict) -> dict:
         "versions": [
             [
                 encode_oid(oid),
-                [[csn, encode_value(data)] for csn, data in chain],
+                [[csn, encode_record(data)] for csn, data in chain],
             ]
             for oid, chain in raw["versions"].items()
         ],
@@ -381,7 +381,6 @@ def _encode_mvcc(raw: dict) -> dict:
             name: [[csn, delta, encode_oid(oid)] for csn, delta, oid in log]
             for name, log in raw["member_log"].items()
         },
-        "touch_csns": raw["touch_csns"],
         "last_write": [
             [encode_oid(oid), csn] for oid, csn in raw["last_write"].items()
         ],
@@ -399,7 +398,9 @@ def _encode_mvcc(raw: dict) -> dict:
 
 
 def _decode_mvcc(doc: dict) -> dict:
-    """Invert :func:`_encode_mvcc` back to raw Python state."""
+    """Invert :func:`_encode_mvcc` back to raw Python state (keys this
+    version does not write, such as an older checkpoint's ``touch_csns``,
+    are ignored)."""
     return {
         "csn": doc["csn"],
         "dirty": doc["dirty"],
@@ -412,9 +413,6 @@ def _decode_mvcc(doc: dict) -> dict:
         "member_log": {
             name: [(csn, delta, decode_oid(pair)) for csn, delta, pair in log]
             for name, log in doc["member_log"].items()
-        },
-        "touch_csns": {
-            name: list(csns) for name, csns in doc["touch_csns"].items()
         },
         "last_write": {
             decode_oid(pair): csn for pair, csn in doc["last_write"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -36,14 +35,8 @@ from repro.optimizer.plans import (
     SortNode,
     WarmStartAssemblyNode,
 )
-from repro.storage.index import IndexRuntime
 from repro.storage.mvcc import SnapshotView
 from repro.storage.store import ObjectStore
-
-#: Cached runtime-index generations kept per index name.  Concurrent
-#: snapshots can need at most a handful of generations at once; older
-#: ones are rebuildable on demand.
-INDEX_GENERATIONS_KEPT = 2
 
 
 @dataclass
@@ -76,8 +69,9 @@ class PlanRun:
     and tracer on ``self`` for the duration of a run — which made two
     concurrent sessions executing on the same database trample each
     other's state.  All per-run state now travels in this object; the
-    executor itself keeps only the latch-guarded index cache, fault
-    injection is installed per thread, and I/O accounting is delta-based
+    executor itself keeps no per-query state (the runtime indexes belong
+    to the store), fault injection is installed per thread, and I/O
+    accounting is delta-based
     — so sharing one executor across server sessions is safe.  The one
     caveat is precision, not safety: per-query I/O *metrics* are deltas
     of shared clocks and include any traffic from queries that overlap
@@ -108,22 +102,17 @@ class PlanRun:
 class Executor:
     """Executes optimizer plans against one object store.
 
-    Runtime indexes are built lazily per (index name, data generation):
-    the generation is how many commits visible at the run's snapshot
-    touched the indexed collection, so a store that never sees DML
-    builds each index exactly once, while post-DML snapshots get an
-    index consistent with exactly the versions they can see.  Index
+    Runtime indexes belong to the store (``store.indexes``): one per
+    catalog index, built once — by ``create_index`` or on first use —
+    and from then on maintained by every commit, so an index scan
+    probes the same long-lived structure whatever snapshot its run is
+    pinned at and the probe resolves what that snapshot may see.  Index
     construction is maintenance work and is not charged to the query's
     I/O clock.
     """
 
     def __init__(self, store: ObjectStore) -> None:
         self.store = store
-        self._indexes: dict[tuple[str, int], IndexRuntime] = {}
-        # Guards the generation cache: concurrent sessions may request
-        # the same (name, generation) at once, and build-once semantics
-        # (plus eviction that never races a lookup) need the lock.
-        self._index_lock = threading.Lock()
         # Event sink for exchange spans; assign an enabled Tracer (or
         # pass one to `execute`) to observe worker fan-out and merges.
         self.tracer: Tracer = NULL_TRACER
@@ -131,62 +120,6 @@ class Executor:
         # so per-backend state (the compiled backend's pipeline cache)
         # shares the executor's lifetime.
         self._backends: dict[str, ExecutionBackend] = make_backends()
-
-    def runtime_index(
-        self, name: str, view: "ObjectStore | SnapshotView | None" = None
-    ) -> IndexRuntime:
-        """The built runtime index for a catalog index name.
-
-        Snapshot-consistent: the returned index contains exactly the
-        entries visible to ``view`` (default: latest committed state).
-        Cached per (name, data generation); a view overlaying an
-        uncommitted transaction that wrote the indexed collection gets a
-        private uncached build, since its contents belong to no
-        committed generation.
-        """
-        if view is None:
-            view = self.store.view()
-        definition = self.store.catalog.index(name)
-        txn = getattr(view, "txn", None)
-        if txn is not None and txn.touches_collection(
-            definition.collection,
-            self.store.catalog.collection(definition.collection).element_type,
-        ):
-            return IndexRuntime.build(view, definition)
-        snapshot = getattr(view, "snapshot", None)
-        if snapshot is None:
-            snapshot = self.store.mvcc.current_csn
-        generation = self.store.mvcc.data_version_at(
-            definition.collection, snapshot
-        )
-        key = (name, generation)
-        with self._index_lock:
-            cached = self._indexes.get(key)
-            if cached is None:
-                # Built under the lock: build-once semantics.  Index
-                # construction reads via `peek` (no I/O charged), so
-                # holding the lock never blocks on the simulated disk.
-                cached = IndexRuntime.build(view, definition)
-                self._indexes[key] = cached
-                stale = sorted(
-                    gen
-                    for (cached_name, gen) in self._indexes
-                    if cached_name == name
-                )[:-INDEX_GENERATIONS_KEPT]
-                for gen in stale:
-                    self._indexes.pop((name, gen), None)
-        return cached
-
-    def invalidate_index(self, name: str) -> None:
-        """Discard every cached generation of index ``name`` (if built).
-
-        Called when the index is dropped from the catalog; a later index
-        of the same name is rebuilt from scratch.  Unknown names are a
-        no-op.
-        """
-        with self._index_lock:
-            for key in [k for k in self._indexes if k[0] == name]:
-                self._indexes.pop(key, None)
 
     # ------------------------------------------------------------------
 
@@ -236,7 +169,7 @@ class Executor:
         # Build any needed indexes *before* the accounting baseline.
         for node in plan.walk():
             if isinstance(node, IndexScanNode):
-                self.runtime_index(node.index.name, view)
+                self.store.indexes.get(node.index)
         buffer = self.store.buffer
         if cold:
             # Cold runs start from an empty pool.  The flush is shared
@@ -430,7 +363,7 @@ class Executor:
         if isinstance(plan, IndexScanNode):
             return iterators.index_scan(
                 view,
-                self.runtime_index(plan.index.name, view),
+                self.store.indexes.get(plan.index),
                 plan.var,
                 plan.comparison,
                 plan.residual,

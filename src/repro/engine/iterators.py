@@ -110,13 +110,7 @@ def index_scan(
         # The None bucket holds roots whose indexed path was null; SQL
         # comparison semantics say ``null != key`` is unknown, so those
         # roots must NOT qualify (a filter plan would reject them too).
-        oids = [
-            oid
-            for k, bucket in index.entries.items()
-            if k is not None and k != key
-            for oid in bucket
-        ]
-        index._charge(store, oids)
+        oids = index.lookup_ne(store, key)
     else:  # pragma: no cover - exhaustive over CompOp
         raise ExecutionError(f"index scan cannot serve operator {op}")
     for oid in oids:

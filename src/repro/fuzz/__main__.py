@@ -127,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{stats.iterations} DML cases ({stats.skipped} skipped), "
             f"{stats.pairs_run} configuration replays, "
+            f"{stats.index_checks} index-equality checks, "
             f"{len(stats.mismatches)} mismatch(es) in {elapsed:.1f}s"
         )
         for mismatch in stats.mismatches:
@@ -155,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{stats.iterations} crash cases ({stats.skipped} skipped, "
             f"{stats.crashed} commit-point crashes), "
             f"{stats.replayed_commits} commits exercised, "
+            f"{stats.index_checks} index-equality checks, "
             f"{len(stats.divergences)} divergence(s) in {elapsed:.1f}s"
         )
         for divergence in stats.divergences:

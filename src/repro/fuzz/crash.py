@@ -18,6 +18,8 @@ executed exactly the durable-commit prefix of the same workload:
 
 * every collection's totally-ordered scan must match byte-for-byte;
 * the recovered CSN must match;
+* every index of the recovered engine must equal a fresh
+  ``IndexRuntime.build`` of the recovered state;
 * one deterministic follow-up UPDATE must behave identically on both
   engines (an UPDATE, not an INSERT: transactions that rolled back
   before the crash burned OID serials the log never saw, so the
@@ -44,6 +46,7 @@ from repro.errors import ReproError
 from repro.fuzz.dml import (
     DEFAULT_OPS_PER_BATCH,
     DmlBatchSpec,
+    IndexChecks,
     _read_query,
     _row_bytes,
     random_batch,
@@ -84,6 +87,8 @@ class CrashStats:
     crashed: int = 0
     clean_closes: int = 0
     replayed_commits: int = 0
+    #: Recovered-index-equals-fresh-build comparisons performed.
+    index_checks: int = 0
     divergences: list = field(default_factory=list)
     repro_paths: list[Path] = field(default_factory=list)
 
@@ -205,18 +210,20 @@ def run_crash_case(
     batch: DmlBatchSpec,
     plan: CrashPlan,
     checkpoint_every: int | None = None,
+    stats: CrashStats | None = None,
 ) -> list[CrashDivergence]:
     """Crash one seeded workload, recover, compare; returns divergences.
 
     Returns an empty list when the recovered engine byte-matched the
     clean engine that executed exactly the durable-commit prefix.
+    ``stats`` collects the number of index checks performed.
     """
     if not batch.ops:
         return []
     directory = tempfile.mkdtemp(prefix="repro-crash-")
     try:
         return _run_crash_case(
-            world, batch, plan, checkpoint_every, directory
+            world, batch, plan, checkpoint_every, directory, stats
         )
     finally:
         shutil.rmtree(directory, ignore_errors=True)
@@ -228,6 +235,7 @@ def _run_crash_case(
     plan: CrashPlan,
     checkpoint_every: int | None,
     directory: str,
+    stats: CrashStats | None,
 ) -> list[CrashDivergence]:
     victim = build_database(world)
     victim.enable_durability(directory, checkpoint_every=checkpoint_every)
@@ -274,6 +282,15 @@ def _run_crash_case(
     )
     if not divergences:
         divergences = _check_continuation(world, reference, recovered)
+    # After the continuation, so the indexes are checked both as recovery
+    # left them (built on first use) and as one more commit maintained them.
+    checks = IndexChecks()
+    checks.run(recovered, "recovered")
+    divergences.extend(
+        CrashDivergence("index-equality", problem) for problem in checks.problems
+    )
+    if stats is not None:
+        stats.index_checks += checks.performed
     recovered.close()
     return divergences
 
@@ -427,7 +444,9 @@ def crash_fuzz(
             # Sometimes checkpoint mid-workload even for commit-point
             # crashes, so recovery exercises checkpoint + log replay.
             checkpoint_every = plan_rng.randint(1, max(1, total // 2))
-        divergences = run_crash_case(world, batch, plan, checkpoint_every)
+        divergences = run_crash_case(
+            world, batch, plan, checkpoint_every, stats
+        )
         if plan.crash_point in ("mid-record", "post-record-pre-ack"):
             stats.crashed += 1
         stats.replayed_commits += total

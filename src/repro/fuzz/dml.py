@@ -13,6 +13,14 @@ serial or exchange-parallel reads, restricted rule sets.  Any
 divergence means MVCC visibility, catalog data-versioning, or the plan
 cache disagreed about the same committed history.
 
+Indexes are part of that history.  After every statement the transcript
+takes one equality probe per index of the world (``WHERE <indexed path>
+== <value>``, inside the open transaction when there is one), so the
+``no-index-collapse`` configuration answers from scans what the others
+answer from the maintained index; and after every commit each
+maintained index must equal a fresh ``IndexRuntime.build`` of the same
+state — same keys, same OID order per key, same entry count.
+
 Shrinking reuses the plan fuzzer's delta-debugging: ops are dropped one
 at a time, then the world shrinks through the same candidate generator
 the read-only shrinker uses.  Minimal repros serialize into
@@ -30,10 +38,21 @@ from pathlib import Path
 from typing import Callable
 
 from repro.api import Database
-from repro.errors import ReproError
+from repro.errors import ReproError, StorageError
 from repro.fuzz.querygen import QuerySpec
 from repro.fuzz.shrink import _world_candidates
-from repro.fuzz.worldgen import WorldSpec, build_database, random_world
+from repro.fuzz.worldgen import (
+    IndexSpec,
+    WorldSpec,
+    build_database,
+    random_world,
+)
+from repro.optimizer.config import (
+    COLLAPSE_TO_INDEX_SCAN,
+    HYBRID_HASH_JOIN,
+    MERGE_JOIN,
+)
+from repro.storage.index import IndexRuntime
 
 #: Read-path configurations every batch is replayed under.
 DML_CONFIGS = (
@@ -167,6 +186,9 @@ class DmlStats:
     iterations: int = 0
     skipped: int = 0
     pairs_run: int = 0
+    #: Maintained-index-equals-fresh-build comparisons performed; printed
+    #: in the summary so a silently skipped assertion shows.
+    index_checks: int = 0
     mismatches: list = field(default_factory=list)
     repro_paths: list[Path] = field(default_factory=list)
 
@@ -204,6 +226,24 @@ def _scalar_value(rng: random.Random, attr) -> object:
     return rng.randrange(max(1, attr.distinct))
 
 
+def _index_path_links(world: WorldSpec) -> dict[str, list[tuple[str, bool]]]:
+    """Per type, the (attribute, is the root's own) links that some index
+    path of the world reads: writing one of them moves index entries."""
+    element = dict(world.collections())
+    links: dict[str, list[tuple[str, bool]]] = {}
+    for index in world.indexes:
+        type_name = element[index.collection]
+        for level, link in enumerate(index.path):
+            links.setdefault(type_name, []).append((link, level == 0))
+            if level < len(index.path) - 1:
+                type_name = next(
+                    a.target
+                    for a in world.type_spec(type_name).attrs
+                    if a.name == link
+                )
+    return links
+
+
 def random_batch(
     rng: random.Random,
     world: WorldSpec,
@@ -213,7 +253,12 @@ def random_batch(
 
     Only collections whose element type has at least one scalar
     attribute are touched (updates and WHERE clauses need one), and
-    deletes are kept rarer than inserts so collections do not drain.
+    deletes are kept rarer than inserts so collections do not drain
+    (and never remove an object an index path passes through).
+    A share of the updates is aimed at what the world's indexes read:
+    the keyed attribute itself, on the object that holds it (the root
+    of an attribute index, a *referenced* object of a path index), and
+    the links of a path, set to null.
     """
     candidates = [
         (coll, type_name)
@@ -222,6 +267,13 @@ def random_batch(
     ]
     if not candidates:
         return DmlBatchSpec(ops=())
+    indexed = _index_path_links(world)
+    # Collections of objects an index path passes through below its root.
+    referenced = [
+        (coll, type_name)
+        for coll, type_name in candidates
+        if any(not own for _, own in indexed.get(type_name, ()))
+    ]
     out: list[DmlOpSpec] = []
     group: int | None = None
     groups = 0
@@ -231,11 +283,23 @@ def random_batch(
         elif group is not None and rng.random() < 0.5:
             group = None
         coll, type_name = rng.choice(candidates)
-        scalars = _scalar_attrs(world, type_name)
-        where = rng.choice(scalars)
         kind = rng.choices(
             ("insert", "update", "delete"), weights=(4, 4, 2)
         )[0]
+        if kind == "update" and referenced and rng.random() < 0.4:
+            coll, type_name = rng.choice(referenced)
+        if kind == "delete" and (coll, type_name) in referenced:
+            # A deleted object that an index path still points at makes
+            # the probe's answer depend on the plan (a join drops the
+            # root, an assembly raises on the dangling reference, as a
+            # fresh index build does) — not this oracle's subject.
+            spared = [c for c in candidates if c not in referenced]
+            if spared:
+                coll, type_name = rng.choice(spared)
+            else:
+                kind = "update"
+        scalars = _scalar_attrs(world, type_name)
+        where = rng.choice(scalars)
         if kind == "insert":
             chosen = [
                 a for a in scalars if rng.random() < 0.8
@@ -255,12 +319,23 @@ def random_batch(
             )
         elif kind == "update":
             target = rng.choice(scalars)
+            value = _scalar_value(rng, target)
+            links = indexed.get(type_name)
+            if links and rng.random() < 0.5:
+                by_name = {a.name: a for a in world.type_spec(type_name).attrs}
+                target = by_name[rng.choice(links)[0]]
+                # A link of a path can only be cut (ZQL assigns no OIDs).
+                value = (
+                    _scalar_value(rng, target)
+                    if target.kind == "scalar"
+                    else None
+                )
             out.append(
                 DmlOpSpec(
                     kind="update",
                     collection=coll,
                     set_attr=target.name,
-                    set_value=_scalar_value(rng, target),
+                    set_value=value,
                     where_attr=where.name,
                     where_op=rng.choice(("==", "<", ">=")),
                     where_value=_scalar_value(rng, where),
@@ -299,6 +374,79 @@ def _read_query(world: WorldSpec, collection: str) -> str:
     return f"SELECT * FROM x IN {collection}"
 
 
+def _index_probe(world: WorldSpec, index: IndexSpec, salt: str) -> tuple[str, bool]:
+    """One equality read through ``index``'s path, and whether the query
+    orders its rows itself.  The constant is drawn (seeded by ``salt``,
+    so every configuration asks the same question) from the values the
+    world's data or the batch generator can have put there."""
+    element = dict(world.collections())[index.collection]
+    holder = world.type_spec(element)
+    for link in index.path[:-1]:
+        target = next(a.target for a in holder.attrs if a.name == link)
+        holder = world.type_spec(target)
+    keyed = next(a for a in holder.attrs if a.name == index.path[-1])
+    rng = random.Random(f"index-probe:{salt}:{index.name}")
+    choice = rng.randrange(max(1, keyed.distinct))
+    if keyed.scalar_type == "str":
+        value = rng.choice((f"{keyed.name}_{choice}", f"w{choice}"))
+    else:
+        value = choice
+    text = (
+        f"SELECT * FROM x IN {index.collection} "
+        f"WHERE x.{'.'.join(index.path)} == {_render_value(value)}"
+    )
+    scalars = _scalar_attrs(world, element)
+    if scalars:
+        return f"{text} ORDER BY x.{scalars[0].name} ASC", True
+    return text, False
+
+
+@dataclass
+class IndexChecks:
+    """Maintained index against fresh build, after commits and recovery."""
+
+    performed: int = 0
+    problems: list[str] = field(default_factory=list)
+
+    def run(self, db: Database, label: str) -> None:
+        """Every catalog index of ``db`` must equal ``IndexRuntime.build``
+        on the latest committed state: same keys, same OID order per key,
+        same entry count — or both must find a dangling reference."""
+        for definition in db.catalog.indexes():
+            self.performed += 1
+            maintained = db.store.indexes.get(definition)
+            try:
+                fresh = IndexRuntime.build(db.store.view(), definition)
+            except StorageError:
+                if not maintained.dangling():
+                    self.problems.append(
+                        f"{label} {definition.name}: a fresh build finds a "
+                        "dangling reference, the maintained index does not"
+                    )
+                continue
+            if maintained.dangling():
+                self.problems.append(
+                    f"{label} {definition.name}: the maintained index holds "
+                    "a dangling reference no fresh build finds"
+                )
+            elif maintained.entry_count != fresh.entry_count:
+                self.problems.append(
+                    f"{label} {definition.name}: entry count "
+                    f"{maintained.entry_count}, a fresh build has "
+                    f"{fresh.entry_count}"
+                )
+            elif maintained.entries != fresh.entries:
+                keys = [
+                    key
+                    for key in {*maintained.entries, *fresh.entries}
+                    if maintained.entries.get(key) != fresh.entries.get(key)
+                ]
+                self.problems.append(
+                    f"{label} {definition.name}: buckets differ from a "
+                    f"fresh build under keys {keys[:3]!r}"
+                )
+
+
 def _row_bytes(row: dict) -> str:
     """One row rendered canonically: oid plus sorted resident data."""
     parts = []
@@ -329,13 +477,17 @@ def replay(
     use_cache: bool = True,
     parallelism: int | None = None,
     config=None,
+    index_checks: IndexChecks | None = None,
 ) -> list[str]:
     """Apply the batch, reading after every op; returns the transcript.
 
     The transcript has one line per event: each statement's outcome
-    (affected count or typed error class), each post-statement ordered
-    read, and a final ordered scan of every touched collection.  Two
-    correct configurations must produce byte-identical transcripts.
+    (affected count or typed error class), one equality probe per index
+    after every statement (through the statement's transaction while it
+    is open), each post-commit ordered read, and a final ordered scan of
+    every touched collection.  Two correct configurations must produce
+    byte-identical transcripts.  ``index_checks`` additionally compares
+    every maintained index with a fresh build after each commit.
     """
     transcript: list[str] = []
     open_txns: dict[int, object] = {}
@@ -349,6 +501,24 @@ def replay(
         )
         body = ";".join(_row_bytes(row) for row in result.rows)
         transcript.append(f"{label} {collection}: {body}")
+
+    def probe_indexes(position: int, txn) -> None:
+        for index in world.indexes:
+            text, ordered = _index_probe(world, index, str(position))
+            try:
+                rows = db.query(
+                    text,
+                    use_cache=use_cache,
+                    parallelism=parallelism,
+                    config=config,
+                    transaction=txn,
+                ).rows
+            except ReproError as exc:
+                body = type(exc).__name__
+            else:
+                rendered = [_row_bytes(row) for row in rows]
+                body = ";".join(rendered if ordered else sorted(rendered))
+            transcript.append(f"op{position} probe {index.name}: {body}")
 
     for position, op in enumerate(batch.ops):
         txn = None
@@ -381,7 +551,11 @@ def replay(
                 transcript.append(
                     f"op{position} commit: {type(exc).__name__}"
                 )
-        if op.txn_group is None or closes_group:
+            txn = None
+        if txn is None and index_checks is not None:
+            index_checks.run(db, f"op{position}")
+        probe_indexes(position, txn)
+        if txn is None:
             read(op.collection, f"op{position} read")
     for txn in open_txns.values():
         txn.rollback()
@@ -390,12 +564,34 @@ def replay(
     return transcript
 
 
-def run_dml_case(world: WorldSpec, batch: DmlBatchSpec) -> list[DmlMismatch]:
-    """Replay one batch under every configuration; returns divergences."""
+def _replay_options(kind: str, db: Database) -> dict:
+    """The :func:`replay` keywords that make up one of ``DML_CONFIGS``."""
+    if kind == "cache-off":
+        return {"use_cache": False}
+    if kind.startswith("parallel-"):
+        return {"parallelism": int(kind.split("-")[1])}
+    if kind == "no-index-collapse":
+        return {"config": db.config.without(COLLAPSE_TO_INDEX_SCAN)}
+    if kind == "no-hash-join":
+        return {"config": db.config.without(HYBRID_HASH_JOIN, MERGE_JOIN)}
+    if kind.startswith("backend-"):
+        # Post-statement reads and DML target selection both run on the
+        # named backend; the committed history must not care.
+        return {"config": db.config.with_backend(kind.split("-", 1)[1])}
+    raise ValueError(f"unknown DML configuration {kind!r}")
+
+
+def run_dml_case(
+    world: WorldSpec, batch: DmlBatchSpec, stats: DmlStats | None = None
+) -> list[DmlMismatch]:
+    """Replay one batch under every configuration; returns divergences
+    (between transcripts, and between any maintained index and a fresh
+    build).  ``stats`` collects the number of index checks performed."""
     if not batch.ops:
         return []
+    checks = IndexChecks()
     reference_db = build_database(world)
-    reference = replay(reference_db, world, batch)
+    reference = replay(reference_db, world, batch, index_checks=checks)
     mismatches: list[DmlMismatch] = []
 
     def compare(kind: str, transcript: list[str]) -> None:
@@ -419,42 +615,17 @@ def run_dml_case(world: WorldSpec, batch: DmlBatchSpec) -> list[DmlMismatch]:
 
     for kind in DML_CONFIGS:
         db = build_database(world)
-        if kind == "cache-off":
-            compare(kind, replay(db, world, batch, use_cache=False))
-        elif kind.startswith("parallel-"):
-            degree = int(kind.split("-")[1])
-            compare(kind, replay(db, world, batch, parallelism=degree))
-        elif kind == "no-index-collapse":
-            from repro.optimizer.config import COLLAPSE_TO_INDEX_SCAN
-
-            compare(
-                kind,
-                replay(
-                    db, world, batch,
-                    config=db.config.without(COLLAPSE_TO_INDEX_SCAN),
-                ),
-            )
-        elif kind == "no-hash-join":
-            from repro.optimizer.config import HYBRID_HASH_JOIN, MERGE_JOIN
-
-            compare(
-                kind,
-                replay(
-                    db, world, batch,
-                    config=db.config.without(HYBRID_HASH_JOIN, MERGE_JOIN),
-                ),
-            )
-        elif kind.startswith("backend-"):
-            # Post-statement reads and DML target selection both run on
-            # the named backend; the committed history must not care.
-            backend = kind.split("-", 1)[1]
-            compare(
-                kind,
-                replay(
-                    db, world, batch,
-                    config=db.config.with_backend(backend),
-                ),
-            )
+        compare(
+            kind,
+            replay(
+                db, world, batch, index_checks=checks, **_replay_options(kind, db)
+            ),
+        )
+    mismatches.extend(
+        DmlMismatch("index-equality", problem) for problem in checks.problems
+    )
+    if stats is not None:
+        stats.index_checks += checks.performed
     return mismatches
 
 
@@ -575,7 +746,7 @@ def dml_fuzz(
         if not batch.ops:
             stats.skipped += 1
             continue
-        mismatches = run_dml_case(world, batch)
+        mismatches = run_dml_case(world, batch, stats)
         stats.pairs_run += len(DML_CONFIGS)
         if mismatches:
             stats.mismatches.extend(mismatches)
@@ -612,6 +783,7 @@ __all__ = [
     "DmlMismatch",
     "DmlOpSpec",
     "DmlStats",
+    "IndexChecks",
     "dml_fuzz",
     "load_dml_repro",
     "random_batch",

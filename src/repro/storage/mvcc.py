@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -251,23 +250,6 @@ class Transaction:
             return self.updates[oid]
         return _MISSING
 
-    def touches_collection(self, name: str, element_type: str) -> bool:
-        """Whether this txn's buffered writes could affect a collection.
-
-        Conservative by type: any update/delete of an object of the
-        collection's element type counts, since membership is not known
-        until commit.  Used to bypass shared runtime-index caching.
-        """
-        for entry in self.inserts:
-            if entry is None:
-                continue
-            target, oid, _ = entry
-            if target == name or oid.type_name == element_type:
-                return True
-        if any(oid.type_name == element_type for oid in self.updates):
-            return True
-        return any(oid.type_name == element_type for oid in self.deletes)
-
     def pending_members(self, collection: str) -> list[Oid]:
         """OIDs this txn inserted that belong in ``collection``."""
         out: list[Oid] = []
@@ -299,8 +281,6 @@ class TransactionManager:
         self._versions: dict[Oid, list[tuple[int, dict[str, Any] | None]]] = {}
         #: collection -> [(csn, +1 | -1, oid)], ascending csn.
         self._member_log: dict[str, list[tuple[int, int, Oid]]] = {}
-        #: collection -> sorted csns of commits that touched it.
-        self._touch_csns: dict[str, list[int]] = {}
         #: oid -> csn of the last committed update/delete (conflicts).
         self._last_write: dict[Oid, int] = {}
         #: post-seal page assignments, oid -> absolute page id.
@@ -322,6 +302,11 @@ class TransactionManager:
     def current_csn(self) -> int:
         """The latest committed CSN (0 = the sealed base load)."""
         return self._csn
+
+    @property
+    def store(self) -> "ObjectStore":
+        """The store whose write path this is."""
+        return self._store
 
     @property
     def commit_lock(self) -> threading.Lock:
@@ -464,19 +449,23 @@ class TransactionManager:
         """Append one commit's version/membership entries (lock held).
 
         Shared by :meth:`commit` and :meth:`apply_recovered`, so replay
-        goes through the exact code the original commit did.  Deletes
+        goes through the exact code the original commit did — index
+        maintenance included, still before the CSN is published.  Deletes
         apply in sorted OID order to make the member-log byte-for-byte
         reproducible regardless of set iteration order.
         """
         record = CommitRecord(csn=csn)
+        #: collection -> members this commit (updated, removed, added).
+        members: dict[str, tuple[list[Oid], list[Oid], list[Oid]]] = {}
         for oid, data in updates.items():
             self._versions.setdefault(oid, []).append((csn, data))
             self._last_write[oid] = csn
             record.updated += 1
             for name in self.collections_containing(oid):
-                self._touch(name, csn)
+                members.setdefault(name, ([], [], []))[0].append(oid)
                 record.deltas.setdefault(name, 0)
-        for oid in sorted(deletes):
+        removed = sorted(deletes)
+        for oid in removed:
             self._versions.setdefault(oid, []).append((csn, None))
             self._last_write[oid] = csn
             for name in self.collections_containing(oid):
@@ -484,7 +473,7 @@ class TransactionManager:
                     (csn, -1, oid)
                 )
                 self._current_members(name).discard(oid)
-                self._touch(name, csn)
+                members.setdefault(name, ([], [], []))[1].append(oid)
                 record.deltas[name] = record.deltas.get(name, 0) - 1
         last_page = -1
         for entry in inserts:
@@ -501,8 +490,11 @@ class TransactionManager:
                     (csn, +1, oid)
                 )
                 self._current_members(name).add(oid)
-                self._touch(name, csn)
+                members.setdefault(name, ([], [], []))[2].append(oid)
                 record.deltas[name] = record.deltas.get(name, 0) + 1
+        # Every version and membership event of the commit is chained, so
+        # the indexes can read the state before (csn - 1) and after (csn).
+        self._store.indexes.note_commit(csn, [*updates, *removed], members)
         if last_page >= 0:
             self._store.disk.extend_span(last_page + 1)
         return record
@@ -526,11 +518,6 @@ class TransactionManager:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-
-    def _touch(self, name: str, csn: int) -> None:
-        csns = self._touch_csns.setdefault(name, [])
-        if not csns or csns[-1] != csn:
-            csns.append(csn)
 
     # -- durability: recovery replay and checkpoint state ----------------
 
@@ -602,9 +589,6 @@ class TransactionManager:
             "member_log": {
                 name: list(log) for name, log in self._member_log.items()
             },
-            "touch_csns": {
-                name: list(csns) for name, csns in self._touch_csns.items()
-            },
             "last_write": dict(self._last_write),
             "overflow_pages": dict(self._overflow_pages),
             "allocators": dict(self._allocators),
@@ -628,10 +612,6 @@ class TransactionManager:
             self._member_log = {
                 name: list(log) for name, log in state["member_log"].items()
             }
-            self._touch_csns = {
-                name: list(csns)
-                for name, csns in state["touch_csns"].items()
-            }
             self._last_write = dict(state["last_write"])
             self._overflow_pages = dict(state["overflow_pages"])
             self._allocators = dict(state["allocators"])
@@ -650,6 +630,9 @@ class TransactionManager:
             ]
             if pages:
                 self._store.disk.extend_span(max(pages) + 1)
+            # Built indexes describe the state just replaced; the next
+            # probe rebuilds each at the restored CSN.
+            self._store.indexes.clear()
 
     # -- visibility ------------------------------------------------------
 
@@ -691,16 +674,15 @@ class TransactionManager:
         kept.extend(oid for oid in added if oid not in removed)
         return kept
 
-    def data_version_at(self, name: str, snapshot: int) -> int:
-        """How many commits touching ``name`` are visible at a snapshot.
-
-        0 for a never-written collection at any snapshot — the key that
-        keeps pre-DML runtime-index caching byte-identical.
-        """
-        csns = self._touch_csns.get(name)
-        if not csns:
-            return 0
-        return bisect_right(csns, snapshot)
+    def ever_members(self, name: str) -> list[Oid]:
+        """Every object that was ever a member, in scan order: base
+        members, then inserted ones in insertion order.  Membership at
+        any snapshot is a subsequence of this list."""
+        members = list(self._store.base_collection_oids(name))
+        members.extend(
+            oid for _, delta, oid in self._member_log.get(name, ()) if delta > 0
+        )
+        return members
 
 
 class SnapshotView:

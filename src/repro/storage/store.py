@@ -26,6 +26,7 @@ from repro.catalog.catalog import Catalog
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskSimulator
+from repro.storage.index import IndexRegistry
 from repro.storage.mvcc import SnapshotView, Transaction, TransactionManager
 from repro.storage.objects import Oid
 
@@ -107,6 +108,10 @@ class ObjectStore:
         #: MVCC write path.  ``mvcc.dirty`` stays False until the first
         #: commit, so read paths below keep their pre-DML fast paths.
         self.mvcc = TransactionManager(self)
+        #: The maintained runtime indexes, one per catalog index that has
+        #: been used (or created with measured keys); `mvcc` keeps them
+        #: current at every commit.
+        self.indexes = IndexRegistry(self)
 
     # ------------------------------------------------------------------
     # Loading phase

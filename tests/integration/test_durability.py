@@ -110,6 +110,67 @@ class TestRoundTrip:
         ]
 
 
+    def test_recovered_indexes_build_on_first_use_and_are_maintained(
+        self, tmp_path
+    ):
+        db, directory = durable(tmp_path)
+        db.create_index("city_mayor", "Cities", ("mayor", "name"))
+        db.query("INSERT INTO Cities (name, population) VALUES ('Fff', 6)")
+        db.checkpoint()
+        db.query("UPDATE p IN extent(Person) SET p.name = 'Zed' "
+                 "WHERE p.name == 'Joe'")
+        recovered = Database.open(directory)
+        # Recovery builds nothing: the checkpoint replaced the state any
+        # bootstrap-time build described, and replay had none to maintain.
+        assert recovered.store.indexes.built("city_mayor") is None
+        probe = "SELECT c.name FROM City c IN Cities WHERE c.mayor.name == '{}'"
+        assert len(recovered.query(probe.format("Zed")).rows) == len(
+            db.query(probe.format("Zed")).rows
+        ) > 0
+        index = recovered.store.indexes.built("city_mayor")
+        assert index.built_csn == recovered.store.mvcc.current_csn
+        assert index._log == []
+        # From here on commits maintain it, as on the engine that never
+        # crashed.
+        for engine in (db, recovered):
+            engine.query("UPDATE p IN extent(Person) SET p.name = 'Joe' "
+                         "WHERE p.name == 'Zed'")
+            assert engine.query(probe.format("Zed")).rows == []
+        assert recovered.query(probe.format("Joe")).rows == db.query(
+            probe.format("Joe")
+        ).rows
+
+    def test_checkpoint_bytes_equal_the_fully_encoded_form(self, tmp_path):
+        """Records reach ``json.dumps`` unencoded (the OID hook tags them
+        on the way out); the bytes must be those of encoding every value
+        up front, set-valued references included."""
+        import json
+
+        from repro.durability.codec import encode_oid, encode_value
+
+        db, directory = durable(tmp_path)
+        db.query("UPDATE c IN Cities SET c.population = 1 WHERE c.name == 'city1'")
+        db.query("UPDATE t IN Tasks SET t.time = 7 WHERE t.time == 100")
+        db.query("DELETE c IN Cities WHERE c.name == 'city2'")
+        csn = db.checkpoint()
+        with open(checkpoint_path(directory, csn), "rb") as fh:
+            payload = fh.read()[4:]
+        state = json.loads(payload)
+        raw = db.store.mvcc.state_snapshot()
+        assert any(
+            isinstance(value, tuple)
+            for chain in raw["versions"].values()
+            for _, data in chain
+            if data
+            for value in data.values()
+        )
+        state["mvcc"]["versions"] = [
+            [encode_oid(oid), [[c, encode_value(data)] for c, data in chain]]
+            for oid, chain in raw["versions"].items()
+        ]
+        assert json.dumps(state, separators=(",", ":")).encode() == payload
+
+
 class TestApiGuards:
     def test_enable_twice_refuses(self, tmp_path):
         db, directory = durable(tmp_path)

@@ -10,7 +10,7 @@ byte-identical to the pre-DML engine.
 
 import pytest
 
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, IndexDef
 from repro.catalog.schema import Schema, TypeDef, scalar
 from repro.errors import StorageError, TransactionError, WriteConflict
 from repro.storage.datagen import generate_store
@@ -146,22 +146,34 @@ def test_overflow_pages_do_not_collide_with_base_segments():
     assert not (base_pages & fresh_pages)
 
 
-def test_data_version_advances_per_collection():
+def test_index_bookkeeping_follows_only_the_commits_that_concern_it():
     store = small_store()
-    mvcc = store.mvcc
-    now = mvcc.current_csn
-    assert mvcc.data_version_at("Items", now) == 0
+    on_items = store.indexes.get(IndexDef("ix_items", "Items", ("label",), 5))
+    on_extent = store.indexes.get(
+        IndexDef("ix_extent", "extent(Item)", ("label",), 8)
+    )
+    # Never written: no change log, no rank table, no reverse maps.
+    for index in (on_items, on_extent):
+        assert index._log == [] and index._rank is None and index._rev is None
     with store.begin() as txn:
         txn.insert("Items", {"n": 1, "label": "a"})
-    v1 = mvcc.data_version_at("Items", mvcc.current_csn)
-    assert v1 == 1
+    # Inserting into the named set joins the extent too: one entry each.
+    assert [entry[0] for entry in on_items._log] == [1]
+    assert [entry[0] for entry in on_extent._log] == [1]
     with store.begin() as txn:
         txn.insert("extent(Item)", {"n": 2, "label": "b"})
-    # Items untouched by the second commit; extent advanced twice.
-    assert mvcc.data_version_at("Items", mvcc.current_csn) == v1
-    assert mvcc.data_version_at("extent(Item)", mvcc.current_csn) == 2
-    # Earlier snapshots keep their earlier generation.
-    assert mvcc.data_version_at("Items", 0) == 0
+    # Items untouched by the second commit; the extent logged it.
+    assert [entry[0] for entry in on_items._log] == [1]
+    assert [entry[0] for entry in on_extent._log] == [1, 2]
+    # A write that changes no indexed key changes nothing at all.
+    oid = store.collection_oids("Items")[0]
+    with store.begin() as txn:
+        txn.update(oid, {**store.peek(oid), "n": 77})
+    assert len(on_items._log) == 1 and len(on_extent._log) == 2
+    assert on_items._rank is None and on_extent._rank is None
+    # Earlier snapshots keep their earlier answers through the log.
+    assert on_items.lookup_eq(store.view(snapshot=0), "a") == []
+    assert len(on_items.lookup_eq(store.view(), "a")) == 1
 
 
 def test_commit_rolls_everything_or_nothing():
