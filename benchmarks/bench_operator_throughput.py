@@ -20,25 +20,11 @@ from repro.algebra.predicates import (
     SelfOid,
 )
 from repro.engine import iterators
-from repro.engine.backends.compiled import (
-    CompiledBackend,
-    collect_consts,
-    fuse_chain,
-)
-from repro.engine.backends.vectorized import _filter_chunk, _flatten, _rechunk
-from repro.engine.tuples import Obj
-
-CHAIN_QUERY = "SELECT e.name FROM Employee e IN Employees WHERE e.salary > 10000"
 
 
 @pytest.fixture(scope="module")
-def db():
-    return common.exec_database(scale=0.1)
-
-
-@pytest.fixture(scope="module")
-def store(db):
-    return db.store
+def store():
+    return common.exec_database(scale=0.1).store
 
 
 def test_file_scan_throughput(store, benchmark):
@@ -111,78 +97,3 @@ def test_sort_throughput(store, benchmark):
         return sum(1 for _ in iterators.sort_rows(rows, "c", "population", True))
 
     assert benchmark(run) == len(rows)
-
-
-# -- execution backends ----------------------------------------------------
-#
-# The same scan→filter→project chain on each backend.  The end-to-end
-# numbers share the store's simulated-I/O bookkeeping; the operator-path
-# benches below start from pre-materialised scan output, isolating what
-# the backend actually changes (row dispatch vs chunks vs fused loop).
-
-
-@pytest.mark.parametrize("backend", ["interpreted", "vectorized", "compiled"])
-def test_chain_query_throughput(db, benchmark, backend):
-    plan = db.optimize(CHAIN_QUERY).plan
-    expected = len(db.executor.execute(plan).rows)
-
-    def run():
-        return len(db.executor.execute(plan, backend=backend).rows)
-
-    assert benchmark(run) == expected
-
-
-@pytest.fixture(scope="module")
-def chain_inputs(db):
-    """The fused chain plus pre-materialised scan output for it."""
-    chain = fuse_chain(db.optimize(CHAIN_QUERY).plan)
-    assert chain is not None
-    pairs = list(db.store.scan("Employees"))
-    return chain, pairs
-
-
-def test_chain_operator_path_interpreted(chain_inputs, benchmark):
-    chain, pairs = chain_inputs
-    predicate = chain.filters[0].predicate
-
-    def run():
-        rows = ({chain.scan.var: Obj(oid, data)} for oid, data in pairs)
-        return sum(
-            1
-            for _ in iterators.project(
-                iterators.filter_rows(rows, predicate),
-                chain.project.items,
-                chain.project.distinct,
-            )
-        )
-
-    assert benchmark(run) > 0
-
-
-def test_chain_operator_path_vectorized(chain_inputs, benchmark):
-    chain, pairs = chain_inputs
-    predicate = chain.filters[0].predicate
-
-    def run():
-        rows = ({chain.scan.var: Obj(oid, data)} for oid, data in pairs)
-        chunks = (_filter_chunk(c, predicate) for c in _rechunk(rows))
-        kept = _flatten(c for c in chunks if c is not None)
-        return sum(
-            1
-            for _ in iterators.project(
-                kept, chain.project.items, chain.project.distinct
-            )
-        )
-
-    assert benchmark(run) > 0
-
-
-def test_chain_operator_path_compiled(chain_inputs, benchmark):
-    chain, pairs = chain_inputs
-    fn, _, _ = CompiledBackend().pipeline_for(chain, instrumented=False)
-    consts = collect_consts(chain)
-
-    def run():
-        return sum(1 for _ in fn(iter(pairs), consts, lambda: None, 1 << 62, None))
-
-    assert benchmark(run) > 0

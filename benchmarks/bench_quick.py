@@ -120,18 +120,6 @@ def collect() -> dict[str, dict]:
         "floor": 2.0,
     }
 
-    # Compiled-backend operator-path speedup on a scan→filter→project
-    # chain, measured from pre-materialised scan output so the store's
-    # simulated-I/O bookkeeping (identical on every backend) does not
-    # dilute the signal.  Floor-gated like the parallel speedup: the
-    # ratio tracks the host interpreter more than code changes.
-    metrics["compiled_chain_speedup"] = {
-        "value": round(_compiled_chain_speedup(db), 2),
-        "unit": "x",
-        "higher_is_better": True,
-        "floor": 2.0,
-    }
-
     # Cardinality-feedback p99 on a skewed world: a repeated query whose
     # uniform-distribution estimate is off by two orders of magnitude
     # picks nested loops; the feedback loop replans it into a hash join.
@@ -290,47 +278,6 @@ def _skewed_feedback_p99() -> tuple[float, float]:
         return samples
 
     return p99(workload(feedback=False)), p99(workload(feedback=True))
-
-
-def _compiled_chain_speedup(db) -> float:
-    """Interpreted vs fused-pipeline wall time over identical scan input."""
-    from repro.engine import iterators
-    from repro.engine.backends.compiled import (
-        CompiledBackend,
-        collect_consts,
-        fuse_chain,
-    )
-    from repro.engine.tuples import Obj
-
-    chain_query = (
-        "SELECT e.name FROM Employee e IN Employees WHERE e.salary > 10000"
-    )
-    chain = fuse_chain(db.optimize(chain_query).plan)
-    assert chain is not None, "chain query stopped fusing"
-    pairs = list(db.store.scan("Employees"))
-    predicate = chain.filters[0].predicate
-
-    def interpreted() -> int:
-        rows = ({chain.scan.var: Obj(oid, data)} for oid, data in pairs)
-        return sum(
-            1
-            for _ in iterators.project(
-                iterators.filter_rows(rows, predicate),
-                chain.project.items,
-                chain.project.distinct,
-            )
-        )
-
-    fn, _, _ = CompiledBackend().pipeline_for(chain, instrumented=False)
-    consts = collect_consts(chain)
-
-    def compiled() -> int:
-        return sum(
-            1 for _ in fn(iter(pairs), consts, lambda: None, 1 << 62, None)
-        )
-
-    assert interpreted() == compiled()
-    return _best_wall(interpreted, repeats=5) / _best_wall(compiled, repeats=5)
 
 
 def main(argv: list[str] | None = None) -> int:

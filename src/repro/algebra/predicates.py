@@ -57,7 +57,7 @@ class CompOp(enum.Enum):
 
 
 #: The one comparison-operator table: constant folding, selectivity and
-#: every execution backend evaluate a :class:`CompOp` through it.
+#: the engine evaluate a :class:`CompOp` through it.
 COMPARISON_OPS = {
     CompOp.EQ: operator.eq,
     CompOp.NE: operator.ne,

@@ -561,7 +561,6 @@ class Database:
         result_vars: tuple[str, ...] = (),
         ctx: QueryContext | None = None,
         view=None,
-        backend: str | None = None,
         monitor: CardinalityMonitor | None = None,
     ) -> ExecutionResult:
         """Run a physical plan with fresh I/O accounting.
@@ -571,17 +570,14 @@ class Database:
         governed: deadline/cancel polls on every pipeline, memory-budget
         spill in sort and hash joins, fault injection on disk reads.
         ``view`` pins the run's MVCC snapshot (default: latest committed
-        state, pinned at start).  ``backend`` picks the execution
-        strategy (default: the database config's).  ``monitor`` threads
-        per-operator row streams through a cardinality monitor (feedback
-        ingestion and the adaptive-replan trigger).
+        state, pinned at start).  ``monitor`` threads per-operator row
+        streams through a cardinality monitor (feedback ingestion and
+        the adaptive-replan trigger).
         """
         if self.executor is None:
             raise CatalogError("this database has no populated store")
         result = self.executor.execute(
-            plan, cold=cold, ctx=ctx, view=view,
-            backend=backend or self.config.backend,
-            monitor=monitor,
+            plan, cold=cold, ctx=ctx, view=view, monitor=monitor
         )
         if result_vars:
             keep = set(result_vars)
@@ -601,7 +597,6 @@ class Database:
         options: Mapping[str, Any] | None = None,
         governor: QueryContext | None = None,
         transaction: Transaction | None = None,
-        backend: str | None = None,
     ) -> Union[QueryResult, DmlResult]:
         """Parse, simplify, optimize, and (by default) execute a statement.
 
@@ -634,12 +629,6 @@ class Database:
         serial).  The parallelism degree is part of the effective config,
         so cached serial and parallel plans never collide.
 
-        ``backend`` picks the execution strategy for the plan:
-        ``"interpreted"`` (default), ``"vectorized"`` (batch-at-a-time
-        columnar chunks), ``"compiled"`` (fused generated pipelines), or
-        ``"auto"`` (cost-gated per plan).  Results are byte-identical
-        across backends; only how the operators run changes.
-
         ``options`` sets per-query resource limits by ``$``-key:
         ``$timeout`` (whole-query deadline, ms — exceeding it raises
         :class:`~repro.errors.QueryTimeout`), ``$memory`` (operator
@@ -652,11 +641,6 @@ class Database:
         """
         if parallelism is not None:
             config = (config or self.config).with_parallelism(parallelism)
-        if backend is not None:
-            try:
-                config = (config or self.config).with_backend(backend)
-            except ValueError as exc:
-                raise ParameterBindingError(str(exc)) from None
         if transaction is not None and transaction.status != "active":
             raise TransactionError(
                 f"transaction is {transaction.status}; begin a new one"
@@ -800,8 +784,8 @@ class Database:
             # The optimizer configuration changes which plans are legal, so
             # every plan-affecting knob is part of the fingerprint —
             # ``cache_key()`` renders them canonically (sorted rule sets), so
-            # equal configs always share a key and different backends /
-            # rewrite / parallelism / feedback settings never do.  Dynamic
+            # equal configs always share a key and different rewrite /
+            # parallelism / feedback settings never do.  Dynamic
             # entries live under their own key: a static entry for the same
             # text must not shadow the scenario compilation.
             suffix = "\x00dynamic" if dynamic else ""
@@ -901,14 +885,13 @@ class Database:
                     # materialize are not part of the result.
                     execution = self.execute_plan(
                         optimization.plan, result_vars=result_vars,
-                        ctx=governor, view=view, backend=config.backend,
-                        monitor=monitor,
+                        ctx=governor, view=view, monitor=monitor,
                     )
                 else:
                     execution = self.executor.execute(
                         optimization.plan, cold=cold, collect_stats=True,
                         tracer=instrument, ctx=governor, view=view,
-                        backend=config.backend, monitor=monitor,
+                        monitor=monitor,
                     )
             except AdaptiveReplanSignal as signal:
                 # Mid-query re-optimization: an operator blew past its

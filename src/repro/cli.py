@@ -33,9 +33,6 @@ Dot-commands:
 ``.parallel N``      offer N-worker exchange plans to the optimizer for
                      subsequent queries ( .parallel 1 returns to serial;
                      bare .parallel shows the current degree )
-``.backend NAME``    execution backend for subsequent queries:
-                     interpreted (default), vectorized, compiled, or
-                     auto ( bare .backend shows the current one )
 ``.timeout MS``      deadline for subsequent queries, in milliseconds;
                      queries over it fail with QueryTimeout
                      ( .timeout off clears; bare .timeout shows it )
@@ -84,7 +81,6 @@ from repro.optimizer.config import (
     ALL_IMPLEMENTATIONS,
     ALL_TRANSFORMATIONS,
     ASSEMBLY_ENFORCER,
-    BACKEND_NAMES,
     EXCHANGE_ENFORCER,
     SORT_ENFORCER,
 )
@@ -107,7 +103,6 @@ class Shell:
         self.disabled: set[str] = set()
         self.prepared: dict[str, object] = {}
         self.parallelism = 1
-        self.backend = "interpreted"
         # Cardinality feedback for subsequent queries (.feedback on/off).
         self.feedback_on = False
         # Session resource limits (None = unlimited), applied to every
@@ -177,7 +172,6 @@ class Shell:
             OptimizerConfig()
             .without(*self.disabled)
             .with_parallelism(self.parallelism)
-            .with_backend(self.backend)
             .with_feedback(self.feedback_on)
         )
 
@@ -294,16 +288,6 @@ class Shell:
             self.parallelism = degree
             label = "serial" if degree == 1 else f"{degree} workers"
             self.echo(f"parallelism set to {degree} ({label})")
-        elif command == ".backend" and len(args) <= 1:
-            if not args:
-                self.echo(f"backend: {self.backend}")
-                return
-            if args[0] not in BACKEND_NAMES:
-                names = ", ".join(BACKEND_NAMES)
-                self.echo(f"error: unknown backend {args[0]!r} (one of: {names})")
-                return
-            self.backend = args[0]
-            self.echo(f"backend set to {args[0]}")
         elif command == ".timeout" and len(args) <= 1:
             self.timeout_ms = self._limit(
                 args, self.timeout_ms, "timeout", float, "ms"

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.engine import iterators, parallel
-from repro.engine.backends import INTERPRETED, make_backends, select_backend
-from repro.engine.backends.base import ExecutionBackend
 from repro.engine.tuples import Row
 from repro.errors import ExecutionError
 from repro.governor import spill
@@ -87,11 +85,6 @@ class PlanRun:
     tie_vars: tuple[str, ...] = ()
     ctx: QueryContext | None = None
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
-    #: The execution strategy consulted at every ``Executor.rows``
-    #: boundary (see :mod:`repro.engine.backends`).  Interpreted by
-    #: default; non-default backends fall back to interpretation
-    #: per-subtree for operators they do not support.
-    backend: ExecutionBackend = field(default_factory=lambda: INTERPRETED)
     #: Optional :class:`repro.feedback.monitor.CardinalityMonitor`:
     #: every operator's stream is threaded through it, counting rows per
     #: subplan fingerprint (feedback ingestion) and raising the
@@ -116,10 +109,6 @@ class Executor:
         # Event sink for exchange spans; assign an enabled Tracer (or
         # pass one to `execute`) to observe worker fan-out and merges.
         self.tracer: Tracer = NULL_TRACER
-        # One instance of each execution backend, owned by this executor
-        # so per-backend state (the compiled backend's pipeline cache)
-        # shares the executor's lifetime.
-        self._backends: dict[str, ExecutionBackend] = make_backends()
 
     # ------------------------------------------------------------------
 
@@ -131,7 +120,6 @@ class Executor:
         tracer: Tracer | None = None,
         ctx: QueryContext | None = None,
         view: "ObjectStore | SnapshotView | None" = None,
-        backend: str = "interpreted",
         monitor=None,
     ) -> ExecutionResult:
         """Run a plan to completion with fresh I/O accounting.
@@ -151,19 +139,7 @@ class Executor:
         ``view`` pins the run's MVCC read snapshot (see
         :meth:`ObjectStore.view`); omitted, the run reads the latest
         committed state.
-
-        ``backend`` selects the execution strategy: ``"interpreted"``
-        (default), ``"vectorized"``, ``"compiled"``, or ``"auto"`` —
-        resolved here against the plan's cost estimates, so the trace
-        records the concrete choice.
         """
-        requested = backend
-        if backend == "auto":
-            backend = select_backend(plan)
-        try:
-            engine = self._backends[backend]
-        except KeyError:
-            raise ExecutionError(f"unknown execution backend {backend!r}") from None
         if view is None:
             view = self.store.view()
         # Build any needed indexes *before* the accounting baseline.
@@ -189,13 +165,8 @@ class Executor:
             tie_vars=iteration_vars(plan),
             ctx=ctx,
             tracer=tracer if tracer is not None else self.tracer,
-            backend=engine,
             monitor=monitor,
         )
-        if requested != "interpreted" and run.tracer.enabled:
-            run.tracer.event(
-                "backend", "select", requested=requested, chosen=backend
-            )
         # The injector installation is per *thread* (and propagated to
         # exchange workers pipeline-by-pipeline), so a governed session's
         # faults never fire inside another session's concurrent query.
@@ -260,7 +231,7 @@ class Executor:
         partition pipeline built by an exchange; it is consumed by
         partitioned scans, which then read only their page-range share.
         """
-        source = run.backend.rows(self, plan, run, collector, partition)
+        source = self._dispatch(plan, run, collector, partition)
         if run.ctx is not None:
             source = governed(source, run.ctx)
         if run.monitor is not None:

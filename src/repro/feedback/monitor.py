@@ -11,14 +11,14 @@ database can replan with the rows-so-far already ingested as feedback.
 Counts are flushed in ``finally`` so partially-consumed streams (LIMIT,
 the replan signal itself unwinding the iterator stack, a hash build
 aborted mid-way) still contribute their lower-bound observation.
-Parallel backends open one stream per partition for the same node; the
+Exchange partitions open one stream each for the same node; the
 monitor sums them and marks the observation complete only once every
 opened stream has finished.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.feedback.fingerprint import Fingerprint, fingerprint_plan

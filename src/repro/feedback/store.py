@@ -23,7 +23,7 @@ and keep hitting the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.catalog.catalog import DATA_DRIFT_THRESHOLD, Catalog
 from repro.feedback.fingerprint import Fingerprint, render_fingerprint

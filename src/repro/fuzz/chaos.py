@@ -69,14 +69,8 @@ def run_chaos_case(
     fault_rate: float,
     fault_seed: int,
     stats: ChaosStats,
-    backend: str = "interpreted",
 ) -> None:
-    """One query: fault-free oracle vs the same query under faults.
-
-    ``backend`` runs the *faulted* side on the named execution backend
-    (the oracle stays interpreted), so retries, degrade-to-scan, and
-    injector teardown are exercised on the batch and compiled paths too.
-    """
+    """One query: fault-free oracle vs the same query under faults."""
     text = spec.render()
     stats.iterations += 1
     try:
@@ -87,9 +81,7 @@ def run_chaos_case(
     before = _worker_threads()
     ctx = QueryContext(fault_plan=FaultPlan.chaos(fault_seed, fault_rate))
     try:
-        faulted = db.query(
-            text, use_cache=False, governor=ctx, backend=backend
-        )
+        faulted = db.query(text, use_cache=False, governor=ctx)
     except GovernorError:
         stats.typed_failures += 1
     except Exception:  # noqa: BLE001 - an untyped crash IS the finding
@@ -143,10 +135,7 @@ def chaos_fuzz(
         query_rng = random.Random(f"{seed}:query:{i}")
         query = random_query(query_rng, world)
         before = len(stats.mismatches)
-        # Rotate the faulted run across backends: every third case
-        # exercises fault unwind on the vectorized or compiled path.
-        backend = ("interpreted", "vectorized", "compiled")[i % 3]
-        run_chaos_case(db, query, fault_rate, seed + i, stats, backend=backend)
+        run_chaos_case(db, query, fault_rate, seed + i, stats)
         if len(stats.mismatches) > before:
             if log is not None:
                 for mismatch in stats.mismatches[before:]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -60,8 +60,6 @@ DML_CONFIGS = (
     "parallel-2",
     "no-index-collapse",
     "no-hash-join",
-    "backend-vectorized",
-    "backend-compiled",
 )
 
 #: Ops per generated batch (before shrinking).
@@ -574,10 +572,6 @@ def _replay_options(kind: str, db: Database) -> dict:
         return {"config": db.config.without(COLLAPSE_TO_INDEX_SCAN)}
     if kind == "no-hash-join":
         return {"config": db.config.without(HYBRID_HASH_JOIN, MERGE_JOIN)}
-    if kind.startswith("backend-"):
-        # Post-statement reads and DML target selection both run on the
-        # named backend; the committed history must not care.
-        return {"config": db.config.with_backend(kind.split("-", 1)[1])}
     raise ValueError(f"unknown DML configuration {kind!r}")
 
 

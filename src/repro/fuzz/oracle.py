@@ -207,32 +207,6 @@ def run_case(
             sequence=exact,
         )
 
-    # --- execution backends vs. the interpreter -----------------------
-    # Same plan, different execution machinery: rows must be
-    # byte-identical (ordering ties and null semantics included).
-    for backend in ("vectorized", "compiled", "auto"):
-        attempt(
-            f"backend-{backend}",
-            lambda backend=backend: db.query(
-                text, use_cache=False, backend=backend
-            ).rows,
-            sequence=exact,
-        )
-    attempt(
-        "backend-vectorized-parallel-2",
-        lambda: db.query(
-            text, use_cache=False, backend="vectorized", parallelism=2
-        ).rows,
-        sequence=exact,
-    )
-    attempt(
-        "backend-compiled-parallel-2",
-        lambda: db.query(
-            text, use_cache=False, backend="compiled", parallelism=2
-        ).rows,
-        sequence=exact,
-    )
-
     # --- plan cache: miss, hit, and catalog mutation in between -------
     attempt("cache-miss", lambda: db.query(text).rows, sequence=exact)
     attempt("cache-hit", lambda: db.query(text).rows, sequence=exact)

@@ -114,11 +114,6 @@ EXCHANGE_ENFORCER = "exchange-enforcer"
 # but off by default so that default plans match the paper's.
 DEFAULT_DISABLED = frozenset({WARM_START_ASSEMBLY})
 
-#: Valid values for :attr:`OptimizerConfig.backend`.  ``"auto"`` resolves
-#: per plan in the executor (cost-gated; see
-#: :func:`repro.engine.backends.select_backend`).
-BACKEND_NAMES = ("interpreted", "vectorized", "compiled", "auto")
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -144,12 +139,6 @@ class OptimizerConfig:
     # partitioned plans where the cost model says they pay off.  1 (the
     # default) makes the search byte-for-byte identical to the serial one.
     parallelism: int = 1
-    # Execution backend for plans produced under this config (one of
-    # BACKEND_NAMES).  Purely an execution-strategy choice: the plan,
-    # its cost, and its result rows are identical across backends.
-    # Participates in the config's repr, so plan-cache keys separate
-    # per backend automatically.
-    backend: str = "interpreted"
     # Run the pre-memo cost-based rewrite stage (rewrite.py): tree
     # canonicalization, predicate pushdown, Mat-chain fusion and friends,
     # applied before the memo sees the query.  Off = the raw simplifier
@@ -204,15 +193,6 @@ class OptimizerConfig:
         """A config offering N-worker parallel plans to the search."""
         return replace(self, parallelism=max(1, parallelism))
 
-    def with_backend(self, backend: str) -> "OptimizerConfig":
-        """A config whose plans execute on the named backend."""
-        if backend not in BACKEND_NAMES:
-            names = ", ".join(BACKEND_NAMES)
-            raise ValueError(
-                f"unknown execution backend {backend!r} (expected one of: {names})"
-            )
-        return replace(self, backend=backend)
-
     def with_rewrites(self, enabled: bool = True) -> "OptimizerConfig":
         """Toggle the pre-memo rewrite stage (the fusion ablation knob)."""
         return replace(self, rewrites=enabled)
@@ -244,7 +224,7 @@ class OptimizerConfig:
             f"rules={','.join(sorted(self.disabled_rules))};"
             f"cost={self.cost!r};prune={self.prune};"
             f"cap={self.candidate_cap};pf={self.prune_factor};"
-            f"par={self.parallelism};backend={self.backend};"
+            f"par={self.parallelism};"
             f"rewrites={self.rewrites};feedback={self.feedback};"
             f"replan={self.feedback_replan_ratio}"
         )
@@ -266,7 +246,6 @@ __all__ = [
     "ALL_TRANSFORMATIONS",
     "ASSEMBLY",
     "ASSEMBLY_ENFORCER",
-    "BACKEND_NAMES",
     "COLLAPSE_TO_INDEX_SCAN",
     "DEFAULT_DISABLED",
     "EXCHANGE_ENFORCER",

@@ -95,6 +95,19 @@ class TestDistinctOrderBy:
         )
         assert result.rows == [{"p.age": 3}, {"p.age": 2}, {"p.age": 1}]
 
+    def test_descending_on_the_sample_database(self, plain_db):
+        names = {
+            row["c.name"]
+            for row in plain_db.query("SELECT c.name FROM c IN Cities").rows
+        }
+        result = plain_db.query(
+            "SELECT DISTINCT c.name FROM c IN Cities ORDER BY c.name DESC",
+            use_cache=False,
+        )
+        assert [row["c.name"] for row in result.rows] == sorted(
+            names, reverse=True
+        )
+
     def test_distinct_requires_a_select_list(self, db):
         with pytest.raises(SimplificationError):
             db.query("SELECT DISTINCT * FROM p IN extent(Person)")

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import Database
 from repro.errors import IndexCorruptionError
+from repro.feedback import CardinalityMonitor, fingerprint_plan
 from repro.governor.context import QueryContext
 from repro.governor.faults import FaultPlan
 from repro.fuzz.worldgen import (
@@ -156,6 +157,39 @@ class TestFeedbackLoop:
         hits_before = db.feedback.stats.hits
         db.optimize(SKEWED_QUERY)
         assert db.feedback.stats.hits > hits_before
+
+    @pytest.fixture(scope="class")
+    def sample_db(self) -> Database:
+        """Read-only here: plans run through ``execute_plan`` feed nothing."""
+        return Database.sample(scale=0.05, seed=1)
+
+    @pytest.mark.parametrize("text", PAPER_QUERIES)
+    def test_every_operator_is_monitored(self, sample_db, text):
+        """Monitoring is per operator, not per subtree root: an engine
+        that runs inner operators itself must still thread each of them
+        through the monitor (``ingested > 0`` would not notice)."""
+        plan = sample_db.optimize(text).plan
+        monitor = CardinalityMonitor(plan)
+        sample_db.execute_plan(plan, monitor=monitor)
+        observations = list(monitor.observations())
+        keys = {key for key, _ in fingerprint_plan(plan).values() if key is not None}
+        assert len(observations) == len(keys)
+        assert all(complete for _, _, _, complete in observations)
+
+    def test_cold_runs_of_one_plan_repeat_their_simulated_io(self, sample_db):
+        """The simulated disk head position carries over between
+        statements, so each run follows the same statement."""
+        plan = sample_db.optimize(PAPER_QUERIES[0]).plan
+        runs = []
+        for _ in range(2):
+            sample_db.query(PAPER_QUERIES[1], use_cache=False)
+            runs.append(sample_db.execute_plan(plan))
+        assert runs[0].page_reads == runs[1].page_reads > 0
+        # The figure is a difference of one accumulating clock: equal to
+        # the nanosecond, not to the last float bit.
+        assert runs[0].simulated_io_seconds == pytest.approx(
+            runs[1].simulated_io_seconds, rel=0, abs=1e-9
+        )
 
 
 class TestReplanReasonsCompose:

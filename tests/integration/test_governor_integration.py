@@ -13,7 +13,6 @@ import threading
 
 import pytest
 
-from repro.api import Database
 from repro.errors import (
     AdmissionRejected,
     GovernorError,
@@ -39,6 +38,8 @@ QUERY_3 = (
     'WHERE c.mayor.name == "Joe"'
 )
 ORDER_BY_QUERY = "SELECT c.name, c.population FROM City c IN Cities ORDER BY c.name"
+CHAIN_QUERY = "SELECT e.name FROM Employee e IN Employees WHERE e.salary > 10000"
+REJECT_ALL_QUERY = "SELECT * FROM Employee e IN Employees WHERE e.salary < 0"
 JOIN_QUERY = (
     "SELECT e.name, d.name FROM Employee e IN Employees, "
     "Department d IN extent(Department) WHERE e.department == d"
@@ -143,18 +144,43 @@ class TestAnytimeSearch:
         assert clean.cache.outcome == "miss"
 
 
+class _TrippingContext(QueryContext):
+    """A context whose poll trips after a fixed number of checks."""
+
+    def __init__(self, fail_after: int) -> None:
+        super().__init__()
+        self.calls = 0
+        self.fail_after = fail_after
+
+    def check(self) -> None:  # noqa: D102 - overrides QueryContext.check
+        self.calls += 1
+        if self.calls > self.fail_after:
+            raise QueryCancelled("tripped mid-scan")
+
+
 class TestTypedFailures:
     def test_expired_deadline_raises_query_timeout(self, fresh_db):
-        with pytest.raises(QueryTimeout):
-            fresh_db.query(
-                ORDER_BY_QUERY, use_cache=False, options={"$timeout": 0.00001}
-            )
+        for query, timeout_ms in [(ORDER_BY_QUERY, 0.00001), (CHAIN_QUERY, 0.0001)]:
+            with pytest.raises(QueryTimeout):
+                fresh_db.query(
+                    query, use_cache=False, options={"$timeout": timeout_ms}
+                )
 
     def test_cancel_raises_query_cancelled(self, fresh_db):
         ctx = QueryContext()
         ctx.cancel()
         with pytest.raises(QueryCancelled):
             fresh_db.query(ORDER_BY_QUERY, use_cache=False, governor=ctx)
+
+    def test_cancel_fires_mid_scan_with_no_output_rows(self, fresh_db):
+        # The filter rejects every row, so an engine that only polled
+        # around emitted rows would run to completion: the poll must
+        # happen on the scan's own stream.
+        plan = fresh_db.optimize(REJECT_ALL_QUERY).plan
+        ctx = _TrippingContext(fail_after=3)
+        with pytest.raises(QueryCancelled):
+            fresh_db.executor.execute(plan, ctx=ctx)
+        assert ctx.calls > 3
 
     def test_timeout_is_a_governor_error(self):
         assert issubclass(QueryTimeout, GovernorError)
@@ -250,6 +276,22 @@ class TestScopeUnwinding:
         with pytest.raises(QueryCancelled):
             fresh_db.explain_analyze(ORDER_BY_QUERY, governor=ctx)
         assert buffer.io_scope_depth == 0
+
+    def test_chaos_faulted_runs_uninstall_injector_and_scopes(self, fresh_db):
+        reference = fresh_db.query(CHAIN_QUERY, use_cache=False).rows
+        buffer = fresh_db.store.buffer
+        for seed in range(5):
+            ctx = QueryContext(fault_plan=FaultPlan.chaos(seed, 0.05))
+            try:
+                got = fresh_db.query(
+                    CHAIN_QUERY, use_cache=False, governor=ctx
+                ).rows
+            except GovernorError:
+                pass  # typed failure is within the governor contract
+            else:
+                assert got == reference
+            assert buffer.faults is None
+            assert buffer.clear_io_scopes() == 0
 
 
 class TestChaosSweep:

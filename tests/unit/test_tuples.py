@@ -97,6 +97,21 @@ class TestEvalPredicate:
         assert not eval_conjunction(Conjunction.of(good, bad), row)
         assert eval_conjunction(Conjunction.true(), row)
 
+    @pytest.mark.parametrize(
+        "comparison",
+        [
+            Comparison(FieldRef("x", "v"), CompOp.GE, Const(0)),
+            Comparison(FieldRef("x", "w"), CompOp.EQ, Const(None)),
+            Comparison(FieldRef("x", "s"), CompOp.LT, Const(6)),
+        ],
+        ids=["null-attribute", "null-constant", "type-error"],
+    )
+    def test_conjunction_null_and_type_mismatch_false(self, comparison):
+        row = {"x": Obj(Oid("T", 0), {"v": None, "w": 1, "s": "five"})}
+        always = Comparison(FieldRef("x", "w"), CompOp.EQ, Const(1))
+        assert eval_conjunction(Conjunction.of(always), row)
+        assert not eval_conjunction(Conjunction.of(always, comparison), row)
+
 
 class TestKeys:
     def test_value_key_obj_by_identity(self, row):
