@@ -16,7 +16,9 @@ The operators are faithful to the algorithms the optimizer costs:
 
 from __future__ import annotations
 
+import sys
 import time
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator
 
 from repro.algebra.operators import ProjectItem, RefSource, SetOpKind
@@ -25,15 +27,15 @@ from repro.algebra.predicates import (
     Comparison,
     Conjunction,
     Const,
+    VarRef,
     term_vars,
 )
 from repro.engine.tuples import (
-    COMPARISON_OPS,
     Obj,
     ReversedKey,
     Row,
-    eval_conjunction,
-    eval_term,
+    lower,
+    lower_key,
     ordering_key,
     row_key,
     value_key,
@@ -113,9 +115,10 @@ def index_scan(
         oids = index.lookup_ne(store, key)
     else:  # pragma: no cover - exhaustive over CompOp
         raise ExecutionError(f"index scan cannot serve operator {op}")
+    passes = _residual(residual)
     for oid in oids:
         row = {var: Obj(oid, store.fetch(oid))}
-        if residual.is_true or eval_conjunction(residual, row):
+        if passes is None or passes(row):
             yield row
 
 
@@ -128,11 +131,14 @@ def _comparison_probe(comparison: Comparison) -> tuple[CompOp, Any]:
     raise ExecutionError(f"index probe needs a constant: {comparison}")
 
 
+def _residual(predicate: Conjunction):
+    """The lowered predicate, or None when there is nothing to test."""
+    return None if predicate.is_true else lower(predicate)
+
+
 def filter_rows(rows: Iterable[Row], predicate: Conjunction) -> Iterator[Row]:
     """Emit rows satisfying the conjunction."""
-    for row in rows:
-        if eval_conjunction(predicate, row):
-            yield row
+    return filter(lower(predicate), rows)
 
 
 def _resolve_ref(row: Row, source: RefSource) -> Oid | None:
@@ -161,28 +167,20 @@ def assembly(
     Rows whose reference is null are dropped (Mat has inner-join
     semantics on dangling/absent references).
     """
-    window = max(1, window)
-    batch: list[tuple[Row, Oid]] = []
-
-    def drain() -> Iterator[Row]:
-        # Fetch in page order (the elevator), emit in arrival order.
-        for _, oid in sorted(batch, key=lambda item: store.page_of(item[1])):
-            store.fetch(oid)
-        for row, oid in batch:
-            data = store.fetch(oid)  # buffer hit: just resolves the record
+    refs = (
+        (row, ref) for row in rows if (ref := _resolve_ref(row, source)) is not None
+    )
+    while batch := list(islice(refs, max(1, window))):
+        # Fetch in page order (the elevator), emit in arrival order; each
+        # reference's page is computed once, for the (stable) sort.
+        fetch, page_of = store.fetch, store.page_of
+        pages = [page_of(ref) for _, ref in batch]
+        for position in sorted(range(len(batch)), key=pages.__getitem__):
+            fetch(batch[position][1])
+        for row, ref in batch:
             new_row = dict(row)
-            new_row[out] = Obj(oid, data)
+            new_row[out] = Obj(ref, fetch(ref))  # buffer hit: resolves the record
             yield new_row
-        batch.clear()
-
-    for row in rows:
-        ref = _resolve_ref(row, source)
-        if ref is None:
-            continue
-        batch.append((row, ref))
-        if len(batch) >= window:
-            yield from drain()
-    yield from drain()
 
 
 def pointer_join(
@@ -191,18 +189,9 @@ def pointer_join(
     source: RefSource,
     out: str,
 ) -> Iterator[Row]:
-    """Blocking pointer join: sort every reference by page, sweep once."""
-    pending: list[tuple[Row, Oid]] = []
-    for row in rows:
-        ref = _resolve_ref(row, source)
-        if ref is not None:
-            pending.append((row, ref))
-    for _, oid in sorted(pending, key=lambda item: store.page_of(item[1])):
-        store.fetch(oid)
-    for row, oid in pending:
-        new_row = dict(row)
-        new_row[out] = Obj(oid, store.fetch(oid))
-        yield new_row
+    """Blocking pointer join: sort every reference by page, sweep once —
+    an assembly whose window is the whole input."""
+    return assembly(store, rows, source, out, sys.maxsize)
 
 
 def warm_start_assembly(
@@ -264,6 +253,28 @@ def _split_join_predicate(
     return build_keys, probe_keys, Conjunction.from_iterable(residual)
 
 
+def _lower_join(predicate: Conjunction, build_row: Row, probe_row: Row, kind: str):
+    """(build key, probe key, residual test or None) of an equi-join,
+    lowered once against the variables each side's first row binds."""
+    build_keys, probe_keys, residual = _split_join_predicate(
+        predicate, frozenset(build_row), frozenset(probe_row)
+    )
+    if not build_keys:
+        raise ExecutionError(f"{kind} without equi-conjuncts: {predicate}")
+    return lower_key(build_keys), lower_key(probe_keys), _residual(residual)
+
+
+def _hash_table(rows: Iterable[Row], key) -> dict[tuple, list[Row]]:
+    """Rows bucketed by key; a null key never equi-joins (dict equality
+    would say it does), so those rows are left out."""
+    table: dict[tuple, list[Row]] = {}
+    for row in rows:
+        bucket = key(row)
+        if None not in bucket:
+            table.setdefault(bucket, []).append(row)
+    return table
+
+
 def hash_join(
     build_rows: Iterable[Row],
     probe_rows: Iterable[Row],
@@ -278,33 +289,17 @@ def hash_join(
         first_probe = next(probe_iter)
     except StopIteration:
         return
-    build_vars = frozenset(build_list[0].keys())
-    probe_vars = frozenset(first_probe.keys())
-    build_keys, probe_keys, residual = _split_join_predicate(
-        predicate, build_vars, probe_vars
+    build_key, probe_key, passes = _lower_join(
+        predicate, build_list[0], first_probe, "hash join"
     )
-    if not build_keys:
-        raise ExecutionError(f"hash join without equi-conjuncts: {predicate}")
-
-    table: dict[tuple, list[Row]] = {}
-    for row in build_list:
-        key = tuple(value_key(eval_term(term, row)) for term in build_keys)
-        if None in key:
-            continue  # null never equi-joins (dict equality would say it does)
-        table.setdefault(key, []).append(row)
-
-    def probe(row: Row) -> Iterator[Row]:
-        key = tuple(value_key(eval_term(term, row)) for term in probe_keys)
-        if None in key:
-            return
-        for match in table.get(key, ()):
-            combined = {**match, **row}
-            if residual.is_true or eval_conjunction(residual, combined):
-                yield combined
-
-    yield from probe(first_probe)
-    for row in probe_iter:
-        yield from probe(row)
+    table = _hash_table(build_list, build_key)
+    for row in chain((first_probe,), probe_iter):
+        key = probe_key(row)
+        if None not in key:
+            for match in table.get(key, ()):
+                combined = {**match, **row}
+                if passes is None or passes(combined):
+                    yield combined
 
 
 def sort_rows(
@@ -323,11 +318,6 @@ def sort_rows(
     same ordered query.
     """
     yield from sorted(rows, key=ordering_key(var, attr, ascending, tie_vars))
-
-
-def _merge_key(term, row: Row):
-    value = eval_term(term, row)
-    return value_key(value)
 
 
 def merge_join(
@@ -349,16 +339,18 @@ def merge_join(
     right_list = [r for r in right_rows]
     if not left_list or not right_list:
         return
-    extra = predicate.without(Comparison(left_term, CompOp.EQ, right_term))
+    passes = _residual(predicate.without(Comparison(left_term, CompOp.EQ, right_term)))
+    # One-tuples order exactly as their single element does.
+    left_keys = list(map(lower_key((left_term,)), left_list))
+    right_keys = list(map(lower_key((right_term,)), right_list))
 
     i = j = 0
     while i < len(left_list) and j < len(right_list):
-        lk = _merge_key(left_term, left_list[i])
-        rk = _merge_key(right_term, right_list[j])
-        if lk is None:
+        lk, rk = left_keys[i], right_keys[j]
+        if None in lk:
             i += 1
             continue
-        if rk is None:
+        if None in rk:
             j += 1
             continue
         if lk < rk:
@@ -368,19 +360,15 @@ def merge_join(
         else:
             # Gather both equal-key groups.
             i_end = i
-            while i_end < len(left_list) and _merge_key(
-                left_term, left_list[i_end]
-            ) == lk:
+            while i_end < len(left_list) and left_keys[i_end] == lk:
                 i_end += 1
             j_end = j
-            while j_end < len(right_list) and _merge_key(
-                right_term, right_list[j_end]
-            ) == rk:
+            while j_end < len(right_list) and right_keys[j_end] == rk:
                 j_end += 1
             for li in range(i, i_end):
                 for rj in range(j, j_end):
                     combined = {**left_list[li], **right_list[rj]}
-                    if extra.is_true or eval_conjunction(extra, combined):
+                    if passes is None or passes(combined):
                         yield combined
             i, j = i_end, j_end
 
@@ -406,27 +394,17 @@ def anti_join(
         yield first_left
         yield from left_iter
         return
-    left_vars = frozenset(first_left.keys())
-    right_vars = frozenset(right_list[0].keys())
-    left_keys, right_keys, residual = _split_join_predicate(
-        predicate, left_vars, right_vars
+    left_key, right_key, passes = _lower_join(
+        predicate, first_left, right_list[0], "anti join"
     )
-    if not left_keys:
-        raise ExecutionError(f"anti join without equi-conjuncts: {predicate}")
-    table: dict[tuple, list[Row]] = {}
-    for row in right_list:
-        key = tuple(value_key(eval_term(term, row)) for term in right_keys)
-        if None in key:
-            continue  # a null key matches no left row
-        table.setdefault(key, []).append(row)
+    table = _hash_table(right_list, right_key)  # a null key matches no left row
 
     def survives(row: Row) -> bool:
-        key = tuple(value_key(eval_term(term, row)) for term in left_keys)
+        key = left_key(row)
         if None in key:
             return True  # null equi-key: the subquery predicate is never true
         for match in table.get(key, ()):
-            combined = {**match, **row}
-            if residual.is_true or eval_conjunction(residual, combined):
+            if passes is None or passes({**match, **row}):
                 return False
         return True
 
@@ -444,10 +422,11 @@ def nested_loops_join(
 ) -> Iterator[Row]:
     """Outer-major nested loops; handles arbitrary (even true) predicates."""
     inner_list = list(inner_rows)
+    passes = lower(predicate)
     for outer in outer_rows:
         for inner in inner_list:
             combined = {**outer, **inner}
-            if eval_conjunction(predicate, combined):
+            if passes(combined):
                 yield combined
 
 
@@ -456,8 +435,9 @@ def project(
 ) -> Iterator[Row]:
     """Evaluate projection items; optionally deduplicate (DISTINCT)."""
     seen: set[tuple] = set()
+    getters = [(item.name, lower(item.term)) for item in items]
     for row in rows:
-        output = {item.name: eval_term(item.term, row) for item in items}
+        output = {name: get(row) for name, get in getters}
         if distinct:
             key = tuple(value_key(output[item.name]) for item in items)
             if key in seen:
@@ -485,8 +465,13 @@ def group_by(
 
     groups: dict[tuple, dict] = {}
     key_rows: dict[tuple, Row] = {}
+    group_key = lower_key(k.term for k in keys)
+    key_getters = [(k.name, lower(k.term)) for k in keys]
+    arguments = {
+        agg.name: lower(agg.term) for agg in aggregates if agg.term is not None
+    }
     for row in rows:
-        key = tuple(value_key(eval_term(k.term, row)) for k in keys)
+        key = group_key(row)
         state = groups.get(key)
         if state is None:
             state = {
@@ -500,7 +485,7 @@ def group_by(
             if agg.term is None:  # COUNT(*)
                 acc["count"] += 1
                 continue
-            value = eval_term(agg.term, row)
+            value = arguments[agg.name](row)
             if value is None:
                 continue
             acc["count"] += 1
@@ -522,25 +507,21 @@ def group_by(
             return acc["min"]
         return acc["max"]
 
-    def passes_having(out: Row) -> bool:
-        for clause in having:
-            value = out.get(clause.column)
-            if value is None:
-                return False
-            try:
-                if not COMPARISON_OPS[clause.op](value, clause.value):
-                    return False
-            except TypeError:
-                return False
-        return True
+    # HAVING compares output columns to constants under the same rule as
+    # any other comparison (over None, or incomparable values: false).
+    keeps = lower(
+        Conjunction.from_iterable(
+            Comparison(VarRef(h.column), h.op, Const(h.value)) for h in having
+        )
+    )
 
     output: list[Row] = []
     for key, state in groups.items():
         row = key_rows[key]
-        out: Row = {k.name: eval_term(k.term, row) for k in keys}
+        out: Row = {name: get(row) for name, get in key_getters}
         for agg in aggregates:
             out[agg.name] = finalize(agg, state[agg.name])
-        if having and not passes_having(out):
+        if not keeps(out):
             continue
         output.append(out)
 

@@ -11,7 +11,7 @@ absent from the row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.algebra.predicates import (
     COMPARISON_OPS,
@@ -29,7 +29,7 @@ from repro.errors import ExecutionError
 from repro.storage.objects import Oid
 
 
-@dataclass
+@dataclass(slots=True)
 class Obj:
     """An object binding: identity plus (optionally) the resident record."""
 
@@ -54,47 +54,102 @@ class Obj:
 
 Row = dict[str, Any]
 
-def eval_term(term: Term, row: Row) -> Any:
-    """Evaluate one predicate/projection term against a row."""
+
+def _lower_term(term: Term) -> Callable[[Row], Any]:
     if isinstance(term, Const):
-        return term.value
-    if isinstance(term, FieldRef) or isinstance(term, RefAttr):
-        value = row.get(term.var)
-        if not isinstance(value, Obj):
-            raise ExecutionError(f"variable {term.var!r} is not an object binding")
-        return value.field(term.attr)
-    if isinstance(term, SelfOid):
-        value = row.get(term.var)
-        if not isinstance(value, Obj):
-            raise ExecutionError(f"variable {term.var!r} is not an object binding")
-        return value.oid
+        constant = term.value
+        return lambda row: constant
+    var = term.var
     if isinstance(term, VarRef):
-        if term.var not in row:
-            raise ExecutionError(f"variable {term.var!r} not in row")
-        return row[term.var]
-    if isinstance(term, ObjectTerm):
-        value = row.get(term.var)
-        if not isinstance(value, Obj) or not value.resident:
-            raise ExecutionError(f"object {term.var!r} not resident for projection")
-        return value
-    raise ExecutionError(f"unknown term {term!r}")
+        def evaluate(row: Row) -> Any:
+            if var not in row:
+                raise ExecutionError(f"variable {var!r} not in row")
+            return row[var]
+    elif isinstance(term, (FieldRef, RefAttr)):
+        attr = term.attr
+
+        def evaluate(row: Row) -> Any:
+            value = row.get(var)
+            if type(value) is not Obj:
+                raise ExecutionError(f"variable {var!r} is not an object binding")
+            if value.data is None:
+                return value.field(attr)  # raises: not resident
+            return value.data.get(attr)
+    elif isinstance(term, SelfOid):
+        def evaluate(row: Row) -> Oid:
+            value = row.get(var)
+            if type(value) is not Obj:
+                raise ExecutionError(f"variable {var!r} is not an object binding")
+            return value.oid
+    elif isinstance(term, ObjectTerm):
+        def evaluate(row: Row) -> Obj:
+            value = row.get(var)
+            if type(value) is not Obj or value.data is None:
+                raise ExecutionError(f"object {var!r} not resident for projection")
+            return value
+    else:
+        raise ExecutionError(f"unknown term {term!r}")
+    return evaluate
 
 
-def eval_comparison(comparison: Comparison, row: Row) -> bool:
-    """SQL-style evaluation: comparisons over None are false."""
-    left = eval_term(comparison.left, row)
-    right = eval_term(comparison.right, row)
-    if left is None or right is None:
-        return False
-    try:
-        return COMPARISON_OPS[comparison.op](left, right)
-    except TypeError:
-        return False
+def lower(expr: Term | Comparison | Conjunction) -> Callable[[Row], Any]:
+    """Lower a term, comparison or conjunction to a ``row -> value`` callable.
+
+    Operators lower their expressions once per instantiation and call the
+    result per row: all dispatch on the expression's shape happens here,
+    none in the row loop, and the SQL-style rule — a comparison over None,
+    or between values that do not compare, is false — is written here only.
+    """
+    if isinstance(expr, Conjunction):
+        tests = tuple(map(lower, expr.comparisons))
+        if len(tests) == 1:
+            return tests[0]
+
+        def every(row: Row) -> bool:
+            for test in tests:
+                if not test(row):
+                    return False
+            return True
+
+        return every
+    if not isinstance(expr, Comparison):
+        return _lower_term(expr)
+    left, right = _lower_term(expr.left), _lower_term(expr.right)
+    compare = COMPARISON_OPS[expr.op]
+
+    def holds(row: Row) -> bool:
+        a, b = left(row), right(row)
+        if a is None or b is None:
+            return False
+        try:
+            return compare(a, b)
+        except TypeError:
+            return False
+
+    return holds
 
 
-def eval_conjunction(predicate: Conjunction, row: Row) -> bool:
-    """True iff every conjunct holds for the row."""
-    return all(eval_comparison(c, row) for c in predicate.comparisons)
+def lower_key(terms: Iterable[Term]) -> Callable[[Row], tuple]:
+    """Lower key terms to ``row -> tuple`` of their :func:`value_key`s."""
+    getters = tuple(_lower_term(term) for term in terms)
+    if len(getters) == 1:
+        (get,) = getters
+
+        def key(row: Row) -> tuple:
+            value = get(row)
+            return (value.oid if type(value) is Obj else value,)
+
+        return key
+    return lambda row: tuple([value_key(get(row)) for get in getters])
+
+
+def eval_term(expr: Term | Comparison | Conjunction, row: Row) -> Any:
+    """Evaluate a term, comparison or conjunction against one row — for
+    one-off callers; an operator lowers once and calls the result per row."""
+    return lower(expr)(row)
+
+
+eval_comparison = eval_conjunction = eval_term
 
 
 def value_key(value: Any) -> Any:
@@ -187,6 +242,8 @@ __all__ = [
     "eval_comparison",
     "eval_conjunction",
     "eval_term",
+    "lower",
+    "lower_key",
     "ordering_key",
     "row_key",
     "value_key",

@@ -31,15 +31,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.engine import iterators
-from repro.engine.tuples import (
-    Obj,
-    Row,
-    eval_conjunction,
-    eval_term,
-    ordering_key,
-    value_key,
-)
-from repro.errors import ExecutionError, MemoryBudgetExceeded
+from repro.engine.tuples import Obj, Row, ordering_key
+from repro.errors import MemoryBudgetExceeded
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.storage.store import ObjectStore
 
@@ -172,10 +165,6 @@ def spill_sort_rows(
 # ----------------------------------------------------------------------
 
 
-def _key_of(terms, row: Row) -> tuple:
-    return tuple(value_key(eval_term(term, row)) for term in terms)
-
-
 def _fanout(total_bytes: int, budget_bytes: int) -> int:
     return min(MAX_PARTITIONS, max(2, -(-total_bytes // budget_bytes)))
 
@@ -207,11 +196,9 @@ def spill_hash_join(
         yield from iterators.hash_join(iter(build_list), probe_stream, predicate)
         return
 
-    build_keys, probe_keys, residual = iterators._split_join_predicate(
-        predicate, frozenset(build_list[0].keys()), frozenset(first_probe.keys())
+    build_key, probe_key, passes = iterators._lower_join(
+        predicate, build_list[0], first_probe, "hash join"
     )
-    if not build_keys:
-        raise ExecutionError(f"hash join without equi-conjuncts: {predicate}")
     fanout = _fanout(build_bytes, budget_bytes)
     if tracer.enabled:
         tracer.event(
@@ -220,7 +207,7 @@ def spill_hash_join(
 
     build_parts: list[list[Row]] = [[] for _ in range(fanout)]
     for row in build_list:
-        key = _key_of(build_keys, row)
+        key = build_key(row)
         if None in key:
             continue  # null never equi-joins
         build_parts[hash(key) % fanout].append(row)
@@ -229,7 +216,7 @@ def spill_hash_join(
 
     probe_parts: list[list[tuple[int, Row]]] = [[] for _ in range(fanout)]
     for sequence, row in enumerate(probe_stream):
-        key = _key_of(probe_keys, row)
+        key = probe_key(row)
         if None in key:
             continue
         probe_parts[hash(key) % fanout].append((sequence, row))
@@ -241,13 +228,11 @@ def spill_hash_join(
 
     output: list[tuple[int, Row]] = []
     for part in range(fanout):
-        table: dict[tuple, list[Row]] = {}
-        for row in _read_run(store, build_runs[part]):
-            table.setdefault(_key_of(build_keys, row), []).append(row)
+        table = iterators._hash_table(_read_run(store, build_runs[part]), build_key)
         for sequence, row in _read_run(store, probe_runs[part]):
-            for match in table.get(_key_of(probe_keys, row), ()):
+            for match in table.get(probe_key(row), ()):
                 combined = {**match, **row}
-                if residual.is_true or eval_conjunction(residual, combined):
+                if passes is None or passes(combined):
                     output.append((sequence, combined))
     output.sort(key=lambda item: item[0])  # stable: per-probe match order kept
     for _, combined in output:
@@ -282,11 +267,9 @@ def spill_anti_join(
         yield from iterators.anti_join(left_stream, iter(right_list), predicate)
         return
 
-    left_keys, right_keys, residual = iterators._split_join_predicate(
-        predicate, frozenset(first_left.keys()), frozenset(right_list[0].keys())
+    left_key, right_key, passes = iterators._lower_join(
+        predicate, first_left, right_list[0], "anti join"
     )
-    if not left_keys:
-        raise ExecutionError(f"anti join without equi-conjuncts: {predicate}")
     fanout = _fanout(right_bytes, budget_bytes)
     if tracer.enabled:
         tracer.event(
@@ -295,7 +278,7 @@ def spill_anti_join(
 
     right_parts: list[list[Row]] = [[] for _ in range(fanout)]
     for row in right_list:
-        key = _key_of(right_keys, row)
+        key = right_key(row)
         if None in key:
             continue  # a null key matches no left row
         right_parts[hash(key) % fanout].append(row)
@@ -305,7 +288,7 @@ def spill_anti_join(
     survivors: list[tuple[int, Row]] = []
     left_parts: list[list[tuple[int, Row]]] = [[] for _ in range(fanout)]
     for sequence, row in enumerate(left_stream):
-        key = _key_of(left_keys, row)
+        key = left_key(row)
         if None in key:
             survivors.append((sequence, row))  # subquery never matches
         else:
@@ -317,14 +300,11 @@ def spill_anti_join(
     del left_parts
 
     for part in range(fanout):
-        table: dict[tuple, list[Row]] = {}
-        for row in _read_run(store, right_runs[part]):
-            table.setdefault(_key_of(right_keys, row), []).append(row)
+        table = iterators._hash_table(_read_run(store, right_runs[part]), right_key)
         for sequence, row in _read_run(store, left_runs[part]):
             alive = True
-            for match in table.get(_key_of(left_keys, row), ()):
-                combined = {**match, **row}
-                if residual.is_true or eval_conjunction(residual, combined):
+            for match in table.get(left_key(row), ()):
+                if passes is None or passes({**match, **row}):
                     alive = False
                     break
             if alive:

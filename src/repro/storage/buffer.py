@@ -47,6 +47,13 @@ class BufferStats:
         return self.hits / total if total else 0.0
 
 
+class _ScopeStacks(threading.local):
+    """Each thread's own I/O scope stack (``__init__`` runs per thread)."""
+
+    def __init__(self) -> None:
+        self.stack: list = []
+
+
 @dataclass
 class BufferPool:
     """A page-granularity LRU cache in front of the disk simulator.
@@ -72,9 +79,7 @@ class BufferPool:
     _frames: OrderedDict[int, None] = field(default_factory=OrderedDict)
     # Per-thread stacks of objects with `hits`/`misses` attributes
     # (duck-typed so the storage layer needs no dependency on repro.obs).
-    _io_scopes: threading.local = field(
-        default_factory=threading.local, repr=False
-    )
+    _io_scopes: _ScopeStacks = field(default_factory=_ScopeStacks, repr=False)
     # Per-thread fault injector (see repro.governor.faults); installed
     # by the executor for the duration of one execution, None otherwise.
     # Thread-locality is what keeps concurrent server sessions isolated:
@@ -97,19 +102,13 @@ class BufferPool:
     def faults(self, injector: "FaultInjector | None") -> None:
         self._fault_local.injector = injector
 
-    def _scope_stack(self) -> list:
-        stack = getattr(self._io_scopes, "stack", None)
-        if stack is None:
-            stack = []
-            self._io_scopes.stack = stack
-        return stack
-
     def read_page(self, page_id: int) -> float:
-        """Bring a page in; returns simulated ms spent (0 on a hit)."""
-        scopes = self._scope_stack()
+        """Bring a page in; returns simulated ms spent (0 on a hit).
+        Called per object scanned or fetched: keep the hit path short."""
+        scopes, frames = self._io_scopes.stack, self._frames
         with self._latch:
-            if page_id in self._frames:
-                self._frames.move_to_end(page_id)
+            if page_id in frames:
+                frames.move_to_end(page_id)
                 self.stats.hits += 1
                 if scopes:
                     scopes[-1].hits += 1
@@ -118,9 +117,9 @@ class BufferPool:
             if scopes:
                 scopes[-1].misses += 1
             cost = self._disk_read(page_id)
-            self._frames[page_id] = None
-            if len(self._frames) > self.capacity:
-                self._frames.popitem(last=False)
+            frames[page_id] = None
+            if len(frames) > self.capacity:
+                frames.popitem(last=False)
         if self.latency_scale > 0.0:
             # Sleep OUTSIDE the latch: concurrent workers overlap waits.
             time.sleep(cost * self.latency_scale)
@@ -163,7 +162,7 @@ class BufferPool:
 
     def spill_write(self, page_id: int) -> float:
         """Write one spill page straight to disk; returns simulated ms."""
-        scopes = self._scope_stack()
+        scopes = self._io_scopes.stack
         with self._latch:
             self.stats.spill_writes += 1
             if scopes:
@@ -177,7 +176,7 @@ class BufferPool:
     def spill_read(self, page_id: int) -> float:
         """Read one spill page back (fault injection applies like any
         other disk read); returns simulated ms."""
-        scopes = self._scope_stack()
+        scopes = self._io_scopes.stack
         with self._latch:
             self.stats.spill_reads += 1
             if scopes:
@@ -195,16 +194,16 @@ class BufferPool:
 
     def push_io_scope(self, scope) -> None:
         """Attribute this thread's page requests to ``scope``."""
-        self._scope_stack().append(scope)
+        self._io_scopes.stack.append(scope)
 
     def pop_io_scope(self) -> None:
         """Stop attributing to this thread's most recently pushed scope."""
-        self._scope_stack().pop()
+        self._io_scopes.stack.pop()
 
     @property
     def io_scope_depth(self) -> int:
         """How many I/O scopes the calling thread has pushed (0 = none)."""
-        return len(self._scope_stack())
+        return len(self._io_scopes.stack)
 
     def clear_io_scopes(self) -> int:
         """Drop every scope the calling thread still has pushed.
@@ -215,7 +214,7 @@ class BufferPool:
         attribution state into the next query on this thread.  Returns
         how many scopes were actually dropped (0 on the healthy path).
         """
-        stack = self._scope_stack()
+        stack = self._io_scopes.stack
         dropped = len(stack)
         stack.clear()
         return dropped

@@ -767,10 +767,7 @@ class SnapshotView:
 
     def scan(self, name: str) -> Iterator[tuple[Oid, dict[str, Any]]]:
         """Sequentially scan a collection at the snapshot, charging I/O."""
-        for oid in self.collection_oids(name):
-            data = self._read(oid)
-            self._store.buffer.read_page(self._store.page_of(oid))
-            yield oid, data
+        return self._store._scan_members(self.collection_oids(name), self._read)
 
     def partition_bounds(self, name: str, degree: int) -> list[tuple[int, int]]:
         """Page-aligned partition bounds over the snapshot's members."""
@@ -784,14 +781,9 @@ class SnapshotView:
         self, name: str, partition: int, degree: int
     ) -> Iterator[tuple[Oid, dict[str, Any]]]:
         """Scan one page-aligned partition of the snapshot's members."""
-        bounds = self.partition_bounds(name, degree)
-        if partition >= len(bounds):
-            return
-        start, stop = bounds[partition]
-        for oid in self.collection_oids(name)[start:stop]:
-            data = self._read(oid)
-            self._store.buffer.read_page(self._store.page_of(oid))
-            yield oid, data
+        return self._store._scan_members(
+            self.collection_oids(name), self._read, (partition, degree)
+        )
 
 
 __all__ = [

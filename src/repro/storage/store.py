@@ -74,19 +74,15 @@ class Segment:
             return 0
         return -(-len(self.oids) // self.objects_per_page)
 
-    def page_of(self, position: int) -> int:
-        """Absolute page id of the object at an insertion position."""
-        if self.first_page < 0:
-            raise StorageError(f"segment {self.type_name!r} not yet sealed")
-        return self.first_page + position // self.objects_per_page
-
 
 class ObjectStore:
     """Typed object storage over the simulated disk.
 
     Usage: create segments, insert objects, register named collections,
-    then :meth:`seal` to assign page ranges.  After sealing the store is
-    read-only and every fetch/scan is charged through the buffer pool.
+    then :meth:`seal` to assign page ranges.  The sealed load is commit 0:
+    later writes go through :attr:`mvcc` (versions, membership events,
+    overflow pages) and never touch the base records or their layout.
+    Every fetch/scan is charged through the buffer pool.
     """
 
     def __init__(
@@ -100,7 +96,10 @@ class ObjectStore:
         self.buffer = buffer_pool or BufferPool(self.disk)
         self._segments: dict[str, Segment] = {}
         self._data: dict[Oid, dict[str, Any]] = {}
-        self._position: dict[Oid, int] = {}
+        #: type -> (first page, objects per page, base object count),
+        #: fixed at seal(): a base object's page is arithmetic on its
+        #: serial (its insertion position), never a per-object lookup.
+        self._layout: dict[str, tuple[int, int, int]] = {}
         self._collections: dict[str, list[Oid]] = {}
         self._sealed = False
         self._temp_lock = threading.Lock()
@@ -139,7 +138,6 @@ class ObjectStore:
             self.create_segment(type_name)
         segment = self._segments[type_name]
         oid = Oid(type_name, len(segment.oids))
-        self._position[oid] = len(segment.oids)
         segment.oids.append(oid)
         self._data[oid] = data
         return oid
@@ -154,8 +152,11 @@ class ObjectStore:
         if self._sealed:
             return
         next_page = 0
-        for segment in self._segments.values():
+        for type_name, segment in self._segments.items():
             segment.first_page = next_page
+            self._layout[type_name] = (
+                next_page, segment.objects_per_page, len(segment.oids)
+            )
             next_page += max(1, segment.page_count)
         self.disk.extend_span(max(1, next_page))
         for type_name, segment in self._segments.items():
@@ -170,11 +171,17 @@ class ObjectStore:
 
     def page_of(self, oid: Oid) -> int:
         """Absolute page id of an object (segment slot or overflow page)."""
-        overflow = self.mvcc.overflow_page(oid)
-        if overflow is not None:
-            return overflow
-        segment = self._segment_of(oid)
-        return segment.page_of(self._position[oid])
+        layout = self._layout.get(oid.type_name)
+        if layout is not None:
+            first_page, per_page, base_count = layout
+            if 0 <= oid.serial < base_count:
+                return first_page + oid.serial // per_page
+        page = self.mvcc.overflow_page(oid)  # minted after the seal
+        if page is None:
+            if layout is None:
+                raise StorageError(f"no segment for type {oid.type_name!r}")
+            raise StorageError(f"dangling reference {oid!r}")
+        return page
 
     def fetch(self, oid: Oid) -> dict[str, Any]:
         """Read one object, charging a (possibly cached) page read."""
@@ -191,34 +198,50 @@ class ObjectStore:
         """
         if self.mvcc.dirty:
             return self.mvcc.read(oid, self.mvcc.current_csn)
-        if oid not in self._data:
-            raise StorageError(f"dangling reference {oid!r}")
-        return self._data[oid]
+        try:
+            return self._data[oid]
+        except KeyError:
+            raise StorageError(f"dangling reference {oid!r}") from None
 
     def scan(self, collection_name: str) -> Iterator[tuple[Oid, dict[str, Any]]]:
-        """Sequentially scan a collection, charging one read per page."""
+        """Sequentially scan a collection at the latest commit, charged."""
+        return self._scan_members(*self._latest(collection_name))
+
+    def _latest(self, collection_name: str):
+        """(members, record reader) of a collection at the latest commit."""
         self._require_sealed()
-        if self.mvcc.dirty:
-            snapshot = self.mvcc.current_csn
-            for oid in self.mvcc.members_at(collection_name, snapshot):
-                self.buffer.read_page(self.page_of(oid))
-                yield oid, self.mvcc.read(oid, snapshot)
-            return
-        for oid in self.collection_oids(collection_name):
-            self.buffer.read_page(self.page_of(oid))
-            yield oid, self._data[oid]
+        if not self.mvcc.dirty:
+            return self.base_collection_oids(collection_name), self._data.__getitem__
+        latest = SnapshotView(self, self.mvcc.current_csn)
+        return latest.collection_oids(collection_name), latest._read
+
+    def _scan_members(
+        self, members: list[Oid], read, partition: tuple[int, int] | None = None
+    ) -> Iterator[tuple[Oid, dict[str, Any]]]:
+        """The one charged scan loop, for the store and every view of it.
+
+        One page request per *member*, in member order, hits included: a
+        Volcano scan interleaves with the fetches of the operators above
+        it, so charging each page once up front would reorder the LRU and
+        pre-pay for members an abandoned scan never reaches.  ``partition``
+        is an ``(index, degree)`` share of :func:`page_aligned_bounds`; an
+        index past the last non-empty share yields nothing.
+        """
+        read_page, page_of = self.buffer.read_page, self.page_of
+        if partition is not None:
+            bounds = page_aligned_bounds(members, page_of, partition[1])
+            if partition[0] >= len(bounds):
+                return
+            start, stop = bounds[partition[0]]
+            members = members[start:stop]
+        for oid in members:
+            read_page(page_of(oid))
+            yield oid, read(oid)
 
     def partition_bounds(
         self, collection_name: str, degree: int
     ) -> list[tuple[int, int]]:
-        """Page-aligned ``[start, stop)`` position ranges splitting a
-        collection into at most ``degree`` contiguous partitions.
-
-        Boundaries never split a page across partitions, so concurrent
-        partition scans touch disjoint page sets and the union of the
-        partitions' page reads equals a serial scan's.  Small collections
-        may yield fewer than ``degree`` non-empty partitions.
-        """
+        """:func:`page_aligned_bounds` over the collection's latest members."""
         return page_aligned_bounds(
             self.collection_oids(collection_name), self.page_of, degree
         )
@@ -233,17 +256,9 @@ class ObjectStore:
         empty share).  Each partition preserves the collection's scan
         order, so ordered exchange merges restore the global order.
         """
-        self._require_sealed()
-        oids = self.collection_oids(collection_name)
-        bounds = page_aligned_bounds(oids, self.page_of, degree)
-        if partition >= len(bounds):
-            return
-        start, stop = bounds[partition]
-        snapshot = self.mvcc.current_csn
-        dirty = self.mvcc.dirty
-        for oid in oids[start:stop]:
-            self.buffer.read_page(self.page_of(oid))
-            yield oid, self.mvcc.read(oid, snapshot) if dirty else self._data[oid]
+        return self._scan_members(
+            *self._latest(collection_name), (partition, degree)
+        )
 
     def collection_oids(self, collection_name: str) -> list[Oid]:
         """Member OIDs of a loaded collection, in scan order.
@@ -351,11 +366,6 @@ class ObjectStore:
     @property
     def simulated_seconds(self) -> float:
         return self.disk.elapsed_seconds
-
-    def _segment_of(self, oid: Oid) -> Segment:
-        if oid.type_name not in self._segments:
-            raise StorageError(f"no segment for type {oid.type_name!r}")
-        return self._segments[oid.type_name]
 
     def _require_sealed(self) -> None:
         if not self._sealed:

@@ -264,6 +264,18 @@ class TestHaving:
         counts = [row["n"] for row in result.rows]
         assert counts == sorted(counts, reverse=True)
 
+    @pytest.mark.parametrize("clause", ["n != null", "n < 'x'", "d.floor == null"])
+    def test_having_follows_the_one_comparison_rule(self, indexed_db, clause):
+        """A comparison over null, or between values that do not compare,
+        is false — in HAVING exactly as in WHERE (``n != null`` used to
+        keep every group: HAVING had its own copy of the rule)."""
+        result = indexed_db.query(
+            "SELECT d.floor, COUNT(*) AS n FROM e IN Employees, "
+            "d IN extent(Department) WHERE e.department == d "
+            f"GROUP BY d.floor HAVING {clause}"
+        )
+        assert result.rows == []
+
     def test_having_unknown_column_rejected(self, indexed_db):
         from repro.errors import QueryTypeError
 

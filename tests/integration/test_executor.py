@@ -1,8 +1,13 @@
 """Executor validation: simulated I/O behaviour matches the cost model's
 structural claims (estimates and simulations agree in *shape*)."""
 
+import pytest
+
+from repro.api import Database
+from repro.errors import StorageError
 from repro.optimizer import OptimizerConfig
 from repro.optimizer import config as C
+from repro.storage.objects import Oid
 
 from tests.conftest import QUERY_2, QUERY_3
 
@@ -86,3 +91,26 @@ class TestExecutionAccounting:
         result = indexed_db.query(QUERY_2)
         # A handful of index + object pages, nowhere near a Cities scan.
         assert result.execution.page_reads < 50
+
+
+class TestDanglingReference:
+    """Typed errors only: the elevator sort asks for a reference's page
+    before anything fetches it, and used to let a bare ``KeyError`` out."""
+
+    WINDOWED = OptimizerConfig().without(
+        C.COLLAPSE_TO_INDEX_SCAN, C.POINTER_JOIN, C.MAT_TO_JOIN
+    )
+
+    @pytest.mark.parametrize("committed", [False, True], ids=["clean", "committed"])
+    @pytest.mark.parametrize("config", [None, WINDOWED], ids=["pointer", "assembly"])
+    def test_pointer_join_and_assembly_raise_storage_error(self, config, committed):
+        db = Database.sample(scale=0.02)
+        city = db.store.collection_oids("Cities")[3]
+        db.store.base_data(city)["mayor"] = Oid("Person", 10**6)
+        if committed:  # the same plans through a SnapshotView
+            db.query("UPDATE c IN Cities SET c.population = 1 WHERE c.name == 'city0'")
+        expected = "PointerJoin" if config is None else "Assembly"
+        plan = db.query(QUERY_2, config=config, execute=False).plan
+        assert expected in [node.algorithm for node in plan.walk()]
+        with pytest.raises(StorageError, match="dangling reference Person#1000000"):
+            db.query(QUERY_2, config=config)

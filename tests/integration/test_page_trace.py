@@ -1,0 +1,226 @@
+"""The buffer pool's request sequence, pinned from outside the program.
+
+Every simulated-I/O number (hits, misses, seeks, simulated milliseconds,
+LRU order under eviction) is a function of the sequence of
+``BufferPool.read_page(page_id)`` calls a statement makes and of the I/O
+scope on top of the calling thread's stack at each call.  This test
+wraps ``read_page`` on one pool *instance*, records that sequence per
+thread, and compares its length and SHA-256 against
+``tests/golden/page_trace.json`` — recorded before the storage hot path
+was optimised, so any change below the operators that batches, reorders,
+skips or re-attributes a page request fails here rather than as a
+drifted benchmark figure.
+
+Regenerate (only when a PR *means* to change the sequence, and says why):
+``PYTHONPATH=src python -m tests.integration.test_page_trace``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import threading
+from pathlib import Path
+
+import pytest
+
+from repro.api import Database
+from repro.storage.mvcc import OVERFLOW_PAGE_GAP
+
+from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "page_trace.json"
+PAPER = {"q1": QUERY_1, "q2": QUERY_2, "q3": QUERY_3, "q4": QUERY_4}
+CITY_SCAN = "SELECT * FROM City c IN Cities"
+RANGE_PROBE = "SELECT * FROM Task t IN Tasks WHERE t.time < 40"
+
+
+class PageTrace:
+    """Records ``(page, scope label)`` per ``read_page`` call, per thread.
+
+    Both are id-free.  The scope label is the ordinal at which that scope
+    object was first seen on its thread (``None`` with no scope pushed),
+    so two runs agree exactly when they attribute the same requests to
+    the same operators in the same order.  Data and overflow pages are
+    recorded as they are; an index's synthetic pages sit at an offset
+    taken from ``hash(index name)``, which string-hash randomisation
+    moves from process to process, so those are relabelled by first
+    appearance (``i0``, ``i1``, ...).
+    """
+
+    def __init__(self, store) -> None:
+        self.pool = store.buffer
+        self._index_pages = range(
+            store.total_pages(), store.total_pages() + OVERFLOW_PAGE_GAP
+        )
+        self.threads: dict[threading.Thread, list[tuple]] = {}
+        self._scopes: dict[threading.Thread, list[object]] = {}
+        self._synthetic: dict[int, str] = {}
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "PageTrace":
+        pool, original = self.pool, self.pool.read_page
+
+        def recording(page_id: int) -> float:
+            stack = getattr(pool._io_scopes, "stack", None)
+            # The Thread object, not its ident: idents are reused as soon
+            # as an exchange worker exits.
+            thread = threading.current_thread()
+            with self._lock:
+                label = None
+                if stack:
+                    seen = self._scopes.setdefault(thread, [])
+                    for label, scope in enumerate(seen):
+                        if scope is stack[-1]:
+                            break
+                    else:
+                        label = len(seen)
+                        seen.append(stack[-1])
+                page = page_id
+                if page_id in self._index_pages:
+                    page = self._synthetic.setdefault(
+                        page_id, f"i{len(self._synthetic)}"
+                    )
+                self.threads.setdefault(thread, []).append((page, label))
+            return original(page_id)
+
+        pool.read_page = recording
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        del self.pool.read_page  # the class attribute shows through again
+
+    def digests(self) -> list[list]:
+        """Sorted ``[length, sha256]`` per thread (a multiset: the order
+        in which exchange workers start is not deterministic)."""
+        out = []
+        for sequence in self.threads.values():
+            text = ";".join(f"{page}:{label}" for page, label in sequence)
+            out.append([len(sequence), hashlib.sha256(text.encode()).hexdigest()])
+        return sorted(out)
+
+    @property
+    def scoped_calls(self) -> int:
+        return sum(
+            1 for seq in self.threads.values() for _, label in seq if label is not None
+        )
+
+
+FIGURES = ("page_reads", "buffer_hit_rate", "simulated_io_seconds")
+
+
+def traced(db: Database, run, figures=FIGURES) -> dict:
+    """Run one statement under a page trace; the golden entry for it.
+
+    ``figures`` names the ``ExecutionResult`` numbers that are a function
+    of the sequence alone for this case: all three on a serial run over
+    data pages; no simulated time when index pages (whose seek distance
+    follows the string hash) are read; none when workers share the pool.
+    """
+    with PageTrace(db.store) as trace:
+        execution = run().execution
+    entry = {
+        "threads": trace.digests(),
+        "scoped_calls": trace.scoped_calls,
+        "rows": len(execution.rows),
+    }
+    for name in figures:
+        entry[name] = getattr(execution, name)
+    return entry
+
+
+def record_all() -> dict[str, dict]:
+    cases: dict[str, dict] = {}
+
+    db = Database.sample(scale=0.05, seed=1)
+    for name, text in PAPER.items():
+        cases[f"cold-{name}"] = traced(db, lambda: db.query(text))
+
+    db = Database.sample(scale=0.05, seed=1)
+    db.store.buffer.capacity = 16
+    for name, text in PAPER.items():
+        cases[f"capacity16-{name}"] = traced(db, lambda: db.query(text))
+
+    db = Database.sample(scale=0.05, seed=1)
+    db.create_index("ix_mayor", "Cities", ("mayor", "name"))
+    db.create_index("ix_time", "Tasks", ("time",))
+    cases["index-q2"] = traced(db, lambda: db.query(QUERY_2), FIGURES[:2])
+    cases["index-range"] = traced(db, lambda: db.query(RANGE_PROBE), FIGURES[:2])
+
+    db = Database.sample(scale=0.05, seed=1)
+    cases["explain-analyze-q1"] = traced(db, lambda: db.explain_analyze(QUERY_1))
+
+    db = Database.sample(scale=0.05, seed=1)
+    pinned = db.begin()
+    db.query("UPDATE c IN Cities SET c.population = 7 WHERE c.name == 'city3'")
+    db.query("INSERT INTO Cities (name, population) VALUES ('overflow', 1)")
+    db.query("DELETE c IN Cities WHERE c.name == 'city5'")
+    cases["dirty-latest"] = traced(db, lambda: db.query(CITY_SCAN))
+    cases["dirty-pinned"] = traced(
+        db, lambda: db.query(CITY_SCAN, transaction=pinned)
+    )
+    writer = db.begin()
+    db.query(
+        "INSERT INTO Cities (name, population) VALUES ('pending', 2)",
+        transaction=writer,
+    )
+    cases["dirty-open-txn"] = traced(
+        db, lambda: db.query(CITY_SCAN, transaction=writer)
+    )
+    cases["dirty-q2"] = traced(db, lambda: db.query(QUERY_2))
+    writer.rollback()
+    pinned.rollback()
+
+    db = Database.sample(scale=0.05, seed=1)
+    cases["parallel2-q1"] = traced(
+        db, lambda: db.query(QUERY_1, parallelism=2), figures=()
+    )
+    return cases
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict[str, dict]:
+    return record_all()
+
+
+def golden() -> dict[str, dict]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_every_golden_case_is_recorded(recorded):
+    assert sorted(recorded) == sorted(golden())
+
+
+@pytest.mark.parametrize("case", sorted(golden()) if GOLDEN.exists() else [])
+def test_read_page_sequence_and_io_figures_match_parent(recorded, case):
+    # Plain ==, floats included: the same request sequence against the
+    # same simulated disk gives the same bits, not merely a close value.
+    assert recorded[case] == golden()[case]
+
+
+def test_the_cases_exercise_what_they_claim(recorded):
+    for name in PAPER:
+        cold, tight = recorded[f"cold-{name}"], recorded[f"capacity16-{name}"]
+        assert cold["threads"] == tight["threads"]  # same requests ...
+    # ... but a 16-frame pool evicts, so Q2's mayor fetches miss again.
+    assert recorded["capacity16-q2"]["page_reads"] > recorded["cold-q2"]["page_reads"]
+    analyzed = recorded["explain-analyze-q1"]
+    assert analyzed["scoped_calls"] == analyzed["threads"][0][0] > 0
+    assert analyzed["threads"] != recorded["cold-q1"]["threads"]  # labels differ
+    assert recorded["cold-q1"]["scoped_calls"] == 0
+    # The latest scan has one member more (the insert) and one fewer (the
+    # delete) than the pinned one; the open transaction adds its own.
+    lengths = {
+        key: recorded[key]["threads"][0][0]
+        for key in ("dirty-pinned", "dirty-latest", "dirty-open-txn")
+    }
+    assert lengths["dirty-latest"] == lengths["dirty-pinned"]
+    assert lengths["dirty-open-txn"] == lengths["dirty-latest"] + 1
+    assert recorded["dirty-latest"]["threads"] != recorded["dirty-pinned"]["threads"]
+    # Three exchanges of two workers, one thread each.
+    assert len(recorded["parallel2-q1"]["threads"]) == 6
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record_all(), indent=1, sort_keys=True) + "\n")

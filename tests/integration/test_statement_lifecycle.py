@@ -13,6 +13,7 @@ statement records, and that each statement is admitted exactly once.
 from __future__ import annotations
 
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -33,12 +34,17 @@ ADMISSION = "governor.admission_wait"
 
 
 @pytest.fixture(scope="module")
-def spans() -> dict[str, list[tuple[str, str | None]]]:
-    """Per statement label: its (span name, parent span name) pairs."""
+def tracing():
+    """The benchmark's own tracing module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("e2e_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+@pytest.fixture(scope="module")
+def spans(tracing) -> dict[str, list[tuple[str, str | None]]]:
+    """Per statement label: its (span name, parent span name) pairs."""
     db = Database.sample(scale=0.02)
     db.create_index("ix_mayor", "Cities", ("mayor", "name"))
     db.admission = AdmissionController(2)
@@ -126,3 +132,27 @@ def test_autocommit_update_plans_its_target_and_commits(spans):
 )
 def test_every_statement_is_admitted_exactly_once(spans, label):
     assert names_of(spans[label])[ADMISSION] == 1
+
+
+#: Python + C calls of paper Q2 on a plan-cache hit, sample(scale=0.05,
+#: seed=1), CPython 3.11: 50,277 before the per-object overhead below the
+#: operators was removed (PR 19), 24,293 after.  The bound sits ~15 %
+#: above the latter: room for honest work, not for the overhead to return.
+Q2_CALLS_BEFORE, Q2_CALLS_AFTER, Q2_CALLS_BOUND = 50_277, 24_293, 28_000
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the call count was taken on CPython 3.11; other minors differ",
+)
+def test_per_object_overhead_has_not_crept_back(tracing):
+    db = Database.sample(scale=0.05, seed=1)
+    db.query(QUERY % "Joe")
+    counter = tracing.CallCounter()
+    result = counter.run(lambda: db.query(QUERY % "Joe"))
+    assert result.cache.outcome == "hit"
+    assert counter.calls <= Q2_CALLS_BOUND, (
+        f"Q2 on a plan-cache hit made {counter.calls:,} calls; it made "
+        f"{Q2_CALLS_BEFORE:,} with per-object page lookups, dataclass OID "
+        f"hashing and per-row term dispatch, and {Q2_CALLS_AFTER:,} without"
+    )

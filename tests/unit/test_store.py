@@ -1,9 +1,16 @@
-"""Unit tests for the object store: segments, layout, fetch/scan charging."""
+"""Unit tests for the object store: segments, layout, fetch/scan charging,
+and the contract of the OIDs every one of its dicts is keyed by."""
+
+import copy
+import json
+import pickle
+import random
 
 import pytest
 
 from repro.catalog.catalog import Catalog, extent_name
 from repro.catalog.schema import Schema, TypeDef, ref, scalar
+from repro.durability import codec
 from repro.errors import StorageError
 from repro.storage.objects import Oid
 from repro.storage.store import ObjectStore
@@ -55,6 +62,17 @@ class TestLayout:
         person_pages = {store.page_of(Oid("Person", i)) for i in range(10)}
         city_pages = {store.page_of(Oid("City", i)) for i in range(6)}
         assert not (person_pages & city_pages)
+
+    def test_page_of_unknown_object_is_a_typed_error(self, store):
+        """An unknown serial of a known type used to escape as KeyError —
+        through the raw store and through a view of it."""
+        store.begin().commit()  # dirty: view() is now a SnapshotView
+        for surface in (store, store.view()):
+            for oid in (Oid("Person", 10), Oid("Person", -1), Oid("Nope", 1)):
+                with pytest.raises(StorageError):
+                    surface.page_of(oid)
+        with pytest.raises(StorageError, match="dangling reference Person#10"):
+            store.page_of(Oid("Person", 10))
 
     def test_extent_autoregistered(self, store):
         assert store.has_collection(extent_name("Person"))
@@ -132,3 +150,75 @@ class TestLifecycle:
         store.reset_accounting(cold=False)
         store.fetch(Oid("Person", 0))
         assert store.disk.stats.page_reads == 0
+
+
+class TestOidContract:
+    """What the hand-written ``Oid`` must keep from the frozen dataclass
+    it replaced — above all ``hash(Oid(t, s)) == hash((t, s))``, which is
+    what keeps every set and dict of OIDs iterating in the same order."""
+
+    def _sample(self):
+        rng = random.Random(19)
+        types = ["City", "Person", "Employee", "extent(Job)", ""]
+        return [
+            (rng.choice(types), rng.choice([0, 1, rng.randrange(10**6), -1, 2**70]))
+            for _ in range(300)
+        ]
+
+    def test_hash_equality_and_order_agree_with_the_tuple(self):
+        pairs = self._sample()
+        oids = [Oid(*pair) for pair in pairs]
+        assert [hash(o) for o in oids] == [hash(p) for p in pairs]
+        assert [repr(o) for o in sorted(oids)] == [
+            f"{t}#{s}" for t, s in sorted(pairs)
+        ]
+        for (a, pa), (b, pb) in zip(zip(oids, pairs), zip(oids[1:], pairs[1:])):
+            assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == (
+                pa == pb, pa != pb, pa < pb, pa <= pb, pa > pb, pa >= pb
+            )
+        assert Oid("City", 1) != ("City", 1)
+        with pytest.raises(TypeError):
+            Oid("City", 1) < ("City", 2)
+
+    def test_immutable_and_slotted(self):
+        oid = Oid("City", 3)
+        for name in ("serial", "type_name", "_hash", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(oid, name, 4)
+        with pytest.raises(AttributeError):
+            del oid.serial
+        assert not hasattr(oid, "__dict__")
+        assert (oid.type_name, oid.serial, repr(oid)) == ("City", 3, "City#3")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        oid = Oid("City", 3)
+        clones = [copy.deepcopy(oid), copy.copy(oid)]
+        clones += [
+            pickle.loads(pickle.dumps(oid, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert clone == oid and hash(clone) == hash(oid)
+            assert {oid: 1}[clone] == 1
+
+    def test_durability_codec_bytes_unchanged(self):
+        """The exact bytes the write-ahead log and checkpoints hold for
+        records with references (taken from the dataclass version)."""
+        flat = {"name": "springfield", "mayor": Oid("Person", 7), "population": None}
+        nested = {
+            "name": "t1",
+            "team_members": (Oid("Employee", 3), Oid("Employee", 11)),
+            "lead": Oid("Employee", 3),
+        }
+        assert codec.encode_record(flat) is flat  # passed through, not copied
+        dumped = [
+            json.dumps(codec.encode_record(r), default=codec.encode_default)
+            for r in (flat, nested)
+        ]
+        assert dumped == [
+            '{"name": "springfield", "mayor": {"$oid": ["Person", 7]}, '
+            '"population": null}',
+            '{"name": "t1", "team_members": {"$tuple": [{"$oid": ["Employee", 3]}, '
+            '{"$oid": ["Employee", 11]}]}, "lead": {"$oid": ["Employee", 3]}}',
+        ]
+        assert [codec.decode_value(json.loads(d)) for d in dumped] == [flat, nested]

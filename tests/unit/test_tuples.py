@@ -18,6 +18,8 @@ from repro.engine.tuples import (
     eval_comparison,
     eval_conjunction,
     eval_term,
+    lower,
+    lower_key,
     row_key,
     value_key,
 )
@@ -111,9 +113,22 @@ class TestEvalPredicate:
         always = Comparison(FieldRef("x", "w"), CompOp.EQ, Const(1))
         assert eval_conjunction(Conjunction.of(always), row)
         assert not eval_conjunction(Conjunction.of(always, comparison), row)
+        # The wrappers above and the callables operators hold are one
+        # encoding: the same answers from the lowered forms directly.
+        assert eval_comparison(comparison, row) is False
+        for expr in (comparison, Conjunction.of(comparison), Conjunction.of(always, comparison)):
+            assert lower(expr)(row) is False
+        assert lower(Conjunction.of(always))(row) is True
+        assert lower(Conjunction.true())(row) is True
 
 
 class TestKeys:
+    def test_lowered_key_is_a_tuple_of_value_keys(self, row):
+        terms = (ObjectTerm("c"), FieldRef("c", "salary"), VarRef("m"))
+        assert lower_key(terms)(row) == (Oid("City", 1), None, Oid("Person", 7))
+        assert lower_key(terms[:1])(row) == (Oid("City", 1),)
+        assert lower_key(())(row) == ()
+
     def test_value_key_obj_by_identity(self, row):
         assert value_key(row["c"]) == Oid("City", 1)
         assert value_key(42) == 42
