@@ -40,13 +40,19 @@ class SampledScanRule(ImplementationRule):
     NOTE: a sampling scan is *not* semantics-preserving; this rule exists
     to show the extension mechanics (matching, costing, properties), and
     the demo only prints the plan it would produce.
+
+    ``operators`` is the matching half: the search engine indexes rules by
+    the logical operator classes they declare and offers this one only
+    ``Get`` m-exprs.  A rule that declares nothing still works — it is
+    offered *every* m-expr of every group under every goal and has to
+    turn the others away itself (``if not isinstance(mexpr.op, Get):
+    return``), which costs one generator per m-expr and goal.
     """
 
     name = "sampled-scan"
+    operators = (Get,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Get):
-            return
         op = mexpr.op
         delivered = PhysProps.of(op.var)
         if not delivered.satisfies(required):

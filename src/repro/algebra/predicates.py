@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Union
 
 
@@ -152,25 +152,58 @@ def _term_key(term: Term) -> tuple:
     return (type(term).__name__, str(term))
 
 
+class DerivedOnFirstUse:
+    """Fills a frozen dataclass's non-field slots the first time one is
+    read: reading an unset slot raises AttributeError, which lands here.
+    ``dataclasses.replace`` (and so ``rebind_plan``) and unpickling leave
+    them unset, so a derived value is recomputed, never copied."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in type(self).__slots__:
+            raise AttributeError(name)
+        self._derive()
+        return object.__getattribute__(self, name)
+
+    def __reduce__(self) -> tuple:  # by fields: hashes are per process
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class Comparison:
+class Comparison(DerivedOnFirstUse):
+    """One comparison between two terms.  Derived once: variable sets,
+    conjunct ordering key, canonical form, the generated field-tuple hash."""
+
+    __slots__ = ("left", "op", "right")  # the fields, then what is derived
+    __slots__ += ("vars", "memory_vars", "_key", "_flipped", "_hash")
+
     left: Term
     op: CompOp
     right: Term
 
+    def _derive(self) -> None:
+        left, right = self.left, self.right
+        left_key, right_key = _term_key(left), _term_key(right)
+        all_vars = term_vars(left) | term_vars(right)
+        resident = term_memory_vars(left) | term_memory_vars(right)
+        derived = object.__setattr__
+        derived(self, "vars", all_vars)
+        # One set object where the two are equal: cached plans keep them.
+        derived(self, "memory_vars", all_vars if resident == all_vars else resident)
+        derived(self, "_key", (left_key, self.op.value, right_key))
+        flipped = None
+        if left_key > right_key:
+            flipped = Comparison(right, self.op.flipped(), left)
+        derived(self, "_flipped", flipped)
+        derived(self, "_hash", hash((left, self.op, right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def canonical(self) -> "Comparison":
         """Stable operand order for symmetric (and flippable) operators."""
-        if _term_key(self.left) <= _term_key(self.right):
-            return self
-        return Comparison(self.right, self.op.flipped(), self.left)
-
-    @property
-    def vars(self) -> frozenset[str]:
-        return term_vars(self.left) | term_vars(self.right)
-
-    @property
-    def memory_vars(self) -> frozenset[str]:
-        return term_memory_vars(self.left) | term_memory_vars(self.right)
+        return self if self._flipped is None else self._flipped
 
     def is_equijoin_between(self, left_vars: frozenset[str], right_vars: frozenset[str]) -> bool:
         """True if this is an equality with one side in each variable set."""
@@ -187,11 +220,33 @@ class Comparison:
         return f"{self.left} {self.op.value} {self.right}"
 
 
+_conjunct_key = operator.attrgetter("_key")
+
+
+def _union(sets: list[frozenset[str]]) -> frozenset[str]:
+    """The union — the set itself, not a copy, when there is only one."""
+    return sets[0].union(*sets[1:]) if sets else frozenset()
+
+
 @dataclass(frozen=True)
-class Conjunction:
+class Conjunction(DerivedOnFirstUse):
     """An immutable, canonically ordered conjunction of comparisons."""
 
+    __slots__ = ("comparisons", "vars", "memory_vars", "_hash")
+
     comparisons: tuple[Comparison, ...]
+
+    def _derive(self) -> None:
+        all_vars = _union([c.vars for c in self.comparisons])
+        resident = _union([c.memory_vars for c in self.comparisons])
+        object.__setattr__(self, "vars", all_vars)
+        object.__setattr__(
+            self, "memory_vars", all_vars if resident == all_vars else resident
+        )
+        object.__setattr__(self, "_hash", hash((self.comparisons,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(*comparisons: Comparison) -> "Conjunction":
@@ -200,35 +255,20 @@ class Conjunction:
     @staticmethod
     def from_iterable(comparisons: Iterable[Comparison]) -> "Conjunction":
         """Build a canonically ordered, deduplicated conjunction."""
-        canon = sorted(
-            {c.canonical() for c in comparisons},
-            key=lambda c: (_term_key(c.left), c.op.value, _term_key(c.right)),
-        )
+        canon = {c.canonical() for c in comparisons}
+        if not canon:
+            return _TRUE
+        if len(canon) > 1:
+            canon = sorted(canon, key=_conjunct_key)
         return Conjunction(tuple(canon))
 
     @staticmethod
     def true() -> "Conjunction":
-        return Conjunction(())
+        return _TRUE
 
     @property
     def is_true(self) -> bool:
         return not self.comparisons
-
-    @property
-    def vars(self) -> frozenset[str]:
-        """All variables any conjunct mentions."""
-        out: frozenset[str] = frozenset()
-        for comp in self.comparisons:
-            out |= comp.vars
-        return out
-
-    @property
-    def memory_vars(self) -> frozenset[str]:
-        """Variables that must be present in memory for evaluation."""
-        out: frozenset[str] = frozenset()
-        for comp in self.comparisons:
-            out |= comp.memory_vars
-        return out
 
     def conjoin(self, other: "Conjunction") -> "Conjunction":
         return Conjunction.from_iterable(self.comparisons + other.comparisons)
@@ -237,8 +277,9 @@ class Conjunction:
         self, available: frozenset[str]
     ) -> tuple["Conjunction", "Conjunction"]:
         """(conjuncts referencing only `available` vars, the rest)."""
-        inside = [c for c in self.comparisons if c.vars <= available]
-        outside = [c for c in self.comparisons if not (c.vars <= available)]
+        inside, outside = [], []
+        for comp in self.comparisons:
+            (inside if comp.vars <= available else outside).append(comp)
         return Conjunction.from_iterable(inside), Conjunction.from_iterable(outside)
 
     def without(self, comparison: Comparison) -> "Conjunction":
@@ -252,6 +293,9 @@ class Conjunction:
         if self.is_true:
             return "true"
         return " and ".join(str(c) for c in self.comparisons)
+
+
+_TRUE = Conjunction(())
 
 
 __all__ = [

@@ -31,6 +31,7 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.algebra.predicates import (
+    DerivedOnFirstUse,
     Conjunction,
     Const,
     FieldRef,
@@ -59,10 +60,21 @@ class VarBinding:
 
 
 @dataclass(frozen=True)
-class Scope:
-    """An immutable set of variable bindings."""
+class Scope(DerivedOnFirstUse):
+    """An immutable set of variable bindings (name sets derived once)."""
+
+    __slots__ = ("bindings", "names", "object_names", "_by_name")
 
     bindings: tuple[VarBinding, ...]
+
+    def _derive(self) -> None:
+        by_name = {b.name: b for b in self.bindings}
+        derived = object.__setattr__
+        derived(self, "_by_name", by_name)
+        derived(self, "names", frozenset(by_name))
+        #: Names of OBJECT bindings (the ones residency can apply to).
+        objects = (n for n, b in by_name.items() if b.kind is BindingKind.OBJECT)
+        derived(self, "object_names", frozenset(objects))
 
     @staticmethod
     def of(*bindings: VarBinding) -> "Scope":
@@ -73,26 +85,15 @@ class Scope:
             raise AlgebraError(f"duplicate variable in scope: {names}")
         return Scope(ordered)
 
-    @property
-    def names(self) -> frozenset[str]:
-        return frozenset(b.name for b in self.bindings)
-
-    @property
-    def object_names(self) -> frozenset[str]:
-        """Names of OBJECT bindings (the ones residency can apply to)."""
-        return frozenset(
-            b.name for b in self.bindings if b.kind is BindingKind.OBJECT
-        )
-
     def binding(self, name: str) -> VarBinding:
         """Look a variable up; raises AlgebraError when absent."""
-        for b in self.bindings:
-            if b.name == name:
-                return b
-        raise AlgebraError(f"variable {name!r} not in scope")
+        found = self._by_name.get(name)
+        if found is None:
+            raise AlgebraError(f"variable {name!r} not in scope")
+        return found
 
     def has(self, name: str) -> bool:
-        return any(b.name == name for b in self.bindings)
+        return name in self._by_name
 
     def extend(self, binding: VarBinding) -> "Scope":
         """A new scope with one more binding (name must be fresh)."""

@@ -186,6 +186,7 @@ class ExplainReport:
                 "groups": opt.groups,
                 "expressions": opt.stats.mexprs_generated,
                 "optimization_tasks": opt.stats.optimization_tasks,
+                "distinct_goals": opt.stats.distinct_goals,
                 "candidates_costed": opt.stats.candidates_costed,
                 "enforcer_applications": opt.stats.enforcer_applications,
             },
@@ -207,6 +208,8 @@ class ExplainReport:
                 for e in self.events
             ],
         }
+        if opt.stats.exploration_truncated:
+            payload["optimizer"]["exploration_truncated"] = True
         return json.dumps(payload, indent=indent, default=str)
 
 

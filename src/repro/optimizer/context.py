@@ -32,10 +32,18 @@ class OptimizeContext:
     # Per-query governor (search deadline, cancel token); None means the
     # search runs unbounded, exactly as before the governor existed.
     governor: QueryContext | None = None
+    mexpr_facts: dict = field(default_factory=dict)  # see facts_of
 
     # ------------------------------------------------------------------
     # Derived helpers
     # ------------------------------------------------------------------
+
+    def facts_of(self, mexpr, derive, *args):
+        """``derive(mexpr, *args, self)``, computed once per m-expr."""
+        facts = self.mexpr_facts.get(mexpr)
+        if facts is None:
+            facts = self.mexpr_facts[mexpr] = derive(mexpr, *args, self)
+        return facts
 
     def collection_pages(self, collection_name: str) -> int:
         return self.catalog.pages(collection_name)

@@ -27,7 +27,7 @@ from repro.storage.buffer import DEFAULT_POOL_PAGES
 from repro.storage.disk import DiskParameters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cost:
     """Estimated cost in seconds, split into I/O and CPU components.
 

@@ -18,8 +18,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.algebra.operators import (
+    AntiJoin,
     Get,
+    GroupBy,
     Join,
+    LogicalOp,
     Mat,
     MatChain,
     Project,
@@ -37,6 +40,8 @@ from repro.algebra.predicates import (
     RefAttr,
     SelfOid,
     VarRef,
+    term_memory_vars,
+    term_vars,
 )
 from repro.optimizer import config as rule_names
 from repro.optimizer.context import OptimizeContext
@@ -63,7 +68,7 @@ from repro.optimizer.plans import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """One way to implement a logical m-expr under required properties."""
 
@@ -74,9 +79,14 @@ class Candidate:
 
 
 class ImplementationRule:
-    """Base class: maps one logical m-expr onto execution algorithms."""
+    """Base class: maps one logical m-expr onto execution algorithms.
+
+    ``operators`` declares the logical operator classes the rule matches:
+    it is offered only those m-exprs (every m-expr if it declares nothing).
+    """
 
     name: str = ""
+    operators: tuple[type[LogicalOp], ...] | None = None
 
     def candidates(
         self,
@@ -105,10 +115,9 @@ class FileScanImpl(ImplementationRule):
     """Get -> sequential file (extent or set) scan."""
 
     name = rule_names.FILE_SCAN
+    operators = (Get,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Get):
-            return
         op = mexpr.op
         # A segment scan delivers objects in OID order (dense packing in
         # insertion order; named sets are dense prefixes).
@@ -146,10 +155,9 @@ class ParallelScanImpl(ImplementationRule):
     """
 
     name = rule_names.PARALLEL_SCAN
+    operators = (Get,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Get):
-            return
         degree = required.dop
         if degree <= 1:
             return
@@ -235,10 +243,9 @@ class CollapseToIndexScanImpl(ImplementationRule):
     """
 
     name = rule_names.COLLAPSE_TO_INDEX_SCAN
+    operators = (Select,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Select):
-            return
         predicate = mexpr.op.predicate
         seen: set[tuple] = set()
         for links, get_op, get_gid in _mat_chains(mexpr.children[0], ctx):
@@ -325,10 +332,9 @@ class FilterImpl(ImplementationRule):
     """Select -> Filter; requires the predicate's variables in memory."""
 
     name = rule_names.FILTER
+    operators = (Select,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Select):
-            return
         op = mexpr.op
         child_gid = mexpr.children[0]
         child_scope = ctx.memo.group(child_gid).props.scope
@@ -359,10 +365,9 @@ class AlgUnnestImpl(ImplementationRule):
     """Unnest -> Alg-Unnest (requires the holding object resident)."""
 
     name = rule_names.ALG_UNNEST
+    operators = (Unnest,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Unnest):
-            return
         op = mexpr.op
         child_gid = mexpr.children[0]
         child_scope = ctx.memo.group(child_gid).props.scope
@@ -395,18 +400,15 @@ class AlgProjectImpl(ImplementationRule):
     variables resident from its input — the Figure 11 mechanism."""
 
     name = rule_names.ALG_PROJECT
+    operators = (Project,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Project):
-            return
         if not required.is_empty:
             return  # projection produces new objects; nothing to deliver
         op = mexpr.op
         child_gid = mexpr.children[0]
         child_scope = ctx.memo.group(child_gid).props.scope
         needed_vars: frozenset[str] = frozenset()
-        from repro.algebra.predicates import term_memory_vars
-
         for item in op.items:
             needed_vars |= term_memory_vars(item.term)
         order = None
@@ -440,34 +442,113 @@ class AlgProjectImpl(ImplementationRule):
 # ----------------------------------------------------------------------
 
 
-def _join_child_reqs(op: Join, mexpr, required, ctx, order_side: str):
-    """Split required + predicate properties across the join inputs.
+def _term_sort_key(term) -> SortKey | None:
+    """The sort key under which a join-key term's values stream in order."""
+    if isinstance(term, (FieldRef, RefAttr)):
+        return SortKey(term.var, term.attr)
+    if isinstance(term, (SelfOid, VarRef)):
+        return SortKey(term.var, None)
+    return None
 
-    ``order_side`` names the input whose order the algorithm preserves
-    ("right" for the probe-driven hash join, "left" for nested loops); a
-    required order on the other side cannot be delivered and fails the
-    candidate (the sort enforcer covers that goal instead).
+
+def _join_builder(node_type, order_of, rows: float, cost: Cost, *node_args):
+    """A join algorithm's plan builder; ``order_of(left, right)`` picks
+    the delivered order from the two input plans."""
+
+    def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
+        left, right = children
+        return node_type(
+            *node_args,
+            children=children,
+            delivered=PhysProps(
+                left.delivered.in_memory | right.delivered.in_memory,
+                order_of(left, right),
+            ),
+            rows=rows,
+            local_cost=cost,
+        )
+
+    return build
+
+
+class _JoinFacts:
+    """What the hash, merge and nested-loops rules need of one Join m-expr.
+
+    Input properties, equi-join conjuncts and merge keys, each algorithm's
+    local cost, output rows and plan builder are derived once per m-expr;
+    a goal's residency split once for the three rules together.
     """
-    left_gid, right_gid = mexpr.children
-    left_scope = ctx.memo.group(left_gid).props.scope
-    right_scope = ctx.memo.group(right_gid).props.scope
-    demanded = required.union(PhysProps(op.predicate.memory_vars))
-    left_req = demanded.restrict(left_scope.object_names)
-    right_req = demanded.restrict(right_scope.object_names)
-    covered = left_req.in_memory | right_req.in_memory
-    if demanded.in_memory - covered:
-        return None  # some demanded variable is not an object var anywhere
-    if required.order is not None:
-        preserved = left_scope if order_side == "left" else right_scope
-        if required.order.var not in preserved.names:
-            return None
-        if order_side == "left":
-            left_req = left_req.with_order(required.order)
-            right_req = right_req.without_order()
-        else:
-            right_req = right_req.with_order(required.order)
-            left_req = left_req.without_order()
-    return (left_gid, left_req), (right_gid, right_req)
+
+    __slots__ = (
+        "left", "right", "hash_join", "merge_joins", "nested_loops",
+        "_resident", "_splits",
+    )
+
+    def __init__(self, mexpr, group: Group, ctx: OptimizeContext) -> None:
+        left = self.left = ctx.memo.group(mexpr.children[0]).props
+        right = self.right = ctx.memo.group(mexpr.children[1]).props
+        predicate = mexpr.op.predicate
+        rows = group.props.cardinality
+        model = ctx.cost_model
+        left_names, right_names = left.scope.names, right.scope.names
+        equijoins = [
+            c
+            for c in predicate.comparisons
+            if c.is_equijoin_between(left_names, right_names)
+        ]
+        #: (cost, builder); the probe (right) input's order survives.
+        self.hash_join = None
+        if equijoins:
+            build_bytes = left.cardinality * ctx.scope_width(left.scope)
+            cost = model.hybrid_hash_join(
+                left.cardinality, right.cardinality, build_bytes
+            )
+            self.hash_join = cost, _join_builder(
+                HashJoinNode, lambda l, r: r.delivered.order, rows, cost, predicate
+            )
+        #: (left key, right key, cost, builder) per sortable equi-join.
+        self.merge_joins = []
+        cost = model.merge_join(left.cardinality, right.cardinality)
+        for comparison in equijoins:
+            left_term, right_term = comparison.left, comparison.right
+            if not (term_vars(left_term) <= left_names):
+                left_term, right_term = right_term, left_term
+            left_key = _term_sort_key(left_term)
+            right_key = _term_sort_key(right_term)
+            if left_key is not None and right_key is not None:
+                build = _join_builder(
+                    MergeJoinNode, lambda l, r, key=left_key: key, rows, cost,
+                    predicate, left_term, right_term,
+                )
+                self.merge_joins.append((left_key, right_key, cost, build))
+        #: (cost, builder); outer-major iteration keeps the left order.
+        cost = model.nested_loops_join(left.cardinality, right.cardinality)
+        self.nested_loops = cost, _join_builder(
+            NestedLoopsNode, lambda l, r: l.delivered.order, rows, cost, predicate
+        )
+        self._resident = predicate.memory_vars
+        self._splits: dict[frozenset[str], tuple | None] = {}
+
+    def child_reqs(self, mexpr, required: PhysProps, left_order, right_order):
+        """The two input goals: required + predicate residency split across
+        the inputs (None if a demanded variable is an object of neither)."""
+        wanted = required.in_memory
+        if wanted not in self._splits:
+            demanded = wanted | self._resident
+            left = demanded & self.left.scope.object_names
+            right = demanded & self.right.scope.object_names
+            self._splits[wanted] = None if demanded - (left | right) else (
+                (mexpr.children[0], PhysProps(left)),
+                (mexpr.children[1], PhysProps(right)),
+            )
+        reqs = self._splits[wanted]
+        if reqs is None or left_order is right_order is None:
+            return reqs  # the unordered goals are shared, hashes and all
+        (left_gid, left), (right_gid, right) = reqs
+        return (
+            (left_gid, left.with_order(left_order)),
+            (right_gid, right.with_order(right_order)),
+        )
 
 
 class HybridHashJoinImpl(ImplementationRule):
@@ -480,61 +561,20 @@ class HybridHashJoinImpl(ImplementationRule):
     """
 
     name = rule_names.HYBRID_HASH_JOIN
+    operators = (Join,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Join):
-            return
         if required.dop != 1:
             return  # the build table cannot be shared across partitions
-        op = mexpr.op
-        left_gid, right_gid = mexpr.children
-        left_names = ctx.memo.group(left_gid).props.scope.names
-        right_names = ctx.memo.group(right_gid).props.scope.names
-        if not any(
-            c.is_equijoin_between(left_names, right_names)
-            for c in op.predicate.comparisons
+        facts = ctx.facts_of(mexpr, _JoinFacts, group)
+        order = required.order
+        if facts.hash_join is None or (
+            order is not None and order.var not in facts.right.scope.names
         ):
-            return
-        reqs = _join_child_reqs(op, mexpr, required, ctx, order_side="right")
-        if reqs is None:
-            return
-        left_props = ctx.memo.group(left_gid).props
-        right_props = ctx.memo.group(right_gid).props
-        build_bytes = left_props.cardinality * ctx.scope_width(left_props.scope)
-        cost = ctx.cost_model.hybrid_hash_join(
-            left_props.cardinality, right_props.cardinality, build_bytes
-        )
-        rows = group.props.cardinality
-
-        def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
-            left, right = children
-            # The probe input streams through, so its order survives.
-            delivered = PhysProps(
-                left.delivered.in_memory | right.delivered.in_memory,
-                right.delivered.order,
-            )
-            return HashJoinNode(
-                op.predicate,
-                children=children,
-                delivered=delivered,
-                rows=rows,
-                local_cost=cost,
-            )
-
-        yield Candidate(reqs, cost, build)
-
-
-def _term_sort_key(term) -> SortKey | None:
-    """The sort key under which a join-key term's values stream in order."""
-    from repro.algebra.predicates import RefAttr, SelfOid, VarRef
-
-    if isinstance(term, FieldRef) or isinstance(term, RefAttr):
-        return SortKey(term.var, term.attr)
-    if isinstance(term, SelfOid):
-        return SortKey(term.var, None)
-    if isinstance(term, VarRef):
-        return SortKey(term.var, None)
-    return None
+            return  # only the probe input's order survives
+        reqs = facts.child_reqs(mexpr, required, None, order)
+        if reqs is not None:
+            yield Candidate(reqs, *facts.hash_join)
 
 
 class MergeJoinImpl(ImplementationRule):
@@ -548,120 +588,45 @@ class MergeJoinImpl(ImplementationRule):
     """
 
     name = rule_names.MERGE_JOIN
+    operators = (Join,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Join):
-            return
         if required.dop != 1:
             return  # the merge cursor pair is inherently serial
-        op = mexpr.op
-        left_gid, right_gid = mexpr.children
-        left_scope = ctx.memo.group(left_gid).props.scope
-        right_scope = ctx.memo.group(right_gid).props.scope
-        for comparison in op.predicate.comparisons:
-            if not comparison.is_equijoin_between(
-                left_scope.names, right_scope.names
-            ):
-                continue
-            from repro.algebra.predicates import term_vars
-
-            left_term, right_term = comparison.left, comparison.right
-            if not (term_vars(left_term) <= left_scope.names):
-                left_term, right_term = right_term, left_term
-            left_key = _term_sort_key(left_term)
-            right_key = _term_sort_key(right_term)
-            if left_key is None or right_key is None:
-                continue
+        facts = ctx.facts_of(mexpr, _JoinFacts, group)
+        for left_key, right_key, cost, build in facts.merge_joins:
             if required.order is not None and required.order != left_key:
                 continue  # merge join delivers left-key order only
-            base = _join_child_reqs(op, mexpr, required.without_order(), ctx, "left")
-            if base is None:
-                continue
-            (lg, lreq), (rg, rreq) = base
-            lreq = lreq.with_order(left_key)
-            rreq = rreq.with_order(right_key)
-            left_props = ctx.memo.group(left_gid).props
-            right_props = ctx.memo.group(right_gid).props
-            cost = ctx.cost_model.merge_join(
-                left_props.cardinality, right_props.cardinality
-            )
-            rows = group.props.cardinality
-
-            def build(
-                children: tuple[PhysicalNode, ...],
-                left_key=left_key,
-                left_term=left_term,
-                right_term=right_term,
-                cost=cost,
-                rows=rows,
-            ) -> PhysicalNode:
-                left, right = children
-                delivered = PhysProps(
-                    left.delivered.in_memory | right.delivered.in_memory,
-                    left_key,
-                )
-                return MergeJoinNode(
-                    op.predicate,
-                    left_term,
-                    right_term,
-                    children=children,
-                    delivered=delivered,
-                    rows=rows,
-                    local_cost=cost,
-                )
-
-            yield Candidate(((lg, lreq), (rg, rreq)), cost, build)
+            reqs = facts.child_reqs(mexpr, required, left_key, right_key)
+            if reqs is not None:
+                yield Candidate(reqs, cost, build)
 
 
 class NestedLoopsImpl(ImplementationRule):
     """Join with any predicate (including cartesian) -> nested loops."""
 
     name = rule_names.NESTED_LOOPS
+    operators = (Join,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Join):
-            return
         if required.dop != 1:
             return  # rescanning the inner input needs one serial cursor
-        op = mexpr.op
-        reqs = _join_child_reqs(op, mexpr, required, ctx, order_side="left")
-        if reqs is None:
-            return
-        left_props = ctx.memo.group(mexpr.children[0]).props
-        right_props = ctx.memo.group(mexpr.children[1]).props
-        cost = ctx.cost_model.nested_loops_join(
-            left_props.cardinality, right_props.cardinality
-        )
-        rows = group.props.cardinality
-
-        def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
-            left, right = children
-            # Outer-major iteration preserves the left input's order.
-            delivered = PhysProps(
-                left.delivered.in_memory | right.delivered.in_memory,
-                left.delivered.order,
-            )
-            return NestedLoopsNode(
-                op.predicate,
-                children=children,
-                delivered=delivered,
-                rows=rows,
-                local_cost=cost,
-            )
-
-        yield Candidate(reqs, cost, build)
+        facts = ctx.facts_of(mexpr, _JoinFacts, group)
+        order = required.order
+        if order is not None and order.var not in facts.left.scope.names:
+            return  # only the outer input's order survives
+        reqs = facts.child_reqs(mexpr, required, order, None)
+        if reqs is not None:
+            yield Candidate(reqs, *facts.nested_loops)
 
 
 class HashAntiJoinImpl(ImplementationRule):
     """AntiJoin -> hash anti-join (build right keys, stream left)."""
 
     name = rule_names.HASH_ANTI_JOIN
+    operators = (AntiJoin,)
 
     def candidates(self, mexpr, group, required, ctx):
-        from repro.algebra.operators import AntiJoin
-
-        if not isinstance(mexpr.op, AntiJoin):
-            return
         if required.dop != 1:
             return  # the key set cannot be shared across partitions
         op = mexpr.op
@@ -710,13 +675,9 @@ class HashGroupByImpl(ImplementationRule):
     """GroupBy -> hash aggregation (with optional sorted output)."""
 
     name = rule_names.HASH_GROUP_BY
+    operators = (GroupBy,)
 
     def candidates(self, mexpr, group, required, ctx):
-        from repro.algebra.operators import GroupBy
-        from repro.algebra.predicates import term_memory_vars
-
-        if not isinstance(mexpr.op, GroupBy):
-            return
         if not required.is_empty:
             return  # aggregation produces new values; nothing to deliver
         op = mexpr.op
@@ -756,10 +717,9 @@ class HashSetOpImpl(ImplementationRule):
     """Union/intersect/difference by hashed object identity."""
 
     name = rule_names.HASH_SET_OP
+    operators = (SetOp,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, SetOp):
-            return
         if required.dop != 1:
             return  # identity matching needs both whole inputs
         op = mexpr.op
@@ -794,16 +754,16 @@ class HashSetOpImpl(ImplementationRule):
 # ----------------------------------------------------------------------
 
 
-def _mat_target_info(op: Mat, mexpr, ctx) -> tuple[str, int | None]:
-    """(target type, known page count or None) for a Mat's referenced type."""
-    child_scope = ctx.memo.group(mexpr.children[0]).props.scope
-    if op.source.attr is None:
-        target_type = child_scope.binding(op.source.var).type_name
-    else:
-        holder = child_scope.binding(op.source.var).type_name
-        attr = ctx.catalog.attribute(holder, op.source.attr)
+def _mat_facts(mexpr, ctx) -> tuple:
+    """(input properties, target type, its page count or None) of one Mat
+    m-expr — the same for the three Mat rules under every goal."""
+    child = ctx.memo.group(mexpr.children[0]).props
+    source = mexpr.op.source
+    target_type = child.scope.binding(source.var).type_name
+    if source.attr is not None:
+        attr = ctx.catalog.attribute(target_type, source.attr)
         target_type = attr.target_type or ""
-    return target_type, ctx.type_pages(target_type)
+    return child, target_type, ctx.type_pages(target_type)
 
 
 def _mat_child_req(op: Mat, required: PhysProps) -> PhysProps:
@@ -818,18 +778,16 @@ class AssemblyImpl(ImplementationRule):
     """Mat -> the assembly operator (window of open references)."""
 
     name = rule_names.ASSEMBLY
+    operators = (Mat,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Mat):
-            return
         op = mexpr.op
         child_gid = mexpr.children[0]
+        child, _, target_pages = ctx.facts_of(mexpr, _mat_facts)
         child_req = _mat_child_req(op, required)
-        child_scope = ctx.memo.group(child_gid).props.scope
-        if not (child_req.in_memory <= child_scope.object_names):
+        if not (child_req.in_memory <= child.scope.object_names):
             return
-        _, target_pages = _mat_target_info(op, mexpr, ctx)
-        refs = ctx.memo.group(child_gid).props.cardinality
+        refs = child.cardinality
         window = ctx.config.cost.assembly_window
         cost = ctx.cost_model.assembly(refs, target_pages, window)
         if required.dop > 1:
@@ -859,21 +817,19 @@ class PointerJoinImpl(ImplementationRule):
     """
 
     name = rule_names.POINTER_JOIN
+    operators = (Mat,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Mat):
-            return
         op = mexpr.op
         child_gid = mexpr.children[0]
+        child, _, target_pages = ctx.facts_of(mexpr, _mat_facts)
         child_req = _mat_child_req(op, required)
-        child_scope = ctx.memo.group(child_gid).props.scope
-        if not (child_req.in_memory <= child_scope.object_names):
+        if not (child_req.in_memory <= child.scope.object_names):
             return
-        _, target_pages = _mat_target_info(op, mexpr, ctx)
         if target_pages is None:
             return
-        refs = ctx.memo.group(child_gid).props.cardinality
-        width = ctx.scope_width(child_scope)
+        refs = child.cardinality
+        width = ctx.scope_width(child.scope)
         if refs * width > ctx.config.cost.work_mem_bytes:
             return  # the blocking reference table must fit in workspace
         cost = ctx.cost_model.pointer_join(refs, target_pages)
@@ -899,17 +855,15 @@ class WarmStartAssemblyImpl(ImplementationRule):
     """Lesson 7's warm-start assembly (off by default; see config)."""
 
     name = rule_names.WARM_START_ASSEMBLY
+    operators = (Mat,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, Mat):
-            return
         op = mexpr.op
         child_gid = mexpr.children[0]
+        child, target_type, target_pages = ctx.facts_of(mexpr, _mat_facts)
         child_req = _mat_child_req(op, required)
-        child_scope = ctx.memo.group(child_gid).props.scope
-        if not (child_req.in_memory <= child_scope.object_names):
+        if not (child_req.in_memory <= child.scope.object_names):
             return
-        target_type, target_pages = _mat_target_info(op, mexpr, ctx)
         extent = ctx.catalog.extent_of(target_type)
         if (
             extent is None
@@ -917,7 +871,7 @@ class WarmStartAssemblyImpl(ImplementationRule):
             or target_pages > ctx.config.cost.buffer_pages
         ):
             return
-        refs = ctx.memo.group(child_gid).props.cardinality
+        refs = child.cardinality
         cost = ctx.cost_model.warm_start_assembly(refs, target_pages)
         if required.dop > 1:
             cost = cost.scaled(1.0 / required.dop)
@@ -957,10 +911,9 @@ class MatChainImpl(ImplementationRule):
     """
 
     name = rule_names.MAT_CHAIN
+    operators = (MatChain,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if not isinstance(mexpr.op, MatChain):
-            return
         op = mexpr.op
         outs = {link.out for link in op.links}
         if required.order is not None and required.order.var in outs:

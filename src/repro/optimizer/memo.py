@@ -45,15 +45,22 @@ from repro.algebra.operators import (  # isort: skip
 Tree = tuple[LogicalOp, tuple[Union[int, "Tree"], ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MExpr:
-    """One operator with group-valued inputs."""
+    """One operator with group-valued inputs: a memo entry.  The object
+    is its identity (per-m-expr facts are keyed by it); :meth:`key`,
+    built once, is what the memo deduplicates on."""
+
+    __slots__ = ("op", "children", "_key")
 
     op: LogicalOp
     children: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", (self.op.signature(), self.children))
+
     def key(self) -> tuple:
-        return (self.op.signature(), self.children)
+        return self._key
 
 
 @dataclass
@@ -102,6 +109,9 @@ class Memo:
         return root
 
     def group(self, gid: int) -> Group:
+        """The live group ``gid`` names (its own ``gid`` is canonical)."""
+        if self._parent[gid] == gid:
+            return self._groups[gid]
         return self._groups[self.find(gid)]
 
     def groups(self) -> list[Group]:
@@ -140,15 +150,19 @@ class Memo:
 
         Returns ``(group id, inserted_new)``.
         """
-        child_gids = tuple(self.find(c) for c in child_gids)
-        mexpr = MExpr(op, child_gids)
-        key = mexpr.key()
+        find = self.find
+        child_gids = tuple([find(c) for c in child_gids])
+        # Most insertions rediscover a known expression: key first.
+        key = (op.signature(), child_gids)
         existing = self._index.get(key)
         if existing is not None:
-            existing = self.find(existing)
-            if target_gid is not None and self.find(target_gid) != existing:
-                self._merge(existing, self.find(target_gid))
-            return self.find(existing), False
+            existing = find(existing)
+            if target_gid is not None:
+                target = find(target_gid)
+                if target != existing:
+                    self._merge(existing, target)
+                    existing = find(existing)
+            return existing, False
 
         if target_gid is None:
             props = self._derive_props(op, child_gids)
@@ -165,7 +179,7 @@ class Memo:
                 )
         else:
             gid = self.find(target_gid)
-        self._groups[gid].mexprs.append(mexpr)
+        self._groups[gid].mexprs.append(MExpr(op, child_gids))
         self._groups[gid].version += 1
         self._index[key] = gid
         self.mexpr_count += 1

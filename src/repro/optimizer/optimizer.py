@@ -13,6 +13,7 @@ from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.context import OptimizeContext
 from repro.optimizer.cost import Cost, CostModel
+from repro.optimizer.implementations import ALL_RULES as IMPLS
 from repro.optimizer.logical_props import build_query_vars
 from repro.optimizer.memo import Memo
 from repro.optimizer.physical_props import PhysProps, SortKey
@@ -24,6 +25,7 @@ from repro.optimizer.search import (
     SearchStats,
 )
 from repro.optimizer.selectivity import SelectivityModel
+from repro.optimizer.transformations import ALL_RULES as TRANSFORMS
 
 
 @dataclass
@@ -158,9 +160,6 @@ class Optimizer:
             tracer=tracer,
             governor=query_ctx,
         )
-        from repro.optimizer.implementations import ALL_RULES as IMPLS
-        from repro.optimizer.transformations import ALL_RULES as TRANSFORMS
-
         engine = SearchEngine(
             ctx,
             transformations=TRANSFORMS + self.extra_transformations,
@@ -252,8 +251,6 @@ class Optimizer:
             config=self.config.with_heuristics(candidate_cap=1),
             governor=None,
         )
-        from repro.optimizer.implementations import ALL_RULES as IMPLS
-
         descent = SearchEngine(
             greedy_ctx,
             transformations=(),

@@ -24,10 +24,10 @@ deliver that vector are considered (Figure 11's search state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortKey:
     """Orders a stream by a scope variable's attribute (or by its OID /
     reference value when ``attr`` is None)."""
@@ -41,15 +41,34 @@ class SortKey:
         return base if self.ascending else f"{base} desc"
 
 
-@dataclass(frozen=True)
-class PhysProps:
-    """A required or delivered physical property vector."""
+class _GoalHash:
+    """A property vector's one derived slot (it must not be a field)."""
+
+    __slots__ = ("_hash",)
+
+
+@dataclass(frozen=True, slots=True)
+class PhysProps(_GoalHash):
+    """A required or delivered physical property vector.
+
+    A goal is keyed by its vector: the hash (the generated field-tuple
+    hash) is kept from first use, in a slot ``replace`` and unpickling
+    leave unset.
+    """
 
     in_memory: frozenset[str] = frozenset()
     order: SortKey | None = None
     # Degree of parallelism: 1 = a serial stream, N = N partition streams
     # (each satisfying the residency/order components independently).
     dop: int = 1
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.in_memory, self.order, self.dop))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     @staticmethod
     def of(*names: str, order: SortKey | None = None) -> "PhysProps":
@@ -83,14 +102,14 @@ class PhysProps:
         return PhysProps(self.in_memory & names, order, self.dop)
 
     def with_order(self, order: SortKey | None) -> "PhysProps":
-        return replace(self, order=order)
+        return PhysProps(self.in_memory, order, self.dop)
 
     def without_order(self) -> "PhysProps":
-        return replace(self, order=None)
+        return PhysProps(self.in_memory, None, self.dop)
 
     def with_dop(self, dop: int) -> "PhysProps":
         """The same vector at a different degree of parallelism."""
-        return replace(self, dop=max(1, dop))
+        return PhysProps(self.in_memory, self.order, max(1, dop))
 
     @property
     def is_empty(self) -> bool:

@@ -18,8 +18,15 @@ from repro.optimizer.cost import Cost
 from repro.optimizer.physical_props import PhysProps
 
 
-@dataclass
-class PhysicalNode:
+class _SubtreeCost:
+    """A plan node's one derived slot: dataclasses build ``__slots__`` from
+    fields, and ``rebind_plan`` copies fields — a copied sum would be stale."""
+
+    __slots__ = ("total_cost",)
+
+
+@dataclass(slots=True)
+class PhysicalNode(_SubtreeCost):
     """Base class for all plan nodes."""
 
     children: tuple["PhysicalNode", ...] = field(default=(), kw_only=True)
@@ -30,13 +37,12 @@ class PhysicalNode:
     # (an observed cardinality from the feedback store).
     row_source: str = field(default="est", kw_only=True)
 
-    @property
-    def total_cost(self) -> Cost:
-        """Estimated cost of the whole subtree (local + children)."""
+    def __post_init__(self) -> None:
+        # Estimated cost of the whole subtree, summed once, left to right.
         cost = self.local_cost
         for child in self.children:
             cost = cost + child.total_cost
-        return cost
+        self.total_cost = cost
 
     @property
     def algorithm(self) -> str:
@@ -75,7 +81,7 @@ class PhysicalNode:
             yield from child.walk()
 
 
-@dataclass
+@dataclass(slots=True)
 class FileScanNode(PhysicalNode):
     collection: str
     var: str
@@ -84,7 +90,7 @@ class FileScanNode(PhysicalNode):
         return f"File Scan {self.collection}: {self.var}"
 
 
-@dataclass
+@dataclass(slots=True)
 class PartitionedScanNode(PhysicalNode):
     """An N-way partitioned sequential scan (one page-range per worker)."""
 
@@ -99,7 +105,7 @@ class PartitionedScanNode(PhysicalNode):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ExchangeNode(PhysicalNode):
     """The Volcano exchange operator: N partition pipelines behind the
     ordinary iterator interface, merged back into one serial stream.
@@ -118,7 +124,7 @@ class ExchangeNode(PhysicalNode):
         return f"Exchange [{self.degree} workers, {merge}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexScanNode(PhysicalNode):
     collection: str
     var: str
@@ -133,7 +139,7 @@ class IndexScanNode(PhysicalNode):
         return text
 
 
-@dataclass
+@dataclass(slots=True)
 class FilterNode(PhysicalNode):
     predicate: Conjunction
 
@@ -141,7 +147,7 @@ class FilterNode(PhysicalNode):
         return f"Filter {self.predicate}"
 
 
-@dataclass
+@dataclass(slots=True)
 class HashJoinNode(PhysicalNode):
     """Hybrid hash join; the left child is the build input."""
 
@@ -151,7 +157,7 @@ class HashJoinNode(PhysicalNode):
         return f"Hybrid Hash Join {self.predicate}"
 
 
-@dataclass
+@dataclass(slots=True)
 class HashAntiJoinNode(PhysicalNode):
     """NOT EXISTS execution: build a key set from the right (subquery)
     input, stream the left, emit tuples with no match."""
@@ -162,7 +168,7 @@ class HashAntiJoinNode(PhysicalNode):
         return f"Hash Anti-Join {self.predicate}"
 
 
-@dataclass
+@dataclass(slots=True)
 class MergeJoinNode(PhysicalNode):
     """Merge join over inputs sorted on the join key (left drives order).
 
@@ -182,7 +188,7 @@ class MergeJoinNode(PhysicalNode):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class SortNode(PhysicalNode):
     """The sort-order enforcer."""
 
@@ -190,7 +196,7 @@ class SortNode(PhysicalNode):
         return f"Sort by {self.delivered.order}"
 
 
-@dataclass
+@dataclass(slots=True)
 class NestedLoopsNode(PhysicalNode):
     predicate: Conjunction
 
@@ -198,7 +204,7 @@ class NestedLoopsNode(PhysicalNode):
         return f"Nested Loops {self.predicate}"
 
 
-@dataclass
+@dataclass(slots=True)
 class AssemblyNode(PhysicalNode):
     """Windowed reference resolution; also the presence-in-memory enforcer."""
 
@@ -214,7 +220,7 @@ class AssemblyNode(PhysicalNode):
         return f"Assembly {self.source}: {self.out}{suffix}"
 
 
-@dataclass
+@dataclass(slots=True)
 class PointerJoinNode(PhysicalNode):
     """Shekita/Carey partitioned pointer-based join implementing Mat."""
 
@@ -227,7 +233,7 @@ class PointerJoinNode(PhysicalNode):
         return f"Pointer Join {self.source}: {self.out}"
 
 
-@dataclass
+@dataclass(slots=True)
 class WarmStartAssemblyNode(PhysicalNode):
     """Lesson 7: pre-scan the scannable target, then resolve from memory."""
 
@@ -239,7 +245,7 @@ class WarmStartAssemblyNode(PhysicalNode):
         return f"Warm-Start Assembly {self.source}: {self.out} (scan {self.target_collection})"
 
 
-@dataclass
+@dataclass(slots=True)
 class AlgUnnestNode(PhysicalNode):
     var: str
     attr: str
@@ -249,7 +255,7 @@ class AlgUnnestNode(PhysicalNode):
         return f"Alg-Unnest {self.var}.{self.attr}: {self.out}"
 
 
-@dataclass
+@dataclass(slots=True)
 class AlgProjectNode(PhysicalNode):
     items: tuple[ProjectItem, ...]
     distinct: bool = False
@@ -260,7 +266,7 @@ class AlgProjectNode(PhysicalNode):
         return f"{prefix} {cols}"
 
 
-@dataclass
+@dataclass(slots=True)
 class HashSetOpNode(PhysicalNode):
     kind: SetOpKind
 
@@ -268,7 +274,7 @@ class HashSetOpNode(PhysicalNode):
         return f"Hash {self.kind.value.capitalize()}"
 
 
-@dataclass
+@dataclass(slots=True)
 class HashGroupByNode(PhysicalNode):
     keys: tuple[ProjectItem, ...]
     aggregates: tuple  # of algebra.operators.AggSpec

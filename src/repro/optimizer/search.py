@@ -60,9 +60,13 @@ class SearchStats:
     rule_applications: int = 0
     mexprs_generated: int = 0
     optimization_tasks: int = 0
+    # The (group, required) keys behind those tasks (failed goals repeat).
+    distinct_goals: int = 0
     candidates_costed: int = 0
     enforcer_applications: int = 0
     group_merges: int = 0
+    # Exploration stopped at the round cap, short of a fixpoint.
+    exploration_truncated: bool = False
 
     @property
     def total_effort(self) -> int:
@@ -75,14 +79,18 @@ class SearchStats:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Winner:
     plan: PhysicalNode | None
     searched_limit: float
 
 
 class SearchEngine:
-    """Exploration + goal-directed optimization over one memo."""
+    """Exploration + goal-directed optimization over one memo.
+
+    Phase 2 assumes the memo no longer changes after :meth:`explore`;
+    what it derives per group or per goal lives as long as the engine.
+    """
 
     def __init__(
         self,
@@ -99,6 +107,12 @@ class SearchEngine:
         )
         self.stats = SearchStats()
         self._winners: dict[tuple[int, PhysProps], _Winner] = {}
+        # Per group: the (rule, m-expr) pairs whose declaration matches,
+        # rule-major (promise order: under a cap earlier rules go first).
+        self._offers: dict[int, list] = {}
+        # Per goal that has failed so far: the candidates it generated,
+        # replayed when the goal is searched again under a higher limit.
+        self._unplanned: dict[tuple[int, PhysProps], list] = {}
         # The observable trace of optimization goals and winners — the
         # paper's Figure 11 "state of the search", one line per task.
         self.trace: list[str] = []
@@ -113,6 +127,11 @@ class SearchEngine:
     def explore(self) -> None:
         """Apply enabled transformation rules to fixpoint (phase 1)."""
         memo = self.ctx.memo
+        stats = self.stats
+        tracer = self.tracer
+        find = memo.find
+        # Rules by declared operator class (undeclared: in every entry).
+        rules_for: dict[type, tuple] = {}
         # A rule application depends only on the m-expr and the contents of
         # its input groups; re-running it is useless until one of those
         # groups gains an expression.  Track the input-group versions seen
@@ -127,44 +146,57 @@ class SearchEngine:
                 # the space phase 2 searches — never breaks it.
                 truncated = True
                 break
-            self.stats.exploration_rounds += 1
+            stats.exploration_rounds += 1
             changed = False
-            for group in list(memo.groups()):
-                if memo.find(group.gid) != group.gid:
+            for group in memo.groups():
+                gid = group.gid
+                if find(gid) != gid:
                     continue  # merged away mid-round
                 for mexpr in list(group.mexprs):
-                    children = tuple(memo.find(c) for c in mexpr.children)
-                    key = (group.gid, mexpr.op.signature(), children)
-                    versions = tuple(memo.group(c).version for c in children)
+                    children = tuple([find(c) for c in mexpr.children])
+                    key = (gid, mexpr.key()[0], children)
+                    versions = tuple([memo.group(c).version for c in children])
                     if seen_versions.get(key) == versions:
                         continue
                     seen_versions[key] = versions
-                    for rule in self.transformations:
+                    op_type = type(mexpr.op)
+                    if op_type not in rules_for:
+                        rules_for[op_type] = tuple(
+                            rule
+                            for rule in self.transformations
+                            if rule.operators is None
+                            or isinstance(mexpr.op, rule.operators)
+                        )
+                    for rule in rules_for[op_type]:
                         for tree in rule.apply(mexpr, memo):
-                            self.stats.rule_applications += 1
+                            stats.rule_applications += 1
                             before = memo.mexpr_count
-                            memo.insert_tree(tree, target_gid=group.gid)
+                            memo.insert_tree(tree, target_gid=gid)
                             if memo.mexpr_count > before:
                                 changed = True
-                            if self.tracer.enabled:
-                                self.tracer.event(
+                            if tracer.enabled:
+                                tracer.event(
                                     "rule",
                                     rule.name,
-                                    group=group.gid,
+                                    group=gid,
                                     expr=mexpr.op.describe(),
                                     new=memo.mexpr_count > before,
                                 )
             if not changed:
                 break
+        else:  # no silent truncation: the memo never reached its fixpoint
+            stats.exploration_truncated = True
+            if tracer.enabled:
+                tracer.event("explore", "round-cap", rounds=stats.exploration_rounds)
         for group in memo.groups():
             memo.dedup_group(group.gid)
-        self.stats.mexprs_generated = memo.mexpr_count
-        self.stats.group_merges = memo.merge_count
+        stats.mexprs_generated = memo.mexpr_count
+        stats.group_merges = memo.merge_count
         if truncated and governor is not None:
             governor.mark_degraded(
                 "search_timeout",
                 phase="explore",
-                rounds=self.stats.exploration_rounds,
+                rounds=stats.exploration_rounds,
             )
 
     # ------------------------------------------------------------------
@@ -180,87 +212,99 @@ class SearchEngine:
         bound budget.  Returns None when no plan fits the properties
         within the limit.
         """
-        governor = self.ctx.governor
+        ctx = self.ctx
+        governor = ctx.governor
         if governor is not None:
             if governor.cancelled:
                 raise QueryCancelled("query cancelled during optimization")
             if governor.search_expired():
                 raise SearchBudgetExhausted
-        memo = self.ctx.memo
-        gid = memo.find(gid)
-        group = memo.group(gid)
-        if not (required.in_memory <= group.props.scope.object_names):
+        group = ctx.memo.group(gid)
+        gid = group.gid
+        scope = group.props.scope
+        if not (required.in_memory <= scope.object_names):
             return None
-        if required.order is not None and not group.props.scope.has(
-            required.order.var
-        ):
+        if required.order is not None and required.order.var not in scope.names:
             return None
 
-        cached = self._winners.get((gid, required))
+        goal = (gid, required)
+        cached = self._winners.get(goal)
         if cached is not None:
             if cached.plan is not None:
                 return cached.plan if cached.plan.total_cost.total <= limit else None
             if cached.searched_limit >= limit:
                 return None
 
-        self.stats.optimization_tasks += 1
-        prune = self.ctx.config.prune
+        stats = self.stats
+        stats.optimization_tasks += 1
+        config = ctx.config
+        prune = config.prune
         best: PhysicalNode | None = None
         best_cost = limit if prune else math.inf
 
-        cap = self.ctx.config.candidate_cap
+        # A goal's candidates are generated once and replayed while the
+        # goal keeps failing; under a candidate cap they are pulled lazily,
+        # so a greedy descent stops generating where it stops costing.
+        cap = config.candidate_cap
+        candidates = self._unplanned.pop(goal, None)
+        if candidates is None:
+            offers = self._offers.get(gid)
+            if offers is None:
+                offers = self._offers[gid] = [
+                    (rule, mexpr)
+                    for rule in self.implementations
+                    for mexpr in group.mexprs
+                    if rule.operators is None
+                    or isinstance(mexpr.op, rule.operators)
+                ]
+            candidates = (
+                (rule.name, candidate)
+                for rule, mexpr in offers
+                for candidate in rule.candidates(mexpr, group, required, ctx)
+            )
+            if cap is None:
+                candidates = list(candidates)
         completed = 0
-        for rule in self.implementations:
-            # Rule-major iteration realises promise ordering: with a
-            # candidate cap, earlier (more promising) rules get first shot.
-            if cap is not None and completed >= cap:
-                break
-            for mexpr in list(group.mexprs):
-                if cap is not None and completed >= cap:
+        if cap is None or cap > 0:
+            for rule_name, candidate in candidates:
+                stats.candidates_costed += 1
+                plan = self._complete_candidate(
+                    candidate, best_cost, prune, rule_name
+                )
+                if plan is None or not plan.delivered.satisfies(required):
+                    continue
+                completed += 1
+                cost = plan.total_cost.total
+                if best is None or cost < best_cost:
+                    best = plan
+                    best_cost = cost
+                if completed == cap:
                     break
-                for candidate in rule.candidates(mexpr, group, required, self.ctx):
-                    self.stats.candidates_costed += 1
-                    plan = self._complete_candidate(
-                        candidate, best_cost, prune, rule.name
-                    )
-                    if plan is None or not plan.delivered.satisfies(required):
-                        continue
-                    completed += 1
-                    if best is None or plan.total_cost.total < best_cost:
-                        best = plan
-                        best_cost = plan.total_cost.total
-                    if cap is not None and completed >= cap:
-                        break
 
-        enforced = self._try_enforcers(gid, group, required, best_cost, prune)
-        if enforced is not None and (
-            best is None or enforced.total_cost.total < best_cost
+        for enforce in (
+            self._try_enforcers,
+            self._try_sort_enforcer,
+            self._try_exchange_enforcer,
         ):
-            best = enforced
-            best_cost = enforced.total_cost.total
+            enforced = enforce(gid, group, required, best_cost, prune)
+            if enforced is not None and (
+                best is None or enforced.total_cost.total < best_cost
+            ):
+                best = enforced
+                best_cost = enforced.total_cost.total
 
-        sorted_plan = self._try_sort_enforcer(gid, group, required, best_cost, prune)
-        if sorted_plan is not None and (
-            best is None or sorted_plan.total_cost.total < best_cost
-        ):
-            best = sorted_plan
-            best_cost = sorted_plan.total_cost.total
-
-        exchanged = self._try_exchange_enforcer(
-            gid, group, required, best_cost, prune
-        )
-        if exchanged is not None and (
-            best is None or exchanged.total_cost.total < best_cost
-        ):
-            best = exchanged
-            best_cost = exchanged.total_cost.total
-
-        self._winners[(gid, required)] = _Winner(best, limit)
+        if goal not in self._winners:
+            stats.distinct_goals += 1
+        self._winners[goal] = _Winner(best, limit)
+        if best is None and cap is None:
+            self._unplanned[goal] = candidates
         top = group.mexprs[0].op.name if group.mexprs else "?"
         if best is None:
             outcome = "no plan"
         else:
-            outcome = f"{best.algorithm} @ {best.total_cost.total:.3f}s"
+            outcome = f"{best.algorithm} @ {best_cost:.3f}s"
+        # Rendered per task, not on demand: the goal objects a deferred
+        # rendering would have to keep outweigh the strings.
         self.trace.append(
             f"optimize(group {gid} [{top}], require {required}) -> {outcome}"
         )
@@ -271,9 +315,9 @@ class SearchEngine:
                 op=top,
                 required=str(required),
                 winner=best.algorithm if best is not None else None,
-                cost=best.total_cost.total if best is not None else None,
+                cost=best_cost if best is not None else None,
             )
-        if best is not None and best.total_cost.total > limit:
+        if best is not None and best_cost > limit:
             return None
         return best
 

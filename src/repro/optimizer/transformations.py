@@ -22,6 +22,7 @@ from typing import Iterator, Union
 from repro.algebra.operators import (
     Get,
     Join,
+    LogicalOp,
     Mat,
     MatChain,
     RefSource,
@@ -44,9 +45,14 @@ from repro.optimizer.memo import Memo, MExpr, Tree
 
 
 class TransformationRule:
-    """Base class; subclasses define ``name`` and ``apply``."""
+    """Base class; subclasses define ``name``, ``operators`` and ``apply``.
+
+    ``operators`` declares the operator classes the pattern is rooted at:
+    the rule is offered only those m-exprs (all, if it declares nothing).
+    """
 
     name: str = ""
+    operators: tuple[type[LogicalOp], ...] | None = None
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
         """Yield equivalent trees for one m-expr (children = group ids).
@@ -90,10 +96,9 @@ class SelectMerge(TransformationRule):
     """Select(p, Select(q, X)) -> Select(p AND q, X)."""
 
     name = rule_names.SELECT_MERGE
+    operators = (Select,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Select):
-            return
         for inner in memo.group(mexpr.children[0]).mexprs:
             if isinstance(inner.op, Select):
                 merged = mexpr.op.predicate.conjoin(inner.op.predicate)
@@ -108,10 +113,9 @@ class SelectPastMat(TransformationRule):
     """
 
     name = rule_names.SELECT_PAST_MAT
+    operators = (Select,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Select):
-            return
         predicate = mexpr.op.predicate
         for inner in memo.group(mexpr.children[0]).mexprs:
             if not isinstance(inner.op, Mat):
@@ -142,10 +146,9 @@ class SelectPastMatChain(TransformationRule):
     """
 
     name = rule_names.SELECT_PAST_MAT_CHAIN
+    operators = (Select,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Select):
-            return
         predicate = mexpr.op.predicate
         for inner in memo.group(mexpr.children[0]).mexprs:
             if not isinstance(inner.op, MatChain):
@@ -172,10 +175,9 @@ class MatPastSelect(TransformationRule):
     """
 
     name = rule_names.MAT_PAST_SELECT
+    operators = (Mat,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Mat):
-            return
         for inner in memo.group(mexpr.children[0]).mexprs:
             if isinstance(inner.op, Select):
                 yield (
@@ -188,10 +190,9 @@ class SelectPastUnnest(TransformationRule):
     """Push conjuncts not referencing the unnested element beneath Unnest."""
 
     name = rule_names.SELECT_PAST_UNNEST
+    operators = (Select,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Select):
-            return
         predicate = mexpr.op.predicate
         for inner in memo.group(mexpr.children[0]).mexprs:
             if not isinstance(inner.op, Unnest):
@@ -214,10 +215,9 @@ class UnnestPastSelect(TransformationRule):
     """Unnest(Select(p, X)) -> Select(p, Unnest(X))."""
 
     name = rule_names.UNNEST_PAST_SELECT
+    operators = (Unnest,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Unnest):
-            return
         for inner in memo.group(mexpr.children[0]).mexprs:
             if isinstance(inner.op, Select):
                 yield (
@@ -240,10 +240,9 @@ class SelectPastJoin(TransformationRule):
     """
 
     name = rule_names.SELECT_PAST_JOIN
+    operators = (Select,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Select):
-            return
         predicate = mexpr.op.predicate
         for inner in memo.group(mexpr.children[0]).mexprs:
             if not isinstance(inner.op, Join):
@@ -269,10 +268,9 @@ class JoinCommutativity(TransformationRule):
     """
 
     name = rule_names.JOIN_COMMUTATIVITY
+    operators = (Join,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Join):
-            return
         left, right = mexpr.children
         yield (_mk_join(mexpr.op.predicate), (right, left))
 
@@ -281,10 +279,9 @@ class JoinAssociativity(TransformationRule):
     """Join(Join(A, B, p1), C, p2) -> Join(A, Join(B, C, p'), p'')."""
 
     name = rule_names.JOIN_ASSOCIATIVITY
+    operators = (Join,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Join):
-            return
         outer_pred = mexpr.op.predicate
         left_gid, c_gid = mexpr.children
         c_scope = memo.group(c_gid).props.scope.names
@@ -316,10 +313,9 @@ class MatCommutativity(TransformationRule):
     """
 
     name = rule_names.MAT_COMMUTATIVITY
+    operators = (Mat,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Mat):
-            return
         outer = mexpr.op
         for inner in memo.group(mexpr.children[0]).mexprs:
             if not isinstance(inner.op, Mat):
@@ -344,10 +340,9 @@ class MatIntoJoin(TransformationRule):
     """
 
     name = rule_names.MAT_PAST_JOIN
+    operators = (Mat,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Mat):
-            return
         op = mexpr.op
         for inner in memo.group(mexpr.children[0]).mexprs:
             if not isinstance(inner.op, Join):
@@ -375,10 +370,9 @@ class MatOutOfJoin(TransformationRule):
     """
 
     name = rule_names.MAT_PAST_JOIN
+    operators = (Join,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Join):
-            return
         predicate = mexpr.op.predicate
         for side in (0, 1):
             this_gid = mexpr.children[side]
@@ -407,10 +401,9 @@ class MatToJoin(TransformationRule):
     """
 
     name = rule_names.MAT_TO_JOIN
+    operators = (Mat,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Mat):
-            return
         op = mexpr.op
         child_scope = memo.group(mexpr.children[0]).props.scope
         if op.source.attr is None:
@@ -442,10 +435,9 @@ class JoinToMat(TransformationRule):
     """
 
     name = rule_names.JOIN_TO_MAT
+    operators = (Join,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, Join):
-            return
         pred = mexpr.op.predicate
         if len(pred.comparisons) != 1:
             return
@@ -485,10 +477,9 @@ class SetOpCommutativity(TransformationRule):
     """Union and intersection commute."""
 
     name = rule_names.SETOP_COMMUTATIVITY
+    operators = (SetOp,)
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        if not isinstance(mexpr.op, SetOp):
-            return
         if mexpr.op.kind is SetOpKind.DIFFERENCE:
             return
         left, right = mexpr.children

@@ -80,6 +80,13 @@ class TestExplainAnalyze:
         with pytest.raises(CatalogError):
             empty.explain_analyze(QUERY_2)
 
+    def test_round_cap_is_reported(self, db, monkeypatch):
+        from repro.optimizer import search
+
+        monkeypatch.setattr(search, "_MAX_EXPLORATION_ROUNDS", 1)
+        payload = json.loads(db.explain_analyze(QUERY_1).to_json())
+        assert payload["optimizer"]["exploration_truncated"] is True
+
     def test_json_export_schema(self, db):
         payload = json.loads(db.explain_analyze(QUERY_3).to_json())
         assert set(payload) == {
@@ -90,6 +97,13 @@ class TestExplainAnalyze:
             "events",
         }
         assert payload["optimizer"]["groups"] > 0
+        assert (
+            0
+            < payload["optimizer"]["distinct_goals"]
+            <= payload["optimizer"]["optimization_tasks"]
+        )
+        # Present only when exploration stopped at the round cap.
+        assert "exploration_truncated" not in payload["optimizer"]
         assert payload["execution"]["page_reads"] >= 0
 
         def check(node):

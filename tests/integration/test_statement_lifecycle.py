@@ -22,6 +22,8 @@ import pytest
 from repro.api import Database
 from repro.governor.admission import AdmissionController
 
+from tests.conftest import QUERY_1
+
 TRACING = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "tracing.py"
 
 QUERY = 'SELECT * FROM City c IN Cities WHERE c.mayor.name == "%s"'
@@ -155,4 +157,41 @@ def test_per_object_overhead_has_not_crept_back(tracing):
         f"Q2 on a plan-cache hit made {counter.calls:,} calls; it made "
         f"{Q2_CALLS_BEFORE:,} with per-object page lookups, dataclass OID "
         f"hashing and per-row term dispatch, and {Q2_CALLS_AFTER:,} without"
+    )
+
+
+#: Python + C calls of one ``Database.optimize`` (parse, simplify, rewrite,
+#: search; nothing cached), sample(scale=0.05, seed=1), CPython 3.11, as
+#: (before, after, bound): before the search's per-goal bookkeeping was
+#: removed (PR 20: rules indexed by operator, candidates generated once
+#: per goal, derived sets / hashes / subtree costs computed once) and
+#: after, with the bound ~15 % above the latter.
+WORST_ADHOC = (
+    'SELECT e.department.name, e.job.name FROM Employee e IN Employees '
+    'WHERE e.name == "ename1" AND e.department.plant.location == "loc2" '
+    "AND e.job.pay_grade == 9"
+)
+OPTIMIZE_CALLS = {
+    "paper Q1": (QUERY_1, 54_915, 22_318, 25_700),
+    # The worst adhoc_plan shape: 262 tasks over 109 goals, 2,479 candidates.
+    "worst adhoc_plan shape": (WORST_ADHOC, 382_765, 114_570, 131_800),
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the call counts were taken on CPython 3.11; other minors differ",
+)
+@pytest.mark.parametrize("label", sorted(OPTIMIZE_CALLS))
+def test_search_bookkeeping_has_not_crept_back(tracing, label):
+    text, before, after, bound = OPTIMIZE_CALLS[label]
+    db = Database.sample(scale=0.05, seed=1)
+    db.optimize(text)
+    counter = tracing.CallCounter()
+    counter.run(lambda: db.optimize(text))
+    assert counter.calls <= bound, (
+        f"optimizing {label} made {counter.calls:,} calls; it made "
+        f"{before:,} when every rule was offered every m-expr under every "
+        f"task and derived sets, hashes and subtree costs were recomputed "
+        f"per use, and {after:,} without"
     )

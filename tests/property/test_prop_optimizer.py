@@ -205,3 +205,90 @@ class TestPlanSoundness:
                 inherited |= {node.out}
             assert node.delivered.in_memory <= inherited
         assert result.plan.delivered.satisfies(result.required)
+
+
+class _SeesEveryMExpr:
+    """A rule as it was before rules were indexed by operator: it declares
+    nothing, is therefore offered every m-expr, and returns at its own
+    ``isinstance`` guard."""
+
+    operators = None
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.name = rule.name
+
+    def candidates(self, mexpr, group, required, ctx):
+        declared = self.rule.operators
+        if declared is not None and not isinstance(mexpr.op, declared):
+            return iter(())
+        return self.rule.candidates(mexpr, group, required, ctx)
+
+
+def _costed_sequence(engine, root_gid, required):
+    """Every candidate the engine costs, in order, id-free."""
+    costed = []
+    complete = engine._complete_candidate
+
+    def recording(candidate, budget, prune, rule_name=""):
+        costed.append(
+            (
+                rule_name,
+                candidate.note,
+                repr(candidate.local_cost),
+                tuple((gid, str(req)) for gid, req in candidate.child_reqs),
+            )
+        )
+        return complete(candidate, budget, prune, rule_name)
+
+    engine._complete_candidate = recording
+    plan = engine.optimize(root_gid, required)
+    return costed, None if plan is None else plan.pretty(costs=True, props=True)
+
+
+class TestOperatorIndexedRules:
+    @given(st.one_of(city_queries(), task_queries()), configs)
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_dispatch_costs_what_offering_every_rule_would(self, sql, config):
+        from repro.optimizer.context import OptimizeContext
+        from repro.optimizer.cost import CostModel
+        from repro.optimizer.implementations import ALL_RULES
+        from repro.optimizer.logical_props import build_query_vars
+        from repro.optimizer.memo import Memo
+        from repro.optimizer.optimizer import default_required_props
+        from repro.optimizer.search import SearchEngine
+        from repro.optimizer.selectivity import SelectivityModel
+
+        catalog = _db().catalog
+        simplified = _db().simplify(sql)
+        query_vars = build_query_vars(simplified.tree, catalog)
+        selectivity = SelectivityModel(catalog, query_vars)
+        memo = Memo(catalog, selectivity)
+        root_gid = memo.insert_expression(simplified.tree)
+        ctx = OptimizeContext(
+            memo=memo,
+            catalog=catalog,
+            cost_model=CostModel(config.cost),
+            selectivity=selectivity,
+            query_vars=query_vars,
+            config=config,
+        )
+        required = default_required_props(
+            simplified.tree, simplified.result_vars, simplified.order
+        )
+        indexed = SearchEngine(ctx)
+        indexed.explore()
+        reference = SearchEngine(
+            ctx,
+            transformations=(),
+            implementations=tuple(_SeesEveryMExpr(rule) for rule in ALL_RULES),
+        )
+        assert _costed_sequence(indexed, root_gid, required) == _costed_sequence(
+            reference, root_gid, required
+        )
+        assert indexed.stats.candidates_costed == reference.stats.candidates_costed
+        assert indexed.trace == reference.trace

@@ -170,3 +170,39 @@ class TestLogicalProps:
         assert memo.group(union).props.cardinality == 20_000
         assert memo.group(intersect).props.cardinality == 10_000
         assert memo.group(diff).props.cardinality == 10_000
+
+
+class TestMExprIdentity:
+    def test_key_is_built_once_and_dedups(self):
+        tree = _mayor_tree()
+        memo = _memo(tree)
+        root = memo.insert_expression(tree)
+        (mexpr,) = memo.group(root).mexprs
+        assert mexpr.key() is mexpr.key()
+        assert mexpr.key() == (mexpr.op.signature(), mexpr.children)
+        assert not hasattr(mexpr, "__dict__")
+        # Re-inserting the same operator over the same inputs finds the key
+        # without growing the group.
+        gid, inserted = memo.insert_mexpr(mexpr.op, mexpr.children)
+        assert (gid, inserted) == (root, False)
+        assert memo.group(root).mexprs == [mexpr]
+
+    def test_mexpr_is_its_own_identity(self):
+        """Per-m-expr facts are keyed by the m-expr object: two entries
+        with equal keys in different memos must not collide."""
+        tree = _mayor_tree()
+        first, second = _memo(tree), _memo(tree)
+        (a,) = first.group(first.insert_expression(tree)).mexprs
+        (b,) = second.group(second.insert_expression(tree)).mexprs
+        assert a.key() == b.key()
+        assert a != b and len({a, b}) == 2
+
+    def test_group_and_find_agree_after_merges(self):
+        tree = _mayor_tree()
+        memo = _memo(tree)
+        root = memo.insert_expression(tree)
+        leaf = memo.insert_expression(Get("Cities", "c"))
+        memo.insert_tree((Get("Cities", "c"), ()), target_gid=root)
+        assert memo.find(leaf) == memo.find(root)
+        assert memo.group(leaf) is memo.group(root)
+        assert memo.group(leaf).gid == memo.find(leaf)

@@ -34,3 +34,72 @@ class TestPhysProps:
     def test_is_empty(self):
         assert PhysProps.none().is_empty
         assert not PhysProps.of("x").is_empty
+
+
+class TestComputedOnce:
+    """PhysProps, SortKey and Cost are slotted values; the goal hash is
+    cached and equals the field-tuple hash the dataclass generated."""
+
+    def _samples(self):
+        import random
+
+        from repro.optimizer.physical_props import SortKey
+
+        rng = random.Random(11)
+        names = ["c", "c.mayor", "e", "d", "e.department"]
+        orders = [
+            None, SortKey("c"), SortKey("e", "name"), SortKey("d", "floor", False),
+        ]
+        return [
+            PhysProps(
+                frozenset(rng.sample(names, rng.randrange(len(names) + 1))),
+                rng.choice(orders),
+                rng.choice([1, 1, 2, 4]),
+            )
+            for _ in range(100)
+        ]
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for props in self._samples():
+            expected = hash((props.in_memory, props.order, props.dop))
+            assert hash(props) == expected
+            assert hash(props) == expected  # second read: the cached value
+
+    def test_no_instance_dict(self):
+        from repro.optimizer.cost import Cost
+        from repro.optimizer.physical_props import SortKey
+
+        for obj in (PhysProps.of("a"), SortKey("a", "b"), Cost(1.0, 2.0)):
+            assert not hasattr(obj, "__dict__")
+
+    def test_pickle_deepcopy_and_replace(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        from repro.optimizer.cost import Cost
+
+        for props in self._samples():
+            for clone in (pickle.loads(pickle.dumps(props)), copy.deepcopy(props)):
+                assert clone == props and hash(clone) == hash(props)
+            hash(props)
+            other = dataclasses.replace(props, dop=props.dop + 1)
+            assert other.dop == props.dop + 1
+            assert hash(other) == hash((other.in_memory, other.order, other.dop))
+        cost = Cost(1.5, 0.25)
+        assert pickle.loads(pickle.dumps(cost)) == cost == copy.deepcopy(cost)
+        assert [f.name for f in dataclasses.fields(PhysProps)] == [
+            "in_memory", "order", "dop",
+        ]
+
+    def test_order_and_dop_variants_keep_value_semantics(self):
+        from repro.optimizer.physical_props import SortKey
+
+        props = PhysProps.of("a", "b", order=SortKey("a"))
+        assert props.without_order() == PhysProps.of("a", "b")
+        assert props.with_order(SortKey("b")).order == SortKey("b")
+        assert props.with_dop(0).dop == 1 and props.with_dop(3).dop == 3
+        assert PhysProps() == PhysProps.none() == PhysProps(frozenset(), None, 1)
+        assert repr(PhysProps.of("a")) == (
+            "PhysProps(in_memory=frozenset({'a'}), order=None, dop=1)"
+        )

@@ -140,3 +140,84 @@ class TestIntrospection:
     def test_algorithm_name(self, plan):
         assert plan.algorithm == "Filter"
         assert plan.children[0].algorithm == "Assembly"
+
+
+def _recursive_total(node):
+    """``total_cost`` as it was defined before it was computed once: the
+    same left-to-right float additions, redone from the local costs."""
+    cost = node.local_cost
+    for child in node.children:
+        cost = cost + _recursive_total(child)
+    return cost
+
+
+class TestTotalCostComputedOnce:
+    def test_summed_at_construction_into_a_slot(self, plan):
+        assert plan.total_cost is plan.total_cost
+        assert repr(plan.total_cost) == repr(_recursive_total(plan))
+        assert not hasattr(plan, "__dict__")
+
+    def test_not_a_field_so_replace_recomputes_it(self, plan):
+        import dataclasses
+
+        assert "total_cost" not in {f.name for f in dataclasses.fields(plan)}
+        dearer = dataclasses.replace(plan, local_cost=Cost(10.0, 0.5))
+        assert dearer.total_cost.total == pytest.approx(80.5)
+        assert plan.total_cost.total == pytest.approx(70.5)
+
+    def test_pickle_and_deepcopy_round_trip(self, plan):
+        import copy
+        import pickle
+
+        for clone in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+            assert clone == plan
+            assert repr(clone.total_cost) == repr(plan.total_cost)
+
+    def test_bit_equal_on_every_golden_plan(self, paper_catalog):
+        from repro.lang.parser import parse_query
+        from repro.optimizer import Optimizer
+        from repro.simplify.simplifier import simplify_full
+
+        from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4
+
+        for sql in (QUERY_1, QUERY_2, QUERY_3, QUERY_4):
+            simplified = simplify_full(parse_query(sql), paper_catalog)
+            result = Optimizer(paper_catalog).optimize(
+                simplified.tree,
+                result_vars=simplified.result_vars,
+                order=simplified.order,
+            )
+            for node in result.plan.walk():
+                assert repr(node.total_cost) == repr(_recursive_total(node))
+            assert result.cost is result.plan.total_cost
+
+    def test_rebinding_a_cached_plan_rebuilds_every_derived_value(self):
+        """A plan-cache hit is ``rebind_plan`` over the cached Q2 plan, which
+        rebuilds through ``dataclasses.replace``: the new constant must
+        reach the predicates' hashes and the subtree costs must be
+        re-summed — nothing derived is copied from the template."""
+        from repro.api import Database
+        from repro.cache.fingerprint import tagged_index
+
+        db = Database.sample(scale=0.02)
+        db.create_index("ix_mayor", "Cities", ("mayor", "name"))
+        text = 'SELECT * FROM City c IN Cities WHERE c.mayor.name == "%s"'
+        miss, hit = db.query(text % "Joe"), db.query(text % "Fred")
+        assert (miss.cache.outcome, hit.cache.outcome) == ("miss", "hit")
+        assert "'Fred' == c.mayor.name" in hit.plan.pretty()
+        assert "Fred" not in miss.plan.pretty()
+        for old, new in zip(miss.plan.walk(), hit.plan.walk(), strict=True):
+            assert repr(new.total_cost) == repr(_recursive_total(new))
+            assert repr(new.total_cost) == repr(old.total_cost)
+        (old,) = [n for n in miss.plan.walk() if isinstance(n, IndexScanNode)]
+        (new,) = [n for n in hit.plan.walk() if isinstance(n, IndexScanNode)]
+        assert new.comparison is not old.comparison
+        assert tagged_index(new.comparison.left.value) is not None
+        assert new.comparison.left.value == "Fred"
+        assert hash(new.comparison) == hash(
+            (new.comparison.left, new.comparison.op, new.comparison.right)
+        )
+        assert hash(new.comparison) != hash(old.comparison)
+        assert new.comparison != old.comparison
+        assert new.comparison.vars == old.comparison.vars == {"c.mayor"}
+        assert new.comparison.canonical() is new.comparison

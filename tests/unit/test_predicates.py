@@ -117,3 +117,127 @@ class TestConjunction:
         # Removing by a flipped-but-equal comparison also works.
         flipped = Comparison(a.right, CompOp.EQ, a.left)
         assert conj.without(flipped) == Conjunction.of(b)
+
+
+def _sample_terms(rng, tagged):
+    from repro.cache.fingerprint import TaggedInt, TaggedStr
+    from repro.storage.objects import Oid
+
+    constants = [
+        rng.randrange(1000), rng.random(), f"s{rng.randrange(50)}", None, True,
+        Oid("City", rng.randrange(100)),
+    ]
+    if tagged:  # plan-cache parameter values; they do not pickle
+        constants += [
+            TaggedInt(rng.randrange(1000), 0), TaggedStr(f"t{rng.randrange(50)}", 1),
+        ]
+    var = rng.choice(["c", "c.mayor", "e", "d"])
+    return [
+        Const(rng.choice(constants)),
+        FieldRef(var, rng.choice(["name", "age"])),
+        RefAttr(var, rng.choice(["mayor", "department"])),
+        SelfOid(var),
+        VarRef(var),
+    ]
+
+
+def _sample_comparisons(seed=7, count=200, tagged=True):
+    import random
+
+    rng = random.Random(seed)
+    return [
+        Comparison(
+            rng.choice(_sample_terms(rng, tagged)),
+            rng.choice(list(CompOp)),
+            rng.choice(_sample_terms(rng, tagged)),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestComputedOnce:
+    """Derived sets, ordering keys and hashes are computed once, on first
+    read, into slots — same values as the recomputing definitions they
+    replaced, nothing in an instance ``__dict__``, nothing copied by
+    ``replace``."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        # Equal to the generated dataclass __hash__, so every set and dict
+        # of predicates iterates in the order it always did.
+        for comp in _sample_comparisons():
+            assert hash(comp) == hash((comp.left, comp.op, comp.right))
+        comps = _sample_comparisons()
+        for start in range(0, len(comps), 3):
+            conj = Conjunction.from_iterable(comps[start:start + 3])
+            assert hash(conj) == hash((conj.comparisons,))
+
+    def test_derived_sets_match_the_term_functions(self):
+        for comp in _sample_comparisons():
+            assert comp.vars == term_vars(comp.left) | term_vars(comp.right)
+            assert comp.memory_vars == (
+                term_memory_vars(comp.left) | term_memory_vars(comp.right)
+            )
+        comps = _sample_comparisons()
+        conj = Conjunction.from_iterable(comps[:5])
+        assert conj.vars == frozenset().union(*(c.vars for c in conj.comparisons))
+        assert conj.memory_vars == frozenset().union(
+            *(c.memory_vars for c in conj.comparisons)
+        )
+        assert Conjunction.true().vars == frozenset()
+
+    def test_canonical_and_conjunct_order_unchanged(self):
+        def key(term):
+            return (type(term).__name__, str(term))
+
+        comps = _sample_comparisons()
+        for comp in comps:
+            canon = comp.canonical()
+            assert key(canon.left) <= key(canon.right)
+            assert canon.canonical() is canon
+            if key(comp.left) <= key(comp.right):
+                assert canon is comp
+            else:
+                assert canon == Comparison(comp.right, comp.op.flipped(), comp.left)
+        conj = Conjunction.from_iterable(comps)
+        assert list(conj.comparisons) == sorted(
+            {c.canonical() for c in comps},
+            key=lambda c: (key(c.left), c.op.value, key(c.right)),
+        )
+        assert str(conj) == " and ".join(str(c) for c in conj.comparisons)
+
+    def test_no_instance_dict_and_frozen(self):
+        import pytest
+
+        comp = _sample_comparisons()[0]
+        conj = Conjunction.of(comp)
+        for obj in (comp, conj):
+            assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            comp.left = Const(1)
+        with pytest.raises(AttributeError):
+            conj.comparisons = ()
+        with pytest.raises(AttributeError):
+            comp.no_such_attribute
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        import copy
+        import pickle
+
+        comps = _sample_comparisons(count=20, tagged=False)
+        conj = Conjunction.from_iterable(comps)
+        for obj in comps + [conj]:
+            for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert clone == obj and hash(clone) == hash(obj)
+                assert clone.vars == obj.vars
+                assert clone.memory_vars == obj.memory_vars
+
+    def test_replace_recomputes_derived_values(self):
+        import dataclasses
+
+        comp = Comparison(FieldRef("c", "name"), CompOp.EQ, Const("x"))
+        assert comp.vars == {"c"} and comp.vars is comp.vars  # filled, kept
+        moved = dataclasses.replace(comp, left=FieldRef("d", "name"))
+        assert moved.vars == {"d"} and moved.memory_vars == {"d"}
+        assert hash(moved) == hash((moved.left, moved.op, moved.right))
+        assert [f.name for f in dataclasses.fields(comp)] == ["left", "op", "right"]
+        assert [f.name for f in dataclasses.fields(Conjunction)] == ["comparisons"]

@@ -211,3 +211,38 @@ class TestJoinProjectSetOp:
         tree = SetOp(SetOpKind.UNION, Get("Cities", "c"), Get("Cities", "c"))
         # Same var over the same element type: scopes match exactly.
         assert derive_scope_tree(tree, catalog).names == {"c"}
+
+
+class TestComputedOnce:
+    def _scope(self):
+        return Scope.of(
+            VarBinding("c", "City", BindingKind.OBJECT),
+            VarBinding("m_ref", "Employee", BindingKind.REF),
+            VarBinding("c.mayor", "Person", BindingKind.OBJECT),
+        )
+
+    def test_name_sets_and_lookup(self):
+        scope = self._scope()
+        assert scope.names == {"c", "m_ref", "c.mayor"}
+        assert scope.object_names == {"c", "c.mayor"}
+        assert scope.names is scope.names  # derived once, not per access
+        assert scope.binding("m_ref").kind is BindingKind.REF
+        assert scope.has("c") and not scope.has("zzz")
+        with pytest.raises(AlgebraError):
+            scope.binding("zzz")
+
+    def test_derived_values_follow_the_bindings(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        scope = self._scope()
+        assert not hasattr(scope, "__dict__")
+        assert [f.name for f in dataclasses.fields(scope)] == ["bindings"]
+        smaller = dataclasses.replace(scope, bindings=scope.bindings[:1])
+        assert smaller.names == {"c"} and not smaller.has("c.mayor")
+        for clone in (pickle.loads(pickle.dumps(scope)), copy.deepcopy(scope)):
+            assert clone == scope and clone.object_names == scope.object_names
+        assert scope.extend(
+            VarBinding("n", "Country", BindingKind.OBJECT)
+        ).names == scope.names | {"n"}

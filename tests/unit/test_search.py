@@ -182,3 +182,97 @@ class TestEffortCounters:
         engine, _ = _engine(_query2_tree())
         assert engine.stats.exploration_rounds >= 2
         assert engine.stats.mexprs_generated > 3
+
+    def test_distinct_goals_counts_keys_not_tasks(self):
+        """A failed goal searched again under a higher limit is a second
+        task for the same (group, required) key."""
+        engine, gid = _engine(_query2_tree())
+        assert engine.optimize(gid, PhysProps.of("c"), limit=1e-9) is None
+        tasks, goals = engine.stats.optimization_tasks, engine.stats.distinct_goals
+        assert engine.optimize(gid, PhysProps.of("c")) is not None
+        assert engine.stats.optimization_tasks > tasks
+        assert engine.stats.distinct_goals >= goals
+        assert engine.stats.distinct_goals == len(engine._winners)
+        assert engine.stats.distinct_goals < engine.stats.optimization_tasks
+
+
+class TestExplorationRoundCap:
+    """No silent truncation: stopping at the round cap is recorded."""
+
+    CHAIN5 = (
+        "SELECT e.name FROM Employee e IN Employees, "
+        "Department d IN extent(Department), Job j IN extent(Job), "
+        "Task t IN Tasks, Country n IN extent(Country) "
+        "WHERE e.department == d AND e.job == j AND t.time == 100 "
+        "AND n.name != 'x'"
+    )
+
+    def _optimize(self, tracer=None):
+        from repro.lang.parser import parse_query
+        from repro.optimizer import Optimizer
+        from repro.simplify.simplifier import simplify_full
+
+        catalog = build_catalog()
+        simplified = simplify_full(parse_query(self.CHAIN5), catalog)
+        return Optimizer(
+            catalog, OptimizerConfig().with_rewrites(False)
+        ).optimize(
+            simplified.tree, result_vars=simplified.result_vars, tracer=tracer
+        )
+
+    def test_fixpoint_is_not_flagged(self):
+        assert not self._optimize().stats.exploration_truncated
+
+    def test_round_cap_sets_flag_and_traces(self, monkeypatch):
+        from repro.obs.tracer import Tracer
+        from repro.optimizer import search
+
+        exhaustive = self._optimize()
+        monkeypatch.setattr(search, "_MAX_EXPLORATION_ROUNDS", 2)
+        tracer = Tracer()
+        capped = self._optimize(tracer)
+        assert capped.stats.exploration_rounds == 2
+        assert capped.stats.exploration_truncated
+        (event,) = tracer.events_in("explore")
+        assert event.name == "round-cap" and event.get("rounds") == 2
+        # Still a valid plan for the goal, from a smaller memo.
+        assert capped.plan.delivered.satisfies(capped.required)
+        assert capped.stats.mexprs_generated < exhaustive.stats.mexprs_generated
+        assert capped.cost.total >= exhaustive.cost.total
+
+
+class TestOperatorIndexedRules:
+    def test_undeclared_rule_is_offered_every_mexpr(self):
+        from repro.optimizer.implementations import ALL_RULES, ImplementationRule
+
+        seen = []
+
+        class Spy(ImplementationRule):
+            name = "spy"
+
+            def candidates(self, mexpr, group, required, ctx):
+                seen.append(type(mexpr.op))
+                return iter(())
+
+        engine, gid = _engine(_query2_tree(), with_index=False)
+        spying = SearchEngine(engine.ctx, (), ALL_RULES + (Spy(),))
+        spying.best_plan(gid, PhysProps.of("c"))
+        assert {Get, Mat, Select} <= set(seen)
+
+    def test_declared_rule_sees_only_its_operators(self):
+        from repro.optimizer.implementations import ALL_RULES, ImplementationRule
+
+        seen = []
+
+        class GetSpy(ImplementationRule):
+            name = "get-spy"
+            operators = (Get,)
+
+            def candidates(self, mexpr, group, required, ctx):
+                seen.append(type(mexpr.op))
+                return iter(())
+
+        engine, gid = _engine(_query2_tree(), with_index=False)
+        spying = SearchEngine(engine.ctx, (), ALL_RULES + (GetSpy(),))
+        spying.best_plan(gid, PhysProps.of("c"))
+        assert seen and set(seen) == {Get}
