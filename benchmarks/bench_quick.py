@@ -9,9 +9,9 @@ of signal:
 * optimizer wall time (median of several runs, the paper's < 1 s goal);
 * deterministic simulated-execution numbers (page reads, simulated I/O),
   which catch plan or cost-model regressions with zero timer noise;
-* the exchange operator's 4-worker speedup, gated by an absolute floor
-  (the ``floor`` field) rather than a relative delta, since speedups
-  vary with host core count more than with code changes.
+* the cardinality-feedback p99 speedup, gated by an absolute floor (the
+  ``floor`` field) rather than a relative delta, since its off side
+  tracks the host interpreter more than code changes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import common
-from bench_parallel import measure, parallel_database
 
 OPTIMIZE_REPEATS = 9
 CACHE_HIT_REPEATS = 9
@@ -110,14 +109,6 @@ def collect() -> dict[str, dict]:
         "value": round(seconds * 1000, 3),
         "unit": "ms",
         "higher_is_better": False,
-    }
-
-    times = measure(parallel_database(scale=0.1), degrees=(1, 4), repeats=3)
-    metrics["parallel_speedup_4w"] = {
-        "value": round(times[1] / times[4], 2),
-        "unit": "x",
-        "higher_is_better": True,
-        "floor": 2.0,
     }
 
     # Cardinality-feedback p99 on a skewed world: a repeated query whose

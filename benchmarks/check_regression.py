@@ -11,7 +11,8 @@ both, the candidate fails if it is more than ``--threshold`` (default
 25%) worse than the baseline — slower for lower-is-better metrics,
 smaller for higher-is-better ones.  A metric carrying a ``floor`` is
 gated by that absolute minimum instead of the relative delta (used for
-the parallel speedup, which tracks host core count more than code).
+``feedback_p99_speedup``, whose feedback-off side tracks the host
+interpreter more than code).
 A metric marked ``informational`` is reported but never fails on its
 value (used for the durable-commit metrics, which track host fsync
 behaviour more than code) — though dropping it from the candidate run

@@ -36,7 +36,6 @@ MODULES = [
     "bench_ablation_argrules",
     "bench_plan_cache",
     "bench_explain_analyze",
-    "bench_parallel",
     "bench_governor",
     "bench_serving",
 ]

@@ -593,7 +593,6 @@ class Database:
         config: OptimizerConfig | None = None,
         execute: bool = True,
         use_cache: bool | None = None,
-        parallelism: int | None = None,
         options: Mapping[str, Any] | None = None,
         governor: QueryContext | None = None,
         transaction: Transaction | None = None,
@@ -624,11 +623,6 @@ class Database:
         instead of re-running the optimizer.  ``use_cache=False`` (or
         ``db.cache_plans = False``) opts out of both lookup and store.
 
-        ``parallelism=N`` offers N-worker exchange plans to the search
-        (the cost model decides whether they pay off; small inputs stay
-        serial).  The parallelism degree is part of the effective config,
-        so cached serial and parallel plans never collide.
-
         ``options`` sets per-query resource limits by ``$``-key:
         ``$timeout`` (whole-query deadline, ms — exceeding it raises
         :class:`~repro.errors.QueryTimeout`), ``$memory`` (operator
@@ -639,8 +633,6 @@ class Database:
         built ``governor`` :class:`~repro.governor.QueryContext`; the
         result's ``.governor`` carries degradation markers either way.
         """
-        if parallelism is not None:
-            config = (config or self.config).with_parallelism(parallelism)
         if transaction is not None and transaction.status != "active":
             raise TransactionError(
                 f"transaction is {transaction.status}; begin a new one"
@@ -785,9 +777,9 @@ class Database:
             # every plan-affecting knob is part of the fingerprint —
             # ``cache_key()`` renders them canonically (sorted rule sets), so
             # equal configs always share a key and different rewrite /
-            # parallelism / feedback settings never do.  Dynamic
-            # entries live under their own key: a static entry for the same
-            # text must not shadow the scenario compilation.
+            # feedback settings never do.  Dynamic entries live under
+            # their own key: a static entry for the same text must not
+            # shadow the scenario compilation.
             suffix = "\x00dynamic" if dynamic else ""
             key = f"{parameterized.text_key}\x00{config.cache_key()}{suffix}"
             entry, outcome = self.plan_cache.lookup(

@@ -30,9 +30,6 @@ Dot-commands:
 ``.exec NAME p=v ...``    execute a prepared query with bound values
 ``.rules``           list togglable rule names
 ``.disable NAME``    disable a rule for the session ( .enable to undo )
-``.parallel N``      offer N-worker exchange plans to the optimizer for
-                     subsequent queries ( .parallel 1 returns to serial;
-                     bare .parallel shows the current degree )
 ``.timeout MS``      deadline for subsequent queries, in milliseconds;
                      queries over it fail with QueryTimeout
                      ( .timeout off clears; bare .timeout shows it )
@@ -81,7 +78,6 @@ from repro.optimizer.config import (
     ALL_IMPLEMENTATIONS,
     ALL_TRANSFORMATIONS,
     ASSEMBLY_ENFORCER,
-    EXCHANGE_ENFORCER,
     SORT_ENFORCER,
 )
 
@@ -102,7 +98,6 @@ class Shell:
         self.out = out
         self.disabled: set[str] = set()
         self.prepared: dict[str, object] = {}
-        self.parallelism = 1
         # Cardinality feedback for subsequent queries (.feedback on/off).
         self.feedback_on = False
         # Session resource limits (None = unlimited), applied to every
@@ -168,12 +163,7 @@ class Shell:
     # ------------------------------------------------------------------
 
     def _config(self) -> OptimizerConfig:
-        return (
-            OptimizerConfig()
-            .without(*self.disabled)
-            .with_parallelism(self.parallelism)
-            .with_feedback(self.feedback_on)
-        )
+        return OptimizerConfig().without(*self.disabled).with_feedback(self.feedback_on)
 
     def _command(self, line: str) -> None:
         parts = line.split()
@@ -263,7 +253,7 @@ class Shell:
             for name in (
                 ALL_TRANSFORMATIONS
                 + ALL_IMPLEMENTATIONS
-                + (ASSEMBLY_ENFORCER, SORT_ENFORCER, EXCHANGE_ENFORCER)
+                + (ASSEMBLY_ENFORCER, SORT_ENFORCER)
             ):
                 marker = " (disabled)" if name in self.disabled else ""
                 self.echo(f"  {name}{marker}")
@@ -273,21 +263,6 @@ class Shell:
         elif command == ".enable" and len(args) == 1:
             self.disabled.discard(args[0])
             self.echo(f"enabled {args[0]}")
-        elif command == ".parallel" and len(args) <= 1:
-            if not args:
-                self.echo(f"parallelism: {self.parallelism}")
-                return
-            try:
-                degree = int(args[0])
-            except ValueError:
-                self.echo(f"error: expected a worker count, got {args[0]!r}")
-                return
-            if degree < 1:
-                self.echo("error: parallelism must be >= 1")
-                return
-            self.parallelism = degree
-            label = "serial" if degree == 1 else f"{degree} workers"
-            self.echo(f"parallelism set to {degree} ({label})")
         elif command == ".timeout" and len(args) <= 1:
             self.timeout_ms = self._limit(
                 args, self.timeout_ms, "timeout", float, "ms"

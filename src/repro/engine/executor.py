@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.engine import iterators, parallel
+from repro.engine import iterators
 from repro.engine.tuples import Row
 from repro.errors import ExecutionError
 from repro.governor import spill
@@ -17,7 +17,6 @@ from repro.optimizer.plans import (
     AlgProjectNode,
     AlgUnnestNode,
     AssemblyNode,
-    ExchangeNode,
     FileScanNode,
     FilterNode,
     HashAntiJoinNode,
@@ -27,7 +26,6 @@ from repro.optimizer.plans import (
     IndexScanNode,
     MergeJoinNode,
     NestedLoopsNode,
-    PartitionedScanNode,
     PhysicalNode,
     PointerJoinNode,
     SortNode,
@@ -106,8 +104,8 @@ class Executor:
 
     def __init__(self, store: ObjectStore) -> None:
         self.store = store
-        # Event sink for exchange spans; assign an enabled Tracer (or
-        # pass one to `execute`) to observe worker fan-out and merges.
+        # Event sink for spill spans and teardown warnings; assign an
+        # enabled Tracer (or pass one to `execute`) to observe them.
         self.tracer: Tracer = NULL_TRACER
 
     # ------------------------------------------------------------------
@@ -128,7 +126,7 @@ class Executor:
         (rows, ``next()`` time, per-operator buffer traffic) and attaches
         the collector as ``ExecutionResult.operator_stats`` — the raw
         material of EXPLAIN ANALYZE.  ``tracer`` (default: the executor's
-        own, normally disabled) receives exchange span events.
+        own, normally disabled) receives spill span events.
 
         ``ctx`` (a :class:`repro.governor.QueryContext`) arms the
         governor: every pipeline polls the deadline/cancel token at
@@ -167,8 +165,7 @@ class Executor:
             tracer=tracer if tracer is not None else self.tracer,
             monitor=monitor,
         )
-        # The injector installation is per *thread* (and propagated to
-        # exchange workers pipeline-by-pipeline), so a governed session's
+        # The injector installation is per *thread*, so a governed session's
         # faults never fire inside another session's concurrent query.
         previous_faults = buffer.faults
         if ctx is not None:
@@ -215,9 +212,7 @@ class Executor:
             ),
         )
 
-    def rows(
-        self, plan: PhysicalNode, run: PlanRun, collector=None, partition=None
-    ) -> Iterator[Row]:
+    def rows(self, plan: PhysicalNode, run: PlanRun, collector=None) -> Iterator[Row]:
         """The plan's output stream (no accounting reset).
 
         With a :class:`repro.obs.runtime.RunStatsCollector`, every
@@ -226,12 +221,8 @@ class Executor:
         the operator via the pool's I/O scopes.  Without one (the
         default), the plain generators run unwrapped — instrumentation
         is strictly pay-for-use.
-
-        ``partition`` is an ``(index, degree)`` pair threaded down a
-        partition pipeline built by an exchange; it is consumed by
-        partitioned scans, which then read only their page-range share.
         """
-        source = self._dispatch(plan, run, collector, partition)
+        source = self._dispatch(plan, run, collector)
         if run.ctx is not None:
             source = governed(source, run.ctx)
         if run.monitor is not None:
@@ -242,93 +233,8 @@ class Executor:
             source, collector.stats_for(plan), self.store.buffer
         )
 
-    def _exchange_rows(
-        self, plan: ExchangeNode, run: PlanRun, collector
-    ) -> Iterator[Row]:
-        """Fan a child pipeline out over worker threads and merge back.
-
-        Each partition gets its own pipeline instance *and* (when
-        instrumented) its own stats collector — worker threads never
-        share a mutable record.  The per-partition collectors are
-        absorbed into the query's main collector once workers drain, so
-        EXPLAIN ANALYZE shows whole-operator totals.  The run (and with
-        it the MVCC snapshot view) is captured in each worker pipeline's
-        closure, so every worker reads the same snapshot.
-        """
-        child = plan.children[0]
-        branch_collectors: list[RunStatsCollector] = []
-        sources = []
-        injector = run.ctx.faults if run.ctx is not None else None
-        for index in range(plan.degree):
-            branch = RunStatsCollector() if collector is not None else None
-            if branch is not None:
-                branch_collectors.append(branch)
-            source = self.rows(child, run, branch, partition=(index, plan.degree))
-            if injector is not None:
-                # Fault installation is per thread; each partition
-                # pipeline re-installs the run's injector on whatever
-                # worker thread ends up consuming it.
-                source = _faulted_pipeline(self.store.buffer, injector, source)
-            sources.append(source)
-        key = None
-        if plan.ordered:
-            order = child.delivered.order
-            if order is None:
-                raise ExecutionError(
-                    "ordered exchange over a child with no delivered order"
-                )
-            key = parallel.merge_key(
-                order.var, order.attr, order.ascending, run.tie_vars
-            )
-        exchange = parallel.Exchange(sources, ordered=plan.ordered, key=key)
-        tracer = run.tracer
-
-        def stream() -> Iterator[Row]:
-            if tracer.enabled:
-                tracer.event(
-                    "exchange",
-                    "start",
-                    degree=plan.degree,
-                    ordered=plan.ordered,
-                )
-            merged = 0
-            started = time.perf_counter()
-            try:
-                for row in exchange:
-                    merged += 1
-                    yield row
-            finally:
-                exchange.close()
-                if collector is not None:
-                    for branch in branch_collectors:
-                        collector.absorb(branch)
-                if tracer.enabled:
-                    tracer.event(
-                        "exchange",
-                        "merge",
-                        degree=plan.degree,
-                        ordered=plan.ordered,
-                        rows=merged,
-                        seconds=time.perf_counter() - started,
-                    )
-
-        return stream()
-
-    def _dispatch(
-        self, plan: PhysicalNode, run: PlanRun, collector, partition=None
-    ) -> Iterator[Row]:
+    def _dispatch(self, plan: PhysicalNode, run: PlanRun, collector) -> Iterator[Row]:
         view = run.view
-        if isinstance(plan, ExchangeNode):
-            return self._exchange_rows(plan, run, collector)
-        if isinstance(plan, PartitionedScanNode):
-            if partition is None:
-                # Outside an exchange (e.g. a subtree run directly) the
-                # partitioned scan degenerates to a whole-collection scan.
-                return iterators.file_scan(view, plan.collection, plan.var)
-            index, degree = partition
-            return iterators.partitioned_scan(
-                view, plan.collection, plan.var, index, degree
-            )
         if isinstance(plan, FileScanNode):
             return iterators.file_scan(view, plan.collection, plan.var)
         if isinstance(plan, IndexScanNode):
@@ -341,13 +247,13 @@ class Executor:
             )
         if isinstance(plan, FilterNode):
             return iterators.filter_rows(
-                self.rows(plan.children[0], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
                 plan.predicate,
             )
         if isinstance(plan, AssemblyNode):
             return iterators.assembly(
                 view,
-                self.rows(plan.children[0], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
                 plan.source,
                 plan.out,
                 plan.window,
@@ -355,21 +261,21 @@ class Executor:
         if isinstance(plan, PointerJoinNode):
             return iterators.pointer_join(
                 view,
-                self.rows(plan.children[0], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
                 plan.source,
                 plan.out,
             )
         if isinstance(plan, WarmStartAssemblyNode):
             return iterators.warm_start_assembly(
                 view,
-                self.rows(plan.children[0], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
                 plan.source,
                 plan.out,
                 plan.target_collection,
             )
         if isinstance(plan, AlgUnnestNode):
             return iterators.unnest(
-                self.rows(plan.children[0], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
                 plan.var,
                 plan.attr,
                 plan.out,
@@ -379,15 +285,15 @@ class Executor:
             if ctx is not None and ctx.memory_bytes is not None:
                 return spill.spill_hash_join(
                     self.store,
-                    self.rows(plan.children[0], run, collector, partition),
-                    self.rows(plan.children[1], run, collector, partition),
+                    self.rows(plan.children[0], run, collector),
+                    self.rows(plan.children[1], run, collector),
                     plan.predicate,
                     budget_bytes=ctx.memory_bytes,
                     tracer=run.tracer,
                 )
             return iterators.hash_join(
-                self.rows(plan.children[0], run, collector, partition),
-                self.rows(plan.children[1], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
+                self.rows(plan.children[1], run, collector),
                 plan.predicate,
             )
         if isinstance(plan, HashAntiJoinNode):
@@ -395,21 +301,21 @@ class Executor:
             if ctx is not None and ctx.memory_bytes is not None:
                 return spill.spill_anti_join(
                     self.store,
-                    self.rows(plan.children[0], run, collector, partition),
-                    self.rows(plan.children[1], run, collector, partition),
+                    self.rows(plan.children[0], run, collector),
+                    self.rows(plan.children[1], run, collector),
                     plan.predicate,
                     budget_bytes=ctx.memory_bytes,
                     tracer=run.tracer,
                 )
             return iterators.anti_join(
-                self.rows(plan.children[0], run, collector, partition),
-                self.rows(plan.children[1], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
+                self.rows(plan.children[1], run, collector),
                 plan.predicate,
             )
         if isinstance(plan, MergeJoinNode):
             return iterators.merge_join(
-                self.rows(plan.children[0], run, collector, partition),
-                self.rows(plan.children[1], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
+                self.rows(plan.children[1], run, collector),
                 plan.predicate,
                 plan.left_key,
                 plan.right_key,
@@ -422,7 +328,7 @@ class Executor:
             if ctx is not None and ctx.memory_bytes is not None:
                 return spill.spill_sort_rows(
                     self.store,
-                    self.rows(plan.children[0], run, collector, partition),
+                    self.rows(plan.children[0], run, collector),
                     order.var,
                     order.attr,
                     order.ascending,
@@ -431,7 +337,7 @@ class Executor:
                     tracer=run.tracer,
                 )
             return iterators.sort_rows(
-                self.rows(plan.children[0], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
                 order.var,
                 order.attr,
                 order.ascending,
@@ -439,19 +345,19 @@ class Executor:
             )
         if isinstance(plan, NestedLoopsNode):
             return iterators.nested_loops_join(
-                self.rows(plan.children[0], run, collector, partition),
-                self.rows(plan.children[1], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
+                self.rows(plan.children[1], run, collector),
                 plan.predicate,
             )
         if isinstance(plan, AlgProjectNode):
             return iterators.project(
-                self.rows(plan.children[0], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
                 plan.items,
                 plan.distinct,
             )
         if isinstance(plan, HashGroupByNode):
             return iterators.group_by(
-                self.rows(plan.children[0], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
                 plan.keys,
                 plan.aggregates,
                 plan.order_output,
@@ -460,29 +366,10 @@ class Executor:
         if isinstance(plan, HashSetOpNode):
             return iterators.set_op(
                 plan.kind,
-                self.rows(plan.children[0], run, collector, partition),
-                self.rows(plan.children[1], run, collector, partition),
+                self.rows(plan.children[0], run, collector),
+                self.rows(plan.children[1], run, collector),
             )
         raise ExecutionError(f"no executor for plan node {plan.algorithm}")
-
-
-def _faulted_pipeline(buffer, injector, source: Iterator[Row]) -> Iterator[Row]:
-    """Consume ``source`` with ``injector`` installed on the consuming
-    thread.
-
-    The buffer pool's injector slot is thread-local; an exchange worker
-    consumes its partition pipeline on its own thread, where the
-    spawning run's installation is invisible.  The generator body runs
-    (and unwinds — :meth:`Exchange._produce` closes sources on the
-    worker) entirely on the consuming thread, so install and restore
-    land exactly where the reads happen.
-    """
-    previous = buffer.faults
-    buffer.faults = injector
-    try:
-        yield from source
-    finally:
-        buffer.faults = previous
 
 
 def iteration_vars(plan: PhysicalNode) -> tuple[str, ...]:
@@ -495,9 +382,7 @@ def iteration_vars(plan: PhysicalNode) -> tuple[str, ...]:
     """
     names: set[str] = set()
     for node in plan.walk():
-        if isinstance(
-            node, (FileScanNode, IndexScanNode, PartitionedScanNode)
-        ):
+        if isinstance(node, (FileScanNode, IndexScanNode)):
             names.add(node.var)
         elif isinstance(node, AlgUnnestNode):
             names.add(node.out)

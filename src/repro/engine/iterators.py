@@ -79,20 +79,6 @@ def file_scan(store: ObjectStore, collection: str, var: str) -> Iterator[Row]:
         yield {var: Obj(oid, data)}
 
 
-def partitioned_scan(
-    store: ObjectStore, collection: str, var: str, partition: int, degree: int
-) -> Iterator[Row]:
-    """Scan one page-aligned partition share of a collection.
-
-    The worker-side half of the exchange operator: each of ``degree``
-    workers runs this iterator with its own ``partition`` index, and the
-    shares are disjoint contiguous page ranges whose union is the whole
-    collection (in scan order, so each share is individually ordered).
-    """
-    for oid, data in store.scan_partition(collection, partition, degree):
-        yield {var: Obj(oid, data)}
-
-
 def index_scan(
     store: ObjectStore,
     index: IndexRuntime,
@@ -314,8 +300,7 @@ def sort_rows(
     Uses the engine-wide :func:`~repro.engine.tuples.ordering_key`
     (None sorts last in both directions; ties break on the binding's
     identity and then the plan's iteration variables), so every plan
-    shape and every exchange degree produces the same sequence for the
-    same ordered query.
+    shape produces the same sequence for the same ordered query.
     """
     yield from sorted(rows, key=ordering_key(var, attr, ascending, tie_vars))
 
@@ -574,7 +559,6 @@ __all__ = [
     "index_scan",
     "instrumented",
     "nested_loops_join",
-    "partitioned_scan",
     "pointer_join",
     "project",
     "set_op",

@@ -193,11 +193,11 @@ def ordering_key(
 ):
     """The engine's one total-order sort key: row -> comparable tuple.
 
-    Shared by the sort enforcer and the ordered exchange merge so serial
-    and parallel plans agree on the exact output sequence.  None sort
-    values order after all real values in *both* directions (SQL "nulls
-    last") instead of raising ``TypeError`` out of :func:`sorted`; the
-    sorted-on binding's identity is the first tie-break.
+    Shared by the in-memory and spilling sort enforcers so every plan
+    shape agrees on the exact output sequence.  None sort values order
+    after all real values in *both* directions (SQL "nulls last")
+    instead of raising ``TypeError`` out of :func:`sorted`; the sorted-on
+    binding's identity is the first tie-break.
 
     ``tie_vars`` are the plan's iteration variables (scan and unnest
     bindings): their identity vector determines every other value in the

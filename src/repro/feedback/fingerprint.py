@@ -19,8 +19,8 @@ The shape-independence rules:
 * join inputs are unordered (commutativity) for ``Join`` and the
   commuting set operations, ordered where the operator is not symmetric
   (``AntiJoin``, ``difference``);
-* pure stream-shape operators (``Sort``, ``Exchange``, partitioned vs.
-  whole scans) are transparent: they carry their input's key;
+* the pure stream-shape operator ``Sort`` is transparent: it carries
+  its input's key;
 * every implementation of ``Mat`` (assembly, pointer join, warm-start)
   shares the ``mat`` key of its logical operator, and a fused
   ``MatChain`` folds into the same nested ``mat`` keys its per-link
@@ -51,7 +51,6 @@ from repro.optimizer.plans import (
     AlgProjectNode,
     AlgUnnestNode,
     AssemblyNode,
-    ExchangeNode,
     FileScanNode,
     FilterNode,
     HashAntiJoinNode,
@@ -61,7 +60,6 @@ from repro.optimizer.plans import (
     IndexScanNode,
     MergeJoinNode,
     NestedLoopsNode,
-    PartitionedScanNode,
     PhysicalNode,
     PointerJoinNode,
     SortNode,
@@ -176,7 +174,7 @@ def _physical_key(
         *(cols for _, cols in child_infos)
     ) if child_infos else frozenset()
 
-    if isinstance(node, (FileScanNode, PartitionedScanNode)):
+    if isinstance(node, FileScanNode):
         return _get_key(node.collection, node.var), frozenset({node.collection})
     if isinstance(node, IndexScanNode):
         conjuncts = [str(node.comparison)]
@@ -185,7 +183,7 @@ def _physical_key(
         return key, frozenset({node.collection})
     if isinstance(node, FilterNode):
         return _select_key(child_keys[0], _conjuncts(node.predicate)), collections
-    if isinstance(node, (SortNode, ExchangeNode)):
+    if isinstance(node, SortNode):
         # Stream-shape only: same rows, carried key.
         return child_keys[0], collections
     if isinstance(node, (AssemblyNode, PointerJoinNode, WarmStartAssemblyNode)):

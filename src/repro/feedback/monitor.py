@@ -11,9 +11,8 @@ database can replan with the rows-so-far already ingested as feedback.
 Counts are flushed in ``finally`` so partially-consumed streams (LIMIT,
 the replan signal itself unwinding the iterator stack, a hash build
 aborted mid-way) still contribute their lower-bound observation.
-Exchange partitions open one stream each for the same node; the
-monitor sums them and marks the observation complete only once every
-opened stream has finished.
+A node whose stream is opened more than once is summed, and its
+observation is complete only once every opened stream has finished.
 """
 
 from __future__ import annotations

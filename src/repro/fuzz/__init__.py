@@ -1,8 +1,8 @@
 """Differential plan-equivalence fuzzing.
 
-The optimizer's central claim — every plan the search, the baselines,
-the plan cache, and the parallel executor produce for one query returns
-the *same rows* — is checked here by construction: random OODB worlds
+The optimizer's central claim — every plan the search, the baselines
+and the plan cache produce for one query returns the *same rows* — is
+checked here by construction: random OODB worlds
 (:mod:`repro.fuzz.worldgen`), random ZQL queries
 (:mod:`repro.fuzz.querygen`), and an oracle that runs each query through
 every configuration pair and compares results

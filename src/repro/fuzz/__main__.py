@@ -34,14 +34,6 @@ def main(argv: list[str] | None = None) -> int:
         help="queries drawn from each generated world",
     )
     parser.add_argument(
-        "--parallelism",
-        type=int,
-        nargs="*",
-        default=[2, 3],
-        metavar="N",
-        help="exchange degrees compared against the serial reference",
-    )
-    parser.add_argument(
         "--corpus",
         default="tests/corpus",
         help="directory for failing repros (with --write-corpus)",
@@ -195,7 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         iterations=args.iterations,
         queries_per_world=args.queries_per_world,
-        degrees=tuple(args.parallelism),
         shrink=not args.no_shrink,
         corpus_dir=args.corpus if args.write_corpus else None,
         no_rewrites=args.no_rewrites,

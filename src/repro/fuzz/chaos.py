@@ -10,15 +10,14 @@ contract is *fail typed or answer right*: the faulted run must either
   replan are invisible to the result), or
 * raise a typed :class:`~repro.errors.GovernorError`.
 
-Anything else — a wrong answer, an untyped crash, or a leaked exchange
-worker thread — is a chaos mismatch.  Hangs are covered by the CI
-per-test timeout rather than an in-process watchdog.
+Anything else — a wrong answer or an untyped crash — is a chaos
+mismatch.  Hangs are covered by the CI per-test timeout rather than an
+in-process watchdog.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,15 +53,6 @@ class ChaosStats:
         return not self.mismatches
 
 
-def _worker_threads() -> set[str]:
-    """Names of live exchange worker threads (leak detection)."""
-    return {
-        t.name
-        for t in threading.enumerate()
-        if t.is_alive() and t.name.startswith("exchange-worker")
-    }
-
-
 def run_chaos_case(
     db,
     spec: QuerySpec,
@@ -78,7 +68,6 @@ def run_chaos_case(
     except ReproError:
         stats.skipped += 1  # the stack legitimately rejects the query
         return
-    before = _worker_threads()
     ctx = QueryContext(fault_plan=FaultPlan.chaos(fault_seed, fault_rate))
     try:
         faulted = db.query(text, use_cache=False, governor=ctx)
@@ -104,13 +93,6 @@ def run_chaos_case(
             stats.matched += 1
             if ctx.degraded:
                 stats.degraded += 1
-    leaked = _worker_threads() - before
-    if leaked:
-        stats.mismatches.append(
-            Mismatch(
-                "chaos-leaked-threads", text, f"leaked workers: {sorted(leaked)}"
-            )
-        )
 
 
 def chaos_fuzz(

@@ -9,9 +9,9 @@ world under every configuration, with a deterministic ordered read
 after each statement.  The transcripts (every read's exact row
 sequence, every typed error's class name, every final collection scan)
 must be **byte-identical** across configurations: plan cache on or off,
-serial or exchange-parallel reads, restricted rule sets.  Any
-divergence means MVCC visibility, catalog data-versioning, or the plan
-cache disagreed about the same committed history.
+restricted rule sets.  Any divergence means MVCC visibility, catalog
+data-versioning, or the plan cache disagreed about the same committed
+history.
 
 Indexes are part of that history.  After every statement the transcript
 takes one equality probe per index of the world (``WHERE <indexed path>
@@ -57,7 +57,6 @@ from repro.storage.index import IndexRuntime
 #: Read-path configurations every batch is replayed under.
 DML_CONFIGS = (
     "cache-off",
-    "parallel-2",
     "no-index-collapse",
     "no-hash-join",
 )
@@ -473,7 +472,6 @@ def replay(
     world: WorldSpec,
     batch: DmlBatchSpec,
     use_cache: bool = True,
-    parallelism: int | None = None,
     config=None,
     index_checks: IndexChecks | None = None,
 ) -> list[str]:
@@ -494,7 +492,6 @@ def replay(
         result = db.query(
             _read_query(world, collection),
             use_cache=use_cache,
-            parallelism=parallelism,
             config=config,
         )
         body = ";".join(_row_bytes(row) for row in result.rows)
@@ -507,7 +504,6 @@ def replay(
                 rows = db.query(
                     text,
                     use_cache=use_cache,
-                    parallelism=parallelism,
                     config=config,
                     transaction=txn,
                 ).rows
@@ -566,8 +562,6 @@ def _replay_options(kind: str, db: Database) -> dict:
     """The :func:`replay` keywords that make up one of ``DML_CONFIGS``."""
     if kind == "cache-off":
         return {"use_cache": False}
-    if kind.startswith("parallel-"):
-        return {"parallelism": int(kind.split("-")[1])}
     if kind == "no-index-collapse":
         return {"config": db.config.without(COLLAPSE_TO_INDEX_SCAN)}
     if kind == "no-hash-join":

@@ -7,7 +7,6 @@ Each case runs the query through:
   Mat-to-Join, pre-memo rewrites off) — different plan shapes, same
   logical query;
 * the naive and greedy baseline optimizers (where they apply);
-* ``parallelism=N`` exchange plans for several N;
 * the plan-cache path — miss, hit, and re-optimization after a catalog
   mutation (index created and dropped between runs) — plus an
   explicitly prepared ``$param`` variant;
@@ -41,15 +40,12 @@ from repro.optimizer.config import (
     MERGE_JOIN,
 )
 
-#: Degrees of parallelism exercised against the serial reference.
-PARALLEL_DEGREES = (2, 3)
-
 
 @dataclass(frozen=True)
 class Mismatch:
     """One divergence between the reference and a variant configuration."""
 
-    kind: str  # e.g. "greedy", "parallel-2", "cache-hit", "no-hash-join"
+    kind: str  # e.g. "greedy", "cache-hit", "no-hash-join"
     query: str
     detail: str
 
@@ -103,11 +99,7 @@ def _total_order(spec: QuerySpec) -> bool:
     return len(spec.ranges) == 1 and not spec.subqueries and not spec.distinct
 
 
-def run_case(
-    db: Database,
-    spec: QuerySpec,
-    degrees: tuple[int, ...] = PARALLEL_DEGREES,
-) -> CaseResult:
+def run_case(db: Database, spec: QuerySpec) -> CaseResult:
     """Run one query through every configuration pair on ``db``."""
     text = spec.render()
     result = CaseResult(query=text, mismatches=[])
@@ -197,16 +189,6 @@ def run_case(
     attempt("naive", lambda: baseline(db.naive_plan))
     attempt("greedy", lambda: baseline(db.greedy_plan))
 
-    # --- serial vs. parallel ------------------------------------------
-    for degree in degrees:
-        attempt(
-            f"parallel-{degree}",
-            lambda degree=degree: db.query(
-                text, use_cache=False, parallelism=degree
-            ).rows,
-            sequence=exact,
-        )
-
     # --- plan cache: miss, hit, and catalog mutation in between -------
     attempt("cache-miss", lambda: db.query(text).rows, sequence=exact)
     attempt("cache-hit", lambda: db.query(text).rows, sequence=exact)
@@ -291,4 +273,4 @@ def _parameterized(spec: QuerySpec) -> tuple[str, str, object] | None:
     return None
 
 
-__all__ = ["CaseResult", "Mismatch", "PARALLEL_DEGREES", "run_case"]
+__all__ = ["CaseResult", "Mismatch", "run_case"]

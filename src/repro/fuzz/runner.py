@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.fuzz.corpus import save_repro
-from repro.fuzz.oracle import PARALLEL_DEGREES, Mismatch, run_case
+from repro.fuzz.oracle import Mismatch, run_case
 from repro.fuzz.querygen import QuerySpec, random_query
 from repro.fuzz.shrink import shrink_case
 from repro.fuzz.worldgen import WorldSpec, build_database, random_world
@@ -36,7 +36,6 @@ class FuzzStats:
 def case_fails(
     world: WorldSpec,
     query: QuerySpec,
-    degrees: tuple[int, ...] = PARALLEL_DEGREES,
     no_rewrites: bool = False,
     feedback: bool = False,
 ) -> bool:
@@ -46,14 +45,13 @@ def case_fails(
         db.config = db.config.with_rewrites(False)
     if feedback:
         db.config = db.config.with_feedback(True)
-    return bool(run_case(db, query, degrees=degrees).mismatches)
+    return bool(run_case(db, query).mismatches)
 
 
 def fuzz(
     seed: int = 0,
     iterations: int = 100,
     queries_per_world: int = DEFAULT_QUERIES_PER_WORLD,
-    degrees: tuple[int, ...] = PARALLEL_DEGREES,
     shrink: bool = True,
     corpus_dir: str | Path | None = None,
     no_rewrites: bool = False,
@@ -87,7 +85,7 @@ def fuzz(
                 db.config = db.config.with_feedback(True)
         query_rng = random.Random(f"{seed}:query:{i}")
         query = random_query(query_rng, world)
-        outcome = run_case(db, query, degrees=degrees)
+        outcome = run_case(db, query)
         stats.iterations += 1
         stats.pairs_run += outcome.pairs_run
         if outcome.skipped:
@@ -103,8 +101,7 @@ def fuzz(
                     world,
                     query,
                     lambda w, q: case_fails(
-                        w, q, degrees=degrees, no_rewrites=no_rewrites,
-                        feedback=feedback,
+                        w, q, no_rewrites=no_rewrites, feedback=feedback
                     ),
                 )
                 if log is not None:

@@ -5,11 +5,7 @@ execution.  It is deliberately *cooperative*: nothing preempts a thread;
 instead the optimizer's search loop and every row pipeline poll the
 context at batch granularity (:data:`CHECK_INTERVAL_ROWS` rows) and
 raise the typed :class:`~repro.errors.QueryTimeout` /
-:class:`~repro.errors.QueryCancelled` errors themselves.  Exchange
-workers inherit the same discipline because their partition pipelines
-are built by the same executor and therefore poll the same context;
-the error then travels through the worker queue and the exchange shuts
-down its threads in the consumer's ``finally``.
+:class:`~repro.errors.QueryCancelled` errors themselves.
 
 Two separate clocks:
 
@@ -145,9 +141,8 @@ class QueryContext:
     def check(self) -> None:
         """Raise the typed governor error if cancelled or out of time.
 
-        This is the one poll point: the search loop, every governed row
-        pipeline, and exchange workers (through their pipelines) call it
-        at batch granularity.
+        This is the one poll point: the search loop and every governed
+        row pipeline call it at batch granularity.
         """
         if self._cancel.is_set():
             raise QueryCancelled("query cancelled")

@@ -4,10 +4,10 @@ A :class:`FaultPlan` is a frozen, seeded description of how unreliable
 the store should be: probabilities for transient page-read errors,
 latency spikes, and corrupt index pages, plus the retry/backoff policy.
 A :class:`FaultInjector` is the per-query stateful realization — one
-seeded RNG behind a lock (exchange workers draw concurrently), counters
-for what was injected, and a sticky per-index corruption decision so a
-corrupt index stays corrupt for the whole query (which is what forces
-the degrade-to-scan replan instead of a lucky retry).
+seeded RNG behind a lock, counters for what was injected, and a sticky
+per-index corruption decision so a corrupt index stays corrupt for the
+whole query (which is what forces the degrade-to-scan replan instead of
+a lucky retry).
 
 Everything is simulated: backoff accrues *simulated* milliseconds on the
 injector's counters (and, for spikes, on the disk clock) rather than
@@ -171,11 +171,10 @@ class FaultStats:
 class FaultInjector:
     """Per-query realization of a :class:`FaultPlan`.
 
-    Thread-safe: exchange workers read pages concurrently, so every RNG
-    draw and counter update happens under one lock.  Determinism is
-    per-query under serial execution; under parallel execution the
-    *sequence* of draws depends on thread interleaving, but correctness
-    never does — faults only delay or fail reads, never corrupt data.
+    Thread-safe: every RNG draw and counter update happens under one
+    lock.  One query draws on one thread, so its fault sequence is
+    determined by the plan's seed; faults only delay or fail reads,
+    never corrupt data.
     """
 
     def __init__(self, plan: FaultPlan, tracer: Tracer = NULL_TRACER) -> None:

@@ -82,27 +82,6 @@ class RunStatsCollector:
         """The stats record for a node, or None if it never produced."""
         return self._stats.get(id(node))
 
-    def absorb(self, other: "RunStatsCollector") -> None:
-        """Merge another collector's records into this one (summing).
-
-        Exchange gives each partition pipeline its own collector (worker
-        threads never share a mutable record) and absorbs them into the
-        query's main collector once the workers have drained.  Both sides
-        key on ``id(node)`` over the *same* shared plan tree, so records
-        line up; per-partition counts sum into whole-operator totals.
-        """
-        for key, record in other._stats.items():
-            mine = self._stats.get(key)
-            if mine is None:
-                self._stats[key] = record
-                continue
-            mine.rows_out += record.rows_out
-            mine.next_seconds += record.next_seconds
-            mine.io.hits += record.io.hits
-            mine.io.misses += record.io.misses
-            mine.io.spill_reads += record.io.spill_reads
-            mine.io.spill_writes += record.io.spill_writes
-
     def __len__(self) -> int:
         return len(self._stats)
 

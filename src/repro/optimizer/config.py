@@ -63,7 +63,6 @@ ALG_UNNEST = "alg-unnest"
 ALG_PROJECT = "alg-project"
 HASH_GROUP_BY = "hash-group-by"
 HASH_SET_OP = "hash-set-op"
-PARALLEL_SCAN = "parallel-scan"
 MAT_CHAIN = "mat-chain"
 
 ALL_IMPLEMENTATIONS = (
@@ -81,7 +80,6 @@ ALL_IMPLEMENTATIONS = (
     ALG_PROJECT,
     HASH_GROUP_BY,
     HASH_SET_OP,
-    PARALLEL_SCAN,
     MAT_CHAIN,
 )
 
@@ -108,7 +106,6 @@ ALL_REWRITES = (
 # --- enforcer names --------------------------------------------------------
 ASSEMBLY_ENFORCER = "assembly-enforcer"
 SORT_ENFORCER = "sort-enforcer"
-EXCHANGE_ENFORCER = "exchange-enforcer"
 
 # Warm-start assembly is the paper's *future work* (Lesson 7); it is built
 # but off by default so that default plans match the paper's.
@@ -134,11 +131,6 @@ class OptimizerConfig:
     # promise at least a (1/factor)x improvement.  1.0 = safe
     # branch-and-bound; smaller values trade optimality for effort.
     prune_factor: float = 1.0
-    # Degree of parallelism offered to the search: with N > 1 the
-    # parallel-scan rule and the exchange enforcer may produce N-worker
-    # partitioned plans where the cost model says they pay off.  1 (the
-    # default) makes the search byte-for-byte identical to the serial one.
-    parallelism: int = 1
     # Run the pre-memo cost-based rewrite stage (rewrite.py): tree
     # canonicalization, predicate pushdown, Mat-chain fusion and friends,
     # applied before the memo sees the query.  Off = the raw simplifier
@@ -189,10 +181,6 @@ class OptimizerConfig:
             self, candidate_cap=candidate_cap, prune_factor=prune_factor
         )
 
-    def with_parallelism(self, parallelism: int) -> "OptimizerConfig":
-        """A config offering N-worker parallel plans to the search."""
-        return replace(self, parallelism=max(1, parallelism))
-
     def with_rewrites(self, enabled: bool = True) -> "OptimizerConfig":
         """Toggle the pre-memo rewrite stage (the fusion ablation knob)."""
         return replace(self, rewrites=enabled)
@@ -224,7 +212,6 @@ class OptimizerConfig:
             f"rules={','.join(sorted(self.disabled_rules))};"
             f"cost={self.cost!r};prune={self.prune};"
             f"cap={self.candidate_cap};pf={self.prune_factor};"
-            f"par={self.parallelism};"
             f"rewrites={self.rewrites};feedback={self.feedback};"
             f"replan={self.feedback_replan_ratio}"
         )
@@ -248,7 +235,6 @@ __all__ = [
     "ASSEMBLY_ENFORCER",
     "COLLAPSE_TO_INDEX_SCAN",
     "DEFAULT_DISABLED",
-    "EXCHANGE_ENFORCER",
     "FILE_SCAN",
     "FILTER",
     "HASH_ANTI_JOIN",
@@ -267,7 +253,6 @@ __all__ = [
     "MAT_TO_JOIN",
     "NESTED_LOOPS",
     "OptimizerConfig",
-    "PARALLEL_SCAN",
     "POINTER_JOIN",
     "REWRITE_COLLECTION_JOIN",
     "REWRITE_JOIN_CANON",

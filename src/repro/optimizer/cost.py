@@ -59,15 +59,6 @@ class Cost:
     def __ge__(self, other: "Cost") -> bool:
         return self.total >= other.total
 
-    def scaled(self, factor: float) -> "Cost":
-        """Both components multiplied by ``factor``.
-
-        Used to model N-way partitioned execution: when an operator's
-        work is spread over N concurrent partition pipelines, its
-        *elapsed* contribution is the per-partition share.
-        """
-        return Cost(self.io_seconds * factor, self.cpu_seconds * factor)
-
     @staticmethod
     def zero() -> "Cost":
         return Cost(0.0, 0.0)
@@ -100,11 +91,6 @@ class CostParams:
     cpu_sort_factor_ms: float = 0.02  # per comparison in sorts (n log n)
     assembly_window: int = 8  # open references in the elevator window
     tuple_overhead_bytes: int = 16
-    # Exchange-operator overheads: spinning up one worker (thread + queue)
-    # and moving one row through the merge.  These are what keep small
-    # inputs serial — the savings of an N-way scan must beat them.
-    exchange_startup_ms: float = 5.0
-    exchange_row_ms: float = 0.02
 
     @property
     def buffer_bytes(self) -> int:
@@ -181,32 +167,6 @@ class CostModel:
         io = traversal * self.random_page_s + fetch_pages * self.random_page_s
         cpu = matches * self.params.cpu_tuple_ms / 1000.0
         return Cost(io_seconds=io, cpu_seconds=cpu)
-
-    def partitioned_scan(self, pages: int, cardinality: float, degree: int) -> Cost:
-        """An N-way partitioned sequential scan.
-
-        Each worker streams a contiguous 1/N slice of the extent
-        concurrently, so the elapsed contribution is the per-partition
-        share of a file scan.  The merge overhead is charged separately
-        by :meth:`exchange`.
-        """
-        degree = max(1, degree)
-        return self.file_scan(pages, cardinality).scaled(1.0 / degree)
-
-    def exchange(self, rows: float, degree: int, ordered: bool = False) -> Cost:
-        """The exchange operator's startup and merge overhead.
-
-        Startup is per worker (thread spawn plus a bounded queue); every
-        row pays one queue transfer; an *ordered* merge additionally pays
-        a log2(N) heap comparison per row.  This overhead is exactly why
-        the optimizer keeps small inputs serial.
-        """
-        degree = max(1, degree)
-        cpu_ms = degree * self.params.exchange_startup_ms
-        cpu_ms += rows * self.params.exchange_row_ms
-        if ordered and degree > 1:
-            cpu_ms += rows * math.log2(degree) * self.params.cpu_sort_factor_ms
-        return Cost(cpu_seconds=cpu_ms / 1000.0)
 
     # -- reference resolution ---------------------------------------------
 

@@ -61,7 +61,6 @@ from repro.optimizer.plans import (
     IndexScanNode,
     MergeJoinNode,
     NestedLoopsNode,
-    PartitionedScanNode,
     PhysicalNode,
     PointerJoinNode,
     WarmStartAssemblyNode,
@@ -134,50 +133,6 @@ class FileScanImpl(ImplementationRule):
             return FileScanNode(
                 op.collection,
                 op.var,
-                children=(),
-                delivered=delivered,
-                rows=rows,
-                local_cost=cost,
-            )
-
-        yield Candidate((), cost, build)
-
-
-class ParallelScanImpl(ImplementationRule):
-    """Get -> an N-way partitioned scan, under an N-way parallelism goal.
-
-    Only fires when the required property vector carries ``dop == N > 1``
-    (which only the exchange enforcer requests, and only when the session
-    offered parallelism).  Each partition is a contiguous page-aligned
-    slice of the collection, so a partition stream is still in OID order
-    — which is what lets an *ordered* exchange merge preserve the scan's
-    sort property globally.
-    """
-
-    name = rule_names.PARALLEL_SCAN
-    operators = (Get,)
-
-    def candidates(self, mexpr, group, required, ctx):
-        degree = required.dop
-        if degree <= 1:
-            return
-        op = mexpr.op
-        delivered = PhysProps(
-            frozenset({op.var}), SortKey(op.var, None), dop=degree
-        )
-        if not delivered.satisfies(required):
-            return
-        if not ctx.catalog.has_stats(op.collection):
-            return
-        pages = ctx.collection_pages(op.collection)
-        rows = group.props.cardinality
-        cost = ctx.cost_model.partitioned_scan(pages, rows, degree)
-
-        def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
-            return PartitionedScanNode(
-                op.collection,
-                op.var,
-                degree,
                 children=(),
                 delivered=delivered,
                 rows=rows,
@@ -343,9 +298,6 @@ class FilterImpl(ImplementationRule):
             return
         rows_in = ctx.memo.group(child_gid).props.cardinality
         cost = ctx.cost_model.filter(rows_in, len(op.predicate.comparisons))
-        if required.dop > 1:
-            # Each partition filters only its share of the input.
-            cost = cost.scaled(1.0 / required.dop)
         rows = group.props.cardinality
 
         def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
@@ -377,8 +329,6 @@ class AlgUnnestImpl(ImplementationRule):
             return
         rows = group.props.cardinality
         cost = ctx.cost_model.unnest(rows)
-        if required.dop > 1:
-            cost = cost.scaled(1.0 / required.dop)
 
         def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
             (child,) = children
@@ -564,8 +514,6 @@ class HybridHashJoinImpl(ImplementationRule):
     operators = (Join,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if required.dop != 1:
-            return  # the build table cannot be shared across partitions
         facts = ctx.facts_of(mexpr, _JoinFacts, group)
         order = required.order
         if facts.hash_join is None or (
@@ -591,8 +539,6 @@ class MergeJoinImpl(ImplementationRule):
     operators = (Join,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if required.dop != 1:
-            return  # the merge cursor pair is inherently serial
         facts = ctx.facts_of(mexpr, _JoinFacts, group)
         for left_key, right_key, cost, build in facts.merge_joins:
             if required.order is not None and required.order != left_key:
@@ -609,8 +555,6 @@ class NestedLoopsImpl(ImplementationRule):
     operators = (Join,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if required.dop != 1:
-            return  # rescanning the inner input needs one serial cursor
         facts = ctx.facts_of(mexpr, _JoinFacts, group)
         order = required.order
         if order is not None and order.var not in facts.left.scope.names:
@@ -627,8 +571,6 @@ class HashAntiJoinImpl(ImplementationRule):
     operators = (AntiJoin,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if required.dop != 1:
-            return  # the key set cannot be shared across partitions
         op = mexpr.op
         left_gid, right_gid = mexpr.children
         left_scope = ctx.memo.group(left_gid).props.scope
@@ -720,8 +662,6 @@ class HashSetOpImpl(ImplementationRule):
     operators = (SetOp,)
 
     def candidates(self, mexpr, group, required, ctx):
-        if required.dop != 1:
-            return  # identity matching needs both whole inputs
         op = mexpr.op
         left_gid, right_gid = mexpr.children
         scope = group.props.scope
@@ -790,8 +730,6 @@ class AssemblyImpl(ImplementationRule):
         refs = child.cardinality
         window = ctx.config.cost.assembly_window
         cost = ctx.cost_model.assembly(refs, target_pages, window)
-        if required.dop > 1:
-            cost = cost.scaled(1.0 / required.dop)
         rows = group.props.cardinality
 
         def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
@@ -833,8 +771,6 @@ class PointerJoinImpl(ImplementationRule):
         if refs * width > ctx.config.cost.work_mem_bytes:
             return  # the blocking reference table must fit in workspace
         cost = ctx.cost_model.pointer_join(refs, target_pages)
-        if required.dop > 1:
-            cost = cost.scaled(1.0 / required.dop)
         rows = group.props.cardinality
 
         def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
@@ -873,8 +809,6 @@ class WarmStartAssemblyImpl(ImplementationRule):
             return
         refs = child.cardinality
         cost = ctx.cost_model.warm_start_assembly(refs, target_pages)
-        if required.dop > 1:
-            cost = cost.scaled(1.0 / required.dop)
         rows = group.props.cardinality
 
         def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
@@ -930,7 +864,6 @@ class MatChainImpl(ImplementationRule):
             return
         refs = ctx.memo.group(child_gid).props.cardinality
         window = ctx.config.cost.assembly_window
-        dop = required.dop
 
         # Per-link argmin.  ``types`` tracks each variable's object type as
         # links come into scope; ``width`` the tuple width entering a link
@@ -956,8 +889,6 @@ class MatChainImpl(ImplementationRule):
             options: list[tuple[str, tuple, Cost]] = []
             if ctx.config.is_enabled(rule_names.ASSEMBLY):
                 cost = ctx.cost_model.assembly(refs, target_pages, window)
-                if dop > 1:
-                    cost = cost.scaled(1.0 / dop)
                 options.append(("assembly", (), cost))
             if (
                 ctx.config.is_enabled(rule_names.POINTER_JOIN)
@@ -965,8 +896,6 @@ class MatChainImpl(ImplementationRule):
                 and refs * width <= ctx.config.cost.work_mem_bytes
             ):
                 cost = ctx.cost_model.pointer_join(refs, target_pages)
-                if dop > 1:
-                    cost = cost.scaled(1.0 / dop)
                 options.append(("pointer-join", (), cost))
             extent = ctx.catalog.extent_of(target_type)
             if (
@@ -976,12 +905,9 @@ class MatChainImpl(ImplementationRule):
                 and target_pages <= ctx.config.cost.buffer_pages
             ):
                 cost = ctx.cost_model.warm_start_assembly(refs, target_pages)
-                if dop > 1:
-                    cost = cost.scaled(1.0 / dop)
                 options.append(("warm-start", (extent.name,), cost))
             if (
                 ctx.config.is_enabled(rule_names.HYBRID_HASH_JOIN)
-                and dop == 1
                 and extent is not None
                 and ctx.catalog.has_stats(extent.name)
             ):
@@ -1079,7 +1005,6 @@ class MatChainImpl(ImplementationRule):
 
 ALL_RULES: tuple[ImplementationRule, ...] = (
     FileScanImpl(),
-    ParallelScanImpl(),
     CollapseToIndexScanImpl(),
     FilterImpl(),
     AlgUnnestImpl(),

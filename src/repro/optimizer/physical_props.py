@@ -1,4 +1,4 @@
-"""Physical properties: presence in memory, sort order, and parallelism.
+"""Physical properties: presence in memory and sort order.
 
 "In object-oriented query processing, an important property is presence
 in memory."  A property vector here is the set of scope variables whose
@@ -8,14 +8,6 @@ example for a physical property in relational query optimization" but
 leaves merge-join unimplemented; this reproduction includes both, so the
 enforcer mechanism (assembly for residency, sort for order) is exercised
 on two properties as the framework intends.
-
-The third component is the Volcano lineage's scaling property: the
-*degree of parallelism* (``dop``).  ``dop == 1`` is an ordinary serial
-stream; ``dop == N`` means the plan produces N independent partition
-streams (each partition individually satisfying the residency and order
-components).  The exchange enforcer converts an N-way goal back to a
-serial stream by merging the partitions, exactly as assembly enforces
-residency and sort enforces order.
 
 The search engine is *goal-directed*: a parent algorithm states the
 property vector its inputs must satisfy, and only subplans that can
@@ -58,15 +50,12 @@ class PhysProps(_GoalHash):
 
     in_memory: frozenset[str] = frozenset()
     order: SortKey | None = None
-    # Degree of parallelism: 1 = a serial stream, N = N partition streams
-    # (each satisfying the residency/order components independently).
-    dop: int = 1
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.in_memory, self.order, self.dop))
+            value = hash((self.in_memory, self.order))
             object.__setattr__(self, "_hash", value)
             return value
 
@@ -79,41 +68,35 @@ class PhysProps(_GoalHash):
         return PhysProps(frozenset(), None)
 
     def satisfies(self, required: "PhysProps") -> bool:
-        """Superset residency, exact order and parallelism when required."""
-        if self.dop != required.dop:
-            return False
+        """Superset residency, and exact order when one is required."""
         if not (required.in_memory <= self.in_memory):
             return False
         return required.order is None or required.order == self.order
 
     def union(self, other: "PhysProps") -> "PhysProps":
-        """Merge residency sets; keeps this vector's order and dop."""
-        return PhysProps(self.in_memory | other.in_memory, self.order, self.dop)
+        """Merge residency sets; keeps this vector's order."""
+        return PhysProps(self.in_memory | other.in_memory, self.order)
 
     def add(self, *names: str) -> "PhysProps":
-        return PhysProps(self.in_memory | frozenset(names), self.order, self.dop)
+        return PhysProps(self.in_memory | frozenset(names), self.order)
 
     def remove(self, name: str) -> "PhysProps":
-        return PhysProps(self.in_memory - {name}, self.order, self.dop)
+        return PhysProps(self.in_memory - {name}, self.order)
 
     def restrict(self, names: frozenset[str]) -> "PhysProps":
         """Residency intersection; order survives only if its variable does."""
         order = self.order if self.order and self.order.var in names else None
-        return PhysProps(self.in_memory & names, order, self.dop)
+        return PhysProps(self.in_memory & names, order)
 
     def with_order(self, order: SortKey | None) -> "PhysProps":
-        return PhysProps(self.in_memory, order, self.dop)
+        return PhysProps(self.in_memory, order)
 
     def without_order(self) -> "PhysProps":
-        return PhysProps(self.in_memory, None, self.dop)
-
-    def with_dop(self, dop: int) -> "PhysProps":
-        """The same vector at a different degree of parallelism."""
-        return PhysProps(self.in_memory, self.order, max(1, dop))
+        return PhysProps(self.in_memory, None)
 
     @property
     def is_empty(self) -> bool:
-        return not self.in_memory and self.order is None and self.dop == 1
+        return not self.in_memory and self.order is None
 
     def __iter__(self):
         return iter(sorted(self.in_memory))
@@ -122,8 +105,6 @@ class PhysProps(_GoalHash):
         body = "{" + ", ".join(sorted(self.in_memory)) + "}"
         if self.order is not None:
             body += f" order by {self.order}"
-        if self.dop != 1:
-            body += f" dop={self.dop}"
         return body
 
 

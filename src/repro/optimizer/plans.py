@@ -91,40 +91,6 @@ class FileScanNode(PhysicalNode):
 
 
 @dataclass(slots=True)
-class PartitionedScanNode(PhysicalNode):
-    """An N-way partitioned sequential scan (one page-range per worker)."""
-
-    collection: str
-    var: str
-    degree: int
-
-    def describe(self) -> str:
-        return (
-            f"Partitioned Scan {self.collection}: {self.var} "
-            f"[{self.degree} workers]"
-        )
-
-
-@dataclass(slots=True)
-class ExchangeNode(PhysicalNode):
-    """The Volcano exchange operator: N partition pipelines behind the
-    ordinary iterator interface, merged back into one serial stream.
-
-    ``ordered`` selects the merge discipline: an ordered merge preserves
-    the per-partition sort order globally (a k-way merge on the child's
-    delivered sort key); an unordered merge emits rows as workers produce
-    them.
-    """
-
-    degree: int
-    ordered: bool = False
-
-    def describe(self) -> str:
-        merge = "ordered merge" if self.ordered else "merge"
-        return f"Exchange [{self.degree} workers, {merge}]"
-
-
-@dataclass(slots=True)
 class IndexScanNode(PhysicalNode):
     collection: str
     var: str
@@ -311,7 +277,6 @@ __all__ = [
     "AlgProjectNode",
     "AlgUnnestNode",
     "AssemblyNode",
-    "ExchangeNode",
     "FileScanNode",
     "FilterNode",
     "HashAntiJoinNode",
@@ -321,7 +286,6 @@ __all__ = [
     "IndexScanNode",
     "MergeJoinNode",
     "NestedLoopsNode",
-    "PartitionedScanNode",
     "PhysicalNode",
     "SortNode",
     "PointerJoinNode",

@@ -30,12 +30,7 @@ from repro.optimizer.context import OptimizeContext
 from repro.optimizer.implementations import ALL_RULES as ALL_IMPLEMENTATIONS
 from repro.optimizer.implementations import ImplementationRule
 from repro.optimizer.physical_props import PhysProps
-from repro.optimizer.plans import (
-    AssemblyNode,
-    ExchangeNode,
-    PhysicalNode,
-    SortNode,
-)
+from repro.optimizer.plans import AssemblyNode, PhysicalNode, SortNode
 from repro.optimizer.transformations import ALL_RULES as ALL_TRANSFORMATIONS
 from repro.optimizer.transformations import TransformationRule
 
@@ -281,11 +276,7 @@ class SearchEngine:
                 if completed == cap:
                     break
 
-        for enforce in (
-            self._try_enforcers,
-            self._try_sort_enforcer,
-            self._try_exchange_enforcer,
-        ):
+        for enforce in (self._try_enforcers, self._try_sort_enforcer):
             enforced = enforce(gid, group, required, best_cost, prune)
             if enforced is not None and (
                 best is None or enforced.total_cost.total < best_cost
@@ -388,9 +379,6 @@ class SearchEngine:
         rows = group.props.cardinality
         width = self.ctx.scope_width(group.props.scope)
         sort_cost = self.ctx.cost_model.sort(rows, width)
-        if required.dop > 1:
-            # Under a partitioned goal each worker sorts only its share.
-            sort_cost = sort_cost.scaled(1.0 / required.dop)
         if prune and sort_cost.total > budget:
             return None
         child_limit = (budget - sort_cost.total) if prune else math.inf
@@ -436,8 +424,6 @@ class SearchEngine:
             target_pages = self.ctx.type_pages(target_type)
             refs = group.props.cardinality
             enforce_cost = self.ctx.cost_model.assembly(refs, target_pages, window)
-            if required.dop > 1:
-                enforce_cost = enforce_cost.scaled(1.0 / required.dop)
             if prune and enforce_cost.total > best_cost:
                 continue
             child_limit = (best_cost - enforce_cost.total) if prune else math.inf
@@ -469,52 +455,6 @@ class SearchEngine:
                 best = node
                 best_cost = total
         return best
-
-    def _try_exchange_enforcer(self, gid, group, required, budget: float, prune: bool):
-        """Deliver a serial stream by merging an N-way partitioned plan.
-
-        The parallelism twin of the assembly and sort enforcers: when the
-        session offers ``parallelism = N > 1`` and the goal asks for an
-        ordinary serial stream (``dop == 1``), also try optimizing the
-        same group at ``dop == N`` and placing an exchange on top.  The
-        exchange pays a per-worker startup charge plus a per-row merge
-        charge (heavier when a required order forces an ordered k-way
-        merge), so small inputs stay serial on cost grounds alone.  The
-        N-way subgoal never re-fires this enforcer (it only triggers at
-        ``dop == 1``), so there is no recursion.
-        """
-        if not self.ctx.config.is_enabled(rule_names.EXCHANGE_ENFORCER):
-            return None
-        degree = self.ctx.config.parallelism
-        if degree <= 1 or required.dop != 1:
-            return None
-        rows = group.props.cardinality
-        ordered = required.order is not None
-        exchange_cost = self.ctx.cost_model.exchange(rows, degree, ordered)
-        if prune and exchange_cost.total > budget:
-            return None
-        child_limit = (budget - exchange_cost.total) if prune else math.inf
-        sub = self.optimize(gid, required.with_dop(degree), child_limit)
-        if sub is None:
-            return None
-        self.stats.enforcer_applications += 1
-        if self.tracer.enabled:
-            self.tracer.event(
-                "enforcer",
-                "exchange",
-                group=gid,
-                degree=degree,
-                ordered=ordered,
-                cost=exchange_cost.total,
-            )
-        return ExchangeNode(
-            degree,
-            ordered,
-            children=(sub,),
-            delivered=sub.delivered.with_dop(1),
-            rows=rows,
-            local_cost=exchange_cost,
-        )
 
     # ------------------------------------------------------------------
 

@@ -14,8 +14,7 @@ Operations
 ``line``       run one shell line (dot-command or ZQL statement) and
                return its printed output — the exact command surface of
                the interactive CLI, including ``.begin``/``.commit``,
-               ``.prepare``/``.exec``, ``.timeout``/``.memory``/
-               ``.parallel``
+               ``.prepare``/``.exec``, ``.timeout``/``.memory``
 ``query``      run one ZQL statement; rows come back as data.  With
                ``"cursor": true`` the rows stay server-side and the
                response carries a cursor id for `fetch`

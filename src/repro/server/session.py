@@ -2,10 +2,9 @@
 
 A session wraps one :class:`~repro.cli.Shell` whose output is captured
 per request, so a remote client gets exactly the command surface of the
-interactive CLI — prepared statements, ``.timeout``/``.memory``/
-``.parallel`` settings, ``.begin``/``.commit``/``.rollback`` — plus a
-structured ``query`` operation with server-side cursors for paging
-large results.
+interactive CLI — prepared statements, ``.timeout``/``.memory``
+settings, ``.begin``/``.commit``/``.rollback`` — plus a structured
+``query`` operation with server-side cursors for paging large results.
 
 Sessions are single-threaded (one request at a time per connection);
 concurrency comes from many sessions sharing one

@@ -7,17 +7,15 @@ page count is below the pool size, re-fetches of already-resident pages
 are free, so assembling 50,000 department components costs at most ~100
 page reads (the whole Department extent).
 
-The pool is thread-safe: exchange workers scan partitions concurrently,
-so frame replacement, the hit/miss counters, and the attribution scopes
-are all guarded by one reentrant latch.  Only the optional miss-latency
-sleep (``latency_scale``) happens outside the latch, which is exactly
-what lets concurrent partition scans overlap their simulated I/O waits.
+The pool is thread-safe: server session threads run their queries
+against one shared pool, so frame replacement and the hit/miss counters
+are guarded by one reentrant latch, and the attribution scopes and the
+fault-injector slot are per thread.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -64,18 +62,13 @@ class BufferPool:
     scope per plan operator around each ``next()`` call, which is how
     EXPLAIN ANALYZE attributes buffer traffic to the operator whose code
     issued it (exclusive attribution — parents are not charged for their
-    children's reads).  Scope stacks are *per thread*: each exchange
-    worker attributes its reads to its own partition's collectors.
+    children's reads).  Scope stacks are *per thread*: each server
+    session attributes its reads to its own query's collector.
     """
 
     disk: DiskSimulator
     capacity: int = DEFAULT_POOL_PAGES
     stats: BufferStats = field(default_factory=BufferStats)
-    # Wall-clock seconds slept per simulated millisecond of miss latency
-    # (0 = never sleep).  Benchmarks set this to make scans genuinely
-    # I/O-latency-bound, so partitioned scans overlap their waits and
-    # show real wall-clock speedups despite the GIL.
-    latency_scale: float = 0.0
     _frames: OrderedDict[int, None] = field(default_factory=OrderedDict)
     # Per-thread stacks of objects with `hits`/`misses` attributes
     # (duck-typed so the storage layer needs no dependency on repro.obs).
@@ -84,8 +77,7 @@ class BufferPool:
     # by the executor for the duration of one execution, None otherwise.
     # Thread-locality is what keeps concurrent server sessions isolated:
     # one governed session's injector must never fire in another
-    # session's reads.  Exchange workers get the run's injector
-    # explicitly (the executor wraps each partition pipeline).
+    # session's reads.
     _fault_local: threading.local = field(
         default_factory=threading.local, repr=False
     )
@@ -120,9 +112,6 @@ class BufferPool:
             frames[page_id] = None
             if len(frames) > self.capacity:
                 frames.popitem(last=False)
-        if self.latency_scale > 0.0:
-            # Sleep OUTSIDE the latch: concurrent workers overlap waits.
-            time.sleep(cost * self.latency_scale)
         return cost
 
     def _disk_read(self, page_id: int) -> float:
@@ -169,8 +158,6 @@ class BufferPool:
                 top = scopes[-1]
                 top.spill_writes = getattr(top, "spill_writes", 0) + 1
             cost = self.disk.write(page_id)
-        if self.latency_scale > 0.0:
-            time.sleep(cost * self.latency_scale)
         return cost
 
     def spill_read(self, page_id: int) -> float:
@@ -183,8 +170,6 @@ class BufferPool:
                 top = scopes[-1]
                 top.spill_reads = getattr(top, "spill_reads", 0) + 1
             cost = self._disk_read(page_id)
-        if self.latency_scale > 0.0:
-            time.sleep(cost * self.latency_scale)
         return cost
 
     def contains(self, page_id: int) -> bool:

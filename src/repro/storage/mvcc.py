@@ -777,6 +777,7 @@ class SnapshotView:
             self.collection_oids(name), self._store.page_of, degree
         )
 
+    # Kept for the frozen benchmark tracer; see ObjectStore.scan_partition.
     def scan_partition(
         self, name: str, partition: int, degree: int
     ) -> Iterator[tuple[Oid, dict[str, Any]]]:

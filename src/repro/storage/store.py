@@ -37,11 +37,11 @@ def page_aligned_bounds(
     """Page-aligned ``[start, stop)`` position ranges splitting a member
     list into at most ``degree`` contiguous partitions.
 
-    Boundaries never split a page across partitions, so concurrent
-    partition scans touch disjoint page sets and the union of the
-    partitions' page reads equals a serial scan's.  Small collections may
-    yield fewer than ``degree`` non-empty partitions.  Shared by the
-    store's latest-state scans and :class:`SnapshotView`'s pinned ones.
+    Boundaries never split a page across partitions, so partition scans
+    touch disjoint page sets and the union of the partitions' page reads
+    equals a whole scan's.  Small collections may yield fewer than
+    ``degree`` non-empty partitions.  Shared by the store's latest-state
+    scans and :class:`SnapshotView`'s pinned ones.
     """
     count = len(oids)
     degree = max(1, degree)
@@ -246,15 +246,16 @@ class ObjectStore:
             self.collection_oids(collection_name), self.page_of, degree
         )
 
+    # No operator calls this; the frozen benchmarks/e2e/tracing.py patches it
+    # by name (here and on SnapshotView) — drop both at the next benchmark re-cut.
     def scan_partition(
         self, collection_name: str, partition: int, degree: int
     ) -> Iterator[tuple[Oid, dict[str, Any]]]:
         """Scan one page-aligned partition of a collection.
 
         ``partition`` indexes into :meth:`partition_bounds`; an index past
-        the last non-empty partition yields nothing (a worker over an
-        empty share).  Each partition preserves the collection's scan
-        order, so ordered exchange merges restore the global order.
+        the last non-empty partition yields nothing.  Each partition
+        preserves the collection's scan order.
         """
         return self._scan_members(
             *self._latest(collection_name), (partition, degree)
@@ -339,7 +340,7 @@ class ObjectStore:
         Temp pages live far beyond the data segments and the indexes'
         synthetic pages, so spill I/O never collides with (or caches as)
         real data; the disk span grows so seek distances stay modelled.
-        Thread-safe: spilling operators may run on exchange workers.
+        Thread-safe: server sessions spill against one shared store.
         """
         if count <= 0:
             return []

@@ -78,6 +78,30 @@ class TestCommands:
     def test_unknown_command(self, shell):
         assert "unknown command" in run_lines(shell, ".bogus")
 
+    def test_parallel_execution_is_deleted_not_deprecated(self, shell, fresh_db):
+        """Serial is the engine: no knob, no module, no rule, no command."""
+        import importlib
+
+        from repro.optimizer import OptimizerConfig
+        from repro.optimizer import config as rule_names
+        from repro.optimizer.implementations import ALL_RULES
+
+        with pytest.raises(TypeError):
+            fresh_db.query("SELECT * FROM c IN Cities", parallelism=2)
+        with pytest.raises(TypeError):
+            OptimizerConfig(parallelism=2)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.parallel")
+        gone = {"parallel-scan", "exchange-enforcer"}
+        registered = {rule.name for rule in ALL_RULES} | {
+            value for value in vars(rule_names).values() if isinstance(value, str)
+        }
+        assert not gone & registered
+        assert not gone & set(run_lines(shell, ".rules").split())
+        assert run_lines(shell, ".parallel 4") == run_lines(shell, ".bogus 4").replace(
+            ".bogus", ".parallel"
+        )
+
     def test_error_reported_not_raised(self, shell):
         output = run_lines(shell, "SELECT * FROM x IN Nowhere")
         assert "error:" in output

@@ -2,11 +2,11 @@
 
 Each case applies one seeded batch of INSERT/UPDATE/DELETE statements
 (some grouped into explicit transactions) to fresh builds of the same
-generated world under every engine configuration — cache off, parallel
-execution, restricted rule sets — and requires byte-identical
-transcripts: per-statement affected counts, typed error names, commit
-CSNs, and totally-ordered reads after every commit.  Fixed seeds keep
-tier-1 deterministic; the nightly soak covers fresh seeds at scale.
+generated world under every engine configuration — cache off,
+restricted rule sets — and requires byte-identical transcripts:
+per-statement affected counts, typed error names, commit CSNs, and
+totally-ordered reads after every commit.  Fixed seeds keep tier-1
+deterministic; the nightly soak covers fresh seeds at scale.
 """
 
 from repro.fuzz.dml import DML_CONFIGS, dml_fuzz

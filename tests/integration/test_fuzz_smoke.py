@@ -2,9 +2,9 @@
 
 This is the tier-1 guard against *new* divergences between the Volcano
 search, the rule-restricted variants, the naive and greedy baselines,
-the parallel executor, and the plan-cache/prepared paths.  Seeds are
-fixed so the run is deterministic; the nightly long-fuzz workflow covers
-fresh seeds at scale.
+and the plan-cache/prepared paths.  Seeds are fixed so the run is
+deterministic; the nightly long-fuzz workflow covers fresh seeds at
+scale.
 """
 
 from repro.fuzz import fuzz

@@ -9,8 +9,6 @@ regression, and a 200-round chaos sweep at 5% transient fault rate.
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.errors import (
@@ -307,29 +305,3 @@ class TestChaosSweep:
             == stats.iterations
         )
         assert stats.matched > 0
-
-    def test_no_exchange_threads_leak_under_parallel_faults(self, fresh_db):
-        before = {
-            t.name
-            for t in threading.enumerate()
-            if t.name.startswith("exchange-worker")
-        }
-        ctx = QueryContext(fault_plan=FaultPlan(seed=2, read_error_prob=1.0))
-        with pytest.raises(GovernorError):
-            fresh_db.query(
-                ORDER_BY_QUERY,
-                use_cache=False,
-                parallelism=3,
-                governor=ctx,
-            )
-        deadline = threading.Event()
-        for _ in range(200):
-            leaked = {
-                t.name
-                for t in threading.enumerate()
-                if t.is_alive() and t.name.startswith("exchange-worker")
-            } - before
-            if not leaked:
-                break
-            deadline.wait(0.01)
-        assert not leaked

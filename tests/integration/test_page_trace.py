@@ -64,7 +64,7 @@ class PageTrace:
         def recording(page_id: int) -> float:
             stack = getattr(pool._io_scopes, "stack", None)
             # The Thread object, not its ident: idents are reused as soon
-            # as an exchange worker exits.
+            # as a thread exits.
             thread = threading.current_thread()
             with self._lock:
                 label = None
@@ -91,8 +91,7 @@ class PageTrace:
         del self.pool.read_page  # the class attribute shows through again
 
     def digests(self) -> list[list]:
-        """Sorted ``[length, sha256]`` per thread (a multiset: the order
-        in which exchange workers start is not deterministic)."""
+        """Sorted ``[length, sha256]`` per thread that read a page."""
         out = []
         for sequence in self.threads.values():
             text = ";".join(f"{page}:{label}" for page, label in sequence)
@@ -115,7 +114,7 @@ def traced(db: Database, run, figures=FIGURES) -> dict:
     ``figures`` names the ``ExecutionResult`` numbers that are a function
     of the sequence alone for this case: all three on a serial run over
     data pages; no simulated time when index pages (whose seek distance
-    follows the string hash) are read; none when workers share the pool.
+    follows the string hash) are read.
     """
     with PageTrace(db.store) as trace:
         execution = run().execution
@@ -170,11 +169,6 @@ def record_all() -> dict[str, dict]:
     cases["dirty-q2"] = traced(db, lambda: db.query(QUERY_2))
     writer.rollback()
     pinned.rollback()
-
-    db = Database.sample(scale=0.05, seed=1)
-    cases["parallel2-q1"] = traced(
-        db, lambda: db.query(QUERY_1, parallelism=2), figures=()
-    )
     return cases
 
 
@@ -217,8 +211,6 @@ def test_the_cases_exercise_what_they_claim(recorded):
     assert lengths["dirty-latest"] == lengths["dirty-pinned"]
     assert lengths["dirty-open-txn"] == lengths["dirty-latest"] + 1
     assert recorded["dirty-latest"]["threads"] != recorded["dirty-pinned"]["threads"]
-    # Three exchanges of two workers, one thread each.
-    assert len(recorded["parallel2-q1"]["threads"]) == 6
 
 
 if __name__ == "__main__":

@@ -39,12 +39,7 @@ from repro.obs.tracer import Tracer
 from repro.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer import config as C
 from repro.optimizer.optimizer import OptimizationResult
-from repro.optimizer.plans import (
-    ExchangeNode,
-    MergeJoinNode,
-    PartitionedScanNode,
-    SortNode,
-)
+from repro.optimizer.plans import MergeJoinNode, SortNode
 
 from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4
 
@@ -219,12 +214,6 @@ def record_all() -> dict[str, dict]:
     case("order-by-merge-join", plain, MERGE_ORDER, MERGE_ONLY,
          check=has(MergeJoinNode))
 
-    def parallel(result):
-        has(ExchangeNode)(result)
-        has(PartitionedScanNode)(result)
-
-    case("parallel2-q1", plain, QUERY_1,
-         OptimizerConfig().with_parallelism(2), check=parallel)
     case("candidate-cap1-chain5", plain, chain_query(5),
          OptimizerConfig().with_heuristics(candidate_cap=1))
     case("rules-disabled-q1", plain, QUERY_1,

@@ -8,10 +8,12 @@ the sort enforcer, merge-join selection, and order preservation claims.
 
 import pytest
 
+from repro.engine.tuples import row_key
+from repro.fuzz import AttrSpec, TypeSpec, WorldSpec, build_database
 from repro.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer import config as C
 from repro.optimizer.physical_props import PhysProps, SortKey
-from repro.optimizer.plans import MergeJoinNode, SortNode
+from repro.optimizer.plans import MergeJoinNode, SortNode, plan_signature
 
 
 class TestOrderByEndToEnd:
@@ -181,3 +183,49 @@ class TestPropsAndEnforcer:
         )
         sort = next(n for n in result.plan.walk() if isinstance(n, SortNode))
         assert "c.mayor" in sort.children[0].delivered.in_memory
+
+
+# Forty objects ordered by a path into a three-object type: ~13 rows per
+# sort value, so the output order is decided by ``ordering_key``'s
+# tie-breaks (binding identity, then the plan's iteration variables).
+TIE_WORLD = WorldSpec(
+    data_seed=11,
+    types=(
+        TypeSpec("T0", count=3, attrs=(AttrSpec("s0", distinct=2),)),
+        TypeSpec(
+            "T1",
+            count=40,
+            attrs=(
+                AttrSpec("s0", distinct=2, null_prob=0.3),
+                AttrSpec("r0", kind="ref", target="T0"),
+            ),
+        ),
+    ),
+)
+
+
+class TestTieHeavyOrderBy:
+    """The order is total: every plan shape emits the same sequence."""
+
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_ties_stable_across_plan_shapes(self, direction):
+        db = build_database(TIE_WORLD)
+        text = f"SELECT * FROM x IN extent(T1) ORDER BY x.r0.s0 {direction}"
+        reference = db.query(text, use_cache=False)
+        expected = [row_key(r) for r in reference.rows]
+        assert len(expected) == 40
+        shapes = {plan_signature(reference.plan)}
+        narrow = db.config.without(C.MAT_TO_JOIN)
+        variants = [
+            {"config": narrow},  # sort above assembly
+            {"config": narrow.without(C.ASSEMBLY)},  # above a pointer join
+            {"config": db.config.without(C.NESTED_LOOPS)},  # under a hash join
+            {"config": db.config.without(C.NESTED_LOOPS, C.HYBRID_HASH_JOIN)},
+            {"config": narrow, "options": {"$memory": 256}},  # external sort
+        ]
+        for kwargs in variants:
+            result = db.query(text, use_cache=False, **kwargs)
+            shapes.add(plan_signature(result.plan))
+            assert [row_key(r) for r in result.rows] == expected, f"{kwargs} diverged"
+        assert result.execution.spill_page_writes > 0
+        assert len(shapes) == 5

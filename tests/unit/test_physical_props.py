@@ -54,14 +54,13 @@ class TestComputedOnce:
             PhysProps(
                 frozenset(rng.sample(names, rng.randrange(len(names) + 1))),
                 rng.choice(orders),
-                rng.choice([1, 1, 2, 4]),
             )
             for _ in range(100)
         ]
 
     def test_hash_is_the_field_tuple_hash(self):
         for props in self._samples():
-            expected = hash((props.in_memory, props.order, props.dop))
+            expected = hash((props.in_memory, props.order))
             assert hash(props) == expected
             assert hash(props) == expected  # second read: the cached value
 
@@ -78,28 +77,27 @@ class TestComputedOnce:
         import pickle
 
         from repro.optimizer.cost import Cost
+        from repro.optimizer.physical_props import SortKey
 
         for props in self._samples():
             for clone in (pickle.loads(pickle.dumps(props)), copy.deepcopy(props)):
                 assert clone == props and hash(clone) == hash(props)
             hash(props)
-            other = dataclasses.replace(props, dop=props.dop + 1)
-            assert other.dop == props.dop + 1
-            assert hash(other) == hash((other.in_memory, other.order, other.dop))
+            other = dataclasses.replace(props, order=SortKey("z"))
+            assert other.order == SortKey("z")
+            assert hash(other) == hash((other.in_memory, other.order))
         cost = Cost(1.5, 0.25)
         assert pickle.loads(pickle.dumps(cost)) == cost == copy.deepcopy(cost)
-        assert [f.name for f in dataclasses.fields(PhysProps)] == [
-            "in_memory", "order", "dop",
-        ]
+        assert [f.name for f in dataclasses.fields(PhysProps)] == ["in_memory", "order"]
+        assert PhysProps.__slots__ == ("in_memory", "order")
 
-    def test_order_and_dop_variants_keep_value_semantics(self):
+    def test_order_variants_keep_value_semantics(self):
         from repro.optimizer.physical_props import SortKey
 
         props = PhysProps.of("a", "b", order=SortKey("a"))
         assert props.without_order() == PhysProps.of("a", "b")
         assert props.with_order(SortKey("b")).order == SortKey("b")
-        assert props.with_dop(0).dop == 1 and props.with_dop(3).dop == 3
-        assert PhysProps() == PhysProps.none() == PhysProps(frozenset(), None, 1)
+        assert PhysProps() == PhysProps.none() == PhysProps(frozenset(), None)
         assert repr(PhysProps.of("a")) == (
-            "PhysProps(in_memory=frozenset({'a'}), order=None, dop=1)"
+            "PhysProps(in_memory=frozenset({'a'}), order=None)"
         )
