@@ -9,9 +9,8 @@ Shows the three layers of plan reuse:
    share one optimized plan automatically;
 2. prepared queries — ``db.prepare`` with ``$params`` for explicit reuse
    plus parameter validation;
-3. catalog versioning — index DDL invalidates affected plans, and a
-   ``dynamic=True`` prepared query survives index drops by re-selecting
-   among its pre-compiled scenarios instead of re-optimizing.
+3. catalog versioning — index DDL invalidates affected plans, so the
+   next execution re-optimizes against the indexes that exist.
 """
 
 import sys
@@ -27,8 +26,9 @@ def main() -> None:
     print()
 
     # --- 1. Transparent caching --------------------------------------
-    # The second query differs only in its constant: same fingerprint,
-    # so the cached plan is re-bound instead of re-optimized.
+    # The second query differs only in its constant: same digest, same
+    # fingerprint, so it is neither parsed nor optimized again — the
+    # cached plan runs as it is, with this statement's constant beside it.
     for name in ("Joe", "Fred"):
         result = db.query(
             f'SELECT * FROM City c IN Cities WHERE c.mayor.name == "{name}"'
@@ -66,21 +66,22 @@ def main() -> None:
     db.create_index("ix_cities_mayor_name", "Cities", ("mayor", "name"))
     result = prepared.execute(who="Joe")
     print(f"after create_index: cache {result.cache.outcome}; plan:")
-    print(result.plan.pretty())
+    print(result.explain())
     print()
 
-    # A dynamic prepared query pre-compiles one plan per index scenario;
-    # dropping the index re-selects the sequential scenario without
-    # running the optimizer again.
-    dynamic = db.prepare(
-        "SELECT * FROM City c IN Cities WHERE c.mayor.name == $who",
-        dynamic=True,
-    )
-    dynamic.execute(who="Joe")
+    # The plan is a template shared by every binding; `explain` shows it
+    # with the constants of the statement that asked.
+    result = prepared.execute(who="Fred")
+    print(f"who='Fred': cache {result.cache.outcome}, consts {result.consts}; plan:")
+    print(result.explain())
+    print()
+
+    # Dropping the index moves the catalog version again: the index plan
+    # is invalidated, never run against an index that is gone.
     db.drop_index("ix_cities_mayor_name")
-    result = dynamic.execute(who="Joe")
-    print(f"after drop_index (dynamic): cache {result.cache.outcome}; plan:")
-    print(result.plan.pretty())
+    result = prepared.execute(who="Joe")
+    print(f"after drop_index: cache {result.cache.outcome}; plan:")
+    print(result.explain())
     print()
     print(db.plan_cache.describe())
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """A reporting workload: aggregates, ordering, set operations, ANALYZE,
-and dynamic plans — the extension features layered on the paper's core.
+and cached plans under index churn — the extension features layered on
+the paper's core.
 
 Run with:  python examples/reporting.py [scale]
 """
@@ -48,22 +49,20 @@ def main() -> None:
     )
     print()
 
-    print("== Dynamic plans survive index churn without recompiling")
+    print("== Cached plans follow index churn: DDL invalidates, the next run replans")
+    by_mayor = 'SELECT * FROM City c IN Cities WHERE c.mayor.name == "Joe"'
     db.create_index("ix_mayor", "Cities", ("mayor", "name"))
-    compiled = db.dynamic_plan(
-        'SELECT * FROM City c IN Cities WHERE c.mayor.name == "Joe"'
-    )
-    print(compiled.describe())
-    with_index = db.execute_dynamic(compiled)
+    with_index = db.query(by_mayor)
     db.drop_index("ix_mayor")
-    without_index = db.execute_dynamic(compiled)
+    without_index = db.query(by_mayor)
+    assert (with_index.cache.outcome, without_index.cache.outcome) == ("miss", "miss")
     assert {r["c"].oid for r in with_index.rows} == {
         r["c"].oid for r in without_index.rows
     }
     print(
         f"  same {len(with_index.rows)} rows with and without the index "
-        f"(simulated I/O {with_index.simulated_io_seconds:.3f}s vs "
-        f"{without_index.simulated_io_seconds:.3f}s)"
+        f"(simulated I/O {with_index.execution.simulated_io_seconds:.3f}s vs "
+        f"{without_index.execution.simulated_io_seconds:.3f}s)"
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.algebra.predicates import Conjunction, Term
+from repro.algebra.predicates import CompOp, Conjunction, Const, Term
 from repro.errors import AlgebraError
 
 
@@ -322,11 +322,11 @@ class HavingClause:
     """
 
     column: str
-    op: "object"  # predicates.CompOp (kept loose to avoid an import cycle)
-    value: object
+    op: CompOp
+    constant: Const  # a term, so a cached plan can hold it as a slot
 
     def __str__(self) -> str:
-        return f"{self.column} {self.op.value} {self.value!r}"
+        return f"{self.column} {self.op.value} {self.constant}"
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ contains a path expression — simplification has already decomposed paths
 into Mat operators — so each atom mentions exactly one link:
 
 ``Const``
-    a literal value;
+    a literal value, or — in a plan-cache template — a *slot*: the value
+    then travels beside the plan in the statement's ``consts`` tuple, and
+    the term keeps the first binding's value for costing only;
 ``FieldRef(var, attr)``
     a scalar attribute of an in-scope object variable (evaluating it
     requires that variable's object to be present in memory);
@@ -25,10 +27,14 @@ symmetric comparisons) so that logically identical predicates hash equally
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import operator
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Union
+from typing import Any, Iterable, Iterator, Union
+
+from repro.errors import ExecutionError
 
 
 class CompOp(enum.Enum):
@@ -68,11 +74,44 @@ COMPARISON_OPS = {
 }
 
 
+# The ``consts`` of the statement being shown: a cached plan is shared by
+# every statement of its shape, so only the renderer knows whose constants
+# to print.
+_SHOWN_CONSTS: ContextVar[tuple] = ContextVar("shown_consts", default=())
+
+
+@contextlib.contextmanager
+def showing(consts: tuple) -> Iterator[None]:
+    """Within the block, ``str()`` of a slotted :class:`Const` is the value
+    ``consts`` binds to it — for EXPLAIN output and feedback fingerprints
+    of a plan-cache template.  Per thread (a context variable)."""
+    token = _SHOWN_CONSTS.set(consts)
+    try:
+        yield
+    finally:
+        _SHOWN_CONSTS.reset(token)
+
+
 @dataclass(frozen=True)
 class Const:
     value: Any
+    slot: int | None = None
+
+    def bound(self, consts: tuple) -> Any:
+        """The value to compute with: ``consts[slot]``, or the literal."""
+        if self.slot is None:
+            return self.value
+        try:
+            return consts[self.slot]
+        except IndexError:
+            raise ExecutionError(
+                f"plan template needs a constant for slot {self.slot}; "
+                f"{len(consts)} were given"
+            ) from None
 
     def __str__(self) -> str:
+        if self.slot is not None and (consts := _SHOWN_CONSTS.get()):
+            return repr(consts[self.slot])
         return repr(self.value)
 
 
@@ -149,13 +188,16 @@ def term_memory_vars(term: Term) -> frozenset[str]:
 
 
 def _term_key(term: Term) -> tuple:
-    return (type(term).__name__, str(term))
+    # Not ``str`` for a constant: conjunct order must not depend on whose
+    # constants happen to be shown while a key is first derived.
+    text = repr(term.value) if isinstance(term, Const) else str(term)
+    return (type(term).__name__, text)
 
 
 class DerivedOnFirstUse:
     """Fills a frozen dataclass's non-field slots the first time one is
     read: reading an unset slot raises AttributeError, which lands here.
-    ``dataclasses.replace`` (and so ``rebind_plan``) and unpickling leave
+    ``dataclasses.replace`` and unpickling leave
     them unset, so a derived value is recomputed, never copied."""
 
     __slots__ = ()
@@ -310,6 +352,7 @@ __all__ = [
     "SelfOid",
     "Term",
     "VarRef",
+    "showing",
     "term_memory_vars",
     "term_vars",
 ]

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
 from repro.baselines.greedy import GreedyOptimizer
 from repro.baselines.naive import NaiveOptimizer
+from repro.algebra.predicates import showing
 from repro.cache.fingerprint import (
     ParameterizedQuery,
     bind_template,
+    digest_entry,
     parameterize,
     rebind_plan,
 )
@@ -53,10 +55,10 @@ from repro.governor.context import QueryContext
 from repro.obs.explain import ExplainReport, build_report
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.lang.ast import DeleteAst, InsertAst, QueryAst, SetQueryAst, UpdateAst
+from repro.lang.lexer import strip_literals
 from repro.lang.parser import parse_query, parse_statement
 from repro.storage.mvcc import CommitRecord, Transaction
 from repro.optimizer.config import COLLAPSE_TO_INDEX_SCAN, OptimizerConfig
-from repro.optimizer.dynamic import MAX_DYNAMIC_INDEXES, DynamicPlanner
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.optimizer.plans import PhysicalNode
 from repro.simplify.simplifier import SimplifiedQuery, simplify_full
@@ -80,9 +82,16 @@ class QueryResult:
     # carries the degradation markers (`governor.degraded`) and, under
     # fault injection, the injector's stats.
     governor: QueryContext | None = None
+    # The statement's constants, in slot order.  A cached ``plan`` is a
+    # template shared by every statement of its shape: its constants are
+    # slots, and these are the values this statement ran with (pass them
+    # to ``Database.execute_plan`` to run the plan again).
+    consts: tuple = ()
 
     def explain(self, costs: bool = False) -> str:
-        return self.optimization.explain(costs=costs)
+        """The plan as this statement ran it: slots show ``consts``."""
+        with showing(self.consts):
+            return self.optimization.explain(costs=costs)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -408,11 +417,11 @@ class Database:
                     # already admitted, and reads the transaction's view.
                     target = parameterize(plan.target, auto=True)
                     optimization, result_vars, _ = self._plan(
-                        target, target.auto_values, config, use_cache,
-                        False, governor,
+                        target, target.consts, config, use_cache, governor
                     )
                     _, targets = self._execute(
-                        optimization, result_vars, config, governor, view
+                        optimization, result_vars, config, governor, view,
+                        target.consts,
                     )
                     if operation == "update":
                         affected = dml_engine.apply_update(
@@ -544,7 +553,8 @@ class Database:
         with slot:
             optimization = self._search(self.simplify(query), config, governor, tracer)
             optimization, execution = self._execute(
-                optimization, (), config, governor, None, cold=cold, instrument=tracer
+                optimization, (), config, governor, None, (),
+                cold=cold, instrument=tracer,
             )
         return build_report(
             text,
@@ -562,6 +572,7 @@ class Database:
         ctx: QueryContext | None = None,
         view=None,
         monitor: CardinalityMonitor | None = None,
+        consts: tuple = (),
     ) -> ExecutionResult:
         """Run a physical plan with fresh I/O accounting.
 
@@ -572,12 +583,13 @@ class Database:
         ``view`` pins the run's MVCC snapshot (default: latest committed
         state, pinned at start).  ``monitor`` threads per-operator row
         streams through a cardinality monitor (feedback ingestion and
-        the adaptive-replan trigger).
+        the adaptive-replan trigger).  ``consts`` binds the slots of a
+        plan-cache template (``QueryResult.consts``).
         """
         if self.executor is None:
             raise CatalogError("this database has no populated store")
         result = self.executor.execute(
-            plan, cold=cold, ctx=ctx, view=view, monitor=monitor
+            plan, cold=cold, ctx=ctx, view=view, monitor=monitor, consts=consts
         )
         if result_vars:
             keep = set(result_vars)
@@ -619,9 +631,11 @@ class Database:
 
         The query is auto-parameterized and the plan cache consulted
         transparently: repeats of the same query shape with different
-        constants reuse the cached plan (re-bound to today's constants)
-        instead of re-running the optimizer.  ``use_cache=False`` (or
-        ``db.cache_plans = False``) opts out of both lookup and store.
+        constants run the cached plan template with their own constants
+        instead of re-running the optimizer — and a text that differs
+        from an earlier one only in its literals is recognised by its
+        digest and not parsed again.  ``use_cache=False`` (or
+        ``db.cache_plans = False``) opts out of all of it.
 
         ``options`` sets per-query resource limits by ``$``-key:
         ``$timeout`` (whole-query deadline, ms — exceeding it raises
@@ -643,35 +657,49 @@ class Database:
                     "pass either options or a prebuilt governor, not both"
                 )
             governor = QueryContext.from_options(options, self.tracer)
-        statement = parse_statement(text)
         if use_cache is None:
             use_cache = self.cache_plans
-        if isinstance(statement, (InsertAst, UpdateAst, DeleteAst)):
-            if not execute:
-                raise TransactionError(
-                    "execute=False is not supported for DML statements: "
-                    "applying the writes is the statement; use "
-                    "Database.optimize on the target query for plan-only "
-                    "inspection"
+        known = None
+        if use_cache:
+            digest, raws = strip_literals(text)
+            known = self.plan_cache.recall(digest, raws)
+        if known is not None:
+            parameterized, consts = known
+        else:
+            # The one place syntax errors and eligibility are decided; a
+            # digest is only ever remembered for a query that got through.
+            statement = parse_statement(text)
+            if isinstance(statement, (InsertAst, UpdateAst, DeleteAst)):
+                if not execute:
+                    raise TransactionError(
+                        "execute=False is not supported for DML statements: "
+                        "applying the writes is the statement; use "
+                        "Database.optimize on the target query for plan-only "
+                        "inspection"
+                    )
+                return self._run_dml(
+                    statement, config, governor, transaction, use_cache
                 )
-            return self._run_dml(
-                statement, config, governor, transaction, use_cache
-            )
+            parameterized = parameterize(statement, auto=True)
+            if parameterized.user_param_names:
+                names = ", ".join(f"${n}" for n in parameterized.user_param_names)
+                raise ParameterBindingError(
+                    f"query text contains unbound parameters ({names}); use "
+                    "Database.prepare(...) and bind values via execute(...)"
+                )
+            consts = parameterized.consts
+            if use_cache:
+                self.plan_cache.remember(
+                    digest, digest_entry(parameterized, digest, raws)
+                )
         view = None
         if transaction is not None:
             if self.store is None:
                 raise TransactionError("this database has no populated store")
             view = self.store.view(txn=transaction)
-        parameterized = parameterize(statement, auto=True)
-        if parameterized.user_param_names:
-            names = ", ".join(f"${n}" for n in parameterized.user_param_names)
-            raise ParameterBindingError(
-                f"query text contains unbound parameters ({names}); use "
-                "Database.prepare(...) and bind values via execute(...)"
-            )
         return self._run_statement(
             parameterized,
-            parameterized.auto_values,
+            consts,
             config=config,
             execute=execute,
             use_cache=use_cache,
@@ -687,7 +715,6 @@ class Database:
         self,
         text: str,
         config: OptimizerConfig | None = None,
-        dynamic: bool = False,
     ) -> PreparedQuery:
         """Parse and normalize once; execute many times with ``$params``.
 
@@ -697,14 +724,8 @@ class Database:
                             'WHERE c.floor == $floor')
             pq.execute(floor=3)
             pq.execute(floor=7)      # plan-cache hit: no optimizer run
-
-        ``dynamic=True`` compiles an ObjectStore-style dynamic plan on
-        the first execution, so the cached entry survives index drops and
-        re-creations by re-selecting among pre-compiled scenarios (when
-        more than ``MAX_DYNAMIC_INDEXES`` indexes exist, the flag is
-        ignored and a static plan is cached).
         """
-        return PreparedQuery(self, text, config=config, dynamic=dynamic)
+        return PreparedQuery(self, text, config=config)
 
     # ------------------------------------------------------------------
     # The statement lifecycle: admit -> plan -> execute -> replan
@@ -714,30 +735,30 @@ class Database:
     def _run_statement(
         self,
         parameterized: ParameterizedQuery,
-        values: dict[str, Any],
+        consts: tuple,
         config: OptimizerConfig | None = None,
         execute: bool = True,
         use_cache: bool = True,
-        dynamic: bool = False,
         governor: QueryContext | None = None,
         view=None,
     ) -> QueryResult:
         """One read statement through every stage, in order; shared by
-        `query` and PreparedQuery.  ``values`` maps slot names (auto or
-        ``$user``) to already-validated plain Python values."""
+        `query` and PreparedQuery.  The statement is the template plus
+        ``consts``, its plain Python values in slot order."""
         config, slot = self._admit(config, governor)
         with slot:
             optimization, result_vars, info = self._plan(
-                parameterized, values, config, use_cache, dynamic, governor
+                parameterized, consts, config, use_cache, governor
             )
             execution = None
             if execute and self.executor is not None:
                 optimization, execution = self._execute(
-                    optimization, result_vars, config, governor, view
+                    optimization, result_vars, config, governor, view, consts
                 )
         rows = execution.rows if execution is not None else []
         return QueryResult(
-            rows, optimization.plan, optimization, execution, info, governor=governor
+            rows, optimization.plan, optimization, execution, info,
+            governor=governor, consts=consts,
         )
 
     def _admit(
@@ -761,50 +782,40 @@ class Database:
     def _plan(
         self,
         parameterized: ParameterizedQuery,
-        values: dict[str, Any],
+        consts: tuple,
         config: OptimizerConfig,
         use_cache: bool,
-        dynamic: bool,
         governor: QueryContext | None,
     ) -> tuple[OptimizationResult, tuple[str, ...], CacheInfo]:
-        """Stage 2 — plan: re-bind a cached plan (``hit`` / ``reselect``),
+        """Stage 2 — plan: take the cached template as it is (``hit``),
         or plan for the first time (bind -> simplify -> search) and store
         the result (``miss``) unless caching is off for the call, the
-        plan is degraded (both ``bypass``) or it is ``uncacheable``."""
+        plan is degraded (both ``bypass``) or it is ``uncacheable``.
+        Either way the plan's lifted constants are slots: ``consts``
+        travels beside it to `_execute`."""
         storable = use_cache and parameterized.cacheable
         if storable:
             # The optimizer configuration changes which plans are legal, so
             # every plan-affecting knob is part of the fingerprint —
             # ``cache_key()`` renders them canonically (sorted rule sets), so
             # equal configs always share a key and different rewrite /
-            # feedback settings never do.  Dynamic entries live under
-            # their own key: a static entry for the same text must not
-            # shadow the scenario compilation.
-            suffix = "\x00dynamic" if dynamic else ""
-            key = f"{parameterized.text_key}\x00{config.cache_key()}{suffix}"
+            # feedback settings never do.
+            key = f"{parameterized.text_key}\x00{config.cache_key()}"
             entry, outcome = self.plan_cache.lookup(
                 key, self.catalog,
                 feedback_version=self.feedback.version if config.feedback else None,
             )
             if entry is not None:
-                by_index = {
-                    slot.index: values[slot.name] for slot in parameterized.slots
-                }
-                plan = rebind_plan(entry.optimization.plan, by_index)
-                optimization = replace(
-                    entry.optimization, plan=plan, cost=plan.total_cost
-                )
+                rebind_plan(entry.param_count, consts)
                 info = CacheInfo(
                     outcome, key, self.catalog.version, entry.optimization_seconds
                 )
-                return optimization, entry.result_vars, info
+                return entry.optimization, entry.result_vars, info
         else:
             key = parameterized.text_key
             outcome = "bypass" if parameterized.cacheable else "uncacheable"
-        # Constants are tagged only in a plan that will be stored, so a
-        # later hit can re-bind them.
         started = time.perf_counter()
-        bound = bind_template(parameterized, values, tagged=storable)
+        bound = bind_template(parameterized, consts)
         simplified = self.simplify(bound)
         optimization = self._search(simplified, config, governor)
         if storable and governor is not None and governor.degraded:
@@ -813,21 +824,12 @@ class Database:
             # runs of the same query shape.
             outcome = "bypass"
         elif storable:
-            dynamic_plan = None
-            if dynamic and len(self.catalog.indexes()) <= MAX_DYNAMIC_INDEXES:
-                dynamic_plan = DynamicPlanner(self.catalog, config).plan(
-                    simplified.tree,
-                    result_vars=simplified.result_vars,
-                    order=simplified.order,
-                )
             self.plan_cache.store(
                 CacheEntry(
                     key=key,
                     optimization=optimization,
                     result_vars=simplified.result_vars,
-                    dynamic=dynamic_plan,
                     catalog_version=self.catalog.version,
-                    stats_version=self.catalog.stats_version,
                     optimization_seconds=time.perf_counter() - started,
                     param_count=len(parameterized.slots),
                     # Captured *after* optimizing: the search itself may have
@@ -848,13 +850,15 @@ class Database:
         config: OptimizerConfig,
         governor: QueryContext | None,
         view,
+        consts: tuple,
         cold: bool = True,
         instrument: Tracer | None = None,
     ) -> tuple[OptimizationResult, ExecutionResult]:
-        """Stage 3 — execute: pin the snapshot, run the plan, and on a
-        replan reason re-plan and re-run on that same snapshot.  Returns
-        the optimization that produced the rows.  ``instrument`` (EXPLAIN
-        ANALYZE) collects per-operator stats and receives the events."""
+        """Stage 3 — execute: pin the snapshot, run the plan with the
+        statement's ``consts``, and on a replan reason re-plan and re-run
+        on that same snapshot.  Returns the optimization that produced
+        the rows.  ``instrument`` (EXPLAIN ANALYZE) collects per-operator
+        stats and receives the events."""
         if view is None:
             view = self.store.view()
         # Feedback monitoring is snapshot-scoped: observations from a
@@ -869,7 +873,9 @@ class Database:
         while True:
             monitor = None
             if monitored:
-                monitor = CardinalityMonitor(optimization.plan, replan_ratio)
+                # Feedback keys on what the plan computed *this* time.
+                with showing(consts):
+                    monitor = CardinalityMonitor(optimization.plan, replan_ratio)
             try:
                 if instrument is None:
                     # SELECT *: the user sees the range variables; helper
@@ -877,13 +883,13 @@ class Database:
                     # materialize are not part of the result.
                     execution = self.execute_plan(
                         optimization.plan, result_vars=result_vars,
-                        ctx=governor, view=view, monitor=monitor,
+                        ctx=governor, view=view, monitor=monitor, consts=consts,
                     )
                 else:
                     execution = self.executor.execute(
                         optimization.plan, cold=cold, collect_stats=True,
                         tracer=instrument, ctx=governor, view=view,
-                        monitor=monitor,
+                        monitor=monitor, consts=consts,
                     )
             except AdaptiveReplanSignal as signal:
                 # Mid-query re-optimization: an operator blew past its
@@ -914,7 +920,7 @@ class Database:
                 return optimization, execution
             optimization = self._replan(
                 reason, detail, optimization, config, governor,
-                instrument if instrument is not None else self.tracer,
+                instrument if instrument is not None else self.tracer, consts,
             )
 
     def _replan(
@@ -925,46 +931,24 @@ class Database:
         config: OptimizerConfig,
         governor: QueryContext | None,
         tracer: Tracer,
+        consts: tuple,
     ) -> OptimizationResult:
         """Stage 4 — replan: record why, then re-optimize the same
         logical tree for the same required properties under the same
-        governor (its clocks keep ticking), so only the plan changes."""
+        governor (its clocks keep ticking), so only the plan changes.
+        The tree may be a cached template's: the new plan has the same
+        slots, and the search looks feedback up under ``consts``."""
         if governor is not None:
             governor.mark_degraded(reason, **detail)
         elif tracer.enabled:
             tracer.event("degraded", reason, **detail)
-        return self._optimizer(config).optimize(
-            optimization.logical,
-            required=optimization.required,
-            tracer=tracer,
-            query_ctx=governor,
-        )
-
-    # ------------------------------------------------------------------
-    # Dynamic plan selection (ObjectStore's capability, cost-based)
-    # ------------------------------------------------------------------
-
-    def dynamic_plan(
-        self,
-        query: Union[str, QueryAst, SetQueryAst],
-        indexes: tuple[str, ...] | None = None,
-        config: OptimizerConfig | None = None,
-    ):
-        """Compile one plan per index-availability scenario; select later
-        with :meth:`execute_dynamic` (or ``plan.choose_for(catalog)``)."""
-        simplified = self.simplify(query)
-        planner = DynamicPlanner(self.catalog, config or self.config)
-        return planner.plan(
-            simplified.tree,
-            result_vars=simplified.result_vars,
-            order=simplified.order,
-            indexes=indexes,
-        )
-
-    def execute_dynamic(self, dynamic_plan, cold: bool = True) -> ExecutionResult:
-        """Pick the scenario plan matching today's indexes and run it."""
-        plan = dynamic_plan.choose_for(self.catalog)
-        return self.execute_plan(plan, cold=cold)
+        with showing(consts):
+            return self._optimizer(config).optimize(
+                optimization.logical,
+                required=optimization.required,
+                tracer=tracer,
+                query_ctx=governor,
+            )
 
     # ------------------------------------------------------------------
     # Baselines

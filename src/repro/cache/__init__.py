@@ -4,11 +4,13 @@ The subsystem that amortizes optimization across repeated traffic:
 
 ``fingerprint``
     AST normalization — literal constants become parameter slots, so
-    structurally identical queries share one cache entry — plus the
-    tagged-value machinery that re-binds cached plans to new constants;
+    structurally identical queries share one cache entry and one plan
+    template, each statement bringing its own ``consts`` — plus the
+    literal-to-slot map behind the statement digest;
 ``plan_cache``
-    a bounded LRU of optimized plans keyed on (fingerprint, catalog
-    version), with invalidation, dynamic-plan re-selection, and counters;
+    a bounded LRU of plan templates keyed on (fingerprint, catalog
+    version), with invalidation and counters, and the digest memo that
+    lets a repeated statement skip the parser;
 ``prepared``
     ``Database.prepare(...)`` → parse/normalize once, execute many times.
 """
@@ -19,7 +21,6 @@ from repro.cache.fingerprint import (
     bind_template,
     parameterize,
     rebind_plan,
-    tag_value,
 )
 from repro.cache.plan_cache import (
     CacheEntry,
@@ -40,5 +41,4 @@ __all__ = [
     "bind_template",
     "parameterize",
     "rebind_plan",
-    "tag_value",
 ]

@@ -8,16 +8,17 @@ out of the AST into *parameter slots* (``$?0``, ``$?1``, ...), producing
 * a **template** AST in which eligible constants became :class:`ParamAst`
   placeholders — its canonical rendering is the cache fingerprint, so
   textually different but structurally identical queries collide; and
-* the extracted **values**, in slot order, used to bind the template back
-  into a concrete query.
+* the extracted **values**, in slot order: the statement's ``consts``.
 
-Bound values are wrapped in *tagged* subclasses of ``int``/``float``/
-``str`` carrying their slot index.  Tagged values behave exactly like the
-plain value everywhere (comparisons, hashing, histogram probes, index
-lookups), but survive simplification and optimization, so the constants
-embedded in a finished physical plan can be traced back to their slots
-and replaced — :func:`rebind_plan` turns a cached plan into tomorrow's
-plan without re-running the Volcano search.
+A statement is the pair (template, ``consts``) from then on.  The first
+statement of a shape is optimized from :func:`bind_template`'s tree, whose
+constants carry their slot; the slots survive simplification and the
+search, so the finished plan is itself a template, shared unchanged by
+every later statement of the shape.  Execution resolves each slot from
+the statement's own ``consts`` (``engine.tuples.lower``); the value a
+slotted term still holds is the first binding's, and only costing reads
+it.  :func:`rebind_plan`, the bind step of a cache hit, therefore has
+nothing to rebuild: it checks that the ``consts`` fit the template.
 
 Eligibility is deliberately conservative, because the simplifier's
 argument rules rewrite predicates *by constant value* (``fold-constants``
@@ -28,14 +29,19 @@ constant bounds on one term).  A constant is lifted only when
 * its path is the target of exactly one constant comparison in the whole
   statement (so ``tighten-bounds`` has nothing to merge), and
 * its value is an ``int``, ``float``, or ``str`` (``bool``/``None`` stay
-  literal: they cannot be subclass-tagged, and two-valued literals make
-  poor parameters anyway).
+  literal: two-valued literals make poor parameters, and ``null``
+  comparisons are decided by kind, not value).
 
 Constants that fail the test simply stay literal and become part of the
 fingerprint — correct, just a cache entry per distinct value.  A *user*
 parameter (``$name`` in a prepared query) that fails the test cannot fall
 back to a literal, so the whole query is marked uncacheable and every
 execution optimizes afresh.
+
+:func:`digest_entry` is what lets a repeated statement skip all of the
+above: it records, for a text that parsed, which of its literals went to
+which slot, keyed by the literal-stripped digest ``lang.lexer`` takes in
+one pass (see :class:`Digested` and ``PlanCache.recall``).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Union
 
-from repro.errors import ParameterBindingError, PlanCacheError
+from repro.errors import ParameterBindingError
 from repro.lang.ast import (
     ComparisonAst,
     Condition,
@@ -55,75 +61,14 @@ from repro.lang.ast import (
     QueryAst,
     SetQueryAst,
 )
+from repro.lang.lexer import literal_positions
 
 QueryNode = Union[QueryAst, SetQueryAst]
 
 
-# ---------------------------------------------------------------------------
-# Tagged parameter values
-# ---------------------------------------------------------------------------
-
-
-class TaggedInt(int):
-    """An ``int`` that remembers which parameter slot produced it."""
-
-    param_index: int
-
-    def __new__(cls, value: int, param_index: int) -> "TaggedInt":
-        obj = super().__new__(cls, value)
-        obj.param_index = param_index
-        return obj
-
-
-class TaggedFloat(float):
-    """A ``float`` that remembers which parameter slot produced it."""
-
-    param_index: int
-
-    def __new__(cls, value: float, param_index: int) -> "TaggedFloat":
-        obj = super().__new__(cls, value)
-        obj.param_index = param_index
-        return obj
-
-
-class TaggedStr(str):
-    """A ``str`` that remembers which parameter slot produced it."""
-
-    param_index: int
-
-    def __new__(cls, value: str, param_index: int) -> "TaggedStr":
-        obj = super().__new__(cls, value)
-        obj.param_index = param_index
-        return obj
-
-
-_TAGGED_TYPES = (TaggedInt, TaggedFloat, TaggedStr)
-
-
 def bindable(value: Any) -> bool:
-    """Can ``value`` be carried through a plan as a tagged parameter?"""
+    """Can ``value`` fill a parameter slot?"""
     return isinstance(value, (int, float, str)) and not isinstance(value, bool)
-
-
-def tag_value(value: Any, index: int):
-    """Wrap a plain value in its tagged twin for slot ``index``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ParameterBindingError(
-            f"parameter values must be int, float, or str; got "
-            f"{type(value).__name__!s}"
-        )
-    if isinstance(value, int):
-        return TaggedInt(value, index)
-    if isinstance(value, float):
-        return TaggedFloat(value, index)
-    return TaggedStr(value, index)
-
-
-def tagged_index(value: Any) -> int | None:
-    """The slot index of a tagged value, or None for anything else."""
-    if isinstance(value, _TAGGED_TYPES):
-        return value.param_index
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +81,16 @@ class ParamSlot:
     """One parameter of a normalized query.
 
     ``auto`` slots were lifted out of literal constants and carry the
-    extracted ``value``; user slots (``$name`` in the query text) have no
-    value until ``execute(...)`` binds one.
+    extracted ``value`` and where in the text it stood; user slots
+    (``$name`` in the query text) have no value until ``execute(...)``
+    binds one.
     """
 
     name: str
     index: int
     auto: bool
     value: Any = None
+    position: int | None = None
 
 
 @dataclass(frozen=True)
@@ -161,9 +108,10 @@ class ParameterizedQuery:
         return tuple(s.name for s in self.slots if not s.auto)
 
     @property
-    def auto_values(self) -> dict[str, Any]:
-        """Extracted literal values, keyed by (auto) slot name."""
-        return {s.name: s.value for s in self.slots if s.auto}
+    def consts(self) -> tuple:
+        """The literal values lifted out of the text this was built from,
+        in slot order (every slot is ``auto`` on the ``query`` path)."""
+        return tuple([s.value for s in self.slots])
 
 
 class _Parameterizer:
@@ -223,7 +171,8 @@ class _Parameterizer:
             and self.bound_counts[str(partner)] == 1
         ):
             slot = ParamSlot(
-                f"?{len(self.slots)}", len(self.slots), auto=True, value=operand.value
+                f"?{len(self.slots)}", len(self.slots), auto=True,
+                value=operand.value, position=operand.position,
             )
             self.slots.append(slot)
             return ParamAst(slot.name)
@@ -301,86 +250,91 @@ class _Binder:
 
     def operand(self, operand):
         if isinstance(operand, ParamAst):
-            if operand.name not in self.substitutions:
-                raise ParameterBindingError(
-                    f"no value bound for parameter ${operand.name}"
-                )
             return self.substitutions[operand.name]
         return operand
 
 
-def bind_template(
-    param: ParameterizedQuery, values: dict[str, Any], tagged: bool
-) -> QueryNode:
-    """Substitute every parameter slot with a constant.
-
-    ``values`` maps slot names to plain Python values.  With ``tagged``
-    the constants carry their slot index so the resulting plan can later
-    be rebound; without, plain values are used (the cache-bypass path).
-    """
-    substitutions: dict[str, ConstAst] = {}
-    for slot in param.slots:
-        if slot.name not in values:
-            raise ParameterBindingError(f"no value bound for parameter ${slot.name}")
-        value = values[slot.name]
-        substitutions[slot.name] = ConstAst(
-            tag_value(value, slot.index) if tagged else value
+def _check_consts(slots: int, consts: tuple) -> None:
+    if len(consts) != slots:
+        raise ParameterBindingError(
+            f"the statement has {slots} parameter slots; "
+            f"{len(consts)} values were bound"
         )
-    return _Binder(substitutions).query(param.template)
+    for value in consts:
+        if not bindable(value):
+            raise ParameterBindingError(
+                f"parameter values must be int, float, or str; got "
+                f"{type(value).__name__!s}"
+            )
 
 
-# ---------------------------------------------------------------------------
-# Plan rebinding
-# ---------------------------------------------------------------------------
+def bind_template(param: ParameterizedQuery, consts: tuple) -> QueryNode:
+    """The miss-path bind: the template with every slot a constant again.
 
-
-def rebind_plan(obj: Any, values: dict[int, Any]) -> Any:
-    """A structural copy of ``obj`` with tagged constants replaced.
-
-    Walks plan nodes, predicates, and containers generically; every
-    tagged value is swapped for the (re-tagged) value of its slot, and
-    untouched substructure is shared, not copied.  Works on a single
-    :class:`PhysicalNode` tree or a whole ``DynamicPlan``.
+    Each constant keeps its slot number beside its value, so the plan
+    optimized from this tree is a template too (see the module docstring);
+    ``consts`` is in slot order.
     """
-    import dataclasses
-
-    index = tagged_index(obj)
-    if index is not None:
-        if index not in values:
-            raise PlanCacheError(f"plan references unknown parameter slot {index}")
-        return tag_value(values[index], index)
-    if isinstance(obj, tuple):
-        rebuilt = tuple(rebind_plan(item, values) for item in obj)
-        return rebuilt if any(a is not b for a, b in zip(obj, rebuilt)) else obj
-    if isinstance(obj, list):
-        return [rebind_plan(item, values) for item in obj]
-    if isinstance(obj, dict):
-        return {
-            rebind_plan(k, values): rebind_plan(v, values) for k, v in obj.items()
+    _check_consts(len(param.slots), consts)
+    return _Binder(
+        {
+            slot.name: ConstAst(value, slot.index)
+            for slot, value in zip(param.slots, consts)
         }
-    if isinstance(obj, frozenset):
-        return frozenset(rebind_plan(item, values) for item in obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        changes = {}
-        for field_def in dataclasses.fields(obj):
-            old = getattr(obj, field_def.name)
-            new = rebind_plan(old, values)
-            if new is not old:
-                changes[field_def.name] = new
-        return dataclasses.replace(obj, **changes) if changes else obj
-    return obj
+    ).query(param.template)
+
+
+def rebind_plan(param_count: int, consts: tuple) -> None:
+    """The hit-path bind: check ``consts`` against the cached template.
+
+    A cached plan is never rebuilt — its slots resolve from ``consts`` as
+    it runs — so binding is O(slots): the template takes ``param_count``
+    values of bindable type, or the statement is rejected before it runs.
+    """
+    _check_consts(param_count, consts)
+
+
+# ---------------------------------------------------------------------------
+# Statement digests
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Digested:
+    """What parsing one text taught the plan cache about its digest.
+
+    ``order[i]`` is the ordinal (among the text's literals) of the literal
+    that fills slot ``i``.  ``fixed`` lists the literals that stayed in
+    the template, as (ordinal, source text): the skeleton only serves a
+    later text that spells those the same way.
+    """
+
+    parameterized: ParameterizedQuery
+    order: tuple[int, ...]
+    fixed: tuple[tuple[int, str], ...]
+
+
+def digest_entry(
+    parameterized: ParameterizedQuery, digest: tuple[str, ...], raws: list[str]
+) -> Digested:
+    """Match a parsed text's slots to its literals — ``lang.lexer``'s
+    ``strip_literals(text)`` — by source position."""
+    ordinal = {
+        position: k for k, position in enumerate(literal_positions(digest, raws))
+    }
+    order = tuple(ordinal[slot.position] for slot in parameterized.slots)
+    lifted = set(order)
+    fixed = tuple((k, raw) for k, raw in enumerate(raws) if k not in lifted)
+    return Digested(parameterized, order, fixed)
 
 
 __all__ = [
+    "Digested",
     "ParamSlot",
     "ParameterizedQuery",
-    "TaggedFloat",
-    "TaggedInt",
-    "TaggedStr",
     "bind_template",
     "bindable",
+    "digest_entry",
     "parameterize",
     "rebind_plan",
-    "tag_value",
-    "tagged_index",
 ]

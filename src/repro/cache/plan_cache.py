@@ -1,9 +1,9 @@
 """A bounded LRU cache of optimized plans, invalidated by catalog version.
 
 The paper's compile-time/execution-time discussion ends with ObjectStore's
-dynamic plans; industrial optimizers go one step further and amortize the
-optimizer itself across repeated traffic by caching parameterized plans.
-This module is that layer:
+dynamic plans; industrial optimizers instead amortize the optimizer itself
+across repeated traffic by caching parameterized plans.  This module is
+that layer:
 
 * entries are keyed on ``(fingerprint, catalog version)`` — the
   fingerprint is the normalized query template (plus the optimizer
@@ -11,27 +11,28 @@ This module is that layer:
   by ``create_index`` / ``drop_index`` / ``analyze`` /
   ``collect_type_statistics``, so a stale plan is *invalidated*, never
   silently reused;
-* the stored plan carries tagged parameter constants, so a hit re-binds
-  today's values into yesterday's plan (see ``cache.fingerprint``) in
-  microseconds instead of re-running the Volcano search;
-* an entry may additionally hold a :class:`DynamicPlan`; when only index
-  availability changed (statistics version untouched) and the surviving
-  indexes are a subset of the compiled scenarios, the cache *re-selects*
-  the matching scenario instead of re-optimizing — ObjectStore's run-time
-  capability, now cache-integrated;
-* everything is observable: hits, misses, evictions, invalidations,
-  re-selections, and the optimizer wall-time the cache saved.
+* the stored plan is an immutable template whose constants are slots: a
+  hit hands the very same plan to the executor, beside the statement's
+  own ``consts`` (see ``cache.fingerprint``), instead of re-running the
+  Volcano search;
+* a *digest memo* of the same capacity, under the same lock, remembers
+  for each literal-stripped statement text which template it parsed to
+  and which literal fills which slot, so a repeated statement is
+  recognised from one lexical pass and never builds an AST;
+* everything is observable: hits, misses, evictions, invalidations, and
+  the optimizer wall-time the cache saved.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
+from repro.cache.fingerprint import Digested, ParameterizedQuery
 from repro.catalog.catalog import Catalog
 from repro.errors import PlanCacheError
-from repro.optimizer.dynamic import DynamicPlan
+from repro.lang.lexer import literal_value
 from repro.optimizer.optimizer import OptimizationResult
 
 DEFAULT_CAPACITY = 128
@@ -46,7 +47,6 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     invalidations: int = 0
-    reselects: int = 0
     optimization_seconds_saved: float = 0.0
 
     @property
@@ -60,8 +60,8 @@ class CacheStats:
     def describe(self) -> str:
         """One-line counter summary for the CLI and benchmark reports."""
         return (
-            f"{self.hits} hits ({self.reselects} by dynamic re-selection), "
-            f"{self.misses} misses, {self.invalidations} invalidations, "
+            f"{self.hits} hits, {self.misses} misses, "
+            f"{self.invalidations} invalidations, "
             f"{self.evictions} evictions, hit rate {self.hit_rate:.0%}, "
             f"saved {self.optimization_seconds_saved * 1000:.1f} ms of "
             "optimization"
@@ -72,11 +72,10 @@ class CacheStats:
 class CacheInfo:
     """How the plan cache treated one query (attached to ``QueryResult``).
 
-    ``outcome`` is one of ``"hit"`` (plan re-bound from cache),
-    ``"reselect"`` (dynamic-plan scenario re-selected after an index-only
-    change), ``"miss"`` (optimized and stored), ``"uncacheable"`` (the
-    query's parameters defeat safe reuse), or ``"bypass"`` (caching was
-    switched off for the call).
+    ``outcome`` is one of ``"hit"`` (the cached template ran with this
+    statement's constants), ``"miss"`` (optimized and stored),
+    ``"uncacheable"`` (the query's parameters defeat safe reuse), or
+    ``"bypass"`` (caching was switched off for the call).
     """
 
     outcome: str
@@ -86,7 +85,7 @@ class CacheInfo:
 
     @property
     def hit(self) -> bool:
-        return self.outcome in ("hit", "reselect")
+        return self.outcome == "hit"
 
 
 @dataclass
@@ -96,9 +95,7 @@ class CacheEntry:
     key: str
     optimization: OptimizationResult
     result_vars: tuple[str, ...]
-    dynamic: DynamicPlan | None
     catalog_version: int
-    stats_version: int
     optimization_seconds: float
     param_count: int
     hits: int = field(default=0)
@@ -122,6 +119,7 @@ class PlanCache:
             raise PlanCacheError("plan cache capacity must be positive")
         self.capacity = capacity
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._digests: OrderedDict[tuple[str, ...], Digested] = OrderedDict()
         self.stats = CacheStats()
         self._lock = threading.RLock()
 
@@ -137,13 +135,12 @@ class PlanCache:
     ) -> tuple[CacheEntry | None, str]:
         """Find a live entry for ``key`` under the current catalog.
 
-        Returns ``(entry, outcome)`` where outcome is ``"hit"``,
-        ``"reselect"``, or ``"miss"``.  A version-stale entry is removed
-        (counted as an invalidation) unless its dynamic plan can be
-        re-selected for the surviving index set.  With
-        ``feedback_version`` given (feedback on), an entry optimized
-        against a different feedback-store version is likewise
-        invalidated — the store has learned since the plan was chosen.
+        Returns ``(entry, outcome)`` where outcome is ``"hit"`` or
+        ``"miss"``.  A version-stale entry is removed (counted as an
+        invalidation).  With ``feedback_version`` given (feedback on), an
+        entry optimized against a different feedback-store version is
+        likewise invalidated — the store has learned since the plan was
+        chosen.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -159,22 +156,6 @@ class PlanCache:
             if entry.catalog_version == catalog.version:
                 self._record_hit(entry)
                 return entry, "hit"
-            if (
-                entry.dynamic is not None
-                and entry.stats_version == catalog.stats_version
-            ):
-                available = frozenset(ix.name for ix in catalog.indexes())
-                if available <= entry.dynamic.considered:
-                    # Index-only drift within the compiled scenarios: swap
-                    # in the matching scenario plan and revalidate.
-                    chosen = entry.dynamic.choose_for(catalog)
-                    entry.optimization = replace(
-                        entry.optimization, plan=chosen, cost=chosen.total_cost
-                    )
-                    entry.catalog_version = catalog.version
-                    self._record_hit(entry)
-                    self.stats.reselects += 1
-                    return entry, "reselect"
             del self._entries[key]
             self.stats.invalidations += 1
             self.stats.misses += 1
@@ -197,10 +178,36 @@ class PlanCache:
             self._entries[entry.key] = entry
             self.stats.stores += 1
 
+    def recall(
+        self, digest: tuple[str, ...], raws: list[str]
+    ) -> tuple[ParameterizedQuery, tuple] | None:
+        """The statement ``(template, consts)`` a text stands for, if a
+        text with this digest (``lang.lexer.strip_literals``) has parsed
+        before and spells its non-lifted literals the same way."""
+        with self._lock:
+            known = self._digests.get(digest)
+            if known is None:
+                return None
+            self._digests.move_to_end(digest)
+        for ordinal, raw in known.fixed:
+            if raws[ordinal] != raw:
+                return None
+        consts = tuple([literal_value(raws[k]) for k in known.order])
+        return known.parameterized, consts
+
+    def remember(self, digest: tuple[str, ...], known: Digested) -> None:
+        """Record what parsing a text with this digest produced."""
+        with self._lock:
+            self._digests.pop(digest, None)
+            if len(self._digests) >= self.capacity:
+                self._digests.popitem(last=False)
+            self._digests[digest] = known
+
     def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
+        """Drop every entry and digest (counters are kept)."""
         with self._lock:
             self._entries.clear()
+            self._digests.clear()
 
     def entries(self) -> tuple[CacheEntry, ...]:
         """Current entries, least- to most-recently used."""
@@ -214,12 +221,11 @@ class PlanCache:
             + self.stats.describe()
         ]
         for entry in self.entries():
-            kind = "dynamic" if entry.dynamic is not None else "static"
             fingerprint = entry.key.split("\x00", 1)[0]
             if len(fingerprint) > 72:
                 fingerprint = fingerprint[:69] + "..."
             lines.append(
-                f"  [v{entry.catalog_version} {kind} "
+                f"  [v{entry.catalog_version} "
                 f"{entry.param_count} params, {entry.hits} hits] {fingerprint}"
             )
         return "\n".join(lines)

@@ -4,8 +4,8 @@
 normalization, fingerprinting) and returns a :class:`PreparedQuery` whose
 ``execute(**params)`` binds values for the ``$name`` placeholders and
 runs through the plan cache: the first execution optimizes and stores the
-plan; later executions re-bind the cached plan, or — for dynamic prepared
-queries — re-select among pre-compiled index scenarios.
+plan template; later executions run that same template with their own
+values.
 
 Parameter binding is validated eagerly: missing, unexpected, or
 unsupported-type values raise :class:`~repro.errors.ParameterBindingError`
@@ -26,24 +26,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class PreparedQuery:
-    """A parsed, normalized query awaiting parameter values.
-
-    ``dynamic=True`` additionally compiles an ObjectStore-style dynamic
-    plan on the first execution, letting the cached entry survive index
-    drops/re-creations by scenario re-selection instead of
-    re-optimization (see ``optimizer.dynamic``).
-    """
+    """A parsed, normalized query awaiting parameter values."""
 
     def __init__(
         self,
         db: "Database",
         text: str,
         config: "OptimizerConfig | None" = None,
-        dynamic: bool = False,
     ) -> None:
         self._db = db
         self._config = config
-        self._dynamic = dynamic
         self.text = text
         self.parameterized = parameterize(parse_query(text), auto=False)
 
@@ -58,7 +50,9 @@ class PreparedQuery:
         query then re-optimizes on every execution)."""
         return self.parameterized.cacheable
 
-    def _validate(self, params: dict[str, Any]) -> None:
+    def _consts(self, params: dict[str, Any]) -> tuple:
+        """``params`` validated, as the statement's constants in slot
+        order (a prepared query's slots are its ``$name`` placeholders)."""
         expected = set(self.param_names)
         provided = set(params)
         missing = sorted(expected - provided)
@@ -84,26 +78,21 @@ class PreparedQuery:
                     f"parameter ${name} has unsupported type "
                     f"{type(value).__name__}; expected int, float, or str"
                 )
+        return tuple(params[name] for name in self.param_names)
 
     def execute(self, **params: Any) -> "QueryResult":
         """Bind ``params`` and run the query (through the plan cache)."""
-        self._validate(params)
         return self._db._run_statement(
-            self.parameterized,
-            params,
-            config=self._config,
-            dynamic=self._dynamic,
+            self.parameterized, self._consts(params), config=self._config
         )
 
     def explain(self, costs: bool = False, **params: Any) -> str:
         """Bind ``params``, plan (via the cache), and render the plan."""
-        self._validate(params)
         result = self._db._run_statement(
             self.parameterized,
-            params,
+            self._consts(params),
             config=self._config,
             execute=False,
-            dynamic=self._dynamic,
         )
         return result.explain(costs=costs)
 

@@ -89,9 +89,7 @@ class Catalog:
         # Monotonic counters: ``version`` moves on every metadata change
         # that can invalidate a cached plan (index DDL, statistics);
         # ``stats_version`` moves only on statistics changes.  The plan
-        # cache keys entries on (fingerprint, version); a dynamic plan can
-        # additionally survive index-only changes while ``stats_version``
-        # is unchanged by re-selecting among its compiled scenarios.
+        # cache keys entries on (fingerprint, version).
         self._version = 0
         self._stats_version = 0
         # Per-collection *data* versions: bumped by every committed DML
@@ -402,25 +400,6 @@ class Catalog:
         return tuple(
             ix for ix in self._indexes.values() if ix.collection == collection_name
         )
-
-    def with_index_subset(self, names: frozenset[str]) -> "Catalog":
-        """A read-only view of this catalog exposing only some indexes.
-
-        Schema and statistics are shared by reference; only the index
-        dictionary differs.  Used by dynamic plan selection to optimize
-        the same query under every index-availability scenario.
-        """
-        view = Catalog(self._schema, self.page_size)
-        view._stats = self._stats
-        view._type_populations = self._type_populations
-        view._data_versions = self._data_versions
-        view._live_cardinality = self._live_cardinality
-        for index in self._indexes.values():
-            if index.name in names:
-                view._indexes[index.name] = index
-        view._version = self._version
-        view._stats_version = self._stats_version
-        return view
 
     # ------------------------------------------------------------------
     # Reporting

@@ -19,7 +19,6 @@ Dot-commands:
                      plus a traced-event summary (rules, prunes,
                      enforcers, warnings)
 ``.validate``        cost-formula vs simulator micro-experiments
-``.dynamic QUERY``   compile per-index-scenario plans (ObjectStore-style)
 ``.cache``           plan-cache entries and counters
 ``.cache clear``     drop every cached plan ( .cache on / off toggles use )
 ``.feedback``        observed-cardinality feedback store: entries and
@@ -208,9 +207,6 @@ class Shell:
                     f"  simulated {row.simulated_io_s:7.3f}s"
                     f"  ratio {row.ratio:5.2f}x"
                 )
-        elif command == ".dynamic":
-            rest = line[len(".dynamic") :].strip()
-            self.echo(self.db.dynamic_plan(rest, config=self._config()).describe())
         elif command == ".cache":
             if args == ["clear"]:
                 self.db.plan_cache.clear()

@@ -88,6 +88,9 @@ class PlanRun:
     #: subplan fingerprint (feedback ingestion) and raising the
     #: adaptive-replan signal on a blown estimate.
     monitor: object | None = None
+    #: The statement's constants: a plan-cache template holds slots, and
+    #: each operator resolves them from here when it lowers its predicate.
+    consts: tuple = ()
 
 
 class Executor:
@@ -119,6 +122,7 @@ class Executor:
         ctx: QueryContext | None = None,
         view: "ObjectStore | SnapshotView | None" = None,
         monitor=None,
+        consts: tuple = (),
     ) -> ExecutionResult:
         """Run a plan to completion with fresh I/O accounting.
 
@@ -136,7 +140,8 @@ class Executor:
 
         ``view`` pins the run's MVCC read snapshot (see
         :meth:`ObjectStore.view`); omitted, the run reads the latest
-        committed state.
+        committed state.  ``consts`` binds the slots of a plan-cache
+        template (``QueryResult.consts``).
         """
         if view is None:
             view = self.store.view()
@@ -164,6 +169,7 @@ class Executor:
             ctx=ctx,
             tracer=tracer if tracer is not None else self.tracer,
             monitor=monitor,
+            consts=consts,
         )
         # The injector installation is per *thread*, so a governed session's
         # faults never fire inside another session's concurrent query.
@@ -244,11 +250,13 @@ class Executor:
                 plan.var,
                 plan.comparison,
                 plan.residual,
+                run.consts,
             )
         if isinstance(plan, FilterNode):
             return iterators.filter_rows(
                 self.rows(plan.children[0], run, collector),
                 plan.predicate,
+                run.consts,
             )
         if isinstance(plan, AssemblyNode):
             return iterators.assembly(
@@ -288,6 +296,7 @@ class Executor:
                     self.rows(plan.children[0], run, collector),
                     self.rows(plan.children[1], run, collector),
                     plan.predicate,
+                    run.consts,
                     budget_bytes=ctx.memory_bytes,
                     tracer=run.tracer,
                 )
@@ -295,6 +304,7 @@ class Executor:
                 self.rows(plan.children[0], run, collector),
                 self.rows(plan.children[1], run, collector),
                 plan.predicate,
+                run.consts,
             )
         if isinstance(plan, HashAntiJoinNode):
             ctx = run.ctx
@@ -304,6 +314,7 @@ class Executor:
                     self.rows(plan.children[0], run, collector),
                     self.rows(plan.children[1], run, collector),
                     plan.predicate,
+                    run.consts,
                     budget_bytes=ctx.memory_bytes,
                     tracer=run.tracer,
                 )
@@ -311,6 +322,7 @@ class Executor:
                 self.rows(plan.children[0], run, collector),
                 self.rows(plan.children[1], run, collector),
                 plan.predicate,
+                run.consts,
             )
         if isinstance(plan, MergeJoinNode):
             return iterators.merge_join(
@@ -319,6 +331,7 @@ class Executor:
                 plan.predicate,
                 plan.left_key,
                 plan.right_key,
+                run.consts,
             )
         if isinstance(plan, SortNode):
             order = plan.delivered.order
@@ -348,6 +361,7 @@ class Executor:
                 self.rows(plan.children[0], run, collector),
                 self.rows(plan.children[1], run, collector),
                 plan.predicate,
+                run.consts,
             )
         if isinstance(plan, AlgProjectNode):
             return iterators.project(
@@ -362,6 +376,7 @@ class Executor:
                 plan.aggregates,
                 plan.order_output,
                 plan.having,
+                run.consts,
             )
         if isinstance(plan, HashSetOpNode):
             return iterators.set_op(

@@ -12,6 +12,9 @@ The operators are faithful to the algorithms the optimizer costs:
 * **index scan** probes the runtime index and fetches qualifying root
   objects — path components stay non-resident, exactly as the optimizer's
   delivered-property vector claims.
+
+Operators that evaluate a predicate take the statement's ``consts``: the
+plan may be a plan-cache template whose constants are slots.
 """
 
 from __future__ import annotations
@@ -85,9 +88,10 @@ def index_scan(
     var: str,
     comparison: Comparison,
     residual: Conjunction,
+    consts: tuple = (),
 ) -> Iterator[Row]:
     """Probe an index, fetch qualifying roots, apply the residual."""
-    op, key = _comparison_probe(comparison)
+    op, key = _comparison_probe(comparison, consts)
     if op is CompOp.EQ:
         oids = index.lookup_eq(store, key)
     elif op in (CompOp.LT, CompOp.LE):
@@ -101,30 +105,34 @@ def index_scan(
         oids = index.lookup_ne(store, key)
     else:  # pragma: no cover - exhaustive over CompOp
         raise ExecutionError(f"index scan cannot serve operator {op}")
-    passes = _residual(residual)
+    passes = _residual(residual, consts)
     for oid in oids:
         row = {var: Obj(oid, store.fetch(oid))}
         if passes is None or passes(row):
             yield row
 
 
-def _comparison_probe(comparison: Comparison) -> tuple[CompOp, Any]:
+def _comparison_probe(
+    comparison: Comparison, consts: tuple = ()
+) -> tuple[CompOp, Any]:
     """Extract (operator-with-field-on-left, constant) from a comparison."""
     if isinstance(comparison.right, Const):
-        return comparison.op, comparison.right.value
+        return comparison.op, comparison.right.bound(consts)
     if isinstance(comparison.left, Const):
-        return comparison.op.flipped(), comparison.left.value
+        return comparison.op.flipped(), comparison.left.bound(consts)
     raise ExecutionError(f"index probe needs a constant: {comparison}")
 
 
-def _residual(predicate: Conjunction):
+def _residual(predicate: Conjunction, consts: tuple = ()):
     """The lowered predicate, or None when there is nothing to test."""
-    return None if predicate.is_true else lower(predicate)
+    return None if predicate.is_true else lower(predicate, consts)
 
 
-def filter_rows(rows: Iterable[Row], predicate: Conjunction) -> Iterator[Row]:
+def filter_rows(
+    rows: Iterable[Row], predicate: Conjunction, consts: tuple = ()
+) -> Iterator[Row]:
     """Emit rows satisfying the conjunction."""
-    return filter(lower(predicate), rows)
+    return filter(lower(predicate, consts), rows)
 
 
 def _resolve_ref(row: Row, source: RefSource) -> Oid | None:
@@ -239,7 +247,10 @@ def _split_join_predicate(
     return build_keys, probe_keys, Conjunction.from_iterable(residual)
 
 
-def _lower_join(predicate: Conjunction, build_row: Row, probe_row: Row, kind: str):
+def _lower_join(
+    predicate: Conjunction, build_row: Row, probe_row: Row, kind: str,
+    consts: tuple = (),
+):
     """(build key, probe key, residual test or None) of an equi-join,
     lowered once against the variables each side's first row binds."""
     build_keys, probe_keys, residual = _split_join_predicate(
@@ -247,7 +258,9 @@ def _lower_join(predicate: Conjunction, build_row: Row, probe_row: Row, kind: st
     )
     if not build_keys:
         raise ExecutionError(f"{kind} without equi-conjuncts: {predicate}")
-    return lower_key(build_keys), lower_key(probe_keys), _residual(residual)
+    return (
+        lower_key(build_keys), lower_key(probe_keys), _residual(residual, consts)
+    )
 
 
 def _hash_table(rows: Iterable[Row], key) -> dict[tuple, list[Row]]:
@@ -265,6 +278,7 @@ def hash_join(
     build_rows: Iterable[Row],
     probe_rows: Iterable[Row],
     predicate: Conjunction,
+    consts: tuple = (),
 ) -> Iterator[Row]:
     """Hybrid hash join: build on the first input, probe with the second."""
     build_list = list(build_rows)
@@ -276,7 +290,7 @@ def hash_join(
     except StopIteration:
         return
     build_key, probe_key, passes = _lower_join(
-        predicate, build_list[0], first_probe, "hash join"
+        predicate, build_list[0], first_probe, "hash join", consts
     )
     table = _hash_table(build_list, build_key)
     for row in chain((first_probe,), probe_iter):
@@ -311,6 +325,7 @@ def merge_join(
     predicate: Conjunction,
     left_term,
     right_term,
+    consts: tuple = (),
 ) -> Iterator[Row]:
     """Merge join: both inputs sorted ascending on the given key terms.
 
@@ -324,7 +339,9 @@ def merge_join(
     right_list = [r for r in right_rows]
     if not left_list or not right_list:
         return
-    passes = _residual(predicate.without(Comparison(left_term, CompOp.EQ, right_term)))
+    passes = _residual(
+        predicate.without(Comparison(left_term, CompOp.EQ, right_term)), consts
+    )
     # One-tuples order exactly as their single element does.
     left_keys = list(map(lower_key((left_term,)), left_list))
     right_keys = list(map(lower_key((right_term,)), right_list))
@@ -362,6 +379,7 @@ def anti_join(
     left_rows: Iterable[Row],
     right_rows: Iterable[Row],
     predicate: Conjunction,
+    consts: tuple = (),
 ) -> Iterator[Row]:
     """Hash anti-join: emit left rows with NO matching right row.
 
@@ -380,7 +398,7 @@ def anti_join(
         yield from left_iter
         return
     left_key, right_key, passes = _lower_join(
-        predicate, first_left, right_list[0], "anti join"
+        predicate, first_left, right_list[0], "anti join", consts
     )
     table = _hash_table(right_list, right_key)  # a null key matches no left row
 
@@ -404,10 +422,11 @@ def nested_loops_join(
     outer_rows: Iterable[Row],
     inner_rows: Iterable[Row],
     predicate: Conjunction,
+    consts: tuple = (),
 ) -> Iterator[Row]:
     """Outer-major nested loops; handles arbitrary (even true) predicates."""
     inner_list = list(inner_rows)
-    passes = lower(predicate)
+    passes = lower(predicate, consts)
     for outer in outer_rows:
         for inner in inner_list:
             combined = {**outer, **inner}
@@ -437,6 +456,7 @@ def group_by(
     aggregates: tuple,
     order_output: tuple[str, bool] | None,
     having: tuple = (),
+    consts: tuple = (),
 ) -> Iterator[Row]:
     """Hash aggregation.
 
@@ -496,8 +516,9 @@ def group_by(
     # any other comparison (over None, or incomparable values: false).
     keeps = lower(
         Conjunction.from_iterable(
-            Comparison(VarRef(h.column), h.op, Const(h.value)) for h in having
-        )
+            Comparison(VarRef(h.column), h.op, h.constant) for h in having
+        ),
+        consts,
     )
 
     output: list[Row] = []

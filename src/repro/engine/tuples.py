@@ -55,9 +55,9 @@ class Obj:
 Row = dict[str, Any]
 
 
-def _lower_term(term: Term) -> Callable[[Row], Any]:
+def _lower_term(term: Term, consts: tuple = ()) -> Callable[[Row], Any]:
     if isinstance(term, Const):
-        constant = term.value
+        constant = term.bound(consts)
         return lambda row: constant
     var = term.var
     if isinstance(term, VarRef):
@@ -92,16 +92,20 @@ def _lower_term(term: Term) -> Callable[[Row], Any]:
     return evaluate
 
 
-def lower(expr: Term | Comparison | Conjunction) -> Callable[[Row], Any]:
+def lower(
+    expr: Term | Comparison | Conjunction, consts: tuple = ()
+) -> Callable[[Row], Any]:
     """Lower a term, comparison or conjunction to a ``row -> value`` callable.
 
     Operators lower their expressions once per instantiation and call the
     result per row: all dispatch on the expression's shape happens here,
     none in the row loop, and the SQL-style rule — a comparison over None,
     or between values that do not compare, is false — is written here only.
+    It is also where a plan template meets its statement: a slotted
+    constant lowers to ``consts[slot]``.
     """
     if isinstance(expr, Conjunction):
-        tests = tuple(map(lower, expr.comparisons))
+        tests = tuple([lower(c, consts) for c in expr.comparisons])
         if len(tests) == 1:
             return tests[0]
 
@@ -113,8 +117,9 @@ def lower(expr: Term | Comparison | Conjunction) -> Callable[[Row], Any]:
 
         return every
     if not isinstance(expr, Comparison):
-        return _lower_term(expr)
-    left, right = _lower_term(expr.left), _lower_term(expr.right)
+        return _lower_term(expr, consts)
+    left = _lower_term(expr.left, consts)
+    right = _lower_term(expr.right, consts)
     compare = COMPARISON_OPS[expr.op]
 
     def holds(row: Row) -> bool:

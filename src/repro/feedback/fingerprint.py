@@ -13,9 +13,11 @@ The shape-independence rules:
   index scan with a residual all reduce to one flattened
   ``select(input, {conjuncts})`` key — predicates are compared by their
   canonical string rendering (:class:`~repro.algebra.predicates.
-  Conjunction` orders and dedups conjuncts, and the plan cache's tagged
-  constants are ``int``/``float``/``str`` subclasses, so a re-bound plan
-  renders identically to a freshly parsed one);
+  Conjunction` orders and dedups conjuncts; a plan-cache template's
+  slotted constants render the running statement's values inside
+  ``predicates.showing(consts)``, which is how the execute and replan
+  stages call in here, so a cached plan keys identically to a freshly
+  parsed one);
 * join inputs are unordered (commutativity) for ``Join`` and the
   commuting set operations, ordered where the operator is not symmetric
   (``AntiJoin``, ``difference``);

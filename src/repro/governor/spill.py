@@ -174,6 +174,7 @@ def spill_hash_join(
     build_rows: Iterable[Row],
     probe_rows: Iterable[Row],
     predicate,
+    consts: tuple = (),
     budget_bytes: int = 0,
     tracer: Tracer = NULL_TRACER,
 ) -> Iterator[Row]:
@@ -193,11 +194,13 @@ def spill_hash_join(
         return
     probe_stream = itertools.chain([first_probe], probe_iter)
     if build_bytes <= budget_bytes:
-        yield from iterators.hash_join(iter(build_list), probe_stream, predicate)
+        yield from iterators.hash_join(
+            iter(build_list), probe_stream, predicate, consts
+        )
         return
 
     build_key, probe_key, passes = iterators._lower_join(
-        predicate, build_list[0], first_probe, "hash join"
+        predicate, build_list[0], first_probe, "hash join", consts
     )
     fanout = _fanout(build_bytes, budget_bytes)
     if tracer.enabled:
@@ -244,6 +247,7 @@ def spill_anti_join(
     left_rows: Iterable[Row],
     right_rows: Iterable[Row],
     predicate,
+    consts: tuple = (),
     budget_bytes: int = 0,
     tracer: Tracer = NULL_TRACER,
 ) -> Iterator[Row]:
@@ -264,11 +268,13 @@ def spill_anti_join(
         yield from left_stream
         return
     if right_bytes <= budget_bytes:
-        yield from iterators.anti_join(left_stream, iter(right_list), predicate)
+        yield from iterators.anti_join(
+            left_stream, iter(right_list), predicate, consts
+        )
         return
 
     left_key, right_key, passes = iterators._lower_join(
-        predicate, first_left, right_list[0], "anti join"
+        predicate, first_left, right_list[0], "anti join", consts
     )
     fanout = _fanout(right_bytes, budget_bytes)
     if tracer.enabled:

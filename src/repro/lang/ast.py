@@ -7,7 +7,7 @@ Simplification reduces these trees to the optimizer-input algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Union
 
 
@@ -28,7 +28,15 @@ class PathAst:
 
 @dataclass(frozen=True)
 class ConstAst:
+    """A literal.  ``slot`` is set when the plan cache bound the constant
+    into a template (``bind_template``): the value then travels beside the
+    plan, in the statement's ``consts``.  ``position`` is where the parser
+    found a STRING or NUMBER literal in the text; it is not part of the
+    tree's identity."""
+
     value: Any
+    slot: int | None = None
+    position: int | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return repr(self.value)

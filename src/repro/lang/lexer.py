@@ -1,8 +1,10 @@
-"""Hand-written lexer for the ZQL dialect."""
+"""The lexical grammar of the ZQL dialect: tokens for the parser, and
+the literal-stripped statement digest for the plan cache."""
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -66,8 +68,25 @@ class Token:
         return self.kind is TokenKind.SYMBOL and self.text == sym
 
 
-_TWO_CHAR_SYMBOLS = ("==", "!=", "<=", ">=", "&&")
-_ONE_CHAR_SYMBOLS = "(),.<>*;="
+# The lexical grammar, once: ``tokenize`` and ``strip_literals`` are both
+# built from these sub-patterns.  A ``.`` belongs to a number only between
+# digits (``c.x`` and ``1.name`` keep it as the path separator).
+_STRING = r"\"[^\"]*\"|'[^']*'"
+_NUMBER = r"\d+(?:\.\d+)?"
+_NAME = r"[^\W\d]\w*"
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<string>{_STRING})|(?P<number>{_NUMBER})|\$(?P<param>{_NAME})"
+    rf"|(?P<word>{_NAME})|(?P<symbol>==|!=|<=|>=|&&|[(),.<>*;=]))"
+)
+# A digit that follows a word character continues a name (``c1``, ``$p2``).
+_LITERAL = re.compile(rf"({_STRING}|(?<!\w){_NUMBER})")
+
+
+def literal_value(raw: str) -> Any:
+    """The value a STRING or NUMBER token's source text denotes."""
+    if raw[0] in "\"'":
+        return raw[1:-1]
+    return float(raw) if "." in raw else int(raw)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -79,67 +98,66 @@ def tokenize(text: str) -> list[Token]:
 
 def _scan(text: str) -> Iterator[Token]:
     pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == '"' or ch == "'":
-            end = text.find(ch, pos + 1)
-            if end < 0:
-                raise QuerySyntaxError("unterminated string literal", pos)
-            literal = text[pos + 1 : end]
-            yield Token(TokenKind.STRING, literal, literal, pos)
-            pos = end + 1
-            continue
-        if ch.isdigit():
-            end = pos
-            seen_dot = False
-            while end < length and (text[end].isdigit() or (text[end] == "." and not seen_dot)):
-                if text[end] == ".":
-                    # A dot not followed by a digit is a path separator.
-                    if end + 1 >= length or not text[end + 1].isdigit():
-                        break
-                    seen_dot = True
-                end += 1
-            raw = text[pos:end]
-            value: Any = float(raw) if "." in raw else int(raw)
-            yield Token(TokenKind.NUMBER, raw, value, pos)
-            pos = end
-            continue
+    while (match := _TOKEN.match(text, pos)) is not None:
+        kind = match.lastgroup
+        raw = match.group(kind)
+        start = match.start(kind)
+        if kind == "string":
+            value = literal_value(raw)
+            yield Token(TokenKind.STRING, value, value, start)
+        elif kind == "number":
+            yield Token(TokenKind.NUMBER, raw, literal_value(raw), start)
+        elif kind == "param":
+            yield Token(TokenKind.PARAM, raw, raw, start - 1)
+        elif kind == "symbol":
+            yield Token(TokenKind.SYMBOL, raw, raw, start)
+        elif (lower := raw.lower()) in KEYWORDS:
+            yield Token(TokenKind.KEYWORD, lower, lower, start)
+        else:
+            yield Token(TokenKind.IDENT, raw, raw, start)
+        pos = match.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        pos, ch = len(text) - len(rest), rest[0]
+        if ch in "\"'":
+            raise QuerySyntaxError("unterminated string literal", pos)
         if ch == "$":
-            end = pos + 1
-            if end >= length or not (text[end].isalpha() or text[end] == "_"):
-                raise QuerySyntaxError("expected parameter name after '$'", pos)
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            name = text[pos + 1 : end]
-            yield Token(TokenKind.PARAM, name, name, pos)
-            pos = end
-            continue
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[pos:end]
-            lower = word.lower()
-            if lower in KEYWORDS:
-                yield Token(TokenKind.KEYWORD, lower, lower, pos)
-            else:
-                yield Token(TokenKind.IDENT, word, word, pos)
-            pos = end
-            continue
-        two = text[pos : pos + 2]
-        if two in _TWO_CHAR_SYMBOLS:
-            yield Token(TokenKind.SYMBOL, two, two, pos)
-            pos += 2
-            continue
-        if ch in _ONE_CHAR_SYMBOLS or ch in "<>":
-            yield Token(TokenKind.SYMBOL, ch, ch, pos)
-            pos += 1
-            continue
+            raise QuerySyntaxError("expected parameter name after '$'", pos)
         raise QuerySyntaxError(f"unexpected character {ch!r}", pos)
 
 
-__all__ = ["Token", "TokenKind", "tokenize", "KEYWORDS"]
+def strip_literals(text: str) -> tuple[tuple[str, ...], list[str]]:
+    """One pass over ``text``: its digest and its literals' source texts.
+
+    The digest is everything *between* the STRING and NUMBER tokens, so two
+    texts share a digest exactly when they differ in nothing but literal
+    values — the plan cache recognises a statement shape by it without
+    parsing.  Never raises: a text that does not tokenize has a digest no
+    parsed text shares (an unterminated quote stays in it), and the parser
+    reports the error.
+    """
+    parts = _LITERAL.split(text)
+    return tuple(parts[::2]), parts[1::2]
+
+
+def literal_positions(digest: tuple[str, ...], raws: list[str]) -> list[int]:
+    """Where each literal of :func:`strip_literals` started in the text, in
+    order — the ``position`` of the token ``tokenize`` makes of it."""
+    positions = []
+    position = 0
+    for between, raw in zip(digest, raws):
+        position += len(between)
+        positions.append(position)
+        position += len(raw)
+    return positions
+
+
+__all__ = [
+    "KEYWORDS",
+    "Token",
+    "TokenKind",
+    "literal_positions",
+    "literal_value",
+    "strip_literals",
+    "tokenize",
+]

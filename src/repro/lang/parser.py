@@ -252,7 +252,7 @@ class _Parser:
         token = self._peek()
         if token.kind in (TokenKind.NUMBER, TokenKind.STRING):
             self._advance()
-            return ConstAst(token.value)
+            return ConstAst(token.value, position=token.position)
         if token.kind is TokenKind.PARAM:
             self._advance()
             return ParamAst(token.text)
@@ -363,7 +363,7 @@ class _Parser:
         token = self._peek()
         if token.kind is TokenKind.NUMBER or token.kind is TokenKind.STRING:
             self._advance()
-            return ConstAst(token.value)
+            return ConstAst(token.value, position=token.position)
         if token.kind is TokenKind.PARAM:
             self._advance()
             return ParamAst(token.text)

@@ -206,15 +206,22 @@ class OptimizerConfig:
         so two configs that can pick different plans never share an
         entry.  ``disabled_rules`` is a frozenset whose repr ordering is
         unspecified — rendered sorted here so equal configs always key
-        identically.
+        identically.  Rendered once per (frozen) instance, on first use:
+        every cached statement asks, and ``replace`` — which copies
+        fields, not this — makes the copy render its own.
         """
-        return (
-            f"rules={','.join(sorted(self.disabled_rules))};"
-            f"cost={self.cost!r};prune={self.prune};"
-            f"cap={self.candidate_cap};pf={self.prune_factor};"
-            f"rewrites={self.rewrites};feedback={self.feedback};"
-            f"replan={self.feedback_replan_ratio}"
-        )
+        try:
+            return self._cache_key
+        except AttributeError:
+            key = (
+                f"rules={','.join(sorted(self.disabled_rules))};"
+                f"cost={self.cost!r};prune={self.prune};"
+                f"cap={self.candidate_cap};pf={self.prune_factor};"
+                f"rewrites={self.rewrites};feedback={self.feedback};"
+                f"replan={self.feedback_replan_ratio}"
+            )
+            object.__setattr__(self, "_cache_key", key)
+            return key
 
     def with_memory_budget(self, memory_bytes: int) -> "OptimizerConfig":
         """A config whose cost model plans against a per-query memory

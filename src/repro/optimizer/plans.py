@@ -5,6 +5,12 @@ properties it *delivers* (which variables are present in memory), the
 estimated output cardinality, and local/total estimated cost.  The pretty
 printer renders the same shapes as the paper's figures ("Hybrid Hash Join
 j.self == e.job", "Assembly d.plant", "Index Scan Cities: c, ...").
+
+A plan the cache holds is an immutable template: constants the cache
+lifted are slotted terms (``Const(value, slot)``), shared by every
+statement of the shape and resolved per execution from the statement's
+``consts``.  Rendering shows those under ``predicates.showing(consts)``
+(``QueryResult.explain`` does), the first binding's values otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from repro.optimizer.physical_props import PhysProps
 
 class _SubtreeCost:
     """A plan node's one derived slot: dataclasses build ``__slots__`` from
-    fields, and ``rebind_plan`` copies fields — a copied sum would be stale."""
+    fields, and ``dataclasses.replace`` copies fields — a copied sum would
+    be stale."""
 
     __slots__ = ("total_cost",)
 

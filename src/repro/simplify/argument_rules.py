@@ -207,11 +207,19 @@ class TightenBounds(ArgumentRule):
 
     @staticmethod
     def _term_const(comp: Comparison):
-        if isinstance(comp.right, Const) and not isinstance(comp.left, Const):
-            return comp.left, comp.op, comp.right.value
-        if isinstance(comp.left, Const) and not isinstance(comp.right, Const):
-            return comp.right, comp.op.flipped(), comp.left.value
-        return None, None, None
+        left, right = comp.left, comp.right
+        if isinstance(left, Const) and not isinstance(right, Const):
+            left, right, op = right, left, comp.op.flipped()
+        elif isinstance(right, Const) and not isinstance(left, Const):
+            op = comp.op
+        else:
+            return None, None, None
+        if right.slot is not None:
+            # A slot's value changes with every binding of the template,
+            # so a bound on it is never merged by value; the plan cache
+            # lifts a constant only where there is nothing to merge.
+            return None, None, None
+        return left, op, right.value
 
 
 class PropagateEqualities(ArgumentRule):

@@ -283,7 +283,7 @@ class Simplifier:
                 HavingClause(
                     output_column(left, "HAVING"),
                     _COMP_OPS[op_text],
-                    right.value,
+                    Const(right.value, right.slot),
                 )
             )
 
@@ -514,7 +514,7 @@ class Simplifier:
 
     def _convert_operand(self, operand) -> Term:
         if isinstance(operand, ConstAst):
-            return Const(operand.value)
+            return Const(operand.value, operand.slot)
         if isinstance(operand, ParamAst):
             raise SimplificationError(
                 f"unbound parameter ${operand.name}; prepare the query with "

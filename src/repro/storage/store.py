@@ -100,6 +100,9 @@ class ObjectStore:
         #: fixed at seal(): a base object's page is arithmetic on its
         #: serial (its insertion position), never a per-object lookup.
         self._layout: dict[str, tuple[int, int, int]] = {}
+        #: Pages the base segments span, fixed at seal() with the layout:
+        #: every index probe places its synthetic pages beyond them.
+        self._total_pages = 0
         self._collections: dict[str, list[Oid]] = {}
         self._sealed = False
         self._temp_lock = threading.Lock()
@@ -158,6 +161,7 @@ class ObjectStore:
                 next_page, segment.objects_per_page, len(segment.oids)
             )
             next_page += max(1, segment.page_count)
+        self._total_pages = next_page
         self.disk.extend_span(max(1, next_page))
         for type_name, segment in self._segments.items():
             extent = self.catalog.extent_of(type_name)
@@ -328,7 +332,8 @@ class ObjectStore:
         return self._segments[type_name]
 
     def total_pages(self) -> int:
-        return sum(max(1, s.page_count) for s in self._segments.values())
+        """Pages spanned by the sealed segments (0 until ``seal``)."""
+        return self._total_pages
 
     #: Gap between data pages and the temp (spill) page range, leaving
     #: room for the index runtimes' synthetic traversal/leaf pages.

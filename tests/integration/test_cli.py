@@ -169,15 +169,6 @@ class TestExtendedCommands:
         assert "sequential scan" in output
         assert "ratio" in output
 
-    def test_dynamic_command(self, shell):
-        output = run_lines(
-            shell,
-            ".index ixm Cities mayor.name",
-            ".dynamic SELECT * FROM c IN Cities WHERE c.mayor.name == 'Joe'",
-        )
-        assert "scenarios" in output
-        assert "(no indexes)" in output
-
 
 class TestResourceLimits:
     """Satellite (c): .timeout / .memory / .chaos session limits."""

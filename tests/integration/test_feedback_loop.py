@@ -248,6 +248,31 @@ class TestReplanReasonsCompose:
         assert ctx.degraded == ["index_corruption"]  # replanned once, not forever
 
 
+class TestReplanOnACacheHit:
+    def test_adaptive_replan_answers_for_the_statements_own_constants(self):
+        """A hit carries the template of the statement that populated the
+        entry; when its run blows the estimate, the replan must still
+        compute (and look feedback up) with the hit's own constant."""
+        cold, hot = SKEWED_QUERY.replace("== 0", "== 1"), SKEWED_QUERY
+        reference = build_database(skewed_world())
+        expected = rows_key(reference.query(hot, use_cache=False).rows)
+        assert len(expected) > len(reference.query(cold, use_cache=False).rows)
+
+        db = build_database(skewed_world())
+        db.config = db.config.with_feedback(True)
+        while db.query(cold).cache.outcome != "hit":
+            pass  # until the observations, and so the entry, are stable
+        replans = db.feedback.stats.replans
+        result = db.query(hot)
+        assert result.cache.outcome == "hit"
+        assert db.feedback.stats.replans == replans + 1
+        assert rows_key(result.rows) == expected
+        assert "0 == h.k" in result.explain() and "1 == h.k" not in result.explain()
+        # What the replan learned is keyed by the hot constant: the next
+        # plan for it starts from the observation, not the estimate.
+        assert "(fed)" in db.explain(hot, costs=True)
+
+
 class TestCacheStaleness:
     def test_feedback_version_invalidates_cached_plans(self):
         """A plan cached before execution taught the store is stale.

@@ -9,8 +9,11 @@ regression, and a 200-round chaos sweep at 5% transient fault rate.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.api import Database
 from repro.errors import (
     AdmissionRejected,
     GovernorError,
@@ -226,6 +229,27 @@ class TestFaultTolerance:
             map(repr, reference.rows)
         )
         assert "index_corruption" in ctx.degraded
+
+    def test_cache_hit_that_degrades_answers_for_its_own_constants(self):
+        """The replan works from the cached entry's logical tree, which was
+        built for the statement that populated the entry: it used to
+        answer (and explain) for *that* statement's constant."""
+        db = Database.sample(0.05, seed=1)
+        db.create_index("ix_mayor", "Cities", ("mayor", "name"))
+        query = QUERY_3.replace("Joe", "{}").format
+        rows = db.query("SELECT c.mayor.name FROM City c IN Cities").rows
+        counts = Counter(row["c.mayor.name"] for row in rows)
+        (many, _), *_, (few, _) = counts.most_common()
+        assert counts[many] > counts[few]
+        assert db.query(query(many)).cache.outcome == "miss"
+        ctx = QueryContext(fault_plan=FaultPlan(seed=1, corrupt_index_prob=1.0))
+        degraded = db.query(query(few), governor=ctx)
+        assert degraded.cache.outcome == "hit"
+        assert ctx.degraded == ["index_corruption"]
+        assert len(degraded.rows) == counts[few]
+        assert degraded.rows == db.query(query(few), use_cache=False).rows
+        assert f"Filter {few!r} == c.mayor.name" in degraded.explain()
+        assert many not in degraded.explain()
 
     def test_explain_analyze_degrades_like_query(self, fresh_db):
         """EXPLAIN ANALYZE runs the shared execute/replan stages: the

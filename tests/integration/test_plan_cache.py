@@ -38,6 +38,39 @@ class TestTransparentCaching:
         uncached = fresh_db.query(Q_MAYOR.format(name="Fred"), use_cache=False)
         assert cached.rows == uncached.rows
 
+    def test_having_update_and_delete_constants_are_slots_too(self, fresh_db):
+        """Every consumer of a lifted constant resolves it from the
+        statement: HAVING, and the target query of UPDATE and DELETE."""
+        having = (
+            "SELECT e.department.floor, COUNT(*) AS n FROM Employee e IN "
+            "Employees GROUP BY e.department.floor HAVING n >= {}"
+        )
+        counts = [row["n"] for row in fresh_db.query(having.format(0)).rows]
+        cut = sorted(counts)[len(counts) // 2] + 1
+        hit = fresh_db.query(having.format(cut))
+        assert hit.cache.outcome == "hit" and f"n >= {cut}" in hit.explain()
+        assert sorted(r["n"] for r in hit.rows) == sorted(
+            n for n in counts if n >= cut
+        )
+        assert 0 < len(hit.rows) < len(counts)
+
+        one, two = (
+            row["c.name"]
+            for row in fresh_db.query("SELECT c.name FROM City c IN Cities").rows[:2]
+        )
+        update = "UPDATE c IN Cities SET c.population = {} WHERE c.name == '{}'"
+        assert fresh_db.query(update.format(11, one)).affected == 1
+        hits = fresh_db.plan_cache.stats.hits
+        assert fresh_db.query(update.format(22, two)).affected == 1
+        assert fresh_db.plan_cache.stats.hits == hits + 1  # the target query
+        by_population = "SELECT c.name FROM City c IN Cities WHERE c.population == {}"
+        assert [r["c.name"] for r in fresh_db.query(by_population.format(11)).rows] == [one]
+        assert [r["c.name"] for r in fresh_db.query(by_population.format(22)).rows] == [two]
+        delete = "DELETE c IN Cities WHERE c.name == '{}'"
+        assert fresh_db.query(delete.format(one)).affected == 1
+        assert fresh_db.query(delete.format(two)).affected == 1
+        assert fresh_db.query(by_population.format(22)).rows == []
+
     def test_opt_out_flag(self, fresh_db):
         fresh_db.query(Q_MAYOR.format(name="Joe"), use_cache=False)
         assert len(fresh_db.plan_cache) == 0
@@ -198,59 +231,6 @@ class TestPreparedQueries:
         prepared = fresh_db.prepare(Q_PREPARED)
         text = prepared.explain(who="Joe")
         assert "Joe" in text
-
-
-class TestDynamicPreparedQueries:
-    def test_reselect_on_index_drop_and_recreate(self, fresh_db):
-        fresh_db.create_index("ix_q", "Cities", ("mayor", "name"))
-        prepared = fresh_db.prepare(Q_PREPARED, dynamic=True)
-
-        first = prepared.execute(who="Joe")
-        assert first.cache.outcome == "miss"
-        assert uses_index(first.plan)
-
-        fresh_db.drop_index("ix_q")
-        dropped = prepared.execute(who="Joe")
-        assert dropped.cache.outcome == "reselect"
-        assert not uses_index(dropped.plan)
-        assert dropped.rows == first.rows
-
-        fresh_db.create_index("ix_q", "Cities", ("mayor", "name"))
-        recreated = prepared.execute(who="Fred")
-        assert recreated.cache.outcome == "reselect"
-        assert uses_index(recreated.plan)
-        assert fresh_db.plan_cache.stats.reselects == 2
-
-    def test_static_entry_does_not_shadow_dynamic(self, fresh_db):
-        # Regression: a static entry cached for the same text/config must
-        # not satisfy a dynamic prepared query's first execution, or the
-        # scenario compilation is silently skipped.
-        fresh_db.create_index("ix_q", "Cities", ("mayor", "name"))
-        fresh_db.prepare(Q_PREPARED).execute(who="Joe")
-        dynamic = fresh_db.prepare(Q_PREPARED, dynamic=True)
-        first = dynamic.execute(who="Joe")
-        assert first.cache.outcome == "miss"
-        fresh_db.drop_index("ix_q")
-        assert dynamic.execute(who="Joe").cache.outcome == "reselect"
-
-    def test_new_index_still_invalidates_dynamic_entry(self, fresh_db):
-        fresh_db.create_index("ix_q", "Cities", ("mayor", "name"))
-        prepared = fresh_db.prepare(Q_PREPARED, dynamic=True)
-        prepared.execute(who="Joe")
-        # An index outside the compiled scenarios: re-selection is not
-        # possible, the entry must be invalidated and re-optimized.
-        fresh_db.create_index("ix_extra", "Tasks", ("time",))
-        result = prepared.execute(who="Joe")
-        assert result.cache.outcome == "miss"
-        assert fresh_db.plan_cache.stats.invalidations == 1
-
-    def test_analyze_invalidates_dynamic_entry(self, fresh_db):
-        fresh_db.create_index("ix_q", "Cities", ("mayor", "name"))
-        prepared = fresh_db.prepare(Q_PREPARED, dynamic=True)
-        prepared.execute(who="Joe")
-        fresh_db.analyze("Cities")
-        result = prepared.execute(who="Joe")
-        assert result.cache.outcome == "miss"
 
 
 class TestCatalogVersion:

@@ -1,17 +1,16 @@
-"""Concurrent prepared-query executions must not cross-contaminate.
+"""Concurrent executions sharing one cache entry must not cross-contaminate.
 
-``rebind_plan`` re-binds a *cached* plan's parameter slots for each
-execution.  The implementation is copy-on-write (``dataclasses.replace``
-along changed paths only) — it must never mutate the cached plan, or two
-threads binding different ``$params`` against the same entry would see
-each other's constants.  These tests hammer one prepared query from
-several threads and check (a) every thread always gets the rows its own
-parameter selects, and (b) the cached plan is bit-identical afterwards.
+A cached plan is an immutable template: every statement of its shape runs
+the *same* plan object, and the constants travel beside it in the
+statement's ``consts``.  Nothing per-statement may therefore live on the
+plan.  These tests hammer one entry from several threads — through a
+prepared query and through literal texts recognised by their digest — and
+check (a) every thread always gets the rows (and the EXPLAIN text) its
+own constant selects, and (b) the cached plan is bit-identical afterwards.
 """
 
 import threading
 
-from repro.cache.fingerprint import rebind_plan
 from repro.engine.tuples import row_key
 
 Q_PREPARED = "SELECT * FROM City c IN Cities WHERE c.mayor.name == $who"
@@ -33,20 +32,35 @@ class TestConcurrentRebinds:
             for who in NAMES
         }
         prepared = fresh_db.prepare(Q_PREPARED)
-        prepared.execute(who=NAMES[0])  # warm the cache: one entry
-        (entry,) = fresh_db.plan_cache.entries()
-        snapshot = repr(entry.optimization.plan)
+        # Warm the cache: one entry per spelling ($who / lifted literal).
+        cached = (
+            fresh_db.query(Q_LITERAL.format(who=NAMES[0])).plan,
+            prepared.execute(who=NAMES[0]).plan,
+        )
+        snapshot = repr(cached)
 
         failures = []
 
         def hammer(who: str) -> None:
             try:
-                for _ in range(10):
-                    rows = prepared.execute(who=who).rows
-                    if _bag(rows) != expected[who]:
+                for round_ in range(10):
+                    if round_ % 2:
+                        result = prepared.execute(who=who)
+                    else:  # same entry, reached through the digest memo
+                        result = fresh_db.query(Q_LITERAL.format(who=who))
+                    if (
+                        result.cache.outcome != "hit"
+                        or result.plan is not cached[round_ % 2]
+                    ):
+                        failures.append(f"{who}: not served by the shared entry")
+                        return
+                    if _bag(result.rows) != expected[who]:
                         failures.append(
                             f"{who}: got rows for someone else's binding"
                         )
+                        return
+                    if f"{who!r} == c.mayor.name" not in result.explain():
+                        failures.append(f"{who}: EXPLAIN shows another binding")
                         return
             except Exception as exc:  # noqa: BLE001 - worker thread: any
                 # crash must be surfaced in the main thread's assertion
@@ -60,19 +74,21 @@ class TestConcurrentRebinds:
         for thread in threads:
             thread.join(timeout=60)
         assert not failures, "\n".join(failures)
-        assert repr(entry.optimization.plan) == snapshot, (
-            "rebind_plan mutated the cached plan"
-        )
+        entries = fresh_db.plan_cache.entries()
+        assert tuple(e.optimization.plan for e in entries) == cached
+        assert repr(cached) == snapshot, "a statement mutated a cached plan"
 
-    def test_rebind_never_mutates_its_input(self, fresh_db):
+    def test_statements_never_mutate_the_shared_template(self, fresh_db):
         prepared = fresh_db.prepare(Q_PREPARED)
         prepared.execute(who="Joe")
         (entry,) = fresh_db.plan_cache.entries()
         cached = entry.optimization.plan
         before = repr(cached)
-        (slot,) = prepared.parameterized.slots
-        first = rebind_plan(cached, {slot.index: "Fred"})
-        second = rebind_plan(cached, {slot.index: "Ann"})
+        first = prepared.execute(who="Fred")
+        second = prepared.execute(who="Ann")
+        assert first.plan is second.plan is cached
         assert repr(cached) == before
-        assert repr(first) != repr(second)  # bindings really landed
-        assert "Fred" in repr(first) and "Ann" in repr(second)
+        assert first.consts == ("Fred",) and second.consts == ("Ann",)
+        # Each result still shows and answers for its own binding.
+        assert "'Fred'" in first.explain() and "'Ann'" in second.explain()
+        assert "'Ann'" not in first.explain()

@@ -92,6 +92,29 @@ class TestCacheKey:
         rules = a.cache_key().split(";")[0].removeprefix("rules=").split(",")
         assert rules == sorted(rules)
 
+    def test_rendered_once_per_instance_and_again_after_replace(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        base = OptimizerConfig()
+        assert base.cache_key() is base.cache_key()  # kept, not re-rendered
+        # Every derived config renders its own: nothing is copied across.
+        for changed in (
+            dataclasses.replace(base, prune=False),
+            base.without(C.MERGE_JOIN),
+            base.with_heuristics(candidate_cap=1),
+            base.with_memory_budget(4096),
+        ):
+            assert changed.cache_key() != base.cache_key()
+            assert changed.cache_key() == dataclasses.replace(changed).cache_key()
+        # The kept key is not a field: equality, hash and repr ignore it.
+        fresh = OptimizerConfig()
+        assert fresh == base and hash(fresh) == hash(base)
+        assert repr(fresh) == repr(base)
+        for clone in (pickle.loads(pickle.dumps(base)), copy.deepcopy(base)):
+            assert clone == base and clone.cache_key() == base.cache_key()
+
     def test_feedback_flag_separates_keys(self):
         base = OptimizerConfig()
         assert base.cache_key() != base.with_feedback(True).cache_key()

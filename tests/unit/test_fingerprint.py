@@ -1,19 +1,16 @@
-"""Unit tests for query fingerprinting, tagging, and template binding."""
+"""Unit tests for query fingerprinting, template binding, and digests."""
 
 import pytest
 
 from repro.cache.fingerprint import (
-    TaggedFloat,
-    TaggedInt,
-    TaggedStr,
     bind_template,
+    digest_entry,
     parameterize,
     rebind_plan,
-    tag_value,
-    tagged_index,
 )
 from repro.errors import ParameterBindingError
 from repro.lang.ast import ConstAst, ParamAst
+from repro.lang.lexer import strip_literals
 from repro.lang.parser import parse_query
 
 
@@ -21,37 +18,13 @@ def fingerprint(text: str, auto: bool = True):
     return parameterize(parse_query(text), auto=auto)
 
 
-class TestTaggedValues:
-    def test_tagged_values_behave_like_plain(self):
-        assert tag_value(3, 0) == 3
-        assert tag_value(3, 0) < 4
-        assert hash(tag_value("Joe", 1)) == hash("Joe")
-        assert tag_value(2.5, 2) * 2 == 5.0
-
-    def test_tagged_index_roundtrip(self):
-        assert tagged_index(tag_value(3, 7)) == 7
-        assert tagged_index(3) is None
-        assert tagged_index("Joe") is None
-
-    def test_tag_types(self):
-        assert isinstance(tag_value(1, 0), TaggedInt)
-        assert isinstance(tag_value(1.0, 0), TaggedFloat)
-        assert isinstance(tag_value("x", 0), TaggedStr)
-
-    def test_bool_and_none_rejected(self):
-        with pytest.raises(ParameterBindingError):
-            tag_value(True, 0)
-        with pytest.raises(ParameterBindingError):
-            tag_value(None, 0)
-
-
 class TestAutoParameterization:
     def test_different_constants_share_fingerprint(self):
         a = fingerprint("SELECT * FROM City c IN Cities WHERE c.population == 3")
         b = fingerprint("SELECT * FROM City c IN Cities WHERE c.population == 7")
         assert a.text_key == b.text_key
-        assert a.auto_values == {"?0": 3}
-        assert b.auto_values == {"?0": 7}
+        assert a.consts == (3,)
+        assert b.consts == (7,)
 
     def test_different_shapes_differ(self):
         a = fingerprint("SELECT * FROM City c IN Cities WHERE c.population == 3")
@@ -68,7 +41,7 @@ class TestAutoParameterization:
             "SELECT * FROM Task t IN Tasks WHERE t.time == 100 AND EXISTS ("
             'SELECT m FROM Employee m IN t.team_members WHERE m.name == "Fred")'
         )
-        assert sorted(p.auto_values.values(), key=str) == [100, "Fred"]
+        assert p.consts == (100, "Fred")
         assert p.cacheable
 
     def test_bool_constants_stay_literal(self):
@@ -103,7 +76,7 @@ class TestAutoParameterization:
             "Department d IN extent(Department) "
             "WHERE e.department == d AND d.floor == 3"
         )
-        assert p.auto_values == {"?0": 3}
+        assert p.consts == (3,)
 
 
 class TestUserParameters:
@@ -140,66 +113,91 @@ class TestUserParameters:
 
 
 class TestBinding:
-    def test_bind_substitutes_tagged_constants(self):
+    def test_bind_substitutes_slotted_constants(self):
         p = fingerprint(
             "SELECT * FROM Task t IN Tasks WHERE t.time == $when", auto=False
         )
-        bound = bind_template(p, {"when": 100}, tagged=True)
+        bound = bind_template(p, (100,))
         consts = [
             c.right for c in bound.where if isinstance(c.right, ConstAst)
         ]
-        assert len(consts) == 1
-        assert consts[0].value == 100
-        assert tagged_index(consts[0].value) == 0
-
-    def test_bind_untagged(self):
-        p = fingerprint(
-            "SELECT * FROM Task t IN Tasks WHERE t.time == $when", auto=False
-        )
-        bound = bind_template(p, {"when": 100}, tagged=False)
-        const = next(c.right for c in bound.where if isinstance(c.right, ConstAst))
-        assert tagged_index(const.value) is None
+        assert consts == [ConstAst(100, slot=0)]
 
     def test_bind_missing_value_raises(self):
         p = fingerprint(
             "SELECT * FROM Task t IN Tasks WHERE t.time == $when", auto=False
         )
         with pytest.raises(ParameterBindingError):
-            bind_template(p, {}, tagged=True)
+            bind_template(p, ())
+
+    def test_bool_and_none_rejected(self):
+        p = fingerprint(
+            "SELECT * FROM Task t IN Tasks WHERE t.time == $when", auto=False
+        )
+        for value in (True, None):
+            with pytest.raises(ParameterBindingError):
+                bind_template(p, (value,))
+            with pytest.raises(ParameterBindingError):
+                rebind_plan(1, (value,))
 
     def test_template_has_no_residual_params_after_bind(self):
         p = fingerprint("SELECT * FROM Task t IN Tasks WHERE t.time == 100")
-        bound = bind_template(p, p.auto_values, tagged=True)
+        bound = bind_template(p, p.consts)
         assert "$" not in str(bound)
 
 
 class TestRebindPlan:
-    def test_rebind_replaces_tagged_constants_in_plan(self, plain_db):
-        from repro.cache.fingerprint import parameterize as param_fn
-
-        p = param_fn(
-            parse_query(
-                'SELECT * FROM City c IN Cities WHERE c.mayor.name == "Joe"'
-            )
-        )
-        bound = bind_template(p, p.auto_values, tagged=True)
-        from repro.simplify.simplifier import simplify_full
+    def test_template_plan_runs_and_shows_each_statements_consts(self, plain_db):
+        """One plan object serves every binding: its constants are slots,
+        resolved from the ``consts`` handed to execution and rendering."""
+        from repro.algebra.predicates import showing
         from repro.optimizer.optimizer import Optimizer
+        from repro.simplify.simplifier import simplify_full
 
-        simplified = simplify_full(bound, plain_db.catalog)
+        text = 'SELECT * FROM City c IN Cities WHERE c.mayor.name == "{}"'
+        p = fingerprint(text.format("Joe"))
+        simplified = simplify_full(bind_template(p, p.consts), plain_db.catalog)
         plan = Optimizer(plain_db.catalog).optimize(
             simplified.tree, result_vars=simplified.result_vars
         ).plan
-        rebound = rebind_plan(plan, {0: "Fred"})
-        assert "Fred" in str(rebound.pretty())
-        assert "Joe" not in str(rebound.pretty())
-        # The original cached plan is untouched.
-        assert "Joe" in str(plan.pretty())
+        other = plain_db.query(
+            "SELECT c.mayor.name FROM City c IN Cities", use_cache=False
+        ).rows[0]["c.mayor.name"]
+        for name in ("Joe", other):
+            consts = (name,)
+            rebind_plan(len(p.slots), consts)
+            with showing(consts):
+                assert repr(name) in plan.pretty()
+            rows = plain_db.execute_plan(plan, consts=consts).rows
+            expected = plain_db.query(text.format(name), use_cache=False).rows
+            assert len(rows) == len(expected) > 0
+        # Unbound, the template shows the first binding's value.
+        assert "'Joe'" in plan.pretty()
 
-    def test_rebind_shares_untouched_structure(self):
-        assert rebind_plan((1, 2), {}) == (1, 2)
-        tagged = tag_value(5, 0)
-        assert rebind_plan({"k": tagged}, {0: 9})["k"] == 9
+    def test_rebind_rejects_the_wrong_number_of_consts(self):
+        with pytest.raises(ParameterBindingError):
+            rebind_plan(2, ("Joe",))
 
     def test_param_ast_renders_with_dollar(self):
         assert str(ParamAst("who")) == "$who"
+
+
+class TestDigestEntry:
+    def entry(self, text):
+        digest, raws = strip_literals(text)
+        return digest_entry(fingerprint(text), digest, raws)
+
+    def test_slots_map_to_literal_ordinals(self):
+        known = self.entry(
+            "SELECT * FROM Task t IN Tasks WHERE t.time == 100 AND EXISTS ("
+            'SELECT m FROM Employee m IN t.team_members WHERE m.name == "Fred")'
+        )
+        assert known.order == (0, 1) and known.fixed == ()
+
+    def test_literals_that_stay_are_fixed_by_their_source_text(self):
+        known = self.entry(
+            "SELECT * FROM City c IN Cities "
+            "WHERE c.population > 3 AND c.name == 'x' AND c.population < 9"
+        )
+        assert known.order == (1,)
+        assert known.fixed == ((0, "3"), (2, "9"))

@@ -191,33 +191,22 @@ class TestTotalCostComputedOnce:
                 assert repr(node.total_cost) == repr(_recursive_total(node))
             assert result.cost is result.plan.total_cost
 
-    def test_rebinding_a_cached_plan_rebuilds_every_derived_value(self):
-        """A plan-cache hit is ``rebind_plan`` over the cached Q2 plan, which
-        rebuilds through ``dataclasses.replace``: the new constant must
-        reach the predicates' hashes and the subtree costs must be
-        re-summed — nothing derived is copied from the template."""
+    def test_a_cache_hit_runs_the_cached_plan_object_itself(self):
+        """A plan-cache hit allocates no plan node: the cached template,
+        subtree costs included, is the hit's plan; only the constants
+        shown and computed with are the statement's own."""
         from repro.api import Database
-        from repro.cache.fingerprint import tagged_index
 
         db = Database.sample(scale=0.02)
         db.create_index("ix_mayor", "Cities", ("mayor", "name"))
         text = 'SELECT * FROM City c IN Cities WHERE c.mayor.name == "%s"'
         miss, hit = db.query(text % "Joe"), db.query(text % "Fred")
         assert (miss.cache.outcome, hit.cache.outcome) == ("miss", "hit")
-        assert "'Fred' == c.mayor.name" in hit.plan.pretty()
-        assert "Fred" not in miss.plan.pretty()
-        for old, new in zip(miss.plan.walk(), hit.plan.walk(), strict=True):
-            assert repr(new.total_cost) == repr(_recursive_total(new))
-            assert repr(new.total_cost) == repr(old.total_cost)
-        (old,) = [n for n in miss.plan.walk() if isinstance(n, IndexScanNode)]
-        (new,) = [n for n in hit.plan.walk() if isinstance(n, IndexScanNode)]
-        assert new.comparison is not old.comparison
-        assert tagged_index(new.comparison.left.value) is not None
-        assert new.comparison.left.value == "Fred"
-        assert hash(new.comparison) == hash(
-            (new.comparison.left, new.comparison.op, new.comparison.right)
-        )
-        assert hash(new.comparison) != hash(old.comparison)
-        assert new.comparison != old.comparison
-        assert new.comparison.vars == old.comparison.vars == {"c.mayor"}
-        assert new.comparison.canonical() is new.comparison
+        assert hit.plan is miss.plan and hit.optimization is miss.optimization
+        assert (miss.consts, hit.consts) == (("Joe",), ("Fred",))
+        assert "'Fred' == c.mayor.name" in hit.explain()
+        assert "Fred" not in miss.explain() and "'Joe'" in miss.explain()
+        (scan,) = [n for n in hit.plan.walk() if isinstance(n, IndexScanNode)]
+        assert scan.comparison.left.slot == 0
+        for node in hit.plan.walk():
+            assert repr(node.total_cost) == repr(_recursive_total(node))
