@@ -91,6 +91,10 @@ class PlanRun:
     #: The statement's constants: a plan-cache template holds slots, and
     #: each operator resolves them from here when it lowers its predicate.
     consts: tuple = ()
+    #: Every stream `Executor.rows` opened, leaves first; `execute` closes
+    #: them before it reads the counters.  A traceback keeps generators
+    #: suspended below a raising operator alive, ``finally`` blocks unrun.
+    opened: list = field(default_factory=list)
 
 
 class Executor:
@@ -182,6 +186,10 @@ class Executor:
         try:
             rows = list(self.rows(plan, run, collector))
         finally:
+            for stream in reversed(run.opened):  # root first
+                close = getattr(stream, "close", None)  # `filter` has none
+                if close is not None:
+                    close()
             buffer.faults = previous_faults
             # The instrumented iterators pop their own scopes in their
             # finally blocks; this is the last-resort unwind so a query
@@ -233,11 +241,12 @@ class Executor:
             source = governed(source, run.ctx)
         if run.monitor is not None:
             source = run.monitor.wrap(plan, source)
-        if collector is None:
-            return source
-        return iterators.instrumented(
-            source, collector.stats_for(plan), self.store.buffer
-        )
+        if collector is not None:
+            source = iterators.instrumented(
+                source, collector.stats_for(plan), self.store.buffer
+            )
+        run.opened.append(source)
+        return source
 
     def _dispatch(self, plan: PhysicalNode, run: PlanRun, collector) -> Iterator[Row]:
         view = run.view

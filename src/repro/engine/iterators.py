@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import Counter
+from contextlib import closing
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator
 
@@ -77,9 +79,11 @@ def instrumented(rows: Iterator[Row], stats, buffer=None) -> Iterator[Row]:
 
 
 def file_scan(store: ObjectStore, collection: str, var: str) -> Iterator[Row]:
-    """Sequentially scan a collection, binding each object to ``var``."""
-    for oid, data in store.scan(collection):
-        yield {var: Obj(oid, data)}
+    """Sequentially scan a collection, binding each object to ``var``;
+    closing this stream closes the scan, which settles its page credit."""
+    with closing(store.scan(collection)) as scan:
+        for oid, data in scan:
+            yield {var: Obj(oid, data)}
 
 
 def index_scan(
@@ -164,16 +168,22 @@ def assembly(
     refs = (
         (row, ref) for row in rows if (ref := _resolve_ref(row, source)) is not None
     )
+    pool, page_of, peek = store.buffer, store.page_of, store.peek
+    read_page = pool.read_page
     while batch := list(islice(refs, max(1, window))):
-        # Fetch in page order (the elevator), emit in arrival order; each
-        # reference's page is computed once, for the (stable) sort.
-        fetch, page_of = store.fetch, store.page_of
+        # A dangling reference raises here, before any row of the batch.
         pages = [page_of(ref) for _, ref in batch]
-        for position in sorted(range(len(batch)), key=pages.__getitem__):
-            fetch(batch[position][1])
-        for row, ref in batch:
+        records = [peek(ref) for _, ref in batch]
+        # The elevator, in page order: nothing yields, so repeats are credited.
+        for page, requests in sorted(Counter(pages).items()):
+            read_page(page)
+            if requests > 1:
+                pool.rehit(page, requests - 1, pool.io_scope)
+        # Emit in arrival order: a hit unless the window outgrew the pool.
+        for (row, ref), page, data in zip(batch, pages, records):
+            read_page(page)
             new_row = dict(row)
-            new_row[out] = Obj(ref, fetch(ref))  # buffer hit: resolves the record
+            new_row[out] = Obj(ref, data)
             yield new_row
 
 

@@ -9,8 +9,10 @@ rows, raises :class:`AdaptiveReplanSignal` to cancel the run so the
 database can replan with the rows-so-far already ingested as feedback.
 
 Counts are flushed in ``finally`` so partially-consumed streams (LIMIT,
-the replan signal itself unwinding the iterator stack, a hash build
-aborted mid-way) still contribute their lower-bound observation.
+the replan signal itself, a hash build aborted mid-way) still contribute
+their lower-bound observation.  A traceback keeps streams suspended
+*below* the raising operator alive: ``Executor.execute`` closes every
+stream it opened, which puts their counts in front of the ingest.
 A node whose stream is opened more than once is summed, and its
 observation is complete only once every opened stream has finished.
 """

@@ -11,6 +11,15 @@ The pool is thread-safe: server session threads run their queries
 against one shared pool, so frame replacement and the hit/miss counters
 are guarded by one reentrant latch, and the attribution scopes and the
 fault-injector slot are per thread.
+
+**The repeat lemma.**  A request for the page that is already the most
+recently requested frame changes nothing but the hit counters: it is
+resident (capacity >= 1), ``move_to_end`` is a no-op, nothing is evicted
+or read.  So the pool keeps that page in ``last_page``, and scans and
+reference sweeps count such repeats themselves and settle the total with
+:meth:`BufferPool.rehit`: one call per page run.  The marker is shared by
+all threads: another session's request ends the streak, and a streak that
+held is the legal schedule in which this thread's requests ran back to back.
 """
 
 from __future__ import annotations
@@ -70,6 +79,8 @@ class BufferPool:
     capacity: int = DEFAULT_POOL_PAGES
     stats: BufferStats = field(default_factory=BufferStats)
     _frames: OrderedDict[int, None] = field(default_factory=OrderedDict)
+    #: Page of the most recent request (spill traffic aside); None once flushed.
+    last_page: int | None = field(default=None, init=False, repr=False)
     # Per-thread stacks of objects with `hits`/`misses` attributes
     # (duck-typed so the storage layer needs no dependency on repro.obs).
     _io_scopes: _ScopeStacks = field(default_factory=_ScopeStacks, repr=False)
@@ -96,11 +107,12 @@ class BufferPool:
 
     def read_page(self, page_id: int) -> float:
         """Bring a page in; returns simulated ms spent (0 on a hit).
-        Called per object scanned or fetched: keep the hit path short."""
+        Called per page run or probe: keep the hit path short."""
         scopes, frames = self._io_scopes.stack, self._frames
         with self._latch:
             if page_id in frames:
                 frames.move_to_end(page_id)
+                self.last_page = page_id
                 self.stats.hits += 1
                 if scopes:
                     scopes[-1].hits += 1
@@ -110,9 +122,18 @@ class BufferPool:
                 scopes[-1].misses += 1
             cost = self._disk_read(page_id)
             frames[page_id] = None
+            self.last_page = page_id
             if len(frames) > self.capacity:
                 frames.popitem(last=False)
         return cost
+
+    def rehit(self, page_id: int, count: int, scope) -> None:
+        """Credit ``count`` repeats of ``last_page`` (hits, by the lemma) to
+        ``scope``: the one the real request for ``page_id`` ran under, or None."""
+        with self._latch:
+            self.stats.hits += count
+            if scope is not None:
+                scope.hits += count
 
     def _disk_read(self, page_id: int) -> float:
         """One disk read with fault injection and bounded retries.
@@ -186,6 +207,12 @@ class BufferPool:
         self._io_scopes.stack.pop()
 
     @property
+    def io_scope(self):
+        """The scope the calling thread's requests are attributed to, or None."""
+        stack = self._io_scopes.stack
+        return stack[-1] if stack else None
+
+    @property
     def io_scope_depth(self) -> int:
         """How many I/O scopes the calling thread has pushed (0 = none)."""
         return len(self._io_scopes.stack)
@@ -214,6 +241,7 @@ class BufferPool:
         """
         with self._latch:
             self._frames.clear()
+            self.last_page = None
             if reset_stats:
                 self.stats = BufferStats()
 

@@ -767,23 +767,15 @@ class SnapshotView:
 
     def scan(self, name: str) -> Iterator[tuple[Oid, dict[str, Any]]]:
         """Sequentially scan a collection at the snapshot, charging I/O."""
-        return self._store._scan_members(self.collection_oids(name), self._read)
-
-    def partition_bounds(self, name: str, degree: int) -> list[tuple[int, int]]:
-        """Page-aligned partition bounds over the snapshot's members."""
-        from repro.storage.store import page_aligned_bounds
-
-        return page_aligned_bounds(
-            self.collection_oids(name), self._store.page_of, degree
-        )
+        return self._store._scan_members(name, self.collection_oids(name), self._read)
 
     # Kept for the frozen benchmark tracer; see ObjectStore.scan_partition.
     def scan_partition(
         self, name: str, partition: int, degree: int
     ) -> Iterator[tuple[Oid, dict[str, Any]]]:
-        """Scan one page-aligned partition of the snapshot's members."""
+        """Scan one contiguous share of the snapshot's page runs."""
         return self._store._scan_members(
-            self.collection_oids(name), self._read, (partition, degree)
+            name, self.collection_oids(name), self._read, (partition, degree)
         )
 
 

@@ -13,13 +13,16 @@ per page, modelling types like ``Plant`` whose instances are clustered
 with unrelated data — fetching each plant is a fresh page fault.
 
 All reads are charged through the buffer pool, so the store yields both
-result data and faithful simulated I/O time.
+result data and faithful simulated I/O time: one page request per
+*object* read, hits included, in reading order.  The pool is *called*
+once per page run (see :meth:`ObjectStore._scan_members`).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Iterator
 
 from repro.catalog.catalog import Catalog
@@ -29,32 +32,6 @@ from repro.storage.disk import DiskSimulator
 from repro.storage.index import IndexRegistry
 from repro.storage.mvcc import SnapshotView, Transaction, TransactionManager
 from repro.storage.objects import Oid
-
-
-def page_aligned_bounds(
-    oids: list[Oid], page_of, degree: int
-) -> list[tuple[int, int]]:
-    """Page-aligned ``[start, stop)`` position ranges splitting a member
-    list into at most ``degree`` contiguous partitions.
-
-    Boundaries never split a page across partitions, so partition scans
-    touch disjoint page sets and the union of the partitions' page reads
-    equals a whole scan's.  Small collections may yield fewer than
-    ``degree`` non-empty partitions.  Shared by the store's latest-state
-    scans and :class:`SnapshotView`'s pinned ones.
-    """
-    count = len(oids)
-    degree = max(1, degree)
-    chunk = -(-count // degree) if count else 0
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    while start < count and len(bounds) < degree:
-        stop = min(count, start + chunk)
-        while stop < count and page_of(oids[stop]) == page_of(oids[stop - 1]):
-            stop += 1
-        bounds.append((start, stop))
-        start = stop
-    return bounds
 
 
 @dataclass
@@ -104,6 +81,8 @@ class ObjectStore:
         #: every index probe places its synthetic pages beyond them.
         self._total_pages = 0
         self._collections: dict[str, list[Oid]] = {}
+        #: collection -> page runs of its base member list, built on first scan.
+        self._runs: dict[str, list[tuple[int, int, int]]] = {}
         self._sealed = False
         self._temp_lock = threading.Lock()
         self._temp_next: int | None = None
@@ -149,6 +128,7 @@ class ObjectStore:
         """Declare the member list (and scan order) of a named collection."""
         self.catalog.collection(name)  # validate against the schema
         self._collections[name] = list(oids)
+        self._runs.pop(name, None)
 
     def seal(self) -> None:
         """Assign contiguous page ranges and auto-register extents."""
@@ -209,7 +189,7 @@ class ObjectStore:
 
     def scan(self, collection_name: str) -> Iterator[tuple[Oid, dict[str, Any]]]:
         """Sequentially scan a collection at the latest commit, charged."""
-        return self._scan_members(*self._latest(collection_name))
+        return self._scan_members(collection_name, *self._latest(collection_name))
 
     def _latest(self, collection_name: str):
         """(members, record reader) of a collection at the latest commit."""
@@ -219,50 +199,70 @@ class ObjectStore:
         latest = SnapshotView(self, self.mvcc.current_csn)
         return latest.collection_oids(collection_name), latest._read
 
+    def _page_runs(self, name: str, members: list[Oid]) -> list[tuple[int, int, int]]:
+        """``(page, start, stop)`` per maximal run of consecutive members
+        on one page; kept when ``members`` is the collection's base list."""
+        base = members is self._collections.get(name)
+        runs = self._runs.get(name) if base else None
+        if runs is None:
+            runs, stop = [], 0
+            for page, run in groupby(map(self.page_of, members)):
+                start, stop = stop, stop + sum(1 for _ in run)
+                runs.append((page, start, stop))
+            if base:
+                self._runs[name] = runs
+        return runs
+
     def _scan_members(
-        self, members: list[Oid], read, partition: tuple[int, int] | None = None
+        self, name: str, members: list[Oid], read, share: tuple[int, int] | None = None
     ) -> Iterator[tuple[Oid, dict[str, Any]]]:
         """The one charged scan loop, for the store and every view of it.
 
-        One page request per *member*, in member order, hits included: a
-        Volcano scan interleaves with the fetches of the operators above
-        it, so charging each page once up front would reorder the LRU and
-        pre-pay for members an abandoned scan never reaches.  ``partition``
-        is an ``(index, degree)`` share of :func:`page_aligned_bounds`; an
-        index past the last non-empty share yields nothing.
+        Accounts one page request per *member*, in member order, hits
+        included: a Volcano scan interleaves with the requests of the
+        operators above it, so charging a page once up front would reorder
+        the LRU and pre-pay for members an abandoned scan never reaches.
+        But a request for the pool's ``last_page`` is a hit and nothing
+        else (the repeat lemma, ``storage/buffer.py``), so only a run's
+        first member, and one that finds another request got in between,
+        calls the pool.  Repeats are counted here and settled — when the
+        streak breaks, the run ends or the scan is closed — to the I/O
+        scope the run began under.  ``share`` = ``(index, degree)``.
         """
-        read_page, page_of = self.buffer.read_page, self.page_of
-        if partition is not None:
-            bounds = page_aligned_bounds(members, page_of, partition[1])
-            if partition[0] >= len(bounds):
-                return
-            start, stop = bounds[partition[0]]
-            members = members[start:stop]
-        for oid in members:
-            read_page(page_of(oid))
-            yield oid, read(oid)
-
-    def partition_bounds(
-        self, collection_name: str, degree: int
-    ) -> list[tuple[int, int]]:
-        """:func:`page_aligned_bounds` over the collection's latest members."""
-        return page_aligned_bounds(
-            self.collection_oids(collection_name), self.page_of, degree
-        )
+        runs = self._page_runs(name, members)
+        if share is not None:
+            width = -(-len(runs) // max(1, share[1]))
+            runs = runs[share[0] * width:(share[0] + 1) * width]
+        pool = self.buffer
+        read_page, rehit = pool.read_page, pool.rehit
+        for page, start, stop in runs:
+            read_page(page)
+            scope, pending = pool.io_scope, 0
+            try:
+                oid = members[start]
+                yield oid, read(oid)
+                for oid in members[start + 1:stop]:
+                    if pool.last_page == page:
+                        pending += 1
+                    else:
+                        if pending:
+                            rehit(page, pending, scope)
+                            pending = 0
+                        read_page(page)
+                    yield oid, read(oid)
+            finally:
+                if pending:
+                    rehit(page, pending, scope)
 
     # No operator calls this; the frozen benchmarks/e2e/tracing.py patches it
     # by name (here and on SnapshotView) — drop both at the next benchmark re-cut.
     def scan_partition(
         self, collection_name: str, partition: int, degree: int
     ) -> Iterator[tuple[Oid, dict[str, Any]]]:
-        """Scan one page-aligned partition of a collection.
-
-        ``partition`` indexes into :meth:`partition_bounds`; an index past
-        the last non-empty partition yields nothing.  Each partition
-        preserves the collection's scan order.
-        """
+        """Scan share ``partition`` of ``degree`` contiguous shares of the
+        collection's page runs (a share past the last run yields nothing)."""
         return self._scan_members(
-            *self._latest(collection_name), (partition, degree)
+            collection_name, *self._latest(collection_name), (partition, degree)
         )
 
     def collection_oids(self, collection_name: str) -> list[Oid]:
@@ -378,4 +378,4 @@ class ObjectStore:
             raise StorageError("store must be sealed before reading")
 
 
-__all__ = ["ObjectStore", "Segment", "page_aligned_bounds"]
+__all__ = ["ObjectStore", "Segment"]

@@ -34,6 +34,10 @@ FAULTS = ((0.02, 0), (0.3, 1), (0.05, 4))
 SEEDS = range(6)
 
 
+def _delta(before, after) -> list[int]:
+    return [after.hits - before.hits, after.misses - before.misses]
+
+
 def record_all() -> dict[str, dict]:
     db = Database.sample(scale=0.05, seed=1)
     pool = db.store.buffer
@@ -53,8 +57,8 @@ def record_all() -> dict[str, dict]:
                 end = pool.stats_snapshot()
                 entry = {
                     "raised": failure is not None,
-                    "governed": [middle.hits - start.hits, middle.misses - start.misses],
-                    "clean": [end.hits - middle.hits, end.misses - middle.misses],
+                    "governed": _delta(start, middle),
+                    "clean": _delta(middle, end),
                 }
                 for figure in FIGURES:
                     entry[figure] = getattr(clean, figure)

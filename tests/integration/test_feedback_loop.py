@@ -149,6 +149,34 @@ class TestFeedbackLoop:
         db.query(SKEWED_QUERY, use_cache=False)
         assert db.feedback.stats.replans == 1
 
+    def test_replan_ingests_what_the_interrupted_streams_saw(self, monkeypatch):
+        """The index scan's 1.4-row estimate is the mistake the replan has
+        to learn about, and its stream is suspended *below* the operator
+        that raised: the executor must close it before the ingest."""
+        db = build_database(skewed_world())
+        db.config = db.config.with_feedback(True)
+        ingests = []
+        ingest = db.feedback.ingest
+
+        def spy(monitor, catalog):
+            complete = {key: done for key, _, _, done in monitor.observations()}
+            ingests.append(
+                {
+                    count.description: (count.rows, complete[count.key])
+                    for count in monitor._counts.values()
+                    if count.opened
+                }
+            )
+            return ingest(monitor, catalog)
+
+        monkeypatch.setattr(db.feedback, "ingest", spy)
+        db.query(SKEWED_QUERY, use_cache=False)
+        assert db.feedback.stats.replans == 1
+        at_replan = ingests[0]
+        (scan,) = (name for name in at_replan if name.startswith("Index Scan"))
+        rows, complete = at_replan[scan]
+        assert rows > 0 and not complete
+
     def test_observations_persist_across_queries(self):
         """A different query over the same subplan reuses the feedback."""
         db = build_database(skewed_world())

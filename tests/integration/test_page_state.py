@@ -185,7 +185,9 @@ def test_pool_and_disk_state_match_parent(recorded, case):
 
 def test_the_cases_exercise_what_they_claim(recorded):
     for scale in SCALES:
-        case = lambda name: recorded[f"{scale}/{name}"]  # noqa: E731
+        def case(name: str) -> dict:
+            return recorded[f"{scale}/{name}"]
+
         for name in PAPER:
             cold, warm = case(f"cold-{name}"), case(f"warm-{name}")
             assert warm["misses"] == 0 < cold["misses"]  # the pool held it all

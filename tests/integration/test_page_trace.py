@@ -1,15 +1,15 @@
 """The buffer pool's request sequence, pinned from outside the program.
 
 Every simulated-I/O number (hits, misses, seeks, simulated milliseconds,
-LRU order under eviction) is a function of the sequence of
-``BufferPool.read_page(page_id)`` calls a statement makes and of the I/O
-scope on top of the calling thread's stack at each call.  This test
-wraps ``read_page`` on one pool *instance*, records that sequence per
-thread, and compares its length and SHA-256 against
-``tests/golden/page_trace.json`` — recorded before the storage hot path
-was optimised, so any change below the operators that batches, reorders,
-skips or re-attributes a page request fails here rather than as a
-drifted benchmark figure.
+LRU order under eviction) is a function of the sequence of page requests
+a statement makes and of the I/O scope each is attributed to.  A request
+is one ``read_page(page_id)`` call, or one of the ``count`` repeats that a
+``rehit(page_id, count, scope)`` credits after the fact.  This test wraps
+both on one pool *instance*, records the expanded sequence per thread, and
+compares its length and SHA-256 against ``tests/golden/page_trace.json`` —
+recorded when every request was its own ``read_page`` call, so any change
+below the operators that batches, reorders, skips or re-attributes a page
+request fails here rather than as a drifted benchmark figure.
 
 Regenerate (only when a PR *means* to change the sequence, and says why):
 ``PYTHONPATH=src python -m tests.integration.test_page_trace``.
@@ -36,7 +36,8 @@ RANGE_PROBE = "SELECT * FROM Task t IN Tasks WHERE t.time < 40"
 
 
 class PageTrace:
-    """Records ``(page, scope label)`` per ``read_page`` call, per thread.
+    """Records ``(page, scope label)`` per page request, per thread: one
+    per ``read_page`` call and ``count`` per ``rehit`` credit.
 
     Both are id-free.  The scope label is the ordinal at which that scope
     object was first seen on its thread (``None`` with no scope pushed),
@@ -58,8 +59,24 @@ class PageTrace:
         self._synthetic: dict[int, str] = {}
         self._lock = threading.Lock()
 
+    def _entry(self, thread, page_id: int, scope) -> tuple:
+        """The id-free ``(page, scope label)`` of one request (lock held)."""
+        label = None
+        if scope is not None:
+            seen = self._scopes.setdefault(thread, [])
+            for label, known in enumerate(seen):
+                if known is scope:
+                    break
+            else:
+                label = len(seen)
+                seen.append(scope)
+        page = page_id
+        if page_id in self._index_pages:
+            page = self._synthetic.setdefault(page_id, f"i{len(self._synthetic)}")
+        return page, label
+
     def __enter__(self) -> "PageTrace":
-        pool, original = self.pool, self.pool.read_page
+        pool, read_page, rehit = self.pool, self.pool.read_page, self.pool.rehit
 
         def recording(page_id: int) -> float:
             stack = getattr(pool._io_scopes, "stack", None)
@@ -67,28 +84,29 @@ class PageTrace:
             # as a thread exits.
             thread = threading.current_thread()
             with self._lock:
-                label = None
-                if stack:
-                    seen = self._scopes.setdefault(thread, [])
-                    for label, scope in enumerate(seen):
-                        if scope is stack[-1]:
-                            break
-                    else:
-                        label = len(seen)
-                        seen.append(stack[-1])
-                page = page_id
-                if page_id in self._index_pages:
-                    page = self._synthetic.setdefault(
-                        page_id, f"i{len(self._synthetic)}"
-                    )
-                self.threads.setdefault(thread, []).append((page, label))
-            return original(page_id)
+                entry = self._entry(thread, page_id, stack[-1] if stack else None)
+                self.threads.setdefault(thread, []).append(entry)
+            return read_page(page_id)
 
-        pool.read_page = recording
+        def expanding(page_id: int, count: int, scope) -> None:
+            # A credited streak is `count` requests the caller did not
+            # make one by one.  All of them precede whatever ended the
+            # streak, so they belong directly after this thread's latest
+            # entry for the same page and scope.
+            with self._lock:
+                thread = threading.current_thread()
+                entry = self._entry(thread, page_id, scope)
+                sequence = self.threads[thread]
+                at = len(sequence) - sequence[::-1].index(entry)
+                sequence[at:at] = [entry] * count
+            rehit(page_id, count, scope)
+
+        pool.read_page, pool.rehit = recording, expanding
         return self
 
     def __exit__(self, *exc_info) -> None:
-        del self.pool.read_page  # the class attribute shows through again
+        # The class attributes show through again.
+        del self.pool.read_page, self.pool.rehit
 
     def digests(self) -> list[list]:
         """Sorted ``[length, sha256]`` per thread that read a page."""

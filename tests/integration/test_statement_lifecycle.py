@@ -160,6 +160,36 @@ def test_per_object_overhead_has_not_crept_back(tracing):
     )
 
 
+#: Python + C calls of ``Database.query`` on a plan-cache hit, sample(scale=
+#: 0.05, seed=1), CPython 3.11, as (text, before, after, bound): before,
+#: every object scanned and every reference swept or emitted was its own
+#: ``read_page`` call (and each reference was fetched twice); after, the
+#: pool is called once per page run.  Bound = after + 15 %.
+PAGE_RUN_CALLS = {
+    "paper Q1": (QUERY_1, 60_818, 47_504, 54_600),
+    "paper Q2": (QUERY % "Joe", 23_046, 14_914, 17_100),
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the call counts were taken on CPython 3.11; other minors differ",
+)
+@pytest.mark.parametrize("label", sorted(PAGE_RUN_CALLS))
+def test_per_object_pool_requests_have_not_crept_back(tracing, label):
+    text, before, after, bound = PAGE_RUN_CALLS[label]
+    db = Database.sample(scale=0.05, seed=1)
+    db.query(text)
+    counter = tracing.CallCounter()
+    result = counter.run(lambda: db.query(text))
+    assert result.cache.outcome == "hit"
+    assert counter.calls <= bound, (
+        f"{label} on a plan-cache hit made {counter.calls:,} calls; it made "
+        f"{before:,} with one buffer-pool request per object and {after:,} "
+        f"with one per page run"
+    )
+
+
 #: Python + C calls of a point lookup by index on a plan-cache hit (the
 #: benchmark's ``pt_city`` shape), sample(scale=0.05, seed=1), CPython 3.11:
 #: 942 when a hit ran lexer, parser and ``parameterize`` and rebuilt the

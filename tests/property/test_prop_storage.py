@@ -1,18 +1,25 @@
 """Property-based tests for the storage substrate."""
 
+import sys
+import threading
 from collections import OrderedDict
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.operators import RefSource
 from repro.catalog.catalog import Catalog, IndexDef, extent_name
 from repro.catalog.schema import Schema, TypeDef, scalar
+from repro.engine.iterators import assembly, file_scan
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskSimulator
 from repro.storage.index import IndexRuntime
 from repro.storage.mvcc import OVERFLOW_PAGE_GAP
 from repro.storage.objects import Oid
 from repro.storage.store import ObjectStore
+
+from tests.integration.test_page_trace import PageTrace
 
 
 class TestBufferPoolModel:
@@ -98,6 +105,16 @@ type_specs = st.lists(
 )
 
 
+def _typed_store(specs) -> ObjectStore:
+    """An unsealed store with one extent-backed type T0, T1, ... per spec."""
+    schema = Schema()
+    for number, (size, _dense, _count) in enumerate(specs):
+        schema.add_type(
+            TypeDef(f"T{number}", size, (scalar("n", "int"),)), with_extent=True
+        )
+    return ObjectStore(Catalog(schema, page_size=PAGE))
+
+
 class TestAddressing:
     """``page_of`` against the layout written out independently: base
     objects by arithmetic on their position, post-seal objects on the
@@ -106,12 +123,7 @@ class TestAddressing:
     @given(type_specs, st.lists(st.integers(0, 3), max_size=25), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
     def test_page_of_partitions_and_scan_requests(self, specs, inserts, degree):
-        schema = Schema()
-        for number, (size, _dense, _count) in enumerate(specs):
-            schema.add_type(
-                TypeDef(f"T{number}", size, (scalar("n", "int"),)), with_extent=True
-            )
-        store = ObjectStore(Catalog(schema, page_size=PAGE))
+        store = _typed_store(specs)
         expected: dict[Oid, int] = {}
         next_page = 0
         for number, (size, dense, count) in enumerate(specs):
@@ -145,27 +157,245 @@ class TestAddressing:
         assert not base_pages & {page for page, _free in open_page.values()}
         assert base_pages.isdisjoint(range(next_page + OVERFLOW_PAGE_GAP, overflow_next))
 
-        requests: list[int] = []
-        read_page = store.buffer.read_page
-        store.buffer.read_page = lambda page: requests.append(page) or read_page(page)
+        def requested(surface_scan) -> list[int]:
+            """Pages requested, in order, with credited streaks expanded."""
+            with PageTrace(store) as trace:
+                surface_scan()
+            return [page for seq in trace.threads.values() for page, _ in seq]
+
         for number in range(len(specs)):
             name = extent_name(f"T{number}")
             members = store.collection_oids(name)
             pages = [expected[oid] for oid in members]
-            bounds = store.partition_bounds(name, degree)
-            assert bounds == view.partition_bounds(name, degree)
-            assert [i for start, stop in bounds for i in range(start, stop)] == list(
-                range(len(members))
-            )
-            assert all(pages[stop - 1] != pages[stop] for _, stop in bounds[:-1])
             for surface in (store, view):
-                requests.clear()
                 assert [oid for oid, _ in surface.scan(name)] == members
-                assert requests == pages  # one request per member, in order
-                requests.clear()
-                for share in range(degree + 1):
-                    list(surface.scan_partition(name, share, degree))
-                assert requests == pages
+                # One request per member, in order.
+                assert requested(lambda: list(surface.scan(name))) == pages
+                # Shares are disjoint in pages and concatenate to the scan.
+                shares = [
+                    [oid for oid, _ in surface.scan_partition(name, share, degree)]
+                    for share in range(degree + 1)
+                ]
+                assert [oid for share in shares for oid in share] == members
+                share_pages = [{expected[oid] for oid in share} for share in shares]
+                assert sum(map(len, share_pages)) == len(set(pages))
+                assert shares[degree] == []
+                assert requested(
+                    lambda: [
+                        list(surface.scan_partition(name, share, degree))
+                        for share in range(degree)
+                    ]
+                ) == pages
+
+
+class ReferencePool:
+    """The accounting the store promises: an LRU sent one request per
+    object read, each attributed to the scope it was made under."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity, self.frames = capacity, OrderedDict()
+        self.disk_reads: list[int] = []
+        self.totals: dict[object, list[int]] = {}  # scope -> [hits, misses]
+
+    def request(self, page: int, scope) -> None:
+        hit = page in self.frames
+        for key in ("all", scope):
+            self.totals.setdefault(key, [0, 0])[0 if hit else 1] += 1
+        if hit:
+            self.frames.move_to_end(page)
+            return
+        self.disk_reads.append(page)
+        self.frames[page] = None
+        if len(self.frames) > self.capacity:
+            self.frames.popitem(last=False)
+
+
+class _Scope:
+    def __init__(self) -> None:
+        self.hits = self.misses = 0
+
+
+#: ("scan" | "sweep", type number, through a pinned view?, window, scoped?)
+actor_specs = st.lists(
+    st.tuples(
+        st.sampled_from(["scan", "sweep"]),
+        st.integers(0, 3),
+        st.booleans(),
+        st.integers(1, 6),
+        st.booleans(),
+    ),
+    min_size=2,
+    max_size=3,
+)
+#: ("advance", actor, members) | ("fetch", object, how) | ("close", actor, _)
+#: | ("flush", _, _)
+schedule_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["advance"] * 5 + ["fetch"] * 3 + ["close", "flush"]),
+        st.integers(0, 200),
+        st.integers(1, 12),
+    ),
+    max_size=40,
+)
+
+
+class TestPageRunAccounting:
+    """The pool is called once per page run; the books must read as if
+    it had been called once per object."""
+
+    @given(
+        type_specs,
+        st.lists(st.integers(0, 3), max_size=12),
+        st.integers(1, 8),
+        actor_specs,
+        schedule_steps,
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scans_and_sweeps_match_one_request_per_member(
+        self, specs, inserts, capacity, actor_specs, steps, rng
+    ):
+        store = _typed_store(specs)
+        for number, (_size, dense, count) in enumerate(specs):
+            store.create_segment(f"T{number}", dense=dense)
+            for position in range(count + 1):
+                store.insert(f"T{number}", {"n": position})
+        store.seal()
+        everything = [
+            oid for n in range(len(specs)) for oid in store.segment(f"T{n}").oids
+        ]
+        for oid in everything:  # every object references some other one
+            store.peek(oid)["ref"] = rng.choice(everything)
+        if inserts:  # post-seal members on overflow pages; dirties the store
+            with store.begin() as txn:
+                for number in inserts:
+                    everything.append(
+                        txn.insert(
+                            extent_name(f"T{number % len(specs)}"),
+                            {"n": -1, "ref": rng.choice(everything)},
+                        )
+                    )
+        pool, page_of = store.buffer, store.page_of
+        pool.capacity = capacity
+        model = ReferencePool(capacity)
+        disk_reads: list[int] = []
+        read = store.disk.read
+        store.disk.read = lambda page: disk_reads.append(page) or read(page)
+
+        def scan_model(members, scope):
+            for oid in members:
+                model.request(page_of(oid), scope)
+                yield oid
+
+        def sweep_model(members, window, scope):
+            members = scan_model(members, scope)
+            while batch := list(islice(members, window)):
+                refs = [store.peek(oid)["ref"] for oid in batch]
+                for page in sorted(map(page_of, refs)):
+                    model.request(page, scope)
+                for ref in refs:
+                    model.request(page_of(ref), scope)
+                    yield ref
+
+        # [streams to close (root first), pick, model stream, scope, last object]
+        actors, scopes = [], [_Scope()]
+        for kind, number, pinned, window, scoped in actor_specs:
+            name = extent_name(f"T{number % len(specs)}")
+            surface = store.view(snapshot=store.mvcc.current_csn) if pinned else store
+            members = surface.collection_oids(name)
+            scope = _Scope() if scoped else None
+            scopes.append(scope)
+            if kind == "scan":
+                actors.append(
+                    [[surface.scan(name)], lambda item: item[0],
+                     scan_model(members, scope), scope, None]
+                )
+            else:
+                rows = file_scan(surface, name, "x")
+                swept = assembly(surface, rows, RefSource("x", "ref"), "y", window)
+                actors.append(
+                    [[swept, rows], lambda row: row["y"].oid,
+                     sweep_model(members, window, scope), scope, None]
+                )
+
+        done = object()
+        for kind, a, b in steps:
+            streams, pick, modelled, scope, last = actor = actors[a % len(actors)]
+            if kind == "advance":
+                if scope is not None:
+                    pool.push_io_scope(scope)
+                try:
+                    for _ in range(b):
+                        got, want = next(streams[0], done), next(modelled, done)
+                        assert (got is done) == (want is done)
+                        if got is done:
+                            break
+                        assert pick(got) == want
+                        actor[4] = want
+                finally:
+                    if scope is not None:
+                        pool.pop_io_scope()
+            elif kind == "fetch":
+                # Every third fetch goes to the page an actor is standing on.
+                on_page = b % 3 == 0 and last is not None
+                oid = last if on_page else everything[a % len(everything)]
+                scope = scopes[0] if b % 2 else None
+                if scope is not None:
+                    pool.push_io_scope(scope)
+                store.fetch(oid)
+                if scope is not None:
+                    pool.pop_io_scope()
+                model.request(page_of(oid), scope)
+            elif kind == "close":  # abandoned mid-run
+                for stream in streams:
+                    stream.close()
+                modelled.close()
+            else:
+                pool.flush()
+                model.frames.clear()
+        for streams, *_ in actors:  # what `Executor.execute` does in its finally
+            for stream in streams:
+                stream.close()
+
+        assert disk_reads == model.disk_reads
+        assert list(pool._frames) == list(model.frames)
+        assert [pool.stats.hits, pool.stats.misses] == model.totals.get("all", [0, 0])
+        for scope in filter(None, scopes):
+            assert [scope.hits, scope.misses] == model.totals.get(scope, [0, 0])
+
+    def test_two_threads_lose_and_double_no_credit(self):
+        specs = [(700, True, 60), (4096, False, 25)]
+        store = _typed_store(specs)
+        for number, (_size, dense, count) in enumerate(specs):
+            store.create_segment(f"T{number}", dense=dense)
+            for position in range(count):
+                store.insert(f"T{number}", {"n": position})
+        store.seal()
+        store.buffer.capacity = 3
+        rounds, requested = 40, [0, 0]
+
+        def work(slot: int) -> None:
+            names = [extent_name("T0"), extent_name("T1")]
+            for turn in range(rounds):
+                name = names[(slot + turn) % 2]
+                requested[slot] += sum(1 for _ in store.scan(name))
+                abandoned = store.scan(name)
+                requested[slot] += sum(1 for _ in islice(abandoned, 7))
+                abandoned.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        stats = store.buffer.stats
+        assert stats.hits + stats.misses == sum(requested) == rounds * (60 + 25 + 14)
 
 
 class TestIndexAgainstScan:

@@ -199,13 +199,13 @@ def test_snapshot_view_scan_matches_collection_oids():
     view = store.view()
     scanned = {oid for oid, _ in view.scan("Items")}
     assert scanned == set(view.collection_oids("Items"))
-    bounds = view.partition_bounds("Items", 2)
-    via_partitions = set()
-    for index in range(len(bounds)):
-        via_partitions |= {
-            oid for oid, _ in view.scan_partition("Items", index, 2)
-        }
-    assert via_partitions == scanned
+    # Shares of the page runs are disjoint in pages and concatenate to
+    # the whole scan.
+    shares = [[oid for oid, _ in view.scan_partition("Items", n, 2)] for n in (0, 1)]
+    assert shares[0] + shares[1] == [oid for oid, _ in view.scan("Items")]
+    pages = [{view.page_of(oid) for oid in share} for share in shares]
+    assert all(pages) and pages[0].isdisjoint(pages[1])
+    assert list(view.scan_partition("Items", 2, 2)) == []
 
 
 def test_sample_store_fast_path_untouched():
