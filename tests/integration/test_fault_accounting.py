@@ -9,7 +9,9 @@ case keeps the exception alive while the same text runs clean, and pins
 the hit / miss deltas of both windows plus the clean run's figures.
 
 ``tests/golden/fault_accounting.json`` was recorded before scans and
-reference sweeps stopped requesting the pool once per object.  Regenerate
+reference sweeps stopped requesting the pool once per object; its
+``pt_emp`` cases, before a page miss stopped going through the retry
+ladder when no injector is installed.  Regenerate
 only on purpose: ``PYTHONPATH=src python -m tests.integration.test_fault_accounting``.
 """
 
@@ -25,6 +27,7 @@ from repro.errors import StorageFaultError
 from repro.governor import FaultPlan, QueryContext
 
 from tests.conftest import QUERY_1, QUERY_2, QUERY_4
+from tests.integration.test_page_state import BY_INDEX, PT_EMP, probe_db
 from tests.integration.test_page_trace import FIGURES
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "fault_accounting.json"
@@ -38,32 +41,47 @@ def _delta(before, after) -> list[int]:
     return [after.hits - before.hits, after.misses - before.misses]
 
 
-def record_all() -> dict[str, dict]:
-    db = Database.sample(scale=0.05, seed=1)
+def _pair(db: Database, text: str, plan: FaultPlan, config=None, figures=FIGURES):
+    """The governed run of ``text`` under ``plan``, then the same text clean."""
     pool = db.store.buffer
+    start = pool.stats_snapshot()
+    failure = None
+    try:
+        db.query(text, config=config, governor=QueryContext(fault_plan=plan))
+    except StorageFaultError as exc:
+        failure = exc  # and with it every suspended generator
+    middle = pool.stats_snapshot()
+    clean = db.query(text, config=config).execution
+    end = pool.stats_snapshot()
+    entry = {
+        "raised": failure is not None,
+        "governed": _delta(start, middle),
+        "clean": _delta(middle, end),
+    }
+    del failure  # its traceback holds this frame
+    for figure in figures:
+        entry[figure] = getattr(clean, figure)
+    return entry
+
+
+def record_all() -> dict[str, dict]:
     cases: dict[str, dict] = {}
+    db = Database.sample(scale=0.05, seed=1)
     for seed in SEEDS:
         for prob, retries in FAULTS:
             for name, text in QUERIES.items():
                 plan = FaultPlan(seed=seed, read_error_prob=prob, max_retries=retries)
-                start = pool.stats_snapshot()
-                failure = None
-                try:
-                    db.query(text, governor=QueryContext(fault_plan=plan))
-                except StorageFaultError as exc:
-                    failure = exc  # and with it every suspended generator
-                middle = pool.stats_snapshot()
-                clean = db.query(text).execution
-                end = pool.stats_snapshot()
-                entry = {
-                    "raised": failure is not None,
-                    "governed": _delta(start, middle),
-                    "clean": _delta(middle, end),
-                }
-                for figure in FIGURES:
-                    entry[figure] = getattr(clean, figure)
-                cases[f"seed{seed}-p{prob}-r{retries}-{name}"] = entry
-                del failure
+                cases[f"seed{seed}-p{prob}-r{retries}-{name}"] = _pair(db, text, plan)
+    # The point lookup's fetches, one miss each, on a database of its own
+    # (the disk head it leaves behind is part of the cases above).  Its index
+    # pages sit at an offset taken from the string hash: no simulated time.
+    db = probe_db(0.05)
+    for seed in SEEDS:
+        for prob, retries in FAULTS:
+            plan = FaultPlan(seed=seed, read_error_prob=prob, max_retries=retries)
+            cases[f"seed{seed}-p{prob}-r{retries}-pt_emp"] = _pair(
+                db, PT_EMP, plan, BY_INDEX, FIGURES[:2]
+            )
     return cases
 
 
@@ -78,7 +96,7 @@ def golden() -> dict[str, dict]:
 
 def test_every_golden_case_is_recorded(recorded):
     assert sorted(recorded) == sorted(golden())
-    assert sum(entry["raised"] for entry in recorded.values()) == 34
+    assert sum(entry["raised"] for entry in recorded.values()) == 46
 
 
 @pytest.mark.parametrize("case", sorted(golden()) if GOLDEN.exists() else [])
@@ -87,7 +105,7 @@ def test_both_windows_match_parent(recorded, case):
 
 
 def test_a_failed_statement_owes_the_next_one_nothing(recorded):
-    by_query = {name: set() for name in QUERIES}
+    by_query: dict[str, set] = {name: set() for name in (*QUERIES, "pt_emp")}
     for case, entry in recorded.items():
         # Simulated time is left out: it depends on where the governed run
         # left the disk head.

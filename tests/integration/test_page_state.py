@@ -10,7 +10,9 @@ hit / miss totals, EXPLAIN ANALYZE's per-operator hits / misses / rows,
 the final LRU frame order, and the three ``ExecutionResult`` figures.
 
 ``tests/golden/page_state.json`` was recorded before scans and reference
-sweeps stopped requesting the pool once per object.  Regenerate only when
+sweeps stopped requesting the pool once per object; its ``probe-emp``
+cases, before an index scan's fetch and page miss each became one call
+per layer.  Regenerate only when
 a PR *means* to change simulated I/O, and says why:
 ``PYTHONPATH=src python -m tests.integration.test_page_state``.
 """
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Database
+from repro.optimizer.config import FILE_SCAN, OptimizerConfig
 from repro.storage.mvcc import OVERFLOW_PAGE_GAP
 
 from tests.conftest import QUERY_2
@@ -31,6 +34,20 @@ from tests.integration.test_page_trace import CITY_SCAN, FIGURES, PAPER, RANGE_P
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "page_state.json"
 SCALES = (0.05, 0.2)
+
+#: The statement benchmark's ``pt_emp`` point lookup: one name bucket of
+#: 400 employees on 400 distinct pages, at either scale, each a fetch.
+PT_EMP = 'SELECT * FROM Employee e IN extent(Employee) WHERE e.name == "ename1"'
+#: At scale 0.05 the optimizer would rather scan the extent; with the file
+#: scan switched off the probe stays on the index scan at every scale.
+BY_INDEX = OptimizerConfig().without(FILE_SCAN)
+
+
+def probe_db(scale: float) -> Database:
+    """The sample database with the benchmark's ``ix_employees_name``."""
+    db = Database.sample(scale=scale, seed=1)
+    db.create_index("ix_employees_name", "extent(Employee)", ("name",))
+    return db
 
 
 def _digest(items) -> list:
@@ -152,6 +169,32 @@ def record_scale(scale: float) -> dict[str, dict]:
         cases[f"dirty-{name}"] = observed(db, lambda: db.query(text))
     writer.rollback()
     pinned.rollback()
+
+    def probe(db: Database, transaction=None):
+        return observed(
+            db,
+            lambda: db.query(PT_EMP, config=BY_INDEX, transaction=transaction),
+            FIGURES[:2],
+        )
+
+    db = probe_db(scale)
+    cases["probe-emp"] = probe(db)
+    db = probe_db(scale)
+    db.store.buffer.capacity = 16
+    cases["probe-emp-capacity16"] = probe(db)
+    db = probe_db(scale)
+    db.query("UPDATE e IN extent(Employee) SET e.age = 99 "
+             "WHERE e.name == 'ename1' AND e.age == 21")
+    db.query("INSERT INTO Employees (name, age) VALUES ('ename1', 30)")
+    db.query("DELETE e IN extent(Employee) WHERE e.name == 'ename1' AND e.age == 26")
+    cases["probe-emp-dirty-latest"] = probe(db)
+    writer = db.begin()
+    db.query("UPDATE e IN extent(Employee) SET e.age = 98 "
+             "WHERE e.name == 'ename1' AND e.age == 31", transaction=writer)
+    db.query("INSERT INTO Employees (name, age) VALUES ('ename1', 31)",
+             transaction=writer)
+    cases["probe-emp-open-txn"] = probe(db, writer)
+    writer.rollback()
     return cases
 
 
@@ -174,7 +217,7 @@ def golden() -> dict[str, dict]:
 
 def test_every_golden_case_is_recorded(recorded):
     assert sorted(recorded) == sorted(golden())
-    assert len(recorded) == 74
+    assert len(recorded) == 82
 
 
 @pytest.mark.parametrize("case", sorted(golden()) if GOLDEN.exists() else [])
@@ -200,6 +243,11 @@ def test_the_cases_exercise_what_they_claim(recorded):
         # A 16-frame pool evicts, so Q2's mayor fetches miss again.
         assert case("capacity16-q2")["misses"] > case("cold-q2")["misses"]
         assert case("dirty-open-txn")["hits"] == case("dirty-latest")["hits"] + 1
+        probe = case("probe-emp")
+        assert probe["rows"] == 400 and probe["misses"] == probe["disk_reads"][0]
+        assert case("probe-emp-capacity16")["frames"][0] == 16
+        latest, txn = case("probe-emp-dirty-latest"), case("probe-emp-open-txn")
+        assert txn["rows"] == latest["rows"] + 1  # the transaction's own insert
 
 
 if __name__ == "__main__":

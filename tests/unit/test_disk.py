@@ -1,8 +1,13 @@
 """Unit tests for the disk simulator's timing model."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.storage.disk import DiskParameters, DiskSimulator
+
+# Unequal, non-round timings: an addition done in another order shows.
+_MS = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
 
 
 class TestDiskParameters:
@@ -87,3 +92,32 @@ class TestDiskSimulator:
         for page in pages:
             random_order.read(page)
         assert elevator.stats.elapsed_ms < random_order.stats.elapsed_ms
+
+
+@given(
+    params=st.builds(
+        DiskParameters, transfer_ms=_MS, rotational_ms=_MS, full_stroke_seek_ms=_MS
+    ),
+    span=st.integers(min_value=1, max_value=5_000),
+    head=st.integers(min_value=0, max_value=12_000),
+    page=st.integers(min_value=0, max_value=12_000),
+)
+@example(params=DiskParameters(), span=1, head=7, page=7)  # distance 0, span 1
+@example(params=DiskParameters(), span=1, head=7, page=8)  # distance 1
+@example(params=DiskParameters(), span=1, head=7, page=9)  # distance 2 > span
+@example(params=DiskParameters(), span=100, head=50, page=48)  # distance 2
+@example(params=DiskParameters(), span=100, head=0, page=100)  # distance == span
+@example(params=DiskParameters(), span=100, head=9, page=5_000)  # beyond span
+def test_simulator_charges_exactly_what_the_parameters_define(params, span, head, page):
+    """The cost model and the simulator share one seek curve, bit for bit."""
+    distance = abs(page - head)
+    expected = (
+        params.sequential_read_ms
+        if distance <= 1
+        else params.random_read_ms(span, distance)
+    )
+    for move in (DiskSimulator.read, DiskSimulator.write):
+        disk = DiskSimulator(params=params, span_pages=span, _head=head)
+        assert move(disk, page) == expected
+        assert disk.stats.elapsed_ms == expected
+        assert disk._head == page
