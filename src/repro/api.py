@@ -97,6 +97,21 @@ class QueryResult:
         return len(self.rows)
 
 
+def _visible(rows: list[Row], result_vars: tuple[str, ...]) -> list[Row]:
+    """SELECT *: the user sees the range variables ``result_vars``, not the
+    helper variables a particular plan happened to materialise.  A row that
+    binds nothing else is returned as it is — every operator builds a fresh
+    dict per output row, so no one else holds it."""
+    if not result_vars:
+        return rows
+    keep = frozenset(result_vars)
+    return [
+        row if row.keys() <= keep
+        else {name: value for name, value in row.items() if name in keep}
+        for row in rows
+    ]
+
+
 class Database:
     """A catalog, an optional populated store, and an optimizer."""
 
@@ -551,9 +566,10 @@ class Database:
         text = query if isinstance(query, str) else str(query)
         config, slot = self._admit(config, governor)
         with slot:
-            optimization = self._search(self.simplify(query), config, governor, tracer)
+            simplified = self.simplify(query)
+            optimization = self._search(simplified, config, governor, tracer)
             optimization, execution = self._execute(
-                optimization, (), config, governor, None, (),
+                optimization, simplified.result_vars, config, governor, None, (),
                 cold=cold, instrument=tracer,
             )
         return build_report(
@@ -591,12 +607,7 @@ class Database:
         result = self.executor.execute(
             plan, cold=cold, ctx=ctx, view=view, monitor=monitor, consts=consts
         )
-        if result_vars:
-            keep = set(result_vars)
-            result.rows = [
-                {name: value for name, value in row.items() if name in keep}
-                for row in result.rows
-            ]
+        result.rows = _visible(result.rows, result_vars)
         return result
 
     def query(
@@ -878,9 +889,6 @@ class Database:
                     monitor = CardinalityMonitor(optimization.plan, replan_ratio)
             try:
                 if instrument is None:
-                    # SELECT *: the user sees the range variables; helper
-                    # scope variables a particular plan happened to
-                    # materialize are not part of the result.
                     execution = self.execute_plan(
                         optimization.plan, result_vars=result_vars,
                         ctx=governor, view=view, monitor=monitor, consts=consts,
@@ -891,6 +899,7 @@ class Database:
                         tracer=instrument, ctx=governor, view=view,
                         monitor=monitor, consts=consts,
                     )
+                    execution.rows = _visible(execution.rows, result_vars)
             except AdaptiveReplanSignal as signal:
                 # Mid-query re-optimization: an operator blew past its
                 # estimate.  The rows counted so far (flushed as partial

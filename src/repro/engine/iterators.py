@@ -109,9 +109,9 @@ def index_scan(
         oids = index.lookup_ne(store, key)
     else:  # pragma: no cover - exhaustive over CompOp
         raise ExecutionError(f"index scan cannot serve operator {op}")
-    passes = _residual(residual, consts)
+    passes, fetch = _residual(residual, consts), store.fetch
     for oid in oids:
-        row = {var: Obj(oid, store.fetch(oid))}
+        row = {var: Obj(oid, fetch(oid))}
         if passes is None or passes(row):
             yield row
 

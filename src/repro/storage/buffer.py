@@ -107,7 +107,8 @@ class BufferPool:
 
     def read_page(self, page_id: int) -> float:
         """Bring a page in; returns simulated ms spent (0 on a hit).
-        Called per page run or probe: keep the hit path short."""
+        Called per page run, probe and fetched object: keep the hit path
+        short, and an ungoverned miss one call to the disk."""
         scopes, frames = self._io_scopes.stack, self._frames
         with self._latch:
             if page_id in frames:
@@ -120,7 +121,11 @@ class BufferPool:
             self.stats.misses += 1
             if scopes:
                 scopes[-1].misses += 1
-            cost = self._disk_read(page_id)
+            faults = getattr(self._fault_local, "injector", None)
+            if faults is None:
+                cost = self.disk.read(page_id)
+            else:
+                cost = self._disk_read(page_id, faults)
             frames[page_id] = None
             self.last_page = page_id
             if len(frames) > self.capacity:
@@ -135,17 +140,17 @@ class BufferPool:
             if scope is not None:
                 scope.hits += count
 
-    def _disk_read(self, page_id: int) -> float:
-        """One disk read with fault injection and bounded retries.
+    def _disk_read(self, page_id: int, faults: "FaultInjector | None") -> float:
+        """One disk read under the calling thread's injector ``faults``.
 
         Transient injected failures are retried with capped exponential
         backoff (seeded jitter; the simulated wait is charged to the
         disk clock, and each retry is traced by the injector).  When the
         retries run out the fault becomes the typed
         :class:`~repro.errors.StorageFaultError` — the bottom rung of
-        the degradation ladder.
+        the degradation ladder.  The disk is always reached through
+        ``self.disk.read``, which tests wrap on the instance.
         """
-        faults = self.faults
         if faults is None:
             return self.disk.read(page_id)
         attempt = 1
@@ -190,7 +195,7 @@ class BufferPool:
             if scopes:
                 top = scopes[-1]
                 top.spill_reads = getattr(top, "spill_reads", 0) + 1
-            cost = self._disk_read(page_id)
+            cost = self._disk_read(page_id, self.faults)
         return cost
 
     def contains(self, page_id: int) -> bool:

@@ -76,8 +76,9 @@ class DiskStats:
 class DiskSimulator:
     """Tracks head position and accumulates simulated service time.
 
-    ``span_pages`` is the total number of allocated pages; it grows as the
-    store allocates segments and bounds the seek-distance fraction.
+    ``span_pages`` is the total number of allocated pages (at least 1); it
+    grows as the store allocates segments and bounds the seek-distance
+    fraction.
     """
 
     params: DiskParameters = field(default_factory=DiskParameters)
@@ -89,13 +90,25 @@ class DiskSimulator:
         self.span_pages = max(self.span_pages, pages)
 
     def read(self, page_id: int) -> float:
-        """Simulate reading one page; returns the service time in ms."""
+        """Simulate reading one page; returns the service time in ms.
+
+        Every buffer miss lands here, so the seek curve is
+        :meth:`DiskParameters.random_read_ms` written out in place: the
+        same float operations in the same order (``distance >= 2`` and
+        ``span_pages >= 1``, so only the upper clamp can apply).
+        """
         distance = abs(page_id - self._head)
         if distance <= 1:
             cost = self.params.sequential_read_ms
             self.stats.sequential_reads += 1
         else:
-            cost = self.params.random_read_ms(self.span_pages, distance)
+            params, fraction = self.params, distance / self.span_pages
+            if fraction > 1.0:
+                fraction = 1.0
+            cost = (
+                params.transfer_ms + params.rotational_ms
+                + params.full_stroke_seek_ms * math.sqrt(fraction)
+            )
             self.stats.random_reads += 1
         self._head = page_id
         self.stats.page_reads += 1

@@ -168,9 +168,14 @@ class ObjectStore:
         return page
 
     def fetch(self, oid: Oid) -> dict[str, Any]:
-        """Read one object, charging a (possibly cached) page read."""
-        self._require_sealed()
-        data = self.peek(oid)
+        """Read one object, charging a (possibly cached) page read.  Every
+        index-scan row comes through here: a base record is read directly,
+        only a written store (or a dangling reference) goes to `peek`."""
+        if not self._sealed:
+            self._require_sealed()
+        data = None if self.mvcc.dirty else self._data.get(oid)
+        if data is None:
+            data = self.peek(oid)  # the latest version, or the dangling error
         self.buffer.read_page(self.page_of(oid))
         return data
 

@@ -28,6 +28,27 @@ class TestQueryPipeline:
         for row in result.rows:
             assert set(row.keys()) == {"c"}
 
+    @pytest.mark.parametrize(
+        "text, config",
+        [
+            (QUERY_2, None),  # index scan
+            (QUERY_2, OptimizerConfig().without("collapse-to-index-scan")),
+            ("SELECT * FROM c IN Cities WHERE c.population < 100000 ORDER BY c", None),
+            (
+                "SELECT * FROM Task t IN Tasks WHERE NOT EXISTS ("
+                'SELECT m FROM Employee m IN t.team_members WHERE m.name == "Fred")',
+                None,
+            ),
+        ],
+    )
+    def test_select_star_rows_are_fresh_dicts(self, indexed_db, text, config):
+        # A row that binds only range variables is handed back as the
+        # executor built it.  That is safe because every operator builds a
+        # fresh dict per output row: no two rows share one, nor two runs.
+        first, second = (indexed_db.query(text, config=config).rows for _ in "12")
+        assert first and first == second
+        assert len({id(row) for row in (*first, *second)}) == 2 * len(first)
+
     def test_projection_rows_are_value_dicts(self, indexed_db):
         result = indexed_db.query(
             "SELECT c.name AS n, c.population FROM c IN Cities "

@@ -50,6 +50,15 @@ class TestExplainAnalyze:
         result = db.query(QUERY_2, use_cache=False)
         assert report.root.actual_rows == len(result.rows)
 
+    def test_rows_are_the_rows_query_returns(self):
+        # Executed "exactly as `query` does it": SELECT * shows the range
+        # variable, not the `c.mayor` this plan materialises on the way.
+        db = Database.sample(scale=0.05, seed=1)
+        report = db.explain_analyze(QUERY_2)
+        result = db.query(QUERY_2)
+        assert {tuple(row) for row in result.rows} == {("c",)}
+        assert report.execution.rows == result.rows
+
     def test_query3_trace_has_assembly_enforcer_event(self, db):
         report = db.explain_analyze(QUERY_3)
         enforcers = report.events_in("enforcer")

@@ -23,6 +23,7 @@ from repro.api import Database
 from repro.governor.admission import AdmissionController
 
 from tests.conftest import QUERY_1
+from tests.integration.test_page_state import BY_INDEX, PT_EMP, probe_db
 
 TRACING = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "tracing.py"
 
@@ -218,6 +219,34 @@ def test_the_hit_path_preamble_has_not_crept_back(tracing):
         f"a pt_city hit made {counter.calls:,} calls; it made "
         f"{PT_CITY_CALLS_BEFORE:,} when every hit was parsed and its plan "
         f"rebuilt, and {PT_CITY_CALLS_AFTER:,} without"
+    )
+
+
+#: Python + C calls of the benchmark's ``pt_emp`` lookup on a plan-cache hit
+#: (400 rows, each an index-scan fetch and a page miss), sample(scale=0.05,
+#: seed=1), file scan off, CPython 3.11: 8,438 when each fetch went through
+#: the seal check, ``peek``, the retry ladder and the shared seek curve and
+#: the SELECT * projection copied every row; 6,155 with one frame per layer
+#: and the rows handed back as built.  Bound = after + 15 %.
+PT_EMP_CALLS_BEFORE, PT_EMP_CALLS_AFTER, PT_EMP_CALLS_BOUND = 8_438, 6_155, 7_080
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the call count was taken on CPython 3.11; other minors differ",
+)
+def test_the_point_lookup_row_tax_has_not_crept_back(tracing):
+    db = probe_db(0.05)
+    db.query(PT_EMP, config=BY_INDEX)
+    counter = tracing.CallCounter()
+    result = counter.run(
+        lambda: db.query(PT_EMP.replace("ename1", "ename2"), config=BY_INDEX)
+    )
+    assert result.cache.outcome == "hit" and len(result.rows) == 400
+    assert counter.calls <= PT_EMP_CALLS_BOUND, (
+        f"a pt_emp hit made {counter.calls:,} calls; it made "
+        f"{PT_EMP_CALLS_BEFORE:,} when every fetched row paid three frames "
+        f"per layer, and {PT_EMP_CALLS_AFTER:,} with one"
     )
 
 
