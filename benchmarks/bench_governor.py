@@ -12,9 +12,8 @@ Two overheads, measured rather than asserted:
   injected fault costs a retry and capped-exponential backoff charged
   to the simulated disk clock.
 
-Deliberately NOT part of the perf-gate baseline (``bench_quick.py``):
-spill and fault-injection timings depend on temp-segment churn and are
-noisier than the optimizer microbenchmarks the gate protects.
+Not part of the CI perf gate (``bench_quick.py``), which compares exact
+counts only: these are wall times.
 """
 
 import os

@@ -1,23 +1,30 @@
 #!/usr/bin/env python3
-"""Quick benchmark subset for the CI perf-regression gate.
+"""The CI perf gate's measurements: exact counts and one floor.
 
-Runs in well under a minute and writes a machine-readable JSON file
-(``BENCH_PR.json`` by default) that ``check_regression.py`` compares
-against the committed ``BENCH_BASELINE.json``.  Metrics mix three kinds
-of signal:
+    PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/bench_quick.py --output BENCH_PR.json
+    python benchmarks/check_regression.py BENCH_BASELINE.json BENCH_PR.json
 
-* optimizer wall time (median of several runs, the paper's < 1 s goal);
-* deterministic simulated-execution numbers (page reads, simulated I/O),
-  which catch plan or cost-model regressions with zero timer noise;
-* the cardinality-feedback p99 speedup, gated by an absolute floor (the
-  ``floor`` field) rather than a relative delta, since its off side
-  tracks the host interpreter more than code changes.
+Every metric but one is an exact function of code and seed, so
+``check_regression.py`` requires it to equal the committed
+``BENCH_BASELINE.json``:
+
+* Query 2's simulated page reads and simulated I/O time at scale 0.1.  The
+  index pages' place on the simulated disk still follows the string hash
+  of the index name, hence the pinned ``PYTHONHASHSEED``;
+* the memo groups of a five-collection join chain (a search-space blowup);
+* for each statement workload of ``benchmarks/e2e``, the traced counts of
+  ``compare.EXACT`` at seed 1.
+
+The cardinality-feedback p99 speedup is wall-clock, and gated by its
+``floor`` instead.  ``--output BENCH_BASELINE.json`` re-records the baseline.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import os
 import platform
 import sys
@@ -26,176 +33,52 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import common
+import compare
+from bench_search_scalability import chain_query
 
-OPTIMIZE_REPEATS = 9
-CACHE_HIT_REPEATS = 9
-
-
-def _best_wall(fn, repeats: int, inner: int = 3) -> float:
-    """Noise-robust wall time: min over ``repeats`` of a batched sample.
-
-    One warmup call absorbs lazy imports and cache fills; each sample
-    averages ``inner`` back-to-back calls so scheduler hiccups shorter
-    than a batch cannot dominate; taking the minimum discards samples a
-    busy host inflated (speeding code up is not a thing noise does).
-    """
-    fn()
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - started) / inner)
-    return best
+#: The statement workloads' traced counts come from this seed.
+E2E_SEED = 1
 
 
 def collect() -> dict[str, dict]:
-    """Run the quick subset and return the metric table."""
-    metrics: dict[str, dict] = {}
+    """Run every measurement and return the metric table."""
     catalog = common.paper_catalog()
-
-    for name, sql in (("q1", common.QUERY_1), ("q4", common.QUERY_4)):
-        seconds = _best_wall(
-            lambda sql=sql: common.optimize(catalog, sql), OPTIMIZE_REPEATS
-        )
-        metrics[f"optimize_{name}_ms"] = {
-            "value": round(seconds * 1000, 3),
-            "unit": "ms",
-            "higher_is_better": False,
+    metrics = {
+        "memo_groups_chain5": {
+            "value": common.optimize(catalog, chain_query(5)).groups,
+            "unit": "groups",
         }
-
-    # Search-time gate: a five-collection slice of the scalability
-    # bench's join chain.  Wall time catches rewrite/search slowdowns;
-    # the memo group count is deterministic and catches search-space
-    # blowups (a disabled rewrite stage, a new unfused operator) with
-    # zero timer noise.
-    from bench_search_scalability import chain_query
-
-    chain_sql = chain_query(5)
-    seconds = _best_wall(
-        lambda: common.optimize(catalog, chain_sql), OPTIMIZE_REPEATS
-    )
-    metrics["optimize_chain5_ms"] = {
-        "value": round(seconds * 1000, 3),
-        "unit": "ms",
-        "higher_is_better": False,
-    }
-    metrics["memo_groups_chain5"] = {
-        "value": common.optimize(catalog, chain_sql).groups,
-        "unit": "groups",
-        "higher_is_better": False,
     }
 
     db = common.exec_database(scale=0.1)
-    result = db.query(common.QUERY_2, use_cache=False)
+    execution = db.query(common.QUERY_2, use_cache=False).execution
     metrics["exec_q2_sim_io_ms"] = {
-        "value": round(result.execution.simulated_io_seconds * 1000, 3),
+        "value": round(execution.simulated_io_seconds * 1000, 3),
         "unit": "ms",
-        "higher_is_better": False,
     }
-    metrics["exec_q2_page_reads"] = {
-        "value": result.execution.page_reads,
-        "unit": "pages",
-        "higher_is_better": False,
-    }
+    metrics["exec_q2_page_reads"] = {"value": execution.page_reads, "unit": "pages"}
 
-    db.query(common.QUERY_1)  # prime the plan cache
-    seconds = _best_wall(
-        lambda: db.query(common.QUERY_1, execute=False),
-        CACHE_HIT_REPEATS,
-        inner=10,
-    )
-    metrics["plan_cache_hit_ms"] = {
-        "value": round(seconds * 1000, 3),
-        "unit": "ms",
-        "higher_is_better": False,
-    }
-
-    # Cardinality-feedback p99 on a skewed world: a repeated query whose
-    # uniform-distribution estimate is off by two orders of magnitude
-    # picks nested loops; the feedback loop replans it into a hash join.
-    # The speedup is floor-gated (the off-side nested-loops time tracks
-    # the host interpreter); the feedback-on p99 is tracked relatively.
     p99_off_ms, p99_on_ms = _skewed_feedback_p99()
-    metrics["exec_skewed_p99_ms"] = {
-        "value": round(p99_on_ms, 3),
-        "unit": "ms",
-        "higher_is_better": False,
-    }
     metrics["feedback_p99_speedup"] = {
         "value": round(p99_off_ms / p99_on_ms, 2),
         "unit": "x",
-        "higher_is_better": True,
         "floor": 2.0,
     }
 
-    # Durability: per-commit log+fsync latency and recovery replay wall
-    # time.  Informational only — both are dominated by the host's
-    # fsync behaviour (container overlayfs vs bare metal varies by an
-    # order of magnitude), so gating on a relative delta would flag
-    # infrastructure, not code.  The in-memory metrics above stay the
-    # enforced perf gate; these track the durable path's cost over time.
-    commit_ms, replay_ms = _durability_metrics()
-    metrics["commit_durable_ms"] = {
-        "value": round(commit_ms, 3),
-        "unit": "ms",
-        "higher_is_better": False,
-        "informational": True,
-    }
-    metrics["recovery_replay_ms"] = {
-        "value": round(replay_ms, 3),
-        "unit": "ms",
-        "higher_is_better": False,
-        "informational": True,
-    }
+    benchmark = json.loads((compare.ROOT / "BENCHMARK.json").read_text())
+    for workload in (entry["name"] for entry in benchmark["workloads"]):
+        traced = compare.run(compare.ROOT, workload, E2E_SEED, 1)["metrics"]
+        for name in compare.EXACT:
+            metrics[f"{workload}/{name}"] = traced[name]
     return metrics
 
 
-#: Durable commits timed for the median, and replayed at recovery.
-DURABLE_COMMITS = 40
-
-
-def _durability_metrics() -> tuple[float, float]:
-    """(median durable-commit ms, log-replay ms for that history)."""
-    import shutil
-    import statistics
-    import tempfile
-
-    from repro.api import Database
-    from repro.durability.manager import DurabilityManager
-
-    directory = tempfile.mkdtemp(prefix="repro-bench-durability-")
-    try:
-        db = Database.sample(scale=0.05)
-        db.enable_durability(directory)
-        samples = []
-        for i in range(DURABLE_COMMITS):
-            statement = (
-                f"UPDATE c IN Cities SET c.population = {i + 1} "
-                "WHERE c.name == 'city0'"
-            )
-            started = time.perf_counter()
-            db.query(statement)
-            samples.append((time.perf_counter() - started) * 1000.0)
-        commit_ms = statistics.median(samples)
-
-        fresh = Database.sample(scale=0.05)
-        manager = DurabilityManager(directory)
-        started = time.perf_counter()
-        recovery = manager.recover(fresh)
-        replay_ms = (time.perf_counter() - started) * 1000.0
-        assert recovery["replayed"] == DURABLE_COMMITS
-        manager.wal.close()
-        return commit_ms, replay_ms
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
-
-
-#: Repeated-query runs per feedback configuration.  p99 over 120 runs
-#: discards exactly one sample, so the feedback-on side's single
-#: adaptive-replan run (slow by design: it pays part of the bad plan,
-#: then re-optimizes) does not define its tail.
-FEEDBACK_RUNS = 120
+#: Repeated-query runs per feedback configuration.  Their p99 leaves out
+#: the 4 slowest: on the feedback-on side the adaptive-replan run (it pays
+#: part of the bad plan, then re-optimizes) and the plan-cache miss after
+#: it, both slow by design, and up to two samples a busy host stretched,
+#: so one stretched sample cannot set the ratio.
+FEEDBACK_RUNS = 400
 
 
 def _skewed_feedback_p99() -> tuple[float, float]:
@@ -208,8 +91,6 @@ def _skewed_feedback_p99() -> tuple[float, float]:
     With feedback on, the first run replans mid-query and every later
     run is planned from the observed cardinality.
     """
-    import math
-
     from repro.fuzz.worldgen import (
         AttrSpec,
         IndexSpec,
@@ -262,17 +143,26 @@ def _skewed_feedback_p99() -> tuple[float, float]:
         if feedback:
             db.config = db.config.with_feedback(True)
         samples = []
-        for _ in range(FEEDBACK_RUNS):
-            started = time.perf_counter()
-            db.query(text)
-            samples.append((time.perf_counter() - started) * 1000.0)
+        # A cyclic-GC pause of several ms can set the feedback-on side's
+        # tail; the ratio is about plans, so the collector stays out.
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(FEEDBACK_RUNS):
+                started = time.perf_counter()
+                db.query(text)
+                samples.append((time.perf_counter() - started) * 1000.0)
+        finally:
+            gc.enable()
         return samples
 
     return p99(workload(feedback=False)), p99(workload(feedback=True))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument(
         "--output",
         default="BENCH_PR.json",
@@ -282,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
 
     metrics = collect()
     payload = {
-        "schema": 1,
+        "schema": 2,
         "python": platform.python_version(),
         "metrics": metrics,
     }
@@ -292,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
 
     width = max(len(name) for name in metrics)
     for name, metric in sorted(metrics.items()):
-        print(f"  {name:{width}}  {metric['value']:>10} {metric['unit']}")
+        print(f"  {name:{width}}  {metric['value']!r:>22} {metric['unit']}")
     print(f"wrote {args.output}")
     return 0
 

@@ -14,12 +14,6 @@ def full_catalog():
 
 
 @pytest.fixture(scope="session")
-def plain_catalog():
-    """Full-scale Table 1 catalog without indexes."""
-    return common.paper_catalog(indexes=())
-
-
-@pytest.fixture(scope="session")
 def exec_db():
     """Populated store (10% scale) for simulated-execution benchmarks."""
     return common.exec_database(scale=0.1)

@@ -25,7 +25,6 @@ MODULES = [
     "bench_fig8_9_query2",
     "bench_fig10_11_query3",
     "bench_fig12_13_query4",
-    "bench_optimization_time",
     "bench_exec_validation",
     "bench_ablation_window",
     "bench_ablation_warmstart",
@@ -34,10 +33,7 @@ MODULES = [
     "bench_search_scalability",
     "bench_cost_validation",
     "bench_ablation_argrules",
-    "bench_plan_cache",
-    "bench_explain_analyze",
     "bench_governor",
-    "bench_serving",
 ]
 
 

@@ -12,7 +12,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.algebra.predicates import CompOp, Conjunction, Const, Term
+from repro.algebra.predicates import (
+    CompOp,
+    Comparison,
+    Conjunction,
+    Const,
+    RefAttr,
+    SelfOid,
+    Term,
+    VarRef,
+)
 from repro.errors import AlgebraError
 
 
@@ -30,6 +39,35 @@ class RefSource:
 
     def __str__(self) -> str:
         return self.var if self.attr is None else f"{self.var}.{self.attr}"
+
+    def target_type(self, catalog, var_type: str) -> str:
+        """The type the reference resolves to, ``var`` being a ``var_type``."""
+        if self.attr is None:
+            return var_type
+        return catalog.type_of(var_type).attribute(self.attr).target_type or ""
+
+    def oid_join(self, out: str) -> Conjunction:
+        """``var.attr == out.self``: the join that equals resolving this
+        reference into ``out`` (Mat-to-Join's predicate)."""
+        term = VarRef(self.var) if self.attr is None else RefAttr(self.var, self.attr)
+        return Conjunction.from_iterable((Comparison(term, CompOp.EQ, SelfOid(out)),))
+
+
+def ref_path(
+    var: str, root: str, links: dict[str, RefSource]
+) -> tuple[str, ...] | None:
+    """Attribute path from ``root`` to ``var``, following ``links`` (each
+    materialized variable's source); None when the way crosses a bare
+    reference or leaves the links."""
+    path: list[str] = []
+    current = var
+    while current != root:
+        source = links.get(current)
+        if source is None or source.attr is None:
+            return None
+        path.append(source.attr)
+        current = source.var
+    return tuple(reversed(path))
 
 
 class LogicalOp:
@@ -466,4 +504,5 @@ __all__ = [
     "SetOp",
     "SetOpKind",
     "Unnest",
+    "ref_path",
 ]

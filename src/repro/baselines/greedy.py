@@ -21,17 +21,8 @@ Table 3's greedy column is directly comparable.
 
 from __future__ import annotations
 
-from repro.algebra.operators import LogicalOp, Mat, RefSource, Unnest
-from repro.algebra.predicates import (
-    CompOp,
-    Comparison,
-    Conjunction,
-    Const,
-    FieldRef,
-    RefAttr,
-    SelfOid,
-    VarRef,
-)
+from repro.algebra.operators import LogicalOp, Mat, RefSource, Unnest, ref_path
+from repro.algebra.predicates import Comparison, Conjunction, Const, FieldRef
 from repro.baselines.builder import BaselineContext, QueryShape, decompose
 from repro.catalog.catalog import Catalog, IndexDef
 from repro.optimizer.cost import CostModel
@@ -46,6 +37,7 @@ from repro.optimizer.plans import (
     IndexScanNode,
     PhysicalNode,
 )
+from repro.storage.index import btree_shape, estimated_leaf_pages
 
 
 def _field_const(comparison: Comparison) -> tuple[FieldRef, Const] | None:
@@ -184,7 +176,7 @@ class GreedyOptimizer:
             if pair is None:
                 continue
             field, _ = pair
-            path = self._path_to_root(field.var, shape.get.var, links)
+            path = ref_path(field.var, shape.get.var, links)
             if path is None:
                 continue
             index = self.catalog.find_index(collection, path + (field.attr,))
@@ -258,13 +250,6 @@ class GreedyOptimizer:
         scan = self._index_scan_node(
             ctx, extent_name, step.out, index, comparison, matches
         )
-        if step.source.attr is None:
-            ref_term = VarRef(step.source.var)
-        else:
-            ref_term = RefAttr(step.source.var, step.source.attr)
-        join_pred = Conjunction.of(
-            Comparison(ref_term, CompOp.EQ, SelfOid(step.out))
-        )
         out_rows = rows * matches / max(1.0, extent_rows)
         scan_scope_width = float(
             self.catalog.type_of(
@@ -272,7 +257,7 @@ class GreedyOptimizer:
             ).object_size
         )
         plan = HashJoinNode(
-            join_pred,
+            step.source.oid_join(step.out),
             children=(scan, plan),
             delivered=plan.delivered.add(step.out),
             rows=out_rows,
@@ -291,19 +276,12 @@ class GreedyOptimizer:
         comparison: Comparison,
         matches: float,
     ) -> IndexScanNode:
-        import math
-
-        from repro.storage.index import ENTRY_BYTES, INTERIOR_FANOUT
-
-        entries = self.catalog.cardinality(collection)
         page = self.cost_model.params.page_size
-        leaf_pages = max(1, -(-entries * ENTRY_BYTES // page))
-        height = max(1, math.ceil(math.log(max(2, leaf_pages), INTERIOR_FANOUT)))
-        match_leaves = max(1.0, matches * ENTRY_BYTES / page)
+        height, leaf_pages = btree_shape(self.catalog.cardinality(collection), page)
         cost = self.cost_model.index_scan(
             matches,
             height,
-            min(match_leaves, float(leaf_pages)),
+            estimated_leaf_pages(matches, leaf_pages, page),
             self.catalog.pages(collection),
         )
         return IndexScanNode(
@@ -328,20 +306,6 @@ class GreedyOptimizer:
             judged.add(current)
             current = links[current].var
         return frozenset(judged)
-
-    @staticmethod
-    def _path_to_root(
-        var: str, root: str, links: dict[str, RefSource]
-    ) -> tuple[str, ...] | None:
-        path: list[str] = []
-        current = var
-        while current != root:
-            source = links.get(current)
-            if source is None or source.attr is None:
-                return None
-            path.append(source.attr)
-            current = source.var
-        return tuple(reversed(path))
 
 
 __all__ = ["GreedyOptimizer"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
@@ -13,7 +12,6 @@ from repro.optimizer.cost import CostModel
 from repro.optimizer.logical_props import QueryVars, tuple_width_bytes
 from repro.optimizer.memo import Memo
 from repro.optimizer.selectivity import SelectivityModel
-from repro.storage.index import ENTRY_BYTES, INTERIOR_FANOUT
 
 
 @dataclass
@@ -62,15 +60,6 @@ class OptimizeContext:
         return tuple_width_bytes(
             scope, self.catalog, self.config.cost.tuple_overhead_bytes
         )
-
-    def index_shape(self, collection_name: str) -> tuple[int, float]:
-        """(height, leaf pages) of an index over a collection, estimated
-        from catalog statistics (the runtime index need not exist yet)."""
-        entries = self.catalog.cardinality(collection_name)
-        page = self.config.cost.page_size
-        leaf_pages = max(1, -(-entries * ENTRY_BYTES // page))
-        height = max(1, math.ceil(math.log(max(2, leaf_pages), INTERIOR_FANOUT)))
-        return height, float(leaf_pages)
 
 
 __all__ = ["OptimizeContext"]

@@ -26,15 +26,12 @@ from repro.algebra.operators import (
     Mat,
     MatChain,
     Project,
-    RefSource,
     Select,
     SetOp,
     Unnest,
+    ref_path,
 )
 from repro.algebra.predicates import (
-    CompOp,
-    Comparison,
-    Conjunction,
     Const,
     FieldRef,
     RefAttr,
@@ -65,6 +62,7 @@ from repro.optimizer.plans import (
     PointerJoinNode,
     WarmStartAssemblyNode,
 )
+from repro.storage.index import btree_shape, estimated_leaf_pages
 
 
 @dataclass(slots=True)
@@ -174,19 +172,6 @@ def _mat_chains(gid: int, ctx: OptimizeContext, depth: int = 0):
                 yield extended, get_op, get_gid
 
 
-def _chain_path(var: str, root: str, links: dict[str, RefSource]) -> tuple[str, ...] | None:
-    """Attribute path from the chain's root variable to ``var``."""
-    path: list[str] = []
-    current = var
-    while current != root:
-        source = links.get(current)
-        if source is None or source.attr is None:
-            return None
-        path.append(source.attr)
-        current = source.var
-    return tuple(reversed(path))
-
-
 class CollapseToIndexScanImpl(ImplementationRule):
     """Select over a Mat*->Get chain -> a single (path-)index scan.
 
@@ -214,14 +199,14 @@ class CollapseToIndexScanImpl(ImplementationRule):
                 if candidate_key is None:
                     continue
                 index, residual, matches = candidate_key
-                height, leaf_pages = ctx.index_shape(get_op.collection)
-                match_leaves = max(
-                    1.0, matches * 16 / ctx.config.cost.page_size
+                page = ctx.config.cost.page_size
+                height, leaf_pages = btree_shape(
+                    ctx.catalog.cardinality(get_op.collection), page
                 )
                 cost = ctx.cost_model.index_scan(
                     matches,
                     height,
-                    min(match_leaves, leaf_pages),
+                    estimated_leaf_pages(matches, leaf_pages, page),
                     ctx.collection_pages(get_op.collection),
                 )
                 if not residual.is_true:
@@ -260,7 +245,7 @@ class CollapseToIndexScanImpl(ImplementationRule):
             field, const = const, field
         if not isinstance(field, FieldRef) or not isinstance(const, Const):
             return None
-        path = _chain_path(field.var, get_op.var, links)
+        path = ref_path(field.var, get_op.var, links)
         if path is None:
             return None
         index = ctx.catalog.find_index(get_op.collection, path + (field.attr,))
@@ -699,10 +684,9 @@ def _mat_facts(mexpr, ctx) -> tuple:
     m-expr — the same for the three Mat rules under every goal."""
     child = ctx.memo.group(mexpr.children[0]).props
     source = mexpr.op.source
-    target_type = child.scope.binding(source.var).type_name
-    if source.attr is not None:
-        attr = ctx.catalog.attribute(target_type, source.attr)
-        target_type = attr.target_type or ""
+    target_type = source.target_type(
+        ctx.catalog, child.scope.binding(source.var).type_name
+    )
     return child, target_type, ctx.type_pages(target_type)
 
 
@@ -876,15 +860,9 @@ class MatChainImpl(ImplementationRule):
         steps: list[tuple] = []  # (kind, link, extra, step_cost)
         total = Cost.zero()
         for link in op.links:
-            src = link.source
-            if src.attr is None:
-                target_type = types.get(src.var) or child_scope.binding(
-                    src.var
-                ).type_name
-            else:
-                holder = types[src.var]
-                attr = ctx.catalog.attribute(holder, src.attr)
-                target_type = attr.target_type or ""
+            target_type = link.source.target_type(
+                ctx.catalog, types[link.source.var]
+            )
             target_pages = ctx.type_pages(target_type)
             options: list[tuple[str, tuple, Cost]] = []
             if ctx.config.is_enabled(rule_names.ASSEMBLY):
@@ -981,15 +959,8 @@ class MatChainImpl(ImplementationRule):
                         rows=extent_rows,
                         local_cost=scan_cost,
                     )
-                    if link.source.attr is None:
-                        ref_term = VarRef(link.source.var)
-                    else:
-                        ref_term = RefAttr(link.source.var, link.source.attr)
-                    pred = Conjunction.of(
-                        Comparison(ref_term, CompOp.EQ, SelfOid(link.out))
-                    )
                     node = HashJoinNode(
-                        pred,
+                        link.source.oid_join(link.out),
                         children=(scan, node),
                         delivered=PhysProps(
                             node.delivered.in_memory | {link.out},

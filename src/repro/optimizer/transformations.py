@@ -31,14 +31,7 @@ from repro.algebra.operators import (
     SetOpKind,
     Unnest,
 )
-from repro.algebra.predicates import (
-    CompOp,
-    Comparison,
-    Conjunction,
-    RefAttr,
-    SelfOid,
-    VarRef,
-)
+from repro.algebra.predicates import CompOp, Conjunction, RefAttr, SelfOid, VarRef
 from repro.catalog.schema import CollectionKind
 from repro.optimizer import config as rule_names
 from repro.optimizer.memo import Memo, MExpr, Tree
@@ -406,22 +399,14 @@ class MatToJoin(TransformationRule):
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
         op = mexpr.op
         child_scope = memo.group(mexpr.children[0]).props.scope
-        if op.source.attr is None:
-            target_type = child_scope.binding(op.source.var).type_name
-        else:
-            holder = child_scope.binding(op.source.var).type_name
-            attr = memo.catalog.attribute(holder, op.source.attr)
-            target_type = attr.target_type or ""
+        target_type = op.source.target_type(
+            memo.catalog, child_scope.binding(op.source.var).type_name
+        )
         extent = memo.catalog.extent_of(target_type)
         if extent is None or not memo.catalog.has_stats(extent.name):
             return
-        if op.source.attr is None:
-            ref_term = VarRef(op.source.var)
-        else:
-            ref_term = RefAttr(op.source.var, op.source.attr)
-        pred = Conjunction.of(Comparison(ref_term, CompOp.EQ, SelfOid(op.out)))
         yield (
-            _mk_join(pred),
+            _mk_join(op.source.oid_join(op.out)),
             (mexpr.children[0], (Get(extent.name, op.out), ())),
         )
 

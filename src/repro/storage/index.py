@@ -35,7 +35,7 @@ from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.catalog.catalog import IndexDef
+from repro.catalog.catalog import DEFAULT_PAGE_SIZE, IndexDef
 from repro.errors import IndexCorruptionError, StorageError
 from repro.storage.objects import Oid
 
@@ -105,11 +105,19 @@ def _transaction_reader(mvcc, txn: "Transaction") -> Reader:
     return read
 
 
-def _shape(entry_count: int) -> tuple[int, int]:
-    """(interior levels, leaf pages) of the modelled B-tree."""
-    leaf_pages = max(1, -(-entry_count * ENTRY_BYTES // 4096))
+def btree_shape(entry_count: float, page_size: int) -> tuple[int, int]:
+    """(interior levels, leaf pages) of the modelled B-tree over
+    ``entry_count`` entries — what a probe is charged, and what the cost
+    model and the greedy baseline estimate from catalog cardinalities."""
+    leaf_pages = max(1, -(-entry_count * ENTRY_BYTES // page_size))
     height = max(1, math.ceil(math.log(max(2, leaf_pages), INTERIOR_FANOUT)))
     return height, leaf_pages
+
+
+def estimated_leaf_pages(matches: float, leaf_pages: float, page_size: int) -> float:
+    """Leaf pages a probe matching ``matches`` entries is estimated to read:
+    their (fractional) share of pages, at least one, at most the tree's."""
+    return min(max(1.0, matches * ENTRY_BYTES / page_size), float(leaf_pages))
 
 
 def _indexable(key: Any) -> bool:
@@ -198,12 +206,12 @@ class IndexRuntime:
     @property
     def leaf_pages(self) -> int:
         """Leaf page count of the modelled B-tree shape."""
-        return _shape(self.entry_count)[1]
+        return btree_shape(self.entry_count, DEFAULT_PAGE_SIZE)[1]
 
     @property
     def height(self) -> int:
         """Number of interior levels above the leaves (>= 1 for the root)."""
-        return _shape(self.entry_count)[0]
+        return btree_shape(self.entry_count, DEFAULT_PAGE_SIZE)[0]
 
     def distinct_keys(self) -> int:
         return len(self.entries)
@@ -275,11 +283,11 @@ class IndexRuntime:
         # Interior traversal: `height` random page reads (synthetic page ids
         # beyond the data segments so they never collide with object pages).
         # The shape is that of the index as of the reading view.
-        height, leaf_pages = _shape(entry_count)
+        height, leaf_pages = btree_shape(entry_count, DEFAULT_PAGE_SIZE)
         base = store.total_pages() + hash(self.definition.name) % 1000
         for level in range(height):
             store.buffer.read_page(base + level)
-        leaf_span = max(1, -(-len(matches) * ENTRY_BYTES // 4096))
+        leaf_span = max(1, -(-len(matches) * ENTRY_BYTES // DEFAULT_PAGE_SIZE))
         for leaf in range(min(leaf_span, leaf_pages)):
             store.buffer.read_page(base + height + leaf)
 
@@ -788,4 +796,4 @@ class IndexRegistry:
                 )
 
 
-__all__ = ["IndexRegistry", "IndexRuntime", "ENTRY_BYTES", "INTERIOR_FANOUT"]
+__all__ = ["IndexRegistry", "IndexRuntime", "btree_shape", "estimated_leaf_pages"]

@@ -18,6 +18,11 @@ from tests.conftest import SCALE
 
 Q_MAYOR = 'SELECT * FROM City c IN Cities WHERE c.mayor.name == "{name}"'
 Q_PREPARED = "SELECT * FROM City c IN Cities WHERE c.mayor.name == $who"
+Q_LOCATION = (  # the paper's Query 1
+    "SELECT Newobject(e.name(), e.department().name(), e.job().name()) "
+    "FROM Employee e IN Employees "
+    'WHERE e.department().plant().location() == "{location}"'
+)
 
 
 def uses_index(plan) -> bool:
@@ -31,6 +36,15 @@ class TestTransparentCaching:
         assert first.cache.outcome == "miss"
         assert second.cache.outcome == "hit"
         assert fresh_db.plan_cache.stats.hits == 1
+
+    def test_hundred_constant_variants_optimize_once(self, fresh_db):
+        """Query 1 run 100 times with its location constant varied: one
+        miss, 99 hits, nothing evicted."""
+        locations = ("Dallas", "Austin", "Tulsa", "Reno", "Fresno")
+        for i in range(100):
+            fresh_db.query(Q_LOCATION.format(location=locations[i % 5]))
+        stats = fresh_db.plan_cache.stats
+        assert (stats.misses, stats.hits, stats.evictions) == (1, 99, 0)
 
     def test_rebound_plan_gives_correct_rows(self, fresh_db):
         fresh_db.query(Q_MAYOR.format(name="Joe"))

@@ -7,6 +7,8 @@ queries, server-side cursors, remote transactions with typed
 ``WriteConflict``, admission rejection, and graceful drain.
 """
 
+import threading
+
 import pytest
 
 from repro.api import Database
@@ -117,6 +119,41 @@ class TestSessions:
                 "WHERE x.name == 'remote'"
             )["rows"]
             assert rows == [{"x.population": 9}]
+
+    def test_concurrent_sessions_complete_every_operation(self, server):
+        """Four sessions interleaving point reads with UPDATEs of disjoint
+        cities: every statement completes and none raises."""
+        _, host, port = server
+        sessions, ops = 4, 20
+        errors: list[str] = []
+        done = [0] * sessions
+
+        def session(index):
+            try:
+                with ServerClient(host, port) as client:
+                    for i in range(ops):
+                        city = f"city{index * ops + i}"
+                        client.query(
+                            f"UPDATE x IN Cities SET x.population = {i} "
+                            f"WHERE x.name == '{city}'"
+                            if i % 2
+                            else "SELECT x.population FROM x IN Cities "
+                            f"WHERE x.name == '{city}'"
+                        )
+                        done[index] += 1
+            except Exception as exc:  # noqa: BLE001 — asserted empty below
+                errors.append(repr(exc))
+
+        threads = [
+            threading.Thread(target=session, args=(index,))
+            for index in range(sessions)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert errors == []
+        assert done == [ops] * sessions
 
     def test_write_conflict_is_typed_across_the_wire(self, server):
         with connect(server) as winner, connect(server) as loser:
