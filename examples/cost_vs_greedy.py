@@ -14,6 +14,8 @@ Run with:  python examples/cost_vs_greedy.py [scale]
 import sys
 
 from repro import Database
+from repro.baselines import GreedyOptimizer
+from repro.optimizer.optimizer import Optimizer
 
 QUERY_4 = (
     "SELECT * FROM Task t IN Tasks WHERE t.time == 100 AND EXISTS ("
@@ -36,7 +38,10 @@ def main() -> None:
     print(cost_based.explain(costs=True))
     print()
 
-    greedy_plan = db.greedy_plan(QUERY_4)
+    cost_model = Optimizer(db.catalog, db.config).cost_model
+    greedy_plan = GreedyOptimizer(db.catalog, cost_model).optimize(
+        simplified.tree, result_vars=simplified.result_vars
+    )
     greedy_exec = db.execute_plan(
         greedy_plan, result_vars=simplified.result_vars
     )

@@ -20,8 +20,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
-from repro.baselines.greedy import GreedyOptimizer
-from repro.baselines.naive import NaiveOptimizer
 from repro.algebra.predicates import showing
 from repro.cache.fingerprint import (
     ParameterizedQuery,
@@ -958,24 +956,6 @@ class Database:
                 tracer=tracer,
                 query_ctx=governor,
             )
-
-    # ------------------------------------------------------------------
-    # Baselines
-    # ------------------------------------------------------------------
-
-    def greedy_plan(self, query: Union[str, QueryAst, SetQueryAst]) -> PhysicalNode:
-        """Plan the query with the ObjectStore-style greedy baseline."""
-        simplified = self.simplify(query)
-        return GreedyOptimizer(
-            self.catalog, Optimizer(self.catalog, self.config).cost_model
-        ).optimize(simplified.tree, result_vars=simplified.result_vars)
-
-    def naive_plan(self, query: Union[str, QueryAst, SetQueryAst]) -> PhysicalNode:
-        """Plan the query with the naive pointer-chasing baseline."""
-        tree = self.simplify(query).tree
-        return NaiveOptimizer(
-            self.catalog, Optimizer(self.catalog, self.config).cost_model
-        ).optimize(tree)
 
 
 __all__ = ["Database", "PreparedQuery", "QueryResult"]

@@ -1,13 +1,15 @@
-"""CLI for the differential fuzzer.
+"""CLI for the fuzz harness.
 
 ::
 
     PYTHONPATH=src python -m repro.fuzz --seed 0 --iterations 200
-    PYTHONPATH=src python -m repro.fuzz --seed 7 --iterations 1000 \\
+    PYTHONPATH=src python -m repro.fuzz --dml --seed 7 --iterations 40 \\
         --write-corpus --corpus tests/corpus
 
-Exit status 0 when every configuration pair agreed on every case,
-1 when any mismatch was found (repros written when requested).
+``--dml``, ``--crash`` and ``--chaos`` pick the oracle (default: the
+differential plan oracle); passing an option the chosen oracle does not
+read is an error.  Exit status 0 when no case found anything, 1 when any
+did (repros written when requested).
 """
 
 from __future__ import annotations
@@ -15,23 +17,26 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 
-from repro.fuzz.runner import DEFAULT_QUERIES_PER_WORLD, fuzz
+from repro.fuzz import MODES, ChaosMode, CrashMode, DmlMode, PlanMode, fuzz, summary
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse CLI arguments, run the fuzz loop, print a summary."""
+    """Parse CLI arguments, run the chosen mode, print a summary."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
-        description="Differential plan-equivalence fuzzer.",
+        description="Seeded fuzzing: the differential plan oracle, or one "
+        "of its DML, crash and chaos modes.",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--iterations", type=int, default=100)
     parser.add_argument(
         "--queries-per-world",
         type=int,
-        default=DEFAULT_QUERIES_PER_WORLD,
-        help="queries drawn from each generated world",
+        default=None,
+        help="queries drawn from each generated world (plan and --chaos; "
+        "default 5)",
     )
     parser.add_argument(
         "--corpus",
@@ -48,9 +53,12 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="skip minimization of failing cases",
     )
-    parser.add_argument(
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument(
         "--dml",
-        action="store_true",
+        dest="mode",
+        action="store_const",
+        const=DmlMode,
         help="run the DML-interleaved oracle: the same seeded write "
         "batch under every engine configuration must produce "
         "byte-identical transcripts (reads, counts, typed errors)",
@@ -59,19 +67,23 @@ def main(argv: list[str] | None = None) -> int:
         "--ops-per-batch",
         type=int,
         default=None,
-        help="DML statements per batch for --dml (default 8)",
+        help="DML statements per batch for --dml and --crash (default 8)",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--crash",
-        action="store_true",
+        dest="mode",
+        action="store_const",
+        const=CrashMode,
         help="run the crash-recovery oracle: a seeded DML workload is "
         "killed at a seeded crash point, recovered from disk, and must "
         "byte-match a clean engine that executed exactly the "
         "acknowledged-commit prefix",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--chaos",
-        action="store_true",
+        dest="mode",
+        action="store_const",
+        const=ChaosMode,
         help="run the oracle under seeded fault injection: every case "
         "must match the fault-free run or fail with a typed governor "
         "error",
@@ -96,111 +108,34 @@ def main(argv: list[str] | None = None) -> int:
         "replans in every pair)",
     )
     parser.add_argument("--quiet", action="store_true")
+    parser.set_defaults(mode=PlanMode)
     args = parser.parse_args(argv)
 
-    log = (lambda message: None) if args.quiet else print
+    # A mode's dataclass fields are the options it reads.
+    reads = {f.name for f in fields(args.mode)}
+    options = {}
+    for name in sorted({f.name for mode in MODES.values() for f in fields(mode)}):
+        value = getattr(args, name)
+        if value is None or value is False:
+            continue
+        if name not in reads:
+            flag = "--" + name.replace("_", "-")
+            parser.error(f"{flag} does not apply to the {args.mode.name} oracle")
+        options[name] = value
+    mode = args.mode(**options)
+
     started = time.perf_counter()
-    if args.dml:
-        from repro.fuzz.dml import DEFAULT_OPS_PER_BATCH, dml_fuzz
-
-        stats = dml_fuzz(
-            seed=args.seed,
-            iterations=args.iterations,
-            ops_per_batch=(
-                args.ops_per_batch
-                if args.ops_per_batch is not None
-                else DEFAULT_OPS_PER_BATCH
-            ),
-            shrink=not args.no_shrink,
-            corpus_dir=args.corpus if args.write_corpus else None,
-            log=log,
-        )
-        elapsed = time.perf_counter() - started
-        print(
-            f"{stats.iterations} DML cases ({stats.skipped} skipped), "
-            f"{stats.pairs_run} configuration replays, "
-            f"{stats.index_checks} index-equality checks, "
-            f"{len(stats.mismatches)} mismatch(es) in {elapsed:.1f}s"
-        )
-        for mismatch in stats.mismatches:
-            print(f"  {mismatch}")
-        for path in stats.repro_paths:
-            print(f"  repro: {path}")
-        return 0 if stats.ok else 1
-    if args.crash:
-        from repro.fuzz.crash import crash_fuzz
-        from repro.fuzz.dml import DEFAULT_OPS_PER_BATCH
-
-        stats = crash_fuzz(
-            seed=args.seed,
-            iterations=args.iterations,
-            ops_per_batch=(
-                args.ops_per_batch
-                if args.ops_per_batch is not None
-                else DEFAULT_OPS_PER_BATCH
-            ),
-            shrink=not args.no_shrink,
-            corpus_dir=args.corpus if args.write_corpus else None,
-            log=log,
-        )
-        elapsed = time.perf_counter() - started
-        print(
-            f"{stats.iterations} crash cases ({stats.skipped} skipped, "
-            f"{stats.crashed} commit-point crashes), "
-            f"{stats.replayed_commits} commits exercised, "
-            f"{stats.index_checks} index-equality checks, "
-            f"{len(stats.divergences)} divergence(s) in {elapsed:.1f}s"
-        )
-        for divergence in stats.divergences:
-            print(f"  {divergence}")
-        for path in stats.repro_paths:
-            print(f"  repro: {path}")
-        return 0 if stats.ok else 1
-    if args.chaos:
-        from repro.fuzz.chaos import DEFAULT_FAULT_RATE, chaos_fuzz
-
-        stats = chaos_fuzz(
-            seed=args.seed,
-            iterations=args.iterations,
-            fault_rate=(
-                args.fault_rate
-                if args.fault_rate is not None
-                else DEFAULT_FAULT_RATE
-            ),
-            queries_per_world=args.queries_per_world,
-            corpus_dir=args.corpus if args.write_corpus else None,
-            log=log,
-        )
-        elapsed = time.perf_counter() - started
-        print(
-            f"{stats.iterations} chaos cases ({stats.skipped} skipped): "
-            f"{stats.matched} matched, {stats.typed_failures} typed "
-            f"failure(s), {stats.degraded} degraded, "
-            f"{len(stats.mismatches)} mismatch(es) in {elapsed:.1f}s"
-        )
-        for mismatch in stats.mismatches:
-            print(f"  {mismatch}")
-        for path in stats.repro_paths:
-            print(f"  repro: {path}")
-        return 0 if stats.ok else 1
     stats = fuzz(
+        mode,
         seed=args.seed,
         iterations=args.iterations,
-        queries_per_world=args.queries_per_world,
         shrink=not args.no_shrink,
         corpus_dir=args.corpus if args.write_corpus else None,
-        no_rewrites=args.no_rewrites,
-        feedback=args.feedback,
-        log=log,
+        log=None if args.quiet else print,
     )
-    elapsed = time.perf_counter() - started
-    print(
-        f"{stats.iterations} cases ({stats.skipped} skipped), "
-        f"{stats.pairs_run} configuration pairs, "
-        f"{len(stats.mismatches)} mismatch(es) in {elapsed:.1f}s"
-    )
-    for mismatch in stats.mismatches:
-        print(f"  {mismatch}")
+    print(f"{summary(mode, stats)} in {time.perf_counter() - started:.1f}s")
+    for finding in stats.findings:
+        print(f"  {finding}")
     for path in stats.repro_paths:
         print(f"  repro: {path}")
     return 0 if stats.ok else 1

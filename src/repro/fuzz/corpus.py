@@ -1,10 +1,12 @@
 """The fuzz corpus: shrunk repros as JSON, replayed forever by pytest.
 
-A corpus file is one JSON document holding a :class:`WorldSpec`, a
-:class:`QuerySpec`, and a free-form ``note`` describing the divergence
-that produced it.  File names are content-hashed so re-finding the same
-bug is idempotent.  ``tests/integration/test_corpus.py`` collects every
-file in ``tests/corpus/`` and asserts the oracle passes on it.
+A corpus file is one JSON document: a mode's canonical form of the case,
+a readable rendering of it (the query text, or the statements), and a
+free-form ``note`` naming the findings that produced it.  The file is
+named ``<mode prefix><content hash>.json`` and the hash covers only the
+canonical form, so re-finding the same case rewrites the same file.
+``tests/integration/test_corpus.py`` loads every file in ``tests/corpus/``
+and replays it through the check of the mode its prefix names.
 """
 
 from __future__ import annotations
@@ -13,48 +15,33 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.fuzz.querygen import QuerySpec
-from repro.fuzz.worldgen import WorldSpec
 
-
-def case_to_json(world: WorldSpec, query: QuerySpec, note: str = "") -> dict:
-    """One corpus document: note, rendered query, and both specs."""
-    return {
-        "note": note,
-        "query_text": query.render(),
-        "world": world.to_dict(),
-        "query": query.to_dict(),
-    }
-
-
-def case_from_json(data: dict) -> tuple[WorldSpec, QuerySpec]:
-    """Rebuild the (world, query) pair from a corpus document."""
-    return (
-        WorldSpec.from_dict(data["world"]),
-        QuerySpec.from_dict(data["query"]),
-    )
-
-
-def save_repro(
-    directory: str | Path, world: WorldSpec, query: QuerySpec, note: str = ""
-) -> Path:
-    """Write a repro file; returns its path (stable per case content)."""
+def save(directory: str | Path, mode, case, note: str = "") -> Path:
+    """Write ``case`` as a repro of ``mode``; returns its path (stable per
+    case content)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    document = case_to_json(world, query, note)
-    canonical = json.dumps(
-        {"world": document["world"], "query": document["query"]},
-        sort_keys=True,
-    )
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    path = directory / f"repro-{digest}.json"
+    canonical = mode.encode(case)
+    digest = hashlib.sha256(
+        json.dumps(canonical, sort_keys=True).encode()
+    ).hexdigest()[:12]
+    path = directory / f"{mode.prefix}{digest}.json"
+    document = {"note": note, **mode.describe(case), **canonical}
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def load_repro(path: str | Path) -> tuple[WorldSpec, QuerySpec]:
-    """Load one saved repro file back into its (world, query) pair."""
-    return case_from_json(json.loads(Path(path).read_text()))
+def load(path: str | Path):
+    """Load one repro file: ``(mode, case)``, the mode picked by the
+    longest prefix of the file name that a mode saves under."""
+    from repro.fuzz import MODES  # the registry imports every oracle
+
+    path = Path(path)
+    named = [m for m in MODES.values() if path.name.startswith(m.prefix)]
+    if not named:
+        raise ValueError(f"{path.name}: no fuzz mode saves files with this name")
+    mode = max(named, key=lambda m: len(m.prefix))()
+    return mode, mode.decode(json.loads(path.read_text()))
 
 
 def corpus_files(directory: str | Path) -> list[Path]:
@@ -65,10 +52,4 @@ def corpus_files(directory: str | Path) -> list[Path]:
     return sorted(directory.glob("*.json"))
 
 
-__all__ = [
-    "case_from_json",
-    "case_to_json",
-    "corpus_files",
-    "load_repro",
-    "save_repro",
-]
+__all__ = ["corpus_files", "load", "save"]

@@ -21,32 +21,24 @@ answer from the maintained index; and after every commit each
 maintained index must equal a fresh ``IndexRuntime.build`` of the same
 state — same keys, same OID order per key, same entry count.
 
-Shrinking reuses the plan fuzzer's delta-debugging: ops are dropped one
-at a time, then the world shrinks through the same candidate generator
-the read-only shrinker uses.  Minimal repros serialize into
-``tests/corpus/`` as ``repro-dml-*.json`` and replay forever from
-``tests/integration/test_corpus.py``.
+:class:`DmlMode` plugs it into the harness.  Its shrink candidates drop
+ops one at a time, then shrink the world through the plan oracle's
+candidates; minimal repros serialize into ``tests/corpus/`` as
+``repro-dml-*.json``.  :func:`walk_batch` is the one transaction-group
+walk, which the crash oracle replays workloads with too.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable
 
 from repro.api import Database
 from repro.errors import ReproError, StorageError
 from repro.fuzz.querygen import QuerySpec
-from repro.fuzz.shrink import _world_candidates
-from repro.fuzz.worldgen import (
-    IndexSpec,
-    WorldSpec,
-    build_database,
-    random_world,
-)
+from repro.fuzz.runner import Finding, Mode, first_difference
+from repro.fuzz.shrink import world_candidates
+from repro.fuzz.worldgen import IndexSpec, WorldSpec, build_database
 from repro.optimizer.config import (
     COLLAPSE_TO_INDEX_SCAN,
     HYBRID_HASH_JOIN,
@@ -174,36 +166,6 @@ class DmlBatchSpec:
     def from_dict(cls, data: dict) -> "DmlBatchSpec":
         """Rebuild a batch from :meth:`to_dict` output."""
         return cls(ops=tuple(DmlOpSpec.from_dict(o) for o in data["ops"]))
-
-
-@dataclass
-class DmlStats:
-    """Aggregated outcome of one DML fuzz run."""
-
-    iterations: int = 0
-    skipped: int = 0
-    pairs_run: int = 0
-    #: Maintained-index-equals-fresh-build comparisons performed; printed
-    #: in the summary so a silently skipped assertion shows.
-    index_checks: int = 0
-    mismatches: list = field(default_factory=list)
-    repro_paths: list[Path] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every configuration replayed every batch identically."""
-        return not self.mismatches
-
-
-@dataclass(frozen=True)
-class DmlMismatch:
-    """One transcript divergence between reference and a configuration."""
-
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {self.detail}"
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +429,59 @@ def _row_bytes(row: dict) -> str:
     return "|".join(parts)
 
 
+def walk_batch(
+    db: Database,
+    batch: DmlBatchSpec,
+    after=None,
+    stop_after: int | None = None,
+    **options,
+) -> int:
+    """Apply the batch's ops in order; returns the acknowledged commits.
+
+    Ops with a ``txn_group`` share one explicit transaction, committed at
+    the group's last op; the rest auto-commit.  ``options`` go to every
+    ``db.query``.  ``after(position, op, outcome, commit, txn)`` sees each
+    op's outcome (its result, or the ``ReproError`` it raised), the
+    commit's (a CSN or an error; ``None`` when the op closes no group) and
+    the transaction still open (``None`` once committed or auto-committed).
+    ``stop_after`` ends the walk at that many acknowledged commits,
+    checked before every op, so a group whose commit would exceed it is
+    abandoned.  Groups left open are rolled back, except when an exception
+    escapes: a ``SimulatedCrash`` leaves the "dead" engine's transactions
+    as they are, since a killed process runs no rollback code.
+    """
+    acknowledged = 0
+    open_txns: dict[int, object] = {}
+    last = {op.txn_group: position for position, op in enumerate(batch.ops)}
+    for position, op in enumerate(batch.ops):
+        if stop_after is not None and acknowledged >= stop_after:
+            break
+        txn = None
+        if op.txn_group is not None:
+            txn = open_txns.get(op.txn_group)
+            if txn is None:
+                txn = open_txns[op.txn_group] = db.begin()
+        try:
+            outcome = db.query(op.render(), transaction=txn, **options)
+            acknowledged += txn is None
+        except ReproError as exc:
+            outcome = exc
+        commit = None
+        if op.txn_group is not None and last[op.txn_group] == position:
+            del open_txns[op.txn_group]
+            try:
+                commit = txn.commit()
+                acknowledged += 1
+            except ReproError as exc:
+                commit = exc
+            txn = None
+        if after is not None:
+            after(position, op, outcome, commit, txn)
+    for txn in open_txns.values():
+        txn.rollback()
+    return acknowledged
+
+
 def replay(
     db: Database,
     world: WorldSpec,
@@ -486,14 +501,12 @@ def replay(
     every maintained index with a fresh build after each commit.
     """
     transcript: list[str] = []
-    open_txns: dict[int, object] = {}
+
+    def query(text: str, txn=None):
+        return db.query(text, use_cache=use_cache, config=config, transaction=txn)
 
     def read(collection: str, label: str) -> None:
-        result = db.query(
-            _read_query(world, collection),
-            use_cache=use_cache,
-            config=config,
-        )
+        result = query(_read_query(world, collection))
         body = ";".join(_row_bytes(row) for row in result.rows)
         transcript.append(f"{label} {collection}: {body}")
 
@@ -501,12 +514,7 @@ def replay(
         for index in world.indexes:
             text, ordered = _index_probe(world, index, str(position))
             try:
-                rows = db.query(
-                    text,
-                    use_cache=use_cache,
-                    config=config,
-                    transaction=txn,
-                ).rows
+                rows = query(text, txn).rows
             except ReproError as exc:
                 body = type(exc).__name__
             else:
@@ -514,45 +522,22 @@ def replay(
                 body = ";".join(rendered if ordered else sorted(rendered))
             transcript.append(f"op{position} probe {index.name}: {body}")
 
-    for position, op in enumerate(batch.ops):
-        txn = None
-        if op.txn_group is not None:
-            txn = open_txns.get(op.txn_group)
-            if txn is None:
-                txn = open_txns[op.txn_group] = db.begin()
-        try:
-            result = db.query(
-                op.render(),
-                use_cache=use_cache,
-                config=config,
-                transaction=txn,
-            )
-            transcript.append(
-                f"op{position} {op.kind}: affected={result.affected}"
-            )
-        except ReproError as exc:
-            transcript.append(f"op{position} {op.kind}: {type(exc).__name__}")
-        closes_group = op.txn_group is not None and not any(
-            later.txn_group == op.txn_group
-            for later in batch.ops[position + 1 :]
-        )
-        if closes_group:
-            txn = open_txns.pop(op.txn_group)
-            try:
-                csn = txn.commit()
-                transcript.append(f"op{position} commit: csn={csn}")
-            except ReproError as exc:
-                transcript.append(
-                    f"op{position} commit: {type(exc).__name__}"
-                )
-            txn = None
+    def after(position, op, outcome, commit, txn) -> None:
+        if isinstance(outcome, ReproError):
+            transcript.append(f"op{position} {op.kind}: {type(outcome).__name__}")
+        else:
+            transcript.append(f"op{position} {op.kind}: affected={outcome.affected}")
+        if isinstance(commit, ReproError):
+            transcript.append(f"op{position} commit: {type(commit).__name__}")
+        elif commit is not None:
+            transcript.append(f"op{position} commit: csn={commit}")
         if txn is None and index_checks is not None:
             index_checks.run(db, f"op{position}")
         probe_indexes(position, txn)
         if txn is None:
             read(op.collection, f"op{position} read")
-    for txn in open_txns.values():
-        txn.rollback()
+
+    walk_batch(db, batch, after, use_cache=use_cache, config=config)
     for collection in batch.collections():
         read(collection, "final")
     return transcript
@@ -569,214 +554,81 @@ def _replay_options(kind: str, db: Database) -> dict:
     raise ValueError(f"unknown DML configuration {kind!r}")
 
 
-def run_dml_case(
-    world: WorldSpec, batch: DmlBatchSpec, stats: DmlStats | None = None
-) -> list[DmlMismatch]:
-    """Replay one batch under every configuration; returns divergences
-    (between transcripts, and between any maintained index and a fresh
-    build).  ``stats`` collects the number of index checks performed."""
-    if not batch.ops:
-        return []
-    checks = IndexChecks()
-    reference_db = build_database(world)
-    reference = replay(reference_db, world, batch, index_checks=checks)
-    mismatches: list[DmlMismatch] = []
+@dataclass(frozen=True)
+class DmlMode(Mode):
+    """A case is ``(world, batch, ...)``: one seeded write batch over a
+    fresh world, replayed under every one of ``DML_CONFIGS``."""
 
-    def compare(kind: str, transcript: list[str]) -> None:
-        if transcript == reference:
-            return
-        for line, (want, got) in enumerate(zip(reference, transcript)):
-            if want != got:
-                mismatches.append(
-                    DmlMismatch(
-                        kind,
-                        f"line {line}: expected {want!r} got {got!r}",
-                    )
-                )
-                return
-        mismatches.append(
-            DmlMismatch(
-                kind,
-                f"transcript length {len(reference)} vs {len(transcript)}",
-            )
-        )
-
-    for kind in DML_CONFIGS:
-        db = build_database(world)
-        compare(
-            kind,
-            replay(
-                db, world, batch, index_checks=checks, **_replay_options(kind, db)
-            ),
-        )
-    mismatches.extend(
-        DmlMismatch("index-equality", problem) for problem in checks.problems
+    name = "dml"
+    prefix = "repro-dml-"
+    world_tag = "dml-world"
+    batch_tag = "dml-batch"
+    counts = (
+        ("replays", "configuration replays"),
+        ("index_checks", "index-equality checks"),
     )
-    if stats is not None:
-        stats.index_checks += checks.performed
-    return mismatches
+    ops_per_batch: int = DEFAULT_OPS_PER_BATCH
 
+    def draw(self, seed, i, world, counts):
+        rng = random.Random(f"{seed}:{self.batch_tag}:{i}")
+        batch = random_batch(rng, world, ops=self.ops_per_batch)
+        return (world, batch) if batch.ops else None
 
-# ----------------------------------------------------------------------
-# Shrinking and corpus
-# ----------------------------------------------------------------------
-
-
-def shrink_dml_case(
-    world: WorldSpec,
-    batch: DmlBatchSpec,
-    fails: Callable[[WorldSpec, DmlBatchSpec], bool],
-    max_attempts: int = 150,
-) -> tuple[WorldSpec, DmlBatchSpec]:
-    """Smallest (world, batch) still failing: drop ops, shrink world.
-
-    World shrinking reuses the read-only shrinker's candidate generator
-    through a proxy query ranging over the batch's collections.
-    """
-    attempts = 0
-
-    def still_fails(w: WorldSpec, b: DmlBatchSpec) -> bool:
-        nonlocal attempts
-        if attempts >= max_attempts or not b.ops:
-            return False
-        attempts += 1
-        try:
-            return fails(w, b)
-        except Exception:  # noqa: BLE001 — a crashing candidate is just
-            # a failed shrink step, not the bug being minimized
-            return False
-
-    progress = True
-    while progress and attempts < max_attempts:
-        progress = False
-        for i in range(len(batch.ops)):
-            candidate = DmlBatchSpec(
-                ops=batch.ops[:i] + batch.ops[i + 1 :]
-            )
-            if still_fails(world, candidate):
-                batch = candidate
-                progress = True
-                break
-        if progress:
-            continue
-        proxy = QuerySpec(
-            ranges=tuple(
-                (f"v{i}", coll)
-                for i, coll in enumerate(batch.collections())
-            )
-        )
-        for candidate in _world_candidates(world, proxy):
-            if still_fails(candidate, batch):
-                world = candidate
-                progress = True
-                break
-    return world, batch
-
-
-def save_dml_repro(
-    directory: str | Path,
-    world: WorldSpec,
-    batch: DmlBatchSpec,
-    note: str = "",
-) -> Path:
-    """Write one DML repro (``repro-dml-*.json``); stable per content."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    document = {
-        "note": note,
-        "statements": [op.render() for op in batch.ops],
-        "world": world.to_dict(),
-        "dml": batch.to_dict(),
-    }
-    canonical = json.dumps(
-        {"world": document["world"], "dml": document["dml"]}, sort_keys=True
-    )
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    path = directory / f"repro-dml-{digest}.json"
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_dml_repro(path: str | Path) -> tuple[WorldSpec, DmlBatchSpec]:
-    """Load one saved DML repro back into its (world, batch) pair."""
-    data = json.loads(Path(path).read_text())
-    return (
-        WorldSpec.from_dict(data["world"]),
-        DmlBatchSpec.from_dict(data["dml"]),
-    )
-
-
-# ----------------------------------------------------------------------
-# The loop
-# ----------------------------------------------------------------------
-
-
-def dml_fuzz(
-    seed: int = 0,
-    iterations: int = 50,
-    ops_per_batch: int = DEFAULT_OPS_PER_BATCH,
-    shrink: bool = True,
-    corpus_dir: str | Path | None = None,
-    log=None,
-) -> DmlStats:
-    """Run ``iterations`` DML-interleaved cases; returns aggregate stats.
-
-    Every case derives deterministically from ``seed`` and its index,
-    so any failure replays with the same arguments.
-    """
-    stats = DmlStats()
-    for i in range(iterations):
-        world_rng = random.Random(f"{seed}:dml-world:{i}")
-        world = random_world(world_rng)
-        batch_rng = random.Random(f"{seed}:dml-batch:{i}")
-        batch = random_batch(batch_rng, world, ops=ops_per_batch)
-        stats.iterations += 1
+    def check(self, case, counts, db=None):
+        """Replay the batch under every configuration; the findings are
+        transcript divergences from the reference, and any maintained
+        index that differs from a fresh build."""
+        world, batch = case
         if not batch.ops:
-            stats.skipped += 1
-            continue
-        mismatches = run_dml_case(world, batch, stats)
-        stats.pairs_run += len(DML_CONFIGS)
-        if mismatches:
-            stats.mismatches.extend(mismatches)
-            if log is not None:
-                for mismatch in mismatches:
-                    log(f"DML MISMATCH {mismatch}")
-            if shrink:
-                world, batch = shrink_dml_case(
-                    world,
-                    batch,
-                    lambda w, b: bool(run_dml_case(w, b)),
-                )
-                if log is not None:
-                    for op in batch.ops:
-                        log(f"shrunk op: {op.render()}")
-            if corpus_dir is not None:
-                note = "; ".join(str(m) for m in mismatches[:3])
-                path = save_dml_repro(corpus_dir, world, batch, note)
-                stats.repro_paths.append(path)
-                if log is not None:
-                    log(f"repro written: {path}")
-        elif log is not None and (i + 1) % 10 == 0:
-            log(
-                f"{i + 1}/{iterations} DML cases, "
-                f"{len(stats.mismatches)} mismatch(es)"
+            return None
+        checks = IndexChecks()
+        reference = replay(build_database(world), world, batch, index_checks=checks)
+        findings = []
+        for kind in DML_CONFIGS:
+            fresh = build_database(world)
+            transcript = replay(
+                fresh, world, batch, index_checks=checks, **_replay_options(kind, fresh)
             )
-    return stats
+            findings.append(first_difference(kind, reference, transcript))
+        counts["replays"] += len(DML_CONFIGS)
+        counts["index_checks"] += checks.performed
+        return [f for f in findings if f is not None] + [
+            Finding("index-equality", problem) for problem in checks.problems
+        ]
+
+    def candidates(self, case):
+        """Drop one op at a time, then shrink the world through the plan
+        oracle's candidates, with a proxy query ranging over the batch's
+        collections."""
+        world, batch, *rest = case
+        ops = batch.ops
+        if len(ops) > 1:
+            for i in range(len(ops)):
+                yield (world, DmlBatchSpec(ops=ops[:i] + ops[i + 1 :]), *rest)
+        proxy = QuerySpec(
+            ranges=tuple((f"v{i}", coll) for i, coll in enumerate(batch.collections()))
+        )
+        for smaller in world_candidates(world, proxy):
+            yield (smaller, batch, *rest)
+
+    def encode(self, case) -> dict:
+        return {"world": case[0].to_dict(), "dml": case[1].to_dict()}
+
+    def decode(self, data: dict):
+        return WorldSpec.from_dict(data["world"]), DmlBatchSpec.from_dict(data["dml"])
+
+    def describe(self, case) -> dict:
+        return {"statements": [op.render() for op in case[1].ops]}
 
 
 __all__ = [
     "DEFAULT_OPS_PER_BATCH",
     "DML_CONFIGS",
     "DmlBatchSpec",
-    "DmlMismatch",
+    "DmlMode",
     "DmlOpSpec",
-    "DmlStats",
     "IndexChecks",
-    "dml_fuzz",
-    "load_dml_repro",
     "random_batch",
     "replay",
-    "run_dml_case",
-    "save_dml_repro",
-    "shrink_dml_case",
+    "walk_batch",
 ]

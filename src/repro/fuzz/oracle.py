@@ -1,4 +1,4 @@
-"""The differential oracle: one query, every configuration pair.
+"""The differential plan oracle: one query, every configuration pair.
 
 Each case runs the query through:
 
@@ -15,23 +15,30 @@ Each case runs the query through:
 Results are compared as bags of :func:`repro.engine.tuples.row_key`
 identities; ordered outputs additionally compare exact sequences when
 the order is total (single range, unique root binding per row).  A crash
-in any configuration where the reference succeeded is a mismatch too.
+in any configuration where the reference succeeded is a finding too.
+:class:`PlanMode` plugs it into the harness.
 """
 
 from __future__ import annotations
 
+import random
 import traceback
 from collections import Counter
 from dataclasses import dataclass, replace
 
 from repro.api import Database
+from repro.baselines.greedy import GreedyOptimizer
+from repro.baselines.naive import NaiveOptimizer
 from repro.engine.tuples import Row, row_key
 from repro.errors import (
     NoPlanFoundError,
     OptimizerError,
     ReproError,
 )
-from repro.fuzz.querygen import QuerySpec
+from repro.fuzz.querygen import QuerySpec, random_query
+from repro.fuzz.runner import Finding, Mode
+from repro.fuzz.shrink import query_candidates, world_candidates
+from repro.fuzz.worldgen import WorldSpec, build_database
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optimizer.config import (
     COLLAPSE_TO_INDEX_SCAN,
@@ -39,28 +46,11 @@ from repro.optimizer.config import (
     MAT_TO_JOIN,
     MERGE_JOIN,
 )
+from repro.optimizer.optimizer import Optimizer
 
-
-@dataclass(frozen=True)
-class Mismatch:
-    """One divergence between the reference and a variant configuration."""
-
-    kind: str  # e.g. "greedy", "cache-hit", "no-hash-join"
-    query: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {self.query}\n  {self.detail}"
-
-
-@dataclass
-class CaseResult:
-    """What happened to one fuzz case."""
-
-    query: str
-    mismatches: list[Mismatch]
-    skipped: bool = False  # reference itself rejected the query
-    pairs_run: int = 0
+#: Queries drawn from each world before a fresh one is generated
+#: (building a store is the expensive part of a case).
+DEFAULT_QUERIES_PER_WORLD = 5
 
 
 def _bag(rows: list[Row]) -> Counter:
@@ -99,36 +89,34 @@ def _total_order(spec: QuerySpec) -> bool:
     return len(spec.ranges) == 1 and not spec.subqueries and not spec.distinct
 
 
-def run_case(db: Database, spec: QuerySpec) -> CaseResult:
-    """Run one query through every configuration pair on ``db``."""
+def run_case(db: Database, spec: QuerySpec, counts: Counter) -> list[Finding] | None:
+    """Run one query through every configuration pair on ``db``.
+
+    Returns the findings, or None when the reference itself rejects the
+    query; ``counts["pairs"]`` counts the pairs compared.
+    """
     text = spec.render()
-    result = CaseResult(query=text, mismatches=[])
+    findings: list[Finding] = []
     try:
         reference = db.query(text, use_cache=False)
     except ReproError:
         # The generator produced a query the stack legitimately rejects
         # (unsupported shape, unknown path, ...): nothing to compare.
-        result.skipped = True
-        return result
+        return None
     except Exception:  # noqa: BLE001 - any crash IS the finding here
-        result.mismatches.append(
-            Mismatch("reference-crash", text, traceback.format_exc(limit=3))
-        )
-        return result
+        return [Finding("reference-crash", traceback.format_exc(limit=3), text)]
 
     ref_bag = _bag(reference.rows)
     ref_seq = _seq(reference.rows)
     exact = _total_order(spec)
 
     def compare(kind: str, rows: list[Row], sequence: bool) -> None:
-        result.pairs_run += 1
+        counts["pairs"] += 1
         bag = _bag(rows)
         if bag != ref_bag:
-            result.mismatches.append(Mismatch(kind, text, _diff(ref_bag, bag)))
+            findings.append(Finding(kind, _diff(ref_bag, bag), text))
         elif sequence and _seq(rows) != ref_seq:
-            result.mismatches.append(
-                Mismatch(kind, text, "same rows, different order")
-            )
+            findings.append(Finding(kind, "same rows, different order", text))
 
     def attempt(kind: str, run, sequence: bool = False) -> None:
         try:
@@ -136,10 +124,8 @@ def run_case(db: Database, spec: QuerySpec) -> CaseResult:
         except (NoPlanFoundError, OptimizerError):
             return  # configuration cannot plan this query: not a bug
         except Exception:  # noqa: BLE001 - any crash IS the finding here
-            result.pairs_run += 1
-            result.mismatches.append(
-                Mismatch(kind, text, traceback.format_exc(limit=3))
-            )
+            counts["pairs"] += 1
+            findings.append(Finding(kind, traceback.format_exc(limit=3), text))
             return
         compare(kind, rows, sequence)
 
@@ -178,16 +164,20 @@ def run_case(db: Database, spec: QuerySpec) -> CaseResult:
     )
 
     # --- baseline optimizers ------------------------------------------
-    def baseline(plan_for):
+    def baseline(kind: str):
         simplified = db.simplify(text)
-        plan = plan_for(text)
-        return db.execute_plan(
-            plan, result_vars=simplified.result_vars
-        ).rows
+        cost_model = Optimizer(db.catalog, db.config).cost_model
+        if kind == "naive":
+            plan = NaiveOptimizer(db.catalog, cost_model).optimize(simplified.tree)
+        else:
+            plan = GreedyOptimizer(db.catalog, cost_model).optimize(
+                simplified.tree, result_vars=simplified.result_vars
+            )
+        return db.execute_plan(plan, result_vars=simplified.result_vars).rows
 
     # Baselines ignore ORDER BY, so only bags are compared.
-    attempt("naive", lambda: baseline(db.naive_plan))
-    attempt("greedy", lambda: baseline(db.greedy_plan))
+    for kind in ("naive", "greedy"):
+        attempt(kind, lambda kind=kind: baseline(kind))
 
     # --- plan cache: miss, hit, and catalog mutation in between -------
     attempt("cache-miss", lambda: db.query(text).rows, sequence=exact)
@@ -223,7 +213,7 @@ def run_case(db: Database, spec: QuerySpec) -> CaseResult:
             db.tracer = previous if previous is not None else NULL_TRACER
     attempt("traced", run_traced, sequence=exact)
 
-    return result
+    return findings
 
 
 def _mutation_index(
@@ -273,4 +263,67 @@ def _parameterized(spec: QuerySpec) -> tuple[str, str, object] | None:
     return None
 
 
-__all__ = ["CaseResult", "Mismatch", "run_case"]
+@dataclass(frozen=True)
+class QueryMode(Mode):
+    """A case is one generated query, ``(world, query, ...)``; consecutive
+    cases share a world and its database.  Shared by the plan oracle and
+    chaos."""
+
+    world_tag = "world"
+    queries_per_world: int = DEFAULT_QUERIES_PER_WORLD
+
+    def database(self, world: WorldSpec) -> Database:
+        return build_database(world)
+
+    def draw(self, seed, i, world, counts):
+        return world, random_query(random.Random(f"{seed}:query:{i}"), world)
+
+    def candidates(self, case):
+        world, query, *rest = case
+        for smaller in query_candidates(query):
+            yield (world, smaller, *rest)
+        for smaller in world_candidates(world, query):
+            yield (smaller, query, *rest)
+
+    def encode(self, case) -> dict:
+        return {"world": case[0].to_dict(), "query": case[1].to_dict()}
+
+    def decode(self, data: dict):
+        return WorldSpec.from_dict(data["world"]), QuerySpec.from_dict(data["query"])
+
+    def describe(self, case) -> dict:
+        return {"query_text": case[1].render()}
+
+
+@dataclass(frozen=True)
+class PlanMode(QueryMode):
+    """The differential plan oracle (:func:`run_case`).  ``no_rewrites``
+    and ``feedback`` switch the reference database to the rewrite- or
+    feedback-ablation config, so every pair runs with that stage off or
+    on (the default sweep already compares both settings per case)."""
+
+    name = "plan"
+    prefix = "repro-"
+    counts = (("pairs", "configuration pairs"),)
+    no_rewrites: bool = False
+    feedback: bool = False
+
+    def database(self, world: WorldSpec) -> Database:
+        db = build_database(world)
+        if self.no_rewrites:
+            db.config = db.config.with_rewrites(False)
+        if self.feedback:
+            db.config = db.config.with_feedback(True)
+        return db
+
+    def check(self, case, counts, db=None):
+        world, query = case
+        return run_case(db if db is not None else self.database(world), query, counts)
+
+
+__all__ = [
+    "DEFAULT_QUERIES_PER_WORLD",
+    "PlanMode",
+    "QueryMode",
+    "run_case",
+]

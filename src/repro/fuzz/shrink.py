@@ -1,70 +1,60 @@
-"""Greedy delta-debugging: minimize a failing (world, query) case.
+"""Greedy delta-debugging: the one shrinker, and the candidates of
+generated queries and worlds.
 
-The shrinker repeatedly proposes structurally smaller candidates —
-fewer predicates/clauses, fewer indexes, fewer types, smaller
-populations — and keeps any candidate that still fails the oracle,
-iterating to a fixpoint.  Because specs are plain data, every candidate
-is just a ``dataclasses.replace`` away, and the final minimal case
-serializes straight into ``tests/corpus/``.
+The shrinker repeatedly walks a mode's structurally smaller candidates —
+fewer predicates/clauses, fewer statements, fewer indexes, fewer types,
+smaller populations — and keeps the first one that still fails the
+oracle, iterating to a fixpoint.  Because specs are plain data, every
+candidate is just a ``dataclasses.replace`` away, and the final minimal
+case serializes straight into ``tests/corpus/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.fuzz.querygen import QuerySpec
 from repro.fuzz.worldgen import TypeSpec, WorldSpec
-
-Case = tuple[WorldSpec, QuerySpec]
 
 #: Candidate population sizes tried (in order) when shrinking a type.
 _COUNT_LADDER = (1, 2, 3, 5, 10, 20)
 
 
 def shrink_case(
-    world: WorldSpec,
-    query: QuerySpec,
-    fails: Callable[[WorldSpec, QuerySpec], bool],
+    case,
+    candidates: Callable[[object], Iterable],
+    fails: Callable[[object], bool],
     max_attempts: int = 250,
-) -> Case:
-    """Return the smallest (world, query) for which ``fails`` still holds.
+):
+    """Return the smallest case reachable from ``case`` that still fails.
 
     ``fails`` must be True for the input case; the shrinker only ever
     moves between failing cases, so the result is always a valid repro.
+    A candidate whose check crashes is no progress, not the bug being
+    minimized.
     """
     attempts = 0
-
-    def still_fails(w: WorldSpec, q: QuerySpec) -> bool:
-        nonlocal attempts
-        if attempts >= max_attempts:
-            return False
-        attempts += 1
-        try:
-            return fails(w, q)
-        except Exception:  # noqa: BLE001 - a crashing candidate is just
-            # a failed shrink step, not the bug being minimized
-            return False
-
     progress = True
     while progress and attempts < max_attempts:
         progress = False
-        for candidate in _query_candidates(query):
-            if still_fails(world, candidate):
-                query = candidate
+        for candidate in candidates(case):
+            if attempts >= max_attempts:
+                break
+            attempts += 1
+            try:
+                failed = fails(candidate)
+            except Exception:  # noqa: BLE001 - a crashing candidate is just
+                # a failed shrink step, not the bug being minimized
+                failed = False
+            if failed:
+                case = candidate
                 progress = True
                 break
-        if progress:
-            continue
-        for candidate in _world_candidates(world, query):
-            if still_fails(candidate, query):
-                world = candidate
-                progress = True
-                break
-    return world, query
+    return case
 
 
-def _query_candidates(query: QuerySpec):
+def query_candidates(query: QuerySpec):
     """Structurally smaller queries, most aggressive first."""
     for i in range(len(query.predicates)):
         smaller = query.predicates[:i] + query.predicates[i + 1 :]
@@ -97,7 +87,7 @@ def _pred_vars(pred) -> tuple[str, ...]:
     return tuple(vars_)
 
 
-def _world_candidates(world: WorldSpec, query: QuerySpec):
+def world_candidates(world: WorldSpec, query: QuerySpec):
     """Smaller worlds that still define everything the query touches."""
     for i in range(len(world.indexes)):
         smaller = world.indexes[:i] + world.indexes[i + 1 :]
@@ -154,4 +144,4 @@ def _needed_types(world: WorldSpec, query: QuerySpec) -> set[str]:
     return roots
 
 
-__all__ = ["Case", "shrink_case"]
+__all__ = ["query_candidates", "shrink_case", "world_candidates"]

@@ -1,64 +1,39 @@
 """Replay every minimized fuzz repro in ``tests/corpus/`` — forever.
 
-Each ``repro-*.json`` file is a shrunk (world, query) pair that once
-exposed a real divergence between two execution configurations (see the
-``note`` inside each file); ``repro-dml-*.json`` files are (world,
-write-batch) pairs for the DML-interleaved oracle, and
-``repro-crash-*.json`` files are (world, write-batch, crash-plan)
-triples for the crash-recovery oracle.  This collector rebuilds each
-world from scratch and re-runs the matching differential oracle on it,
-so a regression of any pinned bug fails loudly with the configuration
-that diverged.
+Each file is a shrunk case that once exposed a real divergence (see the
+``note`` inside it).  Its prefix names the fuzz mode that saved it:
+``repro-*.json`` the differential plan oracle's (world, query) pairs,
+``repro-chaos-*.json`` a query with its fault plan, ``repro-dml-*.json``
+(world, write-batch) pairs, and ``repro-crash-*.json`` a write batch
+with its crash plan.  This collector loads each file, rebuilds its world
+from scratch and re-runs that mode's check on it, so a regression of any
+pinned bug fails loudly with the configuration that diverged.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.fuzz import build_database, corpus_files, load_repro, run_case
-from repro.fuzz.crash import load_crash_repro, run_crash_case
-from repro.fuzz.dml import load_dml_repro, run_dml_case
+from repro.fuzz import MODES, corpus_files, load
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 ALL_FILES = corpus_files(CORPUS_DIR)
-DML_CORPUS = [p for p in ALL_FILES if p.stem.startswith("repro-dml-")]
-CRASH_CORPUS = [p for p in ALL_FILES if p.stem.startswith("repro-crash-")]
-CORPUS = [
-    p
-    for p in ALL_FILES
-    if not p.stem.startswith(("repro-dml-", "repro-crash-"))
-]
 
 
 def test_corpus_present():
     """The shipped corpus must never silently vanish from collection."""
-    assert len(CORPUS) >= 18
-    assert len(DML_CORPUS) >= 2
+    kinds = Counter(load(path)[0].name for path in ALL_FILES)
+    assert set(kinds) <= set(MODES)
+    assert kinds["plan"] >= 18
+    assert kinds["dml"] >= 3
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", ALL_FILES, ids=lambda p: p.stem)
 def test_corpus_case_stays_fixed(path):
-    world, query = load_repro(path)
-    db = build_database(world)
-    outcome = run_case(db, query)
-    assert not outcome.skipped, f"repro query no longer plans: {outcome.query}"
-    assert not outcome.mismatches, "\n".join(
-        str(m) for m in outcome.mismatches
-    )
-    assert outcome.pairs_run > 0
-
-
-@pytest.mark.parametrize("path", DML_CORPUS, ids=lambda p: p.stem)
-def test_dml_corpus_case_stays_fixed(path):
-    world, batch = load_dml_repro(path)
-    assert batch.ops, "pinned DML case lost its statements"
-    mismatches = run_dml_case(world, batch)
-    assert not mismatches, "\n".join(str(m) for m in mismatches)
-
-
-@pytest.mark.parametrize("path", CRASH_CORPUS, ids=lambda p: p.stem)
-def test_crash_corpus_case_stays_fixed(path):
-    world, batch, plan, checkpoint_every = load_crash_repro(path)
-    assert batch.ops, "pinned crash case lost its statements"
-    divergences = run_crash_case(world, batch, plan, checkpoint_every)
-    assert not divergences, "\n".join(str(d) for d in divergences)
+    mode, case = load(path)
+    counts = Counter()
+    findings = mode.check(case, counts)
+    assert findings is not None, "pinned case no longer plans or lost its statements"
+    assert not findings, "\n".join(str(f) for f in findings)
+    assert sum(counts.values()) > 0

@@ -9,7 +9,6 @@ checkpoint plus the full log authoritative.
 
 import os
 import shutil
-import warnings
 
 import pytest
 
@@ -434,17 +433,6 @@ class TestWalFraming:
         records, valid = scan_log(path)
         assert [r.csn for r in records] == [1]
         assert valid == len(good)
-
-
-class TestCrashOracleSmoke:
-    def test_seeded_cases_have_no_divergences(self):
-        from repro.fuzz.crash import crash_fuzz
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            stats = crash_fuzz(seed=11, iterations=6, shrink=False)
-        assert stats.ok
-        assert stats.iterations == 6
 
 
 class TestServerIdleReaper:

@@ -3,7 +3,7 @@
 The plan, chaos, DML and crash oracles are the system's specification, so
 a change to the harness around them must run exactly the same cases.  This
 test runs the in-process sweeps tier 1 relies on and compares every stats
-counter (cases, skipped cases, findings, and each oracle's own counts) with
+counter (cases, skipped cases, findings, and each mode's own counts) with
 ``tests/golden/fuzz_outcomes.json``.  It also pins the file name and bytes
 that saving case 0 of seed 0 writes in plan, DML and crash mode, so a
 re-found repro keeps its corpus name.  Exact counts imply every bound the
@@ -19,97 +19,52 @@ import json
 import random
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.fuzz import fuzz, random_query, random_world, save_repro
-from repro.fuzz.chaos import chaos_fuzz
-from repro.fuzz.crash import crash_fuzz, random_plan, run_workload, save_crash_repro
-from repro.fuzz.dml import dml_fuzz, random_batch, save_dml_repro
-from repro.fuzz.worldgen import build_database
+from repro.fuzz import ChaosMode, CrashMode, DmlMode, PlanMode, fuzz, random_world, save
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "fuzz_outcomes.json"
 
+SWEEPS = {
+    "plan seed 2026 x25": (PlanMode(), 2026, 25),
+    "plan seed 7 x15": (PlanMode(), 7, 15),
+    "dml seed 11 x8": (DmlMode(), 11, 8),
+    "dml seed 42 x6": (DmlMode(), 42, 6),
+    "chaos seed 20260806 x200 rate 0.05": (ChaosMode(fault_rate=0.05), 20260806, 200),
+    "crash seed 11 x6": (CrashMode(), 11, 6),
+}
 
-def run_sweeps() -> dict[str, tuple[object, dict]]:
-    """Each sweep's stats object and its counters under the pinned names."""
 
-    def plan(stats):
-        return {"pairs": stats.pairs_run}
-
-    def dml(stats):
-        return {"replays": stats.pairs_run, "index_checks": stats.index_checks}
-
-    def chaos(stats):
-        return {
-            "matched": stats.matched,
-            "typed_failures": stats.typed_failures,
-            "degraded": stats.degraded,
-        }
-
-    def crash(stats):
-        return {
-            "crashed": stats.crashed,
-            "commits": stats.replayed_commits,
-            "index_checks": stats.index_checks,
-        }
-
+def run_sweeps() -> dict[str, tuple]:
+    """Each sweep's findings and its counters under the pinned names."""
+    out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        runs = {
-            "plan seed 2026 x25": (fuzz(seed=2026, iterations=25, shrink=False), plan),
-            "plan seed 7 x15": (fuzz(seed=7, iterations=15, shrink=False), plan),
-            "dml seed 11 x8": (dml_fuzz(seed=11, iterations=8, shrink=False), dml),
-            "dml seed 42 x6": (dml_fuzz(seed=42, iterations=6, shrink=False), dml),
-            "chaos seed 20260806 x200 rate 0.05": (
-                chaos_fuzz(seed=20260806, iterations=200, fault_rate=0.05),
-                chaos,
-            ),
-            "crash seed 11 x6": (crash_fuzz(seed=11, iterations=6, shrink=False), crash),
-        }
-    out = {}
-    for name, (stats, counts) in runs.items():
-        found = getattr(stats, "divergences", getattr(stats, "mismatches", None))
-        out[name] = (
-            found,
-            {
-                "iterations": stats.iterations,
-                "skipped": stats.skipped,
-                "findings": len(found),
-                **counts(stats),
-            },
-        )
+        for name, (mode, seed, iterations) in SWEEPS.items():
+            stats = fuzz(mode, seed=seed, iterations=iterations, shrink=False)
+            out[name] = (
+                stats.findings,
+                {
+                    "iterations": stats.iterations,
+                    "skipped": stats.skipped,
+                    "findings": len(stats.findings),
+                    **{key: stats.counts[key] for key, _ in mode.counts},
+                },
+            )
     return out
 
 
 def saved_case_zero(directory: Path) -> dict[str, dict]:
     """File name and text written for case 0 of seed 0, per corpus kind."""
-    world = random_world(random.Random("0:world:0"))
-    query = random_query(random.Random("0:query:0"), world)
-    paths = {"plan": save_repro(directory, world, query, "pinned")}
-
-    world = random_world(random.Random("0:dml-world:0"))
-    batch = random_batch(random.Random("0:dml-batch:0"), world)
-    paths["dml"] = save_dml_repro(directory, world, batch, "pinned")
-
-    world = random_world(random.Random("0:crash-world:0"))
-    batch = random_batch(random.Random("0:crash-batch:0"), world)
-    total = run_workload(build_database(world), batch)
-    plan_rng = random.Random("0:crash-plan:0")
-    plan = random_plan(plan_rng, total)
-    checkpoint_every = None
-    if plan.crash_point == "mid-checkpoint-rename":
-        checkpoint_every = plan_rng.randint(1, 3)
-    elif plan_rng.random() < 0.3:
-        checkpoint_every = plan_rng.randint(1, max(1, total // 2))
-    paths["crash"] = save_crash_repro(
-        directory, world, batch, plan, checkpoint_every, "pinned"
-    )
-    return {
-        f"save {kind}": {"name": path.name, "text": path.read_text()}
-        for kind, path in paths.items()
-    }
+    saved = {}
+    for mode in (PlanMode(), DmlMode(), CrashMode()):
+        world = random_world(random.Random(f"0:{mode.world_tag}:0"))
+        path = save(directory, mode, mode.draw(0, 0, world, Counter()), "pinned")
+        saved[f"save {mode.name}"] = {"name": path.name, "text": path.read_text()}
+    return saved
 
 
 def record_all(sweeps=None) -> dict[str, dict]:
@@ -139,7 +94,7 @@ def test_every_golden_case_is_recorded(recorded):
 
 
 @pytest.mark.parametrize("case", sorted(golden()) if GOLDEN.exists() else [])
-def test_outcome_matches_parent(recorded, case):
+def test_outcome(recorded, case):
     assert recorded[case] == golden()[case]
 
 

@@ -314,18 +314,3 @@ class TestScopeUnwinding:
                 assert got == reference
             assert buffer.faults is None
             assert buffer.clear_io_scopes() == 0
-
-
-class TestChaosSweep:
-    def test_200_rounds_at_5_percent_fault_rate(self):
-        from repro.fuzz.chaos import chaos_fuzz
-
-        stats = chaos_fuzz(seed=20260806, iterations=200, fault_rate=0.05)
-        assert stats.iterations == 200
-        assert stats.ok, "\n".join(str(m) for m in stats.mismatches)
-        # Every non-skipped case either matched the oracle or failed typed.
-        assert (
-            stats.matched + stats.typed_failures + stats.skipped
-            == stats.iterations
-        )
-        assert stats.matched > 0

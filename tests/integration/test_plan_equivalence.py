@@ -9,9 +9,12 @@ from collections import Counter
 
 import pytest
 
+from repro.baselines.greedy import GreedyOptimizer
+from repro.baselines.naive import NaiveOptimizer
 from repro.engine.tuples import row_key
 from repro.optimizer import OptimizerConfig
 from repro.optimizer import config as C
+from repro.optimizer.optimizer import Optimizer
 
 from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4
 
@@ -66,11 +69,17 @@ def test_all_configs_agree(indexed_db, sql):
 def test_baselines_agree_with_optimizer(indexed_db, sql):
     simplified = indexed_db.simplify(sql)
     reference = _result_keys(indexed_db, sql, OptimizerConfig())
+    catalog = indexed_db.catalog
+    cost_model = Optimizer(catalog, indexed_db.config).cost_model
     greedy = indexed_db.execute_plan(
-        indexed_db.greedy_plan(sql), result_vars=simplified.result_vars
+        GreedyOptimizer(catalog, cost_model).optimize(
+            simplified.tree, result_vars=simplified.result_vars
+        ),
+        result_vars=simplified.result_vars,
     )
     naive = indexed_db.execute_plan(
-        indexed_db.naive_plan(sql), result_vars=simplified.result_vars
+        NaiveOptimizer(catalog, cost_model).optimize(simplified.tree),
+        result_vars=simplified.result_vars,
     )
     assert Counter(row_key(r) for r in greedy.rows) == reference
     assert Counter(row_key(r) for r in naive.rows) == reference

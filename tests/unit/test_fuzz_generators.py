@@ -1,18 +1,18 @@
 """Unit tests for the fuzzer's generators, shrinker, and corpus format."""
 
+import json
 import random
 
 from repro.fuzz import (
+    PlanMode,
     PredicateSpec,
     QuerySpec,
     WorldSpec,
     build_database,
-    case_from_json,
-    case_to_json,
+    load,
     random_query,
     random_world,
-    save_repro,
-    load_repro,
+    save,
     shrink_case,
 )
 from repro.fuzz.worldgen import MAX_COUNT
@@ -82,7 +82,9 @@ class TestShrinker:
         )
         # Synthetic oracle: the case "fails" while the target survives.
         world2, shrunk = shrink_case(
-            world, query, lambda w, q: target in q.predicates
+            (world, query),
+            PlanMode().candidates,
+            lambda case: target in case[1].predicates,
         )
         assert shrunk.predicates == (target,)
         assert shrunk.order_path is None
@@ -92,30 +94,32 @@ class TestShrinker:
     def test_result_still_fails(self):
         world = random_world(random.Random("sf"))
         query = random_query(random.Random("sf-q"), world)
-        fails = lambda w, q: len(w.types) > 0
-        w2, q2 = shrink_case(world, query, fails)
-        assert fails(w2, q2)
+        fails = lambda case: len(case[0].types) > 0
+        shrunk = shrink_case((world, query), PlanMode().candidates, fails)
+        assert fails(shrunk)
 
 
 class TestCorpusFormat:
     def test_save_load_round_trip(self, tmp_path):
         world = random_world(random.Random("c"))
         query = random_query(random.Random("c-q"), world)
-        path = save_repro(tmp_path, world, query, note="unit test")
-        w2, q2 = load_repro(path)
-        assert (w2, q2) == (world, query)
+        path = save(tmp_path, PlanMode(), (world, query), note="unit test")
+        mode, case = load(path)
+        assert isinstance(mode, PlanMode)
+        assert case == (world, query)
 
     def test_content_hashed_idempotent(self, tmp_path):
         world = random_world(random.Random("c"))
         query = random_query(random.Random("c-q"), world)
-        first = save_repro(tmp_path, world, query, note="one")
-        second = save_repro(tmp_path, world, query, note="two")
+        first = save(tmp_path, PlanMode(), (world, query), note="one")
+        second = save(tmp_path, PlanMode(), (world, query), note="two")
         assert first == second  # re-finding the same bug rewrites in place
         assert len(list(tmp_path.glob("*.json"))) == 1
 
-    def test_document_carries_readable_query(self):
+    def test_document_carries_readable_query(self, tmp_path):
         world = random_world(random.Random("c"))
         query = random_query(random.Random("c-q"), world)
-        document = case_to_json(world, query, note="n")
+        path = save(tmp_path, PlanMode(), (world, query), note="n")
+        document = json.loads(path.read_text())
         assert document["query_text"] == query.render()
-        assert case_from_json(document) == (world, query)
+        assert PlanMode().decode(document) == (world, query)
