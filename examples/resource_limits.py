@@ -11,7 +11,7 @@ exactly the rows a fault-free run would return, or it raises a typed
    still return byte-identical results, with the spill I/O visible in
    EXPLAIN ANALYZE;
 2. anytime optimization — a ~1ms search deadline degrades the *plan*
-   (memo-best, then greedy), never the *answer*;
+   (a greedy descent over the memo explored so far), never the *answer*;
 3. fault injection — seeded transient read errors are retried with
    capped backoff; a persistently corrupt index triggers a
    degrade-to-scan replan;

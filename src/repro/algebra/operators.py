@@ -40,12 +40,6 @@ class RefSource:
     def __str__(self) -> str:
         return self.var if self.attr is None else f"{self.var}.{self.attr}"
 
-    def target_type(self, catalog, var_type: str) -> str:
-        """The type the reference resolves to, ``var`` being a ``var_type``."""
-        if self.attr is None:
-            return var_type
-        return catalog.type_of(var_type).attribute(self.attr).target_type or ""
-
     def oid_join(self, out: str) -> Conjunction:
         """``var.attr == out.self``: the join that equals resolving this
         reference into ``out`` (Mat-to-Join's predicate)."""
@@ -124,7 +118,9 @@ class Mat(LogicalOp):
 
     The paper's novel operator.  It represents one link of a path
     expression and is the locus of both the Mat-to-Join transformation and
-    the assembly/pointer-join implementation choices.
+    the assembly/pointer-join implementation choices.  It has a
+    :class:`MatLink`'s ``source`` and ``out``, so every per-link function
+    takes a lone Mat as well as each link of a :class:`MatChain`.
     """
 
     child: LogicalOp
@@ -134,6 +130,11 @@ class Mat(LogicalOp):
     @property
     def children(self) -> tuple[LogicalOp, ...]:  # type: ignore[override]
         return (self.child,)
+
+    @property
+    def links(self) -> tuple["Mat"]:
+        """A lone Mat is a one-link chain."""
+        return (self,)
 
     def signature(self) -> tuple:
         return ("Mat", self.source.var, self.source.attr, self.out)

@@ -26,6 +26,7 @@ from repro.algebra.operators import (
     Mat,
     MatChain,
     Project,
+    RefSource,
     Select,
     SetOp,
     Unnest,
@@ -161,6 +162,30 @@ def check_predicate(pred: Conjunction, scope: Scope, catalog: Catalog) -> None:
             _check_term(term, scope, catalog)
 
 
+def link_target(
+    source: RefSource, scope: Scope, catalog: Catalog, what: str = "Mat"
+) -> str:
+    """The object type one Mat link resolves ``source`` to in ``scope``.
+
+    A bare source must name a reference binding (Unnest's output); an
+    attribute source must be a single-valued reference of an object
+    binding.  ``what`` names the operator in the error.
+    """
+    binding = scope.binding(source.var)
+    if source.attr is None:
+        if binding.kind is not BindingKind.REF:
+            raise AlgebraError(
+                f"{what} {source}: bare source must be a reference binding"
+            )
+        return binding.type_name
+    if binding.kind is not BindingKind.OBJECT:
+        raise AlgebraError(f"{what} {source}: source variable is not an object")
+    attr = catalog.attribute(binding.type_name, source.attr)
+    if attr.kind is not AttrKind.REF:
+        raise AlgebraError(f"{what} {source}: not a single-valued reference")
+    return attr.target_type  # type: ignore[return-value]
+
+
 def derive_scope(
     op: LogicalOp, child_scopes: tuple[Scope, ...], catalog: Catalog
 ) -> Scope:
@@ -178,22 +203,7 @@ def derive_scope(
 
     if isinstance(op, Mat):
         (scope,) = child_scopes
-        src = op.source
-        if src.attr is None:
-            binding = scope.binding(src.var)
-            if binding.kind is not BindingKind.REF:
-                raise AlgebraError(
-                    f"Mat {src}: bare source must be a reference binding"
-                )
-            target = binding.type_name
-        else:
-            binding = scope.binding(src.var)
-            if binding.kind is not BindingKind.OBJECT:
-                raise AlgebraError(f"Mat {src}: source variable is not an object")
-            attr = catalog.attribute(binding.type_name, src.attr)
-            if attr.kind is not AttrKind.REF:
-                raise AlgebraError(f"Mat {src}: not a single-valued reference")
-            target = attr.target_type  # type: ignore[assignment]
+        target = link_target(op.source, scope, catalog)
         return scope.extend(VarBinding(op.out, target, BindingKind.OBJECT))
 
     if isinstance(op, MatChain):
@@ -201,27 +211,7 @@ def derive_scope(
         if not op.links:
             raise AlgebraError("MatChain needs at least one link")
         for link in op.links:
-            src = link.source
-            if src.attr is None:
-                binding = scope.binding(src.var)
-                if binding.kind is not BindingKind.REF:
-                    raise AlgebraError(
-                        f"MatChain link {src}: bare source must be a reference "
-                        "binding"
-                    )
-                target = binding.type_name
-            else:
-                binding = scope.binding(src.var)
-                if binding.kind is not BindingKind.OBJECT:
-                    raise AlgebraError(
-                        f"MatChain link {src}: source variable is not an object"
-                    )
-                attr = catalog.attribute(binding.type_name, src.attr)
-                if attr.kind is not AttrKind.REF:
-                    raise AlgebraError(
-                        f"MatChain link {src}: not a single-valued reference"
-                    )
-                target = attr.target_type  # type: ignore[assignment]
+            target = link_target(link.source, scope, catalog, "MatChain link")
             scope = scope.extend(VarBinding(link.out, target, BindingKind.OBJECT))
         return scope
 
@@ -318,4 +308,5 @@ __all__ = [
     "check_predicate",
     "derive_scope",
     "derive_scope_tree",
+    "link_target",
 ]

@@ -213,9 +213,6 @@ class Catalog:
     def type_of(self, type_name: str) -> TypeDef:
         return self._schema.type_of(type_name)
 
-    def has_type(self, type_name: str) -> bool:
-        return type_name in self._schema.types
-
     def collection(self, name: str) -> CollectionDef:
         """Look up a collection; raises CatalogError when unknown.
 

@@ -88,15 +88,6 @@ class AdmissionRejected(GovernorError):
     query slot expires."""
 
 
-class TransientIOError(StorageError):
-    """An injected transient page-read failure (retried internally;
-    surfaces as :class:`StorageFaultError` only when retries exhaust)."""
-
-    def __init__(self, page_id: int) -> None:
-        super().__init__(f"transient I/O error reading page {page_id}")
-        self.page_id = page_id
-
-
 class StorageFaultError(GovernorError, StorageError):
     """A page read kept failing after all retries — the degradation
     ladder's typed terminal error for persistent storage faults."""

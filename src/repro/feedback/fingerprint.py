@@ -26,7 +26,8 @@ The shape-independence rules:
 * every implementation of ``Mat`` (assembly, pointer join, warm-start)
   shares the ``mat`` key of its logical operator, and a fused
   ``MatChain`` folds into the same nested ``mat`` keys its per-link
-  physical pipeline produces.
+  physical pipeline produces: one function keys a link, whichever of
+  the three carries it.
 
 Keys are plain nested tuples (hashable, order-canonical); ``None`` means
 "this operator has no stable identity" and poisons the ancestors so no
@@ -90,12 +91,12 @@ def _select_key(child: Fingerprint, conjuncts) -> Fingerprint | None:
     return ("select", child, preds)
 
 
-def _mat_key(
-    child: Fingerprint, var: str, attr: str | None, out: str
-) -> Fingerprint | None:
+def _mat_key(child: Fingerprint, link) -> Fingerprint | None:
+    """One Mat link's key: ``link`` is a lone Mat, a MatChain link or a
+    plan node implementing one (each has ``source`` and ``out``)."""
     if child is None:
         return None
-    return ("mat", child, var, attr, out)
+    return ("mat", child, link.source.var, link.source.attr, link.out)
 
 
 def _join_key(left: Fingerprint, right: Fingerprint, conjuncts) -> Fingerprint | None:
@@ -118,24 +119,15 @@ def logical_fingerprint(
         return _get_key(op.collection, op.var)
     if isinstance(op, Select):
         return _select_key(child_keys[0], _conjuncts(op.predicate))
-    if isinstance(op, Mat):
-        return _mat_key(child_keys[0], op.source.var, op.source.attr, op.out)
-    if isinstance(op, MatChain):
+    if isinstance(op, (Mat, MatChain)):
         key = child_keys[0]
         for link in op.links:
-            key = _mat_key(key, link.source.var, link.source.attr, link.out)
+            key = _mat_key(key, link)
         return key
     if isinstance(op, Unnest):
         if child_keys[0] is None:
             return None
         return ("unnest", child_keys[0], op.var, op.attr, op.out)
-    if isinstance(op, Project):
-        if child_keys[0] is None:
-            return None
-        # order_by is cardinality-irrelevant and physically realised by a
-        # (transparent) sort, so it stays out of the key.
-        items = tuple(str(item) for item in op.items)
-        return ("project", child_keys[0], items, op.distinct)
     if isinstance(op, GroupBy):
         if child_keys[0] is None:
             return None
@@ -144,6 +136,13 @@ def logical_fingerprint(
         keys = tuple(str(k) for k in op.keys)
         having = frozenset(str(h) for h in op.having)
         return ("groupby", child_keys[0], keys, having)
+    if isinstance(op, Project):
+        if child_keys[0] is None:
+            return None
+        # order_by is cardinality-irrelevant and physically realised by a
+        # (transparent) sort, so it stays out of the key.
+        items = tuple(str(item) for item in op.items)
+        return ("project", child_keys[0], items, op.distinct)
     if isinstance(op, Join):
         return _join_key(child_keys[0], child_keys[1], _conjuncts(op.predicate))
     if isinstance(op, AntiJoin):
@@ -189,10 +188,7 @@ def _physical_key(
         # Stream-shape only: same rows, carried key.
         return child_keys[0], collections
     if isinstance(node, (AssemblyNode, PointerJoinNode, WarmStartAssemblyNode)):
-        key = _mat_key(
-            child_keys[0], node.source.var, node.source.attr, node.out
-        )
-        return key, collections
+        return _mat_key(child_keys[0], node), collections
     if isinstance(node, AlgUnnestNode):
         if child_keys[0] is None:
             return None, collections

@@ -168,9 +168,6 @@ class OptimizerConfig:
         """Set the assembly window size (1 = the paper's 'w/o window')."""
         return replace(self, cost=replace(self.cost, assembly_window=window))
 
-    def with_cost(self, cost: CostParams) -> "OptimizerConfig":
-        return replace(self, cost=cost)
-
     def with_heuristics(
         self,
         candidate_cap: int | None = None,

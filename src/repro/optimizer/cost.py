@@ -92,10 +92,6 @@ class CostParams:
     assembly_window: int = 8  # open references in the elevator window
     tuple_overhead_bytes: int = 16
 
-    @property
-    def buffer_bytes(self) -> int:
-        return self.buffer_pages * self.page_size
-
 
 def yao_distinct_pages(fetches: float, pages: int) -> float:
     """Expected distinct pages touched by `fetches` uniform random picks.

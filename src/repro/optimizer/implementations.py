@@ -40,6 +40,7 @@ from repro.algebra.predicates import (
     term_memory_vars,
     term_vars,
 )
+from repro.algebra.scopes import BindingKind, Scope, VarBinding
 from repro.optimizer import config as rule_names
 from repro.optimizer.context import OptimizeContext
 from repro.optimizer.cost import Cost
@@ -149,27 +150,20 @@ def _mat_chains(gid: int, ctx: OptimizeContext, depth: int = 0):
     if depth > 8:
         return
     for mexpr in ctx.memo.group(gid).mexprs:
-        if isinstance(mexpr.op, Get):
-            yield {}, mexpr.op, ctx.memo.find(gid)
-        elif isinstance(mexpr.op, Mat):
+        op = mexpr.op
+        if isinstance(op, Get):
+            yield {}, op, ctx.memo.find(gid)
+        elif isinstance(op, (Mat, MatChain)):
             for links, get_op, get_gid in _mat_chains(
                 mexpr.children[0], ctx, depth + 1
             ):
-                if mexpr.op.out in links:
-                    continue
                 extended = dict(links)
-                extended[mexpr.op.out] = mexpr.op.source
-                yield extended, get_op, get_gid
-        elif isinstance(mexpr.op, MatChain):
-            for links, get_op, get_gid in _mat_chains(
-                mexpr.children[0], ctx, depth + 1
-            ):
-                if any(link.out in links for link in mexpr.op.links):
-                    continue
-                extended = dict(links)
-                for link in mexpr.op.links:
+                for link in op.links:
+                    if link.out in extended:
+                        break
                     extended[link.out] = link.source
-                yield extended, get_op, get_gid
+                else:
+                    yield extended, get_op, get_gid
 
 
 class CollapseToIndexScanImpl(ImplementationRule):
@@ -679,59 +673,116 @@ class HashSetOpImpl(ImplementationRule):
 # ----------------------------------------------------------------------
 
 
-def _mat_facts(mexpr, ctx) -> tuple:
-    """(input properties, target type, its page count or None) of one Mat
-    m-expr — the same for the three Mat rules under every goal."""
-    child = ctx.memo.group(mexpr.children[0]).props
-    source = mexpr.op.source
-    target_type = source.target_type(
-        ctx.catalog, child.scope.binding(source.var).type_name
-    )
-    return child, target_type, ctx.type_pages(target_type)
+def _mat_algorithms(
+    link,
+    target_type: str,
+    refs: float,
+    width: float,
+    rows: float,
+    ctx: OptimizeContext,
+) -> dict[str, tuple[Cost, Callable]]:
+    """Each enabled algorithm that can resolve one Mat link, by rule name,
+    in promise order: its local cost and plan builder.
 
+    ``link`` is a lone Mat or a MatChain link, resolving to objects of
+    ``target_type`` for ``refs`` input tuples of ``width`` bytes; the
+    plan node estimates ``rows``.  This is the one home of the Mat
+    algorithms' admissibility tests, costs and plan nodes: each lone-Mat
+    rule takes its own entry, and MatChainImpl the cheapest per link.
+    """
 
-def _mat_child_req(op: Mat, required: PhysProps) -> PhysProps:
-    needed = required.remove(op.out)
-    if op.source.attr is not None:
-        # The holding object's record must be resident to read the reference.
-        needed = needed.add(op.source.var)
-    return needed
-
-
-class AssemblyImpl(ImplementationRule):
-    """Mat -> the assembly operator (window of open references)."""
-
-    name = rule_names.ASSEMBLY
-    operators = (Mat,)
-
-    def candidates(self, mexpr, group, required, ctx):
-        op = mexpr.op
-        child_gid = mexpr.children[0]
-        child, _, target_pages = ctx.facts_of(mexpr, _mat_facts)
-        child_req = _mat_child_req(op, required)
-        if not (child_req.in_memory <= child.scope.object_names):
-            return
-        refs = child.cardinality
-        window = ctx.config.cost.assembly_window
-        cost = ctx.cost_model.assembly(refs, target_pages, window)
-        rows = group.props.cardinality
-
+    def algorithm(node_type, cost: Cost, *node_args) -> tuple[Cost, Callable]:
         def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
             (child,) = children
-            return AssemblyNode(
-                op.source,
-                op.out,
-                window,
+            return node_type(
+                link.source,
+                link.out,
+                *node_args,
                 children=children,
-                delivered=child.delivered.add(op.out),
+                delivered=child.delivered.add(link.out),
                 rows=rows,
                 local_cost=cost,
             )
 
-        yield Candidate(((child_gid, child_req),), cost, build)
+        return cost, build
+
+    config = ctx.config
+    params = config.cost
+    model = ctx.cost_model
+    pages = ctx.type_pages(target_type)
+    found: dict[str, tuple[Cost, Callable]] = {}
+    if config.is_enabled(rule_names.ASSEMBLY):
+        window = params.assembly_window
+        found[rule_names.ASSEMBLY] = algorithm(
+            AssemblyNode, model.assembly(refs, pages, window), window
+        )
+    # Partitioning needs the target's segment layout, and the blocking
+    # reference table must fit in workspace.
+    if (
+        config.is_enabled(rule_names.POINTER_JOIN)
+        and pages is not None
+        and refs * width <= params.work_mem_bytes
+    ):
+        found[rule_names.POINTER_JOIN] = algorithm(
+            PointerJoinNode, model.pointer_join(refs, pages)
+        )
+    if (
+        config.is_enabled(rule_names.WARM_START_ASSEMBLY)
+        and pages is not None
+        and pages <= params.buffer_pages
+    ):
+        extent = ctx.catalog.extent_of(target_type)
+        if extent is not None:
+            found[rule_names.WARM_START_ASSEMBLY] = algorithm(
+                WarmStartAssemblyNode,
+                model.warm_start_assembly(refs, pages),
+                extent.name,
+            )
+    return found
 
 
-class PointerJoinImpl(ImplementationRule):
+def _lone_mat(mexpr, group: Group, ctx: OptimizeContext) -> tuple:
+    """(input object variables, admissible algorithms) of one Mat
+    m-expr — the same for the three Mat rules under every goal."""
+    op = mexpr.op
+    child = ctx.memo.group(mexpr.children[0]).props
+    algorithms = _mat_algorithms(
+        op,
+        group.props.scope.binding(op.out).type_name,
+        child.cardinality,
+        ctx.scope_width(child.scope),
+        group.props.cardinality,
+        ctx,
+    )
+    return child.scope.object_names, algorithms
+
+
+class _LoneMatImpl(ImplementationRule):
+    """Mat -> the algorithm the rule is named after (``_mat_algorithms``)."""
+
+    operators = (Mat,)
+
+    def candidates(self, mexpr, group, required, ctx):
+        objects, algorithms = ctx.facts_of(mexpr, _lone_mat, group)
+        algorithm = algorithms.get(self.name)
+        if algorithm is None:
+            return
+        op = mexpr.op
+        child_req = required.remove(op.out)
+        if op.source.attr is not None:
+            # The holding object's record must be resident to read it.
+            child_req = child_req.add(op.source.var)
+        if child_req.in_memory <= objects:
+            yield Candidate(((mexpr.children[0], child_req),), *algorithm)
+
+
+class AssemblyImpl(_LoneMatImpl):
+    """Mat -> the assembly operator (window of open references)."""
+
+    name = rule_names.ASSEMBLY
+
+
+class PointerJoinImpl(_LoneMatImpl):
     """Mat -> partitioned pointer-based join (Shekita and Carey).
 
     Requires a known target population (partitioning needs the segment
@@ -739,75 +790,102 @@ class PointerJoinImpl(ImplementationRule):
     """
 
     name = rule_names.POINTER_JOIN
-    operators = (Mat,)
-
-    def candidates(self, mexpr, group, required, ctx):
-        op = mexpr.op
-        child_gid = mexpr.children[0]
-        child, _, target_pages = ctx.facts_of(mexpr, _mat_facts)
-        child_req = _mat_child_req(op, required)
-        if not (child_req.in_memory <= child.scope.object_names):
-            return
-        if target_pages is None:
-            return
-        refs = child.cardinality
-        width = ctx.scope_width(child.scope)
-        if refs * width > ctx.config.cost.work_mem_bytes:
-            return  # the blocking reference table must fit in workspace
-        cost = ctx.cost_model.pointer_join(refs, target_pages)
-        rows = group.props.cardinality
-
-        def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
-            (child,) = children
-            return PointerJoinNode(
-                op.source,
-                op.out,
-                children=children,
-                delivered=child.delivered.add(op.out),
-                rows=rows,
-                local_cost=cost,
-            )
-
-        yield Candidate(((child_gid, child_req),), cost, build)
 
 
-class WarmStartAssemblyImpl(ImplementationRule):
+class WarmStartAssemblyImpl(_LoneMatImpl):
     """Lesson 7's warm-start assembly (off by default; see config)."""
 
     name = rule_names.WARM_START_ASSEMBLY
-    operators = (Mat,)
 
-    def candidates(self, mexpr, group, required, ctx):
-        op = mexpr.op
-        child_gid = mexpr.children[0]
-        child, target_type, target_pages = ctx.facts_of(mexpr, _mat_facts)
-        child_req = _mat_child_req(op, required)
-        if not (child_req.in_memory <= child.scope.object_names):
-            return
-        extent = ctx.catalog.extent_of(target_type)
-        if (
-            extent is None
-            or target_pages is None
-            or target_pages > ctx.config.cost.buffer_pages
-        ):
-            return
-        refs = child.cardinality
-        cost = ctx.cost_model.warm_start_assembly(refs, target_pages)
-        rows = group.props.cardinality
 
-        def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
-            (child,) = children
-            return WarmStartAssemblyNode(
-                op.source,
-                op.out,
-                extent.name,
-                children=children,
-                delivered=child.delivered.add(op.out),
-                rows=rows,
-                local_cost=cost,
-            )
+def _extent_join(
+    link, target_type: str, refs: float, ctx: OptimizeContext
+) -> tuple | None:
+    """(local cost, plan builder) of resolving a chain link by a hybrid
+    hash join against the target type's extent — the plan Mat-to-Join
+    would reach — or None without a scannable extent."""
+    if not ctx.config.is_enabled(rule_names.HYBRID_HASH_JOIN):
+        return None
+    extent = ctx.catalog.extent_of(target_type)
+    if extent is None or not ctx.catalog.has_stats(extent.name):
+        return None
+    out = link.out
+    extent_rows = float(ctx.catalog.cardinality(extent.name))
+    scan_cost = ctx.cost_model.file_scan(
+        ctx.collection_pages(extent.name), extent_rows
+    )
+    # Sized as the hybrid hash join rule sizes a build on the extent scan.
+    scan_scope = Scope.of(VarBinding(out, target_type, BindingKind.OBJECT))
+    join_cost = ctx.cost_model.hybrid_hash_join(
+        extent_rows, refs, extent_rows * ctx.scope_width(scan_scope)
+    )
 
-        yield Candidate(((child_gid, child_req),), cost, build)
+    def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
+        (child,) = children
+        scan = FileScanNode(
+            extent.name,
+            out,
+            children=(),
+            delivered=PhysProps.of(out, order=SortKey(out, None)),
+            rows=extent_rows,
+            local_cost=scan_cost,
+        )
+        return HashJoinNode(
+            link.source.oid_join(out),
+            children=(scan, child),
+            delivered=PhysProps(
+                child.delivered.in_memory | {out}, child.delivered.order
+            ),
+            rows=refs,
+            local_cost=join_cost,
+        )
+
+    return scan_cost + join_cost, build
+
+
+#: How a chain candidate's note names each link's algorithm.
+_LINK_NOTES = {
+    rule_names.ASSEMBLY: "assembly",
+    rule_names.POINTER_JOIN: "pointer-join",
+    rule_names.WARM_START_ASSEMBLY: "warm-start",
+    rule_names.HYBRID_HASH_JOIN: "hash-join",
+}
+
+
+def _chain_lowering(mexpr, group: Group, ctx: OptimizeContext) -> tuple:
+    """(chain outputs, (local cost, plan builder, note) or None) of one
+    MatChain m-expr: the per-link argmin, None when a link has no
+    admissible algorithm."""
+    op = mexpr.op
+    outs = frozenset(link.out for link in op.links)
+    child = ctx.memo.group(mexpr.children[0]).props
+    scope = group.props.scope
+    refs = child.cardinality
+    # The tuple width entering each link (the pointer join's blocking
+    # reference table holds whole tuples).
+    width = ctx.scope_width(child.scope)
+    steps: list[tuple[str, Callable]] = []
+    total = Cost.zero()
+    for link in op.links:
+        target_type = scope.binding(link.out).type_name
+        options = _mat_algorithms(link, target_type, refs, width, refs, ctx)
+        joined = _extent_join(link, target_type, refs, ctx)
+        if joined is not None:
+            options[rule_names.HYBRID_HASH_JOIN] = joined
+        if not options:
+            return outs, None
+        rule, (cost, build) = min(options.items(), key=lambda o: o[1][0].total)
+        steps.append((rule, build))
+        total = total + cost
+        width += ctx.catalog.type_of(target_type).object_size
+
+    def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
+        for _, stack in steps:
+            children = (stack(children),)
+        return children[0]
+
+    note = "+".join(_LINK_NOTES[rule] for rule, _ in steps)
+    return outs, (total, build, note)
 
 
 class MatChainImpl(ImplementationRule):
@@ -816,162 +894,39 @@ class MatChainImpl(ImplementationRule):
     The fused chain is a pure traversal (the rewrite stage only fuses runs
     whose outputs nothing above references), so its links are independent
     1:1 steps and the optimal lowering is simply the per-link argmin over
-    the same strategies a lone Mat would get: assembly, pointer join,
-    warm-start assembly, or a hash join against the target's extent (the
-    plan Mat-to-Join would have reached).  Every strategy preserves the
-    chain input's row order and drops null/dangling references exactly
-    like Mat, so fusion costs the search nothing but the join-order
-    interleavings it exists to eliminate.
+    the same algorithms a lone Mat would get (``_mat_algorithms``:
+    assembly, pointer join, warm-start assembly), plus a hash join against
+    the target's extent (the plan Mat-to-Join would have reached).  Every
+    strategy preserves the chain input's row order and drops
+    null/dangling references exactly like Mat, so fusion costs the search
+    nothing but the join-order interleavings it exists to eliminate.
 
     Each per-link strategy honours the rule toggle of its standalone
     counterpart, so rule-ablation configs constrain fused and unfused
-    plans identically.
+    plans identically.  The lowering does not depend on the goal, so it
+    is chosen once per m-expr.
     """
 
     name = rule_names.MAT_CHAIN
     operators = (MatChain,)
 
     def candidates(self, mexpr, group, required, ctx):
-        op = mexpr.op
-        outs = {link.out for link in op.links}
+        outs, lowering = ctx.facts_of(mexpr, _chain_lowering, group)
+        if lowering is None:
+            return  # a link with no admissible strategy kills the chain
         if required.order is not None and required.order.var in outs:
             return  # no lowering orders the stream by a chain output
         child_gid = mexpr.children[0]
-        child_scope = ctx.memo.group(child_gid).props.scope
         child_req = required
-        for link in op.links:
+        for link in mexpr.op.links:
             child_req = child_req.remove(link.out)
-        for link in op.links:
+        for link in mexpr.op.links:
             if link.source.attr is not None and link.source.var not in outs:
                 child_req = child_req.add(link.source.var)
-        if not (child_req.in_memory <= child_scope.object_names):
-            return
-        refs = ctx.memo.group(child_gid).props.cardinality
-        window = ctx.config.cost.assembly_window
-
-        # Per-link argmin.  ``types`` tracks each variable's object type as
-        # links come into scope; ``width`` the tuple width entering a link
-        # (the pointer join's blocking reference table holds whole tuples).
-        types = {
-            b.name: b.type_name
-            for b in child_scope.bindings
-        }
-        width = ctx.scope_width(child_scope)
-        steps: list[tuple] = []  # (kind, link, extra, step_cost)
-        total = Cost.zero()
-        for link in op.links:
-            target_type = link.source.target_type(
-                ctx.catalog, types[link.source.var]
-            )
-            target_pages = ctx.type_pages(target_type)
-            options: list[tuple[str, tuple, Cost]] = []
-            if ctx.config.is_enabled(rule_names.ASSEMBLY):
-                cost = ctx.cost_model.assembly(refs, target_pages, window)
-                options.append(("assembly", (), cost))
-            if (
-                ctx.config.is_enabled(rule_names.POINTER_JOIN)
-                and target_pages is not None
-                and refs * width <= ctx.config.cost.work_mem_bytes
-            ):
-                cost = ctx.cost_model.pointer_join(refs, target_pages)
-                options.append(("pointer-join", (), cost))
-            extent = ctx.catalog.extent_of(target_type)
-            if (
-                ctx.config.is_enabled(rule_names.WARM_START_ASSEMBLY)
-                and extent is not None
-                and target_pages is not None
-                and target_pages <= ctx.config.cost.buffer_pages
-            ):
-                cost = ctx.cost_model.warm_start_assembly(refs, target_pages)
-                options.append(("warm-start", (extent.name,), cost))
-            if (
-                ctx.config.is_enabled(rule_names.HYBRID_HASH_JOIN)
-                and extent is not None
-                and ctx.catalog.has_stats(extent.name)
-            ):
-                extent_rows = float(ctx.catalog.cardinality(extent.name))
-                extent_pages = ctx.collection_pages(extent.name)
-                build_bytes = extent_rows * (
-                    ctx.catalog.type_of(target_type).object_size + 16.0
-                )
-                scan_cost = ctx.cost_model.file_scan(extent_pages, extent_rows)
-                join_cost = ctx.cost_model.hybrid_hash_join(
-                    extent_rows, refs, build_bytes
-                )
-                options.append(
-                    (
-                        "hash-join",
-                        (extent.name, extent_rows, scan_cost, join_cost),
-                        scan_cost + join_cost,
-                    )
-                )
-            if not options:
-                return  # a link with no admissible strategy kills the chain
-            kind, extra, cost = min(options, key=lambda o: o[2].total)
-            steps.append((kind, link, extra, cost))
-            total = total + cost
-            types[link.out] = target_type
-            width += ctx.catalog.type_of(target_type).object_size
-        note = "+".join(step[0] for step in steps)
-
-        def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
-            (node,) = children
-            for kind, link, extra, cost in steps:
-                if kind == "assembly":
-                    node = AssemblyNode(
-                        link.source,
-                        link.out,
-                        window,
-                        children=(node,),
-                        delivered=node.delivered.add(link.out),
-                        rows=refs,
-                        local_cost=cost,
-                    )
-                elif kind == "pointer-join":
-                    node = PointerJoinNode(
-                        link.source,
-                        link.out,
-                        children=(node,),
-                        delivered=node.delivered.add(link.out),
-                        rows=refs,
-                        local_cost=cost,
-                    )
-                elif kind == "warm-start":
-                    (extent_name,) = extra
-                    node = WarmStartAssemblyNode(
-                        link.source,
-                        link.out,
-                        extent_name,
-                        children=(node,),
-                        delivered=node.delivered.add(link.out),
-                        rows=refs,
-                        local_cost=cost,
-                    )
-                else:
-                    extent_name, extent_rows, scan_cost, join_cost = extra
-                    scan = FileScanNode(
-                        extent_name,
-                        link.out,
-                        children=(),
-                        delivered=PhysProps.of(
-                            link.out, order=SortKey(link.out, None)
-                        ),
-                        rows=extent_rows,
-                        local_cost=scan_cost,
-                    )
-                    node = HashJoinNode(
-                        link.source.oid_join(link.out),
-                        children=(scan, node),
-                        delivered=PhysProps(
-                            node.delivered.in_memory | {link.out},
-                            node.delivered.order,
-                        ),
-                        rows=refs,
-                        local_cost=join_cost,
-                    )
-            return node
-
-        yield Candidate(((child_gid, child_req),), total, build, note=note)
+        child_scope = ctx.memo.group(child_gid).props.scope
+        if child_req.in_memory <= child_scope.object_names:
+            total, build, note = lowering
+            yield Candidate(((child_gid, child_req),), total, build, note=note)
 
 
 ALL_RULES: tuple[ImplementationRule, ...] = (

@@ -17,18 +17,29 @@ collapse-to-index-scan match.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.algebra.operators import (
+    AntiJoin,
     Get,
+    GroupBy,
+    Join,
     LogicalOp,
     Mat,
     MatChain,
+    Project,
     RefSource,
+    Select,
+    SetOp,
+    SetOpKind,
     Unnest,
 )
 from repro.algebra.scopes import Scope, BindingKind
 from repro.catalog.catalog import Catalog
 from repro.errors import OptimizerError
+
+if TYPE_CHECKING:  # selectivity builds on this module's QueryVars
+    from repro.optimizer.selectivity import SelectivityModel
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,23 @@ def build_query_vars(tree: LogicalOp, catalog: Catalog) -> QueryVars:
     origins: dict[str, VarOrigin] = {}
     sources: dict[str, RefSource] = {}
 
+    def materialize(link, what: str) -> None:
+        """Trace one Mat link's output (a lone Mat, or a MatChain link)."""
+        src = link.source
+        parent = origins.get(src.var)
+        if parent is None:
+            raise OptimizerError(f"{what} source {src.var!r} has no origin")
+        if src.attr is None:
+            origins[link.out] = parent
+        else:
+            attr = catalog.attribute(parent.type_name, src.attr)
+            origins[link.out] = VarOrigin(
+                parent.collection,
+                parent.path + (src.attr,),
+                attr.target_type or "",
+            )
+        sources[link.out] = src
+
     def walk(op: LogicalOp) -> None:
         for child in op.children:
             walk(child)
@@ -75,38 +103,10 @@ def build_query_vars(tree: LogicalOp, catalog: Catalog) -> QueryVars:
             element = catalog.collection(op.collection).element_type
             origins[op.var] = VarOrigin(op.collection, (), element)
         elif isinstance(op, Mat):
-            src = op.source
-            parent = origins.get(src.var)
-            if parent is None:
-                raise OptimizerError(f"Mat source {src.var!r} has no origin")
-            if src.attr is None:
-                origins[op.out] = parent
-            else:
-                attr = catalog.attribute(parent.type_name, src.attr)
-                origins[op.out] = VarOrigin(
-                    parent.collection,
-                    parent.path + (src.attr,),
-                    attr.target_type or "",
-                )
-            sources[op.out] = src
+            materialize(op, "Mat")
         elif isinstance(op, MatChain):
             for link in op.links:
-                src = link.source
-                parent = origins.get(src.var)
-                if parent is None:
-                    raise OptimizerError(
-                        f"MatChain source {src.var!r} has no origin"
-                    )
-                if src.attr is None:
-                    origins[link.out] = parent
-                else:
-                    attr = catalog.attribute(parent.type_name, src.attr)
-                    origins[link.out] = VarOrigin(
-                        parent.collection,
-                        parent.path + (src.attr,),
-                        attr.target_type or "",
-                    )
-                sources[link.out] = src
+                materialize(link, "MatChain")
         elif isinstance(op, Unnest):
             parent = origins.get(op.var)
             if parent is None:
@@ -120,6 +120,56 @@ def build_query_vars(tree: LogicalOp, catalog: Catalog) -> QueryVars:
 
     walk(tree)
     return QueryVars(origins, sources)
+
+
+def derive_cardinality(
+    op: LogicalOp,
+    child_rows: tuple[float, ...],
+    selectivity: SelectivityModel,
+    catalog: Catalog,
+) -> float:
+    """An operator's estimated output rows, from its inputs' rows.
+
+    The memo derives each group's estimate with it, and the rewrite stage
+    each subtree's; both therefore agree on every estimate.
+    """
+    if isinstance(op, Get):
+        if not catalog.has_stats(op.collection):
+            raise OptimizerError(f"no statistics for collection {op.collection!r}")
+        return float(catalog.cardinality(op.collection))
+    if isinstance(op, (Mat, MatChain)):
+        # Every link is 1:1 (references resolve to at most one object),
+        # matching the single-Mat estimate so fusion never changes a
+        # group's cardinality.
+        return child_rows[0]
+    if isinstance(op, Unnest):
+        return child_rows[0] * selectivity.unnest_fanout(op.var, op.attr)
+    if isinstance(op, Select):
+        return child_rows[0] * selectivity.predicate(op.predicate)
+    if isinstance(op, Project):
+        return child_rows[0]
+    if isinstance(op, GroupBy):
+        groups = selectivity.grouping_cardinality(op.keys, child_rows[0])
+        # Post-aggregation HAVING filters: a flat 50% per clause (no
+        # distribution information exists for aggregate outputs).
+        return groups * (0.5 ** len(op.having))
+    if isinstance(op, Join):
+        left, right = child_rows
+        return left * right * selectivity.predicate(op.predicate)
+    if isinstance(op, AntiJoin):
+        left, right = child_rows
+        matches = left * right * selectivity.predicate(op.predicate)
+        # Crude anti-join estimate: survivors = left minus matched (each
+        # match eliminates at most one left tuple), floored.
+        return max(left - min(matches, left), 0.05 * left)
+    if isinstance(op, SetOp):
+        left, right = child_rows
+        if op.kind is SetOpKind.UNION:
+            return left + right
+        if op.kind is SetOpKind.INTERSECT:
+            return min(left, right)
+        return left
+    raise OptimizerError(f"cannot derive cardinality for {op!r}")
 
 
 @dataclass(frozen=True)
@@ -157,5 +207,6 @@ __all__ = [
     "QueryVars",
     "VarOrigin",
     "build_query_vars",
+    "derive_cardinality",
     "tuple_width_bytes",
 ]

@@ -15,30 +15,20 @@ group ids merges them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Union
 
 from repro.algebra.operators import LogicalOp
 from repro.algebra.scopes import derive_scope
 from repro.catalog.catalog import Catalog
-from repro.errors import OptimizerError
 from repro.feedback.fingerprint import logical_fingerprint
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.optimizer.logical_props import LogicalProps
+from repro.optimizer.logical_props import LogicalProps, derive_cardinality
 from repro.optimizer.selectivity import SelectivityModel
 
-from repro.algebra.operators import (  # isort: skip
-    AntiJoin,
-    Get,
-    GroupBy,
-    Join,
-    Mat,
-    MatChain,
-    Project,
-    Select,
-    SetOp,
-    SetOpKind,
-    Unnest,
-)
+
+# A group's estimated rows, read off its properties in C (no Python frame).
+_ROWS = attrgetter("cardinality")
 
 # A tree produced by a transformation rule: an operator template whose
 # children are either group ids (reuse) or nested trees (new expressions).
@@ -217,7 +207,9 @@ class Memo:
     def _derive_props(self, op: LogicalOp, child_gids: tuple[int, ...]) -> LogicalProps:
         child_props = tuple(self.group(g).props for g in child_gids)
         scope = derive_scope(op, tuple(p.scope for p in child_props), self.catalog)
-        card = self._derive_cardinality(op, child_props)
+        card = derive_cardinality(
+            op, tuple(map(_ROWS, child_props)), self.selectivity, self.catalog
+        )
         fingerprint = logical_fingerprint(
             op, tuple(p.fingerprint for p in child_props)
         )
@@ -225,56 +217,6 @@ class Memo:
         if self.feedback is not None and fingerprint is not None:
             card, fed = self.feedback.estimate(fingerprint, self.catalog, card)
         return LogicalProps(scope, card, fingerprint=fingerprint, fed=fed)
-
-    def _derive_cardinality(
-        self, op: LogicalOp, child_props: tuple[LogicalProps, ...]
-    ) -> float:
-        if isinstance(op, Get):
-            if not self.catalog.has_stats(op.collection):
-                raise OptimizerError(
-                    f"no statistics for collection {op.collection!r}"
-                )
-            return float(self.catalog.cardinality(op.collection))
-        if isinstance(op, (Mat, MatChain)):
-            # Every link is 1:1 (references resolve to at most one object),
-            # matching the single-Mat estimate so fusion never changes a
-            # group's cardinality.
-            return child_props[0].cardinality
-        if isinstance(op, Unnest):
-            fanout = self.selectivity.unnest_fanout(op.var, op.attr)
-            return child_props[0].cardinality * fanout
-        if isinstance(op, Select):
-            sel = self.selectivity.predicate(op.predicate)
-            return child_props[0].cardinality * sel
-        if isinstance(op, Project):
-            return child_props[0].cardinality
-        if isinstance(op, GroupBy):
-            groups = self.selectivity.grouping_cardinality(
-                op.keys, child_props[0].cardinality
-            )
-            # Post-aggregation HAVING filters: a flat 50% per clause (no
-            # distribution information exists for aggregate outputs).
-            return groups * (0.5 ** len(op.having))
-        if isinstance(op, Join):
-            sel = self.selectivity.predicate(op.predicate)
-            return child_props[0].cardinality * child_props[1].cardinality * sel
-        if isinstance(op, AntiJoin):
-            left, right = child_props
-            matches = left.cardinality * right.cardinality * (
-                self.selectivity.predicate(op.predicate)
-            )
-            # Crude anti-join estimate: survivors = left minus matched
-            # (each match eliminates at most one left tuple), floored.
-            survivors = left.cardinality - min(matches, left.cardinality)
-            return max(survivors, 0.05 * left.cardinality)
-        if isinstance(op, SetOp):
-            left, right = child_props
-            if op.kind is SetOpKind.UNION:
-                return left.cardinality + right.cardinality
-            if op.kind is SetOpKind.INTERSECT:
-                return min(left.cardinality, right.cardinality)
-            return left.cardinality
-        raise OptimizerError(f"cannot derive cardinality for {op!r}")
 
     # ------------------------------------------------------------------
     # Introspection

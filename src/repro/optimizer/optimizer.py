@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace as dataclass_replace
 
 from repro.algebra.operators import LogicalOp, Project, SetOp
 from repro.catalog.catalog import Catalog
-from repro.errors import NoPlanFoundError
 from repro.governor.context import QueryContext
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 from repro.optimizer.config import OptimizerConfig
@@ -17,7 +16,7 @@ from repro.optimizer.implementations import ALL_RULES as IMPLS
 from repro.optimizer.logical_props import build_query_vars
 from repro.optimizer.memo import Memo
 from repro.optimizer.physical_props import PhysProps, SortKey
-from repro.optimizer.plans import PhysicalNode, SortNode
+from repro.optimizer.plans import PhysicalNode
 from repro.optimizer.rewrite import RewriteEvent, rewrite_tree
 from repro.optimizer.search import (
     SearchBudgetExhausted,
@@ -125,14 +124,13 @@ class Optimizer:
         ``trace_events``.  Without one, tracing costs nothing.
 
         A ``query_ctx`` with a search deadline makes the search
-        *anytime*: when the budget runs out mid-search, the best
-        complete plan found so far is returned (degrading to a greedy
-        descent, then the greedy baseline, if no complete plan exists),
-        with the degradation recorded on the context and its trace.
+        *anytime*: when the budget runs out mid-search, a greedy descent
+        over the memo explored so far, seeded with the subplans already
+        proved, returns a plan, and the degradation is recorded on the
+        context and its trace.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         started = time.perf_counter()
-        original = logical
         rewrites: tuple[RewriteEvent, ...] = ()
         if self.config.rewrites:
             order_key = SortKey(order[0], order[1], order[2]) if order else None
@@ -175,11 +173,7 @@ class Optimizer:
             try:
                 plan = engine.best_plan(root_gid, required)
             except SearchBudgetExhausted:
-                # The greedy baseline fallback decomposes the logical tree
-                # itself; hand it the pre-rewrite form it understands.
-                plan = self._anytime_fallback(
-                    engine, ctx, root_gid, required, original, result_vars
-                )
+                plan = self._anytime_fallback(engine, ctx, root_gid, required)
         self._annotate_row_sources(plan)
         elapsed = time.perf_counter() - started
         return OptimizationResult(
@@ -219,33 +213,18 @@ class Optimizer:
         ctx: OptimizeContext,
         root_gid: int,
         required: PhysProps,
-        logical: LogicalOp,
-        result_vars: tuple[str, ...],
     ) -> PhysicalNode:
-        """Best-effort plan when the search deadline expired mid-descent.
+        """Best-effort plan when the search deadline expired mid-search.
 
-        The degradation ladder, cheapest-exit first:
-
-        1. *memo-best* — the root group already has a complete winner for
-           the required properties; return it (it is the best plan the
-           budgeted search actually proved).
-        2. *greedy-descent* — re-run the top-down descent over the memo
-           explored so far with ``candidate_cap=1`` and no deadline:
-           pure greedy, linear in plan depth, completes in microseconds.
-           Winners from the budgeted search seed the descent so proven
-           subplans are reused.
-        3. *greedy-baseline* — the memo has no implementable root (the
-           deadline hit during exploration): fall back to the standalone
-           greedy heuristic optimizer, wrapping a sort enforcer on top
-           if the goal demands an order the baseline never delivers.
+        Re-run the top-down descent over the memo explored so far with
+        ``candidate_cap=1`` and no deadline: pure greedy, linear in plan
+        depth, done in microseconds.  Every complete winner the budgeted
+        search proved seeds the descent, so it only fills in the goals the
+        deadline cut short.  (The root goal is the last one a descent
+        records, so an expired search never holds a root winner itself.)
+        A descent that finds no plan raises ``NoPlanFoundError``, as the
+        unbudgeted search does.
         """
-        governor = ctx.governor
-        memo = ctx.memo
-        winner = engine._winners.get((memo.find(root_gid), required))
-        if winner is not None and winner.plan is not None:
-            if governor is not None:
-                governor.mark_degraded("search_timeout", fallback="memo-best")
-            return winner.plan
         greedy_ctx = dataclass_replace(
             ctx,
             config=self.config.with_heuristics(candidate_cap=1),
@@ -256,34 +235,12 @@ class Optimizer:
             transformations=(),
             implementations=IMPLS + self.extra_implementations,
         )
-        # Seed with every complete winner the budgeted search proved, so
-        # the descent only fills in the groups the deadline cut short.
         for key, won in engine._winners.items():
             if won.plan is not None:
                 descent._winners[key] = won
-        try:
-            plan = descent.best_plan(root_gid, required)
-            if governor is not None:
-                governor.mark_degraded(
-                    "search_timeout", fallback="greedy-descent"
-                )
-            return plan
-        except NoPlanFoundError:
-            pass
-        from repro.baselines.greedy import GreedyOptimizer
-
-        plan = GreedyOptimizer(self.catalog, self.cost_model).optimize(
-            logical, result_vars
-        )
-        if required.order is not None:
-            plan = SortNode(
-                children=(plan,),
-                delivered=plan.delivered.with_order(required.order),
-                rows=plan.rows,
-                local_cost=self.cost_model.sort(plan.rows, 128.0),
-            )
-        if governor is not None:
-            governor.mark_degraded("search_timeout", fallback="greedy-baseline")
+        plan = descent.best_plan(root_gid, required)
+        if ctx.governor is not None:
+            ctx.governor.mark_degraded("search_timeout", fallback="greedy-descent")
         return plan
 
 

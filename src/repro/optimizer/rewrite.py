@@ -60,7 +60,6 @@ from repro.algebra.operators import (
     RefSource,
     Select,
     SetOp,
-    SetOpKind,
     Unnest,
 )
 from repro.algebra.predicates import (
@@ -78,7 +77,7 @@ from repro.errors import AlgebraError, OptimizerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optimizer import config as rule_names
 from repro.optimizer.config import OptimizerConfig
-from repro.optimizer.logical_props import build_query_vars
+from repro.optimizer.logical_props import build_query_vars, derive_cardinality
 from repro.optimizer.physical_props import PhysProps, SortKey
 from repro.optimizer.selectivity import SelectivityModel
 
@@ -103,9 +102,7 @@ def _bound_vars(op: LogicalOp) -> frozenset[str]:
     """The scope names an operator's output carries (no catalog needed)."""
     if isinstance(op, Get):
         return frozenset({op.var})
-    if isinstance(op, Mat):
-        return _bound_vars(op.child) | {op.out}
-    if isinstance(op, MatChain):
+    if isinstance(op, (Mat, MatChain)):
         return _bound_vars(op.child) | {link.out for link in op.links}
     if isinstance(op, Unnest):
         return _bound_vars(op.child) | {op.out}
@@ -411,9 +408,7 @@ def _mat_sources(op: LogicalOp) -> frozenset[RefSource]:
     sources: set[RefSource] = set()
 
     def walk(node: LogicalOp) -> None:
-        if isinstance(node, Mat):
-            sources.add(node.source)
-        if isinstance(node, MatChain):
+        if isinstance(node, (Mat, MatChain)):
             sources.update(link.source for link in node.links)
         for child in node.children:
             walk(child)
@@ -458,48 +453,9 @@ def _drop_redundant_mats(
 
 
 def _estimate(op: LogicalOp, sel: SelectivityModel, catalog: Catalog) -> float:
-    """Quick cardinality estimate mirroring the memo's derivation."""
-    if isinstance(op, Get):
-        if catalog.has_stats(op.collection):
-            return float(catalog.cardinality(op.collection))
-        return 1000.0
-    if isinstance(op, Select):
-        return _estimate(op.child, sel, catalog) * sel.predicate(op.predicate)
-    if isinstance(op, (Mat, MatChain)):
-        return _estimate(op.children[0], sel, catalog)
-    if isinstance(op, Unnest):
-        return _estimate(op.child, sel, catalog) * sel.unnest_fanout(
-            op.var, op.attr
-        )
-    if isinstance(op, Join):
-        return (
-            _estimate(op.left, sel, catalog)
-            * _estimate(op.right, sel, catalog)
-            * sel.predicate(op.predicate)
-        )
-    if isinstance(op, AntiJoin):
-        left = _estimate(op.left, sel, catalog)
-        right = _estimate(op.right, sel, catalog)
-        matches = left * right * sel.predicate(op.predicate)
-        return max(left - min(matches, left), 0.05 * left)
-    if isinstance(op, SetOp):
-        left = _estimate(op.left, sel, catalog)
-        right = _estimate(op.right, sel, catalog)
-        if op.kind is SetOpKind.UNION:
-            return left + right
-        if op.kind is SetOpKind.INTERSECT:
-            return min(left, right)
-        return left
-    if isinstance(op, GroupBy):
-        groups = sel.grouping_cardinality(
-            op.keys, _estimate(op.child, sel, catalog)
-        )
-        return groups * (0.5 ** len(op.having))
-    if isinstance(op, Project):
-        return _estimate(op.children[0], sel, catalog)
-    if op.children:
-        return _estimate(op.children[0], sel, catalog)
-    return 1000.0
+    """A subtree's estimated rows, derived as the memo derives a group's."""
+    rows = tuple(_estimate(child, sel, catalog) for child in op.children)
+    return derive_cardinality(op, rows, sel, catalog)
 
 
 def _has_cartesian(tree: LogicalOp) -> bool:

@@ -32,6 +32,7 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.algebra.predicates import CompOp, Conjunction, RefAttr, SelfOid, VarRef
+from repro.algebra.scopes import link_target
 from repro.catalog.schema import CollectionKind
 from repro.optimizer import config as rule_names
 from repro.optimizer.memo import Memo, MExpr, Tree
@@ -102,23 +103,25 @@ class SelectPastMat(TransformationRule):
     """Push selection conjuncts beneath a Mat that they do not depend on.
 
     Select(p, Mat(s: v, X)) -> Select(p_above, Mat(s: v, Select(p_below, X)))
-    where p_below is the conjuncts not referencing v.
+    where p_below is the conjuncts not referencing v.  ``beneath`` names
+    the scope-extending operator the conjuncts move under.
     """
 
     name = rule_names.SELECT_PAST_MAT
     operators = (Select,)
+    beneath: type[LogicalOp] = Mat
 
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
         predicate = mexpr.op.predicate
         for inner in memo.group(mexpr.children[0]).mexprs:
-            if not isinstance(inner.op, Mat):
+            if not isinstance(inner.op, self.beneath):
                 continue
             below_scope = memo.group(inner.children[0]).props.scope.names
             below, above = predicate.split_by_vars(below_scope)
             if below.is_true:
                 continue
             pushed: Tree = (
-                _mk_mat(inner.op.source, inner.op.out),
+                inner.op.with_children((_PLACEHOLDER,)),
                 (_select(below, inner.children[0]),),
             )
             if above.is_true:
@@ -127,37 +130,16 @@ class SelectPastMat(TransformationRule):
                 yield (_mk_select(above), (pushed,))
 
 
-class SelectPastMatChain(TransformationRule):
+class SelectPastMatChain(SelectPastMat):
     """Push selection conjuncts beneath a fused Mat chain.
 
-    Select(p, MatChain(links, X)) ->
-    Select(p_above, MatChain(links, Select(p_below, X)))
-    where p_below is the conjuncts referencing none of the chain outputs.
     The fusion gate means such conjuncts should not exist in rewritten
     trees, but fuzz configs that disable individual rewrite rules can
     still produce the shape.
     """
 
     name = rule_names.SELECT_PAST_MAT_CHAIN
-    operators = (Select,)
-
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        predicate = mexpr.op.predicate
-        for inner in memo.group(mexpr.children[0]).mexprs:
-            if not isinstance(inner.op, MatChain):
-                continue
-            below_scope = memo.group(inner.children[0]).props.scope.names
-            below, above = predicate.split_by_vars(below_scope)
-            if below.is_true:
-                continue
-            pushed: Tree = (
-                MatChain(_PLACEHOLDER, inner.op.links),
-                (_select(below, inner.children[0]),),
-            )
-            if above.is_true:
-                yield pushed
-            else:
-                yield (_mk_select(above), (pushed,))
+    beneath = MatChain
 
 
 class MatPastSelect(TransformationRule):
@@ -179,29 +161,11 @@ class MatPastSelect(TransformationRule):
                 )
 
 
-class SelectPastUnnest(TransformationRule):
+class SelectPastUnnest(SelectPastMat):
     """Push conjuncts not referencing the unnested element beneath Unnest."""
 
     name = rule_names.SELECT_PAST_UNNEST
-    operators = (Select,)
-
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        predicate = mexpr.op.predicate
-        for inner in memo.group(mexpr.children[0]).mexprs:
-            if not isinstance(inner.op, Unnest):
-                continue
-            below_scope = memo.group(inner.children[0]).props.scope.names
-            below, above = predicate.split_by_vars(below_scope)
-            if below.is_true:
-                continue
-            pushed: Tree = (
-                _mk_unnest(inner.op.var, inner.op.attr, inner.op.out),
-                (_select(below, inner.children[0]),),
-            )
-            if above.is_true:
-                yield pushed
-            else:
-                yield (_mk_select(above), (pushed,))
+    beneath = Unnest
 
 
 class UnnestPastSelect(TransformationRule):
@@ -399,10 +363,9 @@ class MatToJoin(TransformationRule):
     def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
         op = mexpr.op
         child_scope = memo.group(mexpr.children[0]).props.scope
-        target_type = op.source.target_type(
-            memo.catalog, child_scope.binding(op.source.var).type_name
+        extent = memo.catalog.extent_of(
+            link_target(op.source, child_scope, memo.catalog)
         )
-        extent = memo.catalog.extent_of(target_type)
         if extent is None or not memo.catalog.has_stats(extent.name):
             return
         yield (

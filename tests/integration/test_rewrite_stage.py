@@ -10,9 +10,13 @@ which is the whole point.
 
 import pytest
 
+from repro.algebra.scopes import BindingKind, Scope, VarBinding
 from repro.lang.parser import parse_query
 from repro.optimizer import Optimizer, OptimizerConfig
-from repro.optimizer.plans import plan_signature
+from repro.optimizer import config as C
+from repro.optimizer.cost import CostModel, CostParams
+from repro.optimizer.logical_props import tuple_width_bytes
+from repro.optimizer.plans import HashJoinNode, plan_signature
 from repro.simplify.simplifier import simplify_full
 
 from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4
@@ -85,3 +89,32 @@ class TestSearchSpaceShrinks:
             paper_catalog, CHAIN_QUERY, OptimizerConfig().with_rewrites(False)
         )
         assert ablated.rewrites == ()
+
+
+class TestFusedLinkCosts:
+    def test_extent_hash_join_sizes_its_build_with_the_tuple_overhead(
+        self, paper_catalog
+    ):
+        """A chain link resolved by a hash join against the target's extent
+        sizes its build input as the hybrid hash join rule does, with the
+        configured per-tuple overhead: under a workspace the extent
+        overflows, the spill I/O follows the wider tuples."""
+        config = OptimizerConfig(
+            cost=CostParams(tuple_overhead_bytes=64, work_mem_bytes=1024)
+        ).without(C.ASSEMBLY)  # leave the chain its hash join only
+        result = _optimize(
+            paper_catalog,
+            "SELECT e.name FROM Employee e IN Employees, "
+            "Department d IN extent(Department) WHERE e.department == d",
+            config,
+        )
+        assert "rewrite-mat-chain" in {event.rule for event in result.rewrites}
+        (join,) = [n for n in result.plan.walk() if isinstance(n, HashJoinNode)]
+        scan, probe = join.children
+        scan_scope = Scope.of(VarBinding("d", "Department", BindingKind.OBJECT))
+        build_bytes = scan.rows * tuple_width_bytes(scan_scope, paper_catalog, 64)
+        expected = CostModel(config.cost).hybrid_hash_join(
+            scan.rows, probe.rows, build_bytes
+        )
+        assert expected.io_seconds > 0.0
+        assert join.local_cost == expected

@@ -21,7 +21,7 @@ from repro.lang.parser import parse_query
 from repro.optimizer import OptimizerConfig
 from repro.optimizer.context import OptimizeContext
 from repro.optimizer.cost import CostModel
-from repro.optimizer.logical_props import build_query_vars
+from repro.optimizer.logical_props import build_query_vars, derive_cardinality
 from repro.optimizer.memo import Memo
 from repro.optimizer.search import SearchEngine
 from repro.optimizer.selectivity import SelectivityModel
@@ -102,10 +102,12 @@ class TestMemoInvariants:
         memo = _explored_memo(sql)
         for group in memo.groups():
             for mexpr in group.mexprs:
-                child_props = tuple(
-                    memo.group(c).props for c in mexpr.children
+                child_rows = tuple(
+                    memo.group(c).props.cardinality for c in mexpr.children
                 )
-                recomputed = memo._derive_cardinality(mexpr.op, child_props)
+                recomputed = derive_cardinality(
+                    mexpr.op, child_rows, memo.selectivity, memo.catalog
+                )
                 assert recomputed == pytest.approx(
                     group.props.cardinality, rel=1e-6
                 ), f"{mexpr.op.describe()} in group {group.gid}"
