@@ -1,7 +1,12 @@
-"""Compare a base revision with this checkout on one statement workload.
+"""Compare a base revision with this checkout on statement workloads.
 
     python3 benchmarks/compare.py --base HEAD~1 --workload point_hit
     python3 benchmarks/compare.py --base main --workload scan_exec --seeds 61-70 --trace
+    python3 benchmarks/compare.py --base main --workload point_hit,scan_exec
+    python3 benchmarks/compare.py --base main --workload all --trace
+
+``--workload`` names one workload, a comma list, or ``all`` (every workload
+of ``BENCHMARK.json``, in its order); each gets its own table.
 
 The base revision is checked out into a temporary ``git worktree`` (removed
 afterwards); this checkout, uncommitted edits included, is the head.  For
@@ -44,6 +49,16 @@ EXACT = (
     "storage.objects_scanned_per_stmt", "durability.wal_bytes_per_commit",
     "api.py_calls_per_stmt",
 )
+
+
+def parse_workloads(text: str, declared: list[str]) -> list[str]:
+    """``"all"``, one workload or a comma list, checked against ``declared``."""
+    names = declared if text == "all" else text.split(",")
+    unknown = sorted(set(names) - set(declared))
+    if unknown:
+        raise ValueError(f"unknown workload(s) {', '.join(unknown)}; "
+                         f"declared: {', '.join(declared)}")
+    return names
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -147,12 +162,19 @@ def main(argv=None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--base", required=True, help="git revision to compare with")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma list, or 'all'")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("61-70"),
                         help="e.g. 61-70 (default) or 3,5,8")
     parser.add_argument("--trace", type=int, nargs="?", const=1, metavar="SEED",
                         help="also diff the exact traced counts at SEED (default 1)")
     args = parser.parse_args(argv)
+    declared = [w["name"] for w in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    try:
+        workloads = parse_workloads(args.workload, declared)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     with tempfile.TemporaryDirectory() as scratch:
         base = Path(scratch) / "base"
@@ -161,7 +183,8 @@ def main(argv=None) -> int:
             cwd=ROOT, check=True,
         )
         try:
-            compare(base, args.workload, args.seeds, args.trace)
+            for workload in workloads:
+                compare(base, workload, args.seeds, args.trace)
         finally:
             subprocess.run(
                 ["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, check=True

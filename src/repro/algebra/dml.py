@@ -14,6 +14,10 @@ reduces it to a *write plan*:
   optimize → execute pipeline, so index selection, plan caching, and the
   governor all apply to finding the rows a write touches.
 
+A write plan is a template: each SET / VALUES literal that may vary is a
+:class:`ParamSlot` (listed in ``values``) ahead of the target query's
+slots in the statement's consts, so the digest memo can keep the plan.
+
 Actual application of the buffered writes lives in
 :mod:`repro.engine.dml`.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.cache.fingerprint import ParamSlot, bindable
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import AttrKind, AttributeDef
 from repro.errors import CatalogError, QueryTypeError, SchemaError
@@ -43,16 +48,20 @@ from repro.lang.ast import (
 class InsertPlan:
     """A validated INSERT: the collection and full normalized records."""
 
+    operation = "insert"
+    target = None
     collection: str
     records: tuple[dict[str, Any], ...]
+    values: tuple[ParamSlot, ...] = ()
 
 
 @dataclass(frozen=True)
 class Assignment:
     """One validated SET clause: the attribute and its value operand.
 
-    ``value`` is a plain constant or a :class:`PathAst` rooted at the
-    update's range variable (evaluated per target object at apply time).
+    ``value`` is a plain constant, a :class:`ParamSlot` of the statement's
+    consts, or a :class:`PathAst` rooted at the update's range variable
+    (evaluated per target object at apply time).
     """
 
     attr: str
@@ -64,19 +73,33 @@ class Assignment:
 class UpdatePlan:
     """A validated UPDATE: target query, range variable, assignments."""
 
-    target: QueryAst
+    operation = "update"
+    target: Any  # the QueryAst, or its parameterized template
     var: str
     collection: str
     assignments: tuple[Assignment, ...]
+    values: tuple[ParamSlot, ...] = ()
 
 
 @dataclass(frozen=True)
 class DeletePlan:
     """A validated DELETE: target query and range variable."""
 
-    target: QueryAst
+    operation = "delete"
+    values = ()
+    target: Any  # the QueryAst, or its parameterized template
     var: str
     collection: str
+
+
+def _lift(values: list[ParamSlot], operand: ConstAst, value: Any) -> Any:
+    """A validated literal ``value`` as the next slot of ``values``, when
+    it may vary from one statement of the shape to the next."""
+    if not bindable(value):
+        return value
+    slot = ParamSlot(f"?{len(values)}", len(values), True, value, operand.position)
+    values.append(slot)
+    return slot
 
 
 def _element_type(catalog: Catalog, collection: str):
@@ -119,6 +142,7 @@ def plan_insert(ast: InsertAst, catalog: Catalog) -> InsertPlan:
         )
     column_attrs = [_attribute(element, name) for name in ast.columns]
     records: list[dict[str, Any]] = []
+    values: list[ParamSlot] = []
     for row in ast.rows:
         if len(row) != len(ast.columns):
             raise QueryTypeError(
@@ -136,11 +160,11 @@ def plan_insert(ast: InsertAst, catalog: Catalog) -> InsertPlan:
                     f"${operand.name}"
                 )
             assert isinstance(operand, ConstAst)
-            record[attr.name] = _check_const(
+            record[attr.name] = _lift(values, operand, _check_const(
                 attr, operand.value, f"INSERT INTO {coll.name}"
-            )
+            ))
         records.append(record)
-    return InsertPlan(coll.name, tuple(records))
+    return InsertPlan(coll.name, tuple(records), tuple(values))
 
 
 def _target_query(range_ast, where, catalog: Catalog) -> QueryAst:
@@ -167,7 +191,7 @@ def _validate_range(range_ast, catalog: Catalog, statement: str):
 
 
 def _validate_assignment(
-    assignment, element, catalog: Catalog, var: str
+    assignment, element, catalog: Catalog, var: str, values: list[ParamSlot]
 ) -> Assignment:
     target: PathAst = assignment.target
     if target.root != var:
@@ -184,7 +208,9 @@ def _validate_assignment(
     if isinstance(value, ParamAst):
         raise QueryTypeError(f"UPDATE: unbound parameter ${value.name}")
     if isinstance(value, ConstAst):
-        return Assignment(attr.name, _check_const(attr, value.value, "UPDATE"))
+        return Assignment(
+            attr.name, _lift(values, value, _check_const(attr, value.value, "UPDATE"))
+        )
     assert isinstance(value, PathAst)
     if value.root != var:
         raise QueryTypeError(
@@ -221,9 +247,10 @@ def plan_update(ast: UpdateAst, catalog: Catalog) -> UpdatePlan:
     coll, element = _validate_range(ast.range, catalog, "UPDATE")
     seen: set[str] = set()
     assignments = []
+    values: list[ParamSlot] = []
     for assignment in ast.assignments:
         validated = _validate_assignment(
-            assignment, element, catalog, ast.range.var
+            assignment, element, catalog, ast.range.var, values
         )
         if validated.attr in seen:
             raise QueryTypeError(
@@ -236,6 +263,7 @@ def plan_update(ast: UpdateAst, catalog: Catalog) -> UpdatePlan:
         var=ast.range.var,
         collection=coll.name,
         assignments=tuple(assignments),
+        values=tuple(values),
     )
 
 
@@ -249,6 +277,12 @@ def plan_delete(ast: DeleteAst, catalog: Catalog) -> DeletePlan:
     )
 
 
+def plan_write(ast: InsertAst | UpdateAst | DeleteAst, catalog: Catalog):
+    """Validate any write statement into its plan."""
+    plan = {InsertAst: plan_insert, UpdateAst: plan_update, DeleteAst: plan_delete}
+    return plan[type(ast)](ast, catalog)
+
+
 __all__ = [
     "Assignment",
     "DeletePlan",
@@ -257,4 +291,5 @@ __all__ = [
     "plan_delete",
     "plan_insert",
     "plan_update",
+    "plan_write",
 ]

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Union
 
 from repro.algebra.predicates import showing
+from repro.algebra import dml as dml_algebra
 from repro.cache.fingerprint import (
     ParameterizedQuery,
+    admits,
     bind_template,
     digest_entry,
     parameterize,
@@ -47,6 +49,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.algebra.operators import LogicalOp
+from repro.engine import dml as dml_engine
 from repro.engine.dml import DmlResult
 from repro.governor.admission import AdmissionController
 from repro.governor.context import QueryContext
@@ -392,16 +395,15 @@ class Database:
 
     def _run_dml(
         self,
-        statement: Union[InsertAst, UpdateAst, DeleteAst],
+        plan,
+        consts: tuple,
         config: OptimizerConfig | None,
         governor: QueryContext | None,
         transaction: Transaction | None,
         use_cache: bool,
     ) -> DmlResult:
-        """Transaction scoping and commit for one admitted DML statement."""
-        from repro.algebra import dml as dml_algebra
-        from repro.engine import dml as dml_engine
-
+        """Transaction scoping and commit for one write plan (``algebra.dml``),
+        bound to ``consts``."""
         if self.store is None or self.executor is None:
             raise TransactionError("DML requires a populated store")
         config, slot = self._admit(config, governor)
@@ -414,31 +416,24 @@ class Database:
             # transactions just roll back wholesale.
             savepoint = txn.savepoint() if transaction is not None else None
             try:
-                if isinstance(statement, InsertAst):
-                    plan = dml_algebra.plan_insert(statement, self.catalog)
-                    affected = dml_engine.apply_insert(txn, plan)
-                    operation = "insert"
+                if plan.target is None:
+                    affected = dml_engine.apply_insert(txn, plan, consts)
                 else:
-                    if isinstance(statement, UpdateAst):
-                        plan = dml_algebra.plan_update(statement, self.catalog)
-                        operation = "update"
-                    else:
-                        plan = dml_algebra.plan_delete(statement, self.catalog)
-                        operation = "delete"
                     view = self.store.view(txn=txn)
                     # The target query enters at the plan stage: it is
                     # already admitted, and reads the transaction's view.
-                    target = parameterize(plan.target, auto=True)
+                    # Its consts follow the plan's own SET values.
+                    target_consts = consts[len(plan.values):]
                     optimization, result_vars, _ = self._plan(
-                        target, target.consts, config, use_cache, governor
+                        plan.target, target_consts, config, use_cache, governor
                     )
                     _, targets = self._execute(
                         optimization, result_vars, config, governor, view,
-                        target.consts,
+                        target_consts,
                     )
-                    if operation == "update":
+                    if plan.operation == "update":
                         affected = dml_engine.apply_update(
-                            view, txn, plan, targets.rows
+                            view, txn, plan, targets.rows, consts
                         )
                     else:
                         affected = dml_engine.apply_delete(txn, plan, targets.rows)
@@ -456,7 +451,7 @@ class Database:
                 if self.durability is not None:
                     # Outside the commit lock: checkpointing takes it.
                     self.durability.maybe_checkpoint()
-            return DmlResult(operation, affected, csn)
+            return DmlResult(plan.operation, affected, csn)
 
     # ------------------------------------------------------------------
     # Query pipeline
@@ -638,13 +633,10 @@ class Database:
         is rejected with :class:`~repro.errors.TransactionError` —
         begin a new one.
 
-        The query is auto-parameterized and the plan cache consulted
-        transparently: repeats of the same query shape with different
-        constants run the cached plan template with their own constants
-        instead of re-running the optimizer — and a text that differs
-        from an earlier one only in its literals is recognised by its
-        digest and not parsed again.  ``use_cache=False`` (or
-        ``db.cache_plans = False``) opts out of all of it.
+        Every statement, writes included, is auto-parameterized: a text
+        that differs from an earlier one only in its literals is neither
+        parsed nor optimized again (walkthrough §7).  ``use_cache=False``
+        (or ``db.cache_plans = False``) opts out of all of it.
 
         ``options`` sets per-query resource limits by ``$``-key:
         ``$timeout`` (whole-query deadline, ms — exceeding it raises
@@ -671,43 +663,58 @@ class Database:
         known = None
         if use_cache:
             digest, raws = strip_literals(text)
-            known = self.plan_cache.recall(digest, raws)
+            known = self.plan_cache.recall(digest, raws, self.catalog)
         if known is not None:
-            parameterized, consts = known
+            statement, consts = known
         else:
-            # The one place syntax errors and eligibility are decided; a
-            # digest is only ever remembered for a query that got through.
-            statement = parse_statement(text)
-            if isinstance(statement, (InsertAst, UpdateAst, DeleteAst)):
-                if not execute:
-                    raise TransactionError(
-                        "execute=False is not supported for DML statements: "
-                        "applying the writes is the statement; use "
-                        "Database.optimize on the target query for plan-only "
-                        "inspection"
+            # The one place syntax errors, validation and eligibility are
+            # decided; a digest is only ever remembered for a statement that
+            # got through, and not for a binding that failed a range guard
+            # (its literal template must not displace the lifted one).
+            parsed = parse_statement(text)
+            if isinstance(parsed, (InsertAst, UpdateAst, DeleteAst)):
+                # A write's template is its validated plan, the SET / VALUES
+                # slots ahead of its parameterized target query's.
+                plan = dml_algebra.plan_write(parsed, self.catalog)
+                slots = plan.values
+                if plan.target is not None:
+                    plan = replace(plan, target=parameterize(plan.target, auto=True))
+                    slots += plan.target.slots
+                statement = ParameterizedQuery(
+                    plan, slots, str(parsed), True,
+                    catalog_version=self.catalog.version,
+                )
+            else:
+                statement = parameterize(parsed, auto=True)
+                if statement.user_param_names:
+                    names = ", ".join(f"${n}" for n in statement.user_param_names)
+                    raise ParameterBindingError(
+                        f"query text contains unbound parameters ({names}); use "
+                        "Database.prepare(...) and bind values via execute(...)"
                     )
-                return self._run_dml(
-                    statement, config, governor, transaction, use_cache
-                )
-            parameterized = parameterize(statement, auto=True)
-            if parameterized.user_param_names:
-                names = ", ".join(f"${n}" for n in parameterized.user_param_names)
-                raise ParameterBindingError(
-                    f"query text contains unbound parameters ({names}); use "
-                    "Database.prepare(...) and bind values via execute(...)"
-                )
-            consts = parameterized.consts
-            if use_cache:
+            consts = statement.consts
+            if use_cache and not statement.literal_ranges:
                 self.plan_cache.remember(
-                    digest, digest_entry(parameterized, digest, raws)
+                    digest, digest_entry(statement, digest, raws)
                 )
+        if statement.catalog_version is not None:  # a write
+            if not execute:
+                raise TransactionError(
+                    "execute=False is not supported for DML statements: "
+                    "applying the writes is the statement; use "
+                    "Database.optimize on the target query for plan-only "
+                    "inspection"
+                )
+            return self._run_dml(
+                statement.template, consts, config, governor, transaction, use_cache
+            )
         view = None
         if transaction is not None:
             if self.store is None:
                 raise TransactionError("this database has no populated store")
             view = self.store.view(txn=transaction)
         return self._run_statement(
-            parameterized,
+            statement,
             consts,
             config=config,
             execute=execute,
@@ -799,16 +806,19 @@ class Database:
         """Stage 2 — plan: take the cached template as it is (``hit``),
         or plan for the first time (bind -> simplify -> search) and store
         the result (``miss``) unless caching is off for the call, the
-        plan is degraded (both ``bypass``) or it is ``uncacheable``.
-        Either way the plan's lifted constants are slots: ``consts``
-        travels beside it to `_execute`."""
-        storable = use_cache and parameterized.cacheable
+        plan is degraded (both ``bypass``) or it (or ``consts``, failing a
+        range guard) is ``uncacheable``.  Either way the plan's lifted
+        constants are slots: ``consts`` travels beside it to `_execute`."""
+        admitted = parameterized.cacheable and (
+            not parameterized.guards or admits(parameterized.guards, consts)
+        )
+        storable = use_cache and admitted
         if storable:
             # The optimizer configuration changes which plans are legal, so
             # every plan-affecting knob is part of the fingerprint —
-            # ``cache_key()`` renders them canonically (sorted rule sets), so
-            # equal configs always share a key and different rewrite /
-            # feedback settings never do.
+            # ``cache_key()`` digests their canonical rendering (sorted rule
+            # sets), so equal configs always share a key and different
+            # rewrite / feedback settings never do.
             key = f"{parameterized.text_key}\x00{config.cache_key()}"
             entry, outcome = self.plan_cache.lookup(
                 key, self.catalog,
@@ -822,7 +832,7 @@ class Database:
                 return entry.optimization, entry.result_vars, info
         else:
             key = parameterized.text_key
-            outcome = "bypass" if parameterized.cacheable else "uncacheable"
+            outcome = "bypass" if admitted else "uncacheable"
         started = time.perf_counter()
         bound = bind_template(parameterized, consts)
         simplified = self.simplify(bound)

@@ -26,22 +26,28 @@ evaluates const-vs-const comparisons; ``tighten-bounds`` merges multiple
 constant bounds on one term).  A constant is lifted only when
 
 * it is compared against a path (never const-vs-const), and
-* its path is the target of exactly one constant comparison in the whole
-  statement (so ``tighten-bounds`` has nothing to merge), and
 * its value is an ``int``, ``float``, or ``str`` (``bool``/``None`` stay
   literal: two-valued literals make poor parameters, and ``null``
-  comparisons are decided by kind, not value).
+  comparisons are decided by kind, not value), and
+* its path is the target of exactly one constant comparison in the whole
+  statement (so ``tighten-bounds`` has nothing to merge), or of exactly
+  two forming a range — one lower and one upper bound, either operand
+  order — under the guard ``consts[lo] < consts[hi]``: the two merge by
+  value exactly when it fails (a contradiction, an equality, kinds that do
+  not order).  The first binding must pass it; a later one that fails it
+  is planned as its literal text.
 
 Constants that fail the test simply stay literal and become part of the
 fingerprint — correct, just a cache entry per distinct value.  A *user*
 parameter (``$name`` in a prepared query) that fails the test cannot fall
 back to a literal, so the whole query is marked uncacheable and every
-execution optimizes afresh.
+execution optimizes afresh (a ``$lo``/``$hi`` range is lifted, guarded).
 
 :func:`digest_entry` is what lets a repeated statement skip all of the
 above: it records, for a text that parsed, which of its literals went to
 which slot, keyed by the literal-stripped digest ``lang.lexer`` takes in
-one pass (see :class:`Digested` and ``PlanCache.recall``).
+one pass (see :class:`Digested` and ``PlanCache.recall``); a write's
+entry is its validated plan (``algebra.dml``).
 """
 
 from __future__ import annotations
@@ -71,6 +77,15 @@ def bindable(value: Any) -> bool:
     return isinstance(value, (int, float, str)) and not isinstance(value, bool)
 
 
+def admits(guards: tuple[tuple[int, int], ...], consts: tuple) -> bool:
+    """Does every guarded range keep its lower bound strictly below its
+    upper bound under ``consts``?  Kinds that do not order fail."""
+    try:
+        return all(consts[lo] < consts[hi] for lo, hi in guards)
+    except TypeError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Parameterization
 # ---------------------------------------------------------------------------
@@ -95,13 +110,21 @@ class ParamSlot:
 
 @dataclass(frozen=True)
 class ParameterizedQuery:
-    """A normalized query: template AST, slots, and its fingerprint text."""
+    """A normalized statement: template, slots, and its fingerprint text.
 
-    template: QueryNode
+    ``guards`` pairs each lifted range's (lower, upper) slots;
+    ``literal_ranges``: a range failed its guard.  A write's template is
+    its plan (``algebra.dml``), valid at ``catalog_version`` only.
+    """
+
+    template: Any
     slots: tuple[ParamSlot, ...]
     text_key: str
     cacheable: bool
     reason: str | None = None
+    guards: tuple[tuple[int, int], ...] = ()
+    literal_ranges: bool = False
+    catalog_version: int | None = None
 
     @property
     def user_param_names(self) -> tuple[str, ...]:
@@ -115,13 +138,17 @@ class ParameterizedQuery:
 
 
 class _Parameterizer:
-    def __init__(self, auto: bool, bound_counts: Counter) -> None:
+    def __init__(self, auto: bool, bound_counts: Counter, ends: dict) -> None:
         self.auto = auto
         self.bound_counts = bound_counts
+        self.ends = ends
         self.slots: list[ParamSlot] = []
         self.user_slots: dict[str, ParamSlot] = {}
         self.cacheable = True
         self.reason: str | None = None
+        self.lifted: dict[tuple[str, bool], int] = {}
+        self.guards: tuple[tuple[int, int], ...] = ()
+        self.literal_ranges = False
 
     def _uncacheable(self, reason: str) -> None:
         if self.cacheable:
@@ -157,7 +184,12 @@ class _Parameterizer:
                 self._uncacheable(
                     f"parameter ${operand.name} is not compared against a path"
                 )
-            elif self.bound_counts[str(partner)] > 1:
+            elif (count := self.bound_counts[str(partner)]) > 1 and (
+                count > 2
+                or not self._range(
+                    partner, operand, self.user_slots[operand.name].index
+                )
+            ):
                 self._uncacheable(
                     f"{partner} has several constant bounds, which the "
                     "simplifier may merge by value"
@@ -168,37 +200,67 @@ class _Parameterizer:
             and isinstance(operand, ConstAst)
             and isinstance(partner, PathAst)
             and bindable(operand.value)
-            and self.bound_counts[str(partner)] == 1
         ):
-            slot = ParamSlot(
-                f"?{len(self.slots)}", len(self.slots), auto=True,
-                value=operand.value, position=operand.position,
-            )
-            self.slots.append(slot)
-            return ParamAst(slot.name)
+            count = self.bound_counts[str(partner)]
+            if count == 1 or (
+                count == 2 and self._range(partner, operand, len(self.slots))
+            ):
+                slot = ParamSlot(
+                    f"?{len(self.slots)}", len(self.slots), auto=True,
+                    value=operand.value, position=operand.position,
+                )
+                self.slots.append(slot)
+                return ParamAst(slot.name)
         return operand
 
+    def _range(self, path: PathAst, operand, index: int) -> bool:
+        """May ``operand``, one of ``path``'s two bounds, take slot ``index``?
+        Only in a range of two ``$params``, or of two literals that pass the
+        guard (recorded once both ends have their slot)."""
+        key = str(path)
+        lower, upper = self.ends.get((key, True)), self.ends.get((key, False))
+        if not (isinstance(lower, ParamAst) and isinstance(upper, ParamAst)):
+            if not (
+                isinstance(lower, ConstAst) and isinstance(upper, ConstAst)
+                and bindable(lower.value) and bindable(upper.value)
+            ):
+                return False
+            if not admits(((0, 1),), (lower.value, upper.value)):
+                self.literal_ranges = True
+                return False
+        self.lifted[key, operand is lower] = index
+        if (key, operand is not lower) in self.lifted:
+            self.guards += ((self.lifted[key, True], self.lifted[key, False]),)
+        return True
 
-def _count_constant_bounds(node: QueryNode, counts: Counter) -> None:
-    """How many const-or-param comparisons target each path, statement-wide.
+
+def _count_constant_bounds(node: QueryNode, counts: Counter, ends: dict) -> None:
+    """How many const-or-param comparisons target each path, statement-wide,
+    and in ``ends[path, lower]`` the operand of its lower / upper bound.
 
     Statement-wide (not per block) because EXISTS unnesting flattens
     subquery conjuncts into the outer conjunction before the argument
     rules run over it.
     """
     if isinstance(node, SetQueryAst):
-        _count_constant_bounds(node.left, counts)
-        _count_constant_bounds(node.right, counts)
+        _count_constant_bounds(node.left, counts, ends)
+        _count_constant_bounds(node.right, counts, ends)
         return
     conditions: tuple[Condition, ...] = node.where + node.having
     for cond in conditions:
         if isinstance(cond, ExistsAst):
-            _count_constant_bounds(cond.query, counts)
+            _count_constant_bounds(cond.query, counts, ends)
             continue
-        sides = (cond.left, cond.right)
-        for path, other in (sides, sides[::-1]):
+        # ``lower``: the operator that makes ``other`` a lower bound of
+        # ``path`` from where ``path`` stands.
+        for path, other, lower in (
+            (cond.left, cond.right, ">"), (cond.right, cond.left, "<")
+        ):
             if isinstance(path, PathAst) and isinstance(other, (ConstAst, ParamAst)):
-                counts[str(path)] += 1
+                key = str(path)
+                counts[key] += 1
+                if cond.op[0] in "<>":
+                    ends[key, cond.op[0] == lower] = other
 
 
 def parameterize(ast: QueryNode, auto: bool = True) -> ParameterizedQuery:
@@ -210,8 +272,9 @@ def parameterize(ast: QueryNode, auto: bool = True) -> ParameterizedQuery:
     parameters.
     """
     counts: Counter = Counter()
-    _count_constant_bounds(ast, counts)
-    builder = _Parameterizer(auto, counts)
+    ends: dict = {}
+    _count_constant_bounds(ast, counts, ends)
+    builder = _Parameterizer(auto, counts, ends)
     template = builder.query(ast)
     return ParameterizedQuery(
         template=template,
@@ -219,6 +282,8 @@ def parameterize(ast: QueryNode, auto: bool = True) -> ParameterizedQuery:
         text_key=str(template),
         cacheable=builder.cacheable,
         reason=builder.reason,
+        guards=builder.guards,
+        literal_ranges=builder.literal_ranges,
     )
 
 
@@ -273,12 +338,16 @@ def bind_template(param: ParameterizedQuery, consts: tuple) -> QueryNode:
 
     Each constant keeps its slot number beside its value, so the plan
     optimized from this tree is a template too (see the module docstring);
-    ``consts`` is in slot order.
+    ``consts`` is in slot order.  Consts that fail a guard bind the ranges
+    as plain literals: the statement is planned as its literal text.
     """
     _check_consts(len(param.slots), consts)
+    literal = () if not param.guards or admits(param.guards, consts) else {
+        index for pair in param.guards for index in pair
+    }
     return _Binder(
         {
-            slot.name: ConstAst(value, slot.index)
+            slot.name: ConstAst(value, None if slot.index in literal else slot.index)
             for slot, value in zip(param.slots, consts)
         }
     ).query(param.template)
@@ -332,6 +401,7 @@ __all__ = [
     "Digested",
     "ParamSlot",
     "ParameterizedQuery",
+    "admits",
     "bind_template",
     "bindable",
     "digest_entry",

@@ -6,9 +6,9 @@ across repeated traffic by caching parameterized plans.  This module is
 that layer:
 
 * entries are keyed on ``(fingerprint, catalog version)`` — the
-  fingerprint is the normalized query template (plus the optimizer
-  configuration), and the catalog version is a monotonic counter bumped
-  by ``create_index`` / ``drop_index`` / ``analyze`` /
+  fingerprint is the normalized query template (plus a digest of the
+  optimizer configuration), and the catalog version is a monotonic
+  counter bumped by ``create_index`` / ``drop_index`` / ``analyze`` /
   ``collect_type_statistics``, so a stale plan is *invalidated*, never
   silently reused;
 * the stored plan is an immutable template whose constants are slots: a
@@ -18,7 +18,8 @@ that layer:
 * a *digest memo* of the same capacity, under the same lock, remembers
   for each literal-stripped statement text which template it parsed to
   and which literal fills which slot, so a repeated statement is
-  recognised from one lexical pass and never builds an AST;
+  recognised from one lexical pass and never builds an AST (a write
+  included);
 * everything is observable: hits, misses, evictions, invalidations, and
   the optimizer wall-time the cache saved.
 """
@@ -29,7 +30,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.cache.fingerprint import Digested, ParameterizedQuery
+from repro.cache.fingerprint import Digested, ParameterizedQuery, admits
 from repro.catalog.catalog import Catalog
 from repro.errors import PlanCacheError
 from repro.lang.lexer import literal_value
@@ -179,20 +180,29 @@ class PlanCache:
             self.stats.stores += 1
 
     def recall(
-        self, digest: tuple[str, ...], raws: list[str]
+        self, digest: tuple[str, ...], raws: list[str], catalog: Catalog | None = None
     ) -> tuple[ParameterizedQuery, tuple] | None:
         """The statement ``(template, consts)`` a text stands for, if a
         text with this digest (``lang.lexer.strip_literals``) has parsed
-        before and spells its non-lifted literals the same way."""
+        before, spells its non-lifted literals the same way and passes the
+        range guards; a write validated under another ``catalog`` version
+        is dropped."""
         with self._lock:
             known = self._digests.get(digest)
             if known is None:
+                return None
+            version = known.parameterized.catalog_version
+            if version is not None and version != catalog.version:
+                del self._digests[digest]
                 return None
             self._digests.move_to_end(digest)
         for ordinal, raw in known.fixed:
             if raws[ordinal] != raw:
                 return None
         consts = tuple([literal_value(raws[k]) for k in known.order])
+        guards = known.parameterized.guards
+        if guards and not admits(guards, consts):
+            return None
         return known.parameterized, consts
 
     def remember(self, digest: tuple[str, ...], known: Digested) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.algebra.dml import DeletePlan, InsertPlan, UpdatePlan
+from repro.cache.fingerprint import ParamSlot
 from repro.engine.tuples import Obj, Row
 from repro.errors import ExecutionError
 from repro.storage.mvcc import Transaction
@@ -59,15 +60,21 @@ def evaluate_path(view, data: dict[str, Any], links: tuple[str, ...]) -> Any:
     return value
 
 
-def apply_insert(txn: Transaction, plan: InsertPlan) -> int:
-    """Buffer the plan's normalized records as new objects."""
+def apply_insert(txn: Transaction, plan: InsertPlan, consts: tuple) -> int:
+    """Buffer the plan's records, slots bound to ``consts``, as objects."""
     for record in plan.records:
-        txn.insert(plan.collection, dict(record))
+        txn.insert(plan.collection, {
+            attr: consts[value.index] if isinstance(value, ParamSlot) else value
+            for attr, value in record.items()
+        })
     return len(plan.records)
 
 
-def apply_update(view, txn: Transaction, plan: UpdatePlan, rows: list[Row]) -> int:
-    """Apply the plan's assignments to every target row's object."""
+def apply_update(
+    view, txn: Transaction, plan: UpdatePlan, rows: list[Row], consts: tuple
+) -> int:
+    """Apply the plan's assignments (slots bound to ``consts``) to every
+    target row's object."""
     affected = 0
     for row in rows:
         obj = row[plan.var]
@@ -77,10 +84,11 @@ def apply_update(view, txn: Transaction, plan: UpdatePlan, rows: list[Row]) -> i
             )
         new_data = dict(obj.data)
         for assignment in plan.assignments:
+            value = assignment.value
             if assignment.is_path:
-                value = evaluate_path(view, obj.data, assignment.value.links)
-            else:
-                value = assignment.value
+                value = evaluate_path(view, obj.data, value.links)
+            elif isinstance(value, ParamSlot):
+                value = consts[value.index]
             new_data[assignment.attr] = value
         txn.update(obj.oid, new_data)
         affected += 1

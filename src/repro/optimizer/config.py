@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+# ``hashlib.blake2b`` is this very function; importing it from ``hashlib``
+# would also load OpenSSL, ~3.5 MB of resident memory in every process.
+from _blake2 import blake2b
+
 from repro.optimizer.cost import CostParams
 
 # --- transformation rule names -----------------------------------------
@@ -197,28 +201,35 @@ class OptimizerConfig:
         return config
 
     def cache_key(self) -> str:
-        """A canonical rendering of every plan-affecting knob.
+        """A fixed-length digest of :meth:`rendering`.
 
         The plan cache keys entries on this (plus the query fingerprint),
         so two configs that can pick different plans never share an
-        entry.  ``disabled_rules`` is a frozenset whose repr ordering is
-        unspecified — rendered sorted here so equal configs always key
-        identically.  Rendered once per (frozen) instance, on first use:
-        every cached statement asks, and ``replace`` — which copies
-        fields, not this — makes the copy render its own.
+        entry.  Computed once per (frozen) instance, on first use: every
+        cached statement asks, and ``replace`` — which copies fields, not
+        this — makes the copy compute its own.
         """
         try:
             return self._cache_key
         except AttributeError:
-            key = (
-                f"rules={','.join(sorted(self.disabled_rules))};"
-                f"cost={self.cost!r};prune={self.prune};"
-                f"cap={self.candidate_cap};pf={self.prune_factor};"
-                f"rewrites={self.rewrites};feedback={self.feedback};"
-                f"replan={self.feedback_replan_ratio}"
-            )
+            key = blake2b(self.rendering().encode(), digest_size=16).hexdigest()
             object.__setattr__(self, "_cache_key", key)
             return key
+
+    def rendering(self) -> str:
+        """A canonical rendering of every plan-affecting knob.
+
+        ``disabled_rules`` is a frozenset whose repr ordering is
+        unspecified — rendered sorted here so equal configs always render
+        (and key) identically.
+        """
+        return (
+            f"rules={','.join(sorted(self.disabled_rules))};"
+            f"cost={self.cost!r};prune={self.prune};"
+            f"cap={self.candidate_cap};pf={self.prune_factor};"
+            f"rewrites={self.rewrites};feedback={self.feedback};"
+            f"replan={self.feedback_replan_ratio}"
+        )
 
     def with_memory_budget(self, memory_bytes: int) -> "OptimizerConfig":
         """A config whose cost model plans against a per-query memory

@@ -241,6 +241,35 @@ class TestPreparedQueries:
         assert result.rows == uncached.rows
         assert len(fresh_db.plan_cache) == 0
 
+    def test_prepared_range_is_cached_under_its_guard(self, fresh_db):
+        """``lo < hi`` shares one plan; a binding the argument rules would
+        merge by value is planned as its literal text, and not cached."""
+        fresh_db.create_index("ix_pop", "Cities", ("population",))
+        shape = (
+            "SELECT * FROM City c IN Cities "
+            "WHERE c.population >= {} AND c.population <= {}"
+        )
+        prepared = fresh_db.prepare(shape.format("$lo", "$hi"))
+        assert prepared.cacheable
+        bindings = {
+            (1000, 500000): "miss", (2000, 600000): "hit",
+            (900000, 3000): "uncacheable",  # a contradiction
+            (16613, 16613): "uncacheable",  # an equality, by index
+            ("a", 5): "uncacheable",  # unorderable kinds
+            (3000, 900000): "hit",
+        }
+        for (lo, hi), outcome in bindings.items():
+            result = prepared.execute(lo=lo, hi=hi)
+            literal = fresh_db.query(
+                shape.format(repr(lo), repr(hi)), use_cache=False
+            )
+            assert result.cache.outcome == outcome
+            assert result.rows == literal.rows
+            if outcome == "uncacheable":
+                assert (result.explain().splitlines()[1:]
+                        == literal.explain().splitlines()[1:])
+        assert len(fresh_db.plan_cache) == 1
+
     def test_explain_binds_without_executing(self, fresh_db):
         prepared = fresh_db.prepare(Q_PREPARED)
         text = prepared.explain(who="Joe")

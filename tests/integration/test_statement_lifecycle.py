@@ -58,6 +58,9 @@ def spans(tracing) -> dict[str, list[tuple[str, str | None]]]:
         "bypass": lambda: db.query(QUERY % "Joe", use_cache=False),
         "prepared": lambda: prepared.execute(name="Joe"),
         "update": lambda: db.query(UPDATE),
+        "recalled update": lambda: db.query(
+            UPDATE.replace("= 1", "= 2").replace("city0", "city1")
+        ),
     }
     outcomes = {}
     tracer = tracing.Tracer()
@@ -71,7 +74,7 @@ def spans(tracing) -> dict[str, list[tuple[str, str | None]]]:
     assert [outcomes[k].cache.outcome for k in ("miss", "hit", "bypass")] == [
         "miss", "hit", "bypass",
     ]
-    assert outcomes["update"].affected == 1
+    assert outcomes["update"].affected == outcomes["recalled update"].affected == 1
 
     names = {record[0]: record[1] for record in tracer.records}
     recorded: dict[str, list[tuple[str, str | None]]] = {k: [] for k in statements}
@@ -130,8 +133,18 @@ def test_autocommit_update_plans_its_target_and_commits(spans):
     )
 
 
+def test_recalled_update_is_neither_parsed_nor_parameterized(spans):
+    """A write whose text differs from an earlier one only in literals is
+    recalled by its digest, and its target query hits the plan cache."""
+    names = names_of(spans["recalled update"])
+    assert names == Counter(
+        {"api.query", "cache.lookup", "cache.rebind", ADMISSION,
+         "storage.commit"} | EXECUTION
+    )
+
+
 @pytest.mark.parametrize(
-    "label", ["miss", "hit", "bypass", "prepared", "update"]
+    "label", ["miss", "hit", "bypass", "prepared", "update", "recalled update"]
 )
 def test_every_statement_is_admitted_exactly_once(spans, label):
     assert names_of(spans[label])[ADMISSION] == 1

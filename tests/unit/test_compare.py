@@ -71,3 +71,14 @@ def test_a_base_spread_wider_than_the_bound_is_unresolved(compare):
     base = [9.0, 9.0, 10.0, 13.0, 13.0]  # IQR 4: no gain at a 1.1 median gap
     row = compare.summarise(base, [8.9] * 5, "lower", 0.15)
     assert row["wins"] == 5 and row["verdict"] == "within bound"
+
+
+def test_workload_lists_and_all(compare):
+    declared = ["adhoc_plan", "point_hit", "scan_exec"]
+    assert compare.parse_workloads("all", declared) == declared
+    assert compare.parse_workloads("scan_exec,point_hit", declared) == [
+        "scan_exec", "point_hit",
+    ]
+    assert compare.parse_workloads("point_hit", declared) == ["point_hit"]
+    with pytest.raises(ValueError, match="nope"):
+        compare.parse_workloads("point_hit,nope", declared)

@@ -87,10 +87,15 @@ class TestCacheKey:
         a = OptimizerConfig().without(C.MERGE_JOIN, C.HYBRID_HASH_JOIN)
         b = OptimizerConfig().without(C.HYBRID_HASH_JOIN, C.MERGE_JOIN)
         assert a.cache_key() == b.cache_key()
+        assert a.rendering() == b.rendering()
         # The rendering is sorted, so the key is stable across processes
         # (frozenset iteration order follows the per-process hash seed).
-        rules = a.cache_key().split(";")[0].removeprefix("rules=").split(",")
+        rules = a.rendering().split(";")[0].removeprefix("rules=").split(",")
         assert rules == sorted(rules)
+        # The key is a fixed-length digest of that rendering, not the
+        # rendering itself (whose cost parameters run to ~400 bytes).
+        assert len(a.cache_key()) == len(OptimizerConfig().cache_key()) == 32
+        assert len(a.rendering()) > 300
 
     def test_rendered_once_per_instance_and_again_after_replace(self):
         import copy

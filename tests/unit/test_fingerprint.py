@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.fingerprint import (
+    admits,
     bind_template,
     digest_entry,
     parameterize,
@@ -58,17 +59,48 @@ class TestAutoParameterization:
     def test_multiple_bounds_on_one_term_stay_literal(self):
         # tighten-bounds may merge these by value; each value pair must
         # get its own fingerprint.
-        a = fingerprint(
+        for where, other in (
+            # Two lower bounds: tighten-bounds keeps the tighter one.
+            ("c.population > 3 AND c.population > 5",
+             "c.population > 4 AND c.population > 5"),
+            # An equality and a bound: decided by value.
+            ("c.population == 3 AND c.population < 9",
+             "c.population == 4 AND c.population < 9"),
+            # A range whose first binding fails the guard (a contradiction).
+            ("c.population > 9 AND c.population < 3",
+             "c.population > 9 AND c.population < 4"),
+        ):
+            a = fingerprint(f"SELECT * FROM City c IN Cities WHERE {where}")
+            b = fingerprint(f"SELECT * FROM City c IN Cities WHERE {other}")
+            assert not a.slots and not a.guards, where
+            assert a.cacheable
+            assert a.text_key != b.text_key
+
+    @pytest.mark.parametrize("where", [
+        "c.population > 3 AND c.population < 9",
+        "3 < c.population AND 9 >= c.population",
+        "c.population <= 9 AND c.name == 'x' AND c.population >= 3",
+    ])
+    def test_a_two_sided_range_is_lifted_under_its_guard(self, where):
+        p = fingerprint(f"SELECT * FROM City c IN Cities WHERE {where}")
+        assert "3" not in p.text_key and "9" not in p.text_key
+        lower = next(s.index for s in p.slots if s.value == 3)
+        upper = next(s.index for s in p.slots if s.value == 9)
+        assert p.guards == ((lower, upper),)
+        assert p.cacheable and not p.literal_ranges
+        # Equal bounds (an equality under >=/<=) and mixed kinds fail it.
+        for lo, hi in ((9, 9), (9, 3), ("a", 9)):
+            consts = list(p.consts)
+            consts[lower], consts[upper] = lo, hi
+            assert not admits(p.guards, tuple(consts))
+        assert admits(p.guards, p.consts)
+
+    def test_a_range_failing_its_guard_is_marked(self):
+        p = fingerprint(
             "SELECT * FROM City c IN Cities "
-            "WHERE c.population > 3 AND c.population < 9"
+            "WHERE c.population >= 'a' AND c.population <= 9"
         )
-        b = fingerprint(
-            "SELECT * FROM City c IN Cities "
-            "WHERE c.population > 4 AND c.population < 9"
-        )
-        assert not a.slots
-        assert a.cacheable
-        assert a.text_key != b.text_key
+        assert not p.slots and p.literal_ranges
 
     def test_join_predicates_untouched(self):
         p = fingerprint(
@@ -104,6 +136,15 @@ class TestUserParameters:
         )
         assert not p.cacheable
         assert p.reason is not None
+
+    def test_a_prepared_range_is_cacheable_under_its_guard(self):
+        p = fingerprint(
+            "SELECT * FROM City c IN Cities "
+            "WHERE $hi > c.population AND c.population >= $lo",
+            auto=False,
+        )
+        assert p.cacheable and p.user_param_names == ("hi", "lo")
+        assert p.guards == ((1, 0),)
 
     def test_param_vs_param_is_uncacheable(self):
         p = fingerprint(
@@ -197,7 +238,7 @@ class TestDigestEntry:
     def test_literals_that_stay_are_fixed_by_their_source_text(self):
         known = self.entry(
             "SELECT * FROM City c IN Cities "
-            "WHERE c.population > 3 AND c.name == 'x' AND c.population < 9"
+            "WHERE c.population > 3 AND c.name == 'x' AND c.population > 9"
         )
         assert known.order == (1,)
         assert known.fixed == ((0, "3"), (2, "9"))
