@@ -20,7 +20,7 @@ Quickstart::
 """
 
 from repro.api import Database, PreparedQuery, QueryResult
-from repro.cache import PlanCache
+from repro.cache.plan_cache import PlanCache
 from repro.optimizer import (
     Cost,
     CostModel,

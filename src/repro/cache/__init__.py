@@ -14,31 +14,3 @@ The subsystem that amortizes optimization across repeated traffic:
 ``prepared``
     ``Database.prepare(...)`` → parse/normalize once, execute many times.
 """
-
-from repro.cache.fingerprint import (
-    ParameterizedQuery,
-    ParamSlot,
-    bind_template,
-    parameterize,
-    rebind_plan,
-)
-from repro.cache.plan_cache import (
-    CacheEntry,
-    CacheInfo,
-    CacheStats,
-    PlanCache,
-)
-from repro.cache.prepared import PreparedQuery
-
-__all__ = [
-    "CacheEntry",
-    "CacheInfo",
-    "CacheStats",
-    "ParamSlot",
-    "ParameterizedQuery",
-    "PlanCache",
-    "PreparedQuery",
-    "bind_template",
-    "parameterize",
-    "rebind_plan",
-]

@@ -56,6 +56,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Union
 
+from repro.algebra.predicates import CompOp, comparison_holds
 from repro.errors import ParameterBindingError
 from repro.lang.ast import (
     ComparisonAst,
@@ -80,10 +81,9 @@ def bindable(value: Any) -> bool:
 def admits(guards: tuple[tuple[int, int], ...], consts: tuple) -> bool:
     """Does every guarded range keep its lower bound strictly below its
     upper bound under ``consts``?  Kinds that do not order fail."""
-    try:
-        return all(consts[lo] < consts[hi] for lo, hi in guards)
-    except TypeError:
-        return False
+    return all(
+        comparison_holds(CompOp.LT, consts[lo], consts[hi]) for lo, hi in guards
+    )
 
 
 # ---------------------------------------------------------------------------

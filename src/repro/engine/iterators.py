@@ -31,7 +31,6 @@ from repro.algebra.predicates import (
     CompOp,
     Comparison,
     Conjunction,
-    Const,
     VarRef,
     term_vars,
 )
@@ -94,8 +93,13 @@ def index_scan(
     residual: Conjunction,
     consts: tuple = (),
 ) -> Iterator[Row]:
-    """Probe an index, fetch qualifying roots, apply the residual."""
-    op, key = _comparison_probe(comparison, consts)
+    """Probe an index, fetch qualifying roots, apply the residual.  A null
+    key probes nothing: the comparison is false for every row, as a filter
+    would decide."""
+    _, op, const = comparison.term_const
+    key = const.bound(consts)
+    if key is None:
+        return
     if op is CompOp.EQ:
         oids = index.lookup_eq(store, key)
     elif op in (CompOp.LT, CompOp.LE):
@@ -114,17 +118,6 @@ def index_scan(
         row = {var: Obj(oid, fetch(oid))}
         if passes is None or passes(row):
             yield row
-
-
-def _comparison_probe(
-    comparison: Comparison, consts: tuple = ()
-) -> tuple[CompOp, Any]:
-    """Extract (operator-with-field-on-left, constant) from a comparison."""
-    if isinstance(comparison.right, Const):
-        return comparison.op, comparison.right.bound(consts)
-    if isinstance(comparison.left, Const):
-        return comparison.op.flipped(), comparison.left.bound(consts)
-    raise ExecutionError(f"index probe needs a constant: {comparison}")
 
 
 def _residual(predicate: Conjunction, consts: tuple = ()):

@@ -32,7 +32,6 @@ from repro.algebra.operators import (
     ref_path,
 )
 from repro.algebra.predicates import (
-    Const,
     FieldRef,
     RefAttr,
     SelfOid,
@@ -234,11 +233,10 @@ class CollapseToIndexScanImpl(ImplementationRule):
                 yield Candidate((), cost, build, note=index.name)
 
     def _try_match(self, comparison, predicate, links, get_op, get_gid, ctx, seen):
-        field, const = comparison.left, comparison.right
-        if isinstance(field, Const):
-            field, const = const, field
-        if not isinstance(field, FieldRef) or not isinstance(const, Const):
+        view = comparison.term_const
+        if view is None or not isinstance(view[0], FieldRef):
             return None
+        field = view[0]
         path = ref_path(field.var, get_op.var, links)
         if path is None:
             return None

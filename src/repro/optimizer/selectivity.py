@@ -15,7 +15,6 @@ consistency).
 from __future__ import annotations
 
 from repro.algebra.predicates import (
-    COMPARISON_OPS,
     CompOp,
     Comparison,
     Conjunction,
@@ -53,22 +52,15 @@ class SelectivityModel:
 
     def comparison(self, comparison: Comparison) -> float:
         """Selectivity of one comparison (see the module docstring)."""
+        if comparison.truth is not None:
+            # Decided without a row (e.g. the simplifier's canonical FALSE
+            # predicate, or a comparison with null): exact.
+            return 1.0 if comparison.truth else 0.0
+        view = comparison.term_const
+        if view is not None and isinstance(view[0], FieldRef):
+            return self._field_vs_const(*view)
+
         left, op, right = comparison.left, comparison.op, comparison.right
-        if isinstance(left, Const) and isinstance(right, Const):
-            # Constant-vs-constant comparisons (e.g. the simplifier's
-            # canonical FALSE predicate) fold exactly.
-            try:
-                return 1.0 if COMPARISON_OPS[op](left.value, right.value) else 0.0
-            except TypeError:
-                return 0.0
-        # Normalise constant to the right.
-        if isinstance(left, Const) and not isinstance(right, Const):
-            left, right = right, left
-            op = op.flipped()
-
-        if isinstance(left, FieldRef) and isinstance(right, Const):
-            return self._field_vs_const(left, op, right)
-
         if self._is_reference_equality(left, right, op):
             return self._reference_equality(left, right)
 

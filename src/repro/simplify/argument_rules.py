@@ -10,10 +10,15 @@ than operators.  Each rule rewrites a conjunction into an equivalent one;
 the engine runs the enabled rules to fixpoint.  Shipped rules:
 
 ``fold-constants``
-    evaluate constant-vs-constant comparisons; true conjuncts vanish,
-    false ones poison the conjunction (contradiction);
+    decide every comparison that needs no row (``Comparison.truth``):
+    constant-vs-constant, and ``x op null`` — false for every row, as a
+    comparison over None always is; true conjuncts vanish, false ones
+    poison the conjunction (contradiction);
 ``drop-tautologies``
-    ``t == t`` vanishes, ``t != t`` / ``t < t`` poison;
+    ``t != t`` / ``t < t`` / ``t > t`` poison; ``t == t`` / ``t <= t`` /
+    ``t >= t`` vanish only on an object's identity (``x.self``, never
+    null) — on a field or a reference that may be null such a comparison
+    is a null test and stays;
 ``tighten-bounds``
     per-term interval analysis over constant comparisons: redundant
     bounds are dropped (``x > 3 AND x > 5`` -> ``x > 5``), incompatible
@@ -30,11 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algebra.predicates import (
-    COMPARISON_OPS,
     CompOp,
     Comparison,
     Conjunction,
     Const,
+    SelfOid,
     Term,
 )
 
@@ -66,29 +71,26 @@ class ArgumentRule:
 
 
 class FoldConstants(ArgumentRule):
-    """Evaluate constant-vs-constant comparisons exactly."""
+    """Decide the comparisons no row is needed for, exactly."""
 
     name = "fold-constants"
 
     def apply(self, normalized: NormalizedPredicate) -> NormalizedPredicate:
         kept: list[Comparison] = []
         for comp in normalized.predicate.comparisons:
-            if isinstance(comp.left, Const) and isinstance(comp.right, Const):
-                try:
-                    truth = COMPARISON_OPS[comp.op](comp.left.value, comp.right.value)
-                except TypeError:
-                    truth = False
-                if not truth:
-                    return NormalizedPredicate.false()
-                continue  # a true conjunct contributes nothing
-            kept.append(comp)
+            if comp.truth is None:
+                kept.append(comp)
+            elif not comp.truth:
+                return NormalizedPredicate.false()
+            # a true conjunct contributes nothing
         return NormalizedPredicate(
             Conjunction.from_iterable(kept), normalized.contradiction
         )
 
 
 class DropTautologies(ArgumentRule):
-    """Remove ``t == t`` (always true); poison ``t != t`` and friends."""
+    """Poison ``t != t`` and friends; remove ``x.self == x.self`` and
+    friends (a self-comparison of a nullable term is a null test)."""
 
     name = "drop-tautologies"
 
@@ -96,9 +98,10 @@ class DropTautologies(ArgumentRule):
         kept: list[Comparison] = []
         for comp in normalized.predicate.comparisons:
             if comp.left == comp.right and not isinstance(comp.left, Const):
-                if comp.op in (CompOp.EQ, CompOp.LE, CompOp.GE):
-                    continue  # always true
-                return NormalizedPredicate.false()  # t != t, t < t, t > t
+                if comp.op in (CompOp.NE, CompOp.LT, CompOp.GT):
+                    return NormalizedPredicate.false()  # false, null or not
+                if isinstance(comp.left, SelfOid):
+                    continue  # an identity is never null: always true
             kept.append(comp)
         return NormalizedPredicate(
             Conjunction.from_iterable(kept), normalized.contradiction
@@ -107,6 +110,7 @@ class DropTautologies(ArgumentRule):
 
 @dataclass
 class _Interval:
+    # None: no bound yet.  A null constant is never a bound (see apply).
     low: object | None = None
     low_strict: bool = False
     high: object | None = None
@@ -183,13 +187,18 @@ class TightenBounds(ArgumentRule):
         intervals: dict[Term, _Interval] = {}
         others: list[Comparison] = []
         for comp in normalized.predicate.comparisons:
-            term, op, const = self._term_const(comp)
-            if term is None:
+            view = comp.term_const
+            if view is None or comp.truth is not None or view[2].slot is not None:
+                # Not a bound: no constant, a null one (fold-constants'), or
+                # a slot, whose value changes with every binding of the
+                # template — never merged by value; the plan cache lifts a
+                # constant only where there is nothing to merge.
                 others.append(comp)
                 continue
+            term, op, const = view
             interval = intervals.setdefault(term, _Interval())
             try:
-                satisfiable = interval.add(op, const)
+                satisfiable = interval.add(op, const.value)
             except TypeError:
                 # Unorderable mixed-type bound: keep the comparison as-is.
                 others.append(comp)
@@ -204,22 +213,6 @@ class TightenBounds(ArgumentRule):
         return NormalizedPredicate(
             Conjunction.from_iterable(rebuilt), normalized.contradiction
         )
-
-    @staticmethod
-    def _term_const(comp: Comparison):
-        left, right = comp.left, comp.right
-        if isinstance(left, Const) and not isinstance(right, Const):
-            left, right, op = right, left, comp.op.flipped()
-        elif isinstance(right, Const) and not isinstance(left, Const):
-            op = comp.op
-        else:
-            return None, None, None
-        if right.slot is not None:
-            # A slot's value changes with every binding of the template,
-            # so a bound on it is never merged by value; the plan cache
-            # lifts a constant only where there is nothing to merge.
-            return None, None, None
-        return left, op, right.value
 
 
 class PropagateEqualities(ArgumentRule):

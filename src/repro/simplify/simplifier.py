@@ -139,8 +139,9 @@ class Simplifier:
     def simplify_full(self, query: Union[QueryAst, SetQueryAst]) -> SimplifiedQuery:
         """Translate a parsed query, reporting result vars and ordering."""
         if isinstance(query, SetQueryAst):
-            left = Simplifier(self.catalog).simplify_full(query.left)
-            right = Simplifier(self.catalog).simplify_full(query.right)
+            rules = self.argument_rules
+            left = Simplifier(self.catalog, rules).simplify_full(query.left)
+            right = Simplifier(self.catalog, rules).simplify_full(query.right)
             result = SimplifiedQuery(
                 SetOp(_SET_OP_KINDS[query.kind], left.tree, right.tree),
                 left.result_vars,

@@ -13,6 +13,7 @@ from repro.simplify.argument_rules import ALL_RULES, normalize_predicate
 
 POP = FieldRef("c", "population")
 NAME = FieldRef("c", "name")
+SELF = SelfOid("c")
 
 
 def comp(l, op, r):
@@ -39,12 +40,23 @@ class TestFoldConstants:
         result = normalize_predicate(conj(comp(Const("a"), CompOp.LT, Const(1))))
         assert result.contradiction
 
+    def test_null_constant_poisons(self):
+        for op in CompOp:
+            for left, right in ((POP, Const(None)), (Const(None), POP)):
+                assert normalize_predicate(conj(comp(left, op, right))).contradiction
+        both = normalize_predicate(conj(comp(Const(None), CompOp.EQ, Const(None))))
+        assert both.contradiction
+
 
 class TestDropTautologies:
     def test_t_eq_t_dropped(self):
-        result = normalize_predicate(conj(comp(POP, CompOp.EQ, POP)))
-        assert not result.contradiction
-        assert result.predicate.is_true
+        # A field may be null, and null == null is false: the comparison
+        # is a null test and stays.  An identity is never null.
+        kept = normalize_predicate(conj(comp(POP, CompOp.EQ, POP)))
+        assert kept.predicate == conj(comp(POP, CompOp.EQ, POP))
+        dropped = normalize_predicate(conj(comp(SELF, CompOp.EQ, SELF)))
+        assert not dropped.contradiction
+        assert dropped.predicate.is_true
 
     def test_t_ne_t_poisons(self):
         result = normalize_predicate(conj(comp(POP, CompOp.NE, POP)))
@@ -52,8 +64,9 @@ class TestDropTautologies:
 
     def test_le_ge_self_true(self):
         for op in (CompOp.LE, CompOp.GE):
-            result = normalize_predicate(conj(comp(POP, op, POP)))
-            assert result.predicate.is_true
+            kept = normalize_predicate(conj(comp(POP, op, POP)))
+            assert kept.predicate == conj(comp(POP, op, POP))
+            assert normalize_predicate(conj(comp(SELF, op, SELF))).predicate.is_true
 
 
 class TestTightenBounds:

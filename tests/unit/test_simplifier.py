@@ -224,6 +224,21 @@ class TestSetQueries:
         assert isinstance(tree, SetOp)
         assert tree.kind is SetOpKind.UNION
 
+    def test_branches_take_the_callers_argument_rules(self, catalog):
+        from repro.algebra.operators import Select
+        from repro.simplify.simplifier import Simplifier
+
+        query = parse_query(
+            "SELECT c.name FROM c IN Cities WHERE c.population > 1 "
+            "AND c.population > 2 UNION "
+            "SELECT k.name FROM k IN Capitals WHERE k.population > 3 "
+            "AND k.population > 4"
+        )
+        tree = Simplifier(catalog, argument_rules=()).simplify(query)
+        selects = [node for node in _walk(tree) if isinstance(node, Select)]
+        # Rules off: neither branch merges its two bounds into one.
+        assert [len(s.predicate.comparisons) for s in selects] == [2, 2]
+
 
 class TestErrors:
     def test_unknown_collection(self, catalog):
