@@ -7,6 +7,8 @@ Each case runs the query through:
   Mat-to-Join, pre-memo rewrites off) — different plan shapes, same
   logical query;
 * the naive and greedy baseline optimizers (where they apply);
+* the same optimizer over the query simplified with the argument rules
+  off — a rewrite of a predicate may change its cost, never its rows;
 * the plan-cache path — miss, hit, and re-optimization after a catalog
   mutation (index created and dropped between runs) — plus an
   explicitly prepared ``$param`` variant;
@@ -47,6 +49,7 @@ from repro.optimizer.config import (
     MERGE_JOIN,
 )
 from repro.optimizer.optimizer import Optimizer
+from repro.simplify.simplifier import Simplifier
 
 #: Queries drawn from each world before a fresh one is generated
 #: (building a store is the expensive part of a case).
@@ -163,21 +166,28 @@ def run_case(db: Database, spec: QuerySpec, counts: Counter) -> list[Finding] | 
         sequence=exact,
     )
 
-    # --- baseline optimizers ------------------------------------------
+    # --- baseline optimizers, and the search with the argument rules off
     def baseline(kind: str):
-        simplified = db.simplify(text)
-        cost_model = Optimizer(db.catalog, db.config).cost_model
+        rules = () if kind == "no-argument-rules" else None
+        simplified = Simplifier(db.catalog, rules).simplify_full(db.parse(text))
+        tree, result_vars = simplified.tree, simplified.result_vars
+        optimizer = Optimizer(db.catalog, db.config)
         if kind == "naive":
-            plan = NaiveOptimizer(db.catalog, cost_model).optimize(simplified.tree)
-        else:
-            plan = GreedyOptimizer(db.catalog, cost_model).optimize(
-                simplified.tree, result_vars=simplified.result_vars
+            plan = NaiveOptimizer(db.catalog, optimizer.cost_model).optimize(tree)
+        elif kind == "greedy":
+            plan = GreedyOptimizer(db.catalog, optimizer.cost_model).optimize(
+                tree, result_vars=result_vars
             )
-        return db.execute_plan(plan, result_vars=simplified.result_vars).rows
+        else:
+            plan = optimizer.optimize(
+                tree, result_vars=result_vars, order=simplified.order
+            ).plan
+        return db.execute_plan(plan, result_vars=result_vars).rows
 
     # Baselines ignore ORDER BY, so only bags are compared.
     for kind in ("naive", "greedy"):
         attempt(kind, lambda kind=kind: baseline(kind))
+    attempt("no-argument-rules", lambda: baseline("no-argument-rules"), sequence=exact)
 
     # --- plan cache: miss, hit, and catalog mutation in between -------
     attempt("cache-miss", lambda: db.query(text).rows, sequence=exact)
