@@ -88,21 +88,17 @@ ALL_IMPLEMENTATIONS = (
 )
 
 # --- pre-memo rewrite rule names -------------------------------------------
-# These run in rewrite.py *before* the memo is built; each can be ablated
-# individually via ``config.without(...)`` and the whole stage via
-# ``config.with_rewrites(False)``.
-REWRITE_SELECT_MERGE = "rewrite-select-merge"
+# These run in rewrite.py *before* the memo is built.  Their names are the
+# stage's only switch: ``config.without(...)`` ablates one, and with all of
+# them disabled (``config.with_rewrites(False)``) the stage is skipped.
 REWRITE_PUSHDOWN = "rewrite-pushdown"
 REWRITE_COLLECTION_JOIN = "rewrite-collection-join"
-REWRITE_REDUNDANT_MAT = "rewrite-redundant-mat"
 REWRITE_MAT_CHAIN = "rewrite-mat-chain"
 REWRITE_JOIN_CANON = "rewrite-join-canon"
 
 ALL_REWRITES = (
-    REWRITE_SELECT_MERGE,
     REWRITE_PUSHDOWN,
     REWRITE_COLLECTION_JOIN,
-    REWRITE_REDUNDANT_MAT,
     REWRITE_MAT_CHAIN,
     REWRITE_JOIN_CANON,
 )
@@ -135,11 +131,6 @@ class OptimizerConfig:
     # promise at least a (1/factor)x improvement.  1.0 = safe
     # branch-and-bound; smaller values trade optimality for effort.
     prune_factor: float = 1.0
-    # Run the pre-memo cost-based rewrite stage (rewrite.py): tree
-    # canonicalization, predicate pushdown, Mat-chain fusion and friends,
-    # applied before the memo sees the query.  Off = the raw simplifier
-    # output goes straight into the search (the ablation baseline).
-    rewrites: bool = True
     # Cardinality feedback (src/repro/feedback/): cost estimates prefer
     # observed cardinalities from earlier executions over catalog
     # statistics, executions are monitored to produce new observations,
@@ -183,8 +174,8 @@ class OptimizerConfig:
         )
 
     def with_rewrites(self, enabled: bool = True) -> "OptimizerConfig":
-        """Toggle the pre-memo rewrite stage (the fusion ablation knob)."""
-        return replace(self, rewrites=enabled)
+        """Enable or disable every pre-memo rewrite rule at once."""
+        return (self.with_rules if enabled else self.without)(*ALL_REWRITES)
 
     def with_feedback(
         self, enabled: bool = True, replan_ratio: float | None = None
@@ -227,7 +218,7 @@ class OptimizerConfig:
             f"rules={','.join(sorted(self.disabled_rules))};"
             f"cost={self.cost!r};prune={self.prune};"
             f"cap={self.candidate_cap};pf={self.prune_factor};"
-            f"rewrites={self.rewrites};feedback={self.feedback};"
+            f"feedback={self.feedback};"
             f"replan={self.feedback_replan_ratio}"
         )
 
@@ -273,8 +264,6 @@ __all__ = [
     "REWRITE_JOIN_CANON",
     "REWRITE_MAT_CHAIN",
     "REWRITE_PUSHDOWN",
-    "REWRITE_REDUNDANT_MAT",
-    "REWRITE_SELECT_MERGE",
     "SELECT_MERGE",
     "SELECT_PAST_JOIN",
     "SELECT_PAST_MAT",

@@ -9,7 +9,7 @@ from repro.algebra.operators import LogicalOp, Project, SetOp
 from repro.catalog.catalog import Catalog
 from repro.governor.context import QueryContext
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
-from repro.optimizer.config import OptimizerConfig
+from repro.optimizer.config import ALL_REWRITES, OptimizerConfig
 from repro.optimizer.context import OptimizeContext
 from repro.optimizer.cost import Cost, CostModel
 from repro.optimizer.implementations import ALL_RULES as IMPLS
@@ -25,6 +25,8 @@ from repro.optimizer.search import (
 )
 from repro.optimizer.selectivity import SelectivityModel
 from repro.optimizer.transformations import ALL_RULES as TRANSFORMS
+
+_REWRITE_RULES = frozenset(ALL_REWRITES)  # the stage runs unless all are off
 
 
 @dataclass
@@ -132,7 +134,7 @@ class Optimizer:
         tracer = tracer if tracer is not None else NULL_TRACER
         started = time.perf_counter()
         rewrites: tuple[RewriteEvent, ...] = ()
-        if self.config.rewrites:
+        if not _REWRITE_RULES <= self.config.disabled_rules:
             order_key = SortKey(order[0], order[1], order[2]) if order else None
             with tracer.span("phase", "rewrite"):
                 logical, rewrites = rewrite_tree(

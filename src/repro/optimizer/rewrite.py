@@ -3,27 +3,22 @@
 The memo makes every transformation pay rent forever: each Mat, each
 cartesian join input, each Select placement multiplies the group count the
 search must explore to fixpoint.  Following the cost-based-rewrite line of
-work, this stage runs a handful of cheap, almost-always-right rewrites on
-the logical tree *before* the memo is built, so exploration starts from
-fewer, better-shaped groups:
+work, this stage runs four cheap, almost-always-right rewrites on the
+logical tree *before* the memo is built, so exploration starts from fewer,
+better-shaped groups:
 
-``rewrite-select-merge``
-    collapse adjacent Selects into one conjunction (canonicalization);
 ``rewrite-pushdown``
-    sink single-input conjuncts to the lowest operator that can evaluate
-    them.  Conjuncts spanning two join inputs deliberately stay in Selects
-    *above* the join tree: merging them into join predicates would trip
-    the join-associativity rule's cartesian-avoidance guard and freeze the
-    join order the paper's optimizer explores;
+    sink single-input conjuncts (stacked Selects' merged) to the lowest
+    operator that can evaluate them.  Conjuncts spanning two join inputs
+    deliberately stay in Selects *above* the join tree: merging them into
+    join predicates would trip the join-associativity rule's
+    cartesian-avoidance guard and freeze the join order the paper's
+    optimizer explores;
 ``rewrite-collection-join``
     turn an explicit OID join against a full extent (``v.a == w.self``
     with ``w`` otherwise unreferenced) into a Mat traversal — the Odra
     papers' join fusion.  Mat-to-Join can always re-derive the join form,
     so no plan is lost;
-``rewrite-redundant-mat``
-    drop a Mat whose identical reference was already materialized below it
-    and whose output nothing uses (sound because the earlier Mat already
-    applied the same dangling-reference drop);
 ``rewrite-join-canon``
     order the inputs of cartesian join clusters by estimated cardinality,
     smallest first, so even budget-degraded greedy descents start from a
@@ -37,9 +32,9 @@ fewer, better-shaped groups:
     implementation rule still chooses assembly / pointer join / hash join
     per link, so only join-order interleavings are given up.
 
-Every rule can be ablated individually (``config.without(rule)``) and the
-whole stage with ``config.with_rewrites(False)``; each firing emits a
-``rewrite`` tracer event so EXPLAIN can show what happened.
+The rule names are the only switch: ``config.without(rule)`` ablates one,
+and with all of ``ALL_REWRITES`` disabled the optimizer skips the stage.
+Each firing emits a ``rewrite`` tracer event so EXPLAIN can show it.
 """
 
 from __future__ import annotations
@@ -168,23 +163,6 @@ def _wrap(pred_comps: list[Comparison], tree: LogicalOp) -> LogicalOp:
 
 
 # ----------------------------------------------------------------------
-# Rule: select-merge (canonicalization)
-# ----------------------------------------------------------------------
-
-
-def _merge_selects(tree: LogicalOp, events: list[RewriteEvent]) -> LogicalOp:
-    children = tuple(_merge_selects(c, events) for c in tree.children)
-    tree = tree.with_children(children)
-    if isinstance(tree, Select) and isinstance(tree.child, Select):
-        merged = tree.predicate.conjoin(tree.child.predicate)
-        events.append(
-            RewriteEvent(rule_names.REWRITE_SELECT_MERGE, f"merged into {merged}")
-        )
-        return Select(tree.child.child, merged)
-    return tree
-
-
-# ----------------------------------------------------------------------
 # Rule: predicate pushdown
 # ----------------------------------------------------------------------
 
@@ -219,21 +197,11 @@ def _pushdown(tree: LogicalOp, events: list[RewriteEvent]) -> LogicalOp:
             new = Join(push(op.left, to_left), push(op.right, to_right), op.predicate)
             return _wrap(stay, new)
 
-        if isinstance(op, AntiJoin):
-            left_vars = _bound_vars(op.left)
-            to_left = [c for c in pending if c.vars and c.vars <= left_vars]
-            stay = [c for c in pending if c not in to_left]
-            for comp in to_left:
-                events.append(
-                    RewriteEvent(
-                        rule_names.REWRITE_PUSHDOWN, f"{comp} below AntiJoin"
-                    )
-                )
-            new = AntiJoin(push(op.left, to_left), _pushdown(op.right, events), op.predicate)
-            return _wrap(stay, new)
-
-        if isinstance(op, (Mat, MatChain, Unnest)):
-            below_vars = _bound_vars(op.children[0])
+        if isinstance(op, (Mat, MatChain, Unnest, AntiJoin)):
+            # The first input carries the scope, so conjuncts over it sink
+            # into it; an AntiJoin's right input only gets its own pushed.
+            inner, *rest = op.children
+            below_vars = _bound_vars(inner)
             below = [c for c in pending if c.vars and c.vars <= below_vars]
             stay = [c for c in pending if c not in below]
             for comp in below:
@@ -243,8 +211,8 @@ def _pushdown(tree: LogicalOp, events: list[RewriteEvent]) -> LogicalOp:
                         f"{comp} below {type(op).__name__}",
                     )
                 )
-            new = op.with_children((push(op.children[0], below),))
-            return _wrap(stay, new)
+            children = (push(inner, below), *(push(c, []) for c in rest))
+            return _wrap(stay, op.with_children(children))
 
         # Project / GroupBy / SetOp / Get: conjuncts go no lower.
         children = tuple(push(c, []) for c in op.children)
@@ -400,54 +368,6 @@ def _find_extent_get(op: LogicalOp, var: str, catalog: Catalog) -> Get | None:
 
 
 # ----------------------------------------------------------------------
-# Rule: redundant-Mat elimination
-# ----------------------------------------------------------------------
-
-
-def _mat_sources(op: LogicalOp) -> frozenset[RefSource]:
-    sources: set[RefSource] = set()
-
-    def walk(node: LogicalOp) -> None:
-        if isinstance(node, (Mat, MatChain)):
-            sources.update(link.source for link in node.links)
-        for child in node.children:
-            walk(child)
-
-    walk(op)
-    return frozenset(sources)
-
-
-def _drop_redundant_mats(
-    tree: LogicalOp,
-    externals: frozenset[str],
-    events: list[RewriteEvent],
-) -> LogicalOp:
-    uses = _use_counts(tree)
-
-    def walk(op: LogicalOp) -> LogicalOp:
-        op = op.with_children(tuple(walk(c) for c in op.children))
-        if (
-            isinstance(op, Mat)
-            and uses[op.out] == 0
-            and op.out not in externals
-            and op.source in _mat_sources(op.child)
-        ):
-            # The same reference was already materialized below, so the
-            # dangling-reference drop already happened; this Mat only
-            # binds a name nothing reads.
-            events.append(
-                RewriteEvent(
-                    rule_names.REWRITE_REDUNDANT_MAT,
-                    f"dropped duplicate Mat {op.source}: {op.out}",
-                )
-            )
-            return op.child
-        return op
-
-    return walk(tree)
-
-
-# ----------------------------------------------------------------------
 # Rule: join-input canonicalization
 # ----------------------------------------------------------------------
 
@@ -598,14 +518,10 @@ def rewrite_tree(
     events: list[RewriteEvent] = []
     original = tree
     try:
-        if config.is_enabled(rule_names.REWRITE_SELECT_MERGE):
-            tree = _merge_selects(tree, events)
         if config.is_enabled(rule_names.REWRITE_PUSHDOWN):
             tree = _pushdown(tree, events)
         if config.is_enabled(rule_names.REWRITE_COLLECTION_JOIN):
             tree = _collection_joins(tree, catalog, externals, events)
-        if config.is_enabled(rule_names.REWRITE_REDUNDANT_MAT):
-            tree = _drop_redundant_mats(tree, externals, events)
         if config.is_enabled(rule_names.REWRITE_JOIN_CANON) and _has_cartesian(
             tree
         ):

@@ -35,6 +35,7 @@ from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from repro.algebra.predicates import CompOp, comparison_holds
 from repro.catalog.catalog import DEFAULT_PAGE_SIZE, IndexDef
 from repro.errors import IndexCorruptionError, StorageError
 from repro.storage.objects import Oid
@@ -689,11 +690,18 @@ def _pick_eq(seen, key: Any) -> list[Oid]:
 
 def _pick_range(seen, low, high, low_inclusive, high_inclusive) -> list[Oid]:
     keys = seen.sorted_keys()
-    start = 0
-    if low is not None:
+    start, stop = 0, len(keys)
+    # A bound even the farthest key fails (past the keys, or of a kind that
+    # does not order against them) matches no key, as a filter decides.
+    if low is not None and keys:
+        op = CompOp.GE if low_inclusive else CompOp.GT
+        if not comparison_holds(op, keys[-1], low):
+            return []
         start = (bisect_left if low_inclusive else bisect_right)(keys, low)
-    stop = len(keys)
-    if high is not None:
+    if high is not None and keys:
+        op = CompOp.LE if high_inclusive else CompOp.LT
+        if not comparison_holds(op, keys[0], high):
+            return []
         stop = (bisect_right if high_inclusive else bisect_left)(keys, high)
     matches: list[Oid] = []
     for key in keys[start:stop]:

@@ -20,6 +20,7 @@ from repro.optimizer.plans import HashJoinNode, plan_signature
 from repro.simplify.simplifier import simplify_full
 
 from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4
+from tests.integration.test_search_transcript import chain_query
 
 PAPER_QUERIES = {
     "Q1": QUERY_1,
@@ -89,6 +90,22 @@ class TestSearchSpaceShrinks:
             paper_catalog, CHAIN_QUERY, OptimizerConfig().with_rewrites(False)
         )
         assert ablated.rewrites == ()
+
+
+class TestEveryRuleFires:
+    def test_each_rewrite_rule_fires_on_the_chains_or_paper_queries(
+        self, paper_catalog
+    ):
+        """A rule that never fires changes no plan: it is dead weight in
+        the stage and must be deleted rather than kept switched on."""
+        texts = [chain_query(width) for width in range(2, 7)]
+        texts += PAPER_QUERIES.values()
+        fired = {
+            event.rule
+            for text in texts
+            for event in _optimize(paper_catalog, text).rewrites
+        }
+        assert set(C.ALL_REWRITES) <= fired, set(C.ALL_REWRITES) - fired
 
 
 class TestFusedLinkCosts:

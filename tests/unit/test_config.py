@@ -29,6 +29,16 @@ class TestRuleToggles:
         assert base != derived
         assert hash(base) != hash(derived)
 
+    def test_rewrite_rule_names_are_the_stage_switch(self):
+        """One spelling of "stage off": disabling every rewrite rule, so
+        equal configs share one plan-cache key."""
+        off = OptimizerConfig().with_rewrites(False)
+        assert off == OptimizerConfig().without(*C.ALL_REWRITES)
+        assert off.cache_key() == OptimizerConfig().without(
+            *C.ALL_REWRITES
+        ).cache_key()
+        assert off.with_rewrites(True) == OptimizerConfig()
+
     def test_rule_names_unique(self):
         names = C.ALL_TRANSFORMATIONS + C.ALL_IMPLEMENTATIONS + (
             C.ASSEMBLY_ENFORCER,

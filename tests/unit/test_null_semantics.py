@@ -167,6 +167,12 @@ ENGINE_ROWS = [
     ("t.a == t.a", 23),
     ("t.a != null", 0),
     ("t.a >= 0", 23),
+    # A string bound does not order against the integer keys: no row,
+    # whether filtered or index-probed.
+    ('t.a < "x"', 0),
+    ('t.a <= "x"', 0),
+    ('t.a > "x"', 0),
+    ('t.a >= "x"', 0),
 ]
 
 

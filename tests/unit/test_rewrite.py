@@ -7,6 +7,7 @@ invariants on the paper queries live in the integration suite).
 """
 
 from repro.algebra.operators import (
+    AntiJoin,
     Get,
     Join,
     Mat,
@@ -31,9 +32,7 @@ from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.rewrite import (
     _canonicalize_joins,
     _collection_joins,
-    _drop_redundant_mats,
     _fuse_mat_chains,
-    _merge_selects,
     _pushdown,
     rewrite_tree,
 )
@@ -58,24 +57,6 @@ TASKS = Get("Tasks", "t")
 E_NAME = _eq(FieldRef("e", "name"), Const("x"))
 T_TIME = _eq(FieldRef("t", "time"), Const(100))
 E_DEPT_IS_D = _eq(RefAttr("e", "department"), SelfOid("d"))
-
-
-class TestSelectMerge:
-    def test_fires_on_stacked_selects(self):
-        events = []
-        tree = _merge_selects(
-            Select(Select(EMPLOYEES, E_NAME), T_TIME), events
-        )
-        assert isinstance(tree, Select)
-        assert isinstance(tree.child, Get)
-        assert len(tree.predicate.comparisons) == 2
-        assert len(events) == 1
-
-    def test_single_select_untouched(self):
-        events = []
-        original = Select(EMPLOYEES, E_NAME)
-        assert _merge_selects(original, events) == original
-        assert events == []
 
 
 class TestPushdown:
@@ -105,6 +86,30 @@ class TestPushdown:
         assert isinstance(tree.child, Join)
         assert tree.child.predicate.is_true
         assert events == []
+
+    def test_stacked_selects_arrive_as_one_conjunction(self):
+        events = []
+        tree = _pushdown(Select(Select(EMPLOYEES, E_NAME), T_TIME), events)
+        assert isinstance(tree, Select)
+        assert isinstance(tree.child, Get)
+        assert len(tree.predicate.comparisons) == 2
+
+    def test_anti_join_sinks_left_conjuncts_and_pushes_its_right_input(self):
+        right = Select(Join(DEPARTMENTS, TASKS, Conjunction.true()), T_TIME)
+        events = []
+        tree = _pushdown(
+            Select(AntiJoin(EMPLOYEES, right, E_DEPT_IS_D), E_NAME), events
+        )
+        assert isinstance(tree, AntiJoin)
+        assert tree.left == Select(EMPLOYEES, E_NAME)
+        assert tree.right == Join(
+            DEPARTMENTS, Select(TASKS, T_TIME), Conjunction.true()
+        )
+        assert tree.predicate == E_DEPT_IS_D
+        assert [event.detail for event in events] == [
+            f"{E_NAME.comparisons[0]} below AntiJoin",
+            f"{T_TIME.comparisons[0]} below Join",
+        ]
 
 
 class TestCollectionJoin:
@@ -151,31 +156,6 @@ class TestCollectionJoin:
         events = []
         converted = _collection_joins(tree, CATALOG, frozenset(), events)
         assert isinstance(converted, Select)
-        assert events == []
-
-
-class TestRedundantMat:
-    def test_fires_on_duplicate_unused_source(self):
-        inner = Mat(EMPLOYEES, RefSource("e", "department"), "d")
-        duplicate = Mat(inner, RefSource("e", "department"), "d2")
-        events = []
-        tree = _drop_redundant_mats(duplicate, frozenset({"d"}), events)
-        assert tree == inner
-        assert len(events) == 1
-
-    def test_blocked_when_out_is_used(self):
-        inner = Mat(EMPLOYEES, RefSource("e", "department"), "d")
-        duplicate = Mat(inner, RefSource("e", "department"), "d2")
-        used = Select(duplicate, _eq(FieldRef("d2", "name"), Const("Sales")))
-        events = []
-        tree = _drop_redundant_mats(used, frozenset({"d"}), events)
-        assert tree == used
-        assert events == []
-
-    def test_blocked_on_first_occurrence(self):
-        only = Mat(EMPLOYEES, RefSource("e", "department"), "d")
-        events = []
-        assert _drop_redundant_mats(only, frozenset(), events) == only
         assert events == []
 
 
@@ -246,14 +226,7 @@ class TestMatChainFusion:
 class TestRewriteTreeStage:
     def test_disabled_stage_returns_original(self):
         tree = Select(Select(EMPLOYEES, E_NAME), T_TIME)
-        config = OptimizerConfig().without(
-            C.REWRITE_SELECT_MERGE,
-            C.REWRITE_PUSHDOWN,
-            C.REWRITE_COLLECTION_JOIN,
-            C.REWRITE_REDUNDANT_MAT,
-            C.REWRITE_JOIN_CANON,
-            C.REWRITE_MAT_CHAIN,
-        )
+        config = OptimizerConfig().without(*C.ALL_REWRITES)
         out, events = rewrite_tree(tree, CATALOG, config)
         assert out == tree
         assert events == ()
