@@ -39,12 +39,15 @@ Tree = tuple[LogicalOp, tuple[Union[int, "Tree"], ...]]
 class MExpr:
     """One operator with group-valued inputs: a memo entry.  The object
     is its identity (per-m-expr facts are keyed by it); :meth:`key`,
-    built once, is what the memo deduplicates on."""
+    built once, is what the memo deduplicates on.  ``origin`` names the
+    transformation rule whose output it is (None for the query's own
+    expressions and a rule's nested sub-expressions); the key ignores it."""
 
-    __slots__ = ("op", "children", "_key")
+    __slots__ = ("op", "children", "origin", "_key")
 
     op: LogicalOp
     children: tuple[int, ...]
+    origin: str | None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_key", (self.op.signature(), self.children))
@@ -58,9 +61,6 @@ class Group:
     gid: int
     props: LogicalProps
     mexprs: list[MExpr] = field(default_factory=list)
-    # Bumped whenever the group gains an m-expr or absorbs another group;
-    # exploration uses it to skip re-running rules against unchanged inputs.
-    version: int = 0
 
 
 class Memo:
@@ -82,6 +82,14 @@ class Memo:
         self._groups: list[Group] = []
         self._parent: list[int] = []
         self._index: dict[tuple, int] = {}
+        # Per group id: the m-exprs that take the group as an input.
+        self._readers: list[list[MExpr]] = []
+        # The m-exprs exploration has yet to match: new ones, and readers
+        # of a group that gained m-exprs since they were last visited.
+        self.pending: set[MExpr] = set()
+        # Per merged-away group: the group that absorbed it, and where its
+        # m-exprs start in that group's list.
+        self._absorbed: dict[int, tuple[int, int]] = {}
         self.mexpr_count = 0
         self.merge_count = 0
 
@@ -104,6 +112,16 @@ class Memo:
             return self._groups[gid]
         return self._groups[self.find(gid)]
 
+    def relocate(self, gid: int) -> tuple[int, int]:
+        """Where group ``gid``'s m-exprs sit now: the live group holding
+        them and the position they start at in its list (a merge appends
+        the absorbed group's list to the survivor's)."""
+        offset = 0
+        while gid in self._absorbed:
+            gid, start = self._absorbed[gid]
+            offset += start
+        return gid, offset
+
     def groups(self) -> list[Group]:
         """All live (root) groups."""
         return [g for g in self._groups if self._parent[g.gid] == g.gid]
@@ -118,8 +136,11 @@ class Memo:
         gid, _ = self.insert_mexpr(expr, child_gids)
         return gid
 
-    def insert_tree(self, tree: Tree, target_gid: int | None = None) -> int:
-        """Insert a rule-produced tree (group ids at reuse points)."""
+    def insert_tree(
+        self, tree: Tree, target_gid: int | None = None, origin: str | None = None
+    ) -> int:
+        """Insert a rule-produced tree (group ids at reuse points); a new
+        top m-expr records ``origin``, the rule that produced the tree."""
         op, children = tree
         child_gids: list[int] = []
         for child in children:
@@ -127,7 +148,7 @@ class Memo:
                 child_gids.append(self.find(child))
             else:
                 child_gids.append(self.insert_tree(child))
-        gid, _ = self.insert_mexpr(op, tuple(child_gids), target_gid)
+        gid, _ = self.insert_mexpr(op, tuple(child_gids), target_gid, origin)
         return gid
 
     def insert_mexpr(
@@ -135,6 +156,7 @@ class Memo:
         op: LogicalOp,
         child_gids: tuple[int, ...],
         target_gid: int | None = None,
+        origin: str | None = None,
     ) -> tuple[int, bool]:
         """Insert one m-expr; dedup, create or merge groups as needed.
 
@@ -159,6 +181,7 @@ class Memo:
             gid = len(self._groups)
             self._groups.append(Group(gid, props))
             self._parent.append(gid)
+            self._readers.append([])
             if self.tracer.enabled:
                 self.tracer.event(
                     "memo",
@@ -169,9 +192,14 @@ class Memo:
                 )
         else:
             gid = self.find(target_gid)
-        self._groups[gid].mexprs.append(MExpr(op, child_gids))
-        self._groups[gid].version += 1
+        mexpr = MExpr(op, child_gids, origin)
+        self._groups[gid].mexprs.append(mexpr)
         self._index[key] = gid
+        readers = self._readers
+        for child in child_gids:
+            readers[child].append(mexpr)
+        self.pending.update(readers[gid])
+        self.pending.add(mexpr)
         self.mexpr_count += 1
         return gid, True
 
@@ -183,10 +211,15 @@ class Memo:
         keep, drop = (a, b) if len(self._groups[a].mexprs) >= len(
             self._groups[b].mexprs
         ) else (b, a)
+        self._absorbed[drop] = (keep, len(self._groups[keep].mexprs))
         self._groups[keep].mexprs.extend(self._groups[drop].mexprs)
         self._groups[drop].mexprs.clear()
         self._parent[drop] = keep
-        self._groups[keep].version += 1
+        # Keep's readers gain drop's m-exprs; drop's readers now read keep.
+        readers = self._readers[keep]
+        readers.extend(self._readers[drop])
+        self._readers[drop] = []
+        self.pending.update(readers)
         self.merge_count += 1
         if self.tracer.enabled:
             self.tracer.event("memo", "merge", keep=keep, drop=drop)
@@ -196,7 +229,9 @@ class Memo:
         group = self.group(gid)
         seen: dict[tuple, MExpr] = {}
         for mexpr in group.mexprs:
-            canon = MExpr(mexpr.op, tuple(self.find(c) for c in mexpr.children))
+            canon = MExpr(
+                mexpr.op, tuple(self.find(c) for c in mexpr.children), mexpr.origin
+            )
             seen.setdefault(canon.key(), canon)
         group.mexprs = list(seen.values())
 

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from repro.errors import NoPlanFoundError, QueryCancelled
 from repro.optimizer import config as rule_names
 from repro.optimizer.context import OptimizeContext
 from repro.optimizer.implementations import ALL_RULES as ALL_IMPLEMENTATIONS
 from repro.optimizer.implementations import ImplementationRule
+from repro.optimizer.memo import MExpr
 from repro.optimizer.physical_props import PhysProps
 from repro.optimizer.plans import AssemblyNode, PhysicalNode, SortNode
 from repro.optimizer.transformations import ALL_RULES as ALL_TRANSFORMATIONS
@@ -53,6 +55,7 @@ class SearchStats:
 
     exploration_rounds: int = 0
     rule_applications: int = 0
+    # The m-exprs the memo holds after exploration (deduplicated).
     mexprs_generated: int = 0
     optimization_tasks: int = 0
     # The (group, required) keys behind those tasks (failed goals repeat).
@@ -120,21 +123,40 @@ class SearchEngine:
     # ------------------------------------------------------------------
 
     def explore(self) -> None:
-        """Apply enabled transformation rules to fixpoint (phase 1)."""
+        """Apply enabled transformation rules to fixpoint (phase 1).
+
+        Semi-naive: a rule meets each (m-expr, input m-expr) pair once.
+        Per (m-expr, rule) it keeps the input group it last matched and
+        the range of that group's m-exprs it has met.  New m-exprs join a
+        group's list at the end; a merge appends the absorbed group's list
+        to the survivor's, so the range moves by the offset
+        :meth:`Memo.relocate` reports, and what lies outside it is unmatched.
+        Rules without an input fire once per m-expr, and a rule never
+        fires on the output of its inverse (``not_after``).  Each round
+        visits, in memo order, only the m-exprs the memo marked pending:
+        new ones, and readers of a group that gained m-exprs.
+        """
         memo = self.ctx.memo
         stats = self.stats
         tracer = self.tracer
         find = memo.find
+        pending = memo.pending
         # Rules by declared operator class (undeclared: in every entry).
         rules_for: dict[type, tuple] = {}
-        # A rule application depends only on the m-expr and the contents of
-        # its input groups; re-running it is useless until one of those
-        # groups gains an expression.  Track the input-group versions seen
-        # at the last application of each m-expr and skip unchanged ones.
-        seen_versions: dict[tuple, tuple[int, ...]] = {}
+        matched: dict[tuple, tuple[int, int, int]] = {}
+        visited: set = set()
+        owners: dict[tuple, MExpr] = {}
         governor = self.ctx.governor
         truncated = False
-        for _ in range(_MAX_EXPLORATION_ROUNDS):
+        while pending:
+            if stats.exploration_rounds == _MAX_EXPLORATION_ROUNDS:
+                # No silent truncation: the memo never reached its fixpoint.
+                stats.exploration_truncated = True
+                if tracer.enabled:
+                    tracer.event(
+                        "explore", "round-cap", rounds=stats.exploration_rounds
+                    )
+                break
             if governor is not None and governor.search_expired():
                 # Anytime exploration: the memo always contains the
                 # original expression, so stopping early only narrows
@@ -142,18 +164,23 @@ class SearchEngine:
                 truncated = True
                 break
             stats.exploration_rounds += 1
-            changed = False
             for group in memo.groups():
                 gid = group.gid
                 if find(gid) != gid:
                     continue  # merged away mid-round
                 for mexpr in list(group.mexprs):
-                    children = tuple([find(c) for c in mexpr.children])
-                    key = (gid, mexpr.key()[0], children)
-                    versions = tuple([memo.group(c).version for c in children])
-                    if seen_versions.get(key) == versions:
+                    if mexpr not in pending:
                         continue
-                    seen_versions[key] = versions
+                    pending.discard(mexpr)
+                    if memo.merge_count:
+                        # After merges a group can hold one expression
+                        # twice; its first copy matches for both.
+                        children = tuple([find(c) for c in mexpr.children])
+                        twin = (gid, mexpr.key()[0], children)
+                        if owners.setdefault(twin, mexpr) is not mexpr:
+                            continue
+                    first = mexpr not in visited
+                    visited.add(mexpr)
                     op_type = type(mexpr.op)
                     if op_type not in rules_for:
                         rules_for[op_type] = tuple(
@@ -163,12 +190,41 @@ class SearchEngine:
                             or isinstance(mexpr.op, rule.operators)
                         )
                     for rule in rules_for[op_type]:
-                        for tree in rule.apply(mexpr, memo):
+                        if mexpr.origin in rule.not_after:
+                            continue
+                        if rule.input is None:
+                            if not first:
+                                continue
+                            inners = ()
+                        else:
+                            source = memo.group(mexpr.children[rule.input])
+                            inputs = source.mexprs
+                            key = (mexpr, rule)
+                            seen = matched.get(key)
+                            if seen is None:
+                                lo = hi = 0
+                            else:
+                                at, lo, hi = seen
+                                if at != source.gid:
+                                    # Merged away since: its m-exprs moved.
+                                    _, offset = memo.relocate(at)
+                                    lo += offset
+                                    hi += offset
+                            if lo == 0:
+                                if hi == len(inputs):
+                                    continue
+                                inners = islice(inputs, hi, None)
+                            else:
+                                inners = chain(
+                                    islice(inputs, lo), islice(inputs, hi, None)
+                                )
+                            skip = rule.inner_not_from
+                            if skip is not None:
+                                inners = (m for m in inners if m.origin != skip)
+                        for tree in rule.apply(mexpr, memo, inners):
                             stats.rule_applications += 1
                             before = memo.mexpr_count
-                            memo.insert_tree(tree, target_gid=gid)
-                            if memo.mexpr_count > before:
-                                changed = True
+                            memo.insert_tree(tree, gid, rule.name)
                             if tracer.enabled:
                                 tracer.event(
                                     "rule",
@@ -177,15 +233,13 @@ class SearchEngine:
                                     expr=mexpr.op.describe(),
                                     new=memo.mexpr_count > before,
                                 )
-            if not changed:
-                break
-        else:  # no silent truncation: the memo never reached its fixpoint
-            stats.exploration_truncated = True
-            if tracer.enabled:
-                tracer.event("explore", "round-cap", rounds=stats.exploration_rounds)
+                        if rule.input is not None:
+                            # The rule ran the input to its live end.
+                            matched[key] = (source.gid, 0, len(inputs))
+        pending.clear()
         for group in memo.groups():
             memo.dedup_group(group.gid)
-        stats.mexprs_generated = memo.mexpr_count
+        stats.mexprs_generated = sum(len(group.mexprs) for group in memo.groups())
         stats.group_merges = memo.merge_count
         if truncated and governor is not None:
             governor.mark_degraded(

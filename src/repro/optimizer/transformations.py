@@ -10,14 +10,14 @@ very important: **Mat-to-Join** — "not because joins are always a good
 choice but because joins are an alternative execution strategy that
 should be chosen or rejected based on anticipated execution costs".
 
-Every rule consumes one m-expr (whose inputs are memo groups), inspects
-the child groups for the pattern's inner operators, and yields equivalent
-trees to be inserted back into the same group.
+Every rule consumes one m-expr (whose inputs are memo groups), matches
+it against m-exprs of the one input its pattern looks inside, and yields
+equivalent trees to be inserted back into the same group.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from repro.algebra.operators import (
     Get,
@@ -43,17 +43,28 @@ class TransformationRule:
 
     ``operators`` declares the operator classes the pattern is rooted at:
     the rule is offered only those m-exprs (all, if it declares nothing).
+    ``input`` is the position of the input whose m-exprs the pattern
+    looks inside; None when the output depends on the m-expr alone, so
+    the rule fires once per m-expr.  ``not_after`` names the rules whose
+    output this rule does not fire on (its inverses: their source is in
+    the group already), and ``inner_not_from`` the rule whose output the
+    rule skips among the input's m-exprs.
     """
 
     name: str = ""
     operators: tuple[type[LogicalOp], ...] | None = None
+    input: int | None = None
+    not_after: frozenset[str] = frozenset()
+    inner_not_from: str | None = None
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(
+        self, mexpr: MExpr, memo: Memo, inners: Iterable[MExpr]
+    ) -> Iterator[Tree]:
         """Yield equivalent trees for one m-expr (children = group ids).
 
-        Implementations inspect the m-expr's input groups for the inner
-        operators of their pattern; the search engine inserts every
-        yielded tree back into the m-expr's own group.
+        ``inners`` are m-exprs of the input at position ``input`` (empty
+        when ``input`` is None); the search engine passes each one once,
+        and inserts every yielded tree back into the m-expr's own group.
         """
         raise NotImplementedError
 
@@ -91,9 +102,10 @@ class SelectMerge(TransformationRule):
 
     name = rule_names.SELECT_MERGE
     operators = (Select,)
+    input = 0
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        for inner in memo.group(mexpr.children[0]).mexprs:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
+        for inner in inners:
             if isinstance(inner.op, Select):
                 merged = mexpr.op.predicate.conjoin(inner.op.predicate)
                 yield (_mk_select(merged), (inner.children[0],))
@@ -109,11 +121,12 @@ class SelectPastMat(TransformationRule):
 
     name = rule_names.SELECT_PAST_MAT
     operators = (Select,)
+    input = 0
     beneath: type[LogicalOp] = Mat
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         predicate = mexpr.op.predicate
-        for inner in memo.group(mexpr.children[0]).mexprs:
+        for inner in inners:
             if not isinstance(inner.op, self.beneath):
                 continue
             below_scope = memo.group(inner.children[0]).props.scope.names
@@ -151,9 +164,10 @@ class MatPastSelect(TransformationRule):
 
     name = rule_names.MAT_PAST_SELECT
     operators = (Mat,)
+    input = 0
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        for inner in memo.group(mexpr.children[0]).mexprs:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
+        for inner in inners:
             if isinstance(inner.op, Select):
                 yield (
                     _mk_select(inner.op.predicate),
@@ -173,9 +187,10 @@ class UnnestPastSelect(TransformationRule):
 
     name = rule_names.UNNEST_PAST_SELECT
     operators = (Unnest,)
+    input = 0
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
-        for inner in memo.group(mexpr.children[0]).mexprs:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
+        for inner in inners:
             if isinstance(inner.op, Select):
                 yield (
                     _mk_select(inner.op.predicate),
@@ -198,10 +213,13 @@ class SelectPastJoin(TransformationRule):
 
     name = rule_names.SELECT_PAST_JOIN
     operators = (Select,)
+    input = 0
+    # Pushing past a commuted join gives the commuted push.
+    inner_not_from = rule_names.JOIN_COMMUTATIVITY
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         predicate = mexpr.op.predicate
-        for inner in memo.group(mexpr.children[0]).mexprs:
+        for inner in inners:
             if not isinstance(inner.op, Join):
                 continue
             left_gid, right_gid = inner.children
@@ -226,8 +244,9 @@ class JoinCommutativity(TransformationRule):
 
     name = rule_names.JOIN_COMMUTATIVITY
     operators = (Join,)
+    not_after = frozenset({rule_names.JOIN_COMMUTATIVITY})
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         left, right = mexpr.children
         yield (_mk_join(mexpr.op.predicate), (right, left))
 
@@ -237,12 +256,13 @@ class JoinAssociativity(TransformationRule):
 
     name = rule_names.JOIN_ASSOCIATIVITY
     operators = (Join,)
+    input = 0
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         outer_pred = mexpr.op.predicate
-        left_gid, c_gid = mexpr.children
+        c_gid = mexpr.children[1]
         c_scope = memo.group(c_gid).props.scope.names
-        for inner in memo.group(left_gid).mexprs:
+        for inner in inners:
             if not isinstance(inner.op, Join):
                 continue
             a_gid, b_gid = inner.children
@@ -271,10 +291,11 @@ class MatCommutativity(TransformationRule):
 
     name = rule_names.MAT_COMMUTATIVITY
     operators = (Mat,)
+    input = 0
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         outer = mexpr.op
-        for inner in memo.group(mexpr.children[0]).mexprs:
+        for inner in inners:
             if not isinstance(inner.op, Mat):
                 continue
             base_gid = inner.children[0]
@@ -298,10 +319,13 @@ class MatIntoJoin(TransformationRule):
 
     name = rule_names.MAT_PAST_JOIN
     operators = (Mat,)
+    input = 0
+    # Pushing into a commuted join gives the commuted push.
+    inner_not_from = rule_names.JOIN_COMMUTATIVITY
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         op = mexpr.op
-        for inner in memo.group(mexpr.children[0]).mexprs:
+        for inner in inners:
             if not isinstance(inner.op, Join):
                 continue
             left_gid, right_gid = inner.children
@@ -320,34 +344,35 @@ class MatIntoJoin(TransformationRule):
 
 
 class MatOutOfJoin(TransformationRule):
-    """Pull a Mat out of a join input (the inverse direction).
+    """Pull a Mat out of one join input (the inverse direction).
 
     Join(Mat(v.a: w, L), R, p) -> Mat(v.a: w, Join(L, R, p)) when p does
-    not reference w.
+    not reference w; ``MatOutOfJoin(1)`` pulls it out of the right input.
     """
 
     name = rule_names.MAT_PAST_JOIN
     operators = (Join,)
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def __init__(self, input: int = 0) -> None:
+        self.input = input
+
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         predicate = mexpr.op.predicate
-        for side in (0, 1):
-            this_gid = mexpr.children[side]
-            other_gid = mexpr.children[1 - side]
-            for inner in memo.group(this_gid).mexprs:
-                if not isinstance(inner.op, Mat):
-                    continue
-                if inner.op.out in predicate.vars:
-                    continue
-                join_children = (
-                    (inner.children[0], other_gid)
-                    if side == 0
-                    else (other_gid, inner.children[0])
-                )
-                yield (
-                    _mk_mat(inner.op.source, inner.op.out),
-                    ((_mk_join(predicate), join_children),),
-                )
+        other_gid = mexpr.children[1 - self.input]
+        for inner in inners:
+            if not isinstance(inner.op, Mat):
+                continue
+            if inner.op.out in predicate.vars:
+                continue
+            join_children = (
+                (inner.children[0], other_gid)
+                if self.input == 0
+                else (other_gid, inner.children[0])
+            )
+            yield (
+                _mk_mat(inner.op.source, inner.op.out),
+                ((_mk_join(predicate), join_children),),
+            )
 
 
 class MatToJoin(TransformationRule):
@@ -359,8 +384,9 @@ class MatToJoin(TransformationRule):
 
     name = rule_names.MAT_TO_JOIN
     operators = (Mat,)
+    not_after = frozenset({rule_names.JOIN_TO_MAT})
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         op = mexpr.op
         child_scope = memo.group(mexpr.children[0]).props.scope
         extent = memo.catalog.extent_of(
@@ -384,15 +410,17 @@ class JoinToMat(TransformationRule):
 
     name = rule_names.JOIN_TO_MAT
     operators = (Join,)
+    input = 1
+    not_after = frozenset({rule_names.MAT_TO_JOIN})
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         pred = mexpr.op.predicate
         if len(pred.comparisons) != 1:
             return
         comparison = pred.comparisons[0]
         if comparison.op is not CompOp.EQ:
             return
-        left_gid, right_gid = mexpr.children
+        left_gid = mexpr.children[0]
         left_scope = memo.group(left_gid).props.scope.names
         for self_term, ref_term in (
             (comparison.right, comparison.left),
@@ -404,7 +432,7 @@ class JoinToMat(TransformationRule):
                 continue
             if not (frozenset({ref_term.var}) <= left_scope):
                 continue
-            for inner in memo.group(right_gid).mexprs:
+            for inner in inners:
                 if not isinstance(inner.op, Get):
                     continue
                 if inner.op.var != self_term.var:
@@ -426,8 +454,9 @@ class SetOpCommutativity(TransformationRule):
 
     name = rule_names.SETOP_COMMUTATIVITY
     operators = (SetOp,)
+    not_after = frozenset({rule_names.SETOP_COMMUTATIVITY})
 
-    def apply(self, mexpr: MExpr, memo: Memo) -> Iterator[Tree]:
+    def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         if mexpr.op.kind is SetOpKind.DIFFERENCE:
             return
         left, right = mexpr.children
@@ -446,13 +475,14 @@ ALL_RULES: tuple[TransformationRule, ...] = (
     JoinAssociativity(),
     MatCommutativity(),
     MatIntoJoin(),
-    MatOutOfJoin(),
+    MatOutOfJoin(0),
+    MatOutOfJoin(1),
     MatToJoin(),
     JoinToMat(),
     SetOpCommutativity(),
 )
 
 
-__all__ = ["ALL_RULES", "TransformationRule"] + [
-    rule.__class__.__name__ for rule in ALL_RULES
-]
+__all__ = ["ALL_RULES", "TransformationRule"] + list(
+    dict.fromkeys(rule.__class__.__name__ for rule in ALL_RULES)
+)

@@ -217,8 +217,8 @@ def record_all() -> dict[str, dict]:
     unrewritten = OptimizerConfig().with_rewrites(False)
     for width in range(2, 7):
         case(f"chain{width}", plain, chain_query(width))
-        # Width 6 unrewritten fires 216,717 rules: keep the transcript,
-        # skip recording a quarter of a million events for it.
+        # Width 6 unrewritten fires 171,003 rules: keep the transcript,
+        # skip recording a fifth of a million events for it.
         case(f"chain{width}-norewrite", plain, chain_query(width), unrewritten,
              traced=width < 6)
 
@@ -261,7 +261,7 @@ def record_all() -> dict[str, dict]:
     )
 
     # The budget runs out mid-descent (poll 150 of an unrewritten width-5
-    # chain: nine exploration rounds, then goals), so the greedy descent
+    # chain: ten exploration rounds, then goals), so the greedy descent
     # starts from the winners the budgeted search had already proved.
     def expiring(watch):
         governor = ExpireAfter(tracer=watch)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.algebra.operators import Get, Mat, RefSource, Select
+from repro.algebra.operators import Get, Join, Mat, RefSource, Select
 from repro.algebra.predicates import (
     CompOp,
     Comparison,
@@ -24,6 +24,8 @@ from repro.optimizer.physical_props import PhysProps
 from repro.optimizer.plans import AssemblyNode, IndexScanNode
 from repro.optimizer.search import SearchEngine
 from repro.optimizer.selectivity import SelectivityModel
+from repro.optimizer.transformations import ALL_RULES as ALL_TRANSFORMATIONS
+from repro.optimizer.transformations import TransformationRule
 
 
 def _query2_tree():
@@ -35,7 +37,9 @@ def _query2_tree():
     )
 
 
-def _engine(tree, config=None, with_index=True):
+def _engine(
+    tree, config=None, with_index=True, transformations=ALL_TRANSFORMATIONS
+):
     catalog = build_catalog()
     if with_index:
         catalog.add_index(index_cities_mayor_name())
@@ -52,9 +56,20 @@ def _engine(tree, config=None, with_index=True):
         query_vars=qvars,
         config=config,
     )
-    engine = SearchEngine(ctx)
+    engine = SearchEngine(ctx, transformations)
     engine.explore()
     return engine, gid
+
+
+def _chain_tree(width):
+    """The scalability chain of ``width`` ranges, simplified and not
+    rewritten: the tree the memo starts from with rewrites off."""
+    from repro.lang.parser import parse_query
+    from repro.simplify.simplifier import simplify_full
+
+    from tests.integration.test_search_transcript import chain_query
+
+    return simplify_full(parse_query(chain_query(width)), build_catalog()).tree
 
 
 class TestGoalDirectedSearch:
@@ -183,6 +198,16 @@ class TestEffortCounters:
         assert engine.stats.exploration_rounds >= 2
         assert engine.stats.mexprs_generated > 3
 
+    def test_mexprs_generated_counts_the_live_memo(self):
+        """Copies re-keyed after merges, which the final dedup drops, are
+        not counted: the figure is what the memo holds."""
+        engine, _ = _engine(_chain_tree(5), with_index=False)
+        memo = engine.ctx.memo
+        assert memo.merge_count > 0
+        assert engine.stats.mexprs_generated == sum(
+            len(group.mexprs) for group in memo.groups()
+        )
+
     def test_distinct_goals_counts_keys_not_tasks(self):
         """A failed goal searched again under a higher limit is a second
         task for the same (group, required) key."""
@@ -276,3 +301,100 @@ class TestOperatorIndexedRules:
         spying = SearchEngine(engine.ctx, (), ALL_RULES + (GetSpy(),))
         spying.best_plan(gid, PhysProps.of("c"))
         assert seen and set(seen) == {Get}
+
+
+class _Tap(TransformationRule):
+    """Wraps a rule and logs each (rule, m-expr, input m-expr) it matches
+    (input None for a rule without one)."""
+
+    def __init__(self, rule, log):
+        self.rule, self.log = rule, log
+        self.name, self.operators = rule.name, rule.operators
+        self.input, self.not_after = rule.input, rule.not_after
+        self.inner_not_from = rule.inner_not_from
+
+    def apply(self, mexpr, memo, inners):
+        if self.input is None:
+            self.log.append((self.rule, mexpr, None))
+        return self.rule.apply(mexpr, memo, self._tapped(mexpr, inners))
+
+    def _tapped(self, mexpr, inners):
+        for inner in inners:
+            self.log.append((self.rule, mexpr, inner))
+            yield inner
+
+
+class TestSemiNaiveExploration:
+    """Exploration generates instead of rediscovering."""
+
+    def _tapped_chain4(self):
+        log = []
+        rules = tuple(_Tap(rule, log) for rule in ALL_TRANSFORMATIONS)
+        engine, _ = _engine(_chain_tree(4), with_index=False, transformations=rules)
+        return engine, log
+
+    def test_no_rule_matches_an_input_mexpr_twice(self):
+        engine, log = self._tapped_chain4()
+        assert engine.stats.group_merges > 0  # merges re-offer m-exprs
+        assert log
+        assert len(set(log)) == len(log)
+
+    def test_commutativity_never_receives_its_own_output(self):
+        engine, log = self._tapped_chain4()
+        commuted = [m for rule, m, _ in log if rule.name == C.JOIN_COMMUTATIVITY]
+        assert commuted
+        assert all(m.origin != C.JOIN_COMMUTATIVITY for m in commuted)
+        produced = [
+            m
+            for group in engine.ctx.memo.groups()
+            for m in group.mexprs
+            if m.origin == C.JOIN_COMMUTATIVITY
+        ]
+        assert produced
+
+    def test_merge_reoffers_the_absorbed_mexprs(self):
+        """Group 2 absorbs group 0 mid-exploration.  Each reader is offered
+        the m-exprs its input gained by the merge, and only those: the
+        reader of the survivor gets the absorbed ``b``; the reader of the
+        absorbed group gets the survivor's ``a`` and ``a2``."""
+        seen: dict[str, list[str]] = {"b": [], "a": []}
+
+        class Grow(TransformationRule):
+            name, operators = "grow", (Get,)
+
+            def apply(self, mexpr, memo, inners):
+                if mexpr.op.var == "a":
+                    yield (Get("Cities", "a2"), ())
+
+        class Fold(TransformationRule):
+            """Finds Get a2 equivalent to Get b: merges their groups."""
+
+            name, operators = "fold", (Get,)
+
+            def apply(self, mexpr, memo, inners):
+                if mexpr.op.var == "a2":
+                    yield (Get("Cities", "b"), ())
+
+        class Spy(TransformationRule):
+            name, operators, input = "spy", (Select,), 0
+
+            def apply(self, mexpr, memo, inners):
+                reader = next(iter(mexpr.op.predicate.vars))
+                seen[reader].extend(inner.op.var for inner in inners)
+                return iter(())
+
+        def named(var):
+            return Conjunction.of(
+                Comparison(FieldRef(var, "name"), CompOp.EQ, Const("x"))
+            )
+
+        tree = Join(
+            Select(Get("Cities", "b"), named("b")),
+            Select(Get("Cities", "a"), named("a")),
+            Conjunction.of(),
+        )
+        engine, _ = _engine(
+            tree, with_index=False, transformations=(Grow(), Fold(), Spy())
+        )
+        assert engine.stats.group_merges == 1
+        assert seen == {"b": ["b", "a", "a2"], "a": ["a", "a2", "b"]}

@@ -42,7 +42,12 @@ def _memo_for(tree):
 def _apply(rule, memo, gid):
     results = []
     for mexpr in list(memo.group(gid).mexprs):
-        results.extend(rule.apply(mexpr, memo))
+        inners = (
+            ()
+            if rule.input is None
+            else memo.group(mexpr.children[rule.input]).mexprs
+        )
+        results.extend(rule.apply(mexpr, memo, inners))
     return results
 
 
