@@ -75,12 +75,20 @@ from repro.obs.tracer import Tracer
 from repro.optimizer import OptimizerConfig
 from repro.optimizer.config import (
     ALL_IMPLEMENTATIONS,
+    ALL_REWRITES,
     ALL_TRANSFORMATIONS,
     ASSEMBLY_ENFORCER,
     SORT_ENFORCER,
 )
 
 _PROMPT = "zql> "
+#: Every rule name ``.rules`` lists and ``.disable`` / ``.enable`` accept.
+_RULES = (
+    ALL_REWRITES
+    + ALL_TRANSFORMATIONS
+    + ALL_IMPLEMENTATIONS
+    + (ASSEMBLY_ENFORCER, SORT_ENFORCER)
+)
 _MAX_ROWS = 20
 
 
@@ -95,10 +103,10 @@ class Shell:
     def __init__(self, db: Database, out=None) -> None:
         self.db = db
         self.out = out
-        self.disabled: set[str] = set()
+        # The session's optimizer configuration: the database's, with the
+        # rule toggles (.disable / .enable) and .feedback on/off applied.
+        self.config: OptimizerConfig = db.config
         self.prepared: dict[str, object] = {}
-        # Cardinality feedback for subsequent queries (.feedback on/off).
-        self.feedback_on = False
         # Session resource limits (None = unlimited), applied to every
         # subsequent query via the governor's $-options.
         self.timeout_ms: float | None = None
@@ -161,9 +169,6 @@ class Shell:
 
     # ------------------------------------------------------------------
 
-    def _config(self) -> OptimizerConfig:
-        return OptimizerConfig().without(*self.disabled).with_feedback(self.feedback_on)
-
     def _command(self, line: str) -> None:
         parts = line.split()
         command, args = parts[0], parts[1:]
@@ -188,9 +193,9 @@ class Shell:
             rest = line[len(".explain") :].strip()
             if rest.startswith("analyze ") or rest == "analyze":
                 query = rest[len("analyze") :].strip()
-                self.echo(self.db.explain(query, config=self._config(), analyze=True))
+                self.echo(self.db.explain(query, config=self.config, analyze=True))
             else:
-                result = self.db.optimize(rest, config=self._config())
+                result = self.db.optimize(rest, config=self.config)
                 self.echo(result.explain(costs=True))
         elif command == ".trace":
             rest = line[len(".trace") :].strip()
@@ -224,17 +229,17 @@ class Shell:
                 self.db.feedback.clear()
                 self.echo("feedback store cleared")
             elif args == ["off"]:
-                self.feedback_on = False
+                self.config = self.config.with_feedback(False)
                 self.echo("feedback disabled")
             elif args == ["on"]:
-                self.feedback_on = True
+                self.config = self.config.with_feedback(True)
                 self.echo("feedback enabled")
             else:
                 self.echo(self.db.feedback.describe())
         elif command == ".prepare" and len(args) >= 2:
             name = args[0]
             text = line[len(".prepare") :].strip()[len(name) :].strip()
-            prepared = self.db.prepare(text, config=self._config())
+            prepared = self.db.prepare(text, config=self.config)
             self.prepared[name] = prepared
             params = ", ".join(f"${p}" for p in prepared.param_names)
             self.echo(f"prepared {name} ({params or 'no parameters'})")
@@ -246,19 +251,21 @@ class Shell:
             bindings = dict(self._parse_binding(arg) for arg in args[1:])
             self._print_result(prepared.execute(**bindings))
         elif command == ".rules":
-            for name in (
-                ALL_TRANSFORMATIONS
-                + ALL_IMPLEMENTATIONS
-                + (ASSEMBLY_ENFORCER, SORT_ENFORCER)
-            ):
-                marker = " (disabled)" if name in self.disabled else ""
+            for name in _RULES:
+                marker = "" if self.config.is_enabled(name) else " (disabled)"
                 self.echo(f"  {name}{marker}")
-        elif command == ".disable" and len(args) == 1:
-            self.disabled.add(args[0])
-            self.echo(f"disabled {args[0]}")
-        elif command == ".enable" and len(args) == 1:
-            self.disabled.discard(args[0])
-            self.echo(f"enabled {args[0]}")
+        elif command in (".disable", ".enable") and len(args) == 1:
+            name = args[0]
+            if name not in _RULES:
+                self.echo(
+                    f"error: unknown rule {name!r}; known rules: {', '.join(_RULES)}"
+                )
+            elif command == ".disable":
+                self.config = self.config.without(name)
+                self.echo(f"disabled {name}")
+            else:
+                self.config = self.config.with_rules(name)
+                self.echo(f"enabled {name}")
         elif command == ".timeout" and len(args) <= 1:
             self.timeout_ms = self._limit(
                 args, self.timeout_ms, "timeout", float, "ms"
@@ -406,7 +413,7 @@ class Shell:
         previous = self.db.tracer
         self.db.tracer = tracer
         try:
-            result = self.db.optimize(text, config=self._config(), tracer=tracer)
+            result = self.db.optimize(text, config=self.config, tracer=tracer)
         finally:
             self.db.tracer = previous
         for entry in result.search_trace:
@@ -433,7 +440,7 @@ class Shell:
         try:
             result = self.db.query(
                 text,
-                config=self._config(),
+                config=self.config,
                 options=self._options(),
                 transaction=self.transaction,
             )

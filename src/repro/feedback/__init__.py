@@ -4,10 +4,10 @@ The paper's optimizer trusts Table-1 statistics unconditionally; EXPLAIN
 ANALYZE already measures how wrong they were, per operator, but only
 displays the number.  This package *uses* it:
 
-* :mod:`repro.feedback.fingerprint` — semantic subplan keys computable
-  from both a memo group (logical side) and a physical plan node
-  (observation side), so an observation recorded while executing one
-  plan shape is found again while optimizing any equivalent shape;
+* :mod:`repro.feedback.fingerprint` — semantic subplan keys: the key of
+  a memo group, which every plan node implementing the group reports,
+  so an observation recorded while executing one plan shape is found
+  again while optimizing any equivalent shape;
 * :mod:`repro.feedback.store` — the feedback store: observed
   per-operator cardinalities keyed by fingerprint, with staleness tied
   to the catalog's per-collection data versions;
@@ -21,7 +21,7 @@ and never changes result bytes — only plans.
 """
 
 from repro.feedback.fingerprint import (
-    fingerprint_plan,
+    group_key,
     logical_fingerprint,
     render_fingerprint,
 )
@@ -39,7 +39,7 @@ __all__ = [
     "FeedbackStore",
     "Observation",
     "REPLAN_MIN_ROWS",
-    "fingerprint_plan",
+    "group_key",
     "logical_fingerprint",
     "render_fingerprint",
 ]

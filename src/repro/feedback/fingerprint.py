@@ -1,33 +1,28 @@
-"""Semantic subplan fingerprints, computable from both sides of the loop.
+"""Semantic subplan fingerprints: the key of a memo group.
 
-A fingerprint identifies *what a subplan computes*, not how: the same key
-must come out of a memo group during optimization (from the logical
-operator plus its children's keys) and out of a physical plan node during
-execution (from the node plus its children's keys), across every
-equivalent shape the optimizer can pick.  That is what lets a cardinality
-observed under one plan inform the costing of another.
+A fingerprint identifies *what a subplan computes*, not how.  It is a
+property of the memo group (the equivalence class), derived once, when
+the group is created, from its first operator and its input groups' keys
+(:func:`logical_fingerprint`); the memo looks the key up in the feedback
+store right then.  With feedback on, every plan node the search picks
+is marked with the properties of the group it implements, so a node is
+observed under its group's key, whichever algorithm or expression of the
+group it runs: an index scan, the filter over a file scan it collapsed
+from, or the hash join Mat-to-Join made of a ``Mat``.  :func:`group_key`
+re-derives that key for the cardinality monitor from the operator and
+input properties the group keeps.  A lowered ``MatChain``'s lower links
+carry the properties of a ``Mat`` over the link before, so each observes
+its partial chain under the same rule.
 
-The shape-independence rules:
-
-* ``Filter`` over a scan, a filter stacked on another filter, and an
-  index scan with a residual all reduce to one flattened
-  ``select(input, {conjuncts})`` key — predicates are compared by their
-  canonical string rendering (:class:`~repro.algebra.predicates.
-  Conjunction` orders and dedups conjuncts; a plan-cache template's
-  slotted constants render the running statement's values inside
-  ``predicates.showing(consts)``, which is how the execute and replan
-  stages call in here, so a cached plan keys identically to a freshly
-  parsed one);
-* join inputs are unordered (commutativity) for ``Join`` and the
-  commuting set operations, ordered where the operator is not symmetric
-  (``AntiJoin``, ``difference``);
-* the pure stream-shape operator ``Sort`` is transparent: it carries
-  its input's key;
-* every implementation of ``Mat`` (assembly, pointer join, warm-start)
-  shares the ``mat`` key of its logical operator, and a fused
-  ``MatChain`` folds into the same nested ``mat`` keys its per-link
-  physical pipeline produces: one function keys a link, whichever of
-  the three carries it.
+Predicates are compared by their canonical string rendering
+(:class:`~repro.algebra.predicates.Conjunction` orders and dedups
+conjuncts).  A plan-cache template's slotted constants render the
+running statement's values inside ``predicates.showing(consts)``: the
+search looks keys up and the monitor re-derives them under the
+statement's own constants, so two bindings of one template are two
+subplans.  Join inputs are unordered for ``Join`` and the commuting set
+operations, ordered where the operator is not symmetric (``AntiJoin``,
+``difference``).
 
 Keys are plain nested tuples (hashable, order-canonical); ``None`` means
 "this operator has no stable identity" and poisons the ancestors so no
@@ -49,24 +44,6 @@ from repro.algebra.operators import (
     SetOp,
     SetOpKind,
     Unnest,
-)
-from repro.optimizer.plans import (
-    AlgProjectNode,
-    AlgUnnestNode,
-    AssemblyNode,
-    FileScanNode,
-    FilterNode,
-    HashAntiJoinNode,
-    HashGroupByNode,
-    HashJoinNode,
-    HashSetOpNode,
-    IndexScanNode,
-    MergeJoinNode,
-    NestedLoopsNode,
-    PhysicalNode,
-    PointerJoinNode,
-    SortNode,
-    WarmStartAssemblyNode,
 )
 
 # A fingerprint is a nested tuple; collections is the set of stored
@@ -92,8 +69,7 @@ def _select_key(child: Fingerprint, conjuncts) -> Fingerprint | None:
 
 
 def _mat_key(child: Fingerprint, link) -> Fingerprint | None:
-    """One Mat link's key: ``link`` is a lone Mat, a MatChain link or a
-    plan node implementing one (each has ``source`` and ``out``)."""
+    """One Mat link's key: ``link`` is a lone Mat or a MatChain link."""
     if child is None:
         return None
     return ("mat", child, link.source.var, link.source.attr, link.out)
@@ -166,85 +142,30 @@ def logical_fingerprint(
     return None
 
 
-def _physical_key(
-    node: PhysicalNode,
-    child_infos: list[tuple[Fingerprint | None, frozenset[str]]],
+def group_key(
+    props, known: dict | None = None
 ) -> tuple[Fingerprint | None, frozenset[str]]:
-    child_keys = [key for key, _ in child_infos]
-    collections: frozenset[str] = frozenset().union(
-        *(cols for _, cols in child_infos)
-    ) if child_infos else frozenset()
+    """``(fingerprint, collections read)`` of the group ``props`` belongs to.
 
-    if isinstance(node, FileScanNode):
-        return _get_key(node.collection, node.var), frozenset({node.collection})
-    if isinstance(node, IndexScanNode):
-        conjuncts = [str(node.comparison)]
-        conjuncts.extend(str(c) for c in node.residual.comparisons)
-        key = _select_key(_get_key(node.collection, node.var), conjuncts)
-        return key, frozenset({node.collection})
-    if isinstance(node, FilterNode):
-        return _select_key(child_keys[0], _conjuncts(node.predicate)), collections
-    if isinstance(node, SortNode):
-        # Stream-shape only: same rows, carried key.
-        return child_keys[0], collections
-    if isinstance(node, (AssemblyNode, PointerJoinNode, WarmStartAssemblyNode)):
-        return _mat_key(child_keys[0], node), collections
-    if isinstance(node, AlgUnnestNode):
-        if child_keys[0] is None:
-            return None, collections
-        return ("unnest", child_keys[0], node.var, node.attr, node.out), collections
-    if isinstance(node, (HashJoinNode, MergeJoinNode, NestedLoopsNode)):
-        key = _join_key(child_keys[0], child_keys[1], _conjuncts(node.predicate))
-        return key, collections
-    if isinstance(node, HashAntiJoinNode):
-        if child_keys[0] is None or child_keys[1] is None:
-            return None, collections
-        key = (
-            "antijoin",
-            child_keys[0],
-            child_keys[1],
-            frozenset(_conjuncts(node.predicate)),
-        )
-        return key, collections
-    if isinstance(node, AlgProjectNode):
-        if child_keys[0] is None:
-            return None, collections
-        items = tuple(str(item) for item in node.items)
-        return ("project", child_keys[0], items, node.distinct), collections
-    if isinstance(node, HashGroupByNode):
-        if child_keys[0] is None:
-            return None, collections
-        keys = tuple(str(k) for k in node.keys)
-        having = frozenset(str(h) for h in node.having)
-        return ("groupby", child_keys[0], keys, having), collections
-    if isinstance(node, HashSetOpNode):
-        left, right = child_keys
-        if left is None or right is None:
-            return None, collections
-        if node.kind is SetOpKind.DIFFERENCE:
-            inputs: tuple = (left, right)
+    ``props`` is a :class:`~repro.optimizer.logical_props.LogicalProps`
+    (a plan node's ``props``): the key is re-derived from the operator and
+    input properties the memo derived it from, so it is the key the memo
+    looked up, rendered under the caller's ``predicates.showing(consts)``.
+    ``known`` caches the answer per properties object across one plan.
+    """
+    if known is None:
+        known = {}
+    found = known.get(id(props))
+    if found is None:
+        inputs = [group_key(child, known) for child in props.inputs]
+        op = props.op
+        if isinstance(op, Get):
+            collections = frozenset({op.collection})
         else:
-            inputs = tuple(sorted((left, right), key=repr))
-        return ("setop", node.kind.value, inputs), collections
-    return None, collections
-
-
-def fingerprint_plan(
-    plan: PhysicalNode,
-) -> dict[int, tuple[Fingerprint | None, frozenset[str]]]:
-    """Every node's ``(fingerprint, collections-read)``, keyed by
-    ``id(node)`` (plan nodes are unhashable dataclasses; the plan tree
-    outlives every use of the map)."""
-    out: dict[int, tuple[Fingerprint | None, frozenset[str]]] = {}
-
-    def visit(node: PhysicalNode) -> tuple[Fingerprint | None, frozenset[str]]:
-        infos = [visit(child) for child in node.children]
-        info = _physical_key(node, infos)
-        out[id(node)] = info
-        return info
-
-    visit(plan)
-    return out
+            collections = frozenset().union(*(cols for _, cols in inputs))
+        key = logical_fingerprint(op, tuple(key for key, _ in inputs))
+        found = known[id(props)] = (key, collections)
+    return found
 
 
 def render_fingerprint(key: Fingerprint | None, limit: int = 96) -> str:
@@ -273,7 +194,7 @@ def render_fingerprint(key: Fingerprint | None, limit: int = 96) -> str:
 
 __all__ = [
     "Fingerprint",
-    "fingerprint_plan",
+    "group_key",
     "logical_fingerprint",
     "render_fingerprint",
 ]

@@ -3,7 +3,9 @@
 A :class:`CardinalityMonitor` is created per governed execution (when
 ``config.feedback`` is on).  The executor threads every operator's row
 stream through :meth:`CardinalityMonitor.wrap`; the monitor counts rows
-against the node's precomputed fingerprint and, when a watched operator
+against the key of the memo group the node implements (re-derived from
+the node's ``props`` under the statement's constants, see
+:func:`~repro.feedback.fingerprint.group_key`) and, when a watched operator
 produces more than ``max(estimate × replan_ratio, REPLAN_MIN_ROWS)``
 rows, raises :class:`AdaptiveReplanSignal` to cancel the run so the
 database can replan with the rows-so-far already ingested as feedback.
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.feedback.fingerprint import Fingerprint, fingerprint_plan
+from repro.feedback.fingerprint import Fingerprint, group_key
 from repro.optimizer.plans import PhysicalNode
 
 #: An operator must produce at least this many rows before a blown
@@ -64,11 +66,15 @@ class _NodeCount:
 
 
 class CardinalityMonitor:
-    """Counts per-operator rows against the plan's fingerprints."""
+    """Counts per-operator rows against the keys of the plan's groups."""
 
     def __init__(self, plan: PhysicalNode, replan_ratio: float | None = None) -> None:
         self._counts: dict[int, _NodeCount] = {}
-        for node, (key, collections) in _walk(plan, fingerprint_plan(plan)):
+        known: dict = {}
+        for node in plan.walk():
+            if node.props is None:
+                continue  # unmarked (feedback off, or no memo): unmonitored
+            key, collections = group_key(node.props, known)
             if key is None:
                 continue
             threshold = None
@@ -84,7 +90,7 @@ class CardinalityMonitor:
 
     def wrap(self, node: PhysicalNode, rows: Iterable) -> Iterable:
         """Thread a node's row stream through the counter (identity when
-        the node has no stable fingerprint)."""
+        the node has no group key)."""
         count = self._counts.get(id(node))
         if count is None:
             return rows
@@ -141,16 +147,6 @@ class CardinalityMonitor:
                 and not count.cancelled
             )
             yield count.key, count.collections, count.rows, complete
-
-
-def _walk(
-    plan: PhysicalNode, infos: dict[int, tuple[Fingerprint | None, frozenset[str]]]
-) -> Iterator[tuple[PhysicalNode, tuple[Fingerprint | None, frozenset[str]]]]:
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        yield node, infos[id(node)]
-        stack.extend(node.children)
 
 
 __all__ = ["AdaptiveReplanSignal", "CardinalityMonitor", "REPLAN_MIN_ROWS"]

@@ -12,7 +12,10 @@ Each case runs the query through:
 * the plan-cache path — miss, hit, and re-optimization after a catalog
   mutation (index created and dropped between runs) — plus an
   explicitly prepared ``$param`` variant;
-* a traced run (enabled Tracer) against the untraced reference.
+* a traced run (enabled Tracer) against the untraced reference;
+* two cardinality-feedback runs, the second re-optimizing with what the
+  first observed: rows as the reference's, and every key the first run
+  ingested looked up by the second one's search.
 
 Results are compared as bags of :func:`repro.engine.tuples.row_key`
 identities; ordered outputs additionally compare exact sequences when
@@ -26,6 +29,7 @@ from __future__ import annotations
 import random
 import traceback
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from repro.api import Database
@@ -37,6 +41,7 @@ from repro.errors import (
     OptimizerError,
     ReproError,
 )
+from repro.feedback import render_fingerprint
 from repro.fuzz.querygen import QuerySpec, random_query
 from repro.fuzz.runner import Finding, Mode
 from repro.fuzz.shrink import query_candidates, world_candidates
@@ -121,16 +126,18 @@ def run_case(db: Database, spec: QuerySpec, counts: Counter) -> list[Finding] | 
         elif sequence and _seq(rows) != ref_seq:
             findings.append(Finding(kind, "same rows, different order", text))
 
-    def attempt(kind: str, run, sequence: bool = False) -> None:
+    def attempt(kind: str, run, sequence: bool = False) -> bool:
+        """Compare one configuration's rows; False when it produced none."""
         try:
             rows = run()
         except (NoPlanFoundError, OptimizerError):
-            return  # configuration cannot plan this query: not a bug
+            return False  # configuration cannot plan this query: not a bug
         except Exception:  # noqa: BLE001 - any crash IS the finding here
             counts["pairs"] += 1
             findings.append(Finding(kind, traceback.format_exc(limit=3), text))
-            return
+            return False
         compare(kind, rows, sequence)
+        return True
 
     # --- rule-restricted searches -------------------------------------
     variants = {
@@ -141,9 +148,6 @@ def run_case(db: Database, spec: QuerySpec, counts: Counter) -> list[Finding] | 
         # rewrite — a bad fusion, a wrong pushdown — shows up as a row
         # divergence here.
         "no-rewrites": db.config.with_rewrites(False),
-        # Cardinality feedback on vs the feedback-off reference: the loop
-        # may only ever change plans, never result bytes.
-        "feedback": db.config.with_feedback(True),
     }
     for kind, config in variants.items():
         attempt(
@@ -154,17 +158,35 @@ def run_case(db: Database, spec: QuerySpec, counts: Counter) -> list[Finding] | 
             sequence=exact,
         )
 
-    # A second feedback-on run re-optimizes *with* the observations the
-    # first one just ingested — fed estimates, possibly a different plan
-    # (and possibly a mid-query adaptive replan); rows must still be
-    # byte-identical to the feedback-off reference.
-    attempt(
-        "feedback-warmed",
-        lambda: db.query(
-            text, config=db.config.with_feedback(True), use_cache=False
-        ).rows,
-        sequence=exact,
-    )
+    # Cardinality feedback on vs the feedback-off reference: the loop may
+    # only ever change plans, never result bytes.  A second feedback-on
+    # run re-optimizes *with* the observations the first one ingested —
+    # fed estimates, possibly a different plan (and possibly a mid-query
+    # adaptive replan); its rows must match too, and its search must look
+    # up every key the first run ingested: an observation keyed apart
+    # from the memo group it measured is never read back.
+    feedback = db.config.with_feedback(True)
+
+    def fed_run():
+        return db.query(text, config=feedback, use_cache=False).rows
+
+    with _keys_through(db.feedback, "observe") as ingested:
+        attempt("feedback", fed_run, sequence=exact)
+    with _keys_through(db.feedback, "estimate") as looked_up:
+        warmed = attempt("feedback-warmed", fed_run, sequence=exact)
+    if warmed:
+        counts["pairs"] += 1
+        missed = ingested - looked_up
+        if missed:
+            shown = sorted(render_fingerprint(key) for key in missed)[:3]
+            findings.append(
+                Finding(
+                    "feedback-missed-key",
+                    f"{len(missed)} of {len(ingested)} ingested key(s) never "
+                    f"looked up: {shown!r}",
+                    text,
+                )
+            )
 
     # --- baseline optimizers, and the search with the argument rules off
     def baseline(kind: str):
@@ -224,6 +246,23 @@ def run_case(db: Database, spec: QuerySpec, counts: Counter) -> list[Finding] | 
     attempt("traced", run_traced, sequence=exact)
 
     return findings
+
+
+@contextmanager
+def _keys_through(store, method: str):
+    """The keys of every call to ``store.<method>`` inside the block."""
+    keys: set = set()
+    real = getattr(store, method)
+
+    def record(key, *args, **kwargs):
+        keys.add(key)
+        return real(key, *args, **kwargs)
+
+    setattr(store, method, record)
+    try:
+        yield keys
+    finally:
+        delattr(store, method)
 
 
 def _mutation_index(

@@ -179,67 +179,10 @@ def spill_hash_join(
     tracer: Tracer = NULL_TRACER,
 ) -> Iterator[Row]:
     """Budgeted hash join: in-memory when the build side fits, else Grace."""
-    _require_budget(budget_bytes, "hash join")
-    build_list: list[Row] = []
-    build_bytes = 0
-    for row in build_rows:
-        build_list.append(row)
-        build_bytes += approx_row_bytes(row)
-    if not build_list:
-        return
-    probe_iter = iter(probe_rows)
-    try:
-        first_probe = next(probe_iter)
-    except StopIteration:
-        return
-    probe_stream = itertools.chain([first_probe], probe_iter)
-    if build_bytes <= budget_bytes:
-        yield from iterators.hash_join(
-            iter(build_list), probe_stream, predicate, consts
-        )
-        return
-
-    build_key, probe_key, passes = iterators._lower_join(
-        predicate, build_list[0], first_probe, "hash join", consts
+    return _grace_join(
+        store, build_rows, probe_rows, predicate, consts, budget_bytes, tracer,
+        anti=False,
     )
-    fanout = _fanout(build_bytes, budget_bytes)
-    if tracer.enabled:
-        tracer.event(
-            "spill", "grace-join", partitions=fanout, build_bytes=build_bytes
-        )
-
-    build_parts: list[list[Row]] = [[] for _ in range(fanout)]
-    for row in build_list:
-        key = build_key(row)
-        if None in key:
-            continue  # null never equi-joins
-        build_parts[hash(key) % fanout].append(row)
-    build_runs = [_write_run(store, part) for part in build_parts]
-    del build_list, build_parts
-
-    probe_parts: list[list[tuple[int, Row]]] = [[] for _ in range(fanout)]
-    for sequence, row in enumerate(probe_stream):
-        key = probe_key(row)
-        if None in key:
-            continue
-        probe_parts[hash(key) % fanout].append((sequence, row))
-    probe_runs = [
-        _write_run(store, part, row_of=lambda item: item[1])
-        for part in probe_parts
-    ]
-    del probe_parts
-
-    output: list[tuple[int, Row]] = []
-    for part in range(fanout):
-        table = iterators._hash_table(_read_run(store, build_runs[part]), build_key)
-        for sequence, row in _read_run(store, probe_runs[part]):
-            for match in table.get(probe_key(row), ()):
-                combined = {**match, **row}
-                if passes is None or passes(combined):
-                    output.append((sequence, combined))
-    output.sort(key=lambda item: item[0])  # stable: per-probe match order kept
-    for _, combined in output:
-        yield combined
 
 
 def spill_anti_join(
@@ -252,71 +195,115 @@ def spill_anti_join(
     tracer: Tracer = NULL_TRACER,
 ) -> Iterator[Row]:
     """Budgeted anti-join: budget governs the right (build) side."""
-    _require_budget(budget_bytes, "anti join")
-    right_list: list[Row] = []
-    right_bytes = 0
-    for row in right_rows:
-        right_list.append(row)
-        right_bytes += approx_row_bytes(row)
-    left_iter = iter(left_rows)
+    return _grace_join(
+        store, right_rows, left_rows, predicate, consts, budget_bytes, tracer,
+        anti=True,
+    )
+
+
+def _grace_join(
+    store: ObjectStore,
+    build_rows: Iterable[Row],
+    probe_rows: Iterable[Row],
+    predicate,
+    consts: tuple,
+    budget_bytes: int,
+    tracer: Tracer,
+    anti: bool,
+) -> Iterator[Row]:
+    """The budgeted joins' one skeleton: buffer the build side, peek the
+    probe side, join in memory when the build side fits, else partition
+    both sides onto spill runs, join run by run and restore the probe
+    side's arrival order.  A join emits each matching (build, probe) pair;
+    an anti-join (``anti``) each probe row that no build row matches."""
+    operator = "anti join" if anti else "hash join"
+    _require_budget(budget_bytes, operator)
+    build_list: list[Row] = []
+    build_bytes = 0
+    for row in build_rows:
+        build_list.append(row)
+        build_bytes += approx_row_bytes(row)
+    if not build_list and not anti:
+        return
+    probe_iter = iter(probe_rows)
     try:
-        first_left = next(left_iter)
+        first_probe = next(probe_iter)
     except StopIteration:
         return
-    left_stream = itertools.chain([first_left], left_iter)
-    if not right_list:
-        yield from left_stream
+    probe_stream = itertools.chain([first_probe], probe_iter)
+    if not build_list:
+        yield from probe_stream  # nothing can match: every row survives
         return
-    if right_bytes <= budget_bytes:
-        yield from iterators.anti_join(
-            left_stream, iter(right_list), predicate, consts
-        )
+    if build_bytes <= budget_bytes:
+        if anti:
+            yield from iterators.anti_join(
+                probe_stream, iter(build_list), predicate, consts
+            )
+        else:
+            yield from iterators.hash_join(
+                iter(build_list), probe_stream, predicate, consts
+            )
         return
 
-    left_key, right_key, passes = iterators._lower_join(
-        predicate, first_left, right_list[0], "anti join", consts
-    )
-    fanout = _fanout(right_bytes, budget_bytes)
+    # Lowered with the join's own sides: the anti-join's left is the probe.
+    if anti:
+        probe_key, build_key, passes = iterators._lower_join(
+            predicate, first_probe, build_list[0], operator, consts
+        )
+    else:
+        build_key, probe_key, passes = iterators._lower_join(
+            predicate, build_list[0], first_probe, operator, consts
+        )
+    fanout = _fanout(build_bytes, budget_bytes)
     if tracer.enabled:
         tracer.event(
-            "spill", "grace-anti-join", partitions=fanout, build_bytes=right_bytes
+            "spill",
+            "grace-anti-join" if anti else "grace-join",
+            partitions=fanout,
+            build_bytes=build_bytes,
         )
 
-    right_parts: list[list[Row]] = [[] for _ in range(fanout)]
-    for row in right_list:
-        key = right_key(row)
+    build_parts: list[list[Row]] = [[] for _ in range(fanout)]
+    for row in build_list:
+        key = build_key(row)
         if None in key:
-            continue  # a null key matches no left row
-        right_parts[hash(key) % fanout].append(row)
-    right_runs = [_write_run(store, part) for part in right_parts]
-    del right_list, right_parts
+            continue  # null never equi-joins
+        build_parts[hash(key) % fanout].append(row)
+    build_runs = [_write_run(store, part) for part in build_parts]
+    del build_list, build_parts
 
-    survivors: list[tuple[int, Row]] = []
-    left_parts: list[list[tuple[int, Row]]] = [[] for _ in range(fanout)]
-    for sequence, row in enumerate(left_stream):
-        key = left_key(row)
+    # Output rows tagged with their probe row's arrival sequence.
+    output: list[tuple[int, Row]] = []
+    probe_parts: list[list[tuple[int, Row]]] = [[] for _ in range(fanout)]
+    for sequence, row in enumerate(probe_stream):
+        key = probe_key(row)
         if None in key:
-            survivors.append((sequence, row))  # subquery never matches
-        else:
-            left_parts[hash(key) % fanout].append((sequence, row))
-    left_runs = [
+            if anti:
+                output.append((sequence, row))  # the subquery never matches
+            continue
+        probe_parts[hash(key) % fanout].append((sequence, row))
+    probe_runs = [
         _write_run(store, part, row_of=lambda item: item[1])
-        for part in left_parts
+        for part in probe_parts
     ]
-    del left_parts
+    del probe_parts
 
     for part in range(fanout):
-        table = iterators._hash_table(_read_run(store, right_runs[part]), right_key)
-        for sequence, row in _read_run(store, left_runs[part]):
-            alive = True
-            for match in table.get(left_key(row), ()):
-                if passes is None or passes({**match, **row}):
-                    alive = False
-                    break
-            if alive:
-                survivors.append((sequence, row))
-    survivors.sort(key=lambda item: item[0])
-    for _, row in survivors:
+        table = iterators._hash_table(_read_run(store, build_runs[part]), build_key)
+        for sequence, row in _read_run(store, probe_runs[part]):
+            matches = table.get(probe_key(row), ())
+            if anti:
+                if not any(
+                    passes is None or passes({**match, **row}) for match in matches
+                ):
+                    output.append((sequence, row))
+                continue
+            for match in matches:
+                combined = {**match, **row}
+                if passes is None or passes(combined):
+                    output.append((sequence, combined))
+    output.sort(key=lambda item: item[0])  # stable: per-probe match order kept
+    for _, row in output:
         yield row
 
 

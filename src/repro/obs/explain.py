@@ -235,7 +235,7 @@ def build_report(
             description=node.describe(),
             est_rows=node.rows,
             est_cost_total=node.total_cost.total,
-            est_source=getattr(node, "row_source", "est"),
+            est_source=node.row_source,
         )
         return NodeReport(
             algorithm=stats.algorithm,

@@ -73,7 +73,7 @@ class RunStatsCollector:
                 description=node.describe(),
                 est_rows=node.rows,
                 est_cost_total=node.total_cost.total,
-                est_source=getattr(node, "row_source", "est"),
+                est_source=node.row_source,
             )
             self._stats[id(node)] = record
         return record

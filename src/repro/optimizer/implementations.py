@@ -43,6 +43,7 @@ from repro.algebra.scopes import BindingKind, Scope, VarBinding
 from repro.optimizer import config as rule_names
 from repro.optimizer.context import OptimizeContext
 from repro.optimizer.cost import Cost
+from repro.optimizer.logical_props import LogicalProps
 from repro.optimizer.memo import Group, MExpr
 from repro.optimizer.physical_props import PhysProps, SortKey
 from repro.optimizer.plans import (
@@ -797,11 +798,13 @@ class WarmStartAssemblyImpl(_LoneMatImpl):
 
 
 def _extent_join(
-    link, target_type: str, refs: float, ctx: OptimizeContext
+    link, target_type: str, refs: float, rows: float, ctx: OptimizeContext
 ) -> tuple | None:
     """(local cost, plan builder) of resolving a chain link by a hybrid
     hash join against the target type's extent — the plan Mat-to-Join
-    would reach — or None without a scannable extent."""
+    would reach — or None without a scannable extent.  The join node
+    estimates ``rows``; with feedback on, the scan carries the properties
+    of a ``Get`` of the extent, as the one Mat-to-Join puts in the memo."""
     if not ctx.config.is_enabled(rule_names.HYBRID_HASH_JOIN):
         return None
     extent = ctx.catalog.extent_of(target_type)
@@ -818,6 +821,11 @@ def _extent_join(
         extent_rows, refs, extent_rows * ctx.scope_width(scan_scope)
     )
 
+    scan_rows, scan_props = extent_rows, None
+    if ctx.memo.feedback is not None:
+        scan_props = ctx.memo.derive_props(Get(extent.name, out), ())
+        scan_rows = scan_props.cardinality
+
     def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
         (child,) = children
         scan = FileScanNode(
@@ -825,8 +833,9 @@ def _extent_join(
             out,
             children=(),
             delivered=PhysProps.of(out, order=SortKey(out, None)),
-            rows=extent_rows,
+            rows=scan_rows,
             local_cost=scan_cost,
+            props=scan_props,
         )
         return HashJoinNode(
             link.source.oid_join(out),
@@ -834,7 +843,7 @@ def _extent_join(
             delivered=PhysProps(
                 child.delivered.in_memory | {out}, child.delivered.order
             ),
-            rows=refs,
+            rows=rows,
             local_cost=join_cost,
         )
 
@@ -853,36 +862,56 @@ _LINK_NOTES = {
 def _chain_lowering(mexpr, group: Group, ctx: OptimizeContext) -> tuple:
     """(chain outputs, (local cost, plan builder, note) or None) of one
     MatChain m-expr: the per-link argmin, None when a link has no
-    admissible algorithm."""
+    admissible algorithm.
+
+    A link's node implements the chain up to that link: the top one is
+    the group, and the search marks it as the goal's winner.  With
+    feedback on, each one below carries the properties of a ``Mat`` over
+    the link before it (``Memo.derive_props``), whose key the monitor
+    observes it under and whose estimate it shows; without, nothing
+    reads them and they are not derived."""
     op = mexpr.op
+    memo = ctx.memo
     outs = frozenset(link.out for link in op.links)
-    child = ctx.memo.group(mexpr.children[0]).props
+    child = memo.group(mexpr.children[0]).props
     scope = group.props.scope
     refs = child.cardinality
     # The tuple width entering each link (the pointer join's blocking
     # reference table holds whole tuples).
     width = ctx.scope_width(child.scope)
-    steps: list[tuple[str, Callable]] = []
+    steps: list[tuple[str, Callable, LogicalProps | None]] = []
     total = Cost.zero()
+    derived = child
     for link in op.links:
+        if link is op.links[-1]:
+            props, rows = None, group.props.cardinality  # the goal's winner
+        elif memo.feedback is None:
+            props, rows = None, refs
+        else:
+            derived = memo.derive_props(
+                Mat(op.child, link.source, link.out), (derived,)
+            )
+            props, rows = derived, derived.cardinality
         target_type = scope.binding(link.out).type_name
-        options = _mat_algorithms(link, target_type, refs, width, refs, ctx)
-        joined = _extent_join(link, target_type, refs, ctx)
+        options = _mat_algorithms(link, target_type, refs, width, rows, ctx)
+        joined = _extent_join(link, target_type, refs, rows, ctx)
         if joined is not None:
             options[rule_names.HYBRID_HASH_JOIN] = joined
         if not options:
             return outs, None
         rule, (cost, build) = min(options.items(), key=lambda o: o[1][0].total)
-        steps.append((rule, build))
+        steps.append((rule, build, props))
         total = total + cost
         width += ctx.catalog.type_of(target_type).object_size
 
     def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
-        for _, stack in steps:
-            children = (stack(children),)
+        for _, stack, props in steps:
+            node = stack(children)
+            node.props = props
+            children = (node,)
         return children[0]
 
-    note = "+".join(_LINK_NOTES[rule] for rule, _ in steps)
+    note = "+".join(_LINK_NOTES[rule] for rule, _, _ in steps)
     return outs, (total, build, note)
 
 

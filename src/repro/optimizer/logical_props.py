@@ -16,7 +16,7 @@ collapse-to-index-scan match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.algebra.operators import (
@@ -174,7 +174,12 @@ def derive_cardinality(
 
 @dataclass(frozen=True)
 class LogicalProps:
-    """Scope and estimated cardinality of one memo group."""
+    """Scope and estimated cardinality of one memo group.
+
+    With feedback on, the search marks every winning plan node with the
+    properties of the group it implements, so a node's subplan identity
+    is its group's.
+    """
 
     scope: Scope
     cardinality: float
@@ -185,6 +190,13 @@ class LogicalProps:
     # True when ``cardinality`` came from an observed execution (the
     # feedback store) rather than catalog statistics.
     fed: bool = False
+    # The operator and input properties ``fingerprint`` was derived from:
+    # the cardinality monitor re-derives the key under a cached plan's
+    # running constants (``repro.feedback.fingerprint.group_key``).
+    op: LogicalOp | None = field(default=None, compare=False, repr=False)
+    inputs: tuple["LogicalProps", ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def __str__(self) -> str:
         source = " (fed)" if self.fed else ""

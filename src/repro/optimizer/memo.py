@@ -177,7 +177,8 @@ class Memo:
             return existing, False
 
         if target_gid is None:
-            props = self._derive_props(op, child_gids)
+            child_props = tuple(self.group(g).props for g in child_gids)
+            props = self.derive_props(op, child_props)
             gid = len(self._groups)
             self._groups.append(Group(gid, props))
             self._parent.append(gid)
@@ -239,8 +240,13 @@ class Memo:
     # Logical property derivation (order-independent; see logical_props)
     # ------------------------------------------------------------------
 
-    def _derive_props(self, op: LogicalOp, child_gids: tuple[int, ...]) -> LogicalProps:
-        child_props = tuple(self.group(g).props for g in child_gids)
+    def derive_props(
+        self, op: LogicalOp, child_props: tuple[LogicalProps, ...]
+    ) -> LogicalProps:
+        """The properties of ``op`` over inputs with ``child_props``: a new
+        group's, or those of a plan node a lowered MatChain builds below
+        the group's winner (a Mat over the link before, a Get of an
+        extent), which the node carries as a winner carries its group's."""
         scope = derive_scope(op, tuple(p.scope for p in child_props), self.catalog)
         card = derive_cardinality(
             op, tuple(map(_ROWS, child_props)), self.selectivity, self.catalog
@@ -251,7 +257,9 @@ class Memo:
         fed = False
         if self.feedback is not None and fingerprint is not None:
             card, fed = self.feedback.estimate(fingerprint, self.catalog, card)
-        return LogicalProps(scope, card, fingerprint=fingerprint, fed=fed)
+        return LogicalProps(
+            scope, card, fingerprint=fingerprint, fed=fed, op=op, inputs=child_props
+        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -176,7 +176,6 @@ class Optimizer:
                 plan = engine.best_plan(root_gid, required)
             except SearchBudgetExhausted:
                 plan = self._anytime_fallback(engine, ctx, root_gid, required)
-        self._annotate_row_sources(plan)
         elapsed = time.perf_counter() - started
         return OptimizationResult(
             plan=plan,
@@ -190,24 +189,6 @@ class Optimizer:
             trace_events=tuple(tracer.events),
             rewrites=rewrites,
         )
-
-    def _annotate_row_sources(self, plan: PhysicalNode) -> None:
-        """Mark plan nodes whose row estimate came from the feedback
-        store, so EXPLAIN can show "est (fed)" provenance."""
-        if self.feedback is None:
-            return
-        from repro.feedback.fingerprint import fingerprint_plan
-
-        infos = fingerprint_plan(plan)
-        for node in plan.walk():
-            key, _ = infos[id(node)]
-            if key is None:
-                continue
-            _, fed = self.feedback.estimate(
-                key, self.catalog, float(node.rows), record_stats=False
-            )
-            if fed:
-                node.row_source = "feedback"
 
     def _anytime_fallback(
         self,

@@ -21,6 +21,7 @@ from repro.algebra.operators import ProjectItem, RefSource, SetOpKind
 from repro.algebra.predicates import Comparison, Conjunction, Term
 from repro.catalog.catalog import IndexDef
 from repro.optimizer.cost import Cost
+from repro.optimizer.logical_props import LogicalProps
 from repro.optimizer.physical_props import PhysProps
 
 
@@ -40,9 +41,13 @@ class PhysicalNode(_SubtreeCost):
     delivered: PhysProps = field(default_factory=PhysProps.none, kw_only=True)
     rows: float = field(default=0.0, kw_only=True)
     local_cost: Cost = field(default_factory=Cost.zero, kw_only=True)
-    # Provenance of ``rows``: "est" (catalog statistics) or "feedback"
-    # (an observed cardinality from the feedback store).
-    row_source: str = field(default="est", kw_only=True)
+    # The properties of the memo group the node implements, set when the
+    # node wins its goal in a feedback-on search (a lowered MatChain
+    # link's carry the partial chain's): its subplan identity for
+    # cardinality feedback.  None: the node is not monitored.
+    props: LogicalProps | None = field(
+        default=None, kw_only=True, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         # Estimated cost of the whole subtree, summed once, left to right.
@@ -50,6 +55,13 @@ class PhysicalNode(_SubtreeCost):
         for child in self.children:
             cost = cost + child.total_cost
         self.total_cost = cost
+
+    @property
+    def row_source(self) -> str:
+        """Provenance of ``rows``: "feedback" when the memo replaced the
+        group's estimate with an observed cardinality, else "est"."""
+        props = self.props
+        return "feedback" if props is not None and props.fed else "est"
 
     @property
     def algorithm(self) -> str:

@@ -104,6 +104,9 @@ class SearchEngine:
             rule for rule in implementations if ctx.config.is_enabled(rule.name)
         )
         self.stats = SearchStats()
+        # Only a feedback-on plan is monitored, so only its winners carry
+        # their group's properties: a cached plan otherwise keeps none.
+        self.marks_winners = ctx.memo.feedback is not None
         self._winners: dict[tuple[int, PhysProps], _Winner] = {}
         # Per group: the (rule, m-expr) pairs whose declaration matches,
         # rule-major (promise order: under a cap earlier rules go first).
@@ -347,6 +350,10 @@ class SearchEngine:
         if best is None:
             outcome = "no plan"
         else:
+            if self.marks_winners:
+                # The winner implements the group: it carries the group's
+                # properties, and so its key for cardinality feedback.
+                best.props = group.props
             outcome = f"{best.algorithm} @ {best_cost:.3f}s"
         # Rendered per task, not on demand: the goal objects a deferred
         # rendering would have to keep outweigh the strings.

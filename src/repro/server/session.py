@@ -137,7 +137,7 @@ class Session:
         try:
             result = self.db.query(
                 text,
-                config=self.shell._config(),
+                config=self.shell.config,
                 options=self.shell._options(),
                 transaction=self.shell.transaction,
             )

@@ -62,6 +62,25 @@ class TestCommands:
         output = run_lines(shell, ".enable collapse-to-index-scan", ".rules")
         assert "collapse-to-index-scan\n" in output
 
+    def test_rule_toggles_act_on_the_sessions_config(self, shell):
+        """The shell starts from the database's config: a rule that is off
+        by default lists as disabled and is enabled for real, the rewrite
+        rules are listed, and an unknown name is rejected."""
+        from repro.optimizer.config import ALL_REWRITES, WARM_START_ASSEMBLY
+
+        listing = run_lines(shell, ".rules")
+        assert f"{WARM_START_ASSEMBLY} (disabled)\n" in listing
+        for name in ALL_REWRITES:
+            assert f"  {name}\n" in listing
+        output = run_lines(shell, f".enable {WARM_START_ASSEMBLY}", ".rules")
+        assert f"enabled {WARM_START_ASSEMBLY}" in output
+        assert f"{WARM_START_ASSEMBLY} (disabled)" not in output
+        assert shell.config.is_enabled(WARM_START_ASSEMBLY)
+        output = run_lines(shell, ".disable no-such-rule", ".rules")
+        assert "error: unknown rule 'no-such-rule'" in output
+        assert "known rules: rewrite-pushdown," in output
+        assert "(disabled)" not in output
+
     def test_disabled_rule_changes_plan(self, shell):
         run_lines(shell, ".index ixm Cities mayor.name")
         with_rule = run_lines(

@@ -14,9 +14,10 @@ import pytest
 
 from repro.api import Database
 from repro.errors import IndexCorruptionError
-from repro.feedback import CardinalityMonitor, fingerprint_plan
+from repro.feedback import CardinalityMonitor, group_key
 from repro.governor.context import QueryContext
 from repro.governor.faults import FaultPlan
+from repro.optimizer.config import ASSEMBLY, POINTER_JOIN
 from repro.fuzz.worldgen import (
     AttrSpec,
     IndexSpec,
@@ -196,11 +197,14 @@ class TestFeedbackLoop:
         """Monitoring is per operator, not per subtree root: an engine
         that runs inner operators itself must still thread each of them
         through the monitor (``ingested > 0`` would not notice)."""
-        plan = sample_db.optimize(text).plan
+        config = sample_db.config.with_feedback(True)
+        plan = sample_db.optimize(text, config=config).plan
         monitor = CardinalityMonitor(plan)
         sample_db.execute_plan(plan, monitor=monitor)
         observations = list(monitor.observations())
-        keys = {key for key, _ in fingerprint_plan(plan).values() if key is not None}
+        known = {}
+        keys = {group_key(node.props, known)[0] for node in plan.walk()}
+        assert None not in keys
         assert len(observations) == len(keys)
         assert all(complete for _, _, _, complete in observations)
 
@@ -218,6 +222,103 @@ class TestFeedbackLoop:
         assert runs[0].simulated_io_seconds == pytest.approx(
             runs[1].simulated_io_seconds, rel=0, abs=1e-9
         )
+
+
+class TestObservationsAreReadBack:
+    """An observation is keyed by the memo group its plan node implements,
+    so re-optimizing reads every one of them back: a Mat-to-Join hash join
+    reports its Mat group's key and a path index scan its Select group's."""
+
+    @pytest.mark.parametrize(
+        "text, index, observed",
+        [
+            (PAPER_QUERIES[0], None, 8),
+            (PAPER_QUERIES[1], ("ix_mayor_name", "Cities", ("mayor", "name")), 1),
+        ],
+        ids=["q1-hash-join", "q2-path-index"],
+    )
+    def test_reoptimization_serves_every_observation(self, text, index, observed):
+        db = Database.sample(scale=0.05, seed=1)
+        if index is not None:
+            db.create_index(*index)
+        db.config = db.config.with_feedback(True)
+        db.query(text, use_cache=False)
+        assert len(db.feedback) == db.feedback.stats.ingested == observed
+        db.optimize(text)
+        unserved = [obs for obs in db.feedback.entries() if not obs.hits]
+        assert not unserved
+        report = db.explain_analyze(text)
+        nodes = list(report.root.walk())
+        for node in nodes:
+            assert node.est_rows == node.actual_rows, node.description
+            assert node.est_source == "feedback", node.description
+        assert report.render().count("(fed)") == len(nodes)
+
+    @pytest.mark.parametrize(
+        "disabled",
+        [(), (ASSEMBLY, POINTER_JOIN)],
+        ids=["per-link-algorithms", "extent-joins"],
+    )
+    def test_each_link_of_a_lowered_chain_is_observed_and_fed(self, disabled):
+        """A fused two-link chain has one group, but a plan node per link
+        (and per extent scan): each is keyed as the partial chain it
+        computes, and the next optimization feeds every one of them."""
+        text = (
+            "SELECT e.name FROM Employee e IN Employees, "
+            "Department d IN extent(Department), Job j IN extent(Job) "
+            "WHERE e.department == d AND e.job == j"
+        )
+        db = Database.sample(scale=0.05, seed=1)
+        db.config = db.config.without(*disabled).with_feedback(True)
+        result = db.query(text, use_cache=False)
+        assert "MatChain" in result.optimization.logical.pretty()
+        nodes = list(result.plan.walk())
+        assert all(node.props is not None for node in nodes)
+        assert len(db.feedback) == len(nodes)
+        db.optimize(text)
+        assert all(obs.hits for obs in db.feedback.entries())
+        report = db.explain_analyze(text)
+        for node in report.root.walk():
+            assert node.est_rows == node.actual_rows, node.description
+            assert node.est_source == "feedback", node.description
+
+    def test_fed_marks_only_the_estimates_the_memo_replaced(self):
+        """Another query over a subplan already observed: the observed
+        group's node is marked, the new groups' are not."""
+        db = Database.sample(scale=0.05, seed=1)
+        db.config = db.config.with_feedback(True)
+        db.query("SELECT * FROM City c IN Cities", use_cache=False)
+        plan = db.optimize(PAPER_QUERIES[1]).plan
+        sources = [(node.algorithm, node.row_source) for node in plan.walk()]
+        assert len(sources) > 1
+        for algorithm, source in sources:
+            assert source == ("feedback" if algorithm == "FileScan" else "est")
+        assert db.explain(PAPER_QUERIES[1], costs=True).count("(fed)") == 1
+
+    def test_bindings_of_one_template_observe_their_own_constants(self):
+        db = Database.sample(scale=0.05, seed=1)
+        db.config = db.config.with_feedback(True)
+        template = "SELECT * FROM City c IN Cities WHERE c.population > {}"
+        low, high = template.format(100000), template.format(500000)
+        while db.query(low).cache.outcome != "hit":
+            pass  # until the observations, and so the entry, are stable
+        result = db.query(high)
+        assert result.cache.outcome == "hit"
+        selects = {
+            obs.key: obs.rows
+            for obs in db.feedback.entries()
+            if obs.key[0] == "select"
+        }
+        by_constant = {
+            constant: rows
+            for key, rows in selects.items()
+            for constant in ("100000", "500000")
+            if constant in str(key)
+        }
+        assert len(selects) == 2
+        assert by_constant["500000"] == len(result.rows)
+        assert by_constant["100000"] == len(db.query(low).rows)
+        assert by_constant["100000"] > by_constant["500000"]
 
 
 class TestReplanReasonsCompose:

@@ -16,7 +16,7 @@ from repro.feedback import (
     AdaptiveReplanSignal,
     CardinalityMonitor,
     FeedbackStore,
-    fingerprint_plan,
+    group_key,
 )
 from repro.obs.explain import NodeReport
 from repro.optimizer.config import (
@@ -38,9 +38,13 @@ def db() -> Database:
     return Database.sample(scale=SCALE)
 
 
+def _fed_plan(db: Database, text: str, config=None):
+    """A feedback-on plan: its nodes carry their groups' properties."""
+    return db.optimize(text, config=(config or db.config).with_feedback(True)).plan
+
+
 def _root_key(db: Database, text: str, config=None):
-    plan = db.optimize(text, config=config).plan
-    key, _ = fingerprint_plan(plan)[id(plan)]
+    key, _ = group_key(_fed_plan(db, text, config).props)
     return key
 
 
@@ -51,18 +55,22 @@ def _root_key(db: Database, text: str, config=None):
 
 class TestFingerprint:
     def test_every_sample_plan_node_has_a_key(self, db):
-        plan = db.optimize(
-            'SELECT * FROM City c IN Cities WHERE c.mayor.name == "Joe"'
-        ).plan
-        infos = fingerprint_plan(plan)
+        plan = _fed_plan(
+            db, 'SELECT * FROM City c IN Cities WHERE c.mayor.name == "Joe"'
+        )
+        known = {}
         for node in plan.walk():
-            key, collections = infos[id(node)]
+            key, collections = group_key(node.props, known)
             assert key is not None
             assert collections  # every sample subplan reads a collection
 
-    def test_index_scan_and_filtered_scan_share_key(self, db):
-        """The same logical selection, with and without index collapse."""
+    def test_index_scan_and_filtered_scan_share_key(self):
+        """The same logical selection, with and without index collapse:
+        a path index scan reports the key of the group it implements."""
+        db = Database.sample(scale=SCALE)
+        db.create_index("ix_mayor_name", "Cities", ("mayor", "name"))
         text = 'SELECT * FROM City c IN Cities WHERE c.mayor.name == "Joe"'
+        assert _fed_plan(db, text).algorithm == "IndexScan"
         assert _root_key(db, text) == _root_key(
             db, text, config=db.config.without(COLLAPSE_TO_INDEX_SCAN)
         )
@@ -164,7 +172,7 @@ class TestFeedbackStore:
 
 class TestCardinalityMonitor:
     def _plan(self, db):
-        return db.optimize("SELECT * FROM City c IN Cities").plan
+        return _fed_plan(db, "SELECT * FROM City c IN Cities")
 
     def test_counts_consumed_rows(self, db):
         plan = self._plan(db)
