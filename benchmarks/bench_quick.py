@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """The CI perf gate's measurements: exact counts and one floor.
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/bench_quick.py --output BENCH_PR.json
+    PYTHONPATH=src python benchmarks/bench_quick.py --output BENCH_PR.json
     python benchmarks/check_regression.py BENCH_BASELINE.json BENCH_PR.json
 
 Every metric but one is an exact function of code and seed, so
 ``check_regression.py`` requires it to equal the committed
 ``BENCH_BASELINE.json``:
 
-* Query 2's simulated page reads and simulated I/O time at scale 0.1.  The
-  index pages' place on the simulated disk still follows the string hash
-  of the index name, hence the pinned ``PYTHONHASHSEED``;
+* Query 2's simulated page reads and simulated I/O time at scale 0.1;
 * the memo groups of a five-collection join chain (a search-space blowup);
 * for each statement workload of ``benchmarks/e2e``, the traced counts of
   ``compare.EXACT`` at seed 1.

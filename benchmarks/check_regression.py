@@ -11,8 +11,8 @@ when the candidate's value equals the baseline's.  A metric on one side
 only fails, and so does a baseline recorded under another Python minor
 version (``api.py_calls_per_stmt`` counts interpreter-level calls).  A
 change that moves a count on purpose re-records the baseline in the same
-commit: ``PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/bench_quick.py
---output BENCH_BASELINE.json``.
+commit: ``PYTHONPATH=src python benchmarks/bench_quick.py --output
+BENCH_BASELINE.json``.
 """
 
 from __future__ import annotations

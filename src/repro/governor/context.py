@@ -69,20 +69,23 @@ class QueryContext:
     def from_options(
         cls, options: Mapping[str, Any], tracer: Tracer
     ) -> "QueryContext":
-        """Build a context from ``$``-key per-query options."""
-        unknown = sorted(set(options) - set(cls.OPTION_KEYS))
-        if unknown:
-            known = ", ".join(cls.OPTION_KEYS)
-            raise ParameterBindingError(
-                f"unknown query option(s) {', '.join(unknown)}; "
-                f"supported: {known}"
-            )
+        """Build a context from ``$``-key per-query options (bools are not numbers)."""
+        for key, value in options.items():
+            if key not in cls.OPTION_KEYS:
+                known = ", ".join(cls.OPTION_KEYS)
+                raise ParameterBindingError(f"unknown query option {key}; supported: {known}")
+            if isinstance(value, bool) or not (
+                isinstance(value, int) if key == "$chaos"
+                else isinstance(value, (int, float)) and value > 0
+            ):
+                kind = "an int" if key == "$chaos" else "a positive number"
+                raise ParameterBindingError(f"{key} must be {kind}, not {value!r}")
         chaos = options.get("$chaos")
         return cls(
             timeout_ms=options.get("$timeout"),
             search_timeout_ms=options.get("$search_timeout"),
             memory_bytes=options.get("$memory"),
-            fault_plan=FaultPlan.chaos(int(chaos)) if chaos is not None else None,
+            fault_plan=FaultPlan.chaos(chaos) if chaos is not None else None,
             tracer=tracer,
         )
 

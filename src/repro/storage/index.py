@@ -46,6 +46,7 @@ if TYPE_CHECKING:
 
 ENTRY_BYTES = 16  # key digest + oid per leaf entry
 INTERIOR_FANOUT = 200
+EXTENT_PAGES = 1000  # simulated pages per index: root, interior levels, ~256k leaf entries
 
 #: Change-log "key" of a root that is not (yet, or any longer) a member.
 _ABSENT = object()
@@ -281,11 +282,10 @@ class IndexRuntime:
         faults = store.buffer.faults
         if faults is not None and faults.index_corrupted(self.definition.name):
             raise IndexCorruptionError(self.definition.name)
-        # Interior traversal: `height` random page reads (synthetic page ids
-        # beyond the data segments so they never collide with object pages).
-        # The shape is that of the index as of the reading view.
+        # `height` interior page reads, then the leaves, in the index's own
+        # extent; the shape is that of the index as of the reading view.
         height, leaf_pages = btree_shape(entry_count, DEFAULT_PAGE_SIZE)
-        base = store.total_pages() + hash(self.definition.name) % 1000
+        base = store.indexes.page_base(self.definition.name)
         for level in range(height):
             store.buffer.read_page(base + level)
         leaf_span = max(1, -(-len(matches) * ENTRY_BYTES // DEFAULT_PAGE_SIZE))
@@ -729,6 +729,7 @@ class IndexRegistry:
     def __init__(self, store: "ObjectStore") -> None:
         self._store = store
         self._built: dict[str, IndexRuntime] = {}
+        self._extents: dict[str, int] = {}  # name -> ordinal of its page extent
 
     def get(self, definition: IndexDef) -> IndexRuntime:
         """The maintained index for a catalog definition."""
@@ -756,7 +757,13 @@ class IndexRegistry:
         """Register an index built at the current CSN as the maintained
         one for ``definition`` (commit lock held by the caller)."""
         index.definition = definition
+        self._extents.setdefault(definition.name, len(self._extents))
         self._built[definition.name] = index
+
+    def page_base(self, name: str) -> int:
+        """First page of index ``name``: one ``EXTENT_PAGES`` stride per name,
+        in adoption order past the base segments, kept by every later build."""
+        return self._store.total_pages() + EXTENT_PAGES * self._extents[name]
 
     def built(self, name: str) -> IndexRuntime | None:
         """The index registered under ``name``, if it has been built."""

@@ -43,8 +43,8 @@ if TYPE_CHECKING:
 #: Sentinel distinguishing "no visible version" from a None tombstone.
 _MISSING = object()
 
-#: Pages for post-seal inserts live in a reserved range between the data
-#: segments and the spill region, so growth never collides with either.
+#: Pages for post-seal inserts live in a reserved range past the index
+#: extents and short of the spill region, so growth collides with neither.
 OVERFLOW_PAGE_GAP = 50_000
 
 

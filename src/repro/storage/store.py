@@ -78,7 +78,7 @@ class ObjectStore:
         #: serial (its insertion position), never a per-object lookup.
         self._layout: dict[str, tuple[int, int, int]] = {}
         #: Pages the base segments span, fixed at seal() with the layout:
-        #: every index probe places its synthetic pages beyond them.
+        #: the indexes' page extents follow them.
         self._total_pages = 0
         self._collections: dict[str, list[Oid]] = {}
         #: collection -> page runs of its base member list, built on first scan.
@@ -340,15 +340,15 @@ class ObjectStore:
         """Pages spanned by the sealed segments (0 until ``seal``)."""
         return self._total_pages
 
-    #: Gap between data pages and the temp (spill) page range, leaving
-    #: room for the index runtimes' synthetic traversal/leaf pages.
+    #: Gap between data pages and the temp (spill) page range; the index
+    #: extents (``index.EXTENT_PAGES`` each) and overflow pages lie between.
     TEMP_PAGE_GAP = 100_000
 
     def allocate_temp_pages(self, count: int) -> list[int]:
         """Reserve ``count`` fresh temp page ids for spill output.
 
-        Temp pages live far beyond the data segments and the indexes'
-        synthetic pages, so spill I/O never collides with (or caches as)
+        Temp pages live far beyond the data segments and the index
+        extents, so spill I/O never collides with (or caches as)
         real data; the disk span grows so seek distances stay modelled.
         Thread-safe: server sessions spill against one shared store.
         """

@@ -41,7 +41,7 @@ def _delta(before, after) -> list[int]:
     return [after.hits - before.hits, after.misses - before.misses]
 
 
-def _pair(db: Database, text: str, plan: FaultPlan, config=None, figures=FIGURES):
+def _pair(db: Database, text: str, plan: FaultPlan, config=None):
     """The governed run of ``text`` under ``plan``, then the same text clean."""
     pool = db.store.buffer
     start = pool.stats_snapshot()
@@ -59,7 +59,7 @@ def _pair(db: Database, text: str, plan: FaultPlan, config=None, figures=FIGURES
         "clean": _delta(middle, end),
     }
     del failure  # its traceback holds this frame
-    for figure in figures:
+    for figure in FIGURES:
         entry[figure] = getattr(clean, figure)
     return entry
 
@@ -73,15 +73,12 @@ def record_all() -> dict[str, dict]:
                 plan = FaultPlan(seed=seed, read_error_prob=prob, max_retries=retries)
                 cases[f"seed{seed}-p{prob}-r{retries}-{name}"] = _pair(db, text, plan)
     # The point lookup's fetches, one miss each, on a database of its own
-    # (the disk head it leaves behind is part of the cases above).  Its index
-    # pages sit at an offset taken from the string hash: no simulated time.
+    # (the disk head it leaves behind is part of the cases above).
     db = probe_db(0.05)
     for seed in SEEDS:
         for prob, retries in FAULTS:
             plan = FaultPlan(seed=seed, read_error_prob=prob, max_retries=retries)
-            cases[f"seed{seed}-p{prob}-r{retries}-pt_emp"] = _pair(
-                db, PT_EMP, plan, BY_INDEX, FIGURES[:2]
-            )
+            cases[f"seed{seed}-p{prob}-r{retries}-pt_emp"] = _pair(db, PT_EMP, plan, BY_INDEX)
     return cases
 
 

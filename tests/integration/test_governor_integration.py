@@ -9,6 +9,7 @@ regression, and a 200-round chaos sweep at 5% transient fault rate.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from repro.api import Database
 from repro.errors import (
     AdmissionRejected,
     GovernorError,
+    ParameterBindingError,
     QueryCancelled,
     QueryTimeout,
     StorageFaultError,
@@ -166,6 +168,14 @@ class TestTypedFailures:
                 fresh_db.query(
                     query, use_cache=False, options={"$timeout": timeout_ms}
                 )
+
+    @pytest.mark.parametrize("key, value", [
+        ("$memory", "abc"), ("$memory", True), ("$memory", -1), ("$timeout", "abc"),
+        ("$timeout", 0), ("$search_timeout", float("nan")), ("$chaos", "x"),
+        ("$chaos", 1.5), ("$bogus", 1)])
+    def test_malformed_option_is_a_binding_error(self, plain_db, key, value):
+        with pytest.raises(ParameterBindingError, match=re.escape(key)):
+            plain_db.query(QUERY_3, options={key: value})
 
     def test_cancel_raises_query_cancelled(self, fresh_db):
         ctx = QueryContext()

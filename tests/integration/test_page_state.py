@@ -27,7 +27,6 @@ import pytest
 
 from repro.api import Database
 from repro.optimizer.config import FILE_SCAN, OptimizerConfig
-from repro.storage.mvcc import OVERFLOW_PAGE_GAP
 
 from tests.conftest import QUERY_2
 from tests.integration.test_page_trace import CITY_SCAN, FIGURES, PAPER, RANGE_PROBE
@@ -56,24 +55,11 @@ def _digest(items) -> list:
     return [len(items), hashlib.sha256(text.encode()).hexdigest()]
 
 
-def observed(db: Database, run, figures=FIGURES) -> dict:
-    """Run one statement; the golden entry for what it did to the store.
-
-    Index pages sit at an offset taken from ``hash(index name)``, so they
-    are relabelled by first appearance, and a case that reads them leaves
-    ``simulated_io_seconds`` (seek distances) out of ``figures``.
-    """
-    store, pool, disk = db.store, db.store.buffer, db.store.disk
-    index_pages = range(store.total_pages(), store.total_pages() + OVERFLOW_PAGE_GAP)
-    synthetic: dict[int, str] = {}
+def observed(db: Database, run) -> dict:
+    """Run one statement; the golden entry for what it did to the store."""
+    pool, disk = db.store.buffer, db.store.disk
     scopes: list[object] = []
     reads: list[str] = []
-
-    def label(page: int):
-        if page in index_pages:
-            return synthetic.setdefault(page, f"i{len(synthetic)}")
-        return page
-
     original = disk.read
 
     def recording(page_id: int) -> float:
@@ -83,7 +69,7 @@ def observed(db: Database, run, figures=FIGURES) -> dict:
             if not any(stack[-1] is seen for seen in scopes):
                 scopes.append(stack[-1])
             scope = next(n for n, seen in enumerate(scopes) if seen is stack[-1])
-        reads.append(f"{label(page_id)}:{scope}")
+        reads.append(f"{page_id}:{scope}")
         return original(page_id)
 
     before = pool.stats_snapshot()
@@ -98,10 +84,10 @@ def observed(db: Database, run, figures=FIGURES) -> dict:
         "disk_reads": _digest(reads),
         "hits": after.hits - before.hits,
         "misses": after.misses - before.misses,
-        "frames": _digest(label(page) for page in pool._frames),
+        "frames": _digest(pool._frames),
         "rows": len(execution.rows),
     }
-    for name in figures:
+    for name in FIGURES:
         entry[name] = getattr(execution, name)
     root = getattr(outcome, "root", None)
     if root is not None:  # EXPLAIN ANALYZE: the plan tree in preorder
@@ -137,8 +123,8 @@ def record_scale(scale: float) -> dict[str, dict]:
     db = Database.sample(scale=scale, seed=1)
     db.create_index("ix_mayor", "Cities", ("mayor", "name"))
     db.create_index("ix_time", "Tasks", ("time",))
-    cases["index-q2"] = observed(db, lambda: db.query(QUERY_2), FIGURES[:2])
-    cases["index-range"] = observed(db, lambda: db.query(RANGE_PROBE), FIGURES[:2])
+    cases["index-q2"] = observed(db, lambda: db.query(QUERY_2))
+    cases["index-range"] = observed(db, lambda: db.query(RANGE_PROBE))
 
     for capacity in (2048, 16):
         db = Database.sample(scale=scale, seed=1)
@@ -172,9 +158,7 @@ def record_scale(scale: float) -> dict[str, dict]:
 
     def probe(db: Database, transaction=None):
         return observed(
-            db,
-            lambda: db.query(PT_EMP, config=BY_INDEX, transaction=transaction),
-            FIGURES[:2],
+            db, lambda: db.query(PT_EMP, config=BY_INDEX, transaction=transaction)
         )
 
     db = probe_db(scale)

@@ -25,7 +25,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import Database
-from repro.storage.mvcc import OVERFLOW_PAGE_GAP
 
 from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4
 
@@ -42,21 +41,13 @@ class PageTrace:
     Both are id-free.  The scope label is the ordinal at which that scope
     object was first seen on its thread (``None`` with no scope pushed),
     so two runs agree exactly when they attribute the same requests to
-    the same operators in the same order.  Data and overflow pages are
-    recorded as they are; an index's synthetic pages sit at an offset
-    taken from ``hash(index name)``, which string-hash randomisation
-    moves from process to process, so those are relabelled by first
-    appearance (``i0``, ``i1``, ...).
+    the same operators in the same order.
     """
 
     def __init__(self, store) -> None:
         self.pool = store.buffer
-        self._index_pages = range(
-            store.total_pages(), store.total_pages() + OVERFLOW_PAGE_GAP
-        )
         self.threads: dict[threading.Thread, list[tuple]] = {}
         self._scopes: dict[threading.Thread, list[object]] = {}
-        self._synthetic: dict[int, str] = {}
         self._lock = threading.Lock()
 
     def _entry(self, thread, page_id: int, scope) -> tuple:
@@ -70,10 +61,7 @@ class PageTrace:
             else:
                 label = len(seen)
                 seen.append(scope)
-        page = page_id
-        if page_id in self._index_pages:
-            page = self._synthetic.setdefault(page_id, f"i{len(self._synthetic)}")
-        return page, label
+        return page_id, label
 
     def __enter__(self) -> "PageTrace":
         pool, read_page, rehit = self.pool, self.pool.read_page, self.pool.rehit
@@ -126,14 +114,8 @@ class PageTrace:
 FIGURES = ("page_reads", "buffer_hit_rate", "simulated_io_seconds")
 
 
-def traced(db: Database, run, figures=FIGURES) -> dict:
-    """Run one statement under a page trace; the golden entry for it.
-
-    ``figures`` names the ``ExecutionResult`` numbers that are a function
-    of the sequence alone for this case: all three on a serial run over
-    data pages; no simulated time when index pages (whose seek distance
-    follows the string hash) are read.
-    """
+def traced(db: Database, run) -> dict:
+    """Run one statement under a page trace; the golden entry for it."""
     with PageTrace(db.store) as trace:
         execution = run().execution
     entry = {
@@ -141,7 +123,7 @@ def traced(db: Database, run, figures=FIGURES) -> dict:
         "scoped_calls": trace.scoped_calls,
         "rows": len(execution.rows),
     }
-    for name in figures:
+    for name in FIGURES:
         entry[name] = getattr(execution, name)
     return entry
 
@@ -161,8 +143,8 @@ def record_all() -> dict[str, dict]:
     db = Database.sample(scale=0.05, seed=1)
     db.create_index("ix_mayor", "Cities", ("mayor", "name"))
     db.create_index("ix_time", "Tasks", ("time",))
-    cases["index-q2"] = traced(db, lambda: db.query(QUERY_2), FIGURES[:2])
-    cases["index-range"] = traced(db, lambda: db.query(RANGE_PROBE), FIGURES[:2])
+    cases["index-q2"] = traced(db, lambda: db.query(QUERY_2))
+    cases["index-range"] = traced(db, lambda: db.query(RANGE_PROBE))
 
     db = Database.sample(scale=0.05, seed=1)
     cases["explain-analyze-q1"] = traced(db, lambda: db.explain_analyze(QUERY_1))

@@ -14,7 +14,7 @@ from repro.catalog.schema import Schema, TypeDef, scalar
 from repro.engine.iterators import assembly, file_scan
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskSimulator
-from repro.storage.index import IndexRuntime
+from repro.storage.index import EXTENT_PAGES
 from repro.storage.mvcc import OVERFLOW_PAGE_GAP
 from repro.storage.objects import Oid
 from repro.storage.store import ObjectStore
@@ -118,7 +118,7 @@ def _typed_store(specs) -> ObjectStore:
 class TestAddressing:
     """``page_of`` against the layout written out independently: base
     objects by arithmetic on their position, post-seal objects on the
-    allocator's overflow pages."""
+    allocator's overflow pages, an index's pages in its own extent."""
 
     @given(type_specs, st.lists(st.integers(0, 3), max_size=25), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
@@ -186,6 +186,19 @@ class TestAddressing:
                         for share in range(degree)
                     ]
                 ) == pages
+
+        # An index reads only its own extent: one stride each, in creation
+        # order, past the base pages and short of the overflow range.  The
+        # second round rebuilds them in reverse after the registry forgot
+        # them all: a name keeps its extent.
+        for order in (range(len(specs)), reversed(range(len(specs)))):
+            store.indexes.clear()
+            for number in order:
+                index = store.indexes.get(IndexDef(f"ix{number}", extent_name(f"T{number}"), ("n",), 1))
+                start = next_page + number * EXTENT_PAGES
+                pages = set(requested(lambda: index.lookup_range(view, low=-1)))
+                assert pages and pages <= set(range(start, start + EXTENT_PAGES))
+                assert base_pages.isdisjoint(pages) and max(pages) < next_page + OVERFLOW_PAGE_GAP
 
 
 class ReferencePool:
@@ -406,9 +419,7 @@ class TestIndexAgainstScan:
     @settings(max_examples=40)
     def test_index_lookup_equals_scan_filter(self, values, probe):
         store = _store_with([str(v) for v in values], 500)
-        index = IndexRuntime.build(
-            store, IndexDef("ix", extent_name("T"), ("name",), 11)
-        )
+        index = store.indexes.get(IndexDef("ix", extent_name("T"), ("name",), 11))
         via_index = sorted(index.lookup_eq(store, str(probe)))
         via_scan = sorted(
             oid
@@ -421,9 +432,7 @@ class TestIndexAgainstScan:
     @settings(max_examples=40)
     def test_range_lookup_equals_scan_filter(self, values):
         store = _store_with([str(v).zfill(2) for v in values], 500)
-        index = IndexRuntime.build(
-            store, IndexDef("ix", extent_name("T"), ("name",), 51)
-        )
+        index = store.indexes.get(IndexDef("ix", extent_name("T"), ("name",), 51))
         via_index = sorted(index.lookup_range(store, low="10", high="30"))
         via_scan = sorted(
             oid

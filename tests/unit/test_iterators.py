@@ -14,7 +14,6 @@ from repro.algebra.predicates import (
 from repro.catalog.catalog import Catalog, IndexDef, extent_name
 from repro.catalog.schema import Schema, TypeDef, ref, scalar, set_ref
 from repro.engine import iterators as it
-from repro.storage.index import IndexRuntime
 from repro.storage.store import ObjectStore
 
 
@@ -73,9 +72,7 @@ class TestScans:
         assert all(rows[i]["p"].resident for i in range(4))
 
     def test_index_scan_eq(self, store):
-        index = IndexRuntime.build(
-            store, IndexDef("ix", PERSONS, ("name",), 3)
-        )
+        index = store.indexes.get(IndexDef("ix", PERSONS, ("name",), 3))
         rows = list(
             it.index_scan(
                 store,
@@ -88,7 +85,7 @@ class TestScans:
         assert {r["p"].field("age") for r in rows} == {50, 30}
 
     def test_index_scan_residual(self, store):
-        index = IndexRuntime.build(store, IndexDef("ix", PERSONS, ("name",), 3))
+        index = store.indexes.get(IndexDef("ix", PERSONS, ("name",), 3))
         rows = list(
             it.index_scan(
                 store,
@@ -103,7 +100,7 @@ class TestScans:
         assert [r["p"].field("age") for r in rows] == [50]
 
     def test_index_scan_range(self, store):
-        index = IndexRuntime.build(store, IndexDef("ix", PERSONS, ("age",), 4))
+        index = store.indexes.get(IndexDef("ix", PERSONS, ("age",), 4))
         rows = list(
             it.index_scan(
                 store,
@@ -116,7 +113,7 @@ class TestScans:
         assert {r["p"].field("age") for r in rows} == {50, 60}
 
     def test_index_scan_flipped_constant(self, store):
-        index = IndexRuntime.build(store, IndexDef("ix", PERSONS, ("age",), 4))
+        index = store.indexes.get(IndexDef("ix", PERSONS, ("age",), 4))
         rows = list(
             it.index_scan(
                 store,

@@ -27,7 +27,6 @@ from repro.fuzz.worldgen import AttrSpec, TypeSpec, WorldSpec, build_database
 from repro.optimizer.config import FILE_SCAN
 from repro.optimizer.optimizer import Optimizer
 from repro.simplify.simplifier import Simplifier
-from repro.storage.index import IndexRuntime
 from repro.storage.store import ObjectStore
 
 PERSONS = extent_name("Person")
@@ -108,9 +107,7 @@ class TestSortEnforcer:
 
 class TestIndexScan:
     def test_ne_probe_excludes_the_null_bucket(self, store):
-        index = IndexRuntime.build(
-            store, IndexDef("ix", PERSONS, ("name",), 3)
-        )
+        index = store.indexes.get(IndexDef("ix", PERSONS, ("name",), 3))
         rows = list(
             it.index_scan(
                 store,
@@ -124,9 +121,7 @@ class TestIndexScan:
         assert [r["p"].field("name") for r in rows] == ["ann"]
 
     def test_eq_probe_never_returns_null_keys(self, store):
-        index = IndexRuntime.build(
-            store, IndexDef("ix", PERSONS, ("name",), 3)
-        )
+        index = store.indexes.get(IndexDef("ix", PERSONS, ("name",), 3))
         rows = list(
             it.index_scan(
                 store,
@@ -142,9 +137,7 @@ class TestIndexScan:
 
     @pytest.mark.parametrize("op", [CompOp.EQ, CompOp.LT, CompOp.GE, CompOp.NE])
     def test_null_key_probes_nothing(self, store, op):
-        index = IndexRuntime.build(
-            store, IndexDef("ix", PERSONS, ("name",), 3)
-        )
+        index = store.indexes.get(IndexDef("ix", PERSONS, ("name",), 3))
         for comparison in (
             Comparison(FieldRef("p", "name"), op, Const(None)),
             Comparison(Const(None), op, FieldRef("p", "name")),
