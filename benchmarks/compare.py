@@ -47,7 +47,7 @@ EXACT = (
     "engine.rows_per_stmt", "storage.sim_io_ms_per_stmt",
     "storage.page_reads_per_stmt", "storage.buffer_hit_ratio",
     "storage.objects_scanned_per_stmt", "durability.wal_bytes_per_commit",
-    "api.py_calls_per_stmt",
+    "durability.log_bytes_per_commit", "api.py_calls_per_stmt",
 )
 
 

@@ -205,7 +205,7 @@ class Database:
         :meth:`Database.open`.
 
         ``checkpoint_every=N`` auto-checkpoints after every N committed
-        auto-commit statements (explicit :meth:`checkpoint` and
+        transactions, auto-commit or explicit (:meth:`checkpoint` and
         :meth:`close` always checkpoint).  ``crash_plan`` threads a
         seeded :class:`~repro.governor.faults.CrashPlan` through the log
         and checkpoint writers (testing only).
@@ -445,12 +445,7 @@ class Database:
                     # write-write conflict): doomed stays doomed.
                     txn.rollback_to(savepoint)
                 raise
-            csn = None
-            if transaction is None:
-                csn = txn.commit()
-                if self.durability is not None:
-                    # Outside the commit lock: checkpointing takes it.
-                    self.durability.maybe_checkpoint()
+            csn = txn.commit() if transaction is None else None
             return DmlResult(plan.operation, affected, csn)
 
     # ------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Consistent snapshots that bound recovery replay.
 
-A checkpoint is the full logical engine state (MVCC version chains,
-collection membership log, allocators, catalog data versions) as of one
-CSN, captured under the commit lock so no commit is half-included.  It
-is written crash-safely:
+A checkpoint is the engine state at one CSN — each written object's
+newest version (tombstones included), each collection's membership
+events net of rows inserted and later deleted, the allocators, the
+catalog data versions — captured under the commit lock so no commit is
+half-included.  No snapshot older than it outlives a restart, so its
+size follows the objects written, not the commits.  It is written
+crash-safely:
 
 1. serialize to ``checkpoint-<csn>.ckpt.tmp`` (CRC32-prefixed, like a
    log frame) and fsync it;

@@ -50,9 +50,9 @@ def encode_record(data: dict[str, Any] | None) -> Any:
     exactly as :func:`encode_value` would — string keys, scalar and OID
     values, by far the common shape — else its encoded copy.
 
-    A checkpoint holds every version of every written object; encoding
-    each into a tagged copy first made the copy, not the data, the peak
-    of the process's memory.
+    A checkpoint holds the newest version of every written object;
+    encoding each into a tagged copy first made the copy, not the data,
+    the peak of the process's memory.
     """
     if data is None:
         return None

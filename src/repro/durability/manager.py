@@ -210,7 +210,7 @@ class DurabilityManager:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> int:
-        """Snapshot the full engine state and truncate the log.
+        """Snapshot the engine state at the current CSN and truncate the log.
 
         Holds the commit lock across snapshot → write → rename →
         truncate, so no commit can slip between the snapshot and the

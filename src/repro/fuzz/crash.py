@@ -114,8 +114,8 @@ def _recover_and_compare(
     try:
         acknowledged = walk_batch(victim, batch)
         # The plan never fired (e.g. a checkpoint plan over a batch of
-        # explicit transactions, which never auto-checkpoint).  Closing
-        # still exercises it — a checkpoint plan kills the shutdown
+        # fewer commits than `checkpoint_every`).  Closing still
+        # exercises it — a checkpoint plan kills the shutdown
         # checkpoint — else this degrades to clean close/reopen parity.
         try:
             victim.close()

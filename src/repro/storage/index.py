@@ -41,7 +41,7 @@ from repro.errors import IndexCorruptionError, StorageError
 from repro.storage.objects import Oid
 
 if TYPE_CHECKING:
-    from repro.storage.mvcc import SnapshotView, Transaction
+    from repro.storage.mvcc import SnapshotView
     from repro.storage.store import ObjectStore
 
 ENTRY_BYTES = 16  # key digest + oid per leaf entry
@@ -82,29 +82,6 @@ def _path_key(read: Reader, oid: Oid, path: tuple[str, ...]) -> Any:
     if data is None:
         return _DANGLING
     return data.get(path[-1])
-
-
-def _committed_reader(mvcc, snapshot: int) -> Reader:
-    data_at = mvcc.data_at
-
-    def read(oid: Oid):
-        data = data_at(oid, snapshot)
-        return data if isinstance(data, dict) else None
-
-    return read
-
-
-def _transaction_reader(mvcc, txn: "Transaction") -> Reader:
-    committed = _committed_reader(mvcc, txn.snapshot)
-    overlay = txn.overlay_data
-
-    def read(oid: Oid):
-        local = overlay(oid)
-        if local is None or isinstance(local, dict):
-            return local
-        return committed(oid)
-
-    return read
 
 
 def btree_shape(entry_count: float, page_size: int) -> tuple[int, int]:
@@ -359,8 +336,8 @@ class IndexRuntime:
                     entry_count += 1
         pending: list[Oid] = []
         if txn is not None:
-            committed = _committed_reader(self._mvcc, snapshot)
-            own = _transaction_reader(self._mvcc, txn)
+            committed = self._mvcc.reader(snapshot)
+            own = self._mvcc.reader(txn.snapshot, txn)
 
             def member_at_snapshot(root: Oid) -> bool:
                 if root in seen_key:
@@ -449,8 +426,8 @@ class IndexRuntime:
         a read at ``csn - 1`` and the state after a read at ``csn``.
         """
         path = self.definition.path
-        before = _committed_reader(self._mvcc, csn - 1)
-        after = _committed_reader(self._mvcc, csn)
+        before = self._mvcc.reader(csn - 1)
+        after = self._mvcc.reader(csn)
         with self._lock:
             roots = dict.fromkeys(updated)
             if len(path) > 1:
@@ -561,7 +538,7 @@ class IndexRuntime:
 
     def _build_reverse_maps(self, csn: int) -> None:
         """Map every path link of every member backwards, as of ``csn``."""
-        read = _committed_reader(self._mvcc, csn)
+        read = self._mvcc.reader(csn)
         self._rev = [{} for _ in self.definition.path[:-1]]
         for root in self._mvcc.members_at(self.definition.collection, csn):
             self._track(read, root, 0)

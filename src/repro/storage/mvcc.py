@@ -40,9 +40,6 @@ from repro.storage.objects import Oid
 if TYPE_CHECKING:
     from repro.storage.store import ObjectStore
 
-#: Sentinel distinguishing "no visible version" from a None tombstone.
-_MISSING = object()
-
 #: Pages for post-seal inserts live in a reserved range past the index
 #: extents and short of the spill region, so growth collides with neither.
 OVERFLOW_PAGE_GAP = 50_000
@@ -208,6 +205,11 @@ class Transaction:
             self._discard()
             raise
         self.status = "committed"
+        durability = self._manager.durability
+        if durability is not None:
+            # Every acknowledged commit, auto-commit or explicit; outside
+            # the commit lock, which checkpointing takes.
+            durability.maybe_checkpoint()
         return csn
 
     def rollback(self) -> None:
@@ -238,17 +240,6 @@ class Transaction:
             self.rollback()
 
     # -- overlay reads (read-your-own-writes) ----------------------------
-
-    def overlay_data(self, oid: Oid) -> Any:
-        """This txn's view of ``oid``: data, ``None`` (deleted), or
-        :data:`_MISSING` when the txn has no opinion."""
-        if oid in self.deletes:
-            return None
-        if oid in self._inserted:
-            return self.inserts[self._inserted[oid]][2]
-        if oid in self.updates:
-            return self.updates[oid]
-        return _MISSING
 
     def pending_members(self, collection: str) -> list[Oid]:
         """OIDs this txn inserted that belong in ``collection``."""
@@ -281,6 +272,9 @@ class TransactionManager:
         self._versions: dict[Oid, list[tuple[int, dict[str, Any] | None]]] = {}
         #: collection -> [(csn, +1 | -1, oid)], ascending csn.
         self._member_log: dict[str, list[tuple[int, int, Oid]]] = {}
+        #: collection -> (csn, members): the membership of every snapshot
+        #: at or after csn, a fresh list per commit that changes it.
+        self._latest: dict[str, tuple[int, list[Oid]]] = {}
         #: oid -> csn of the last committed update/delete (conflicts).
         self._last_write: dict[Oid, int] = {}
         #: post-seal page assignments, oid -> absolute page id.
@@ -379,8 +373,7 @@ class TransactionManager:
 
     def check_visible(self, txn: Transaction, oid: Oid) -> None:
         """Reject writes to objects that do not exist at the snapshot."""
-        data = self.data_at(oid, txn.snapshot)
-        if data is None or data is _MISSING:
+        if self.reader(txn.snapshot)(oid) is None:
             raise TransactionError(
                 f"cannot write unknown or deleted object {oid!r}"
             )
@@ -492,6 +485,15 @@ class TransactionManager:
                 self._current_members(name).add(oid)
                 members.setdefault(name, ([], [], []))[2].append(oid)
                 record.deltas[name] = record.deltas.get(name, 0) + 1
+        # A fresh latest list per changed collection: no scan at or after
+        # this CSN folds the log.
+        for name, (_, gone, added) in members.items():
+            if gone or added:
+                kept = self.members_at(name, csn - 1)
+                if gone:
+                    drop = set(gone)
+                    kept = [oid for oid in kept if oid not in drop]
+                self._latest[name] = (csn, kept + added)
         # Every version and membership event of the commit is chained, so
         # the indexes can read the state before (csn - 1) and after (csn).
         self._store.indexes.note_commit(csn, [*updates, *removed], members)
@@ -574,21 +576,30 @@ class TransactionManager:
             self._allocators[type_name] = (serial + 1, page, slots - 1)
 
     def state_snapshot(self) -> dict[str, Any]:
-        """Deep-copy the full MVCC state for a checkpoint.
+        """The MVCC state at the current CSN, for a checkpoint.
 
-        The caller must hold :attr:`commit_lock` — checkpoints hold it
-        across snapshot, file write, and log truncate so no commit can
-        land in between and be dropped.
+        Each written object's newest version (tombstones included), and
+        each collection's membership events net of rows inserted and
+        later deleted: no snapshot older than the checkpoint outlives a
+        restart, so its size follows the objects written, not the
+        commits.  The caller must hold :attr:`commit_lock` — checkpoints
+        hold it across snapshot, file write, and log truncate so no
+        commit can land in between and be dropped.
         """
+        member_log = {}
+        for name, log in self._member_log.items():
+            added = {oid for _, delta, oid in log if delta > 0}
+            gone = {oid for _, delta, oid in log if delta < 0 and oid in added}
+            net = [event for event in log if event[2] not in gone]
+            if net:
+                member_log[name] = net
         return {
             "csn": self._csn,
             "dirty": self.dirty,
             "versions": {
-                oid: list(chain) for oid, chain in self._versions.items()
+                oid: [chain[-1]] for oid, chain in self._versions.items()
             },
-            "member_log": {
-                name: list(log) for name, log in self._member_log.items()
-            },
+            "member_log": member_log,
             "last_write": dict(self._last_write),
             "overflow_pages": dict(self._overflow_pages),
             "allocators": dict(self._allocators),
@@ -598,7 +609,7 @@ class TransactionManager:
     def restore_state(self, state: dict[str, Any]) -> None:
         """Install a checkpointed :meth:`state_snapshot` (recovery only).
 
-        Rebuilds the incrementally maintained member sets from the
+        Rebuilds the latest membership and the member sets from the
         restored logs and re-extends the disk span over committed
         overflow pages, so every derived structure matches what the
         original engine held at the checkpoint CSN.
@@ -606,11 +617,17 @@ class TransactionManager:
         with self._lock:
             self._csn = state["csn"]
             self.dirty = state["dirty"]
-            self._versions = {
-                oid: list(chain) for oid, chain in state["versions"].items()
-            }
+            # In place: readers hold the chains' lookup (see `reader`).
+            self._versions.clear()
+            self._versions.update(
+                (oid, list(chain)) for oid, chain in state["versions"].items()
+            )
             self._member_log = {
                 name: list(log) for name, log in state["member_log"].items()
+            }
+            self._latest = {
+                name: (self._csn, self._fold(name, self._csn))
+                for name in self._member_log
             }
             self._last_write = dict(state["last_write"])
             self._overflow_pages = dict(state["overflow_pages"])
@@ -636,40 +653,60 @@ class TransactionManager:
 
     # -- visibility ------------------------------------------------------
 
-    def data_at(self, oid: Oid, snapshot: int) -> Any:
-        """Data of ``oid`` at a snapshot: a record dict, ``None`` for a
-        tombstone (deleted at or before the snapshot), or
-        :data:`_MISSING` when no version is visible."""
-        chain = self._versions.get(oid)
-        if chain:
-            for csn, data in reversed(chain):
-                if csn <= snapshot:
-                    return data
-        base = self._store.base_data(oid)
-        return base if base is not None else _MISSING
+    def reader(
+        self, snapshot: int, txn: Transaction | None = None
+    ) -> Callable[[Oid], dict[str, Any] | None]:
+        """The one visibility rule: ``read(oid)`` is the record ``oid``
+        has at ``snapshot`` — the latest version chained at a CSN ``<=
+        snapshot``, else its base record — overlaid with ``txn``'s own
+        writes when given; None when the object is deleted or unknown."""
+        # Bound dict lookups, the base records' included: a read is the
+        # closure's own frame only.
+        chain_of, base = self._versions.get, self._store._data.get
 
-    def read(self, oid: Oid, snapshot: int) -> dict[str, Any]:
-        """Like :meth:`data_at` but raises on tombstones and unknowns."""
-        data = self.data_at(oid, snapshot)
-        if data is None or data is _MISSING:
-            raise StorageError(f"dangling reference {oid!r}")
-        return data
+        def read(oid: Oid) -> dict[str, Any] | None:
+            chain = chain_of(oid)
+            if chain is not None:
+                for csn, data in reversed(chain):
+                    if csn <= snapshot:
+                        return data
+            return base(oid)
+
+        if txn is None:
+            return read
+
+        def read_own(oid: Oid) -> dict[str, Any] | None:
+            if oid in txn.deletes:
+                return None
+            if oid in txn._inserted:
+                return txn.inserts[txn._inserted[oid]][2]
+            data = txn.updates.get(oid)
+            return data if data is not None else read(oid)
+
+        return read_own
 
     def members_at(self, name: str, snapshot: int) -> list[Oid]:
-        """Membership of a collection at a snapshot, in scan order."""
-        base = self._store.base_collection_oids(name)
-        log = self._member_log.get(name)
-        if not log:
-            return base
+        """Membership of a collection at a snapshot, in scan order: the
+        latest commit's list, or a fold of the log for an older snapshot."""
+        latest = self._latest.get(name)
+        if latest is None:
+            return self._store.base_collection_oids(name)
+        if snapshot >= latest[0]:
+            return latest[1]
+        return self._fold(name, snapshot)
+
+    def _fold(self, name: str, snapshot: int) -> list[Oid]:
+        """Replay a collection's member log up to ``snapshot``."""
         removed: set[Oid] = set()
         added: list[Oid] = []
-        for csn, delta, oid in log:
+        for csn, delta, oid in self._member_log[name]:
             if csn > snapshot:
                 continue
             if delta < 0:
                 removed.add(oid)
             else:
                 added.append(oid)
+        base = self._store.base_collection_oids(name)
         kept = [oid for oid in base if oid not in removed]
         kept.extend(oid for oid in added if oid not in removed)
         return kept
@@ -706,41 +743,26 @@ class SnapshotView:
         self._store = store
         self.snapshot = snapshot
         self.txn = txn
+        #: ``read(oid)``: the record this view sees, None when deleted.
+        self._read = store.mvcc.reader(snapshot, txn)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._store, name)
-
-    # -- resolution ------------------------------------------------------
-
-    def _read(self, oid: Oid) -> dict[str, Any]:
-        if self.txn is not None:
-            local = self.txn.overlay_data(oid)
-            if local is None:
-                raise StorageError(f"dangling reference {oid!r}")
-            if local is not _MISSING:
-                return local
-        return self._store.mvcc.read(oid, self.snapshot)
-
-    def visible(self, oid: Oid) -> bool:
-        """Whether the object exists (non-tombstone) in this view."""
-        if self.txn is not None:
-            local = self.txn.overlay_data(oid)
-            if local is None:
-                return False
-            if local is not _MISSING:
-                return True
-        data = self._store.mvcc.data_at(oid, self.snapshot)
-        return data is not None and data is not _MISSING
 
     # -- the store read surface ------------------------------------------
 
     def peek(self, oid: Oid) -> dict[str, Any]:
         """Snapshot read without I/O accounting (index builds, checks)."""
-        return self._read(oid)
+        data = self._read(oid)
+        if data is None:
+            raise StorageError(f"dangling reference {oid!r}")
+        return data
 
     def fetch(self, oid: Oid) -> dict[str, Any]:
         """Snapshot read of one object, charging one page read."""
         data = self._read(oid)
+        if data is None:
+            raise StorageError(f"dangling reference {oid!r}")
         self._store.buffer.read_page(self._store.page_of(oid))
         return data
 

@@ -81,8 +81,10 @@ class ObjectStore:
         #: the indexes' page extents follow them.
         self._total_pages = 0
         self._collections: dict[str, list[Oid]] = {}
-        #: collection -> page runs of its base member list, built on first scan.
-        self._runs: dict[str, list[tuple[int, int, int]]] = {}
+        #: collection -> (member list, its page runs) of the last list
+        #: scanned, matched by identity: the base list and each commit's
+        #: latest list (``mvcc.members_at``) are never mutated.
+        self._runs: dict[str, tuple[list[Oid], list[tuple[int, int, int]]]] = {}
         self._sealed = False
         self._temp_lock = threading.Lock()
         self._temp_next: int | None = None
@@ -186,7 +188,10 @@ class ObjectStore:
         *pinned* snapshot read through :meth:`view` instead.
         """
         if self.mvcc.dirty:
-            return self.mvcc.read(oid, self.mvcc.current_csn)
+            data = self.mvcc.reader(self.mvcc.current_csn)(oid)
+            if data is None:
+                raise StorageError(f"dangling reference {oid!r}")
+            return data
         try:
             return self._data[oid]
         except KeyError:
@@ -201,21 +206,20 @@ class ObjectStore:
         self._require_sealed()
         if not self.mvcc.dirty:
             return self.base_collection_oids(collection_name), self._data.__getitem__
-        latest = SnapshotView(self, self.mvcc.current_csn)
-        return latest.collection_oids(collection_name), latest._read
+        csn = self.mvcc.current_csn
+        return self.mvcc.members_at(collection_name, csn), self.mvcc.reader(csn)
 
     def _page_runs(self, name: str, members: list[Oid]) -> list[tuple[int, int, int]]:
         """``(page, start, stop)`` per maximal run of consecutive members
-        on one page; kept when ``members`` is the collection's base list."""
-        base = members is self._collections.get(name)
-        runs = self._runs.get(name) if base else None
-        if runs is None:
-            runs, stop = [], 0
-            for page, run in groupby(map(self.page_of, members)):
-                start, stop = stop, stop + sum(1 for _ in run)
-                runs.append((page, start, stop))
-            if base:
-                self._runs[name] = runs
+        on one page; kept until another member list of ``name`` is scanned."""
+        cached = self._runs.get(name)
+        if cached is not None and cached[0] is members:
+            return cached[1]
+        runs, stop = [], 0
+        for page, run in groupby(map(self.page_of, members)):
+            start, stop = stop, stop + sum(1 for _ in run)
+            runs.append((page, start, stop))
+        self._runs[name] = (members, runs)
         return runs
 
     def _scan_members(
@@ -285,10 +289,6 @@ class ObjectStore:
         if collection_name not in self._collections:
             raise StorageError(f"collection {collection_name!r} not loaded")
         return self._collections[collection_name]
-
-    def base_data(self, oid: Oid) -> dict[str, Any] | None:
-        """The sealed base record of an object, or None if never loaded."""
-        return self._data.get(oid)
 
     def collection_names(self) -> list[str]:
         """Names of every loaded collection (extents included)."""

@@ -170,6 +170,52 @@ class TestRoundTrip:
         assert json.dumps(state, separators=(",", ":")).encode() == payload
 
 
+class TestCheckpointHoldsTheLiveState:
+    """A checkpoint is the state at its CSN: its size follows the objects
+    written, not the commits that wrote them."""
+
+    CITY = "SELECT c.population FROM c IN Cities WHERE c.name == 'city1'"
+
+    def test_one_version_per_written_object(self, tmp_path):
+        db, directory = durable(tmp_path)
+        before = db.begin()
+        old = db.query(self.CITY, transaction=before).rows
+        for number in range(300):
+            db.query(f"UPDATE c IN Cities SET c.population = {1000 + number} "
+                     "WHERE c.name == 'city1'")
+        for number in range(50):
+            db.query(f"INSERT INTO Cities (name, population) VALUES ('tmp{number}', 1)")
+            db.query(f"DELETE c IN Cities WHERE c.name == 'tmp{number}'")
+        csn = db.checkpoint()
+        size = os.path.getsize(checkpoint_path(directory, csn))
+        state = load_newest_checkpoint(directory)["mvcc"]
+        # city1 and the 50 deleted inserts, each once: a tombstone for each
+        # insert, and no member events for any of them.
+        assert len(state["versions"]) == 51
+        assert all(len(chain) == 1 for _, chain in state["versions"])
+        assert state["member_log"] == {}
+        for number in range(100):
+            db.query(f"UPDATE c IN Cities SET c.population = {1300 + number} "
+                     "WHERE c.name == 'city1'")
+        csn = db.checkpoint()
+        assert os.path.getsize(checkpoint_path(directory, csn)) == size
+        assert scan_text(Database.open(directory)) == scan_text(db)
+        # In memory the chains stay whole: an old snapshot still reads.
+        assert db.query(self.CITY, transaction=before).rows == old
+        assert db.query(self.CITY).rows == [{"c.population": 1399}]
+
+    def test_checkpoint_every_counts_explicit_transactions(self, tmp_path):
+        db, directory = durable(tmp_path, checkpoint_every=5)
+        for number in range(20):
+            txn = db.begin()
+            db.query(f"UPDATE c IN Cities SET c.population = {number} "
+                     "WHERE c.name == 'city1'", transaction=txn)
+            txn.commit()
+        assert db.durability.commits_since_checkpoint == 0
+        assert os.path.exists(checkpoint_path(directory, 20))
+        assert not os.path.exists(checkpoint_path(directory, 0))
+
+
 class TestApiGuards:
     def test_enable_twice_refuses(self, tmp_path):
         db, directory = durable(tmp_path)

@@ -106,7 +106,7 @@ class TestDanglingReference:
     def test_pointer_join_and_assembly_raise_storage_error(self, config, committed):
         db = Database.sample(scale=0.02)
         city = db.store.collection_oids("Cities")[3]
-        db.store.base_data(city)["mayor"] = Oid("Person", 10**6)
+        db.store.peek(city)["mayor"] = Oid("Person", 10**6)  # the base record
         if committed:  # the same plans through a SnapshotView
             db.query("UPDATE c IN Cities SET c.population = 1 WHERE c.name == 'city0'")
         expected = "PointerJoin" if config is None else "Assembly"

@@ -1,21 +1,26 @@
 """Property-based tests for the storage substrate."""
 
+import json
 import sys
 import threading
 from collections import OrderedDict
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.operators import RefSource
 from repro.catalog.catalog import Catalog, IndexDef, extent_name
 from repro.catalog.schema import Schema, TypeDef, scalar
+from repro.durability.codec import encode_default
+from repro.durability.manager import _decode_mvcc, _encode_mvcc
 from repro.engine.iterators import assembly, file_scan
+from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskSimulator
 from repro.storage.index import EXTENT_PAGES
-from repro.storage.mvcc import OVERFLOW_PAGE_GAP
+from repro.storage.mvcc import OVERFLOW_PAGE_GAP, SnapshotView
 from repro.storage.objects import Oid
 from repro.storage.store import ObjectStore
 
@@ -440,3 +445,104 @@ class TestIndexAgainstScan:
             if "10" <= data["name"] <= "30"
         )
         assert via_index == via_scan
+
+
+ITEMS, ITEM_EXTENT = "Items", extent_name("Item")
+
+
+def _items_store() -> ObjectStore:
+    """Six base items, the first four also in the named set ``Items``."""
+    schema = Schema()
+    schema.add_type(TypeDef("Item", 50, (scalar("n", "int"),)), with_extent=True)
+    schema.add_named_set(ITEMS, "Item")
+    store = ObjectStore(Catalog(schema))
+    oids = [store.insert("Item", {"n": n}) for n in range(6)]
+    store.register_collection(ITEMS, oids[:4])
+    store.seal()
+    return store
+
+
+def _restored(store: ObjectStore) -> ObjectStore:
+    """A fresh base store restored from a checkpoint of ``store``."""
+    with store.mvcc.commit_lock:
+        raw = store.mvcc.state_snapshot()
+    text = json.dumps(_encode_mvcc(raw), default=encode_default)
+    restored = _items_store()
+    restored.mvcc.restore_state(_decode_mvcc(json.loads(text)))
+    return restored
+
+
+#: Commits of one to three writes: (kind, pick, value).  An insert goes
+#: into Items on an odd pick, else into the extent; an update or delete
+#: takes the live item at ``pick`` modulo their count.
+histories = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("insert", "update", "delete")),
+            st.integers(0, 50),
+            st.integers(0, 9),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    max_size=12,
+)
+
+
+class TestVersionedViews:
+    """A view pinned at each CSN of a random history sees exactly a replay
+    of the history up to it — on the store that made the commits, and on
+    one restored from a checkpoint midway that made the rest."""
+
+    @given(histories, st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_views_at_every_csn_equal_a_replay(self, commits, cut):
+        live = _items_store()
+        stores = [live]
+        members = {name: list(live.collection_oids(name)) for name in (ITEMS, ITEM_EXTENT)}
+        data = {oid: live.peek(oid) for oid in members[ITEM_EXTENT]}
+        gone: set[Oid] = set()
+        replay = []
+        views = []
+        cut = min(cut, len(commits))
+        for csn in range(len(commits) + 1):
+            if csn:
+                txns = [store.begin() for store in stores]
+                for kind, pick, value in commits[csn - 1]:
+                    if kind == "insert":
+                        target = ITEMS if pick % 2 else ITEM_EXTENT
+                        (oid,) = {txn.insert(target, {"n": value}) for txn in txns}
+                        data[oid] = {"n": value}
+                        members[ITEM_EXTENT].append(oid)
+                        if target == ITEMS:
+                            members[ITEMS].append(oid)
+                    elif members[ITEM_EXTENT]:
+                        oid = members[ITEM_EXTENT][pick % len(members[ITEM_EXTENT])]
+                        if kind == "update":
+                            for txn in txns:
+                                txn.update(oid, {"n": value})
+                            data[oid] = {"n": value}
+                        else:
+                            for txn in txns:
+                                txn.delete(oid)
+                            del data[oid]
+                            gone.add(oid)
+                            for oids in members.values():
+                                if oid in oids:
+                                    oids.remove(oid)
+                assert {txn.commit() for txn in txns} == {csn}
+            if csn == cut:
+                stores.append(_restored(live))
+            replay.append(({name: list(oids) for name, oids in members.items()},
+                           dict(data), set(gone)))
+            views += [SnapshotView(store, csn) for store in stores]
+        for view in views:
+            want_members, want_data, want_gone = replay[view.snapshot]
+            for name, oids in want_members.items():
+                assert view.collection_oids(name) == oids
+                assert list(view.scan(name)) == [(oid, want_data[oid]) for oid in oids]
+            for oid, record in want_data.items():
+                assert view.fetch(oid) == record
+            for oid in want_gone:
+                with pytest.raises(StorageError):
+                    view.fetch(oid)

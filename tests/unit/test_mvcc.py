@@ -8,6 +8,9 @@ and the untouched-store fast path that keeps read-only behavior
 byte-identical to the pre-DML engine.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.catalog.catalog import Catalog, IndexDef
@@ -15,6 +18,7 @@ from repro.catalog.schema import Schema, TypeDef, scalar
 from repro.errors import StorageError, TransactionError, WriteConflict
 from repro.storage.datagen import generate_store
 from repro.storage.mvcc import SnapshotView
+from repro.storage.objects import Oid
 from repro.storage.store import ObjectStore
 
 
@@ -262,3 +266,51 @@ def test_rolled_back_insert_does_not_grow_disk_span():
     with store.begin() as kept:
         kept.insert("Items", {"n": 51, "label": "kept"})
     assert store.disk.span_pages > span_before
+
+
+def test_readers_see_their_snapshot_membership_while_commits_land():
+    """Commit k inserts item 8 + k - 1 into Items and deletes the one commit
+    k - 1 inserted, installing a fresh latest list each time.  Readers pin
+    views as the CSN moves and scan them then and again at the end, when
+    their snapshots are old: each must show the five base members plus
+    exactly its own commit's item."""
+    store = small_store()
+    base = list(store.collection_oids("Items"))
+    commits, views, failures = 300, [], []
+
+    def expected(csn):
+        return base + ([Oid("Item", 8 + csn - 1)] if csn else [])
+
+    def write():
+        previous = None
+        for number in range(commits):
+            with store.begin() as txn:
+                oid = txn.insert("Items", {"n": number, "label": "new"})
+                if previous is not None:
+                    txn.delete(previous)
+            previous = oid
+
+    def read():
+        while store.mvcc.current_csn < commits:
+            view = SnapshotView(store, store.mvcc.current_csn)
+            views.append(view)
+            if [oid for oid, _ in view.scan("Items")] != expected(view.snapshot):
+                failures.append(view.snapshot)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write)]
+        threads += [threading.Thread(target=read) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert store.mvcc.current_csn == commits
+    assert not failures
+    assert all(
+        view.collection_oids("Items") == expected(view.snapshot) for view in views
+    )
