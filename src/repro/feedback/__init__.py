@@ -20,11 +20,7 @@ Everything is gated on ``OptimizerConfig.feedback`` (off by default)
 and never changes result bytes — only plans.
 """
 
-from repro.feedback.fingerprint import (
-    group_key,
-    logical_fingerprint,
-    render_fingerprint,
-)
+from repro.feedback.fingerprint import group_key, render_fingerprint
 from repro.feedback.monitor import (
     AdaptiveReplanSignal,
     CardinalityMonitor,
@@ -40,6 +36,5 @@ __all__ = [
     "Observation",
     "REPLAN_MIN_ROWS",
     "group_key",
-    "logical_fingerprint",
     "render_fingerprint",
 ]

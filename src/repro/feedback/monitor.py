@@ -75,8 +75,6 @@ class CardinalityMonitor:
             if node.props is None:
                 continue  # unmarked (feedback off, or no memo): unmonitored
             key, collections = group_key(node.props, known)
-            if key is None:
-                continue
             threshold = None
             if replan_ratio is not None:
                 threshold = max(float(node.rows) * replan_ratio, float(REPLAN_MIN_ROWS))
@@ -89,8 +87,8 @@ class CardinalityMonitor:
             )
 
     def wrap(self, node: PhysicalNode, rows: Iterable) -> Iterable:
-        """Thread a node's row stream through the counter (identity when
-        the node has no group key)."""
+        """Thread a node's row stream through the counter (identity for an
+        unmonitored node)."""
         count = self._counts.get(id(node))
         if count is None:
             return rows

@@ -190,7 +190,8 @@ def _operand(pred: PredicateSpec) -> str:
 
 
 def random_query(rng: random.Random, world: WorldSpec) -> QuerySpec:
-    """Draw a random query over one (occasionally two) world collections."""
+    """Draw a random query over one world collection, occasionally two or
+    three."""
     collections = world.collections()
     collection, type_name = rng.choice(collections)
     var = "x"
@@ -211,6 +212,14 @@ def random_query(rng: random.Random, world: WorldSpec) -> QuerySpec:
             second = ("y", coll2)
             ranges.append(second)
             predicates.append(join)
+            if rng.random() < 0.5:
+                # A third range joined to either: a join order to choose.
+                coll3, type3 = rng.choice(collections)
+                near, near_type = rng.choice(((var, type_name), ("y", type2)))
+                join = _join_predicate(rng, world, near, near_type, "w", type3)
+                if join is not None:
+                    ranges.append(("w", coll3))
+                    predicates.append(join)
     elif rng.random() < 0.18:
         coll2, type2 = rng.choice(collections)
         join = _join_predicate(rng, world, "z", type2, var, type_name)

@@ -5,7 +5,7 @@ Three layers, lowest first:
 
 * :mod:`repro.obs.tracer` — a lightweight span/event tracer.  The
   optimizer threads one through exploration and goal-directed search so
-  every rule firing, memo merge, branch-and-bound prune, and enforcer
+  every rule firing, memo group, branch-and-bound prune, and enforcer
   application is an observable event.  Disabled tracers cost one
   attribute check per call site (no event or span objects are built).
 * :mod:`repro.obs.runtime` — per-operator runtime statistics (rows,

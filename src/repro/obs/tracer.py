@@ -20,7 +20,7 @@ Event categories used by the library:
 ``phase``      span per optimizer phase (explore / optimize), with
                measured wall seconds
 ``rule``       one transformation-rule firing during exploration
-``memo``       group creation and union-find merges
+``memo``       group creation
 ``task``       one goal-directed optimization task and its winner
 ``prune``      a candidate abandoned by branch and bound, with the
                losing accumulated cost and the budget it exceeded

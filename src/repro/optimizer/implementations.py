@@ -152,7 +152,7 @@ def _mat_chains(gid: int, ctx: OptimizeContext, depth: int = 0):
     for mexpr in ctx.memo.group(gid).mexprs:
         op = mexpr.op
         if isinstance(op, Get):
-            yield {}, op, ctx.memo.find(gid)
+            yield {}, op, gid
         elif isinstance(op, (Mat, MatChain)):
             for links, get_op, get_gid in _mat_chains(
                 mexpr.children[0], ctx, depth + 1

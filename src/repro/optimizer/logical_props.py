@@ -1,11 +1,14 @@
 """Logical properties of memo groups, and query-wide variable origins.
 
-A group's logical properties — its scope and estimated output cardinality
-— are shared by every expression in the group, so the derivations here are
-deliberately *composition-order independent* (selectivities multiply, Mat
-is 1:1, and the reference-equality selectivity is defined so that
-``Mat c.country`` and ``Join(..., Get extent(Country))`` estimate the same
-cardinality).
+A group's logical properties — its key, scope and estimated output
+cardinality — are shared by every expression in the group, so the
+derivations here are deliberately *composition-order independent*.  The
+key (:func:`derive_key`) is what the group computes: the variables bound,
+each with its source; the conjuncts applied; and the operators the form
+does not open.  Selectivities multiply, Mat is 1:1, and the
+reference-equality selectivity is defined so that ``Mat c.country`` and
+``Join(..., Get extent(Country))`` — one key — estimate the same
+cardinality.
 
 Variable *origins* are computed once from the initial expression: every
 scope variable traces back to a root collection and an attribute path
@@ -16,7 +19,7 @@ collapse-to-index-scan match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.algebra.operators import (
@@ -172,31 +175,72 @@ def derive_cardinality(
     raise OptimizerError(f"cannot derive cardinality for {op!r}")
 
 
+# ``(bindings, conjuncts, atoms)``: ``(var, source)`` pairs, canonical
+# Comparisons, and one atom per Unnest or unopened operator.
+GroupKey = tuple[frozenset, frozenset, frozenset]
+
+_EMPTY: frozenset = frozenset()
+
+
+def derive_key(
+    op: LogicalOp,
+    child_props: tuple["LogicalProps", ...],
+    scope: Scope,
+    catalog: Catalog,
+) -> GroupKey:
+    """What ``op`` over inputs with ``child_props`` computes (``scope`` is
+    its output scope): the memo's group key.
+
+    ``Get v: C`` binds ``(v, C)``; Select and Join add their conjuncts to
+    the union of their inputs' keys.  A Mat link ``src: w`` binds ``w`` to
+    its target type's extent (``("type", T)`` without one) and applies
+    ``src.oid_join(w)``, the predicate Mat-to-Join writes, so a Mat and
+    its extent join share a key and a Get of a named set never does.
+    Project, GroupBy, AntiJoin and SetOp are opaque: one atom of their
+    signature and input keys (unordered where the operator commutes).
+    """
+    if isinstance(op, Get):
+        return frozenset({(op.var, op.collection)}), _EMPTY, _EMPTY
+    if isinstance(op, Select):
+        bindings, conjuncts, atoms = child_props[0].key
+        return bindings, conjuncts.union(op.predicate.comparisons), atoms
+    if isinstance(op, Join):
+        (lb, lc, la), (rb, rc, ra) = child_props[0].key, child_props[1].key
+        return lb | rb, lc.union(rc, op.predicate.comparisons), la | ra
+    if isinstance(op, (Mat, MatChain)):
+        bindings, conjuncts, atoms = child_props[0].key
+        bound, applied = [], []
+        for link in op.links:
+            target = scope.binding(link.out).type_name
+            extent = catalog.extent_of(target)
+            source = ("type", target) if extent is None else extent.name
+            bound.append((link.out, source))
+            applied.extend(link.source.oid_join(link.out).comparisons)
+        return bindings.union(bound), conjuncts.union(applied), atoms
+    if isinstance(op, Unnest):
+        bindings, conjuncts, atoms = child_props[0].key
+        return bindings, conjuncts, atoms | {("unnest", op.var, op.attr, op.out)}
+    inputs = tuple(p.key for p in child_props)
+    if isinstance(op, SetOp) and op.kind is not SetOpKind.DIFFERENCE:
+        inputs = frozenset(inputs)
+    return _EMPTY, _EMPTY, frozenset({(op.signature(), inputs)})
+
+
 @dataclass(frozen=True)
 class LogicalProps:
-    """Scope and estimated cardinality of one memo group.
+    """Key, scope and estimated cardinality of one memo group.
 
     With feedback on, the search marks every winning plan node with the
     properties of the group it implements, so a node's subplan identity
-    is its group's.
+    is its group's key (``repro.feedback.fingerprint.group_key``).
     """
 
     scope: Scope
     cardinality: float
-    # Semantic subplan fingerprint (repro.feedback.fingerprint), or None
-    # when the group has no stable identity.  Derived whether or not
-    # feedback is on — it is pure structure.
-    fingerprint: object = None
+    key: GroupKey
     # True when ``cardinality`` came from an observed execution (the
     # feedback store) rather than catalog statistics.
     fed: bool = False
-    # The operator and input properties ``fingerprint`` was derived from:
-    # the cardinality monitor re-derives the key under a cached plan's
-    # running constants (``repro.feedback.fingerprint.group_key``).
-    op: LogicalOp | None = field(default=None, compare=False, repr=False)
-    inputs: tuple["LogicalProps", ...] = field(
-        default=(), compare=False, repr=False
-    )
 
     def __str__(self) -> str:
         source = " (fed)" if self.fed else ""
@@ -215,10 +259,12 @@ def tuple_width_bytes(scope: Scope, catalog: Catalog, overhead: int = 16) -> flo
 
 
 __all__ = [
+    "GroupKey",
     "LogicalProps",
     "QueryVars",
     "VarOrigin",
     "build_query_vars",
     "derive_cardinality",
+    "derive_key",
     "tuple_width_bytes",
 ]

@@ -7,9 +7,10 @@ against everything seen so far, which is how the framework provides
 global common-subexpression factorization "for free" (the paper's reply
 to Cluet and Delobel's factorization technique).
 
-Rule applications can discover that two existing groups are equivalent
-(e.g. via Mat commutativity followed by Mat-to-Join); a union-find over
-group ids merges them.
+A group is keyed by what it computes (``logical_props.derive_key``), so an
+expression a rule builds lands in its group on insertion: groups are never
+discovered equivalent later, and never merged.  An m-expr is keyed by its
+operator's signature and its input groups.
 """
 
 from __future__ import annotations
@@ -19,11 +20,17 @@ from operator import attrgetter
 from typing import Union
 
 from repro.algebra.operators import LogicalOp
-from repro.algebra.scopes import derive_scope
+from repro.algebra.scopes import Scope, derive_scope
 from repro.catalog.catalog import Catalog
-from repro.feedback.fingerprint import logical_fingerprint
+from repro.errors import OptimizerError
+from repro.feedback.fingerprint import feedback_key
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.optimizer.logical_props import LogicalProps, derive_cardinality
+from repro.optimizer.logical_props import (
+    GroupKey,
+    LogicalProps,
+    derive_cardinality,
+    derive_key,
+)
 from repro.optimizer.selectivity import SelectivityModel
 
 
@@ -64,7 +71,7 @@ class Group:
 
 
 class Memo:
-    """Groups, dedup index, and union-find merging."""
+    """Groups, found by what they compute, and the m-expr dedup index."""
 
     def __init__(
         self,
@@ -80,51 +87,22 @@ class Memo:
         # statistics-derived estimate for groups with a fresh observation.
         self.feedback = feedback
         self._groups: list[Group] = []
-        self._parent: list[int] = []
+        # Group id per m-expr key, and per group key.
         self._index: dict[tuple, int] = {}
+        self._keyed: dict[GroupKey, int] = {}
         # Per group id: the m-exprs that take the group as an input.
         self._readers: list[list[MExpr]] = []
         # The m-exprs exploration has yet to match: new ones, and readers
         # of a group that gained m-exprs since they were last visited.
         self.pending: set[MExpr] = set()
-        # Per merged-away group: the group that absorbed it, and where its
-        # m-exprs start in that group's list.
-        self._absorbed: dict[int, tuple[int, int]] = {}
         self.mexpr_count = 0
-        self.merge_count = 0
-
-    # ------------------------------------------------------------------
-    # Union-find over group ids
-    # ------------------------------------------------------------------
-
-    def find(self, gid: int) -> int:
-        """Canonical (root) group id under merges, with path compression."""
-        root = gid
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[gid] != root:
-            self._parent[gid], gid = root, self._parent[gid]
-        return root
 
     def group(self, gid: int) -> Group:
-        """The live group ``gid`` names (its own ``gid`` is canonical)."""
-        if self._parent[gid] == gid:
-            return self._groups[gid]
-        return self._groups[self.find(gid)]
-
-    def relocate(self, gid: int) -> tuple[int, int]:
-        """Where group ``gid``'s m-exprs sit now: the live group holding
-        them and the position they start at in its list (a merge appends
-        the absorbed group's list to the survivor's)."""
-        offset = 0
-        while gid in self._absorbed:
-            gid, start = self._absorbed[gid]
-            offset += start
-        return gid, offset
+        return self._groups[gid]
 
     def groups(self) -> list[Group]:
-        """All live (root) groups."""
-        return [g for g in self._groups if self._parent[g.gid] == g.gid]
+        """Every group, in creation order (a copy: insertion appends)."""
+        return list(self._groups)
 
     # ------------------------------------------------------------------
     # Insertion
@@ -142,13 +120,10 @@ class Memo:
         """Insert a rule-produced tree (group ids at reuse points); a new
         top m-expr records ``origin``, the rule that produced the tree."""
         op, children = tree
-        child_gids: list[int] = []
-        for child in children:
-            if isinstance(child, int):
-                child_gids.append(self.find(child))
-            else:
-                child_gids.append(self.insert_tree(child))
-        gid, _ = self.insert_mexpr(op, tuple(child_gids), target_gid, origin)
+        child_gids = tuple(
+            [c if isinstance(c, int) else self.insert_tree(c) for c in children]
+        )
+        gid, _ = self.insert_mexpr(op, child_gids, target_gid, origin)
         return gid
 
     def insert_mexpr(
@@ -158,41 +133,35 @@ class Memo:
         target_gid: int | None = None,
         origin: str | None = None,
     ) -> tuple[int, bool]:
-        """Insert one m-expr; dedup, create or merge groups as needed.
+        """Insert one m-expr into ``target_gid``, or else into the group
+        that computes what it computes (a new one if none does).
 
-        Returns ``(group id, inserted_new)``.
+        Returns ``(group id, inserted_new)``.  Raises OptimizerError when
+        the m-expr already sits in a group other than ``target_gid``: the
+        rule ``origin`` and the group key disagree on what it computes.
         """
-        find = self.find
-        child_gids = tuple([find(c) for c in child_gids])
-        # Most insertions rediscover a known expression: key first.
         key = (op.signature(), child_gids)
-        existing = self._index.get(key)
-        if existing is not None:
-            existing = find(existing)
-            if target_gid is not None:
-                target = find(target_gid)
-                if target != existing:
-                    self._merge(existing, target)
-                    existing = find(existing)
-            return existing, False
-
+        gid = self._index.get(key)
+        if gid is not None:
+            if target_gid is not None and gid != target_gid:
+                raise OptimizerError(
+                    f"rule {origin} put {op.describe()} in group "
+                    f"{target_gid}, but it computes group {gid}"
+                )
+            return gid, False
         if target_gid is None:
-            child_props = tuple(self.group(g).props for g in child_gids)
-            props = self.derive_props(op, child_props)
-            gid = len(self._groups)
-            self._groups.append(Group(gid, props))
-            self._parent.append(gid)
-            self._readers.append([])
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "memo",
-                    "new-group",
-                    gid=gid,
-                    op=type(op).__name__,
-                    cardinality=props.cardinality,
+            child_props = tuple([self._groups[g].props for g in child_gids])
+            scope = derive_scope(
+                op, tuple([p.scope for p in child_props]), self.catalog
+            )
+            computes = derive_key(op, child_props, scope, self.catalog)
+            gid = self._keyed.get(computes)
+            if gid is None:
+                gid = self._new_group(
+                    op, self._props(op, child_props, scope, computes)
                 )
         else:
-            gid = self.find(target_gid)
+            gid = target_gid
         mexpr = MExpr(op, child_gids, origin)
         self._groups[gid].mexprs.append(mexpr)
         self._index[key] = gid
@@ -204,37 +173,20 @@ class Memo:
         self.mexpr_count += 1
         return gid, True
 
-    def _merge(self, a: int, b: int) -> None:
-        """Union two groups discovered to be equivalent."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return
-        keep, drop = (a, b) if len(self._groups[a].mexprs) >= len(
-            self._groups[b].mexprs
-        ) else (b, a)
-        self._absorbed[drop] = (keep, len(self._groups[keep].mexprs))
-        self._groups[keep].mexprs.extend(self._groups[drop].mexprs)
-        self._groups[drop].mexprs.clear()
-        self._parent[drop] = keep
-        # Keep's readers gain drop's m-exprs; drop's readers now read keep.
-        readers = self._readers[keep]
-        readers.extend(self._readers[drop])
-        self._readers[drop] = []
-        self.pending.update(readers)
-        self.merge_count += 1
+    def _new_group(self, op: LogicalOp, props: LogicalProps) -> int:
+        gid = len(self._groups)
+        self._groups.append(Group(gid, props))
+        self._keyed[props.key] = gid
+        self._readers.append([])
         if self.tracer.enabled:
-            self.tracer.event("memo", "merge", keep=keep, drop=drop)
-
-    def dedup_group(self, gid: int) -> None:
-        """Re-canonicalize one group's m-exprs after merges."""
-        group = self.group(gid)
-        seen: dict[tuple, MExpr] = {}
-        for mexpr in group.mexprs:
-            canon = MExpr(
-                mexpr.op, tuple(self.find(c) for c in mexpr.children), mexpr.origin
+            self.tracer.event(
+                "memo",
+                "new-group",
+                gid=gid,
+                op=type(op).__name__,
+                cardinality=props.cardinality,
             )
-            seen.setdefault(canon.key(), canon)
-        group.mexprs = list(seen.values())
+        return gid
 
     # ------------------------------------------------------------------
     # Logical property derivation (order-independent; see logical_props)
@@ -243,23 +195,30 @@ class Memo:
     def derive_props(
         self, op: LogicalOp, child_props: tuple[LogicalProps, ...]
     ) -> LogicalProps:
-        """The properties of ``op`` over inputs with ``child_props``: a new
-        group's, or those of a plan node a lowered MatChain builds below
-        the group's winner (a Mat over the link before, a Get of an
-        extent), which the node carries as a winner carries its group's."""
+        """The properties of ``op`` over inputs with ``child_props``: those
+        of a plan node a lowered MatChain builds below the group's winner
+        (a Mat over the link before, a Get of an extent), which the node
+        carries as a winner carries its group's."""
         scope = derive_scope(op, tuple(p.scope for p in child_props), self.catalog)
+        key = derive_key(op, child_props, scope, self.catalog)
+        return self._props(op, child_props, scope, key)
+
+    def _props(
+        self,
+        op: LogicalOp,
+        child_props: tuple[LogicalProps, ...],
+        scope: Scope,
+        key: GroupKey,
+    ) -> LogicalProps:
         card = derive_cardinality(
             op, tuple(map(_ROWS, child_props)), self.selectivity, self.catalog
         )
-        fingerprint = logical_fingerprint(
-            op, tuple(p.fingerprint for p in child_props)
-        )
         fed = False
-        if self.feedback is not None and fingerprint is not None:
-            card, fed = self.feedback.estimate(fingerprint, self.catalog, card)
-        return LogicalProps(
-            scope, card, fingerprint=fingerprint, fed=fed, op=op, inputs=child_props
-        )
+        if self.feedback is not None:
+            card, fed = self.feedback.estimate(
+                feedback_key(key)[0], self.catalog, card
+            )
+        return LogicalProps(scope, card, key, fed)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,7 +230,7 @@ class Memo:
         for group in self.groups():
             lines.append(f"group {group.gid}: {group.props}")
             for mexpr in group.mexprs:
-                children = ", ".join(str(self.find(c)) for c in mexpr.children)
+                children = ", ".join(map(str, mexpr.children))
                 lines.append(f"  {mexpr.op.describe()} [{children}]")
         return "\n".join(lines)
 

@@ -43,7 +43,7 @@ class OptimizationResult:
     # One line per optimization task: goal properties and the winning
     # algorithm (the paper's Figure 11 search states, made observable).
     search_trace: tuple[str, ...] = ()
-    # Structured tracer events (rule firings, memo merges, prunes,
+    # Structured tracer events (rule firings, memo groups, prunes,
     # enforcer applications); empty unless a tracer was passed in.
     trace_events: tuple[TraceEvent, ...] = ()
     # Pre-memo rewrite firings (empty when the stage is disabled or
@@ -121,7 +121,7 @@ class Optimizer:
         """Optimize a logical expression into its cheapest physical plan.
 
         Passing an enabled ``tracer`` records every rule firing, memo
-        group creation/merge, branch-and-bound prune, and enforcer
+        group creation, branch-and-bound prune, and enforcer
         application; the events also land on the result's
         ``trace_events``.  Without one, tracing costs nothing.
 

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 from repro.errors import NoPlanFoundError, QueryCancelled
 from repro.optimizer import config as rule_names
 from repro.optimizer.context import OptimizeContext
 from repro.optimizer.implementations import ALL_RULES as ALL_IMPLEMENTATIONS
 from repro.optimizer.implementations import ImplementationRule
-from repro.optimizer.memo import MExpr
 from repro.optimizer.physical_props import PhysProps
 from repro.optimizer.plans import AssemblyNode, PhysicalNode, SortNode
 from repro.optimizer.transformations import ALL_RULES as ALL_TRANSFORMATIONS
@@ -62,7 +61,6 @@ class SearchStats:
     distinct_goals: int = 0
     candidates_costed: int = 0
     enforcer_applications: int = 0
-    group_merges: int = 0
     # Exploration stopped at the round cap, short of a fixpoint.
     exploration_truncated: bool = False
 
@@ -129,26 +127,23 @@ class SearchEngine:
         """Apply enabled transformation rules to fixpoint (phase 1).
 
         Semi-naive: a rule meets each (m-expr, input m-expr) pair once.
-        Per (m-expr, rule) it keeps the input group it last matched and
-        the range of that group's m-exprs it has met.  New m-exprs join a
-        group's list at the end; a merge appends the absorbed group's list
-        to the survivor's, so the range moves by the offset
-        :meth:`Memo.relocate` reports, and what lies outside it is unmatched.
-        Rules without an input fire once per m-expr, and a rule never
-        fires on the output of its inverse (``not_after``).  Each round
-        visits, in memo order, only the m-exprs the memo marked pending:
-        new ones, and readers of a group that gained m-exprs.
+        A group only ever gains m-exprs at the end of its list (the memo
+        keys groups by what they compute, so none is merged away), and
+        per (m-expr, rule) exploration keeps how far along its input's
+        list the rule has matched.  Rules without an input fire once per
+        m-expr, and a rule never fires on the output of its inverse
+        (``not_after``).  Each round visits, in memo order, only the
+        m-exprs the memo marked pending: new ones, and readers of a group
+        that gained m-exprs.
         """
         memo = self.ctx.memo
         stats = self.stats
         tracer = self.tracer
-        find = memo.find
         pending = memo.pending
         # Rules by declared operator class (undeclared: in every entry).
         rules_for: dict[type, tuple] = {}
-        matched: dict[tuple, tuple[int, int, int]] = {}
+        matched: dict[tuple, int] = {}
         visited: set = set()
-        owners: dict[tuple, MExpr] = {}
         governor = self.ctx.governor
         truncated = False
         while pending:
@@ -169,19 +164,10 @@ class SearchEngine:
             stats.exploration_rounds += 1
             for group in memo.groups():
                 gid = group.gid
-                if find(gid) != gid:
-                    continue  # merged away mid-round
                 for mexpr in list(group.mexprs):
                     if mexpr not in pending:
                         continue
                     pending.discard(mexpr)
-                    if memo.merge_count:
-                        # After merges a group can hold one expression
-                        # twice; its first copy matches for both.
-                        children = tuple([find(c) for c in mexpr.children])
-                        twin = (gid, mexpr.key()[0], children)
-                        if owners.setdefault(twin, mexpr) is not mexpr:
-                            continue
                     first = mexpr not in visited
                     visited.add(mexpr)
                     op_type = type(mexpr.op)
@@ -200,27 +186,12 @@ class SearchEngine:
                                 continue
                             inners = ()
                         else:
-                            source = memo.group(mexpr.children[rule.input])
-                            inputs = source.mexprs
+                            inputs = memo.group(mexpr.children[rule.input]).mexprs
                             key = (mexpr, rule)
-                            seen = matched.get(key)
-                            if seen is None:
-                                lo = hi = 0
-                            else:
-                                at, lo, hi = seen
-                                if at != source.gid:
-                                    # Merged away since: its m-exprs moved.
-                                    _, offset = memo.relocate(at)
-                                    lo += offset
-                                    hi += offset
-                            if lo == 0:
-                                if hi == len(inputs):
-                                    continue
-                                inners = islice(inputs, hi, None)
-                            else:
-                                inners = chain(
-                                    islice(inputs, lo), islice(inputs, hi, None)
-                                )
+                            done = matched.get(key, 0)
+                            if done == len(inputs):
+                                continue
+                            inners = islice(inputs, done, None)
                             skip = rule.inner_not_from
                             if skip is not None:
                                 inners = (m for m in inners if m.origin != skip)
@@ -238,12 +209,9 @@ class SearchEngine:
                                 )
                         if rule.input is not None:
                             # The rule ran the input to its live end.
-                            matched[key] = (source.gid, 0, len(inputs))
+                            matched[key] = len(inputs)
         pending.clear()
-        for group in memo.groups():
-            memo.dedup_group(group.gid)
-        stats.mexprs_generated = sum(len(group.mexprs) for group in memo.groups())
-        stats.group_merges = memo.merge_count
+        stats.mexprs_generated = memo.mexpr_count
         if truncated and governor is not None:
             governor.mark_degraded(
                 "search_timeout",
@@ -272,7 +240,6 @@ class SearchEngine:
             if governor.search_expired():
                 raise SearchBudgetExhausted
         group = ctx.memo.group(gid)
-        gid = group.gid
         scope = group.props.scope
         if not (required.in_memory <= scope.object_names):
             return None

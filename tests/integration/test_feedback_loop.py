@@ -304,10 +304,9 @@ class TestObservationsAreReadBack:
             pass  # until the observations, and so the entry, are stable
         result = db.query(high)
         assert result.cache.outcome == "hit"
+        # A key is (bindings, conjuncts, atoms): the filtered scans.
         selects = {
-            obs.key: obs.rows
-            for obs in db.feedback.entries()
-            if obs.key[0] == "select"
+            obs.key: obs.rows for obs in db.feedback.entries() if obs.key[1]
         }
         by_constant = {
             constant: rows

@@ -1,4 +1,4 @@
-"""Unit tests for the memo: dedup, groups, merging, property derivation."""
+"""Unit tests for the memo: dedup, group keys, property derivation."""
 
 import pytest
 
@@ -20,11 +20,14 @@ from repro.algebra.predicates import (
     FieldRef,
     RefAttr,
     SelfOid,
+    VarRef,
 )
 from repro.catalog.sample_db import build_catalog, index_cities_mayor_name
-from repro.optimizer.logical_props import build_query_vars
+from repro.errors import OptimizerError
+from repro.optimizer.logical_props import build_query_vars, derive_cardinality
 from repro.optimizer.memo import Memo
 from repro.optimizer.selectivity import SelectivityModel
+from repro.optimizer.transformations import JoinAssociativity
 
 
 def _memo(tree):
@@ -84,34 +87,78 @@ class TestInsertion:
         )
         # Insert the same Select over the existing Mat group: dedups into root.
         gid = memo.insert_tree((tree, (mat_gid,)), target_gid=None)
-        assert memo.find(gid) == memo.find(root)
+        assert gid == root
 
 
-class TestMerging:
-    def test_target_conflict_merges_groups(self):
+def _equals(left, right):
+    return Conjunction.of(Comparison(left, CompOp.EQ, right))
+
+
+def _team_members():
+    """Each task's team members: ``m`` is a reference to an Employee."""
+    return Unnest(Get("Tasks", "t"), "t", "team_members", "m")
+
+
+class TestGroupKeys:
+    """A group is found by what it computes, on insertion: what used to be
+    found equivalent later and merged now lands in its group at once."""
+
+    def test_associativity_output_lands_in_the_existing_group(self):
+        cities, countries = Get("Cities", "c"), Get("extent(Country)", "n")
+        people = Get("extent(Person)", "p")
+        country = _equals(RefAttr("c", "country"), SelfOid("n"))
+        president = _equals(RefAttr("n", "president"), SelfOid("p"))
+        tree = Join(Join(cities, countries, country), people, president)
+        memo = _memo(tree)
+        root = memo.insert_expression(tree)
+        right = memo.insert_expression(Join(countries, people, president))
+        groups = len(memo.groups())
+        (mexpr,) = memo.group(root).mexprs
+        (left,) = memo.group(mexpr.children[0]).mexprs
+        rule = JoinAssociativity()
+        (output,) = rule.apply(mexpr, memo, [left])
+        assert memo.insert_tree(output, root, rule.name) == root
+        assert len(memo.groups()) == groups
+        assert memo.group(root).mexprs[-1].children[1] == right
+
+    def test_mat_and_its_extent_join_share_a_group(self):
+        mat = Mat(Get("Cities", "c"), RefSource("c", "country"), "n")
+        memo = _memo(mat)
+        join = Join(
+            Get("Cities", "c"),
+            Get("extent(Country)", "n"),
+            _equals(RefAttr("c", "country"), SelfOid("n")),
+        )
+        assert memo.insert_expression(join) == memo.insert_expression(mat)
+
+    def test_a_named_set_join_does_not_share_it(self):
+        """``Employees`` is not the Employee extent: a Mat of a member
+        reference is the extent join, never the join with the named set."""
+        mat = Mat(_team_members(), RefSource("m", None), "e")
+        memo = _memo(mat)
+        mat_gid = memo.insert_expression(mat)
+
+        def join(collection):
+            return Join(
+                _team_members(),
+                Get(collection, "e"),
+                _equals(VarRef("m"), SelfOid("e")),
+            )
+
+        assert memo.insert_expression(join("extent(Employee)")) == mat_gid
+        assert memo.insert_expression(join("Employees")) != mat_gid
+
+    def test_a_conflicting_target_raises_and_names_the_rule(self):
         tree = _mayor_tree()
         memo = _memo(tree)
         root = memo.insert_expression(tree)
         other = memo.insert_expression(
             Mat(Get("Cities", "c"), RefSource("c", "country"), "c.country")
         )
-        assert memo.find(root) != memo.find(other)
-        # Claim the root m-expr belongs in `other`'s group: they must merge.
-        select_mexpr = memo.group(root).mexprs[0]
-        memo.insert_mexpr(select_mexpr.op, select_mexpr.children, target_gid=other)
-        assert memo.find(root) == memo.find(other)
-        assert memo.merge_count == 1
-
-    def test_dedup_group_after_merge(self):
-        tree = _mayor_tree()
-        memo = _memo(tree)
-        root = memo.insert_expression(tree)
-        memo.dedup_group(root)
-        keys = [
-            (m.op.signature(), tuple(memo.find(c) for c in m.children))
-            for m in memo.group(root).mexprs
-        ]
-        assert len(keys) == len(set(keys))
+        select = memo.group(root).mexprs[0]
+        with pytest.raises(OptimizerError, match="some-rule"):
+            memo.insert_mexpr(select.op, select.children, other, "some-rule")
+        assert memo.group(other).mexprs[0].op != select.op
 
 
 class TestLogicalProps:
@@ -142,8 +189,8 @@ class TestLogicalProps:
         assert memo.group(gid).props.cardinality == pytest.approx(12_000 * 8)
 
     def test_mat_join_consistency(self):
-        """The paper-critical invariant: Mat and its Join rewriting land in
-        (potentially) different groups with the SAME cardinality."""
+        """The paper-critical invariant: Mat and its Join rewriting share a
+        group, so each must estimate the group's cardinality."""
         mat_tree = Mat(Get("Cities", "c"), RefSource("c", "country"), "c.country")
         memo = _memo(mat_tree)
         mat_gid = memo.insert_expression(mat_tree)
@@ -156,10 +203,15 @@ class TestLogicalProps:
                 )
             ),
         )
-        join_gid = memo.insert_expression(join_tree)
-        assert memo.group(mat_gid).props.cardinality == pytest.approx(
-            memo.group(join_gid).props.cardinality
+        assert memo.insert_expression(join_tree) == mat_gid
+        join = memo.group(mat_gid).mexprs[-1]
+        rows = derive_cardinality(
+            join.op,
+            tuple(memo.group(c).props.cardinality for c in join.children),
+            memo.selectivity,
+            memo.catalog,
         )
+        assert rows == pytest.approx(memo.group(mat_gid).props.cardinality)
 
     def test_setop_cardinalities(self):
         a = Get("Cities", "c")
@@ -196,13 +248,3 @@ class TestMExprIdentity:
         (b,) = second.group(second.insert_expression(tree)).mexprs
         assert a.key() == b.key()
         assert a != b and len({a, b}) == 2
-
-    def test_group_and_find_agree_after_merges(self):
-        tree = _mayor_tree()
-        memo = _memo(tree)
-        root = memo.insert_expression(tree)
-        leaf = memo.insert_expression(Get("Cities", "c"))
-        memo.insert_tree((Get("Cities", "c"), ()), target_gid=root)
-        assert memo.find(leaf) == memo.find(root)
-        assert memo.group(leaf) is memo.group(root)
-        assert memo.group(leaf).gid == memo.find(leaf)

@@ -14,6 +14,7 @@ from repro.algebra.predicates import (
     FieldRef,
 )
 from repro.catalog.sample_db import build_catalog, index_cities_mayor_name
+from repro.errors import OptimizerError
 from repro.optimizer import config as C
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.context import OptimizeContext
@@ -199,11 +200,9 @@ class TestEffortCounters:
         assert engine.stats.mexprs_generated > 3
 
     def test_mexprs_generated_counts_the_live_memo(self):
-        """Copies re-keyed after merges, which the final dedup drops, are
-        not counted: the figure is what the memo holds."""
+        """The figure is what the memo holds after exploration."""
         engine, _ = _engine(_chain_tree(5), with_index=False)
         memo = engine.ctx.memo
-        assert memo.merge_count > 0
         assert engine.stats.mexprs_generated == sum(
             len(group.mexprs) for group in memo.groups()
         )
@@ -335,7 +334,6 @@ class TestSemiNaiveExploration:
 
     def test_no_rule_matches_an_input_mexpr_twice(self):
         engine, log = self._tapped_chain4()
-        assert engine.stats.group_merges > 0  # merges re-offer m-exprs
         assert log
         assert len(set(log)) == len(log)
 
@@ -352,11 +350,10 @@ class TestSemiNaiveExploration:
         ]
         assert produced
 
-    def test_merge_reoffers_the_absorbed_mexprs(self):
-        """Group 2 absorbs group 0 mid-exploration.  Each reader is offered
-        the m-exprs its input gained by the merge, and only those: the
-        reader of the survivor gets the absorbed ``b``; the reader of the
-        absorbed group gets the survivor's ``a`` and ``a2``."""
+    def test_a_grown_group_reoffers_only_its_new_mexprs(self):
+        """Group ``a`` gains ``a2`` mid-exploration: its reader is offered
+        ``a2`` and nothing it met before; the other reader meets ``b``
+        alone."""
         seen: dict[str, list[str]] = {"b": [], "a": []}
 
         class Grow(TransformationRule):
@@ -366,15 +363,43 @@ class TestSemiNaiveExploration:
                 if mexpr.op.var == "a":
                     yield (Get("Cities", "a2"), ())
 
-        class Fold(TransformationRule):
-            """Finds Get a2 equivalent to Get b: merges their groups."""
+        engine, _ = _engine(
+            self._two_readers(), with_index=False,
+            transformations=(Grow(), self._spy(seen)),
+        )
+        assert seen == {"b": ["b"], "a": ["a", "a2"]}
 
+    def test_an_output_held_by_another_group_raises(self):
+        """A rule whose output the memo already holds elsewhere disagrees
+        with the group key on what it computes: a bug, never a merge."""
+
+        class Fold(TransformationRule):
             name, operators = "fold", (Get,)
 
             def apply(self, mexpr, memo, inners):
-                if mexpr.op.var == "a2":
+                if mexpr.op.var == "a":
                     yield (Get("Cities", "b"), ())
 
+        with pytest.raises(OptimizerError, match="fold"):
+            _engine(
+                self._two_readers(), with_index=False, transformations=(Fold(),)
+            )
+
+    @staticmethod
+    def _two_readers():
+        def named(var):
+            return Conjunction.of(
+                Comparison(FieldRef(var, "name"), CompOp.EQ, Const("x"))
+            )
+
+        return Join(
+            Select(Get("Cities", "b"), named("b")),
+            Select(Get("Cities", "a"), named("a")),
+            Conjunction.of(),
+        )
+
+    @staticmethod
+    def _spy(seen):
         class Spy(TransformationRule):
             name, operators, input = "spy", (Select,), 0
 
@@ -383,18 +408,4 @@ class TestSemiNaiveExploration:
                 seen[reader].extend(inner.op.var for inner in inners)
                 return iter(())
 
-        def named(var):
-            return Conjunction.of(
-                Comparison(FieldRef(var, "name"), CompOp.EQ, Const("x"))
-            )
-
-        tree = Join(
-            Select(Get("Cities", "b"), named("b")),
-            Select(Get("Cities", "a"), named("a")),
-            Conjunction.of(),
-        )
-        engine, _ = _engine(
-            tree, with_index=False, transformations=(Grow(), Fold(), Spy())
-        )
-        assert engine.stats.group_merges == 1
-        assert seen == {"b": ["b", "a", "a2"], "a": ["a", "a2", "b"]}
+        return Spy()
