@@ -85,7 +85,7 @@ def record_all() -> dict[str, list]:
 
     # The transcript module's cases, each recorded as its search space:
     # one untraced run, no hashing.
-    def entry(optimize, traced=True, check=None):
+    def entry(optimize, events=True, check=None):
         return space(optimize(None))
 
     def no_plan(optimize):
@@ -105,6 +105,7 @@ def record_all() -> dict[str, list]:
         "no_plan": no_plan,
         "anytime": anytime,
         "transcript": space,
+        "traced": lambda optimize: (optimize(None), None),
         "_sha": lambda payload: payload,
     }
     saved = {name: getattr(transcripts, name) for name in patched}
