@@ -8,6 +8,7 @@ orders of magnitude".
 """
 
 import common
+from repro.obs.tracer import Tracer, search_states
 from repro.optimizer import OptimizerConfig
 from repro.optimizer import config as C
 from repro.optimizer.plans import AssemblyNode, IndexScanNode
@@ -15,7 +16,7 @@ from repro.optimizer.plans import AssemblyNode, IndexScanNode
 
 def run(catalog):
     q2 = common.optimize(catalog, common.QUERY_2)
-    optimal = common.optimize(catalog, common.QUERY_3)
+    optimal = common.optimize(catalog, common.QUERY_3, tracer=Tracer())
     no_enforcer = common.optimize(
         catalog,
         common.QUERY_3,
@@ -30,7 +31,7 @@ def run(catalog):
 def build_report(q2, optimal, no_enforcer) -> str:
     trace_lines = [
         line
-        for line in optimal.search_trace
+        for line in search_states(optimal.trace_events)
         if "Select" in line or "Project" in line
     ]
     return "\n".join(

@@ -60,12 +60,12 @@ def paper_catalog(indexes: tuple[str, ...] = ("cities", "time", "name")):
     return catalog
 
 
-def optimize(catalog, sql: str, config: OptimizerConfig | None = None):
+def optimize(catalog, sql: str, config: OptimizerConfig | None = None, tracer=None):
     """Simplify + optimize one query against a catalog."""
     simplified = simplify_full(parse_query(sql), catalog)
     optimizer = Optimizer(catalog, config or OptimizerConfig())
     return optimizer.optimize(
-        simplified.tree, result_vars=simplified.result_vars
+        simplified.tree, result_vars=simplified.result_vars, tracer=tracer
     )
 
 

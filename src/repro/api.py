@@ -515,7 +515,7 @@ class Database:
         costs: bool = False,
         analyze: bool = False,
     ) -> str:
-        """The chosen plan, rendered.
+        """The chosen plan, rendered (traced, so the rewrites that fired show).
 
         ``analyze=False`` (the default) optimizes but does not execute.
         ``analyze=True`` additionally *runs* the plan with per-operator
@@ -526,7 +526,7 @@ class Database:
         """
         if analyze:
             return self.explain_analyze(query, config).render()
-        return self.optimize(query, config).explain(costs=costs)
+        return self.optimize(query, config, tracer=Tracer()).explain(costs=costs)
 
     def explain_analyze(
         self,
@@ -549,6 +549,7 @@ class Database:
         if self.executor is None:
             raise CatalogError("EXPLAIN ANALYZE requires a populated store")
         tracer = tracer if tracer is not None else Tracer()
+        first_event = len(tracer.events)  # a caller's tracer may hold more
         if governor is not None and governor.tracer is NULL_TRACER:
             governor.tracer = tracer
         text = query if isinstance(query, str) else str(query)
@@ -565,7 +566,7 @@ class Database:
             optimization,
             execution,
             execution.operator_stats,
-            events=tuple(tracer.events),
+            events=tuple(tracer.events[first_event:]),
         )
 
     def execute_plan(

@@ -71,7 +71,7 @@ from repro.api import Database
 from repro.engine.dml import DmlResult
 from repro.engine.tuples import Obj
 from repro.errors import ReproError, WriteConflict
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, search_states
 from repro.optimizer import OptimizerConfig
 from repro.optimizer.config import (
     ALL_IMPLEMENTATIONS,
@@ -195,8 +195,7 @@ class Shell:
                 query = rest[len("analyze") :].strip()
                 self.echo(self.db.explain(query, config=self.config, analyze=True))
             else:
-                result = self.db.optimize(rest, config=self.config)
-                self.echo(result.explain(costs=True))
+                self.echo(self.db.explain(rest, config=self.config, costs=True))
         elif command == ".trace":
             rest = line[len(".trace") :].strip()
             self._trace(rest)
@@ -416,7 +415,7 @@ class Shell:
             result = self.db.optimize(text, config=self.config, tracer=tracer)
         finally:
             self.db.tracer = previous
-        for entry in result.search_trace:
+        for entry in search_states(result.trace_events):
             self.echo(f"  {entry}")
         counts = tracer.counts()
         summary = ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))

@@ -5,9 +5,9 @@ Three layers, lowest first:
 
 * :mod:`repro.obs.tracer` — a lightweight span/event tracer.  The
   optimizer threads one through exploration and goal-directed search so
-  every rule firing, memo group, branch-and-bound prune, and enforcer
-  application is an observable event.  Disabled tracers cost one
-  attribute check per call site (no event or span objects are built).
+  every rule firing, memo group, task (Figure 11's ``search_states``),
+  prune and enforcer application is an observable event.  Disabled
+  tracers cost one attribute check per call site (nothing is built).
 * :mod:`repro.obs.runtime` — per-operator runtime statistics (rows,
   ``next()`` time, buffer hits/misses attributed via
   :class:`~repro.storage.buffer.BufferPool` I/O scoping) collected while
@@ -19,7 +19,7 @@ Three layers, lowest first:
 
 from repro.obs.explain import ExplainReport, NodeReport, build_report
 from repro.obs.runtime import OperatorIOStats, OperatorRunStats, RunStatsCollector
-from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
+from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer, search_states
 
 __all__ = [
     "ExplainReport",
@@ -31,4 +31,5 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "build_report",
+    "search_states",
 ]

@@ -22,6 +22,7 @@ Event categories used by the library:
 ``rule``       one transformation-rule firing during exploration
 ``memo``       group creation
 ``task``       one goal-directed optimization task and its winner
+``rewrite``    one pre-memo rewrite firing, with its detail
 ``prune``      a candidate abandoned by branch and bound, with the
                losing accumulated cost and the budget it exceeded
 ``enforcer``   an assembly or sort enforcer application
@@ -162,4 +163,17 @@ NULL_TRACER = Tracer(enabled=False)
 """The shared disabled tracer threaded through un-traced optimizations."""
 
 
-__all__ = ["NULL_TRACER", "TraceEvent", "Tracer"]
+def search_states(events) -> list[str]:
+    """The paper's Figure 11 search states, one line per ``task`` event
+    (the anytime fallback's greedy descent is a recovery: left out)."""
+    return [
+        f"optimize(group {e.name.removeprefix('group-')} [{e.get('op')}], "
+        f"require {e.get('required')}) -> "
+        + ("no plan" if e.get("winner") is None
+           else f"{e.get('winner')} @ {e.get('cost'):.3f}s")
+        for e in events
+        if e.category == "task" and not e.get("fallback")
+    ]
+
+
+__all__ = ["NULL_TRACER", "TraceEvent", "Tracer", "search_states"]

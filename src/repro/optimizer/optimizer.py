@@ -17,7 +17,7 @@ from repro.optimizer.logical_props import build_query_vars
 from repro.optimizer.memo import Memo
 from repro.optimizer.physical_props import PhysProps, SortKey
 from repro.optimizer.plans import PhysicalNode
-from repro.optimizer.rewrite import RewriteEvent, rewrite_tree
+from repro.optimizer.rewrite import rewrite_tree
 from repro.optimizer.search import (
     SearchBudgetExhausted,
     SearchEngine,
@@ -40,27 +40,22 @@ class OptimizationResult:
     groups: int
     logical: LogicalOp
     required: PhysProps
-    # One line per optimization task: goal properties and the winning
-    # algorithm (the paper's Figure 11 search states, made observable).
-    search_trace: tuple[str, ...] = ()
-    # Structured tracer events (rule firings, memo groups, prunes,
-    # enforcer applications); empty unless a tracer was passed in.
+    # This run's tracer events, the only record of what the optimizer
+    # did; empty unless an enabled tracer was passed in.
     trace_events: tuple[TraceEvent, ...] = ()
-    # Pre-memo rewrite firings (empty when the stage is disabled or
-    # nothing applied); EXPLAIN shows them so a changed plan shape can be
-    # traced back to the rewrite that caused it.
-    rewrites: tuple[RewriteEvent, ...] = ()
 
     def explain(self, costs: bool = False) -> str:
-        """Header (time, cost, search size) plus the rendered plan."""
-        header = (
+        """Header (time, cost, search size), each traced rewrite firing
+        (what reshaped the plan), then the rendered plan."""
+        lines = [
             f"-- optimized in {self.optimization_seconds * 1000:.1f} ms, "
             f"estimated cost {self.cost.total:.3f} s, "
             f"{self.groups} groups, {self.stats.mexprs_generated} expressions --"
-        )
-        lines = [header]
-        for event in self.rewrites:
-            lines.append(f"-- rewrite: {event} --")
+        ]
+        for event in self.trace_events:
+            detail = event.get("detail")
+            if event.category == "rewrite" and detail is not None:
+                lines.append(f"-- rewrite: {event.name}: {detail} --")
         return "\n".join(lines) + "\n" + self.plan.pretty(costs=costs)
 
 
@@ -120,10 +115,11 @@ class Optimizer:
     ) -> OptimizationResult:
         """Optimize a logical expression into its cheapest physical plan.
 
-        Passing an enabled ``tracer`` records every rule firing, memo
-        group creation, branch-and-bound prune, and enforcer
-        application; the events also land on the result's
-        ``trace_events``.  Without one, tracing costs nothing.
+        Passing an enabled ``tracer`` records every rewrite and rule
+        firing, memo group creation, search task, branch-and-bound
+        prune, and enforcer application; this run's events also land on
+        the result's ``trace_events``.  Without one, nothing is
+        recorded or rendered.
 
         A ``query_ctx`` with a search deadline makes the search
         *anytime*: when the budget runs out mid-search, a greedy descent
@@ -132,12 +128,12 @@ class Optimizer:
         context and its trace.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
+        first_event = len(tracer.events)  # a long-lived tracer holds more
         started = time.perf_counter()
-        rewrites: tuple[RewriteEvent, ...] = ()
         if not _REWRITE_RULES <= self.config.disabled_rules:
             order_key = SortKey(order[0], order[1], order[2]) if order else None
             with tracer.span("phase", "rewrite"):
-                logical, rewrites = rewrite_tree(
+                logical = rewrite_tree(
                     logical,
                     self.catalog,
                     self.config,
@@ -185,9 +181,7 @@ class Optimizer:
             groups=len(memo.groups()),
             logical=logical,
             required=required,
-            search_trace=tuple(engine.trace),
-            trace_events=tuple(tracer.events),
-            rewrites=rewrites,
+            trace_events=tuple(tracer.events[first_event:]),
         )
 
     def _anytime_fallback(
@@ -218,6 +212,7 @@ class Optimizer:
             transformations=(),
             implementations=IMPLS + self.extra_implementations,
         )
+        descent.fallback = True
         for key, won in engine._winners.items():
             if won.plan is not None:
                 descent._winners[key] = won

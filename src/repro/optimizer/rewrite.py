@@ -34,13 +34,14 @@ better-shaped groups:
 
 The rule names are the only switch: ``config.without(rule)`` ablates one,
 and with all of ``ALL_REWRITES`` disabled the optimizer skips the stage.
-Each firing emits a ``rewrite`` tracer event so EXPLAIN can show it.
+Each rule returns its tree and how often it fired; only under an enabled
+tracer does it build each firing's detail, a ``rewrite`` event EXPLAIN shows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from itertools import count
 
 from repro.algebra.operators import (
     AntiJoin,
@@ -75,17 +76,6 @@ from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.logical_props import build_query_vars, derive_cardinality
 from repro.optimizer.physical_props import PhysProps, SortKey
 from repro.optimizer.selectivity import SelectivityModel
-
-
-@dataclass(frozen=True)
-class RewriteEvent:
-    """One rewrite firing, for the tracer and EXPLAIN."""
-
-    rule: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.rule}: {self.detail}"
 
 
 # ----------------------------------------------------------------------
@@ -167,8 +157,11 @@ def _wrap(pred_comps: list[Comparison], tree: LogicalOp) -> LogicalOp:
 # ----------------------------------------------------------------------
 
 
-def _pushdown(tree: LogicalOp, events: list[RewriteEvent]) -> LogicalOp:
+def _pushdown(tree: LogicalOp, details: list | None) -> tuple[LogicalOp, int]:
+    fired = 0
+
     def push(op: LogicalOp, pending: list[Comparison]) -> LogicalOp:
+        nonlocal fired
         if isinstance(op, Select):
             return push(op.child, pending + list(op.predicate.comparisons))
 
@@ -188,11 +181,11 @@ def _pushdown(tree: LogicalOp, events: list[RewriteEvent]) -> LogicalOp:
                     # join: merging them into the join predicate would trip
                     # the associativity rule's cartesian guard.
                     stay.append(comp)
-            for comp in to_left + to_right:
-                events.append(
-                    RewriteEvent(
-                        rule_names.REWRITE_PUSHDOWN, f"{comp} below Join"
-                    )
+            fired += len(to_left) + len(to_right)
+            if details is not None:
+                details.extend(
+                    (rule_names.REWRITE_PUSHDOWN, f"{comp} below Join")
+                    for comp in to_left + to_right
                 )
             new = Join(push(op.left, to_left), push(op.right, to_right), op.predicate)
             return _wrap(stay, new)
@@ -204,12 +197,11 @@ def _pushdown(tree: LogicalOp, events: list[RewriteEvent]) -> LogicalOp:
             below_vars = _bound_vars(inner)
             below = [c for c in pending if c.vars and c.vars <= below_vars]
             stay = [c for c in pending if c not in below]
-            for comp in below:
-                events.append(
-                    RewriteEvent(
-                        rule_names.REWRITE_PUSHDOWN,
-                        f"{comp} below {type(op).__name__}",
-                    )
+            fired += len(below)
+            if details is not None:
+                details.extend(
+                    (rule_names.REWRITE_PUSHDOWN, f"{comp} below {type(op).__name__}")
+                    for comp in below
                 )
             children = (push(inner, below), *(push(c, []) for c in rest))
             return _wrap(stay, op.with_children(children))
@@ -218,7 +210,7 @@ def _pushdown(tree: LogicalOp, events: list[RewriteEvent]) -> LogicalOp:
         children = tuple(push(c, []) for c in op.children)
         return _wrap(pending, op.with_children(children))
 
-    return push(tree, [])
+    return push(tree, []), fired
 
 
 # ----------------------------------------------------------------------
@@ -288,8 +280,8 @@ def _collection_joins(
     tree: LogicalOp,
     catalog: Catalog,
     externals: frozenset[str],
-    events: list[RewriteEvent],
-) -> LogicalOp:
+    details: list | None,
+) -> tuple[LogicalOp, int]:
     """Convert ``v.a == w.self`` extent joins into Mat traversals."""
 
     def try_convert(op: LogicalOp) -> LogicalOp | None:
@@ -325,12 +317,11 @@ def _collection_joins(
                     if placed is None:
                         continue
                     residual = op.predicate.without(comp)
-                    events.append(
-                        RewriteEvent(
+                    if details is not None:
+                        details.append((
                             rule_names.REWRITE_COLLECTION_JOIN,
                             f"{comp} -> Mat {source}: {w}",
-                        )
-                    )
+                        ))
                     if residual.is_true:
                         return placed
                     return Select(placed, residual)
@@ -342,10 +333,10 @@ def _collection_joins(
                 return op.with_children(tuple(children))
         return None
 
-    while True:
+    for fired in count():
         converted = try_convert(tree)
         if converted is None:
-            return tree
+            return tree, fired
         tree = converted
 
 
@@ -390,9 +381,10 @@ def _canonicalize_joins(
     tree: LogicalOp,
     sel: SelectivityModel,
     catalog: Catalog,
-    events: list[RewriteEvent],
-) -> LogicalOp:
+    details: list | None,
+) -> tuple[LogicalOp, int]:
     """Order cartesian join clusters smallest-estimated-input first."""
+    fired = 0
 
     def flatten(op: LogicalOp) -> list[LogicalOp]:
         if isinstance(op, Join) and op.predicate.is_true:
@@ -400,6 +392,7 @@ def _canonicalize_joins(
         return [walk(op)]
 
     def walk(op: LogicalOp) -> LogicalOp:
+        nonlocal fired
         if isinstance(op, Join) and op.predicate.is_true:
             inputs = flatten(op.left) + flatten(op.right)
             keyed = sorted(
@@ -408,19 +401,19 @@ def _canonicalize_joins(
             )
             ordered = [item for _, item in keyed]
             if ordered != inputs:
-                events.append(
-                    RewriteEvent(
+                fired += 1
+                if details is not None:
+                    details.append((
                         rule_names.REWRITE_JOIN_CANON,
                         f"reordered {len(inputs)} cartesian inputs by size",
-                    )
-                )
+                    ))
             result = ordered[0]
             for item in ordered[1:]:
                 result = Join(result, item, Conjunction.true())
             return result
         return op.with_children(tuple(walk(c) for c in op.children))
 
-    return walk(tree)
+    return walk(tree), fired
 
 
 # ----------------------------------------------------------------------
@@ -431,9 +424,10 @@ def _canonicalize_joins(
 def _fuse_mat_chains(
     tree: LogicalOp,
     externals: frozenset[str],
-    events: list[RewriteEvent],
-) -> LogicalOp:
+    details: list | None,
+) -> tuple[LogicalOp, int]:
     uses = _use_counts(tree)
+    fired = 0
 
     def fuse(op: LogicalOp) -> LogicalOp:
         if not isinstance(op, Mat):
@@ -457,17 +451,15 @@ def _fuse_mat_chains(
         links: list[MatLink] = []
 
         def flush() -> None:
-            nonlocal node
+            nonlocal node, fired
             if links:
                 node = MatChain(node, tuple(links))
-                events.append(
-                    RewriteEvent(
+                fired += 1
+                if details is not None:
+                    details.append((
                         rule_names.REWRITE_MAT_CHAIN,
-                        "fused ["
-                        + ", ".join(str(link) for link in links)
-                        + "]",
-                    )
-                )
+                        "fused [" + ", ".join(str(link) for link in links) + "]",
+                    ))
                 links.clear()
 
         for m in reversed(run):  # bottom-up
@@ -479,7 +471,7 @@ def _fuse_mat_chains(
         flush()
         return node
 
-    return fuse(tree)
+    return fuse(tree), fired
 
 
 # ----------------------------------------------------------------------
@@ -496,15 +488,16 @@ def rewrite_tree(
     order: SortKey | None = None,
     required: PhysProps | None = None,
     tracer: Tracer = NULL_TRACER,
-) -> tuple[LogicalOp, tuple[RewriteEvent, ...]]:
-    """Run the enabled rewrite rules; returns (tree, fired events).
+) -> LogicalOp:
+    """Run the enabled rewrite rules; returns the rewritten tree.
 
     ``result_vars`` / ``order`` / ``required`` name the variables the
     caller will still need after optimization — they are treated as
     referenced, which gates every rewrite that would remove or hide a
     binding.  The rewritten tree is re-validated against the scope rules;
     a validation failure falls back to the original tree (traced), so a
-    rewrite bug can cost performance but never correctness.
+    rewrite bug can cost performance but never correctness.  Firings are
+    traced only once the tree stands: a fallback emits none.
     """
     external_set: set[str] = set(result_vars)
     if order is not None:
@@ -515,37 +508,41 @@ def rewrite_tree(
             external_set.add(required.order.var)
     externals = frozenset(external_set)
 
-    events: list[RewriteEvent] = []
+    details: list[tuple[str, str]] | None = [] if tracer.enabled else None
+    fired = 0
     original = tree
     try:
         if config.is_enabled(rule_names.REWRITE_PUSHDOWN):
-            tree = _pushdown(tree, events)
+            tree, fired = _pushdown(tree, details)
         if config.is_enabled(rule_names.REWRITE_COLLECTION_JOIN):
-            tree = _collection_joins(tree, catalog, externals, events)
+            tree, n = _collection_joins(tree, catalog, externals, details)
+            fired += n
         if config.is_enabled(rule_names.REWRITE_JOIN_CANON) and _has_cartesian(
             tree
         ):
             sel = SelectivityModel(catalog, build_query_vars(original, catalog))
-            tree = _canonicalize_joins(tree, sel, catalog, events)
+            tree, n = _canonicalize_joins(tree, sel, catalog, details)
+            fired += n
         if config.is_enabled(rule_names.REWRITE_MAT_CHAIN):
-            tree = _fuse_mat_chains(tree, externals, events)
+            tree, n = _fuse_mat_chains(tree, externals, details)
+            fired += n
     except (AlgebraError, OptimizerError) as exc:
         if tracer.enabled:
             tracer.event("rewrite", "failed", error=str(exc))
-        return original, ()
+        return original
 
-    if tree is not original and events:
+    if fired:
         try:
             derive_scope_tree(tree, catalog)
         except AlgebraError as exc:
             if tracer.enabled:
                 tracer.event("rewrite", "invalid", error=str(exc))
-            return original, ()
+            return original
 
-    if tracer.enabled:
-        for event in events:
-            tracer.event("rewrite", event.rule, detail=event.detail)
-    return tree, tuple(events)
+    if details:
+        for rule, detail in details:
+            tracer.event("rewrite", rule, detail=detail)
+    return tree
 
 
-__all__ = ["RewriteEvent", "rewrite_tree"]
+__all__ = ["rewrite_tree"]

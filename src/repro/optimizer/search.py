@@ -88,6 +88,8 @@ class SearchEngine:
     what it derives per group or per goal lives as long as the engine.
     """
 
+    fallback = False  # the anytime fallback's descent: its tasks say so
+
     def __init__(
         self,
         ctx: OptimizeContext,
@@ -112,11 +114,8 @@ class SearchEngine:
         # Per goal that has failed so far: the candidates it generated,
         # replayed when the goal is searched again under a higher limit.
         self._unplanned: dict[tuple[int, PhysProps], list] = {}
-        # The observable trace of optimization goals and winners — the
-        # paper's Figure 11 "state of the search", one line per task.
-        self.trace: list[str] = []
-        # Structured event sink (rule firings, prunes, enforcers); the
-        # shared disabled tracer unless the caller asked for a trace.
+        # Structured event sink (rule firings, tasks, prunes, enforcers);
+        # the shared disabled tracer unless the caller asked for a trace.
         self.tracer = ctx.tracer
 
     # ------------------------------------------------------------------
@@ -313,28 +312,19 @@ class SearchEngine:
         self._winners[goal] = _Winner(best, limit)
         if best is None and cap is None:
             self._unplanned[goal] = candidates
-        top = group.mexprs[0].op.name if group.mexprs else "?"
-        if best is None:
-            outcome = "no plan"
-        else:
-            if self.marks_winners:
-                # The winner implements the group: it carries the group's
-                # properties, and so its key for cardinality feedback.
-                best.props = group.props
-            outcome = f"{best.algorithm} @ {best_cost:.3f}s"
-        # Rendered per task, not on demand: the goal objects a deferred
-        # rendering would have to keep outweigh the strings.
-        self.trace.append(
-            f"optimize(group {gid} [{top}], require {required}) -> {outcome}"
-        )
+        if best is not None and self.marks_winners:
+            # The winner implements the group: it carries the group's
+            # properties, and so its key for cardinality feedback.
+            best.props = group.props
         if self.tracer.enabled:
             self.tracer.event(
                 "task",
                 f"group-{gid}",
-                op=top,
+                op=group.mexprs[0].op.name if group.mexprs else "?",
                 required=str(required),
                 winner=best.algorithm if best is not None else None,
                 cost=best_cost if best is not None else None,
+                fallback=self.fallback,
             )
         if best is not None and best_cost > limit:
             return None

@@ -68,6 +68,21 @@ class TestQueryPipeline:
         assert "Index Scan" in text
         assert "optimized in" in text
 
+    def test_explain_shows_rewrites_an_untraced_query_does_not(self, indexed_db):
+        text = (
+            "SELECT e.name FROM Employee e IN Employees, "
+            "Department d IN extent(Department) WHERE e.department == d"
+        )
+        explained = indexed_db.explain(text)
+        assert "-- rewrite: rewrite-mat-chain: fused [e.department: d] --" in (
+            explained.split("\n")
+        )
+        untraced = indexed_db.query(text, execute=False).explain()
+        assert "rewrite:" not in untraced
+        assert untraced.split("\n")[1:] == [
+            line for line in explained.split("\n")[1:] if "rewrite:" not in line
+        ]
+
     def test_syntax_error_propagates(self, indexed_db):
         with pytest.raises(QuerySyntaxError):
             indexed_db.query("SELEC * FROM c IN Cities")

@@ -11,11 +11,15 @@ import json
 
 import pytest
 
+from repro.algebra.operators import MatLink
+from repro.algebra.predicates import Comparison
 from repro.errors import CatalogError
 from repro.obs.tracer import Tracer
 from repro.api import Database
+from repro.optimizer.physical_props import PhysProps
 
-from tests.conftest import QUERY_1, QUERY_2, QUERY_3, SCALE
+from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4, SCALE
+from tests.integration.test_search_transcript import chain_query
 
 PAPER_QUERIES = {"Q1": QUERY_1, "Q2": QUERY_2, "Q3": QUERY_3}
 
@@ -147,6 +151,36 @@ class TestTracingCost:
         categories = {e.category for e in result.trace_events}
         assert "task" in categories
         assert "phase" in categories
+
+    def test_untraced_optimization_renders_nothing(self, db, monkeypatch):
+        """Search states and rewrite details are built only for a tracer:
+        untraced, no task renders its required properties, no rewrite
+        renders a conjunct or a fused link, and the result keeps no
+        record of either."""
+        rendered = []
+        for cls in (PhysProps, Comparison, MatLink):
+            def counting(self, _str=cls.__str__, _name=cls.__name__):
+                rendered.append(_name)
+                return _str(self)
+
+            monkeypatch.setattr(cls, "__str__", counting)
+        texts = (QUERY_1, QUERY_2, QUERY_3, QUERY_4, chain_query(5))
+        results = [db.optimize(text) for text in texts]
+        assert rendered == []
+        for result in results:
+            assert result.trace_events == ()
+            assert "rewrite:" not in result.explain()
+
+    def test_result_holds_only_its_own_events(self, db):
+        """A long-lived tracer keeps every run's events; each result (and
+        each EXPLAIN ANALYZE report) carries only its own."""
+        db.tracer = Tracer()
+        first = db.optimize(QUERY_2)
+        second = db.optimize(QUERY_3)
+        assert db.tracer.events == [*first.trace_events, *second.trace_events]
+        report = db.explain_analyze(QUERY_2, tracer=db.tracer)
+        assert report.events[0].seq == second.trace_events[-1].seq + 1
+        assert report.events[-1] is db.tracer.events[-1]
 
     def test_buffer_scope_stack_empty_after_run(self, db):
         db.explain_analyze(QUERY_2)

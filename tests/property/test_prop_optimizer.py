@@ -260,6 +260,7 @@ class TestOperatorIndexedRules:
         from repro.optimizer.logical_props import build_query_vars
         from repro.optimizer.memo import Memo
         from repro.optimizer.optimizer import default_required_props
+        from repro.obs.tracer import Tracer, search_states
         from repro.optimizer.search import SearchEngine
         from repro.optimizer.selectivity import SelectivityModel
 
@@ -276,6 +277,7 @@ class TestOperatorIndexedRules:
             selectivity=selectivity,
             query_vars=query_vars,
             config=config,
+            tracer=Tracer(),
         )
         required = default_required_props(
             simplified.tree, simplified.result_vars, simplified.order
@@ -287,8 +289,10 @@ class TestOperatorIndexedRules:
             transformations=(),
             implementations=tuple(_SeesEveryMExpr(rule) for rule in ALL_RULES),
         )
-        assert _costed_sequence(indexed, root_gid, required) == _costed_sequence(
-            reference, root_gid, required
-        )
+        runs = []
+        for engine in (indexed, reference):
+            ctx.tracer.clear()
+            costed = _costed_sequence(engine, root_gid, required)
+            runs.append((costed, search_states(ctx.tracer.events)))
+        assert runs[0] == runs[1]
         assert indexed.stats.candidates_costed == reference.stats.candidates_costed
-        assert indexed.trace == reference.trace

@@ -27,6 +27,7 @@ from repro.algebra.predicates import (
     SelfOid,
 )
 from repro.catalog.sample_db import build_catalog
+from repro.obs.tracer import Tracer
 from repro.optimizer import config as C
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.rewrite import (
@@ -61,22 +62,18 @@ E_DEPT_IS_D = _eq(RefAttr("e", "department"), SelfOid("d"))
 
 class TestPushdown:
     def test_single_side_conjunct_sinks_below_join(self):
-        events = []
-        tree = _pushdown(
-            Select(Join(EMPLOYEES, TASKS, Conjunction.true()), E_NAME),
-            events,
+        tree, fired = _pushdown(
+            Select(Join(EMPLOYEES, TASKS, Conjunction.true()), E_NAME), None
         )
         assert isinstance(tree, Join)
         assert isinstance(tree.left, Select)
         assert tree.left.predicate == E_NAME
-        assert len(events) == 1
+        assert fired == 1
 
     def test_spanning_conjunct_stays_above_join(self):
         spanning = _eq(FieldRef("e", "name"), FieldRef("t", "time"))
-        events = []
-        tree = _pushdown(
-            Select(Join(EMPLOYEES, TASKS, Conjunction.true()), spanning),
-            events,
+        tree, fired = _pushdown(
+            Select(Join(EMPLOYEES, TASKS, Conjunction.true()), spanning), None
         )
         # Merging it into the join predicate would trip the
         # associativity rule's cartesian guard, so it must stay in a
@@ -85,20 +82,19 @@ class TestPushdown:
         assert tree.predicate == spanning
         assert isinstance(tree.child, Join)
         assert tree.child.predicate.is_true
-        assert events == []
+        assert fired == 0
 
     def test_stacked_selects_arrive_as_one_conjunction(self):
-        events = []
-        tree = _pushdown(Select(Select(EMPLOYEES, E_NAME), T_TIME), events)
+        tree, _ = _pushdown(Select(Select(EMPLOYEES, E_NAME), T_TIME), None)
         assert isinstance(tree, Select)
         assert isinstance(tree.child, Get)
         assert len(tree.predicate.comparisons) == 2
 
     def test_anti_join_sinks_left_conjuncts_and_pushes_its_right_input(self):
         right = Select(Join(DEPARTMENTS, TASKS, Conjunction.true()), T_TIME)
-        events = []
-        tree = _pushdown(
-            Select(AntiJoin(EMPLOYEES, right, E_DEPT_IS_D), E_NAME), events
+        details = []
+        tree, fired = _pushdown(
+            Select(AntiJoin(EMPLOYEES, right, E_DEPT_IS_D), E_NAME), details
         )
         assert isinstance(tree, AntiJoin)
         assert tree.left == Select(EMPLOYEES, E_NAME)
@@ -106,10 +102,15 @@ class TestPushdown:
             DEPARTMENTS, Select(TASKS, T_TIME), Conjunction.true()
         )
         assert tree.predicate == E_DEPT_IS_D
-        assert [event.detail for event in events] == [
-            f"{E_NAME.comparisons[0]} below AntiJoin",
-            f"{T_TIME.comparisons[0]} below Join",
+        assert details == [
+            (C.REWRITE_PUSHDOWN, f"{E_NAME.comparisons[0]} below AntiJoin"),
+            (C.REWRITE_PUSHDOWN, f"{T_TIME.comparisons[0]} below Join"),
         ]
+        # Untraced, the same firings are counted and nothing is rendered.
+        assert fired == 2
+        assert _pushdown(
+            Select(AntiJoin(EMPLOYEES, right, E_DEPT_IS_D), E_NAME), None
+        ) == (tree, 2)
 
 
 class TestCollectionJoin:
@@ -119,21 +120,21 @@ class TestCollectionJoin:
         )
 
     def test_fires_on_unreferenced_extent(self):
-        events = []
-        tree = _collection_joins(self._join_tree(), CATALOG, frozenset(), events)
+        tree, fired = _collection_joins(
+            self._join_tree(), CATALOG, frozenset(), None
+        )
         assert isinstance(tree, Mat)
         assert tree.source == RefSource("e", "department")
         assert tree.out == "d"
         assert isinstance(tree.child, Get)
-        assert len(events) == 1
+        assert fired == 1
 
     def test_blocked_when_var_is_external(self):
-        events = []
-        tree = _collection_joins(
-            self._join_tree(), CATALOG, frozenset({"d"}), events
+        tree, fired = _collection_joins(
+            self._join_tree(), CATALOG, frozenset({"d"}), None
         )
         assert isinstance(tree, Select)
-        assert events == []
+        assert fired == 0
 
     def test_blocked_when_var_used_elsewhere(self):
         d_name = _eq(FieldRef("d", "name"), Const("Sales"))
@@ -141,10 +142,9 @@ class TestCollectionJoin:
             Join(EMPLOYEES, DEPARTMENTS, Conjunction.true()),
             E_DEPT_IS_D.conjoin(d_name),
         )
-        events = []
-        converted = _collection_joins(tree, CATALOG, frozenset(), events)
+        converted, fired = _collection_joins(tree, CATALOG, frozenset(), None)
         assert isinstance(converted, Select)
-        assert events == []
+        assert fired == 0
 
     def test_blocked_on_named_set(self):
         # Tasks is a NAMED_SET, not an extent: Mat-to-Join could not
@@ -153,28 +153,25 @@ class TestCollectionJoin:
             Join(EMPLOYEES, TASKS, Conjunction.true()),
             _eq(RefAttr("e", "department"), SelfOid("t")),
         )
-        events = []
-        converted = _collection_joins(tree, CATALOG, frozenset(), events)
+        converted, fired = _collection_joins(tree, CATALOG, frozenset(), None)
         assert isinstance(converted, Select)
-        assert events == []
+        assert fired == 0
 
 
 class TestJoinCanon:
     def test_reorders_cartesian_inputs_by_estimate(self):
         tree = Join(EMPLOYEES, DEPARTMENTS, Conjunction.true())
-        events = []
-        canon = _canonicalize_joins(tree, _sel_model(tree), CATALOG, events)
+        canon, fired = _canonicalize_joins(tree, _sel_model(tree), CATALOG, None)
         # extent(Department) (1 000 rows) before Employees (50 000).
         assert canon.left == DEPARTMENTS
         assert canon.right == EMPLOYEES
-        assert len(events) == 1
+        assert fired == 1
 
     def test_predicated_join_untouched(self):
         tree = Join(EMPLOYEES, DEPARTMENTS, E_DEPT_IS_D)
-        events = []
-        canon = _canonicalize_joins(tree, _sel_model(tree), CATALOG, events)
+        canon, fired = _canonicalize_joins(tree, _sel_model(tree), CATALOG, None)
         assert canon == tree
-        assert events == []
+        assert fired == 0
 
 
 class TestMatChainFusion:
@@ -183,27 +180,25 @@ class TestMatChainFusion:
         return Mat(dept, RefSource("e", "job"), "j")
 
     def test_fuses_unreferenced_run(self):
-        events = []
-        tree = _fuse_mat_chains(self._chain(), frozenset(), events)
+        tree, fired = _fuse_mat_chains(self._chain(), frozenset(), None)
         assert isinstance(tree, MatChain)
         assert [link.out for link in tree.links] == ["d", "j"]
         assert isinstance(tree.child, Get)
-        assert len(events) == 1
+        assert fired == 1
 
     def test_external_out_stays_unfused(self):
-        events = []
-        tree = _fuse_mat_chains(self._chain(), frozenset({"j"}), events)
+        tree, fired = _fuse_mat_chains(self._chain(), frozenset({"j"}), None)
         # j is needed above: its Mat survives; the d link still fuses
         # into a (single-link) chain below it.
         assert isinstance(tree, Mat)
         assert tree.out == "j"
         assert isinstance(tree.child, MatChain)
         assert [link.out for link in tree.child.links] == ["d"]
+        assert fired == 1
 
     def test_referenced_out_stays_unfused(self):
         used = Select(self._chain(), _eq(FieldRef("d", "name"), Const("S")))
-        events = []
-        tree = _fuse_mat_chains(used, frozenset(), events)
+        tree, fired = _fuse_mat_chains(used, frozenset(), None)
         # d is read by the Select: its Mat survives unfused below the
         # (single-link) chain that absorbs the unreferenced j.
         chain = tree.child
@@ -211,25 +206,26 @@ class TestMatChainFusion:
         assert [link.out for link in chain.links] == ["j"]
         assert isinstance(chain.child, Mat)
         assert chain.child.out == "d"
+        assert fired == 1
 
     def test_chain_source_links_fuse_together(self):
         # d feeds the second hop (d.company): consumed inside the run,
         # so both links still fuse into one chain.
         dept = Mat(EMPLOYEES, RefSource("e", "department"), "d")
         hop = Mat(dept, RefSource("d", None), "d2")
-        events = []
-        tree = _fuse_mat_chains(hop, frozenset(), events)
+        tree, fired = _fuse_mat_chains(hop, frozenset(), None)
         assert isinstance(tree, MatChain)
         assert [link.out for link in tree.links] == ["d", "d2"]
+        assert fired == 1
 
 
 class TestRewriteTreeStage:
     def test_disabled_stage_returns_original(self):
         tree = Select(Select(EMPLOYEES, E_NAME), T_TIME)
         config = OptimizerConfig().without(*C.ALL_REWRITES)
-        out, events = rewrite_tree(tree, CATALOG, config)
-        assert out == tree
-        assert events == ()
+        tracer = Tracer()
+        assert rewrite_tree(tree, CATALOG, config, tracer=tracer) == tree
+        assert tracer.events == []
 
     def test_end_to_end_collection_join_fusion(self):
         jobs = Get("extent(Job)", "j")
@@ -244,15 +240,16 @@ class TestRewriteTreeStage:
             ),
             (ProjectItem("name", FieldRef("e", "name")),),
         )
-        out, events = rewrite_tree(
-            tree, CATALOG, OptimizerConfig(), result_vars=()
+        tracer = Tracer()
+        out = rewrite_tree(
+            tree, CATALOG, OptimizerConfig(), result_vars=(), tracer=tracer
         )
         assert isinstance(out, Project)
         chain = out.children[0]
         assert isinstance(chain, MatChain)
         assert sorted(link.out for link in chain.links) == ["d", "j"]
         assert isinstance(chain.child, Get)
-        rules = {event.rule for event in events}
+        rules = {event.name for event in tracer.events_in("rewrite")}
         assert C.REWRITE_COLLECTION_JOIN in rules
         assert C.REWRITE_MAT_CHAIN in rules
 
@@ -260,7 +257,7 @@ class TestRewriteTreeStage:
         tree = Select(
             Join(EMPLOYEES, DEPARTMENTS, Conjunction.true()), E_DEPT_IS_D
         )
-        out, _ = rewrite_tree(
+        out = rewrite_tree(
             tree, CATALOG, OptimizerConfig(), result_vars=("e", "d")
         )
         # d is user-visible: the collection join must keep the Get.
