@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -34,6 +35,7 @@ from repro.engine import iterators
 from repro.engine.tuples import Obj, Row, ordering_key
 from repro.errors import MemoryBudgetExceeded
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.storage.objects import Oid
 from repro.storage.store import ObjectStore
 
 #: Fixed per-row bookkeeping charge (dict header, references).
@@ -169,6 +171,21 @@ def _fanout(total_bytes: int, budget_bytes: int) -> int:
     return min(MAX_PARTITIONS, max(2, -(-total_bytes // budget_bytes)))
 
 
+def _stable(value: Any) -> Any:
+    # Equal values map to equal stand-ins, none of them hashed as a string.
+    if value.__class__ is Oid:
+        return value.serial
+    if isinstance(value, str):
+        return zlib.crc32(value.encode())
+    return value
+
+
+def _partition(key: tuple, fanout: int) -> int:
+    """The partition of an equi-key, the same in every process: ``hash`` of
+    a string (an Oid hashes its type name) follows ``PYTHONHASHSEED``."""
+    return hash(tuple(map(_stable, key))) % fanout
+
+
 def spill_hash_join(
     store: ObjectStore,
     build_rows: Iterable[Row],
@@ -268,7 +285,7 @@ def _grace_join(
         key = build_key(row)
         if None in key:
             continue  # null never equi-joins
-        build_parts[hash(key) % fanout].append(row)
+        build_parts[_partition(key, fanout)].append(row)
     build_runs = [_write_run(store, part) for part in build_parts]
     del build_list, build_parts
 
@@ -281,7 +298,7 @@ def _grace_join(
             if anti:
                 output.append((sequence, row))  # the subquery never matches
             continue
-        probe_parts[hash(key) % fanout].append((sequence, row))
+        probe_parts[_partition(key, fanout)].append((sequence, row))
     probe_runs = [
         _write_run(store, part, row_of=lambda item: item[1])
         for part in probe_parts

@@ -9,11 +9,16 @@ regression, and a 200-round chaos sweep at 5% transient fault rate.
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import Database
 from repro.errors import (
     AdmissionRejected,
@@ -47,6 +52,30 @@ JOIN_QUERY = (
     "SELECT e.name, d.name FROM Employee e IN Employees, "
     "Department d IN extent(Department) WHERE e.department == d"
 )
+
+
+# The spilled hash join of ``test_hash_join_spills_and_matches_exactly``,
+# printing its spill page writes and a digest of its rows.
+SPILLED_JOIN_CHILD = """
+import hashlib
+import sys
+from repro.api import Database
+from repro.governor.context import QueryContext
+from repro.governor.spill import approx_row_bytes
+from repro.optimizer.config import (
+    ASSEMBLY, MERGE_JOIN, NESTED_LOOPS, POINTER_JOIN, WARM_START_ASSEMBLY,
+)
+db = Database.sample(scale=float(sys.argv[2]))
+config = db.config.without(
+    ASSEMBLY, POINTER_JOIN, WARM_START_ASSEMBLY, NESTED_LOOPS, MERGE_JOIN
+)
+plan = db.optimize(sys.argv[1], config=config).plan
+join = next(node for node in plan.walk() if "Hash Join" in node.describe())
+build = db.execute_plan(join.children[0]).rows
+budget = max(1, sum(approx_row_bytes(row) for row in build) // 10)
+run = db.execute_plan(plan, ctx=QueryContext(memory_bytes=budget))
+print(run.spill_page_writes, hashlib.sha256(repr(run.rows).encode()).hexdigest())
+"""
 
 
 def _tenth_of_input_budget(db, rows) -> int:
@@ -89,6 +118,20 @@ class TestSpillByteIdentity:
         )
         assert governed.rows == reference.rows
         assert governed.spill_page_writes > 0
+
+    def test_grace_partitions_do_not_follow_the_string_hash(self):
+        """Two processes with different string-hash seeds partition the
+        spilled join's rows alike, so they write the same spill pages."""
+        src = str(Path(repro.__file__).parents[1])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", SPILLED_JOIN_CHILD, JOIN_QUERY, "0.02"],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(outputs) == 1, outputs
 
     def test_explain_analyze_shows_spill_io(self, fresh_db):
         reference = fresh_db.query(ORDER_BY_QUERY, use_cache=False)
