@@ -158,20 +158,27 @@ def _wrap(pred_comps: list[Comparison], tree: LogicalOp) -> LogicalOp:
 
 
 def _pushdown(tree: LogicalOp, details: list | None) -> tuple[LogicalOp, int]:
+    """Sink conjuncts; a conjunct counts (and is traced) once, below the
+    first operator it sinks through, however many it passes after that."""
     fired = 0
 
-    def push(op: LogicalOp, pending: list[Comparison]) -> LogicalOp:
+    def push(
+        op: LogicalOp, moved: list[Comparison], fresh: list[Comparison]
+    ) -> LogicalOp:
+        # ``moved`` already sank from above; ``fresh`` came from Selects
+        # met on the way down and has not moved yet.
         nonlocal fired
         if isinstance(op, Select):
-            return push(op.child, pending + list(op.predicate.comparisons))
+            return push(op.child, moved, fresh + list(op.predicate.comparisons))
 
+        sunk: list[Comparison] = []
         if isinstance(op, Join):
             left_vars = _bound_vars(op.left)
             right_vars = _bound_vars(op.right)
             to_left: list[Comparison] = []
             to_right: list[Comparison] = []
             stay: list[Comparison] = []
-            for comp in pending:
+            for comp in moved + fresh:
                 if comp.vars and comp.vars <= left_vars:
                     to_left.append(comp)
                 elif comp.vars and comp.vars <= right_vars:
@@ -181,13 +188,18 @@ def _pushdown(tree: LogicalOp, details: list | None) -> tuple[LogicalOp, int]:
                     # join: merging them into the join predicate would trip
                     # the associativity rule's cartesian guard.
                     stay.append(comp)
-            fired += len(to_left) + len(to_right)
+                    continue
+                if comp in fresh:
+                    sunk.append(comp)
+            fired += len(sunk)
             if details is not None:
                 details.extend(
                     (rule_names.REWRITE_PUSHDOWN, f"{comp} below Join")
-                    for comp in to_left + to_right
+                    for comp in sunk
                 )
-            new = Join(push(op.left, to_left), push(op.right, to_right), op.predicate)
+            new = Join(
+                push(op.left, to_left, []), push(op.right, to_right, []), op.predicate
+            )
             return _wrap(stay, new)
 
         if isinstance(op, (Mat, MatChain, Unnest, AntiJoin)):
@@ -195,22 +207,29 @@ def _pushdown(tree: LogicalOp, details: list | None) -> tuple[LogicalOp, int]:
             # into it; an AntiJoin's right input only gets its own pushed.
             inner, *rest = op.children
             below_vars = _bound_vars(inner)
-            below = [c for c in pending if c.vars and c.vars <= below_vars]
-            stay = [c for c in pending if c not in below]
-            fired += len(below)
+            below: list[Comparison] = []
+            stay = []
+            for comp in moved + fresh:
+                if comp.vars and comp.vars <= below_vars:
+                    below.append(comp)
+                    if comp in fresh:
+                        sunk.append(comp)
+                else:
+                    stay.append(comp)
+            fired += len(sunk)
             if details is not None:
                 details.extend(
                     (rule_names.REWRITE_PUSHDOWN, f"{comp} below {type(op).__name__}")
-                    for comp in below
+                    for comp in sunk
                 )
-            children = (push(inner, below), *(push(c, []) for c in rest))
+            children = (push(inner, below, []), *(push(c, [], []) for c in rest))
             return _wrap(stay, op.with_children(children))
 
         # Project / GroupBy / SetOp / Get: conjuncts go no lower.
-        children = tuple(push(c, []) for c in op.children)
-        return _wrap(pending, op.with_children(children))
+        children = tuple(push(c, [], []) for c in op.children)
+        return _wrap(moved + fresh, op.with_children(children))
 
-    return push(tree, []), fired
+    return push(tree, [], []), fired
 
 
 # ----------------------------------------------------------------------

@@ -43,14 +43,10 @@ CHAIN_QUERY = (
 
 # The chain's rewrite firings as EXPLAIN shows them, byte for byte.
 CHAIN_REWRITES = [
-    "-- rewrite: rewrite-pushdown: 100 == t.time below Join --",
-    "-- rewrite: rewrite-pushdown: e.department == d.self below Join --",
-    "-- rewrite: rewrite-pushdown: e.job == j.self below Join --",
     "-- rewrite: rewrite-pushdown: 'x' != n.name below Join --",
-    "-- rewrite: rewrite-pushdown: e.department == d.self below Join --",
-    "-- rewrite: rewrite-pushdown: e.job == j.self below Join --",
     "-- rewrite: rewrite-pushdown: 100 == t.time below Join --",
     "-- rewrite: rewrite-pushdown: e.department == d.self below Join --",
+    "-- rewrite: rewrite-pushdown: e.job == j.self below Join --",
     "-- rewrite: rewrite-collection-join: e.job == j.self -> Mat e.job: j --",
     "-- rewrite: rewrite-collection-join: e.department == d.self "
     "-> Mat e.department: d --",
