@@ -28,31 +28,34 @@ QUERIES = {
 }
 
 
-def run_sweep(catalog):
-    results = {}
+def numbers() -> dict:
+    """Per query and mode: search effort, and plan cost over the optimum."""
+    catalog = common.paper_catalog()
+    out = {}
     for qname, sql in QUERIES.items():
         optimal = common.optimize(catalog, sql).cost.total
+        out[qname] = {}
         for label, config in SWEEP:
             result = common.optimize(catalog, sql, config)
-            results[(qname, label)] = (
-                result.stats.total_effort,
-                result.cost.total / optimal,
-            )
-    return results
+            out[qname][label] = {
+                "effort": result.stats.total_effort,
+                "quality": result.cost.total / optimal,
+            }
+    return out
 
 
-def build_report(results) -> str:
+def report(numbers: dict) -> str:
     rows = []
     for qname in QUERIES:
-        base_effort = results[(qname, "exhaustive")][0]
+        base_effort = numbers[qname]["exhaustive"]["effort"]
         for label, _ in SWEEP:
-            effort, quality = results[(qname, label)]
+            row = numbers[qname][label]
             rows.append(
                 [
                     qname,
                     label,
-                    f"{100 * effort / base_effort:.0f}%",
-                    f"{quality:.2f}x",
+                    f"{100 * row['effort'] / base_effort:.0f}%",
+                    f"{row['quality']:.2f}x",
                 ]
             )
     return common.format_table(
@@ -62,28 +65,8 @@ def build_report(results) -> str:
     )
 
 
-def test_heuristics_tradeoff(full_catalog, benchmark):
-    results = benchmark.pedantic(
-        run_sweep, args=(full_catalog,), iterations=1, rounds=1
-    )
-    common.register_report("Heuristics ablation (EXP-ABL)", build_report(results))
-    for qname in QUERIES:
-        base_effort, base_quality = results[(qname, "exhaustive")]
-        assert base_quality == 1.0
-        greedy_effort, greedy_quality = results[(qname, "cap=1 (greedy)")]
-        # Heuristic modes spend no more effort...
-        assert greedy_effort <= base_effort
-        # ...and never return an invalid plan (quality is finite).
-        assert greedy_quality >= 1.0
-        # The safe-pruning optimum must be re-found with caps >= 4 for the
-        # paper queries (their plan space is narrow enough).
-        cap4_quality = results[(qname, "cap=4")][1]
-        assert cap4_quality < 20.0
-
-
 def main() -> None:
-    results = run_sweep(common.paper_catalog())
-    print(build_report(results))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

@@ -26,63 +26,50 @@ BASE = OptimizerConfig().without(C.MAT_TO_JOIN, C.POINTER_JOIN)
 WARM = BASE.with_rules(C.WARM_START_ASSEMBLY)
 
 
-def run(catalog):
-    without = common.optimize(catalog, QUERY, BASE)
-    with_warm = common.optimize(catalog, QUERY, WARM)
-    return without, with_warm
+def numbers() -> dict:
+    """Full-scale estimate and 10%-scale simulated I/O seconds, without and
+    with warm-start assembly enabled."""
+    catalog = common.paper_catalog()
+    db = common.exec_database(scale=0.1)
+    out = {}
+    for label, config in (("assembly_only", BASE), ("warm_start", WARM)):
+        estimate = common.optimize(catalog, QUERY, config)
+        run = db.query(QUERY, config=config)
+        out[label] = {
+            "est": estimate.cost.total,
+            "sim": run.execution.simulated_io_seconds,
+            "rows": len(run.rows),
+            "warm_start_chosen": any(
+                node.algorithm == "WarmStartAssembly" for node in estimate.plan.walk()
+            ),
+            "plan": common.plan_lines(estimate.plan),
+        }
+    return out
 
 
-def simulated(db):
-    plain = db.query(QUERY, config=BASE)
-    warm = db.query(QUERY, config=WARM)
-    assert len(plain.rows) == len(warm.rows)
-    return (
-        plain.execution.simulated_io_seconds,
-        warm.execution.simulated_io_seconds,
-    )
-
-
-def build_report(without, with_warm, sim_plain, sim_warm) -> str:
-    warm_used = any(
-        node.algorithm == "WarmStartAssembly" for node in with_warm.plan.walk()
-    )
+def report(numbers: dict) -> str:
+    plain, warm = numbers["assembly_only"], numbers["warm_start"]
     rows = [
-        ["assembly only", f"{without.cost.total:.2f}", f"{sim_plain:.2f}"],
-        ["warm-start enabled", f"{with_warm.cost.total:.2f}", f"{sim_warm:.2f}"],
+        ["assembly only", f"{plain['est']:.2f}", f"{plain['sim']:.2f}"],
+        ["warm-start enabled", f"{warm['est']:.2f}", f"{warm['sim']:.2f}"],
     ]
     table = common.format_table(
         ["configuration", "est. exec [s] (full scale)", "simulated I/O [s] (10%)"],
         rows,
         "Warm-start assembly ablation (the paper's Lesson 7 future work).",
     )
-    table += (
-        f"\nwarm-start chosen by the optimizer: {warm_used}\n"
-        "plan with warm-start enabled:\n"
-        + with_warm.plan.pretty(indent=2)
+    return "\n".join(
+        [
+            table,
+            f"warm-start chosen by the optimizer: {warm['warm_start_chosen']}",
+            "plan with warm-start enabled:",
+            *warm["plan"],
+        ]
     )
-    return table
-
-
-def test_warm_start_wins_on_small_targets(full_catalog, exec_db, benchmark):
-    without, with_warm = benchmark.pedantic(
-        run, args=(full_catalog,), iterations=1, rounds=1
-    )
-    sim_plain, sim_warm = simulated(exec_db)
-    common.register_report(
-        "Warm-start ablation (EXP-ABL)",
-        build_report(without, with_warm, sim_plain, sim_warm),
-    )
-    assert with_warm.cost.total <= without.cost.total
-    assert any(
-        node.algorithm == "WarmStartAssembly" for node in with_warm.plan.walk()
-    )
-    assert sim_warm <= sim_plain * 1.05
 
 
 def main() -> None:
-    without, with_warm = run(common.paper_catalog())
-    sim_plain, sim_warm = simulated(common.exec_database(scale=0.1))
-    print(build_report(without, with_warm, sim_plain, sim_warm))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

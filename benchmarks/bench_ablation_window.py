@@ -14,32 +14,32 @@ from repro.optimizer import config as C
 WINDOWS = (1, 2, 4, 8, 16, 64)
 
 
-def estimated_sweep(catalog):
-    out = []
-    for window in WINDOWS:
-        config = OptimizerConfig().without(
-            C.MAT_TO_JOIN, C.POINTER_JOIN
-        ).with_window(window)
-        result = common.optimize(catalog, common.QUERY_1, config)
-        out.append((window, result.cost.total))
-    return out
+def _config(window: int) -> OptimizerConfig:
+    return OptimizerConfig().without(C.MAT_TO_JOIN, C.POINTER_JOIN).with_window(window)
 
 
-def simulated_sweep(db):
-    out = []
-    for window in WINDOWS:
-        config = OptimizerConfig().without(
-            C.MAT_TO_JOIN, C.POINTER_JOIN
-        ).with_window(window)
-        result = db.query(common.QUERY_2, config=config)
-        out.append((window, result.execution.simulated_io_seconds))
-    return out
+def numbers() -> dict:
+    """Per window: Query 1's full-scale estimate and Query 2's simulated
+    I/O seconds on a 10%-scale store."""
+    catalog = common.paper_catalog()
+    db = common.exec_database(scale=0.1)
+    return {
+        "windows": list(WINDOWS),
+        "q1_est": [
+            common.optimize(catalog, common.QUERY_1, _config(w)).cost.total
+            for w in WINDOWS
+        ],
+        "q2_sim": [
+            db.query(common.QUERY_2, config=_config(w)).execution.simulated_io_seconds
+            for w in WINDOWS
+        ],
+    }
 
 
-def build_report(estimated, simulated) -> str:
+def report(numbers: dict) -> str:
     rows = [
         [str(w), f"{est:.1f}", f"{sim:.3f}"]
-        for (w, est), (_, sim) in zip(estimated, simulated)
+        for w, est, sim in zip(numbers["windows"], numbers["q1_est"], numbers["q2_sim"])
     ]
     return common.format_table(
         ["window", "Q1 est. exec [s] (full scale)", "Q2 simulated I/O [s] (10%)"],
@@ -48,30 +48,8 @@ def build_report(estimated, simulated) -> str:
     )
 
 
-def test_window_sweep(full_catalog, exec_db, benchmark):
-    estimated = benchmark.pedantic(
-        estimated_sweep, args=(full_catalog,), iterations=1, rounds=1
-    )
-    simulated = simulated_sweep(exec_db)
-    common.register_report(
-        "Window ablation (EXP-ABL)", build_report(estimated, simulated)
-    )
-    # Cost model: monotone non-increasing in the window.
-    costs = [cost for _, cost in estimated]
-    assert all(a >= b for a, b in zip(costs, costs[1:]))
-    # Paper's ratio between window-1 and the default window ~ 1.7x.
-    default = dict(estimated)[8]
-    naive = dict(estimated)[1]
-    assert 1.3 < naive / default < 2.5
-    # The simulator agrees that windows don't hurt.
-    sims = [s for _, s in simulated]
-    assert sims[-1] <= sims[0] * 1.05
-
-
 def main() -> None:
-    estimated = estimated_sweep(common.paper_catalog())
-    simulated = simulated_sweep(common.exec_database(scale=0.1))
-    print(build_report(estimated, simulated))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

@@ -30,54 +30,55 @@ def q_error(estimate: float, actual: float) -> float:
     return max(estimate / actual, actual / estimate)
 
 
-def run_panel(db: Database, label_rows: list) -> None:
-    for label, sql in PREDICATE_PANEL:
-        estimate = db.optimize(sql, config=None).plan.rows
-        actual = len(db.query(sql).rows)
-        label_rows.append((label, estimate, actual))
+def _gmean(values: list[float]) -> float:
+    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def run_accuracy(scale: float = 0.1):
-    naive_db = Database.sample(scale=scale)
-    analyzed_db = Database.sample(scale=scale)
+def numbers() -> dict:
+    """Per predicate: naive and ANALYZE-based estimates, the true count and
+    both q-errors; plus each side's geometric-mean q-error."""
+    naive_db = Database.sample(scale=0.1)
+    analyzed_db = Database.sample(scale=0.1)
     analyzed_db.analyze("Cities")
     analyzed_db.analyze("Employees")
+    panel = {}
+    for label, sql in PREDICATE_PANEL:
+        naive = naive_db.optimize(sql).plan.rows
+        actual = len(naive_db.query(sql).rows)
+        analyzed = analyzed_db.optimize(sql).plan.rows
+        panel[label] = {
+            "naive_est": naive,
+            "analyzed_est": analyzed,
+            "actual": actual,
+            "naive_q": q_error(naive, actual),
+            "analyzed_q": q_error(analyzed, actual),
+        }
+    return {
+        "panel": panel,
+        "gmean_q": {
+            side: _gmean([row[f"{side}_q"] for row in panel.values()])
+            for side in ("naive", "analyzed")
+        },
+    }
 
-    naive_rows: list = []
-    refined_rows: list = []
-    run_panel(naive_db, naive_rows)
-    run_panel(analyzed_db, refined_rows)
-    return naive_rows, refined_rows
 
-
-def build_report(naive_rows, refined_rows) -> str:
+def report(numbers: dict) -> str:
     rows = []
-    naive_errors, refined_errors = [], []
-    for (label, naive_est, actual), (_, refined_est, _) in zip(
-        naive_rows, refined_rows
-    ):
-        naive_errors.append(q_error(naive_est, actual))
-        refined_errors.append(q_error(refined_est, actual))
+    for label, _ in PREDICATE_PANEL:
+        row = numbers["panel"][label]
         rows.append(
             [
                 label,
-                f"{naive_est:.0f}",
-                f"{refined_est:.0f}",
-                f"{actual}",
-                f"{naive_errors[-1]:.1f}",
-                f"{refined_errors[-1]:.1f}",
+                f"{row['naive_est']:.0f}",
+                f"{row['analyzed_est']:.0f}",
+                f"{row['actual']}",
+                f"{row['naive_q']:.1f}",
+                f"{row['analyzed_q']:.1f}",
             ]
         )
-    gmean = lambda xs: math.exp(sum(math.log(x) for x in xs) / len(xs))
+    gmean = numbers["gmean_q"]
     rows.append(
-        [
-            "geometric-mean q-error",
-            "",
-            "",
-            "",
-            f"{gmean(naive_errors):.2f}",
-            f"{gmean(refined_errors):.2f}",
-        ]
+        ["geometric-mean q-error", "", "", "", f"{gmean['naive']:.2f}", f"{gmean['analyzed']:.2f}"]
     )
     return common.format_table(
         ["predicate", "naive est", "analyzed est", "actual", "naive q-err", "analyzed q-err"],
@@ -87,23 +88,8 @@ def build_report(naive_rows, refined_rows) -> str:
     )
 
 
-def test_analyze_improves_estimates(benchmark):
-    naive_rows, refined_rows = benchmark.pedantic(
-        run_accuracy, iterations=1, rounds=1
-    )
-    common.register_report(
-        "Estimation accuracy (EXP-ABL)", build_report(naive_rows, refined_rows)
-    )
-    naive_err = [q_error(e, a) for _, e, a in naive_rows]
-    refined_err = [q_error(e, a) for _, e, a in refined_rows]
-    gmean = lambda xs: math.exp(sum(math.log(x) for x in xs) / len(xs))
-    assert gmean(refined_err) < gmean(naive_err)
-    # Histograms keep every estimate within a modest q-error.
-    assert max(refined_err) < 10.0
-
-
 def main() -> None:
-    print(build_report(*run_accuracy()))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

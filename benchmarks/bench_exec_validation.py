@@ -10,8 +10,6 @@ return identical rows.
 
 from collections import Counter
 
-import pytest
-
 import common
 from repro.engine.tuples import row_key
 from repro.optimizer import OptimizerConfig
@@ -29,38 +27,29 @@ QUERIES = {
 }
 
 
-def run_validation(db):
-    rows = []
+def numbers() -> dict:
+    db = common.exec_database(scale=0.1)
+    out = {}
     for name, sql in QUERIES.items():
         chosen = db.query(sql)
         crippled = db.query(sql, config=CRIPPLED)
-        assert Counter(map(row_key, chosen.rows)) == Counter(
-            map(row_key, crippled.rows)
-        ), name
-        rows.append(
-            (
-                name,
-                chosen.optimization.cost.total,
-                chosen.execution.simulated_io_seconds,
-                crippled.optimization.cost.total,
-                crippled.execution.simulated_io_seconds,
-                len(chosen.rows),
-            )
-        )
-    return rows
+        out[name] = {
+            "chosen_est": chosen.optimization.cost.total,
+            "chosen_sim": chosen.execution.simulated_io_seconds,
+            "crippled_est": crippled.optimization.cost.total,
+            "crippled_sim": crippled.execution.simulated_io_seconds,
+            "rows": len(chosen.rows),
+            "same_rows": Counter(map(row_key, chosen.rows))
+            == Counter(map(row_key, crippled.rows)),
+        }
+    return out
 
 
-def build_report(rows) -> str:
+def report(numbers: dict) -> str:
+    keys = ("chosen_est", "chosen_sim", "crippled_est", "crippled_sim")
     table_rows = [
-        [
-            name,
-            f"{est:.2f}",
-            f"{sim:.2f}",
-            f"{bad_est:.2f}",
-            f"{bad_sim:.2f}",
-            str(count),
-        ]
-        for name, est, sim, bad_est, bad_sim, count in rows
+        [name, *(f"{numbers[name][k]:.2f}" for k in keys), str(numbers[name]["rows"])]
+        for name in QUERIES
     ]
     return common.format_table(
         [
@@ -77,34 +66,8 @@ def build_report(rows) -> str:
     )
 
 
-def test_estimates_order_simulations(exec_db, benchmark):
-    rows = benchmark.pedantic(
-        run_validation, args=(exec_db,), iterations=1, rounds=1
-    )
-    common.register_report("Execution validation (EXP-EXEC)", build_report(rows))
-    for name, est, sim, bad_est, bad_sim, _ in rows:
-        assert est <= bad_est, name
-        # Whenever the optimizer predicts a >=5x gap, the simulator must
-        # agree on the direction with real margin.  The magnitudes may
-        # differ legitimately: Query 1's pessimistic estimate stems from
-        # the *unknown* Plant population ("50,000 page faults MAY result"),
-        # while in the actual run the buffer pool caches the whole plant
-        # segment — the very uncertainty the paper's catalog discussion is
-        # about.
-        if bad_est > 5 * est:
-            assert bad_sim > 1.2 * sim, name
-
-
-@pytest.mark.parametrize("name", list(QUERIES))
-def test_execution_throughput(exec_db, benchmark, name):
-    """Wall-clock execution of the chosen plan (pytest-benchmark metric)."""
-    plan = exec_db.optimize(QUERIES[name]).plan
-    benchmark(lambda: exec_db.execute_plan(plan))
-
-
 def main() -> None:
-    db = common.exec_database(scale=0.1)
-    print(build_report(run_validation(db)))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

@@ -11,10 +11,10 @@ import common
 from repro.obs.tracer import Tracer, search_states
 from repro.optimizer import OptimizerConfig
 from repro.optimizer import config as C
-from repro.optimizer.plans import AssemblyNode, IndexScanNode
 
 
-def run(catalog):
+def numbers() -> dict:
+    catalog = common.paper_catalog()
     q2 = common.optimize(catalog, common.QUERY_2)
     optimal = common.optimize(catalog, common.QUERY_3, tracer=Tracer())
     no_enforcer = common.optimize(
@@ -25,54 +25,49 @@ def run(catalog):
             C.MAT_TO_JOIN,
         ),
     )
-    return q2, optimal, no_enforcer
+    return {
+        "figure11": [
+            line
+            for line in search_states(optimal.trace_events)
+            if "Select" in line or "Project" in line
+        ],
+        "figure10": {"cost": optimal.cost.total, "plan": common.plan_lines(optimal.plan)},
+        "no_enforcer": {
+            "cost": no_enforcer.cost.total,
+            "plan": common.plan_lines(no_enforcer.plan),
+        },
+        "ratio": no_enforcer.cost.total / optimal.cost.total,
+        "query2_cost": q2.cost.total,
+    }
 
 
-def build_report(q2, optimal, no_enforcer) -> str:
-    trace_lines = [
-        line
-        for line in search_states(optimal.trace_events)
-        if "Select" in line or "Project" in line
-    ]
+def report(numbers: dict) -> str:
+    optimal, no_enforcer = numbers["figure10"], numbers["no_enforcer"]
     return "\n".join(
         [
             "Figure 11. The search states, as actually recorded by the",
             "engine (Alg-Project requires {c, c.mayor}; the index scan",
             "delivers only {c}; the assembly ENFORCER bridges the gap):",
-            *(f"  {line}" for line in trace_lines),
+            *(f"  {line}" for line in numbers["figure11"]),
             "",
-            f"Figure 10. Optimal plan (est. {optimal.cost.total:.3f}s; "
+            f"Figure 10. Optimal plan (est. {optimal['cost']:.3f}s; "
             "paper 0.12s):",
-            optimal.plan.pretty(indent=2),
+            *optimal["plan"],
             "",
-            f"Without physical properties (est. {no_enforcer.cost.total:.1f}s; "
+            f"Without physical properties (est. {no_enforcer['cost']:.1f}s; "
             "paper 119.6s):",
-            no_enforcer.plan.pretty(indent=2),
+            *no_enforcer["plan"],
             "",
-            f"Ratio: {no_enforcer.cost.total / optimal.cost.total:.0f}x "
+            f"Ratio: {numbers['ratio']:.0f}x "
             "(paper: ~1000x, 'three orders of magnitude').",
-            f"Query 2 cost {q2.cost.total:.3f}s -> Query 3 adds only the "
+            f"Query 2 cost {numbers['query2_cost']:.3f}s -> Query 3 adds only the "
             "qualifying mayors' fetches.",
         ]
     )
 
 
-def test_figures_10_11(full_catalog, benchmark):
-    q2, optimal, no_enforcer = benchmark.pedantic(
-        run, args=(full_catalog,), iterations=1, rounds=1
-    )
-    common.register_report(
-        "Figures 10-11 (EXP-F10/11)", build_report(q2, optimal, no_enforcer)
-    )
-    assembly = optimal.plan.children[0]
-    assert isinstance(assembly, AssemblyNode) and assembly.enforcer
-    assert isinstance(assembly.children[0], IndexScanNode)
-    assert no_enforcer.cost.total > 100 * optimal.cost.total
-    assert optimal.cost.total < 3 * q2.cost.total
-
-
 def main() -> None:
-    print(build_report(*run(common.paper_catalog())))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

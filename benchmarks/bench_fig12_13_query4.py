@@ -8,59 +8,57 @@ name index and hash-joins — more than 5x slower in the paper.
 import common
 from repro.baselines.greedy import GreedyOptimizer
 from repro.lang.parser import parse_query
-from repro.optimizer.plans import HashJoinNode, IndexScanNode
+from repro.optimizer.plans import IndexScanNode
 from repro.simplify.simplifier import simplify_full
 
 
-def run(catalog):
+def _indexes(plan) -> list[str]:
+    return [n.index.name for n in plan.walk() if isinstance(n, IndexScanNode)]
+
+
+def numbers() -> dict:
+    catalog = common.paper_catalog()
     optimal = common.optimize(catalog, common.QUERY_4)
     simplified = simplify_full(parse_query(common.QUERY_4), catalog)
     greedy = GreedyOptimizer(catalog).optimize(
         simplified.tree, result_vars=simplified.result_vars
     )
-    return optimal, greedy
+    return {
+        "figure12": {
+            "cost": optimal.cost.total,
+            "plan": common.plan_lines(optimal.plan),
+            "indexes": _indexes(optimal.plan),
+        },
+        "figure13": {
+            "cost": greedy.total_cost.total,
+            "plan": common.plan_lines(greedy),
+            "indexes": _indexes(greedy),
+        },
+        "ratio": greedy.total_cost.total / optimal.cost.total,
+    }
 
 
-def build_report(optimal, greedy) -> str:
+def report(numbers: dict) -> str:
+    optimal, greedy = numbers["figure12"], numbers["figure13"]
     return "\n".join(
         [
-            f"Figure 12. Optimal plan (est. {optimal.cost.total:.2f}s; "
+            f"Figure 12. Optimal plan (est. {optimal['cost']:.2f}s; "
             "paper 1.73s) — only the time index:",
-            optimal.plan.pretty(indent=2),
+            *optimal["plan"],
             "",
-            f"Figure 13. Greedy plan (est. {greedy.total_cost.total:.2f}s; "
+            f"Figure 13. Greedy plan (est. {greedy['cost']:.2f}s; "
             "paper 10.1s) — both indexes:",
-            greedy.pretty(indent=2),
+            *greedy["plan"],
             "",
-            f"Greedy/optimal ratio: "
-            f"{greedy.total_cost.total / optimal.cost.total:.1f}x "
+            f"Greedy/optimal ratio: {numbers['ratio']:.1f}x "
             "(paper: 5.8x, 'slower than the optimal plan by more than a "
             "factor of 5').",
         ]
     )
 
 
-def test_figures_12_13(full_catalog, benchmark):
-    optimal, greedy = benchmark.pedantic(
-        run, args=(full_catalog,), iterations=1, rounds=1
-    )
-    common.register_report(
-        "Figures 12-13 (EXP-F12/13)", build_report(optimal, greedy)
-    )
-    optimal_indexes = [
-        n.index.name for n in optimal.plan.walk() if isinstance(n, IndexScanNode)
-    ]
-    assert optimal_indexes == ["ix_tasks_time"]
-    greedy_indexes = {
-        n.index.name for n in greedy.walk() if isinstance(n, IndexScanNode)
-    }
-    assert greedy_indexes == {"ix_tasks_time", "ix_employees_name"}
-    assert any(isinstance(n, HashJoinNode) for n in greedy.walk())
-    assert greedy.total_cost.total > 4 * optimal.cost.total
-
-
 def main() -> None:
-    print(build_report(*run(common.paper_catalog())))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

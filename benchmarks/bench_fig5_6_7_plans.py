@@ -13,65 +13,42 @@ from repro.optimizer import config as C
 from repro.simplify.simplifier import simplify_full
 
 
-def build_figures(catalog):
+def numbers() -> dict:
+    catalog = common.paper_catalog()
     simplified = simplify_full(parse_query(common.QUERY_1), catalog)
     optimal = common.optimize(catalog, common.QUERY_1)
     naive = common.optimize(
         catalog, common.QUERY_1, OptimizerConfig().without(C.MAT_TO_JOIN)
     )
-    return simplified, optimal, naive
+    return {
+        "figure5": common.plan_lines(simplified.tree),
+        "figure6": {"cost": optimal.cost.total, "plan": common.plan_lines(optimal.plan)},
+        "figure7": {"cost": naive.cost.total, "plan": common.plan_lines(naive.plan)},
+        "ratio": naive.cost.total / optimal.cost.total,
+    }
 
 
-def build_report(simplified, optimal, naive) -> str:
+def report(numbers: dict) -> str:
     lines = [
         "Figure 5. Query 1 after simplification:",
-        simplified.tree.pretty(indent=2),
+        *numbers["figure5"],
         "",
-        f"Figure 6. Optimal execution plan (est. {optimal.cost.total:.1f}s; "
+        f"Figure 6. Optimal execution plan (est. {numbers['figure6']['cost']:.1f}s; "
         "paper: 161s):",
-        optimal.plan.pretty(indent=2),
+        *numbers["figure6"]["plan"],
         "",
-        f"Figure 7. Plan without join rewriting (est. {naive.cost.total:.1f}s; "
+        f"Figure 7. Plan without join rewriting (est. {numbers['figure7']['cost']:.1f}s; "
         "paper: 681s):",
-        naive.plan.pretty(indent=2),
+        *numbers["figure7"]["plan"],
         "",
-        f"Ratio: {naive.cost.total / optimal.cost.total:.1f}x "
+        f"Ratio: {numbers['ratio']:.1f}x "
         "(paper: 4.2x, 'more than four times as expensive').",
     ]
     return "\n".join(lines)
 
 
-def test_figures_5_6_7(full_catalog, benchmark):
-    simplified, optimal, naive = benchmark.pedantic(
-        build_figures, args=(full_catalog,), iterations=1, rounds=1
-    )
-    common.register_report(
-        "Figures 5-7 (EXP-F5/6/7)", build_report(simplified, optimal, naive)
-    )
-    # Figure 5: Project / Select / Mat x3 / Get.
-    names = []
-    node = simplified.tree
-    while True:
-        names.append(type(node).__name__)
-        if not node.children:
-            break
-        node = node.children[0]
-    assert names == ["Project", "Select", "Mat", "Mat", "Mat", "Get"]
-
-    # Figure 6: two hash joins; the filter feeds from departments.
-    algos = [n.algorithm for n in optimal.plan.walk()]
-    assert algos.count("HashJoin") == 2
-
-    # Figure 7: no joins, reference navigation only.
-    naive_algos = [n.algorithm for n in naive.plan.walk()]
-    assert "HashJoin" not in naive_algos
-    assert "Assembly" in naive_algos
-    assert naive.cost.total > 4 * optimal.cost.total
-
-
 def main() -> None:
-    catalog = common.paper_catalog()
-    print(build_report(*build_figures(catalog)))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

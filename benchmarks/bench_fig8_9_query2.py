@@ -15,52 +15,48 @@ FIG9_CONFIG = OptimizerConfig().without(
 )
 
 
-def run(catalog):
+def numbers() -> dict:
+    catalog = common.paper_catalog()
     optimal = common.optimize(catalog, common.QUERY_2)
     crippled = common.optimize(catalog, common.QUERY_2, FIG9_CONFIG)
     fallback = common.optimize(
         catalog, common.QUERY_2, OptimizerConfig().without(C.COLLAPSE_TO_INDEX_SCAN)
     )
-    return optimal, crippled, fallback
+    return {
+        "figure8": {
+            "cost": optimal.cost.total,
+            "plan": common.plan_lines(optimal.plan),
+            "in_memory": sorted(optimal.plan.delivered.in_memory),
+        },
+        "figure9": {"cost": crippled.cost.total, "plan": common.plan_lines(crippled.plan)},
+        "fallback": {"cost": fallback.cost.total, "plan": common.plan_lines(fallback.plan)},
+        "ratio": crippled.cost.total / optimal.cost.total,
+    }
 
 
-def build_report(optimal, crippled, fallback) -> str:
+def report(numbers: dict) -> str:
+    optimal, crippled = numbers["figure8"], numbers["figure9"]
     return "\n".join(
         [
-            f"Figure 8. Optimal plan (est. {optimal.cost.total:.3f}s; paper 0.08s):",
-            optimal.plan.pretty(indent=2),
+            f"Figure 8. Optimal plan (est. {optimal['cost']:.3f}s; paper 0.08s):",
+            *optimal["plan"],
             "",
             f"Figure 9. Plan w/o collapse-to-index-scan (est. "
-            f"{crippled.cost.total:.1f}s; paper 119.6s):",
-            crippled.plan.pretty(indent=2),
+            f"{crippled['cost']:.1f}s; paper 119.6s):",
+            *crippled["plan"],
             "",
-            f"Ratio: {crippled.cost.total / optimal.cost.total:.0f}x "
+            f"Ratio: {numbers['ratio']:.0f}x "
             "(paper: ~1500x, 'about four orders of magnitude').",
             "",
             "Bonus: with only the collapse rule disabled, our optimizer still",
-            f"finds a set-matching fallback (est. {fallback.cost.total:.1f}s):",
-            fallback.plan.pretty(indent=2),
+            f"finds a set-matching fallback (est. {numbers['fallback']['cost']:.1f}s):",
+            *numbers["fallback"]["plan"],
         ]
     )
 
 
-def test_figures_8_9(full_catalog, benchmark):
-    optimal, crippled, fallback = benchmark.pedantic(
-        run, args=(full_catalog,), iterations=1, rounds=1
-    )
-    common.register_report(
-        "Figures 8-9 (EXP-F8/9)", build_report(optimal, crippled, fallback)
-    )
-    assert optimal.plan.algorithm == "IndexScan"
-    assert optimal.plan.delivered.in_memory == {"c"}
-    crippled_algos = [n.algorithm for n in crippled.plan.walk()]
-    assert crippled_algos == ["Filter", "Assembly", "FileScan"]
-    assert crippled.cost.total > 100 * optimal.cost.total
-    assert fallback.cost.total < crippled.cost.total
-
-
 def main() -> None:
-    print(build_report(*run(common.paper_catalog())))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

@@ -1,51 +1,35 @@
 """EXP-T1 — Table 1: the catalog all experiments share.
 
-Regenerates the paper's Table 1 rendering and benchmarks catalog
-construction plus full-scale data generation.
+Regenerates the paper's Table 1 rendering and the load-bearing constants
+behind it (collection cardinalities, and the Plant population the
+optimizer does not know).
 """
 
 import common
-from repro.catalog.sample_db import SampleSizes, build_catalog
-from repro.storage.datagen import generate_store, scaled_sizes
+from repro.catalog.sample_db import build_catalog
+
+COLLECTIONS = ("Cities", "Employees", "extent(Employee)", "extent(Department)")
 
 
-def build_table1_report() -> str:
+def numbers() -> dict:
     catalog = build_catalog()
+    return {
+        "describe": catalog.describe().splitlines(),
+        "cardinality": {name: catalog.cardinality(name) for name in COLLECTIONS},
+        "plant_population": catalog.type_population("Plant"),
+    }
+
+
+def report(numbers: dict) -> str:
     return common.format_table(
         headers=["(rendered by Catalog.describe)"],
-        rows=[[line] for line in catalog.describe().splitlines()],
+        rows=[[line] for line in numbers["describe"]],
         title="Table 1. Catalog Information (reconstructed; see EXPERIMENTS.md).",
     )
 
 
-def test_catalog_construction(benchmark):
-    catalog = benchmark(build_catalog)
-    assert catalog.cardinality("Cities") == 10_000
-    common.register_report("Table 1 (EXP-T1)", build_table1_report())
-
-
-def test_data_generation_scaled(benchmark):
-    """Populating a 10%-scale Table 1 world (the execution substrate)."""
-    sizes = scaled_sizes(0.1)
-
-    def generate():
-        return generate_store(build_catalog(sizes), sizes)
-
-    store = benchmark.pedantic(generate, iterations=1, rounds=3)
-    assert store.collection_cardinality("Cities") == sizes.cities
-
-
-def test_catalog_consistent_with_paper_constants():
-    sizes = SampleSizes()
-    catalog = build_catalog(sizes)
-    assert catalog.cardinality("Employees") == 50_000
-    assert catalog.cardinality("extent(Employee)") == 200_000
-    assert catalog.cardinality("extent(Department)") == 1_000
-    assert catalog.type_population("Plant") is None  # the Figure 7 driver
-
-
 def main() -> None:
-    print(build_table1_report())
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ INDEX_CONFIGS = [
 ]
 
 
-def run_table3():
+def numbers() -> dict:
     cost_based = {}
     greedy = {}
     for label, indexes in INDEX_CONFIGS:
@@ -35,14 +35,14 @@ def run_table3():
             simplified.tree, result_vars=simplified.result_vars
         )
         greedy[label] = plan.total_cost.total
-    return cost_based, greedy
+    return {"cost_based": cost_based, "greedy": greedy}
 
 
-def build_report(cost_based, greedy) -> str:
+def report(numbers: dict) -> str:
     labels = [label for label, _ in INDEX_CONFIGS]
     rows = [
-        ["All rules"] + [f"{cost_based[l]:.2f}" for l in labels],
-        ["Greedy use"] + [f"{greedy[l]:.2f}" for l in labels],
+        [title] + [f"{numbers[key][label]:.2f}" for label in labels]
+        for title, key in (("All rules", "cost_based"), ("Greedy use", "greedy"))
     ]
     return common.format_table(
         ["Indices"] + labels,
@@ -52,26 +52,8 @@ def build_report(cost_based, greedy) -> str:
     )
 
 
-def test_table3_shape(benchmark):
-    cost_based, greedy = benchmark.pedantic(run_table3, iterations=1, rounds=1)
-    common.register_report("Table 3 (EXP-T3)", build_report(cost_based, greedy))
-
-    # Cost-based column ordering (paper: 108 > 28.4 > 1.73 = 1.73).
-    assert cost_based["None"] > cost_based["Name only"] > cost_based["Time only"]
-    assert cost_based["Both"] == cost_based["Time only"]
-    # Paper ratios: None/Time ~ 62; Name/Time ~ 16.
-    assert cost_based["None"] / cost_based["Time only"] > 20
-    assert cost_based["Name only"] / cost_based["Time only"] > 5
-
-    # Greedy agrees when there is at most one index to be greedy about...
-    assert greedy["Time only"] < 4 * cost_based["Time only"]
-    # ...but with both, its fixed strategy loses by ~5x (paper: 10.1 vs 1.73).
-    assert greedy["Both"] > 4 * cost_based["Both"]
-
-
 def main() -> None:
-    cost_based, greedy = run_table3()
-    print(build_report(cost_based, greedy))
+    print(report(numbers()))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Run every benchmark module's standalone harness and print all the
-regenerated paper tables/figures in sequence.
+regenerated paper tables/figures in sequence:
+``PYTHONPATH=src python benchmarks/run_all.py``.
 
-Equivalent to ``pytest benchmarks/ --benchmark-only`` minus the timing
-table; useful for a quick visual diff against the paper.  Per-module
-wall times are written to a machine-readable JSON file
-(``BENCH_ALL.json`` by default) for archiving as a CI artifact.
+Useful for a quick visual diff against the paper.  The deterministic
+numbers behind the tables are pinned in ``tests/golden/paper_numbers.json``
+and the paper's claims over them are checked by
+``tests/integration/test_paper_numbers.py``.  Per-module wall times are
+written to a machine-readable JSON file (``BENCH_ALL.json`` by default)
+for archiving as a CI artifact.
 """
 
 from __future__ import annotations

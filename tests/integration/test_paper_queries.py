@@ -77,25 +77,6 @@ class TestQuery1:
         result = _optimize(paper_catalog, QUERY_1)
         assert isinstance(result.plan, AlgProjectNode)
 
-    def test_pointer_chasing_plan_much_worse(self, paper_catalog):
-        """Figure 7 / Table 2: disabling the Mat-to-Join rewrite forces the
-        naive navigation strategy, 'more than four times as expensive'."""
-        optimal = _optimize(paper_catalog, QUERY_1)
-        naive = _optimize(
-            paper_catalog, QUERY_1, OptimizerConfig().without(C.MAT_TO_JOIN)
-        )
-        algos = _algorithms(naive.plan)
-        assert "HashJoin" not in algos
-        assert naive.cost.total > 4 * optimal.cost.total
-
-    def test_window_ablation(self, paper_catalog):
-        """Table 2 rows 2-3: window=1 costs ~1.7x the windowed assembly."""
-        no_join = OptimizerConfig().without(C.MAT_TO_JOIN)
-        windowed = _optimize(paper_catalog, QUERY_1, no_join)
-        naive = _optimize(paper_catalog, QUERY_1, no_join.with_window(1))
-        ratio = naive.cost.total / windowed.cost.total
-        assert 1.3 < ratio < 2.5
-
 
 class TestQuery2:
     """Figures 8-9: collapse-to-index-scan answers from the path index."""
@@ -110,41 +91,6 @@ class TestQuery2:
     def test_estimates_two_cities(self, paper_catalog):
         result = _optimize(paper_catalog, QUERY_2)
         assert result.plan.rows == pytest.approx(2.0)
-
-    def test_without_collapse_rule_orders_of_magnitude_worse(
-        self, paper_catalog
-    ):
-        """Figure 9's exact plan needs the other escape hatches (hash join
-        against extent(Person), pointer join) disabled as well — our
-        optimizer otherwise finds fallbacks the paper's comparison plan
-        didn't consider."""
-        optimal = _optimize(paper_catalog, QUERY_2)
-        crippled = _optimize(
-            paper_catalog,
-            QUERY_2,
-            OptimizerConfig().without(
-                C.COLLAPSE_TO_INDEX_SCAN, C.POINTER_JOIN, C.MAT_TO_JOIN
-            ),
-        )
-        algos = _algorithms(crippled.plan)
-        assert algos == ["Filter", "Assembly", "FileScan"]
-        # Paper: 0.08 s vs 119.6 s — three to four orders of magnitude.
-        assert crippled.cost.total > 100 * optimal.cost.total
-
-    def test_fallback_rewrites_still_beat_naive(self, paper_catalog):
-        """Even with the collapse rule off, cost-based search finds a
-        set-matching plan far cheaper than assembling every mayor."""
-        joined = _optimize(
-            paper_catalog, QUERY_2, OptimizerConfig().without(C.COLLAPSE_TO_INDEX_SCAN)
-        )
-        naive = _optimize(
-            paper_catalog,
-            QUERY_2,
-            OptimizerConfig().without(
-                C.COLLAPSE_TO_INDEX_SCAN, C.POINTER_JOIN, C.MAT_TO_JOIN
-            ),
-        )
-        assert joined.cost.total < naive.cost.total / 2
 
     def test_without_index_no_collapse(self, paper_catalog_plain):
         result = _optimize(paper_catalog_plain, QUERY_2)
@@ -181,13 +127,6 @@ class TestQuery3:
         )
         assert crippled.cost.total > 100 * optimal.cost.total
 
-    def test_enforcer_plan_close_to_query2_cost(self, paper_catalog):
-        """Query 3 should cost only slightly more than Query 2 (0.12 vs
-        0.08 in the paper): the enforcer adds two fetches."""
-        q2 = _optimize(paper_catalog, QUERY_2)
-        q3 = _optimize(paper_catalog, QUERY_3)
-        assert q3.cost.total < 3 * q2.cost.total
-
 
 class TestQuery4:
     """Figures 12-13 / Table 3: cost-based beats greedy index use."""
@@ -210,25 +149,18 @@ class TestQuery4:
         assert "AlgUnnest" in algos
         assert ("Assembly" in algos) or ("PointerJoin" in algos)
 
-    def test_index_subset_ordering(self):
-        """Table 3, cost-based column: none > name-only > time-only."""
-        from repro.catalog.sample_db import (
-            build_catalog,
-            index_employees_name,
-            index_tasks_time,
+    def test_paper_literal_plan_without_pointer_join(self, paper_catalog):
+        """With the pointer-join rule disabled, Query 4 reproduces Figure
+        12's literal drawing (assembly for the member references)."""
+        result = _optimize(
+            paper_catalog, QUERY_4, OptimizerConfig().without(C.POINTER_JOIN)
         )
-
-        cat_none = build_catalog()
-        cat_time = build_catalog()
-        cat_time.add_index(index_tasks_time())
-        cat_name = build_catalog()
-        cat_name.add_index(index_employees_name())
-        cost = lambda cat: _optimize(cat, QUERY_4).cost.total
-        none_c, time_c, name_c = cost(cat_none), cost(cat_time), cost(cat_name)
-        assert none_c > name_c > time_c
-        # Paper ratios: 108/1.73 ~ 62, 28.4/1.73 ~ 16.
-        assert none_c / time_c > 20
-        assert name_c / time_c > 5
+        assert result.plan.pretty().splitlines() == [
+            "Filter 'Fred' == m.name",
+            "  Assembly m_ref: m",
+            "    Alg-Unnest t.team_members: m_ref",
+            "      Index Scan Tasks: t, 100 == t.time",
+        ]
 
 
 def _search_states(catalog, sql):
