@@ -188,6 +188,7 @@ class ExplainReport:
                 "optimization_tasks": opt.stats.optimization_tasks,
                 "distinct_goals": opt.stats.distinct_goals,
                 "candidates_costed": opt.stats.candidates_costed,
+                "floor_candidates": opt.stats.floor_candidates,
                 "enforcer_applications": opt.stats.enforcer_applications,
             },
             "execution": {

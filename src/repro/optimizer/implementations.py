@@ -99,7 +99,9 @@ class ImplementationRule:
         required property vectors), carries the algorithm's local cost,
         and a builder that assembles the plan node from the chosen input
         plans.  Rules yield nothing when the algorithm cannot deliver the
-        required properties or its preconditions fail.
+        required properties or its preconditions fail.  Stronger required
+        properties only take candidates away: the search's per-group cost
+        floor is read off the candidates under no required properties.
         """
         raise NotImplementedError
 

@@ -17,6 +17,13 @@ Two phases, both bounded and memoized:
    discovers the paper's Query 3 plan, which no purely algebraic
    optimizer can reach.  Results are memoized per (group, properties) and
    branch-and-bound limits prune dominated alternatives.
+
+   The enforcer skips each sub-goal whose limit is below its group's
+   **cost floor** (after Shapiro et al., IDEAS 2001): the cheapest
+   candidate under no required properties over its inputs' floors.  A
+   stronger goal only loses candidates and an enforcer only adds cost, so
+   no plan of the group costs less, and the skipped sub-goal could only
+   return None: an exact search keeps every plan, cost and tie.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from repro.optimizer.transformations import ALL_RULES as ALL_TRANSFORMATIONS
 from repro.optimizer.transformations import TransformationRule
 
 _MAX_EXPLORATION_ROUNDS = 64
+_NO_PROPS = PhysProps.none()
 
 
 class SearchBudgetExhausted(Exception):
@@ -60,6 +68,8 @@ class SearchStats:
     # The (group, required) keys behind those tasks (failed goals repeat).
     distinct_goals: int = 0
     candidates_costed: int = 0
+    # Candidates the per-group cost floors were computed from (once each).
+    floor_candidates: int = 0
     enforcer_applications: int = 0
     # Exploration stopped at the round cap, short of a fixpoint.
     exploration_truncated: bool = False
@@ -72,6 +82,7 @@ class SearchStats:
             + self.mexprs_generated
             + self.optimization_tasks
             + self.candidates_costed
+            + self.floor_candidates
         )
 
 
@@ -111,6 +122,15 @@ class SearchEngine:
         # Per group: the (rule, m-expr) pairs whose declaration matches,
         # rule-major (promise order: under a cap earlier rules go first).
         self._offers: dict[int, list] = {}
+        # Per group: its cost floor (None while it is being computed).
+        # Only an exact search skips by floors: a capped or epsilon-pruned
+        # one answers a goal from what earlier goals happened to cache, and
+        # a skipped sub-goal caches nothing, so it could break a tie anew.
+        self._floors: dict[int, float | None] = {}
+        config = ctx.config
+        self._floored = config.prune and config.prune_factor == 1.0 and (
+            config.candidate_cap is None
+        )
         # Per goal that has failed so far: the candidates it generated,
         # replayed when the goal is searched again under a higher limit.
         self._unplanned: dict[tuple[int, PhysProps], list] = {}
@@ -266,18 +286,9 @@ class SearchEngine:
         cap = config.candidate_cap
         candidates = self._unplanned.pop(goal, None)
         if candidates is None:
-            offers = self._offers.get(gid)
-            if offers is None:
-                offers = self._offers[gid] = [
-                    (rule, mexpr)
-                    for rule in self.implementations
-                    for mexpr in group.mexprs
-                    if rule.operators is None
-                    or isinstance(mexpr.op, rule.operators)
-                ]
             candidates = (
                 (rule.name, candidate)
-                for rule, mexpr in offers
+                for rule, mexpr in self._offers_of(gid, group)
                 for candidate in rule.candidates(mexpr, group, required, ctx)
             )
             if cap is None:
@@ -329,6 +340,47 @@ class SearchEngine:
         if best is not None and best_cost > limit:
             return None
         return best
+
+    def _offers_of(self, gid: int, group) -> list:
+        offers = self._offers.get(gid)
+        if offers is None:
+            offers = self._offers[gid] = [
+                (rule, mexpr)
+                for rule in self.implementations
+                for mexpr in group.mexprs
+                if rule.operators is None or isinstance(mexpr.op, rule.operators)
+            ]
+        return offers
+
+    def floor(self, gid: int) -> float:
+        """A lower bound on the cost of every plan for every goal of a group.
+
+        The cheapest candidate under no required properties, its inputs at
+        their own floors, computed once per group and building no plan.
+        Admissible: a stronger goal's candidates are a subset with the same
+        local costs and input groups, and an enforcer adds its cost to a
+        plan of the same group.  Shaded down by one part in 10^9, as a plan
+        sums its cost per component and may round an ulp below the floor's
+        sum.  A group without candidates, or re-entered through a cycle,
+        has floor 0.
+        """
+        floors = self._floors
+        if gid in floors:
+            return floors[gid] or 0.0
+        floors[gid] = None
+        group = self.ctx.memo.group(gid)
+        stats = self.stats
+        best = math.inf
+        for rule, mexpr in self._offers_of(gid, group):
+            for candidate in rule.candidates(mexpr, group, _NO_PROPS, self.ctx):
+                stats.floor_candidates += 1
+                cost = candidate.local_cost.total
+                for child_gid, _ in candidate.child_reqs:
+                    cost += self.floor(child_gid)
+                if cost < best:
+                    best = cost
+        floors[gid] = value = 0.0 if best == math.inf else best * (1 - 1e-9)
+        return value
 
     def _complete_candidate(
         self, candidate, budget: float, prune: bool, rule_name: str = ""
@@ -445,6 +497,15 @@ class SearchEngine:
             if prune and enforce_cost.total > best_cost:
                 continue
             child_limit = (best_cost - enforce_cost.total) if prune else math.inf
+            if self._floored and (floor := self.floor(gid)) > child_limit:
+                # Every plan of the group costs at least its floor: the
+                # sub-goal could only return None.
+                if self.tracer.enabled:
+                    self.tracer.event(
+                        "prune", "assembly-enforcer", var=var, floor=floor,
+                        budget=child_limit, reason="floor",
+                    )
+                continue
             sub = self.optimize(gid, child_req, child_limit)
             if sub is None:
                 continue

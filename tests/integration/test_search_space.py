@@ -13,7 +13,9 @@ that module's ``record_all``), each of the 160 ``adhoc_plan`` statements
 and the join chains 1-6 with rewrites on and off.
 
 ``test_every_group_is_keyed_by_what_it_computes`` checks each recorded
-memo's group keys (``test_prop_memo.key_violations``), and
+memo's group keys (``test_prop_memo.key_violations``),
+``test_every_floor_is_admissible`` each search's cost floors against its
+winners (``test_prop_floor.floor_violations``), and
 ``test_exploration_reaches_a_fixpoint`` checks the memo itself: after
 exploration, one more application of every enabled rule to every m-expr
 produces only expressions the memo already holds, in the group it
@@ -40,6 +42,7 @@ from repro.optimizer.search import SearchEngine
 from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4
 from tests.integration import test_search_transcript as transcripts
 from tests.integration.test_search_transcript import adhoc_shapes, chain_query
+from tests.property.test_prop_floor import after_search, floor_violations
 from tests.property.test_prop_memo import key_violations
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -142,9 +145,17 @@ def key_checks() -> list:
 
 
 @pytest.fixture(scope="module")
-def recorded(key_checks) -> dict[str, list]:
+def floor_checks() -> list:
+    """Per search while recording: its cost floors above a winner."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def recorded(key_checks, floor_checks) -> dict[str, list]:
     with after_explore(
         lambda engine: key_checks.append(key_violations(engine.ctx.memo))
+    ), after_search(
+        lambda engine: floor_checks.append(floor_violations(engine))
     ):
         return record_all()
 
@@ -162,6 +173,13 @@ def test_every_group_is_keyed_by_what_it_computes(recorded, key_checks):
     and no two groups share one."""
     assert len(key_checks) >= len(GOLDEN_CASES)
     violations = [found for checked in key_checks for found in checked]
+    assert not violations, violations[:5]
+
+
+def test_every_floor_is_admissible(recorded, floor_checks):
+    """No group's cost floor exceeds the cost of a goal it won."""
+    assert len(floor_checks) >= len(GOLDEN_CASES)
+    violations = [found for checked in floor_checks for found in checked]
     assert not violations, violations[:5]
 
 
