@@ -10,8 +10,9 @@ Walks the multi-user surface end to end:
 2. explicit transactions — read-your-own-writes, invisibility to other
    sessions until commit, rollback, and the typed ``WriteConflict``
    under first-committer-wins;
-3. a real TCP server — many threaded client sessions sharing one
-   database, the full CLI surface over the wire, server-side cursors;
+3. a real TCP server — one event-loop thread serving many client
+   sessions over one database, in arrival order; the full CLI surface
+   over the wire, server-side cursors;
 4. the conserved-transfer stress — concurrent writers move population
    between cities while readers sum the collection; every snapshot
    observes the same conserved total.

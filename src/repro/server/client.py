@@ -82,6 +82,8 @@ class ServerClient:
                     rng=rng,
                 )
                 time.sleep(delay_ms / 1000.0)
+        # A request is one small write: send it now, not after an ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._sock.makefile("rb")
 
     # -- context manager ------------------------------------------------
