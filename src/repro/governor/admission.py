@@ -38,25 +38,33 @@ class AdmissionController:
     def admit(self):
         """Hold one query slot; raises AdmissionRejected after the wait."""
         if not self._slots.acquire(timeout=self.max_wait_ms / 1000.0):
-            with self._lock:
-                self.rejected += 1
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "governor",
-                    "admission-rejected",
-                    max_concurrent=self.max_concurrent,
-                    waited_ms=self.max_wait_ms,
-                )
-            raise AdmissionRejected(
-                f"no query slot within {self.max_wait_ms:g} ms"
-                f" ({self.max_concurrent} in flight)"
-            )
+            raise self.reject(self.max_wait_ms)
         with self._lock:
             self.admitted += 1
         try:
             yield
         finally:
             self._slots.release()
+
+    def reject(self, waited_ms: float) -> AdmissionRejected:
+        """Count and trace a rejection after ``waited_ms``; returns it.
+
+        Also for a caller that queues work itself (the server's loop) and
+        finds a request already waited past ``max_wait_ms``.
+        """
+        with self._lock:
+            self.rejected += 1
+        if self.tracer.enabled:
+            self.tracer.event(
+                "governor",
+                "admission-rejected",
+                max_concurrent=self.max_concurrent,
+                waited_ms=waited_ms,
+            )
+        return AdmissionRejected(
+            f"no query slot within {self.max_wait_ms:g} ms"
+            f" (waited {waited_ms:.0f} ms, {self.max_concurrent} in flight)"
+        )
 
 
 __all__ = ["AdmissionController"]

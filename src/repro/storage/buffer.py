@@ -7,10 +7,13 @@ page count is below the pool size, re-fetches of already-resident pages
 are free, so assembling 50,000 department components costs at most ~100
 page reads (the whole Department extent).
 
-The pool is thread-safe: server session threads run their queries
-against one shared pool, so frame replacement and the hit/miss counters
-are guarded by one reentrant latch, and the attribution scopes and the
-fault-injector slot are per thread.
+The pool is thread-safe: threads that share a database (the MVCC tests,
+embedding applications) run their queries against one shared pool, so
+frame replacement and the hit/miss counters are guarded by one
+reentrant latch, and the attribution scopes and the fault-injector slot
+are per thread.  The server's sessions share one loop thread; what
+keeps them apart is that their statements run one at a time and the
+executor's ``finally`` unwinds the injector and the scopes.
 
 **The repeat lemma.**  A request for the page that is already the most
 recently requested frame changes nothing but the hit counters: it is
@@ -71,8 +74,8 @@ class BufferPool:
     scope per plan operator around each ``next()`` call, which is how
     EXPLAIN ANALYZE attributes buffer traffic to the operator whose code
     issued it (exclusive attribution — parents are not charged for their
-    children's reads).  Scope stacks are *per thread*: each server
-    session attributes its reads to its own query's collector.
+    children's reads).  Scope stacks are *per thread*: each thread
+    attributes its reads to its own query's collector.
     """
 
     disk: DiskSimulator
@@ -86,9 +89,8 @@ class BufferPool:
     _io_scopes: _ScopeStacks = field(default_factory=_ScopeStacks, repr=False)
     # Per-thread fault injector (see repro.governor.faults); installed
     # by the executor for the duration of one execution, None otherwise.
-    # Thread-locality is what keeps concurrent server sessions isolated:
-    # one governed session's injector must never fire in another
-    # session's reads.
+    # Thread-locality keeps one thread's governed query from firing
+    # its injector in another thread's reads.
     _fault_local: threading.local = field(
         default_factory=threading.local, repr=False
     )
