@@ -6,11 +6,12 @@ framework's normal seams (one operator, one implementation rule, one cost
 formula, one iterator) — results verified against hand-rolled navigation.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
 from repro.errors import QuerySyntaxError, QueryTypeError
+from repro.fuzz.worldgen import AttrSpec, TypeSpec, WorldSpec, build_database
 from repro.optimizer.plans import HashGroupByNode
 
 
@@ -144,6 +145,54 @@ class TestSemantics:
         )
         row = result.rows[0]
         assert row["with_salary"] == row["all_rows"]
+
+
+#: ``a`` is null for about half of 40 objects and ``b`` takes two values,
+#: so the null ``a`` rows meet both values of ``b``.
+NULLABLE_WORLD = WorldSpec(
+    types=(
+        TypeSpec(
+            "T0",
+            40,
+            attrs=(AttrSpec("a", null_prob=0.5, distinct=3), AttrSpec("b", distinct=2)),
+        ),
+    ),
+    data_seed=3,
+)
+
+
+class TestNullGroups:
+    """A null grouping key is a group of its own, as in SQL — unlike an
+    equi-join key, which null never matches."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_database(NULLABLE_WORLD)
+
+    def _counts(self, db, attrs: tuple[str, ...]) -> Counter:
+        store = db.store
+        return Counter(
+            tuple(store.peek(oid)[attr] for attr in attrs)
+            for oid in store.collection_oids("extent(T0)")
+        )
+
+    def test_single_key_null_is_one_group(self, world):
+        result = world.query(
+            "SELECT t.a, COUNT(*) AS n FROM t IN extent(T0) GROUP BY t.a"
+        )
+        got = {row["t.a"]: row["n"] for row in result.rows}
+        assert len(got) == len(result.rows)
+        assert got == {a: n for (a,), n in self._counts(world, ("a",)).items()}
+        assert got[None] > 1
+
+    def test_two_key_nulls_group_apart_by_the_other_key(self, world):
+        result = world.query(
+            "SELECT t.a, t.b, COUNT(*) AS n FROM t IN extent(T0) GROUP BY t.a, t.b"
+        )
+        got = {(row["t.a"], row["t.b"]): row["n"] for row in result.rows}
+        assert len(got) == len(result.rows)
+        assert got == dict(self._counts(world, ("a", "b")))
+        assert len([key for key in got if key[0] is None]) == 2
 
 
 class TestValidation:

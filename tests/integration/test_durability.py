@@ -60,6 +60,23 @@ class TestRoundTrip:
         assert scan_text(recovered) == want
         assert recovered.durability.last_recovery["replayed"] == 3
 
+    def test_recovered_scans_read_each_snapshot(self, tmp_path):
+        """An UPDATE keeps the member list: after recovery a scan of the
+        store reads the new versions, a view pinned at the load the old."""
+        db, directory = durable(tmp_path)
+        loaded = list(db.store.scan("Cities"))  # the never-written store
+        before = scan_text(db)
+        db.query("UPDATE c IN Cities SET c.population = 123 "
+                 "WHERE c.population > 700000")
+        want = scan_text(db)
+        assert want != before
+
+        recovered = Database.open(directory)
+        assert scan_text(recovered) == want
+        latest = list(recovered.store.view().scan("Cities"))
+        assert list(recovered.store.scan("Cities")) == latest != loaded
+        assert list(recovered.store.view(snapshot=0).scan("Cities")) == loaded
+
     def test_recovered_engine_mints_identical_oids(self, tmp_path):
         db, directory = durable(tmp_path)
         db.query("INSERT INTO Cities (name, population) VALUES ('Aaa', 1)")

@@ -1,13 +1,14 @@
 """Property-based tests for the storage substrate."""
 
 import json
+import random
 import sys
 import threading
 from collections import OrderedDict
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.operators import RefSource
@@ -228,6 +229,11 @@ class ReferencePool:
             self.frames.popitem(last=False)
 
 
+def _scanned(surface):
+    """A scan item's OID, if its record is the one ``surface`` reads."""
+    return lambda item: item[0] if item[1] is surface.peek(item[0]) else item
+
+
 class _Scope:
     def __init__(self) -> None:
         self.hits = self.misses = 0
@@ -259,7 +265,8 @@ schedule_steps = st.lists(
 
 class TestPageRunAccounting:
     """The pool is called once per page run; the books must read as if
-    it had been called once per object."""
+    it had been called once per object, and each scanned record must be
+    the one its surface reads."""
 
     @given(
         type_specs,
@@ -268,6 +275,14 @@ class TestPageRunAccounting:
         actor_specs,
         schedule_steps,
         st.randoms(use_true_random=False),
+    )
+    # A scan of the never-written store closed three members into a page
+    # run (two repeats pending), beside a scoped scan through a view.
+    @example(
+        [(700, True, 20)], [], 4,
+        [("scan", 0, False, 1, True), ("scan", 0, True, 1, False)],
+        [("advance", 0, 3), ("close", 0, 0), ("advance", 1, 7), ("fetch", 1, 2)],
+        random.Random(0),
     )
     @settings(max_examples=150, deadline=None)
     def test_scans_and_sweeps_match_one_request_per_member(
@@ -325,7 +340,7 @@ class TestPageRunAccounting:
             scopes.append(scope)
             if kind == "scan":
                 actors.append(
-                    [[surface.scan(name)], lambda item: item[0],
+                    [[surface.scan(name)], _scanned(surface),
                      scan_model(members, scope), scope, None]
                 )
             else:
@@ -492,7 +507,8 @@ histories = st.lists(
 class TestVersionedViews:
     """A view pinned at each CSN of a random history sees exactly a replay
     of the history up to it — on the store that made the commits, and on
-    one restored from a checkpoint midway that made the rest."""
+    one restored from a checkpoint midway that made the rest — and a scan
+    of either store sees the latest commit."""
 
     @given(histories, st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
@@ -533,6 +549,12 @@ class TestVersionedViews:
                 assert {txn.commit() for txn in txns} == {csn}
             if csn == cut:
                 stores.append(_restored(live))
+            # The latest state, scanned from each store itself: the first
+            # scan (csn 0) reads the never-written store's base records;
+            # after a commit that keeps a member list, so does the scan.
+            for store in stores:
+                for name, oids in members.items():
+                    assert list(store.scan(name)) == [(oid, data[oid]) for oid in oids]
             replay.append(({name: list(oids) for name, oids in members.items()},
                            dict(data), set(gone)))
             views += [SnapshotView(store, csn) for store in stores]
