@@ -69,16 +69,21 @@ _OPERATORS = {
 
 
 def comparison_test(
-    op: CompOp, left: Callable[[Any], Any], right: Callable[[Any], Any]
+    op: CompOp, left: Callable[[Any], Any], right: Any, constant: bool = False
 ) -> Callable[[Any], bool]:
     """``left(x) op right(x)`` as a test of ``x`` — the comparison rule,
     written once: a comparison over None, or between values that do not
-    order, is false.  The engine lowers each comparison of a row through
-    it; what decides one without a row asks :func:`comparison_holds`."""
+    order, is false.  With ``constant``, ``right`` is a bound value (on the
+    right, as ``Comparison.term_const`` reads it): one side is read per
+    test, and a null constant makes it always false.  The engine lowers
+    each comparison of a row through it; what decides one without a row
+    asks :func:`comparison_holds`."""
     compare = _OPERATORS[op]
+    if constant and right is None:
+        return lambda x: False
 
     def holds(x) -> bool:
-        a, b = left(x), right(x)
+        a, b = left(x), right if constant else right(x)
         if a is None or b is None:
             return False
         try:

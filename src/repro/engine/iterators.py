@@ -38,6 +38,7 @@ from repro.engine.tuples import (
     Obj,
     ReversedKey,
     Row,
+    join_key,
     lower,
     lower_key,
     ordering_key,
@@ -132,18 +133,21 @@ def filter_rows(
     return filter(lower(predicate, consts), rows)
 
 
-def _resolve_ref(row: Row, source: RefSource) -> Oid | None:
-    if source.attr is None:
-        value = row.get(source.var)
-        if value is None:
-            return None
-        if not isinstance(value, Oid):
-            raise ExecutionError(f"{source.var!r} is not a reference binding")
-        return value
-    holder = row.get(source.var)
-    if not isinstance(holder, Obj):
-        raise ExecutionError(f"{source.var!r} is not an object binding")
-    return holder.field(source.attr)
+def _ref_resolver(source: RefSource):
+    """``row -> Oid | None``, the reference a Mat resolves; lowered once."""
+    var, attr = source.var, source.attr
+
+    def resolve(row: Row) -> Oid | None:
+        value = row.get(var)
+        if attr is None:  # a bare reference binding
+            if value is None or isinstance(value, Oid):
+                return value
+            raise ExecutionError(f"{var!r} is not a reference binding")
+        if type(value) is not Obj:
+            raise ExecutionError(f"{var!r} is not an object binding")
+        return value.field(attr) if value.data is None else value.data.get(attr)
+
+    return resolve
 
 
 def assembly(
@@ -158,9 +162,8 @@ def assembly(
     Rows whose reference is null are dropped (Mat has inner-join
     semantics on dangling/absent references).
     """
-    refs = (
-        (row, ref) for row in rows if (ref := _resolve_ref(row, source)) is not None
-    )
+    resolve = _ref_resolver(source)
+    refs = ((row, ref) for row in rows if (ref := resolve(row)) is not None)
     pool, page_of, peek = store.buffer, store.page_of, store.peek
     read_page = pool.read_page
     while batch := list(islice(refs, max(1, window))):
@@ -199,11 +202,10 @@ def warm_start_assembly(
     target_collection: str,
 ) -> Iterator[Row]:
     """Scan the scannable target first, then resolve references in memory."""
-    resident: dict[Oid, dict[str, Any]] = {}
-    for oid, data in store.scan(target_collection):
-        resident[oid] = data
+    resident = dict(store.scan(target_collection))
+    resolve = _ref_resolver(source)
     for row in rows:
-        ref = _resolve_ref(row, source)
+        ref = resolve(row)
         if ref is None:
             continue
         data = resident.get(ref)
@@ -262,17 +264,17 @@ def _lower_join(
     if not build_keys:
         raise ExecutionError(f"{kind} without equi-conjuncts: {predicate}")
     return (
-        lower_key(build_keys), lower_key(probe_keys), _residual(residual, consts)
+        join_key(build_keys), join_key(probe_keys), _residual(residual, consts)
     )
 
 
-def _hash_table(rows: Iterable[Row], key) -> dict[tuple, list[Row]]:
-    """Rows bucketed by key; a null key never equi-joins (dict equality
-    would say it does), so those rows are left out."""
-    table: dict[tuple, list[Row]] = {}
+def _hash_table(rows: Iterable[Row], key) -> dict[Any, list[Row]]:
+    """Rows bucketed by :func:`join_key`; a null key never equi-joins (dict
+    equality would say it does), so those rows are left out."""
+    table: dict[Any, list[Row]] = {}
     for row in rows:
         bucket = key(row)
-        if None not in bucket:
+        if bucket is not None:
             table.setdefault(bucket, []).append(row)
     return table
 
@@ -298,7 +300,7 @@ def hash_join(
     table = _hash_table(build_list, build_key)
     for row in chain((first_probe,), probe_iter):
         key = probe_key(row)
-        if None not in key:
+        if key is not None:
             for match in table.get(key, ()):
                 combined = {**match, **row}
                 if passes is None or passes(combined):
@@ -345,17 +347,16 @@ def merge_join(
     passes = _residual(
         predicate.without(Comparison(left_term, CompOp.EQ, right_term)), consts
     )
-    # One-tuples order exactly as their single element does.
-    left_keys = list(map(lower_key((left_term,)), left_list))
-    right_keys = list(map(lower_key((right_term,)), right_list))
+    left_keys = list(map(join_key((left_term,)), left_list))
+    right_keys = list(map(join_key((right_term,)), right_list))
 
     i = j = 0
     while i < len(left_list) and j < len(right_list):
         lk, rk = left_keys[i], right_keys[j]
-        if None in lk:
+        if lk is None:
             i += 1
             continue
-        if None in rk:
+        if rk is None:
             j += 1
             continue
         if lk < rk:
@@ -363,11 +364,11 @@ def merge_join(
         elif rk < lk:
             j += 1
         else:
-            # Gather both equal-key groups.
-            i_end = i
+            # Gather both equal-key groups from their first rows (NaN != NaN).
+            i_end = i + 1
             while i_end < len(left_list) and left_keys[i_end] == lk:
                 i_end += 1
-            j_end = j
+            j_end = j + 1
             while j_end < len(right_list) and right_keys[j_end] == rk:
                 j_end += 1
             for li in range(i, i_end):
@@ -407,7 +408,7 @@ def anti_join(
 
     def survives(row: Row) -> bool:
         key = left_key(row)
-        if None in key:
+        if key is None:
             return True  # null equi-key: the subquery predicate is never true
         for match in table.get(key, ()):
             if passes is None or passes({**match, **row}):

@@ -120,23 +120,48 @@ def lower(
         return every
     if not isinstance(expr, Comparison):
         return _lower_term(expr, consts)
+    if expr.term_const is not None:
+        term, op, constant = expr.term_const
+        return comparison_test(op, _lower_term(term), constant.bound(consts), True)
     return comparison_test(
         expr.op, _lower_term(expr.left, consts), _lower_term(expr.right, consts)
     )
 
 
+def _key_term(term: Term) -> Callable[[Row], Any]:
+    """A key term's ``row -> value``, an object keyed by its OID."""
+    get = _lower_term(term)
+    if isinstance(term, (FieldRef, RefAttr, SelfOid)):
+        return get  # never an Obj
+
+    def identity(row: Row) -> Any:
+        value = get(row)
+        return value.oid if type(value) is Obj else value
+
+    return identity
+
+
 def lower_key(terms: Iterable[Term]) -> Callable[[Row], tuple]:
-    """Lower key terms to ``row -> tuple`` of their :func:`value_key`s."""
-    getters = tuple(_lower_term(term) for term in terms)
+    """Lower grouping terms to ``row -> tuple``; null is a group of its own."""
+    getters = tuple(map(_key_term, terms))
     if len(getters) == 1:
         (get,) = getters
+        return lambda row: (get(row),)
+    return lambda row: tuple([get(row) for get in getters])
 
-        def key(row: Row) -> tuple:
-            value = get(row)
-            return (value.oid if type(value) is Obj else value,)
 
-        return key
-    return lambda row: tuple([value_key(get(row)) for get in getters])
+def join_key(terms: Iterable[Term]) -> Callable[[Row], Any]:
+    """Lower equi-join key terms to ``row -> key``: one term's value, or
+    several terms' tuple; None if any is null (null never equi-joins)."""
+    getters = tuple(map(_key_term, terms))
+    if len(getters) == 1:
+        return getters[0]
+
+    def key(row: Row) -> tuple | None:
+        values = tuple([get(row) for get in getters])
+        return None if None in values else values
+
+    return key
 
 
 def value_key(value: Any) -> Any:
@@ -225,6 +250,7 @@ __all__ = [
     "Obj",
     "ReversedKey",
     "Row",
+    "join_key",
     "lower",
     "lower_key",
     "ordering_key",

@@ -180,9 +180,10 @@ def _stable(value: Any) -> Any:
     return value
 
 
-def _partition(key: tuple, fanout: int) -> int:
-    """The partition of an equi-key, the same in every process: ``hash`` of
-    a string (an Oid hashes its type name) follows ``PYTHONHASHSEED``."""
+def _partition(key: Any, fanout: int) -> int:
+    """The partition of an equi-key (one term's as its 1-tuple), the same in
+    every process: ``hash`` of a string follows ``PYTHONHASHSEED``."""
+    key = key if key.__class__ is tuple else (key,)
     return hash(tuple(map(_stable, key))) % fanout
 
 
@@ -283,7 +284,7 @@ def _grace_join(
     build_parts: list[list[Row]] = [[] for _ in range(fanout)]
     for row in build_list:
         key = build_key(row)
-        if None in key:
+        if key is None:
             continue  # null never equi-joins
         build_parts[_partition(key, fanout)].append(row)
     build_runs = [_write_run(store, part) for part in build_parts]
@@ -294,7 +295,7 @@ def _grace_join(
     probe_parts: list[list[tuple[int, Row]]] = [[] for _ in range(fanout)]
     for sequence, row in enumerate(probe_stream):
         key = probe_key(row)
-        if None in key:
+        if key is None:
             if anti:
                 output.append((sequence, row))  # the subquery never matches
             continue

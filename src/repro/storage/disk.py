@@ -92,14 +92,14 @@ class DiskSimulator:
     def read(self, page_id: int) -> float:
         """Simulate reading one page; returns the service time in ms.
 
-        Every buffer miss lands here, so the seek curve is
-        :meth:`DiskParameters.random_read_ms` written out in place: the
-        same float operations in the same order (``distance >= 2`` and
-        ``span_pages >= 1``, so only the upper clamp can apply).
+        Every buffer miss lands here, so its costs are written out in place:
+        ``transfer_ms`` is ``sequential_read_ms``, and the seek curve is
+        :meth:`DiskParameters.random_read_ms` in the same float operations
+        (``distance >= 2``, ``span_pages >= 1``: only the upper clamp applies).
         """
         distance = abs(page_id - self._head)
         if distance <= 1:
-            cost = self.params.sequential_read_ms
+            cost = self.params.transfer_ms
             self.stats.sequential_reads += 1
         else:
             params, fraction = self.params, distance / self.span_pages

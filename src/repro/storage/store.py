@@ -81,10 +81,11 @@ class ObjectStore:
         #: the indexes' page extents follow them.
         self._total_pages = 0
         self._collections: dict[str, list[Oid]] = {}
-        #: collection -> (member list, its page runs) of the last list
-        #: scanned, matched by identity: the base list and each commit's
-        #: latest list (``mvcc.members_at``) are never mutated.
-        self._runs: dict[str, tuple[list[Oid], list[tuple[int, int, int]]]] = {}
+        #: collection -> (member list, page runs, base records or None) of
+        #: the last list scanned, matched by identity: the base list and
+        #: each commit's latest list (``mvcc.members_at``) are never
+        #: mutated, nor is a base record replaced after the seal.
+        self._runs: dict[str, tuple[list[Oid], list, list | None]] = {}
         self._sealed = False
         self._temp_lock = threading.Lock()
         self._temp_next: int | None = None
@@ -202,31 +203,33 @@ class ObjectStore:
         return self._scan_members(collection_name, *self._latest(collection_name))
 
     def _latest(self, collection_name: str):
-        """(members, record reader) of a collection at the latest commit."""
+        """(members, reader — None if never written) at the latest commit."""
         self._require_sealed()
         if not self.mvcc.dirty:
-            return self.base_collection_oids(collection_name), self._data.__getitem__
+            return self.base_collection_oids(collection_name), None
         csn = self.mvcc.current_csn
         return self.mvcc.members_at(collection_name, csn), self.mvcc.reader(csn)
 
-    def _page_runs(self, name: str, members: list[Oid]) -> list[tuple[int, int, int]]:
-        """``(page, start, stop)`` per maximal run of consecutive members
-        on one page; kept until another member list of ``name`` is scanned."""
+    def _page_runs(self, name: str, members: list[Oid], base: bool):
+        """``(page, start, stop)`` per run of consecutive members on one page,
+        and if ``base`` their base records; kept for the list's next scan."""
         cached = self._runs.get(name)
-        if cached is not None and cached[0] is members:
-            return cached[1]
-        runs, stop = [], 0
-        for page, run in groupby(map(self.page_of, members)):
-            start, stop = stop, stop + sum(1 for _ in run)
-            runs.append((page, start, stop))
-        self._runs[name] = (members, runs)
-        return runs
+        if cached is None or cached[0] is not members or (base and cached[2] is None):
+            runs, stop = [], 0
+            for page, run in groupby(map(self.page_of, members)):
+                start, stop = stop, stop + sum(1 for _ in run)
+                runs.append((page, start, stop))
+            records = list(map(self._data.__getitem__, members)) if base else None
+            cached = self._runs[name] = (members, runs, records)
+        return cached[1], cached[2]
 
     def _scan_members(
         self, name: str, members: list[Oid], read, share: tuple[int, int] | None = None
     ) -> Iterator[tuple[Oid, dict[str, Any]]]:
         """The one charged scan loop, for the store and every view of it.
 
+        Pairs members with records by position: a view's ``read`` maps them
+        lazily, a never-written store (no ``read``) lists its base records.
         Accounts one page request per *member*, in member order, hits
         included: a Volcano scan interleaves with the requests of the
         operators above it, so charging a page once up front would reorder
@@ -238,7 +241,7 @@ class ObjectStore:
         streak breaks, the run ends or the scan is closed — to the I/O
         scope the run began under.  ``share`` = ``(index, degree)``.
         """
-        runs = self._page_runs(name, members)
+        runs, records = self._page_runs(name, members, read is None)
         if share is not None:
             width = -(-len(runs) // max(1, share[1]))
             runs = runs[share[0] * width:(share[0] + 1) * width]
@@ -247,10 +250,11 @@ class ObjectStore:
         for page, start, stop in runs:
             read_page(page)
             scope, pending = pool.io_scope, 0
+            oids = members[start:stop]
+            pairs = zip(oids, records[start:stop] if read is None else map(read, oids))
             try:
-                oid = members[start]
-                yield oid, read(oid)
-                for oid in members[start + 1:stop]:
+                yield next(pairs)  # a run is never empty
+                for pair in pairs:
                     if pool.last_page == page:
                         pending += 1
                     else:
@@ -258,7 +262,7 @@ class ObjectStore:
                             rehit(page, pending, scope)
                             pending = 0
                         read_page(page)
-                    yield oid, read(oid)
+                    yield pair
             finally:
                 if pending:
                     rehit(page, pending, scope)

@@ -1,5 +1,8 @@
 """Unit tests for the physical operator iterators, run on a tiny store."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.algebra.operators import ProjectItem, RefSource, SetOpKind
@@ -9,11 +12,14 @@ from repro.algebra.predicates import (
     Conjunction,
     Const,
     FieldRef,
+    RefAttr,
     SelfOid,
 )
 from repro.catalog.catalog import Catalog, IndexDef, extent_name
 from repro.catalog.schema import Schema, TypeDef, ref, scalar, set_ref
 from repro.engine import iterators as it
+from repro.engine import tuples
+from repro.storage.objects import Oid
 from repro.storage.store import ObjectStore
 
 
@@ -285,3 +291,55 @@ class TestProjectAndSetOps:
         diff = list(it.set_op(SetOpKind.DIFFERENCE, first_two, last_three))
         assert len(diff) == 1
         assert diff[0]["c"].oid == a[0]["c"].oid
+
+
+def _frames(work) -> Counter:
+    """Python frames entered while ``work`` runs, by code object."""
+    counts: Counter = Counter()
+
+    def profile(frame, event, _arg) -> None:
+        if event == "call":
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+class TestReadPathFrames:
+    """Per-object frames the read path does without: each count is one
+    frame per member, row or key before scans read records by position,
+    join keys became bare values and constants were bound once."""
+
+    def test_base_scan_hashes_no_oid(self, store):
+        assert len(list(store.scan(PERSONS))) == 4  # lists the records
+        scanned = []
+        counts = _frames(lambda: scanned.extend(store.scan(PERSONS)))
+        assert [oid for oid, _ in scanned] == store.collection_oids(PERSONS)
+        assert counts[Oid.__hash__.__code__] == 0
+
+    def test_single_key_hash_join_compares_no_oid(self, store):
+        people = list(it.file_scan(store, PERSONS, "p"))
+        cities = list(it.file_scan(store, CITIES, "c"))
+        pred = Conjunction.of(
+            Comparison(SelfOid("p"), CompOp.EQ, RefAttr("c", "mayor"))
+        )
+        out = []
+        counts = _frames(lambda: out.extend(it.hash_join(people, cities, pred)))
+        assert len(out) == 4
+        assert counts[Oid.__eq__.__code__] == 0
+
+    def test_constant_comparison_reads_no_constant_getter(self, store):
+        rows = list(it.file_scan(store, PERSONS, "p"))
+        pred = Conjunction.of(Comparison(FieldRef("p", "age"), CompOp.EQ, Const(50)))
+        out = []
+        counts = _frames(lambda: out.extend(it.filter_rows(rows, pred)))
+        assert [row["p"].field("name") for row in out] == ["joe"]
+        getters = [
+            code for code in counts
+            if code.co_filename == tuples.__file__ and code.co_name == "<lambda>"
+        ]
+        assert getters == []
