@@ -22,8 +22,8 @@ class PredicateSpec:
     """One WHERE conjunct.
 
     ``left`` is a path rooted at a range variable (``("x", "r0", "s1")``
-    renders as ``x.r0.s1``).  ``right`` is either a constant (int or
-    str) or — when ``right_is_path`` — another rooted path, giving
+    renders as ``x.r0.s1``).  ``right`` is either a constant (int, str
+    or ``null``) or — when ``right_is_path`` — another rooted path, giving
     path-vs-path joins and same-object comparisons.
     """
 
@@ -179,6 +179,8 @@ def _path(path: tuple[str, ...] | None) -> str:
 def _operand(pred: PredicateSpec) -> str:
     if pred.right_is_path:
         return _path(pred.right)  # type: ignore[arg-type]
+    if pred.right is None:
+        return "null"
     if isinstance(pred.right, str):
         return f'"{pred.right}"'
     return str(pred.right)
@@ -347,6 +349,7 @@ def _random_predicate(
     value: object = choice
     if attr.scalar_type == "str":
         value = f"{attr.name}_{choice}"
+    value = None if rng.random() < 0.05 else value  # `x op null`: always false
     op = rng.choice(_OPS)
     return PredicateSpec(left, op, value)
 
