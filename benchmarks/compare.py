@@ -31,12 +31,14 @@ Nothing from ``benchmarks/e2e/`` is imported: its ``run.py`` is invoked.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = Path("benchmarks") / "e2e" / "run.py"
@@ -176,20 +178,27 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
+    with checkout(args.base) as base:
+        for workload in workloads:
+            compare(base, workload, args.seeds, args.trace)
+    return 0
+
+
+@contextlib.contextmanager
+def checkout(rev: str) -> Iterator[Path]:
+    """``rev`` checked out into a temporary ``git worktree``, removed after."""
     with tempfile.TemporaryDirectory() as scratch:
         base = Path(scratch) / "base"
         subprocess.run(
-            ["git", "worktree", "add", "--detach", "--quiet", str(base), args.base],
+            ["git", "worktree", "add", "--detach", "--quiet", str(base), rev],
             cwd=ROOT, check=True,
         )
         try:
-            for workload in workloads:
-                compare(base, workload, args.seeds, args.trace)
+            yield base
         finally:
             subprocess.run(
                 ["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, check=True
             )
-    return 0
 
 
 if __name__ == "__main__":
