@@ -118,9 +118,7 @@ class Mat(LogicalOp):
 
     The paper's novel operator.  It represents one link of a path
     expression and is the locus of both the Mat-to-Join transformation and
-    the assembly/pointer-join implementation choices.  It has a
-    :class:`MatLink`'s ``source`` and ``out``, so every per-link function
-    takes a lone Mat as well as each link of a :class:`MatChain`.
+    the assembly/pointer-join implementation choices.
     """
 
     child: LogicalOp
@@ -130,11 +128,6 @@ class Mat(LogicalOp):
     @property
     def children(self) -> tuple[LogicalOp, ...]:  # type: ignore[override]
         return (self.child,)
-
-    @property
-    def links(self) -> tuple["Mat"]:
-        """A lone Mat is a one-link chain."""
-        return (self,)
 
     def signature(self) -> tuple:
         return ("Mat", self.source.var, self.source.attr, self.out)
@@ -147,59 +140,6 @@ class Mat(LogicalOp):
         if str(self.source) == self.out:
             return f"Mat {self.source}"
         return f"Mat {self.source}: {self.out}"
-
-
-@dataclass(frozen=True)
-class MatLink:
-    """One link of a fused Mat chain: resolve ``source`` into ``out``."""
-
-    source: RefSource
-    out: str
-
-    def __str__(self) -> str:
-        if str(self.source) == self.out:
-            return str(self.source)
-        return f"{self.source}: {self.out}"
-
-
-@dataclass(frozen=True)
-class MatChain(LogicalOp):
-    """A fused run of adjacent Mat operators (a pure traversal).
-
-    Produced only by the pre-memo rewrite stage, for runs whose output
-    variables nothing above references: the chain is then a closed
-    traversal whose links need individual *implementation* choices
-    (assembly, pointer join, or a join against the target's extent) but
-    no logical re-derivation.  Keeping the run as one composite operator
-    is what stops the memo from re-expanding it through Mat-to-Join and
-    join reassociation — the fusion's entire point.
-
-    Each link's semantics are exactly Mat's: rows whose reference is
-    null are dropped (inner-join behavior on dangling references).
-    Links are dependency-ordered: a link's source variable is bound
-    either by the child or by an earlier link.
-    """
-
-    child: LogicalOp
-    links: tuple[MatLink, ...]
-
-    @property
-    def children(self) -> tuple[LogicalOp, ...]:  # type: ignore[override]
-        return (self.child,)
-
-    def signature(self) -> tuple:
-        """Identity is the ordered link list: same traversal, same group."""
-        return ("MatChain",) + tuple(
-            (link.source.var, link.source.attr, link.out) for link in self.links
-        )
-
-    def with_children(self, children: tuple[LogicalOp, ...]) -> "MatChain":
-        (child,) = children
-        return MatChain(child, self.links)
-
-    def describe(self) -> str:
-        body = ", ".join(str(link) for link in self.links)
-        return f"MatChain [{body}]"
 
 
 @dataclass(frozen=True)
@@ -496,8 +436,6 @@ __all__ = [
     "Join",
     "LogicalOp",
     "Mat",
-    "MatChain",
-    "MatLink",
     "Project",
     "ProjectItem",
     "RefSource",

@@ -24,7 +24,6 @@ from repro.algebra.operators import (
     Join,
     LogicalOp,
     Mat,
-    MatChain,
     Project,
     RefSource,
     Select,
@@ -162,27 +161,25 @@ def check_predicate(pred: Conjunction, scope: Scope, catalog: Catalog) -> None:
             _check_term(term, scope, catalog)
 
 
-def link_target(
-    source: RefSource, scope: Scope, catalog: Catalog, what: str = "Mat"
-) -> str:
-    """The object type one Mat link resolves ``source`` to in ``scope``.
+def link_target(source: RefSource, scope: Scope, catalog: Catalog) -> str:
+    """The object type a Mat resolves ``source`` to in ``scope``.
 
     A bare source must name a reference binding (Unnest's output); an
     attribute source must be a single-valued reference of an object
-    binding.  ``what`` names the operator in the error.
+    binding.
     """
     binding = scope.binding(source.var)
     if source.attr is None:
         if binding.kind is not BindingKind.REF:
             raise AlgebraError(
-                f"{what} {source}: bare source must be a reference binding"
+                f"Mat {source}: bare source must be a reference binding"
             )
         return binding.type_name
     if binding.kind is not BindingKind.OBJECT:
-        raise AlgebraError(f"{what} {source}: source variable is not an object")
+        raise AlgebraError(f"Mat {source}: source variable is not an object")
     attr = catalog.attribute(binding.type_name, source.attr)
     if attr.kind is not AttrKind.REF:
-        raise AlgebraError(f"{what} {source}: not a single-valued reference")
+        raise AlgebraError(f"Mat {source}: not a single-valued reference")
     return attr.target_type  # type: ignore[return-value]
 
 
@@ -205,15 +202,6 @@ def derive_scope(
         (scope,) = child_scopes
         target = link_target(op.source, scope, catalog)
         return scope.extend(VarBinding(op.out, target, BindingKind.OBJECT))
-
-    if isinstance(op, MatChain):
-        (scope,) = child_scopes
-        if not op.links:
-            raise AlgebraError("MatChain needs at least one link")
-        for link in op.links:
-            target = link_target(link.source, scope, catalog, "MatChain link")
-            scope = scope.extend(VarBinding(link.out, target, BindingKind.OBJECT))
-        return scope
 
     if isinstance(op, Unnest):
         (scope,) = child_scopes

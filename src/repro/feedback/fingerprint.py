@@ -9,9 +9,8 @@ hash join Mat-to-Join made of it, an index scan and the filtered file
 scan it collapsed from: each pair is one group, so one key.  With
 feedback on, every plan node the search picks is marked with the
 properties of the group it implements, and :func:`group_key` renders the
-node's key for the cardinality monitor.  A lowered ``MatChain``'s lower
-links carry the properties of a ``Mat`` over the link before, so each
-observes its partial chain under the same rule.
+node's key for the cardinality monitor; a traversal's extent scan
+carries the properties of a ``Get`` of the extent.
 
 The memo's key holds predicate objects; a fingerprint holds their
 strings.  A plan-cache template's slotted constants render the running

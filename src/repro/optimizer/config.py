@@ -33,7 +33,6 @@ MAT_PAST_JOIN = "mat-past-join"
 MAT_TO_JOIN = "mat-to-join"
 JOIN_TO_MAT = "join-to-mat"
 SETOP_COMMUTATIVITY = "setop-commutativity"
-SELECT_PAST_MAT_CHAIN = "select-past-mat-chain"
 
 ALL_TRANSFORMATIONS = (
     SELECT_MERGE,
@@ -49,7 +48,6 @@ ALL_TRANSFORMATIONS = (
     MAT_TO_JOIN,
     JOIN_TO_MAT,
     SETOP_COMMUTATIVITY,
-    SELECT_PAST_MAT_CHAIN,
 )
 
 # --- implementation rule names -------------------------------------------
@@ -67,7 +65,6 @@ ALG_UNNEST = "alg-unnest"
 ALG_PROJECT = "alg-project"
 HASH_GROUP_BY = "hash-group-by"
 HASH_SET_OP = "hash-set-op"
-MAT_CHAIN = "mat-chain"
 
 ALL_IMPLEMENTATIONS = (
     FILE_SCAN,
@@ -84,11 +81,11 @@ ALL_IMPLEMENTATIONS = (
     ALG_PROJECT,
     HASH_GROUP_BY,
     HASH_SET_OP,
-    MAT_CHAIN,
 )
 
 # --- pre-memo rewrite rule names -------------------------------------------
-# These run in rewrite.py *before* the memo is built.  Their names are the
+# These run in rewrite.py *before* the memo is built (``rewrite-mat-chain``
+# instead switches the search's traversal guard).  Their names are the
 # stage's only switch: ``config.without(...)`` ablates one, and with all of
 # them disabled (``config.with_rewrites(False)``) the stage is skipped.
 REWRITE_PUSHDOWN = "rewrite-pushdown"
@@ -252,7 +249,6 @@ __all__ = [
     "JOIN_ASSOCIATIVITY",
     "JOIN_COMMUTATIVITY",
     "JOIN_TO_MAT",
-    "MAT_CHAIN",
     "MAT_COMMUTATIVITY",
     "MAT_PAST_JOIN",
     "MAT_PAST_SELECT",
@@ -267,7 +263,6 @@ __all__ = [
     "SELECT_MERGE",
     "SELECT_PAST_JOIN",
     "SELECT_PAST_MAT",
-    "SELECT_PAST_MAT_CHAIN",
     "SELECT_PAST_UNNEST",
     "SETOP_COMMUTATIVITY",
     "UNNEST_PAST_SELECT",

@@ -24,7 +24,6 @@ from repro.algebra.operators import (
     Join,
     LogicalOp,
     Mat,
-    MatChain,
     Project,
     Select,
     SetOp,
@@ -43,7 +42,6 @@ from repro.algebra.scopes import BindingKind, Scope, VarBinding
 from repro.optimizer import config as rule_names
 from repro.optimizer.context import OptimizeContext
 from repro.optimizer.cost import Cost
-from repro.optimizer.logical_props import LogicalProps
 from repro.optimizer.memo import Group, MExpr
 from repro.optimizer.physical_props import PhysProps, SortKey
 from repro.optimizer.plans import (
@@ -155,17 +153,12 @@ def _mat_chains(gid: int, ctx: OptimizeContext, depth: int = 0):
         op = mexpr.op
         if isinstance(op, Get):
             yield {}, op, gid
-        elif isinstance(op, (Mat, MatChain)):
+        elif isinstance(op, Mat):
             for links, get_op, get_gid in _mat_chains(
                 mexpr.children[0], ctx, depth + 1
             ):
-                extended = dict(links)
-                for link in op.links:
-                    if link.out in extended:
-                        break
-                    extended[link.out] = link.source
-                else:
-                    yield extended, get_op, get_gid
+                if op.out not in links:
+                    yield {**links, op.out: op.source}, get_op, get_gid
 
 
 class CollapseToIndexScanImpl(ImplementationRule):
@@ -675,32 +668,32 @@ class HashSetOpImpl(ImplementationRule):
 
 
 def _mat_algorithms(
-    link,
+    mat: Mat,
     target_type: str,
     refs: float,
     width: float,
     rows: float,
     ctx: OptimizeContext,
 ) -> dict[str, tuple[Cost, Callable]]:
-    """Each enabled algorithm that can resolve one Mat link, by rule name,
-    in promise order: its local cost and plan builder.
+    """Each enabled algorithm that can resolve one Mat, by rule name, in
+    promise order: its local cost and plan builder.
 
-    ``link`` is a lone Mat or a MatChain link, resolving to objects of
-    ``target_type`` for ``refs`` input tuples of ``width`` bytes; the
-    plan node estimates ``rows``.  This is the one home of the Mat
-    algorithms' admissibility tests, costs and plan nodes: each lone-Mat
-    rule takes its own entry, and MatChainImpl the cheapest per link.
+    ``mat`` is the Mat, resolving to objects of ``target_type`` for
+    ``refs`` input tuples of ``width`` bytes; the plan node estimates
+    ``rows``.  This is the one home of the Mat algorithms' admissibility
+    tests, costs and plan nodes: each Mat rule takes its own entry, and a
+    traversal Mat adds ``_extent_join``'s.
     """
 
     def algorithm(node_type, cost: Cost, *node_args) -> tuple[Cost, Callable]:
         def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
             (child,) = children
             return node_type(
-                link.source,
-                link.out,
+                mat.source,
+                mat.out,
                 *node_args,
                 children=children,
-                delivered=child.delivered.add(link.out),
+                delivered=child.delivered.add(mat.out),
                 rows=rows,
                 local_cost=cost,
             )
@@ -744,17 +737,18 @@ def _mat_algorithms(
 
 def _lone_mat(mexpr, group: Group, ctx: OptimizeContext) -> tuple:
     """(input object variables, admissible algorithms) of one Mat
-    m-expr — the same for the three Mat rules under every goal."""
+    m-expr — the same for the Mat rules under every goal."""
     op = mexpr.op
     child = ctx.memo.group(mexpr.children[0]).props
+    target_type = group.props.scope.binding(op.out).type_name
+    refs, rows = child.cardinality, group.props.cardinality
     algorithms = _mat_algorithms(
-        op,
-        group.props.scope.binding(op.out).type_name,
-        child.cardinality,
-        ctx.scope_width(child.scope),
-        group.props.cardinality,
-        ctx,
+        op, target_type, refs, ctx.scope_width(child.scope), rows, ctx
     )
+    if op.out in ctx.memo.traversals:
+        joined = _extent_join(op, target_type, refs, rows, ctx)
+        if joined is not None:
+            algorithms[rule_names.HYBRID_HASH_JOIN] = joined
     return child.scope.object_names, algorithms
 
 
@@ -800,19 +794,17 @@ class WarmStartAssemblyImpl(_LoneMatImpl):
 
 
 def _extent_join(
-    link, target_type: str, refs: float, rows: float, ctx: OptimizeContext
+    mat: Mat, target_type: str, refs: float, rows: float, ctx: OptimizeContext
 ) -> tuple | None:
-    """(local cost, plan builder) of resolving a chain link by a hybrid
+    """(local cost, plan builder) of resolving a traversal Mat by a hybrid
     hash join against the target type's extent — the plan Mat-to-Join
     would reach — or None without a scannable extent.  The join node
     estimates ``rows``; with feedback on, the scan carries the properties
     of a ``Get`` of the extent, as the one Mat-to-Join puts in the memo."""
-    if not ctx.config.is_enabled(rule_names.HYBRID_HASH_JOIN):
-        return None
     extent = ctx.catalog.extent_of(target_type)
     if extent is None or not ctx.catalog.has_stats(extent.name):
         return None
-    out = link.out
+    out = mat.out
     extent_rows = float(ctx.catalog.cardinality(extent.name))
     scan_cost = ctx.cost_model.file_scan(
         ctx.collection_pages(extent.name), extent_rows
@@ -840,7 +832,7 @@ def _extent_join(
             props=scan_props,
         )
         return HashJoinNode(
-            link.source.oid_join(out),
+            mat.source.oid_join(out),
             children=(scan, child),
             delivered=PhysProps(
                 child.delivered.in_memory | {out}, child.delivered.order
@@ -852,110 +844,15 @@ def _extent_join(
     return scan_cost + join_cost, build
 
 
-#: How a chain candidate's note names each link's algorithm.
-_LINK_NOTES = {
-    rule_names.ASSEMBLY: "assembly",
-    rule_names.POINTER_JOIN: "pointer-join",
-    rule_names.WARM_START_ASSEMBLY: "warm-start",
-    rule_names.HYBRID_HASH_JOIN: "hash-join",
-}
+class TraversalHashJoinImpl(_LoneMatImpl):
+    """A traversal Mat -> a hybrid hash join against its target's extent.
 
-
-def _chain_lowering(mexpr, group: Group, ctx: OptimizeContext) -> tuple:
-    """(chain outputs, (local cost, plan builder, note) or None) of one
-    MatChain m-expr: the per-link argmin, None when a link has no
-    admissible algorithm.
-
-    A link's node implements the chain up to that link: the top one is
-    the group, and the search marks it as the goal's winner.  With
-    feedback on, each one below carries the properties of a ``Mat`` over
-    the link before it (``Memo.derive_props``), whose key the monitor
-    observes it under and whose estimate it shows; without, nothing
-    reads them and they are not derived."""
-    op = mexpr.op
-    memo = ctx.memo
-    outs = frozenset(link.out for link in op.links)
-    child = memo.group(mexpr.children[0]).props
-    scope = group.props.scope
-    refs = child.cardinality
-    # The tuple width entering each link (the pointer join's blocking
-    # reference table holds whole tuples).
-    width = ctx.scope_width(child.scope)
-    steps: list[tuple[str, Callable, LogicalProps | None]] = []
-    total = Cost.zero()
-    derived = child
-    for link in op.links:
-        if link is op.links[-1]:
-            props, rows = None, group.props.cardinality  # the goal's winner
-        elif memo.feedback is None:
-            props, rows = None, refs
-        else:
-            derived = memo.derive_props(
-                Mat(op.child, link.source, link.out), (derived,)
-            )
-            props, rows = derived, derived.cardinality
-        target_type = scope.binding(link.out).type_name
-        options = _mat_algorithms(link, target_type, refs, width, rows, ctx)
-        joined = _extent_join(link, target_type, refs, rows, ctx)
-        if joined is not None:
-            options[rule_names.HYBRID_HASH_JOIN] = joined
-        if not options:
-            return outs, None
-        rule, (cost, build) = min(options.items(), key=lambda o: o[1][0].total)
-        steps.append((rule, build, props))
-        total = total + cost
-        width += ctx.catalog.type_of(target_type).object_size
-
-    def build(children: tuple[PhysicalNode, ...]) -> PhysicalNode:
-        for _, stack, props in steps:
-            node = stack(children)
-            node.props = props
-            children = (node,)
-        return children[0]
-
-    note = "+".join(_LINK_NOTES[rule] for rule, _, _ in steps)
-    return outs, (total, build, note)
-
-
-class MatChainImpl(ImplementationRule):
-    """MatChain -> a stack of per-link materializations, chosen per link.
-
-    The fused chain is a pure traversal (the rewrite stage only fuses runs
-    whose outputs nothing above references), so its links are independent
-    1:1 steps and the optimal lowering is simply the per-link argmin over
-    the same algorithms a lone Mat would get (``_mat_algorithms``:
-    assembly, pointer join, warm-start assembly), plus a hash join against
-    the target's extent (the plan Mat-to-Join would have reached).  Every
-    strategy preserves the chain input's row order and drops
-    null/dangling references exactly like Mat, so fusion costs the search
-    nothing but the join-order interleavings it exists to eliminate.
-
-    Each per-link strategy honours the rule toggle of its standalone
-    counterpart, so rule-ablation configs constrain fused and unfused
-    plans identically.  The lowering does not depend on the goal, so it
-    is chosen once per m-expr.
+    The traversal guard keeps Mat-to-Join off the Mat, so this rule offers
+    the plan it would have reached; it is switched with the hybrid hash
+    join rule.
     """
 
-    name = rule_names.MAT_CHAIN
-    operators = (MatChain,)
-
-    def candidates(self, mexpr, group, required, ctx):
-        outs, lowering = ctx.facts_of(mexpr, _chain_lowering, group)
-        if lowering is None:
-            return  # a link with no admissible strategy kills the chain
-        if required.order is not None and required.order.var in outs:
-            return  # no lowering orders the stream by a chain output
-        child_gid = mexpr.children[0]
-        child_req = required
-        for link in mexpr.op.links:
-            child_req = child_req.remove(link.out)
-        for link in mexpr.op.links:
-            if link.source.attr is not None and link.source.var not in outs:
-                child_req = child_req.add(link.source.var)
-        child_scope = ctx.memo.group(child_gid).props.scope
-        if child_req.in_memory <= child_scope.object_names:
-            total, build, note = lowering
-            yield Candidate(((child_gid, child_req),), total, build, note=note)
+    name = rule_names.HYBRID_HASH_JOIN
 
 
 ALL_RULES: tuple[ImplementationRule, ...] = (
@@ -973,7 +870,7 @@ ALL_RULES: tuple[ImplementationRule, ...] = (
     AssemblyImpl(),
     PointerJoinImpl(),
     WarmStartAssemblyImpl(),
-    MatChainImpl(),
+    TraversalHashJoinImpl(),
 )
 
 

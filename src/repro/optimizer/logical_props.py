@@ -29,7 +29,6 @@ from repro.algebra.operators import (
     Join,
     LogicalOp,
     Mat,
-    MatChain,
     Project,
     RefSource,
     Select,
@@ -82,23 +81,6 @@ def build_query_vars(tree: LogicalOp, catalog: Catalog) -> QueryVars:
     origins: dict[str, VarOrigin] = {}
     sources: dict[str, RefSource] = {}
 
-    def materialize(link, what: str) -> None:
-        """Trace one Mat link's output (a lone Mat, or a MatChain link)."""
-        src = link.source
-        parent = origins.get(src.var)
-        if parent is None:
-            raise OptimizerError(f"{what} source {src.var!r} has no origin")
-        if src.attr is None:
-            origins[link.out] = parent
-        else:
-            attr = catalog.attribute(parent.type_name, src.attr)
-            origins[link.out] = VarOrigin(
-                parent.collection,
-                parent.path + (src.attr,),
-                attr.target_type or "",
-            )
-        sources[link.out] = src
-
     def walk(op: LogicalOp) -> None:
         for child in op.children:
             walk(child)
@@ -106,10 +88,20 @@ def build_query_vars(tree: LogicalOp, catalog: Catalog) -> QueryVars:
             element = catalog.collection(op.collection).element_type
             origins[op.var] = VarOrigin(op.collection, (), element)
         elif isinstance(op, Mat):
-            materialize(op, "Mat")
-        elif isinstance(op, MatChain):
-            for link in op.links:
-                materialize(link, "MatChain")
+            src = op.source
+            parent = origins.get(src.var)
+            if parent is None:
+                raise OptimizerError(f"Mat source {src.var!r} has no origin")
+            if src.attr is None:
+                origins[op.out] = parent
+            else:
+                attr = catalog.attribute(parent.type_name, src.attr)
+                origins[op.out] = VarOrigin(
+                    parent.collection,
+                    parent.path + (src.attr,),
+                    attr.target_type or "",
+                )
+            sources[op.out] = src
         elif isinstance(op, Unnest):
             parent = origins.get(op.var)
             if parent is None:
@@ -140,10 +132,8 @@ def derive_cardinality(
         if not catalog.has_stats(op.collection):
             raise OptimizerError(f"no statistics for collection {op.collection!r}")
         return float(catalog.cardinality(op.collection))
-    if isinstance(op, (Mat, MatChain)):
-        # Every link is 1:1 (references resolve to at most one object),
-        # matching the single-Mat estimate so fusion never changes a
-        # group's cardinality.
+    if isinstance(op, Mat):
+        # 1:1: a reference resolves to at most one object.
         return child_rows[0]
     if isinstance(op, Unnest):
         return child_rows[0] * selectivity.unnest_fanout(op.var, op.attr)
@@ -192,7 +182,7 @@ def derive_key(
     its output scope): the memo's group key.
 
     ``Get v: C`` binds ``(v, C)``; Select and Join add their conjuncts to
-    the union of their inputs' keys.  A Mat link ``src: w`` binds ``w`` to
+    the union of their inputs' keys.  A Mat ``src: w`` binds ``w`` to
     its target type's extent (``("type", T)`` without one) and applies
     ``src.oid_join(w)``, the predicate Mat-to-Join writes, so a Mat and
     its extent join share a key and a Get of a named set never does.
@@ -207,16 +197,16 @@ def derive_key(
     if isinstance(op, Join):
         (lb, lc, la), (rb, rc, ra) = child_props[0].key, child_props[1].key
         return lb | rb, lc.union(rc, op.predicate.comparisons), la | ra
-    if isinstance(op, (Mat, MatChain)):
+    if isinstance(op, Mat):
         bindings, conjuncts, atoms = child_props[0].key
-        bound, applied = [], []
-        for link in op.links:
-            target = scope.binding(link.out).type_name
-            extent = catalog.extent_of(target)
-            source = ("type", target) if extent is None else extent.name
-            bound.append((link.out, source))
-            applied.extend(link.source.oid_join(link.out).comparisons)
-        return bindings.union(bound), conjuncts.union(applied), atoms
+        target = scope.binding(op.out).type_name
+        extent = catalog.extent_of(target)
+        source = ("type", target) if extent is None else extent.name
+        return (
+            bindings | {(op.out, source)},
+            conjuncts.union(op.source.oid_join(op.out).comparisons),
+            atoms,
+        )
     if isinstance(op, Unnest):
         bindings, conjuncts, atoms = child_props[0].key
         return bindings, conjuncts, atoms | {("unnest", op.var, op.attr, op.out)}

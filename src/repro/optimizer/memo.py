@@ -79,6 +79,7 @@ class Memo:
         selectivity: SelectivityModel,
         tracer: Tracer = NULL_TRACER,
         feedback=None,
+        traversals: frozenset[str] = frozenset(),
     ) -> None:
         self.catalog = catalog
         self.selectivity = selectivity
@@ -86,6 +87,9 @@ class Memo:
         # Optional FeedbackStore: observed cardinalities override the
         # statistics-derived estimate for groups with a fresh observation.
         self.feedback = feedback
+        # The outputs of the query's pure traversals (the Mats the rules
+        # leave in place; ``rewrite.traversal_outputs``).
+        self.traversals = traversals
         self._groups: list[Group] = []
         # Group id per m-expr key, and per group key.
         self._index: dict[tuple, int] = {}
@@ -196,9 +200,9 @@ class Memo:
         self, op: LogicalOp, child_props: tuple[LogicalProps, ...]
     ) -> LogicalProps:
         """The properties of ``op`` over inputs with ``child_props``: those
-        of a plan node a lowered MatChain builds below the group's winner
-        (a Mat over the link before, a Get of an extent), which the node
-        carries as a winner carries its group's."""
+        of a plan node built below a group's winner (the extent scan of a
+        traversal's hash join), which the node carries as a winner carries
+        its group's."""
         scope = derive_scope(op, tuple(p.scope for p in child_props), self.catalog)
         key = derive_key(op, child_props, scope, self.catalog)
         return self._props(op, child_props, scope, key)

@@ -9,7 +9,7 @@ from repro.algebra.operators import LogicalOp, Project, SetOp
 from repro.catalog.catalog import Catalog
 from repro.governor.context import QueryContext
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
-from repro.optimizer.config import ALL_REWRITES, OptimizerConfig
+from repro.optimizer.config import ALL_REWRITES, REWRITE_MAT_CHAIN, OptimizerConfig
 from repro.optimizer.context import OptimizeContext
 from repro.optimizer.cost import Cost, CostModel
 from repro.optimizer.implementations import ALL_RULES as IMPLS
@@ -17,7 +17,7 @@ from repro.optimizer.logical_props import build_query_vars
 from repro.optimizer.memo import Memo
 from repro.optimizer.physical_props import PhysProps, SortKey
 from repro.optimizer.plans import PhysicalNode
-from repro.optimizer.rewrite import rewrite_tree
+from repro.optimizer.rewrite import rewrite_tree, traversal_outputs
 from repro.optimizer.search import (
     SearchBudgetExhausted,
     SearchEngine,
@@ -130,6 +130,7 @@ class Optimizer:
         tracer = tracer if tracer is not None else NULL_TRACER
         first_event = len(tracer.events)  # a long-lived tracer holds more
         started = time.perf_counter()
+        traversals: frozenset[str] = frozenset()
         if not _REWRITE_RULES <= self.config.disabled_rules:
             order_key = SortKey(order[0], order[1], order[2]) if order else None
             with tracer.span("phase", "rewrite"):
@@ -142,9 +143,19 @@ class Optimizer:
                     required=required,
                     tracer=tracer,
                 )
+                if self.config.is_enabled(REWRITE_MAT_CHAIN):
+                    traversals = traversal_outputs(
+                        logical, result_vars, order_key, required, tracer
+                    )
         query_vars = build_query_vars(logical, self.catalog)
         selectivity = SelectivityModel(self.catalog, query_vars)
-        memo = Memo(self.catalog, selectivity, tracer=tracer, feedback=self.feedback)
+        memo = Memo(
+            self.catalog,
+            selectivity,
+            tracer=tracer,
+            feedback=self.feedback,
+            traversals=traversals,
+        )
         root_gid = memo.insert_expression(logical)
         ctx = OptimizeContext(
             memo=memo,

@@ -42,9 +42,8 @@ class PhysicalNode(_SubtreeCost):
     rows: float = field(default=0.0, kw_only=True)
     local_cost: Cost = field(default_factory=Cost.zero, kw_only=True)
     # The properties of the memo group the node implements, set when the
-    # node wins its goal in a feedback-on search (a lowered MatChain
-    # link's carry the partial chain's): its subplan identity for
-    # cardinality feedback.  None: the node is not monitored.
+    # node wins its goal in a feedback-on search: its subplan identity
+    # for cardinality feedback.  None: the node is not monitored.
     props: LogicalProps | None = field(
         default=None, kw_only=True, compare=False, repr=False
     )

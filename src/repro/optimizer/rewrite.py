@@ -1,9 +1,9 @@
-"""Pre-memo cost-based rewrite stage.
+"""Pre-memo cost-based rewrite stage, and the search's traversal guard.
 
 The memo makes every transformation pay rent forever: each Mat, each
 cartesian join input, each Select placement multiplies the group count the
 search must explore to fixpoint.  Following the cost-based-rewrite line of
-work, this stage runs four cheap, almost-always-right rewrites on the
+work, this stage runs three cheap, almost-always-right rewrites on the
 logical tree *before* the memo is built, so exploration starts from fewer,
 better-shaped groups:
 
@@ -22,15 +22,17 @@ better-shaped groups:
 ``rewrite-join-canon``
     order the inputs of cartesian join clusters by estimated cardinality,
     smallest first, so even budget-degraded greedy descents start from a
-    sensible shape;
-``rewrite-mat-chain``
-    fuse maximal runs of adjacent Mats whose outputs nothing above
-    references into one :class:`MatChain` composite.  A fused run is a
-    pure traversal: no transformation re-expands it, which is what
-    actually shrinks the search space (converting joins to Mats alone
-    does nothing — Mat-to-Join just converts them back).  The MatChain
-    implementation rule still chooses assembly / pointer join / hash join
-    per link, so only join-order interleavings are given up.
+    sensible shape.
+
+``rewrite-mat-chain`` reshapes no tree: it switches the guard
+:func:`traversal_outputs` computes once per query, the Mats whose outputs
+nothing but the Mats above them in their run reads.  Such a Mat is a pure
+traversal, and the memo keeps it in place: the Mat-moving rules and
+Mat-to-Join leave it alone, which is what actually shrinks the search
+space (converting joins to Mats alone does nothing — Mat-to-Join just
+converts them back).  Its implementation rules still choose assembly,
+pointer join or a hash join against the target's extent, so only
+join-order interleavings are given up.
 
 The rule names are the only switch: ``config.without(rule)`` ablates one,
 and with all of ``ALL_REWRITES`` disabled the optimizer skips the stage.
@@ -50,8 +52,6 @@ from repro.algebra.operators import (
     Join,
     LogicalOp,
     Mat,
-    MatChain,
-    MatLink,
     Project,
     RefSource,
     Select,
@@ -87,8 +87,8 @@ def _bound_vars(op: LogicalOp) -> frozenset[str]:
     """The scope names an operator's output carries (no catalog needed)."""
     if isinstance(op, Get):
         return frozenset({op.var})
-    if isinstance(op, (Mat, MatChain)):
-        return _bound_vars(op.child) | {link.out for link in op.links}
+    if isinstance(op, Mat):
+        return _bound_vars(op.child) | {op.out}
     if isinstance(op, Unnest):
         return _bound_vars(op.child) | {op.out}
     if isinstance(op, Select):
@@ -110,8 +110,6 @@ def _node_uses(op: LogicalOp) -> list[str]:
     used: list[str] = []
     if isinstance(op, Mat):
         used.append(op.source.var)
-    elif isinstance(op, MatChain):
-        used.extend(link.source.var for link in op.links)
     elif isinstance(op, Unnest):
         used.append(op.var)
     elif isinstance(op, (Select, Join, AntiJoin)):
@@ -202,7 +200,7 @@ def _pushdown(tree: LogicalOp, details: list | None) -> tuple[LogicalOp, int]:
             )
             return _wrap(stay, new)
 
-        if isinstance(op, (Mat, MatChain, Unnest, AntiJoin)):
+        if isinstance(op, (Mat, Unnest, AntiJoin)):
             # The first input carries the scope, so conjuncts over it sink
             # into it; an AntiJoin's right input only gets its own pushed.
             inner, *rest = op.children
@@ -271,7 +269,7 @@ def _place_mat(op: LogicalOp, source: RefSource, out: str) -> LogicalOp | None:
     var = source.var
     if isinstance(op, Get):
         return Mat(op, source, out) if op.var == var else None
-    if isinstance(op, (Select, Mat, MatChain, Unnest)):
+    if isinstance(op, (Select, Mat, Unnest)):
         child = op.children[0]
         if var in _bound_vars(child):
             placed = _place_mat(child, source, out)
@@ -436,66 +434,24 @@ def _canonicalize_joins(
 
 
 # ----------------------------------------------------------------------
-# Rule: Mat-chain fusion
-# ----------------------------------------------------------------------
-
-
-def _fuse_mat_chains(
-    tree: LogicalOp,
-    externals: frozenset[str],
-    details: list | None,
-) -> tuple[LogicalOp, int]:
-    uses = _use_counts(tree)
-    fired = 0
-
-    def fuse(op: LogicalOp) -> LogicalOp:
-        if not isinstance(op, Mat):
-            return op.with_children(tuple(fuse(c) for c in op.children))
-        # Collect the maximal adjacent run, top-down.
-        run: list[Mat] = []
-        cursor: LogicalOp = op
-        while isinstance(cursor, Mat):
-            run.append(cursor)
-            cursor = cursor.child
-        base = fuse(cursor)
-        run_source_counts = Counter(m.source.var for m in run)
-
-        def passes(m: Mat) -> bool:
-            if m.out in externals:
-                return False
-            external_uses = uses[m.out] - run_source_counts.get(m.out, 0)
-            return external_uses == 0
-
-        node = base
-        links: list[MatLink] = []
-
-        def flush() -> None:
-            nonlocal node, fired
-            if links:
-                node = MatChain(node, tuple(links))
-                fired += 1
-                if details is not None:
-                    details.append((
-                        rule_names.REWRITE_MAT_CHAIN,
-                        "fused [" + ", ".join(str(link) for link in links) + "]",
-                    ))
-                links.clear()
-
-        for m in reversed(run):  # bottom-up
-            if passes(m):
-                links.append(MatLink(m.source, m.out))
-            else:
-                flush()
-                node = Mat(node, m.source, m.out)
-        flush()
-        return node
-
-    return fuse(tree), fired
-
-
-# ----------------------------------------------------------------------
 # The stage
 # ----------------------------------------------------------------------
+
+
+def _caller_needs(
+    result_vars: tuple[str, ...],
+    order: SortKey | None,
+    required: PhysProps | None,
+) -> frozenset[str]:
+    """The variables the caller still needs after optimization."""
+    needed: set[str] = set(result_vars)
+    if order is not None:
+        needed.add(order.var)
+    if required is not None:
+        needed |= required.in_memory
+        if required.order is not None:
+            needed.add(required.order.var)
+    return frozenset(needed)
 
 
 def rewrite_tree(
@@ -518,15 +474,7 @@ def rewrite_tree(
     rewrite bug can cost performance but never correctness.  Firings are
     traced only once the tree stands: a fallback emits none.
     """
-    external_set: set[str] = set(result_vars)
-    if order is not None:
-        external_set.add(order.var)
-    if required is not None:
-        external_set |= set(required.in_memory)
-        if required.order is not None:
-            external_set.add(required.order.var)
-    externals = frozenset(external_set)
-
+    externals = _caller_needs(result_vars, order, required)
     details: list[tuple[str, str]] | None = [] if tracer.enabled else None
     fired = 0
     original = tree
@@ -541,9 +489,6 @@ def rewrite_tree(
         ):
             sel = SelectivityModel(catalog, build_query_vars(original, catalog))
             tree, n = _canonicalize_joins(tree, sel, catalog, details)
-            fired += n
-        if config.is_enabled(rule_names.REWRITE_MAT_CHAIN):
-            tree, n = _fuse_mat_chains(tree, externals, details)
             fired += n
     except (AlgebraError, OptimizerError) as exc:
         if tracer.enabled:
@@ -564,4 +509,59 @@ def rewrite_tree(
     return tree
 
 
-__all__ = ["rewrite_tree"]
+# ----------------------------------------------------------------------
+# The traversal guard
+# ----------------------------------------------------------------------
+
+
+def traversal_outputs(
+    tree: LogicalOp,
+    result_vars: tuple[str, ...] = (),
+    order: SortKey | None = None,
+    required: PhysProps | None = None,
+    tracer: Tracer = NULL_TRACER,
+) -> frozenset[str]:
+    """The outputs of the tree's pure traversals: the Mats the search
+    leaves in place (``rewrite-mat-chain``).
+
+    A Mat's output is one when the caller does not need it (the variables
+    :func:`rewrite_tree` treats as referenced) and only the Mats directly
+    above it in its run of adjacent Mats read it.  Under an enabled
+    tracer each stretch of such Mats is one ``rewrite`` event.
+    """
+    needed = _caller_needs(result_vars, order, required)
+    uses = _use_counts(tree)
+    outs: set[str] = set()
+
+    def trace(stretch: list[Mat]) -> None:
+        if tracer.enabled:
+            body = ", ".join(m.describe() for m in stretch)
+            tracer.event("rewrite", rule_names.REWRITE_MAT_CHAIN,
+                         detail=f"traversal [{body}]")
+        stretch.clear()
+
+    def walk(op: LogicalOp) -> None:
+        run: list[Mat] = []
+        while isinstance(op, Mat):
+            run.append(op)
+            op = op.child
+        for child in op.children:
+            walk(child)
+        if not run:
+            return
+        in_run = Counter(m.source.var for m in run)
+        stretch: list[Mat] = []
+        for m in reversed(run):  # bottom-up
+            if m.out not in needed and uses[m.out] == in_run[m.out]:
+                outs.add(m.out)
+                stretch.append(m)
+            elif stretch:
+                trace(stretch)
+        if stretch:
+            trace(stretch)
+
+    walk(tree)
+    return frozenset(outs)
+
+
+__all__ = ["rewrite_tree", "traversal_outputs"]

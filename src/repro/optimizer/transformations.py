@@ -13,6 +13,10 @@ should be chosen or rejected based on anticipated execution costs".
 Every rule consumes one m-expr (whose inputs are memo groups), matches
 it against m-exprs of the one input its pattern looks inside, and yields
 equivalent trees to be inserted back into the same group.
+
+A Mat whose output is in ``memo.traversals`` is a pure traversal: the
+rules that move a Mat (past a Select, a Join or another Mat) or turn it
+into a join leave it where it is.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from repro.algebra.operators import (
     Join,
     LogicalOp,
     Mat,
-    MatChain,
     RefSource,
     Select,
     SetOp,
@@ -143,18 +146,6 @@ class SelectPastMat(TransformationRule):
                 yield (_mk_select(above), (pushed,))
 
 
-class SelectPastMatChain(SelectPastMat):
-    """Push selection conjuncts beneath a fused Mat chain.
-
-    The fusion gate means such conjuncts should not exist in rewritten
-    trees, but fuzz configs that disable individual rewrite rules can
-    still produce the shape.
-    """
-
-    name = rule_names.SELECT_PAST_MAT_CHAIN
-    beneath = MatChain
-
-
 class MatPastSelect(TransformationRule):
     """Pull a Mat above a Select (the inverse direction).
 
@@ -167,6 +158,8 @@ class MatPastSelect(TransformationRule):
     input = 0
 
     def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
+        if mexpr.op.out in memo.traversals:
+            return
         for inner in inners:
             if isinstance(inner.op, Select):
                 yield (
@@ -295,8 +288,11 @@ class MatCommutativity(TransformationRule):
 
     def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         outer = mexpr.op
+        traversals = memo.traversals
+        if outer.out in traversals:
+            return
         for inner in inners:
-            if not isinstance(inner.op, Mat):
+            if not isinstance(inner.op, Mat) or inner.op.out in traversals:
                 continue
             base_gid = inner.children[0]
             base_scope = memo.group(base_gid).props.scope.names
@@ -325,6 +321,8 @@ class MatIntoJoin(TransformationRule):
 
     def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         op = mexpr.op
+        if op.out in memo.traversals:
+            return
         for inner in inners:
             if not isinstance(inner.op, Join):
                 continue
@@ -362,7 +360,7 @@ class MatOutOfJoin(TransformationRule):
         for inner in inners:
             if not isinstance(inner.op, Mat):
                 continue
-            if inner.op.out in predicate.vars:
+            if inner.op.out in predicate.vars or inner.op.out in memo.traversals:
                 continue
             join_children = (
                 (inner.children[0], other_gid)
@@ -388,6 +386,8 @@ class MatToJoin(TransformationRule):
 
     def apply(self, mexpr: MExpr, memo: Memo, inners) -> Iterator[Tree]:
         op = mexpr.op
+        if op.out in memo.traversals:
+            return
         child_scope = memo.group(mexpr.children[0]).props.scope
         extent = memo.catalog.extent_of(
             link_target(op.source, child_scope, memo.catalog)
@@ -466,7 +466,6 @@ class SetOpCommutativity(TransformationRule):
 ALL_RULES: tuple[TransformationRule, ...] = (
     SelectMerge(),
     SelectPastMat(),
-    SelectPastMatChain(),
     MatPastSelect(),
     SelectPastUnnest(),
     UnnestPastSelect(),

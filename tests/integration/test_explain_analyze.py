@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.algebra.operators import MatLink
+from repro.algebra.operators import Mat
 from repro.algebra.predicates import Comparison
 from repro.errors import CatalogError
 from repro.obs.tracer import Tracer
@@ -155,15 +155,17 @@ class TestTracingCost:
     def test_untraced_optimization_renders_nothing(self, db, monkeypatch):
         """Search states and rewrite details are built only for a tracer:
         untraced, no task renders its required properties, no rewrite
-        renders a conjunct or a fused link, and the result keeps no
+        renders a conjunct or a traversal Mat, and the result keeps no
         record of either."""
         rendered = []
-        for cls in (PhysProps, Comparison, MatLink):
-            def counting(self, _str=cls.__str__, _name=cls.__name__):
+        for cls, method in (
+            (PhysProps, "__str__"), (Comparison, "__str__"), (Mat, "describe")
+        ):
+            def counting(self, _render=getattr(cls, method), _name=cls.__name__):
                 rendered.append(_name)
-                return _str(self)
+                return _render(self)
 
-            monkeypatch.setattr(cls, "__str__", counting)
+            monkeypatch.setattr(cls, method, counting)
         texts = (QUERY_1, QUERY_2, QUERY_3, QUERY_4, chain_query(5))
         results = [db.optimize(text) for text in texts]
         assert rendered == []

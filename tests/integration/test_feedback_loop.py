@@ -18,6 +18,7 @@ from repro.feedback import CardinalityMonitor, group_key
 from repro.governor.context import QueryContext
 from repro.governor.faults import FaultPlan
 from repro.optimizer.config import ASSEMBLY, POINTER_JOIN
+from repro.optimizer.rewrite import traversal_outputs
 from repro.fuzz.worldgen import (
     AttrSpec,
     IndexSpec,
@@ -257,12 +258,12 @@ class TestObservationsAreReadBack:
     @pytest.mark.parametrize(
         "disabled",
         [(), (ASSEMBLY, POINTER_JOIN)],
-        ids=["per-link-algorithms", "extent-joins"],
+        ids=["mat-algorithms", "extent-joins"],
     )
-    def test_each_link_of_a_lowered_chain_is_observed_and_fed(self, disabled):
-        """A fused two-link chain has one group, but a plan node per link
-        (and per extent scan): each is keyed as the partial chain it
-        computes, and the next optimization feeds every one of them."""
+    def test_each_traversal_mat_is_observed_and_fed(self, disabled):
+        """Each Mat of a two-Mat traversal is its own group, and each
+        node (an extent join's scan too) is keyed as what it computes:
+        the next optimization feeds every one of them."""
         text = (
             "SELECT e.name FROM Employee e IN Employees, "
             "Department d IN extent(Department), Job j IN extent(Job) "
@@ -271,7 +272,7 @@ class TestObservationsAreReadBack:
         db = Database.sample(scale=0.05, seed=1)
         db.config = db.config.without(*disabled).with_feedback(True)
         result = db.query(text, use_cache=False)
-        assert "MatChain" in result.optimization.logical.pretty()
+        assert traversal_outputs(result.optimization.logical) == {"d", "j"}
         nodes = list(result.plan.walk())
         assert all(node.props is not None for node in nodes)
         assert len(db.feedback) == len(nodes)

@@ -10,6 +10,7 @@ which is the whole point.
 
 import pytest
 
+from repro.algebra.operators import Mat
 from repro.algebra.scopes import BindingKind, Scope, VarBinding
 from repro.lang.parser import parse_query
 from repro.obs.tracer import Tracer
@@ -21,7 +22,8 @@ from repro.optimizer.plans import HashJoinNode, plan_signature
 from repro.simplify.simplifier import simplify_full
 
 from tests.conftest import QUERY_1, QUERY_2, QUERY_3, QUERY_4
-from tests.integration.test_search_transcript import chain_query
+from tests.integration.test_search_space import after_explore
+from tests.integration.test_search_transcript import adhoc_shapes, chain_query
 
 PAPER_QUERIES = {
     "Q1": QUERY_1,
@@ -51,7 +53,8 @@ CHAIN_REWRITES = [
     "-- rewrite: rewrite-collection-join: e.department == d.self "
     "-> Mat e.department: d --",
     "-- rewrite: rewrite-join-canon: reordered 3 cartesian inputs by size --",
-    "-- rewrite: rewrite-mat-chain: fused [e.department: d, e.job: j] --",
+    "-- rewrite: rewrite-mat-chain: "
+    "traversal [Mat e.department: d, Mat e.job: j] --",
 ]
 
 
@@ -59,6 +62,16 @@ def _optimize(catalog, sql, config=None, tracer=None):
     sq = simplify_full(parse_query(sql), catalog)
     optimizer = Optimizer(catalog, config or OptimizerConfig())
     return optimizer.optimize(sq.tree, result_vars=sq.result_vars, tracer=tracer)
+
+
+def _explored(catalog, sql, config=None):
+    """The memo a search explored, and the origins of its m-exprs."""
+    memos = []
+    with after_explore(lambda engine: memos.append(engine.ctx.memo)):
+        _optimize(catalog, sql, config)
+    (memo,) = memos
+    origins = {m.origin for group in memo.groups() for m in group.mexprs}
+    return memo, origins
 
 
 def _fired(catalog, sql, config=None) -> set[str]:
@@ -114,6 +127,56 @@ class TestSearchSpaceShrinks:
         ) == set()
 
 
+# The rules the traversal guard keeps off a traversal Mat.
+MAT_MOVES = {C.MAT_TO_JOIN, C.MAT_COMMUTATIVITY, C.MAT_PAST_JOIN, C.MAT_PAST_SELECT}
+
+
+class TestTraversalGuard:
+    def test_traversal_mats_stay_where_the_query_put_them(self, paper_catalog):
+        memo, origins = _explored(paper_catalog, CHAIN_QUERY)
+        assert memo.traversals == {"d", "j"}
+        assert not origins & MAT_MOVES
+        mats = [m for g in memo.groups() for m in g.mexprs if isinstance(m.op, Mat)]
+        assert sorted(m.op.out for m in mats) == ["d", "j"]
+
+    def test_switching_the_guard_off_restores_the_mat_rules(self, paper_catalog):
+        config = OptimizerConfig().without(C.REWRITE_MAT_CHAIN)
+        memo, origins = _explored(paper_catalog, CHAIN_QUERY, config)
+        assert memo.traversals == frozenset()
+        assert {C.MAT_TO_JOIN, C.MAT_COMMUTATIVITY} <= origins
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT e.name FROM Employee e IN Employees "
+            "WHERE e.department.name == 'Sales'",
+            "SELECT e.department.name FROM Employee e IN Employees",
+            "SELECT e.name FROM Employee e IN Employees "
+            "ORDER BY e.department.name",
+        ],
+        ids=["predicate", "projection", "order-by"],
+    )
+    def test_a_mat_whose_output_is_read_still_moves(self, paper_catalog, text):
+        memo, origins = _explored(paper_catalog, text)
+        assert memo.traversals == frozenset()
+        assert C.MAT_TO_JOIN in origins
+
+    def test_unguarded_adhoc_plans_are_the_cheaper_interleavings(self):
+        """Of the 160 ``adhoc_plan`` shapes, the guard keeps 26 plans from
+        interleavings it hides: off, 25 of them get cheaper and none gets
+        dearer (the 26th ties)."""
+        db, texts = adhoc_shapes()
+        unguarded = OptimizerConfig().without(C.REWRITE_MAT_CHAIN)
+        moved = []
+        for text in texts:
+            guarded, free = db.optimize(text), db.optimize(text, unguarded)
+            if free.plan.pretty() != guarded.plan.pretty():
+                moved.append(free.cost.total - guarded.cost.total)
+        assert len(moved) == 26
+        assert sum(delta < 0 for delta in moved) == 25
+        assert max(moved) <= 0
+
+
 class TestEveryRuleFires:
     def test_each_rewrite_rule_fires_on_the_chains_or_paper_queries(
         self, paper_catalog
@@ -126,17 +189,17 @@ class TestEveryRuleFires:
         assert set(C.ALL_REWRITES) <= fired, set(C.ALL_REWRITES) - fired
 
 
-class TestFusedLinkCosts:
+class TestTraversalCosts:
     def test_extent_hash_join_sizes_its_build_with_the_tuple_overhead(
         self, paper_catalog
     ):
-        """A chain link resolved by a hash join against the target's extent
-        sizes its build input as the hybrid hash join rule does, with the
-        configured per-tuple overhead: under a workspace the extent
-        overflows, the spill I/O follows the wider tuples."""
+        """A traversal Mat resolved by a hash join against the target's
+        extent sizes its build input as the hybrid hash join rule does,
+        with the configured per-tuple overhead: under a workspace the
+        extent overflows, the spill I/O follows the wider tuples."""
         config = OptimizerConfig(
             cost=CostParams(tuple_overhead_bytes=64, work_mem_bytes=1024)
-        ).without(C.ASSEMBLY)  # leave the chain its hash join only
+        ).without(C.ASSEMBLY)  # leave the traversal its hash join only
         text = (
             "SELECT e.name FROM Employee e IN Employees, "
             "Department d IN extent(Department) WHERE e.department == d"

@@ -11,7 +11,6 @@ from repro.algebra.operators import (
     Get,
     Join,
     Mat,
-    MatChain,
     Project,
     ProjectItem,
     RefSource,
@@ -33,11 +32,12 @@ from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.rewrite import (
     _canonicalize_joins,
     _collection_joins,
-    _fuse_mat_chains,
     _pushdown,
     rewrite_tree,
+    traversal_outputs,
 )
 from repro.optimizer.logical_props import build_query_vars
+from repro.optimizer.physical_props import PhysProps, SortKey
 from repro.optimizer.selectivity import SelectivityModel
 
 
@@ -174,49 +174,37 @@ class TestJoinCanon:
         assert fired == 0
 
 
-class TestMatChainFusion:
+class TestTraversalOutputs:
     def _chain(self):
         dept = Mat(EMPLOYEES, RefSource("e", "department"), "d")
         return Mat(dept, RefSource("e", "job"), "j")
 
-    def test_fuses_unreferenced_run(self):
-        tree, fired = _fuse_mat_chains(self._chain(), frozenset(), None)
-        assert isinstance(tree, MatChain)
-        assert [link.out for link in tree.links] == ["d", "j"]
-        assert isinstance(tree.child, Get)
-        assert fired == 1
+    def test_unreferenced_run_is_one_traversal(self):
+        tracer = Tracer()
+        assert traversal_outputs(self._chain(), tracer=tracer) == {"d", "j"}
+        (event,) = tracer.events
+        assert (event.category, event.name) == ("rewrite", C.REWRITE_MAT_CHAIN)
+        assert event.get("detail") == "traversal [Mat e.department: d, Mat e.job: j]"
 
-    def test_external_out_stays_unfused(self):
-        tree, fired = _fuse_mat_chains(self._chain(), frozenset({"j"}), None)
-        # j is needed above: its Mat survives; the d link still fuses
-        # into a (single-link) chain below it.
-        assert isinstance(tree, Mat)
-        assert tree.out == "j"
-        assert isinstance(tree.child, MatChain)
-        assert [link.out for link in tree.child.links] == ["d"]
-        assert fired == 1
+    def test_needed_out_is_not_a_traversal(self):
+        assert traversal_outputs(self._chain(), result_vars=("j",)) == {"d"}
+        ordered = PhysProps.of(order=SortKey("j", "name"))
+        assert traversal_outputs(self._chain(), required=ordered) == {"d"}
 
-    def test_referenced_out_stays_unfused(self):
+    def test_out_read_above_the_run_is_not_a_traversal(self):
         used = Select(self._chain(), _eq(FieldRef("d", "name"), Const("S")))
-        tree, fired = _fuse_mat_chains(used, frozenset(), None)
-        # d is read by the Select: its Mat survives unfused below the
-        # (single-link) chain that absorbs the unreferenced j.
-        chain = tree.child
-        assert isinstance(chain, MatChain)
-        assert [link.out for link in chain.links] == ["j"]
-        assert isinstance(chain.child, Mat)
-        assert chain.child.out == "d"
-        assert fired == 1
+        tracer = Tracer()
+        assert traversal_outputs(used, tracer=tracer) == {"j"}
+        assert [e.get("detail") for e in tracer.events] == [
+            "traversal [Mat e.job: j]"
+        ]
 
-    def test_chain_source_links_fuse_together(self):
-        # d feeds the second hop (d.company): consumed inside the run,
-        # so both links still fuse into one chain.
+    def test_out_read_inside_the_run_is_a_traversal(self):
+        # d feeds the second hop: read only inside the run, so both are
+        # traversal outputs.
         dept = Mat(EMPLOYEES, RefSource("e", "department"), "d")
         hop = Mat(dept, RefSource("d", None), "d2")
-        tree, fired = _fuse_mat_chains(hop, frozenset(), None)
-        assert isinstance(tree, MatChain)
-        assert [link.out for link in tree.links] == ["d", "d2"]
-        assert fired == 1
+        assert traversal_outputs(hop) == {"d", "d2"}
 
 
 class TestRewriteTreeStage:
@@ -245,13 +233,15 @@ class TestRewriteTreeStage:
             tree, CATALOG, OptimizerConfig(), result_vars=(), tracer=tracer
         )
         assert isinstance(out, Project)
-        chain = out.children[0]
-        assert isinstance(chain, MatChain)
-        assert sorted(link.out for link in chain.links) == ["d", "j"]
-        assert isinstance(chain.child, Get)
+        top = out.children[0]
+        assert isinstance(top, Mat) and isinstance(top.child, Mat)
+        assert sorted((top.out, top.child.out)) == ["d", "j"]
+        assert isinstance(top.child.child, Get)
         rules = {event.name for event in tracer.events_in("rewrite")}
         assert C.REWRITE_COLLECTION_JOIN in rules
-        assert C.REWRITE_MAT_CHAIN in rules
+        assert C.REWRITE_MAT_CHAIN not in rules  # the stage fuses nothing
+        # Nothing above reads d or j: the Mats are one traversal.
+        assert traversal_outputs(out) == {"d", "j"}
 
     def test_externals_protect_result_vars(self):
         tree = Select(

@@ -7,6 +7,8 @@ suites; here we verify each rule fires exactly when its preconditions
 hold.
 """
 
+import pytest
+
 from repro.algebra.operators import (
     Get,
     Join,
@@ -293,3 +295,59 @@ class TestMatRules:
         )
         memo, gid = _memo_for(tree)
         assert _apply(T.MatOutOfJoin(), memo, gid) == []
+
+
+_CITY_MATS = Mat(
+    Mat(Get("Cities", "c"), RefSource("c", "mayor"), "c.mayor"),
+    RefSource("c", "country"),
+    "c.country",
+)
+_DEPT_OVER_JOIN = Mat(
+    Join(
+        Get("Employees", "e"),
+        Get("extent(Job)", "j"),
+        _eq(RefAttr("e", "job"), SelfOid("j")),
+    ),
+    RefSource("e", "department"),
+    "e.department",
+)
+_JOIN_OVER_DEPT = Join(
+    Mat(Get("Employees", "e"), RefSource("e", "department"), "e.department"),
+    Get("extent(Job)", "j"),
+    _eq(RefAttr("e", "job"), SelfOid("j")),
+)
+_MAYOR_OVER_SELECT = Mat(
+    Select(Get("Cities", "c"), CITY_NAME), RefSource("c", "mayor"), "c.mayor"
+)
+
+
+class TestTraversalGuard:
+    """A Mat whose output is a traversal output stays where it is."""
+
+    @pytest.mark.parametrize(
+        "rule, tree, traversal",
+        [
+            (T.MatToJoin(), _CITY_MATS, "c.country"),
+            (T.MatCommutativity(), _CITY_MATS, "c.country"),
+            (T.MatCommutativity(), _CITY_MATS, "c.mayor"),
+            (T.MatIntoJoin(), _DEPT_OVER_JOIN, "e.department"),
+            (T.MatOutOfJoin(), _JOIN_OVER_DEPT, "e.department"),
+            (T.MatPastSelect(), _MAYOR_OVER_SELECT, "c.mayor"),
+        ],
+        ids=["to-join", "commute-outer", "commute-inner", "into-join",
+             "out-of-join", "past-select"],
+    )
+    def test_rule_leaves_a_traversal_mat_alone(self, rule, tree, traversal):
+        memo, gid = _memo_for(tree)
+        assert _apply(rule, memo, gid)
+        memo.traversals = frozenset({traversal})
+        assert _apply(rule, memo, gid) == []
+
+    def test_selects_still_sink_below_a_traversal_mat(self):
+        tree = Select(
+            Mat(Get("Cities", "c"), RefSource("c", "mayor"), "c.mayor"),
+            CITY_NAME,
+        )
+        memo, gid = _memo_for(tree)
+        memo.traversals = frozenset({"c.mayor"})
+        assert len(_apply(T.SelectPastMat(), memo, gid)) == 1
