@@ -238,9 +238,9 @@ def record_all() -> dict[str, dict]:
     case("order-by-merge-join", plain, MERGE_ORDER, MERGE_ONLY,
          check=has(MergeJoinNode))
 
-    # Warm-start assembly is off by default, and each Mat algorithm has a
-    # standalone rule and a per-link branch inside a fused Mat chain: pin
-    # both branches with it on, and the chain's argmin with one rival gone.
+    # Warm-start assembly is off by default: pin it on, on lone Mats and
+    # on the chain's traversal Mats (which also get an extent hash join),
+    # and the chain with one Mat algorithm gone.
     warm = OptimizerConfig().with_rules(C.WARM_START_ASSEMBLY)
     for name, text in PAPER.items():
         case(f"warm-start-{name}", plain, text, warm)
