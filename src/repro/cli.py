@@ -165,7 +165,7 @@ class Shell:
         if line.startswith("."):
             self._command(line)
         else:
-            self._query(line)
+            self._print_result(self.statement(line))
 
     # ------------------------------------------------------------------
 
@@ -435,31 +435,28 @@ class Shell:
             options["$chaos"] = self.chaos_seed
         return options or None
 
-    def _query(self, text: str) -> None:
+    def statement(self, text: str):
+        """Run one statement under this shell's config, limits and open
+        transaction (the shell's and a server session's one path).
+
+        An eager write-write conflict (detected at write time,
+        mid-statement) rolls the transaction back inside the storage
+        layer; keeping the dead handle would make every later statement
+        fail with ``TransactionError``, so the shell drops it — and says
+        so — as part of reporting the conflict.
+        """
         try:
-            result = self.db.query(
+            return self.db.query(
                 text,
                 config=self.config,
                 options=self._options(),
                 transaction=self.transaction,
             )
         except WriteConflict:
-            self.drop_doomed_transaction()
+            if self.transaction is not None and self.transaction.status != "active":
+                self.transaction = None
+                self.echo("open transaction rolled back by write-write conflict")
             raise
-        self._print_result(result)
-
-    def drop_doomed_transaction(self) -> None:
-        """Forget an open transaction a write-write conflict doomed.
-
-        An eager conflict (detected at write time, mid-statement) rolls
-        the transaction back inside the storage layer; keeping the dead
-        handle would make every later statement fail with
-        ``TransactionError``, so the session drops it — and says so —
-        as part of reporting the conflict.
-        """
-        if self.transaction is not None and self.transaction.status != "active":
-            self.transaction = None
-            self.echo("open transaction rolled back by write-write conflict")
 
     def _print_result(self, result) -> None:
         """Render one result: DML summary, or plan + rows + I/O summary."""

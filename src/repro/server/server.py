@@ -2,9 +2,10 @@
 
 One thread runs a :mod:`selectors` loop: it accepts connections, runs
 one complete JSON request line per connection per turn, round robin,
-through decode → admission → :meth:`Session.handle` → encode, writes
-responses from a per-connection buffer without blocking, and sweeps
-idle sessions on the select timeout.  Sessions share the database —
+through decode → :meth:`Session.handle` → encode, writes responses
+from a per-connection buffer without blocking, and expires sessions
+idle, since their last answer, past ``idle_timeout_seconds``, checking
+on the select timeout.  Sessions share the database —
 isolation comes from MVCC snapshots.  A fault while serving one
 connection hangs up on that client alone.
 
@@ -22,8 +23,7 @@ ends (``$timeout``, a session's ``.timeout``, bounds it), and a durable
 commit's fsync holds the loop (group commit is the remedy).  Overload
 queues on the ready list, bounded: a line that waited there behind more
 than ``max_wait_ms`` of other sessions' statements is answered with the
-typed ``AdmissionRejected`` unrun.  The admission gate's
-``max_concurrent`` slots never fill, as one statement is in flight.
+typed ``AdmissionRejected`` unrun.
 
 The loop thread keeps off the CPU of the thread that called ``start()``
 (Linux, more than one CPU allowed): that thread's process, or one it
@@ -34,9 +34,8 @@ quarter of ``served_mix`` runs on 2 vCPUs, at 1.4x the statement time.
 The price falls on client threads in the server's own process: they
 share its GIL and, on another CPU, can wait for it until the loop idles.
 
-``stop()`` lets the running statement finish (waiting up to
-``drain_seconds``), then rolls back open transactions and closes the
-sockets.
+``stop()`` lets the running statement finish, then rolls back open
+transactions and closes the sockets.
 """
 
 from __future__ import annotations
@@ -62,14 +61,12 @@ from repro.server.protocol import (
 )
 from repro.server.session import Session
 
-#: Default per-statement concurrency cap (the admission gate's slots).
-DEFAULT_MAX_CONCURRENT = 8
-
-#: Default bounded wait for an admission slot, in milliseconds.
+#: Default bound on how long a ready line may wait behind other
+#: sessions' statements, in milliseconds.
 DEFAULT_MAX_WAIT_MS = 2000.0
 
 #: How long `stop()` waits for the running statement before giving up.
-DEFAULT_DRAIN_SECONDS = 5.0
+_DRAIN_SECONDS = 5.0
 
 #: How often the loop sweeps idle sessions, as a fraction of the idle
 #: timeout (bounded below so tiny timeouts don't spin).
@@ -92,6 +89,13 @@ class _Connection:
     queued: bool = False
     #: The server's ``_busy_seconds`` when it was queued.
     busy_mark: float = 0.0
+    #: When the loop last finished answering it (or accepted it): the
+    #: start of its idleness.
+    answered: float = field(default_factory=time.monotonic)
+
+
+def _expire(conn: _Connection) -> None:
+    conn.session.expire()
 
 
 def _other_cpus() -> set[int] | None:
@@ -115,9 +119,7 @@ class DatabaseServer:
         db,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_concurrent: int = DEFAULT_MAX_CONCURRENT,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-        drain_seconds: float = DEFAULT_DRAIN_SECONDS,
         idle_timeout_seconds: float | None = None,
     ) -> None:
         if idle_timeout_seconds is not None and idle_timeout_seconds <= 0:
@@ -125,10 +127,11 @@ class DatabaseServer:
         self.db = db
         self.host = host
         self.port = port
-        self.drain_seconds = drain_seconds
         self.idle_timeout_seconds = idle_timeout_seconds
+        # One statement is in flight at a time, so no slot is ever held:
+        # the controller only counts and traces the ready-queue rejections.
         self.admission = AdmissionController(
-            max_concurrent, max_wait_ms=max_wait_ms, tracer=db.tracer
+            1, max_wait_ms=max_wait_ms, tracer=db.tracer
         )
         self._listener: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
@@ -194,7 +197,7 @@ class DatabaseServer:
         self._stopping = True
         with contextlib.suppress(OSError):
             self._waker.send(b"\0")
-        self._thread.join(self.drain_seconds if drain else 1.0)
+        self._thread.join(_DRAIN_SECONDS if drain else 1.0)
         self._waker.close()
         if drain and getattr(self.db, "durability", None) is not None:
             # Graceful shutdown leaves a fresh checkpoint so the
@@ -241,16 +244,22 @@ class DatabaseServer:
                     elif not conn.queued:
                         step = self._flush if conn.writing else self._receive
                         self._guard(step, conn)
+                # After the select, so a line that came in while another
+                # session's statement ran is queued: not idle.
+                if sweep is not None and (now := time.monotonic()) >= sweep_at:
+                    sweep_at = now + sweep
+                    idle_since = now - self.idle_timeout_seconds
+                    for conn in list(self._connections.values()):
+                        if conn.answered <= idle_since and not (
+                            conn.queued or conn.session.expired
+                        ):
+                            self._guard(_expire, conn)
                 for _ in range(len(ready)):
                     if self._stopping:
                         break
                     conn = ready.popleft()
                     if conn.queued:
                         self._guard(self._answer, conn)
-                if sweep is not None and (now := time.monotonic()) >= sweep_at:
-                    sweep_at = now + sweep
-                    for conn in list(self._connections.values()):
-                        self._guard(self._expire_if_idle, conn)
         finally:
             for conn in list(self._connections.values()):
                 self._guard(self._drop, conn)
@@ -315,7 +324,8 @@ class DatabaseServer:
             waited = self._busy_seconds - conn.busy_mark
             started = time.monotonic()
             response = self._respond(conn.session, inbox[:end], waited)
-            self._busy_seconds += time.monotonic() - started
+            conn.answered = time.monotonic()
+            self._busy_seconds += conn.answered - started
             del inbox[: end + 1]
             conn.closing = bool(response.get("bye"))
         else:
@@ -345,9 +355,6 @@ class DatabaseServer:
             self._selector.modify(conn.sock, events, conn)
         self._enqueue(conn)
 
-    def _expire_if_idle(self, conn: _Connection) -> None:
-        conn.session.maybe_expire(time.monotonic(), self.idle_timeout_seconds)
-
     def _drop(self, conn: _Connection) -> None:
         """Roll the session back, unregister and close its socket, once."""
         if self._connections.pop(conn.session.id, None) is None:
@@ -361,8 +368,9 @@ class DatabaseServer:
             conn.sock.close()
 
     def _respond(self, session: Session, raw: bytes, waited: float) -> dict:
-        """Decode, admit, execute: every failure becomes a typed error.
-        ``waited``: seconds of others' statements run while it was ready."""
+        """Decode, bound the wait, execute: every failure becomes a typed
+        error.  ``waited``: seconds of others' statements run while it was
+        ready."""
         try:
             request = decode(raw.strip())
         except ProtocolError as exc:
@@ -370,16 +378,13 @@ class DatabaseServer:
         try:
             if waited * 1000.0 > self.admission.max_wait_ms:
                 raise self.admission.reject(waited * 1000.0)
-            with self.admission.admit():
-                return session.handle(request)
+            return session.handle(request)
         except Exception as exc:  # noqa: BLE001 — the wire gets it typed
             session.errors += 1
             return error_payload(exc)
 
 
 __all__ = [
-    "DEFAULT_DRAIN_SECONDS",
-    "DEFAULT_MAX_CONCURRENT",
     "DEFAULT_MAX_WAIT_MS",
     "DatabaseServer",
 ]

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import io
 import itertools
-import threading
 import time
 from typing import Any
 
 from repro.cli import Shell
 from repro.engine.dml import DmlResult
-from repro.errors import ReproError, SessionExpired, WriteConflict
+from repro.errors import ReproError, SessionExpired
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -58,7 +57,6 @@ class Session:
 
     def __init__(self, session_id: int, db, peer: str = "?") -> None:
         self.id = session_id
-        self.db = db
         self.peer = peer
         self.shell = Shell(db, out=io.StringIO())
         self.started = time.monotonic()
@@ -67,45 +65,38 @@ class Session:
         self.closed = False
         #: Set by the idle reaper; the next request gets SessionExpired.
         self.expired = False
-        self.last_activity = time.monotonic()
         self._cursor_ids = itertools.count(1)
         self.cursors: dict[int, Cursor] = {}
-        # Held while a request runs; `maybe_expire` skips a session
-        # whose lock is taken.  The server's loop runs requests and
-        # expiry in turn, so it never finds the lock held.
-        self.lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
         """Execute one decoded request and build its response payload."""
-        with self.lock:
-            self.last_activity = time.monotonic()
-            op = request["op"]
-            try:
-                if self.expired:
-                    raise SessionExpired(
-                        "session expired after idling past the server's "
-                        "idle timeout; its transaction was rolled back — "
-                        "reconnect to continue"
-                    )
-                if op == "hello":
-                    return self._hello()
-                if op == "line":
-                    return self._line(request)
-                if op == "query":
-                    return self._query(request)
-                if op == "fetch":
-                    return self._fetch(request)
-                if op == "close":
-                    return self._close_cursor(request)
-                if op == "bye":
-                    self.close()
-                    return {"ok": True, "bye": True}
-                raise ProtocolError(f"unknown op {op!r}")
-            except ReproError as exc:
-                self.errors += 1
-                return error_payload(exc)
+        op = request["op"]
+        try:
+            if self.expired:
+                raise SessionExpired(
+                    "session expired after idling past the server's "
+                    "idle timeout; its transaction was rolled back — "
+                    "reconnect to continue"
+                )
+            if op == "hello":
+                return self._hello()
+            if op == "line":
+                return self._line(request)
+            if op == "query":
+                return self._query(request)
+            if op == "fetch":
+                return self._fetch(request)
+            if op == "close":
+                return self._close_cursor(request)
+            if op == "bye":
+                self.close()
+                return {"ok": True, "bye": True}
+            raise ProtocolError(f"unknown op {op!r}")
+        except ReproError as exc:
+            self.errors += 1
+            return error_payload(exc)
 
     def _hello(self) -> dict[str, Any]:
         return {
@@ -135,19 +126,7 @@ class Session:
         if not isinstance(text, str) or not text.strip():
             raise ProtocolError('"query" requires non-empty "text"')
         self.statements += 1
-        try:
-            result = self.db.query(
-                text,
-                config=self.shell.config,
-                options=self.shell._options(),
-                transaction=self.shell.transaction,
-            )
-        except WriteConflict:
-            # An eager conflict already rolled the transaction back in
-            # the storage layer; drop the dead handle so the session's
-            # next statement runs auto-committed instead of failing.
-            self.shell.drop_doomed_transaction()
-            raise
+        result = self.shell.statement(text)
         if isinstance(result, DmlResult):
             return {
                 "ok": True,
@@ -194,46 +173,23 @@ class Session:
 
     # ------------------------------------------------------------------
 
-    def maybe_expire(self, now: float, timeout: float) -> bool:
-        """Expire this session if it has idled past ``timeout`` seconds.
+    def expire(self) -> None:
+        """Expire this idle session (the server loop's idle sweep).
 
-        Called by the server loop's idle sweep.  Uses a *non-blocking*
-        lock acquire so a sweep from another thread never stalls behind
-        an in-flight request — a busy session is by definition not idle
-        — and re-checks idleness under the lock, because a request may
-        have slipped in between the outside check and the acquire.
-
-        Expiry rolls back the session's open transaction (freeing its
-        snapshot and any write intents), drops its cursors, and marks
-        the session so its next request raises
-        :class:`~repro.errors.SessionExpired`.  Returns ``True`` when
-        this call performed the expiry.
+        Rolls back its open transaction (freeing its snapshot and any
+        write intents) and drops its cursors; its next request raises
+        :class:`~repro.errors.SessionExpired`.
         """
-        if self.expired or self.closed:
-            return False
-        if now - self.last_activity < timeout:
-            return False
-        if not self.lock.acquire(blocking=False):
-            return False  # mid-request: not idle after all
-        try:
-            if self.expired or self.closed:
-                return False
-            if now - self.last_activity < timeout:
-                return False
-            self.expired = True
-            self.cursors.clear()
-            if self.shell.transaction is not None:
-                self.shell.transaction.rollback()
-                self.shell.transaction = None
-            return True
-        finally:
-            self.lock.release()
+        self.expired = True
+        self._release()
 
     def close(self) -> None:
         """Roll back any open transaction and drop cursors (idempotent)."""
-        if self.closed:
-            return
-        self.closed = True
+        if not self.closed:
+            self.closed = True
+            self._release()
+
+    def _release(self) -> None:
         self.cursors.clear()
         if self.shell.transaction is not None:
             self.shell.transaction.rollback()

@@ -538,14 +538,64 @@ class TestServerIdleReaper:
         finally:
             server.stop(drain=False)
 
-    def test_busy_session_is_not_reaped(self):
-        from repro.server.session import Session
+    def test_long_statement_does_not_expire_its_session(self, monkeypatch):
+        """Idleness counts from a session's last answer, and a session
+        whose request waits behind another's statement is not idle: a
+        statement that runs past the idle timeout expires neither its
+        own session nor one that sent a request meanwhile."""
+        import threading
+        import time as _time
+
+        from repro.server import DatabaseServer, ServerClient
 
         db = Database.sample(scale=SCALE)
-        session = Session(1, db)
-        with session.lock:  # simulate an in-flight request
-            assert session.maybe_expire(now=10**9, timeout=0.001) is False
-        assert not session.expired
+        slow_text = "SELECT c.name FROM c IN Cities WHERE c.name == 'city1'"
+        query = db.query
+
+        def slow_query(text, **kwargs):
+            if text == slow_text:
+                _time.sleep(0.4)
+            return query(text, **kwargs)
+
+        def update(client, name):
+            client.begin()
+            client.query(
+                f"UPDATE c IN Cities SET c.population = 1 WHERE c.name == '{name}'"
+            )
+
+        def population(client, name):
+            return client.query(
+                f"SELECT c.population FROM c IN Cities WHERE c.name == '{name}'"
+            )["rows"]
+
+        monkeypatch.setattr(db, "query", slow_query)
+        server = DatabaseServer(db, port=0, idle_timeout_seconds=0.15)
+        host, port = server.start()
+        try:
+            with ServerClient(host, port) as client, \
+                    ServerClient(host, port) as other:
+                update(other, "city2")
+                update(client, "city0")
+                waiting: list = []
+
+                def read_meanwhile():
+                    _time.sleep(0.1)  # into the slow statement
+                    try:
+                        waiting.append(population(other, "city2"))
+                    except SessionExpired as exc:
+                        waiting.append(exc)
+
+                reader = threading.Thread(target=read_meanwhile)
+                reader.start()
+                assert client.query(slow_text)["row_count"] == 1
+                reader.join(10.0)
+                assert not reader.is_alive()
+                assert population(client, "city0") == [{"c.population": 1}]
+                assert waiting == [[{"c.population": 1}]]
+                assert "committed" in client.commit()
+                assert "committed" in other.commit()
+        finally:
+            server.stop(drain=False)
 
 
 class TestClientConnectRetry:

@@ -79,9 +79,7 @@ def test_snapshot_isolation_under_64_sessions():
         row["x.population"]
         for row in db.query("SELECT x.population FROM x IN Cities").rows
     )
-    server = DatabaseServer(
-        db, port=0, max_concurrent=8, max_wait_ms=120_000.0
-    )
+    server = DatabaseServer(db, port=0, max_wait_ms=120_000.0)
     host, port = server.start()
 
     outcome = {

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.api import Database
-from repro.errors import AdmissionRejected, QuerySyntaxError, WriteConflict
+from repro.errors import QuerySyntaxError, WriteConflict
 from repro.server import DatabaseServer, ServerClient
 from repro.server.protocol import encode
 
@@ -195,28 +195,6 @@ class TestSessions:
 
 
 class TestAdmissionAndShutdown:
-    def test_admission_rejection_is_typed(self):
-        db = Database.sample(scale=SCALE)
-        srv = DatabaseServer(db, port=0, max_concurrent=1, max_wait_ms=0.0)
-        host, port = srv.start()
-        try:
-            with ServerClient(host, port) as a:
-                a.hello()
-                # Hold the only slot by keeping a statement in flight:
-                # admission wraps each request, so saturate via a session
-                # whose request sleeps in the governor. Simplest reliable
-                # probe: acquire the gate directly, then issue a request.
-                entered = srv.admission.admit()
-                entered.__enter__()
-                try:
-                    with pytest.raises(AdmissionRejected):
-                        a.query("SELECT x.name FROM x IN Cities")
-                finally:
-                    entered.__exit__(None, None, None)
-                assert a.query("SELECT x.name FROM x IN Cities")["row_count"]
-        finally:
-            srv.stop(drain=False)
-
     def test_stop_then_start_again(self):
         db = Database.sample(scale=SCALE)
         srv = DatabaseServer(db, port=0)
