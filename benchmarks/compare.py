@@ -23,6 +23,10 @@ pairs the head won (ties count for neither side) and a verdict:
   every head run beat every base run;
 * ``within bound``: none of these.
 
+Each run's line of per-CPU busy shares, read from ``/proc/stat`` around the
+child (Linux), shows a run whose processes shared one CPU: ``served_mix``'s
+server and client on one vCPU run at about 1.4x the statement time.
+
 ``--trace [SEED]`` (seed 1 by default) adds one traced run per side and
 diffs the counts that must repeat exactly, then lists the per-layer times.
 Nothing from ``benchmarks/e2e/`` is imported: its ``run.py`` is invoked.
@@ -103,14 +107,53 @@ def summarise(base: list[float], head: list[float], better: str, bound: float) -
     }
 
 
+def cpu_times(text: str) -> dict[str, list[int]]:
+    """Each CPU's ``/proc/stat`` line (``cpu0`` ...) as its tick counters."""
+    return {
+        fields[0]: [int(value) for value in fields[1:]]
+        for fields in map(str.split, text.splitlines())
+        if fields and fields[0].startswith("cpu") and fields[0] != "cpu"
+    }
+
+
+def read_cpu_times() -> dict[str, list[int]]:
+    """``cpu_times`` of this machine now; empty without ``/proc/stat``."""
+    try:
+        return cpu_times(Path("/proc/stat").read_text())
+    except OSError:
+        return {}
+
+
+def busy_shares(before: dict[str, list[int]], after: dict[str, list[int]]) -> list[float]:
+    """Each CPU's busy share of the ticks between two ``cpu_times`` readings.
+
+    The first eight counters (user, nice, system, idle, iowait, irq,
+    softirq, steal) add up to the elapsed ticks; idle and iowait are not busy.
+    """
+    shares = []
+    for name, start in before.items():
+        delta = [end - begin for begin, end in zip(start[:8], after.get(name, start))]
+        total = sum(delta)
+        shares.append((total - delta[3] - delta[4]) / total if total else 0.0)
+    return shares
+
+
 def run(side: Path, workload: str, seed: int, trace: int) -> dict:
-    """One ``run.py`` result (``correct``, ``attempted``, ``failed``, ``metrics``)."""
+    """One ``run.py`` result (``correct``, ``attempted``, ``failed``,
+    ``metrics``), plus ``cpu_busy``: each CPU's busy share over the run."""
+    before = read_cpu_times()
     done = subprocess.run(
         [sys.executable, str(side / RUN), "--workload", workload,
          "--seed", str(seed), "--trace", str(trace)],
         cwd=side, stdout=subprocess.PIPE, text=True, check=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["cpu_busy"] = busy_shares(before, read_cpu_times())
+    return result
+
+
+def cpu_line(result: dict) -> str:
+    return " ".join(f"{share:4.0%}" for share in result["cpu_busy"]) or "n/a"
 
 
 def values(results: list[dict], name: str) -> list[float]:
@@ -134,6 +177,9 @@ def compare(base: Path, workload: str, seeds: list[int], trace_seed: int | None)
         correct = all(result["correct"] for result in side)
         print(f"  {name}: {attempted} attempted, {failed} failed, "
               f"{'correct' if correct else 'INCORRECT'}")
+    print("  busy share of each CPU per run:")
+    for seed, base_run, head_run in zip(seeds, results["base"], results["head"]):
+        print(f"    seed {seed}: base {cpu_line(base_run)} | head {cpu_line(head_run)}")
     print(f"  {'metric':<14} {'base':>10} {'[Q1 - Q3]':>21} {'head':>10} "
           f"{'change':>8} {'wins':>6}  verdict")
     for metric in benchmark["end_to_end"]:

@@ -82,3 +82,23 @@ def test_workload_lists_and_all(compare):
     assert compare.parse_workloads("point_hit", declared) == ["point_hit"]
     with pytest.raises(ValueError, match="nope"):
         compare.parse_workloads("point_hit,nope", declared)
+
+
+def test_busy_shares_per_cpu_from_proc_stat(compare):
+    before = compare.cpu_times(
+        "cpu  10 0 10 80 0 0 0 0 0 0\n"
+        "cpu0 5 0 5 40 0 0 0 0 0 0\n"
+        "cpu1 5 0 5 40 0 0 0 0 0 0\n"
+        "intr 123\n"
+    )
+    assert before == {"cpu0": [5, 0, 5, 40, 0, 0, 0, 0, 0, 0],
+                      "cpu1": [5, 0, 5, 40, 0, 0, 0, 0, 0, 0]}
+    # cpu0: 90 busy ticks of 100; cpu1: 10 busy of 100, 20 of its idle
+    # ticks in iowait; guest ticks (already in user) are not counted twice.
+    after = compare.cpu_times(
+        "cpu0 65 0 35 50 0 0 0 0 7 0\n"
+        "cpu1 10 0 10 110 20 0 0 0 0 0\n"
+    )
+    assert compare.busy_shares(before, after) == pytest.approx([0.9, 0.1])
+    assert compare.cpu_line({"cpu_busy": [0.9, 0.1]}) == " 90%  10%"
+    assert compare.cpu_line({"cpu_busy": []}) == "n/a"
