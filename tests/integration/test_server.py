@@ -20,7 +20,8 @@ import pytest
 from repro.api import Database
 from repro.errors import QuerySyntaxError, WriteConflict
 from repro.server import DatabaseServer, ServerClient
-from repro.server.protocol import encode
+from repro.server.protocol import encode, row_payload
+from repro.storage.objects import Oid
 
 SCALE = 0.02
 
@@ -87,6 +88,28 @@ class TestProtocol:
             raw = client._reader.readline()
             assert b"ProtocolError" in raw
             assert client.hello()["ok"]
+
+    def test_reference_columns_go_as_oid_strings(self, server):
+        """A reference is its ``Type#serial`` string on the wire, and a
+        set of references a list of them — never a ``[type, serial]``
+        pair, in a record or as a bare binding."""
+        with connect(server) as client:
+            city = client.query("SELECT c FROM c IN Cities WHERE c.name == 'city0'")
+            task = client.query("SELECT t FROM t IN Tasks WHERE t.name == 'task0'")
+        assert city["rows"] == [{"c": {"oid": "City#0", "data": {
+            "name": "city0", "population": 674053,
+            "mayor": "Person#327", "country": "Country#0",
+        }}}]
+        assert task["rows"] == [{"t": {"oid": "Task#0", "data": {
+            "name": "task0", "time": 10, "team_members": [
+                "Employee#316", "Employee#4", "Employee#817", "Employee#365",
+                "Employee#963", "Employee#246", "Employee#123",
+            ],
+        }}}]
+        members = (Oid("Employee", 3), Oid("Employee", 11))
+        assert row_payload({"m": members[0], "s": members, "n": None}) == {
+            "m": "Employee#3", "s": ["Employee#3", "Employee#11"], "n": None,
+        }
 
 
 class TestSessions:

@@ -18,11 +18,13 @@ from repro.governor.admission import AdmissionController
 from repro.governor.context import CHECK_INTERVAL_ROWS, QueryContext, governed
 from repro.governor.faults import FaultInjector, FaultPlan
 from repro.governor.spill import (
+    _partition,
     approx_row_bytes,
     spill_hash_join,
     spill_sort_rows,
 )
 from repro.algebra.predicates import CompOp, Comparison, Conjunction, FieldRef
+from repro.storage.objects import Oid
 
 
 class TestQueryContext:
@@ -181,6 +183,22 @@ class TestSpill:
         row = {"a": 1, "b": "text", "c": Obj(oid=5, data={"x": 1})}
         assert approx_row_bytes(row) == approx_row_bytes(dict(row))
         assert approx_row_bytes(row) > 0
+
+    def test_references_size_as_scalars_and_partition_by_serial(self):
+        """An OID sizes as a scalar (28) and a set of them as a list of
+        scalars, whatever class implements it: these sizes decide when a
+        join or sort spills.  A bare OID key partitions as its serial."""
+        members = (Oid("Employee", 3), Oid("Employee", 11))
+        row = {
+            "m": members[0],
+            "s": members,
+            "c": Obj(Oid("City", 1), {"mayor": members[0], "team": members}),
+        }
+        assert approx_row_bytes(row) == 64 + (25 + 28) + (25 + 112) + (25 + 128)
+        assert [_partition(oid, 7) for oid in members] == [
+            hash((3,)) % 7, hash((11,)) % 7,
+        ]
+        assert _partition(members, 7) == hash((3, 11)) % 7
 
     def test_spill_sort_matches_in_memory_sort_exactly(self):
         store = _store()
