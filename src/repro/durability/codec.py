@@ -45,10 +45,12 @@ def encode_value(value: Any) -> Any:
 
 
 def encode_record(data: dict[str, Any] | None) -> Any:
-    """An object record (or None, a tombstone) ready for ``json.dumps(...,
-    default=encode_default)``: the record itself when that call writes it
-    exactly as :func:`encode_value` would — string keys, scalar and OID
-    values, by far the common shape — else its encoded copy.
+    """An object record (or None, a tombstone) ready for ``json.dumps``:
+    the record itself when that call writes it exactly as
+    :func:`encode_value` would — string keys and scalar values — else its
+    encoded copy.  An :class:`Oid` is a tuple, which ``json.dumps``
+    writes as an array without asking ``default``, so exactly the records
+    that hold a reference (or a list or dict) are copied.
 
     A checkpoint holds the newest version of every written object;
     encoding each into a tagged copy first made the copy, not the data,
@@ -63,10 +65,8 @@ def encode_record(data: dict[str, Any] | None) -> Any:
 
 
 def encode_default(value: Any) -> Any:
-    """``json.dumps`` ``default`` hook: an OID met inside a record that
-    :func:`encode_record` passed through, as :func:`encode_value` tags it."""
-    if isinstance(value, Oid):
-        return {_OID_TAG: [value.type_name, value.serial]}
+    """``json.dumps`` ``default`` hook: a value JSON has no form for is a
+    typed error, as :func:`encode_value` raises it."""
     raise StorageError(f"cannot log value of type {type(value).__name__}")
 
 

@@ -46,7 +46,7 @@ def feedback_key(key: tuple) -> tuple[Fingerprint, frozenset[str]]:
 
 def _text(part):
     """An opaque operator's signature with every leaf as its string."""
-    if isinstance(part, tuple):
+    if part.__class__ is tuple:  # an Oid (a tuple) is a leaf
         return tuple(map(_text, part))
     return str(part)
 

@@ -54,7 +54,7 @@ def _value_bytes(value: Any) -> int:
         return size
     if isinstance(value, str):
         return 49 + len(value)
-    if isinstance(value, (list, tuple)):
+    if value.__class__ in (list, tuple):  # an Oid (a tuple) is a scalar
         return 56 + sum(_value_bytes(item) for item in value)
     return 28
 

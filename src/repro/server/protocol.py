@@ -31,8 +31,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.engine.tuples import Obj
 from repro.errors import ReproError
+from repro.storage.objects import Obj, Oid
 
 #: Bumped when the wire format changes incompatibly.
 PROTOCOL_VERSION = 1
@@ -105,6 +105,8 @@ def _data_payload(data: dict[str, Any] | None) -> dict[str, Any] | None:
 
 def _scalar_payload(value: Any) -> Any:
     """Scalars pass through; references and sets become oid strings."""
+    if value.__class__ is Oid:  # a tuple, but one reference
+        return str(value)
     if isinstance(value, (list, tuple, set, frozenset)):
         return [_scalar_payload(item) for item in value]
     if value is None or isinstance(value, (int, float, str, bool)):

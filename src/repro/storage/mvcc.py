@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.errors import StorageError, TransactionError, WriteConflict
-from repro.storage.objects import Oid
+from repro.storage.objects import Obj, Oid
 
 if TYPE_CHECKING:
     from repro.storage.store import ObjectStore
@@ -787,17 +787,20 @@ class SnapshotView:
     def has_collection(self, name: str) -> bool:
         return self._store.has_collection(name)
 
-    def scan(self, name: str) -> Iterator[tuple[Oid, dict[str, Any]]]:
-        """Sequentially scan a collection at the snapshot, charging I/O."""
-        return self._store._scan_members(name, self.collection_oids(name), self._read)
+    def scan(self, name: str, var: str) -> Iterator[dict[str, Obj]]:
+        """Sequentially scan a collection at the snapshot, charging I/O,
+        binding each member to ``var``."""
+        return self._store._scan_members(
+            name, self.collection_oids(name), self._read, var
+        )
 
     # Kept for the frozen benchmark tracer; see ObjectStore.scan_partition.
     def scan_partition(
-        self, name: str, partition: int, degree: int
-    ) -> Iterator[tuple[Oid, dict[str, Any]]]:
+        self, name: str, partition: int, degree: int, var: str
+    ) -> Iterator[dict[str, Obj]]:
         """Scan one contiguous share of the snapshot's page runs."""
         return self._store._scan_members(
-            name, self.collection_oids(name), self._read, (partition, degree)
+            name, self.collection_oids(name), self._read, var, (partition, degree)
         )
 
 

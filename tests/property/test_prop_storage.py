@@ -93,7 +93,7 @@ class TestStoreLayout:
     @settings(max_examples=40)
     def test_scan_preserves_insertion_order(self, names):
         store = _store_with(names, 500)
-        scanned = [data["name"] for _, data in store.scan(extent_name("T"))]
+        scanned = [row["t"].data["name"] for row in store.scan(extent_name("T"), "t")]
         assert scanned == names
 
 
@@ -174,12 +174,12 @@ class TestAddressing:
             members = store.collection_oids(name)
             pages = [expected[oid] for oid in members]
             for surface in (store, view):
-                assert [oid for oid, _ in surface.scan(name)] == members
+                assert [row["x"].oid for row in surface.scan(name, "x")] == members
                 # One request per member, in order.
-                assert requested(lambda: list(surface.scan(name))) == pages
+                assert requested(lambda: list(surface.scan(name, "x"))) == pages
                 # Shares are disjoint in pages and concatenate to the scan.
                 shares = [
-                    [oid for oid, _ in surface.scan_partition(name, share, degree)]
+                    [row["x"].oid for row in surface.scan_partition(name, share, degree, "x")]
                     for share in range(degree + 1)
                 ]
                 assert [oid for share in shares for oid in share] == members
@@ -188,7 +188,7 @@ class TestAddressing:
                 assert shares[degree] == []
                 assert requested(
                     lambda: [
-                        list(surface.scan_partition(name, share, degree))
+                        list(surface.scan_partition(name, share, degree, "x"))
                         for share in range(degree)
                     ]
                 ) == pages
@@ -230,8 +230,8 @@ class ReferencePool:
 
 
 def _scanned(surface):
-    """A scan item's OID, if its record is the one ``surface`` reads."""
-    return lambda item: item[0] if item[1] is surface.peek(item[0]) else item
+    """A scanned row's OID, if its record is the one ``surface`` reads."""
+    return lambda row: row["x"].oid if row["x"].data is surface.peek(row["x"].oid) else row
 
 
 class _Scope:
@@ -340,7 +340,7 @@ class TestPageRunAccounting:
             scopes.append(scope)
             if kind == "scan":
                 actors.append(
-                    [[surface.scan(name)], _scanned(surface),
+                    [[surface.scan(name, "x")], _scanned(surface),
                      scan_model(members, scope), scope, None]
                 )
             else:
@@ -411,8 +411,8 @@ class TestPageRunAccounting:
             names = [extent_name("T0"), extent_name("T1")]
             for turn in range(rounds):
                 name = names[(slot + turn) % 2]
-                requested[slot] += sum(1 for _ in store.scan(name))
-                abandoned = store.scan(name)
+                requested[slot] += sum(1 for _ in store.scan(name, "t"))
+                abandoned = store.scan(name, "t")
                 requested[slot] += sum(1 for _ in islice(abandoned, 7))
                 abandoned.close()
 
@@ -443,7 +443,7 @@ class TestIndexAgainstScan:
         via_index = sorted(index.lookup_eq(store, str(probe)))
         via_scan = sorted(
             oid
-            for oid, data in store.scan(extent_name("T"))
+            for oid, data in (row["t"] for row in store.scan(extent_name("T"), "t"))
             if data["name"] == str(probe)
         )
         assert via_index == via_scan
@@ -456,7 +456,7 @@ class TestIndexAgainstScan:
         via_index = sorted(index.lookup_range(store, low="10", high="30"))
         via_scan = sorted(
             oid
-            for oid, data in store.scan(extent_name("T"))
+            for oid, data in (row["t"] for row in store.scan(extent_name("T"), "t"))
             if "10" <= data["name"] <= "30"
         )
         assert via_index == via_scan
@@ -554,7 +554,9 @@ class TestVersionedViews:
             # after a commit that keeps a member list, so does the scan.
             for store in stores:
                 for name, oids in members.items():
-                    assert list(store.scan(name)) == [(oid, data[oid]) for oid in oids]
+                    assert [row["x"] for row in store.scan(name, "x")] == [
+                        (oid, data[oid]) for oid in oids
+                    ]
             replay.append(({name: list(oids) for name, oids in members.items()},
                            dict(data), set(gone)))
             views += [SnapshotView(store, csn) for store in stores]
@@ -562,7 +564,9 @@ class TestVersionedViews:
             want_members, want_data, want_gone = replay[view.snapshot]
             for name, oids in want_members.items():
                 assert view.collection_oids(name) == oids
-                assert list(view.scan(name)) == [(oid, want_data[oid]) for oid in oids]
+                assert [row["x"] for row in view.scan(name, "x")] == [
+                    (oid, want_data[oid]) for oid in oids
+                ]
             for oid, record in want_data.items():
                 assert view.fetch(oid) == record
             for oid in want_gone:

@@ -19,6 +19,7 @@ from repro.catalog.catalog import Catalog, IndexDef, extent_name
 from repro.catalog.schema import Schema, TypeDef, ref, scalar, set_ref
 from repro.engine import iterators as it
 from repro.engine import tuples
+from repro.storage import objects
 from repro.storage.objects import Oid
 from repro.storage.store import ObjectStore
 
@@ -309,17 +310,34 @@ def _frames(work) -> Counter:
     return counts
 
 
+def _identity_frames(counts: Counter) -> int:
+    """Frames entered in ``storage/objects.py``: an OID's hash, equality
+    and fields and an object binding's construction are all C, so any
+    frame there is a Python method on the per-row path."""
+    return sum(n for code, n in counts.items() if code.co_filename == objects.__file__)
+
+
 class TestReadPathFrames:
     """Per-object frames the read path does without: each count is one
     frame per member, row or key before scans read records by position,
-    join keys became bare values and constants were bound once."""
+    join keys became bare values, constants were bound once and identity
+    values became tuples."""
 
     def test_base_scan_hashes_no_oid(self, store):
-        assert len(list(store.scan(PERSONS))) == 4  # lists the records
+        assert len(list(store.scan(PERSONS, "p"))) == 4  # lists the records
         scanned = []
-        counts = _frames(lambda: scanned.extend(store.scan(PERSONS)))
-        assert [oid for oid, _ in scanned] == store.collection_oids(PERSONS)
-        assert counts[Oid.__hash__.__code__] == 0
+        counts = _frames(lambda: scanned.extend(store.scan(PERSONS, "p")))
+        assert [row["p"].oid for row in scanned] == store.collection_oids(PERSONS)
+        assert _identity_frames(counts) == 0
+
+    def test_base_scan_spends_one_generator_frame_per_row(self, store):
+        list(it.file_scan(store, PERSONS, "p"))  # lays out the page runs
+        rows = []
+        counts = _frames(lambda: rows.extend(it.file_scan(store, PERSONS, "p")))
+        per_row = {code.co_qualname: n for code, n in counts.items() if n >= len(rows)}
+        # One resume per row, and the last one that finds the scan done.
+        assert len(rows) == 4
+        assert per_row == {"ObjectStore._scan_members": len(rows) + 1}
 
     def test_single_key_hash_join_compares_no_oid(self, store):
         people = list(it.file_scan(store, PERSONS, "p"))
@@ -330,7 +348,7 @@ class TestReadPathFrames:
         out = []
         counts = _frames(lambda: out.extend(it.hash_join(people, cities, pred)))
         assert len(out) == 4
-        assert counts[Oid.__eq__.__code__] == 0
+        assert _identity_frames(counts) == 0
 
     def test_constant_comparison_reads_no_constant_getter(self, store):
         rows = list(it.file_scan(store, PERSONS, "p"))

@@ -201,15 +201,18 @@ def test_snapshot_view_scan_matches_collection_oids():
     with store.begin() as txn:
         txn.insert("Items", {"n": 50, "label": "scanned"})
     view = store.view()
-    scanned = {oid for oid, _ in view.scan("Items")}
+    scanned = {row["i"].oid for row in view.scan("Items", "i")}
     assert scanned == set(view.collection_oids("Items"))
     # Shares of the page runs are disjoint in pages and concatenate to
     # the whole scan.
-    shares = [[oid for oid, _ in view.scan_partition("Items", n, 2)] for n in (0, 1)]
-    assert shares[0] + shares[1] == [oid for oid, _ in view.scan("Items")]
+    shares = [
+        [row["i"].oid for row in view.scan_partition("Items", n, 2, "i")]
+        for n in (0, 1)
+    ]
+    assert shares[0] + shares[1] == [row["i"].oid for row in view.scan("Items", "i")]
     pages = [{view.page_of(oid) for oid in share} for share in shares]
     assert all(pages) and pages[0].isdisjoint(pages[1])
-    assert list(view.scan_partition("Items", 2, 2)) == []
+    assert list(view.scan_partition("Items", 2, 2, "i")) == []
 
 
 def test_sample_store_fast_path_untouched():
@@ -294,7 +297,7 @@ def test_readers_see_their_snapshot_membership_while_commits_land():
         while store.mvcc.current_csn < commits:
             view = SnapshotView(store, store.mvcc.current_csn)
             views.append(view)
-            if [oid for oid, _ in view.scan("Items")] != expected(view.snapshot):
+            if [row["i"].oid for row in view.scan("Items", "i")] != expected(view.snapshot):
                 failures.append(view.snapshot)
 
     interval = sys.getswitchinterval()

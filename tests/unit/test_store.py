@@ -12,7 +12,7 @@ from repro.catalog.catalog import Catalog, extent_name
 from repro.catalog.schema import Schema, TypeDef, ref, scalar
 from repro.durability import codec
 from repro.errors import StorageError
-from repro.storage.objects import Oid
+from repro.storage.objects import Obj, Oid
 from repro.storage.store import ObjectStore
 
 
@@ -100,12 +100,12 @@ class TestAccess:
 
     def test_scan_sequential_page_reads(self, store):
         store.reset_accounting()
-        rows = list(store.scan(extent_name("Person")))
+        rows = list(store.scan(extent_name("Person"), "p"))
         assert len(rows) == 10
         assert store.disk.stats.page_reads == 3  # one per page
 
     def test_scan_named_set(self, store):
-        names = [data["name"] for _, data in store.scan("Cities")]
+        names = [row["c"].data["name"] for row in store.scan("Cities", "c")]
         assert names == [f"c{i}" for i in range(6)]
 
     def test_dangling_reference_raises(self, store):
@@ -153,9 +153,10 @@ class TestLifecycle:
 
 
 class TestOidContract:
-    """What the hand-written ``Oid`` must keep from the frozen dataclass
-    it replaced — above all ``hash(Oid(t, s)) == hash((t, s))``, which is
-    what keeps every set and dict of OIDs iterating in the same order."""
+    """What the tuple ``Oid`` must keep from the frozen dataclass and the
+    hand-written class before it — above all ``hash(Oid(t, s)) == hash((t,
+    s))``, which is what keeps every set and dict of OIDs iterating in the
+    same order."""
 
     def _sample(self):
         rng = random.Random(19)
@@ -176,9 +177,13 @@ class TestOidContract:
             assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == (
                 pa == pb, pa != pb, pa < pb, pa <= pb, pa > pb, pa >= pb
             )
-        assert Oid("City", 1) != ("City", 1)
+        # An OID is its (type, serial) tuple: it equals, orders and keys
+        # a dict like the plain pair; against a string it still does not.
+        assert Oid("City", 1) == ("City", 1) and Oid("City", 1) < ("City", 2)
+        assert {("City", 1): "x"}[Oid("City", 1)] == "x"
+        assert Oid("City", 1) != "City#1"
         with pytest.raises(TypeError):
-            Oid("City", 1) < ("City", 2)
+            Oid("City", 1) < "City#2"
 
     def test_immutable_and_slotted(self):
         oid = Oid("City", 3)
@@ -200,6 +205,11 @@ class TestOidContract:
         for clone in clones:
             assert clone == oid and hash(clone) == hash(oid)
             assert {oid: 1}[clone] == 1
+            assert type(clone) is Oid and repr(clone) == "City#3"
+        binding = Obj(oid, {"name": "springfield", "mayor": Oid("Person", 7)})
+        for clone in (copy.deepcopy(binding), pickle.loads(pickle.dumps(binding))):
+            assert type(clone) is Obj and clone == binding
+            assert type(clone.data["mayor"]) is Oid
 
     def test_durability_codec_bytes_unchanged(self):
         """The exact bytes the write-ahead log and checkpoints hold for
@@ -210,7 +220,12 @@ class TestOidContract:
             "team_members": (Oid("Employee", 3), Oid("Employee", 11)),
             "lead": Oid("Employee", 3),
         }
-        assert codec.encode_record(flat) is flat  # passed through, not copied
+        # json.dumps writes an OID (a tuple) as an array, never asking
+        # ``default``: exactly the records holding a reference are copied.
+        scalars = {"name": "shelbyville", "population": 12, "area": 1.5}
+        assert codec.encode_record(scalars) is scalars
+        assert codec.encode_record(flat) is not flat
+        assert codec.encode_record(nested) is not nested
         dumped = [
             json.dumps(codec.encode_record(r), default=codec.encode_default)
             for r in (flat, nested)
